@@ -14,7 +14,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from gepkit.cli import entropy_gate  # noqa: E402
-from gepkit.exponents import gep_bound_margin  # noqa: E402
+from gepkit.exponents import ExponentCache, gep_bound_margin  # noqa: E402
 from gepkit.montecarlo import compare_bound, empirical_gep, run_trials  # noqa: E402
 from gepkit.scenario import load_scenario  # noqa: E402
 
@@ -38,14 +38,15 @@ def main():
     print(f"  rate = {rate_bits:.6f} bits/symbol; "
           f"gate ({worst} vs {next_worst}): {'PASS' if gate_ok else 'FAIL'}")
 
+    cache = ExponentCache(scen.model, scen.alpha)
     bound = gep_bound_margin(scen.model, [0], scen.region, scen.margin,
-                             scen.alpha, scen.N)
+                             scen.alpha, scen.N, cache=cache)
     print(f"\n== margin bound at N={scen.N} ==")
     print(f"  raw sum {bound.raw:.6f} -> value {bound.value:.6f}"
           f"{' (vacuous)' if bound.vacuous else ''}")
 
     print(f"\n== simulation ({trials} trials, seed {seed}) ==")
-    records = run_trials(scen, trials, seed)
+    records = run_trials(scen, trials, seed, cache=cache)
     est = empirical_gep(records, scen.alpha, scen.N)
     verdict = compare_bound(est, bound)
     print(f"  margin-model GEP {est.point:.4f} (sigma {est.se:.4f}) "

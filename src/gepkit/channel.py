@@ -108,7 +108,8 @@ class SystemModel:
     """Channel plus per-user code libraries and the regular/interfering split.
 
     Immutable after construction; safe to share across concurrent readers.
-    Marginalizations are memoized per instance.
+    Marginalizations and the decoder's per-letter threshold tables are
+    memoized per instance.
     """
 
     dmc: Dmc
@@ -117,6 +118,8 @@ class SystemModel:
     libraries: tuple[tuple[CodeSpec, ...], ...]
     _marg_cache: dict = field(default_factory=dict, repr=False, compare=False)
     _out_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _letter_cache: dict = field(default_factory=dict, repr=False,
+                                compare=False)
 
     def __post_init__(self):
         if self.K < 1:

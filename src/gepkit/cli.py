@@ -175,10 +175,12 @@ def cmd_bound(scenario: Scenario, out: Path, args) -> int:
 
 
 def cmd_simulate(scenario: Scenario, out: Path, args) -> int:
+    # one cache: the verdict bound reuses the threshold build's exponents
+    cache = ExponentCache(scenario.model, scenario.alpha)
     records = montecarlo.run_trials(scenario, scenario.trials, scenario.seed,
-                                    threads=args.threads)
+                                    threads=args.threads, cache=cache)
     estimate = montecarlo.empirical_gep(records, scenario.alpha, scenario.N)
-    bound = scenario_bound(scenario)
+    bound = scenario_bound(scenario, cache)
     verdict = montecarlo.compare_bound(estimate, bound)
     montecarlo.write_trials_csv(out / "trials.csv", estimate)
     summary = montecarlo.summary_dict(estimate, verdict)
@@ -277,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--scenario", required=True, help="scenario JSON path")
         p.add_argument("--threads", type=int, default=0,
-                       help="worker threads for trials (0 = auto)")
+                       help="worker threads for trials (0 or 1 = serial)")
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--trials", type=int, default=None,
                        help="override the scenario trial count")

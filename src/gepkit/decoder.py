@@ -23,6 +23,7 @@ import numpy as np
 from .channel import SystemModel, marginalize_out, output_marginal
 from .ensemble import CodebookRealization, ensemble_log_expectation
 from .errors import (
+    DomainError,
     MissingCodebook,
     OverlappingMargin,
     ShapeMismatch,
@@ -33,6 +34,7 @@ from .exponents import (
     ExponentCache,
     SearchSettings,
     WeightFunction,
+    _cache_for,
     check_detection_partition,
     proper_subsets,
     validate_region,
@@ -91,9 +93,9 @@ class ThresholdParams:
     def __post_init__(self):
         if self.gstar is not None:
             if not (0.0 < self.rho_t <= 1.0 and 0.0 < self.s2 < self.rho_t):
-                raise ValueError(f"inadmissible threshold params {self}")
+                raise DomainError(f"inadmissible threshold params {self}")
             if not 0.0 < self.s1 < 1.0:
-                raise ValueError(f"s1 = {self.s1} outside (0, 1)")
+                raise DomainError(f"s1 = {self.s1} outside (0, 1)")
 
 
 NO_CONSTRAINT = None  # sentinel meaning tau* = +inf
@@ -117,7 +119,7 @@ def select_gstar(model: SystemModel, D, S, g, excluded_from,
                  allow_empty_difference: bool = False):
     """Excluded vector minimizing the false-acceptance exponent among
     {g' outside excluded_from with g'_S = g_S}; (None, None) when empty."""
-    cache = cache or ExponentCache(model, alpha, settings)
+    cache = _cache_for(model, alpha, settings, cache)
     best = cache.best_excluded(D, S, g, frozenset(excluded_from),
                                allow_empty_difference=allow_empty_difference)
     if best is None:
@@ -189,7 +191,7 @@ def build_thresholds(model: SystemModel, D, region, alpha: WeightFunction,
         margin = validate_region(model, margin)
         if region & margin:
             raise OverlappingMargin("operation region and margin intersect")
-    cache = cache or ExponentCache(model, alpha, settings)
+    cache = _cache_for(model, alpha, settings, cache)
     subsets_decode = tuple(S for S in proper_subsets(model.n_users)
                            if set(D) - S)
     subsets_margin = tuple(S for S in proper_subsets(model.n_users)

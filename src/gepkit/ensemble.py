@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .channel import SystemModel, marginalize_out
 from .errors import CodeOutOfRange, MessageOutOfRange, ShapeMismatch
@@ -111,6 +110,42 @@ def encode(codebook: CodebookRealization, w: int, g, k: int) -> np.ndarray:
     return codebook.codeword(k, g_k, w)
 
 
+def _logsumexp(a, axis: int):
+    """log(sum(exp(a))) along ``axis``, by scipy.special.logsumexp's
+    real-input algorithm (scipy 1.17.1) step for step, so that results agree
+    with it bit for bit: take the maximum a_max and the count m of maximal
+    entries, sum exp(a - a_max) over the other entries, divide that sum by
+    m where it is nonzero, and return log1p(s) + log(m) + a_max; where that
+    is not finite, return log(sum(exp(a))) instead.
+
+    When every a_max is finite no step can warn or yield a non-finite
+    value, and the maximal entries' exp(a - a_max) = 1 are zeroed after the
+    exponential rather than set to -inf before it; both give the same array.
+    """
+    a = np.asarray(a, dtype=float)
+    if a.ndim == 0:
+        a = a.reshape(1)
+    a_max = a.max(axis=axis, keepdims=True)
+    i_max = a == a_max
+    m = i_max.sum(axis=axis, keepdims=True, dtype=float)
+    if np.isfinite(a_max).all():
+        e = np.exp(a - a_max)
+        e[i_max] = 0.0
+        s = e.sum(axis=axis, keepdims=True)
+        out = np.log1p(s / m) + np.log(m) + a_max
+    else:
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            shifted = np.array(a, copy=True)
+            shifted[i_max] = _NEG_INF
+            s = np.exp(shifted - a_max).sum(axis=axis, keepdims=True)
+            s = np.where(s == 0, s, s / m)
+            out = np.log1p(s) + np.log(m) + a_max
+            out = np.where(np.isfinite(out), out,
+                           np.log(np.exp(a).sum(axis=axis, keepdims=True)))
+    out = out.squeeze(axis=axis)
+    return out[()] if out.ndim == 0 else out
+
+
 def scale_log(c, logs):
     """c * logs with the x^0 = 1 convention: a zero coefficient wipes a
     -inf log-probability instead of producing nan."""
@@ -167,6 +202,21 @@ def flatten_symbols(model: SystemModel, users, rows: np.ndarray) -> np.ndarray:
     return flat
 
 
+def _letter_table(model: SystemModel, D, fixed, free, g, a: float):
+    """(|Y|, |X_fixed|) table of per-letter log expectations,
+    log sum_{x_free} w(x_free) P(y | x_fixed, x_free, g)^a, memoized on the
+    model per (D, fixed, g, a)."""
+    key = (tuple(D), tuple(fixed), tuple(g), a)
+    table = model._letter_cache.get(key)
+    if table is None:
+        lm = marginal_log_table(model, D, g, fixed, free)  # (Y, F, R)
+        logw = subset_weights_log(model, free, g)          # (R,)
+        table = _logsumexp(logw + scale_log(a, lm), axis=2)
+        table.setflags(write=False)
+        model._letter_cache[key] = table
+    return table
+
+
 def ensemble_log_expectation(model: SystemModel, D, S, g, y: np.ndarray,
                              x_fixed, a: float) -> float:
     """Log of the codebook-ensemble expectation of the candidate sequence
@@ -177,19 +227,18 @@ def ensemble_log_expectation(model: SystemModel, D, S, g, y: np.ndarray,
 
     ``x_fixed`` holds the fixed symbols of users sorted(S cap D), shape
     (|S cap D|, N).  The free users D\\S are averaged under their code-g
-    input pmfs.  Returns -inf when the inner sum vanishes (possible for
-    a > 0 on channels with zeros); never raises for that.
+    input pmfs.  The channel is memoryless, so this is a sum of per-letter
+    table entries T[y_j, x_fixed_j].  Returns -inf when the inner sum
+    vanishes (possible for a > 0 on channels with zeros); never raises for
+    that.
     """
     D = sorted(set(D))
     S = set(S)
     fixed = sorted(set(D) & S)
     free = sorted(set(D) - S)
     y = np.asarray(y, dtype=np.int64)
-    lm = marginal_log_table(model, D, g, fixed, free)  # (Y, F, R)
-    logw = subset_weights_log(model, free, g)          # (R,)
+    table = _letter_table(model, D, fixed, free, g, a)
     x_fixed = np.asarray(x_fixed, dtype=np.int64).reshape(len(fixed), len(y)) \
         if len(fixed) else np.zeros((0, len(y)), dtype=np.int64)
     fixed_flat = flatten_symbols(model, fixed, x_fixed)
-    per_symbol = lm[y, fixed_flat, :]                  # (N, R)
-    terms = logw[None, :] + scale_log(a, per_symbol)
-    return float(np.sum(logsumexp(terms, axis=1)))
+    return float(np.sum(table[y, fixed_flat]))

@@ -22,9 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import SystemModel, output_marginal
-from scipy.special import logsumexp
-
 from .ensemble import (
+    _logsumexp,
     marginal_log_table,
     message_count,
     scale_log,
@@ -33,6 +32,7 @@ from .ensemble import (
 from .errors import (
     DomainError,
     EmptyDifferenceSet,
+    MismatchedParameters,
     NotAPartition,
     OverlappingMargin,
     ShapeMismatch,
@@ -79,7 +79,7 @@ class WeightFunction:
 
     def log_total(self, N: int) -> float:
         """log sum_g e^{-N alpha(g)} over the full index space."""
-        return float(logsumexp((-N * self.array).reshape(-1), axis=0))
+        return float(_logsumexp((-N * self.array).reshape(-1), axis=0))
 
     def prior(self, N: int) -> np.ndarray:
         """Normalized e^{-N alpha(g)} prior over the index space."""
@@ -185,6 +185,15 @@ def _pair_factors(model, D, S, g):
     return lm, logw_free
 
 
+def _scaler(logs):
+    """c -> scale_log(c, logs) for a fixed log table, decided once: where
+    the table holds no -inf entry, scale_log's zero-coefficient repair can
+    never apply and the plain product is the same array."""
+    if np.isneginf(logs).any():
+        return lambda c: scale_log(c, logs)
+    return lambda c: np.asarray(c, dtype=float) * logs
+
+
 def emd_objective(model: SystemModel, D, S, g, g_tilde, alpha: WeightFunction):
     """Objective (rho, s_array) -> values for the message-confusion
     exponent; maximize over rho in (0,1], s in (0,1]."""
@@ -198,15 +207,14 @@ def emd_objective(model: SystemModel, D, S, g, g_tilde, alpha: WeightFunction):
     a_g = lm_g - alpha(g)
     a_t = lm_t - alpha(gt)
     rate_sum = sum(model.rate(k, gt[k]) for k in set(D) - set(S))
+    scale_g, scale_t = _scaler(a_g[None]), _scaler(a_t[None])
 
     def objective(rho, s):
         s = np.asarray(s, dtype=float).reshape(-1, 1, 1, 1)
-        t1 = logsumexp(lw_g[None, None, None, :] + scale_log(1.0 - s, a_g[None]),
-                        axis=3)
-        t2 = logsumexp(lw_t[None, None, None, :] + scale_log(s / rho, a_t[None]),
-                        axis=3)
+        t1 = _logsumexp(lw_g[None, None, None, :] + scale_g(1.0 - s), axis=3)
+        t2 = _logsumexp(lw_t[None, None, None, :] + scale_t(s / rho), axis=3)
         combined = lw_fixed[None, None, :] + t1 + rho * t2
-        total = logsumexp(combined.reshape(combined.shape[0], -1), axis=1)
+        total = _logsumexp(combined.reshape(combined.shape[0], -1), axis=1)
         return -rho * rate_sum - total
 
     return objective
@@ -226,18 +234,18 @@ def eid_objective(model: SystemModel, D, S, g, g_prime, alpha: WeightFunction,
     a_g = lm_g - alpha(g)
     a_p = lm_p - alpha(gp)
     # the excluded-vector factor carries exponent 1: s-independent
-    t2c = logsumexp(lw_p[None, None, :] + a_p, axis=2)  # (Y, F)
+    t2c = _logsumexp(lw_p[None, None, :] + a_p, axis=2)  # (Y, F)
     rate_sum = sum(model.rate(k, g[k]) for k in set(D) - set(S))
+    scale_g, scale_t2c = _scaler(a_g[None]), _scaler(t2c[None])
 
     def objective(rho, s):
         s = np.asarray(s, dtype=float).reshape(-1, 1, 1, 1)
-        t1 = logsumexp(
-            lw_g[None, None, None, :] + scale_log(s / (s + rho), a_g[None]),
-            axis=3)
+        t1 = _logsumexp(lw_g[None, None, None, :] + scale_g(s / (s + rho)),
+                        axis=3)
         s2 = s.reshape(-1, 1, 1)
         combined = (lw_fixed[None, None, :] + scale_log(s2 + rho, t1)
-                    + scale_log(1.0 - s2, t2c[None]))
-        total = logsumexp(combined.reshape(combined.shape[0], -1), axis=1)
+                    + scale_t2c(1.0 - s2))
+        total = _logsumexp(combined.reshape(combined.shape[0], -1), axis=1)
         return -rho * rate_sum - total
 
     return objective
@@ -251,11 +259,12 @@ def ec_objective(model: SystemModel, g, g_tilde, alpha: WeightFunction):
     with np.errstate(divide="ignore"):
         lp = np.log(output_marginal(model, g)) - alpha(g)
         lq = np.log(output_marginal(model, gt)) - alpha(gt)
+    scale_p, scale_q = _scaler(lp[None, :]), _scaler(lq[None, :])
 
     def objective(s):
         s = np.asarray(s, dtype=float).reshape(-1, 1)
-        terms = scale_log(s, lp[None, :]) + scale_log(1.0 - s, lq[None, :])
-        return -logsumexp(terms, axis=1)
+        terms = scale_p(s) + scale_q(1.0 - s)
+        return -_logsumexp(terms, axis=1)
 
     return objective
 
@@ -299,7 +308,11 @@ def exponent_Ec(model: SystemModel, g, g_tilde, alpha: WeightFunction,
 
 
 class ExponentCache:
-    """Memoizes exponent maximizations for one (model, alpha, settings)."""
+    """Memoizes exponent maximizations for one (model, alpha, settings).
+
+    Exponents do not depend on N, so one cache serves every blocklength
+    and every model parsed from the same scenario; the bound and threshold
+    builders refuse a cache built for another alpha (:func:`_cache_for`)."""
 
     def __init__(self, model: SystemModel, alpha: WeightFunction,
                  settings: SearchSettings = DEFAULT_SETTINGS):
@@ -341,6 +354,19 @@ class ExponentCache:
         return best
 
 
+def _cache_for(model: SystemModel, alpha: WeightFunction,
+               settings: SearchSettings = DEFAULT_SETTINGS,
+               cache: ExponentCache | None = None) -> ExponentCache:
+    """``cache`` after checking it memoizes exponents under ``alpha``, or a
+    fresh cache when it is None; MismatchedParameters otherwise."""
+    if cache is None:
+        return ExponentCache(model, alpha, settings)
+    if cache.alpha.key() != alpha.key():
+        raise MismatchedParameters(
+            "exponent cache was built for a different alpha")
+    return cache
+
+
 # ---------------------------------------------------------------------------
 # bound assembly
 # ---------------------------------------------------------------------------
@@ -375,7 +401,7 @@ class BoundReport:
 
 def _report(terms, log_norm, N, alpha, heuristic=False, components=None):
     logs = np.array([t.log_term for t in terms], dtype=float)
-    log_raw = float(logsumexp(logs, axis=0) - log_norm) if len(logs) \
+    log_raw = float(_logsumexp(logs, axis=0) - log_norm) if len(logs) \
         else float("-inf")
     raw = float(np.exp(log_raw))
     return BoundReport(value=min(1.0, raw), raw=raw, log_raw=log_raw, N=N,
@@ -456,7 +482,7 @@ def gep_bound_D(model: SystemModel, D, region, alpha: WeightFunction, N: int,
     if 0 not in D:
         raise UserOneMissing(f"decoded subset {D} must contain user 0")
     region = validate_region(model, region)
-    cache = cache or ExponentCache(model, alpha, settings)
+    cache = _cache_for(model, alpha, settings, cache)
     terms = _decode_terms(model, D, region, alpha, N, cache)
     return _report(terms, alpha.log_total(N), N, alpha)
 
@@ -473,7 +499,7 @@ def gep_bound_partitioned(model: SystemModel, region, alpha: WeightFunction,
     report is flagged heuristic.
     """
     region = validate_region(model, region)
-    cache = cache or ExponentCache(model, alpha, settings)
+    cache = _cache_for(model, alpha, settings, cache)
     others = list(range(1, model.K))
     subsets = sorted(tuple(sorted({0, *combo}))
                      for r in range(len(others) + 1)
@@ -529,7 +555,7 @@ def gep_bound_margin(model: SystemModel, D, region, margin,
     margin = validate_region(model, margin)
     if region & margin:
         raise OverlappingMargin("operation region and margin intersect")
-    cache = cache or ExponentCache(model, alpha, settings)
+    cache = _cache_for(model, alpha, settings, cache)
     terms = _decode_terms(model, D, region, alpha, N, cache)
     excluded = region | margin
     outside = [gt for gt in model.index_space() if gt not in excluded]
@@ -594,7 +620,7 @@ def detection_bound(model: SystemModel, g, regions, alpha: WeightFunction,
             kind="detect", S=(), g=g, g_other=gt, exponent=res.value,
             rho=None, s=res.s, log_term=-N * res.value))
     logs = np.array([t.log_term for t in terms], dtype=float)
-    log_raw = float(logsumexp(logs, axis=0)) if len(logs) else float("-inf")
+    log_raw = float(_logsumexp(logs, axis=0)) if len(logs) else float("-inf")
     raw = float(np.exp(log_raw))
     clamp = alpha(g) == 0.0
     return BoundReport(value=min(1.0, raw) if clamp else raw, raw=raw,

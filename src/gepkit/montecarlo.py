@@ -33,7 +33,12 @@ from .decoder import (
 )
 from .ensemble import message_count, sample_codebook, sample_from_pmf, stream
 from .errors import DomainError, MismatchedParameters, ShapeMismatch
-from .exponents import BoundReport, WeightFunction, detection_bound
+from .exponents import (
+    BoundReport,
+    ExponentCache,
+    WeightFunction,
+    detection_bound,
+)
 
 RELAXED = "relaxed"
 STRICT = "strict"
@@ -113,13 +118,13 @@ def _channel_sampler(model: SystemModel):
     return cum, sizes
 
 
-def _prepare_decoder(scenario, model):
+def _prepare_decoder(scenario, model, cache=None):
     variant = getattr(scenario, "decoder", "plain")
     alpha = scenario.alpha
     if variant == "margin":
         D = tuple(range(model.K))
         table = build_thresholds(model, D, scenario.region, alpha,
-                                 margin=scenario.margin)
+                                 margin=scenario.margin, cache=cache)
 
         def run(codebooks, y, truth):
             return decode_margin(model, D, scenario.region, scenario.margin,
@@ -127,7 +132,7 @@ def _prepare_decoder(scenario, model):
 
         return run
     partition = dict(scenario.partition.items())
-    tables = {D: build_thresholds(model, D, reg, alpha)
+    tables = {D: build_thresholds(model, D, reg, alpha, cache=cache)
               for D, reg in partition.items()}
     if variant == "plain":
         def run(codebooks, y, truth):
@@ -148,7 +153,8 @@ def _prepare_decoder(scenario, model):
 
 def run_trials(scenario, trials: int, master_seed: int,
                threads: int = 0, trace_path=None,
-               fixed_codebook=None) -> list[TrialRecord]:
+               fixed_codebook=None,
+               cache: ExponentCache | None = None) -> list[TrialRecord]:
     """Simulate ``trials`` independent slots of the scenario.
 
     ``scenario`` provides: model, N, alpha, region, margin, error_model,
@@ -164,6 +170,10 @@ def run_trials(scenario, trials: int, master_seed: int,
     ensemble averages).  Passing ``fixed_codebook`` freezes one
     realization across all trials; that mode is for decoder debugging and
     its estimates must not be compared against the ensemble bounds.
+
+    ``cache`` is the exponent cache the threshold tables are built from;
+    passing the one the verdict bound will use spares that bound the
+    maximizations the tables already ran.
     """
     if trials < 1:
         raise ShapeMismatch(f"need at least 1 trial, got {trials}")
@@ -171,7 +181,7 @@ def run_trials(scenario, trials: int, master_seed: int,
     N = scenario.N
     g_list, g_probs = _g_sampler(scenario, model)
     cum, _sizes = _channel_sampler(scenario.model)
-    run_decoder = _prepare_decoder(scenario, model)
+    run_decoder = _prepare_decoder(scenario, model, cache)
     counts = {(k, gk): message_count(model.rate(k, gk), N)
               for k in range(model.K)
               for gk in range(len(model.libraries[k]))}

@@ -1,11 +1,18 @@
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gepkit import CodeSpec, SystemModel, make_compound_bsc, make_dmc
-from gepkit.errors import NotAPartition, OverlappingMargin, UserOneMissing
+from gepkit.decoder import build_thresholds, select_gstar
+from gepkit.errors import (
+    MismatchedParameters,
+    NotAPartition,
+    OverlappingMargin,
+    UserOneMissing,
+)
 from gepkit.exponents import (
     ExponentCache,
     RegionPartition,
@@ -17,6 +24,7 @@ from gepkit.exponents import (
     validate_region,
 )
 from gepkit.optimize import SearchSettings
+from gepkit.scenario import load_scenario
 
 from conftest import random_alpha, random_model
 
@@ -213,3 +221,53 @@ class TestReportMechanics:
         with pytest.raises(Exception):
             RegionPartition.build(
                 m, {(0,): [(0, 0), (1, 1)], (0, 1): [(1, 1)]}, region)
+
+
+class TestCacheAlphaGuard:
+    """An ExponentCache memoizes exponents under its own alpha; handing it
+    to a builder called with another alpha must raise, not reuse them."""
+
+    SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / \
+        "compound_bsc_relaxed.json"
+
+    def _setup(self):
+        scen = load_scenario(self.SCENARIO)
+        m = scen.model
+        alpha = WeightFunction(m, {(0, 1): 0.2})
+        stale = ExponentCache(m, WeightFunction.zero(m))
+        (D, region), = scen.partition.items()
+        return scen, m, alpha, stale, D, region
+
+    def test_decoder_bound_rejects_other_alpha(self):
+        scen, m, alpha, stale, D, region = self._setup()
+        assert gep_bound_D(m, D, region, alpha, scen.N).value == \
+            pytest.approx(0.355879916, abs=1e-8)
+        with pytest.raises(MismatchedParameters):
+            gep_bound_D(m, D, region, alpha, scen.N, cache=stale)
+
+    def test_every_builder_rejects_other_alpha(self):
+        scen, m, alpha, stale, D, region = self._setup()
+        with pytest.raises(MismatchedParameters):
+            gep_bound_partitioned(m, region, alpha, scen.N, cache=stale)
+        with pytest.raises(MismatchedParameters):
+            gep_bound_margin(m, D, region, [], alpha, scen.N, cache=stale)
+        with pytest.raises(MismatchedParameters):
+            select_gstar(m, D, [], (0, 0), region, alpha, cache=stale)
+        with pytest.raises(MismatchedParameters):
+            build_thresholds(m, D, region, alpha, cache=stale)
+
+    def test_reuse_across_blocklengths_and_parses(self):
+        scen, m, alpha, _stale, D, region = self._setup()
+        other = load_scenario(self.SCENARIO).model  # a separate parse
+        shared = ExponentCache(m, WeightFunction(m, {(0, 1): 0.2}))
+        for N in (scen.N, 2 * scen.N):
+            fresh = gep_bound_D(other, D, region,
+                                WeightFunction(other, {(0, 1): 0.2}), N)
+            reused = gep_bound_D(other, D, region,
+                                 WeightFunction(other, {(0, 1): 0.2}), N,
+                                 cache=shared)
+            assert reused.raw == fresh.raw
+        assert build_thresholds(other, D, region,
+                                WeightFunction(other, {(0, 1): 0.2}),
+                                cache=shared).params == \
+            build_thresholds(m, D, region, alpha).params

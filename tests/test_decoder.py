@@ -21,9 +21,14 @@ from gepkit import (
     select_gstar,
     typicality_threshold,
 )
-from gepkit.decoder import NO_CONSTRAINT, params_from_exponent
+from gepkit.decoder import NO_CONSTRAINT, ThresholdParams, params_from_exponent
 from gepkit.ensemble import ensemble_log_expectation
-from gepkit.errors import NotAPartition, OverlappingMargin
+from gepkit.errors import (
+    DomainError,
+    GepkitError,
+    NotAPartition,
+    OverlappingMargin,
+)
 from gepkit.exponents import (
     ExponentCache,
     RegionPartition,
@@ -223,6 +228,18 @@ class TestTypicalityThreshold:
         s = 1 - (p.rho_t - p.s2) / (p.rho_t - (1 - p.rho_t) * p.s2)
         assert rho == pytest.approx(res.rho, abs=1e-9)
         assert s == pytest.approx(res.s, abs=1e-9)
+
+    def test_inadmissible_params_raise_domain_error(self):
+        # a GepkitError, so the CLI reports it and exits 2
+        with pytest.raises(DomainError):
+            ThresholdParams(rho_t=0.5, s2=0.6, s1=0.5, gstar=(0, 1),
+                            exponent=0.1)
+        with pytest.raises(DomainError):
+            ThresholdParams(rho_t=1.0, s2=0.5, s1=1.0, gstar=(0, 1),
+                            exponent=0.1)
+        assert issubclass(DomainError, GepkitError)
+        # no excluded vector: the values are placeholders and not checked
+        ThresholdParams(rho_t=1.0, s2=0.5, s1=1.0, gstar=None, exponent=0.1)
 
 
 # ---------------------------------------------------------------------------

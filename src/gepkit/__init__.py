@@ -58,7 +58,7 @@ from .montecarlo import (
     run_detection_trials,
     run_trials,
 )
-from .optimize import DEFAULT_SETTINGS, FAST_SETTINGS, SearchSettings
+from .optimize import DEFAULT_SETTINGS, SearchSettings
 from .scenario import Scenario, emit, load_scenario
 
 __version__ = "0.1.0"

@@ -151,10 +151,6 @@ class SystemModel:
         return self.K + self.M
 
     @property
-    def regulars(self) -> tuple[int, ...]:
-        return tuple(range(self.K))
-
-    @property
     def code_counts(self) -> tuple[int, ...]:
         return tuple(len(lib) for lib in self.libraries)
 

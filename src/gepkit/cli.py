@@ -26,10 +26,10 @@ from .errors import GepkitError, IntegrityError, ParseError, SchemaError
 from .exponents import (
     ExponentCache,
     detection_bound,
-    exponent_Ec,
     gep_bound_D,
     gep_bound_margin,
     gep_bound_partitioned,
+    summed_report,
 )
 from .scenario import Scenario, load_scenario
 
@@ -60,35 +60,38 @@ def decode_bound_reports(scenario: Scenario, cache=None):
             for D, reg in scenario.partition.items()}
 
 
+def margin_bound_report(scenario: Scenario, cache=None):
+    """The margin decoder's bound over all regular users, or None when the
+    scenario has no margin and does not use the margin decoder."""
+    if not (scenario.margin or scenario.decoder == "margin"):
+        return None
+    D = tuple(range(scenario.model.K))
+    return gep_bound_margin(scenario.model, D, scenario.region,
+                            scenario.margin, scenario.alpha, scenario.N,
+                            cache=cache)
+
+
+def detection_bound_reports(scenario: Scenario, cache=None):
+    """Per-g weighted detection bounds for the scenario's detection cells."""
+    return {g: detection_bound(scenario.model, g, scenario.detection,
+                               scenario.alpha, scenario.N, cache=cache)
+            for g in scenario.model.index_space()}
+
+
 def scenario_bound(scenario: Scenario, cache=None):
     """The analytic bound matching the scenario's decoder variant: summed
     per-D decoder bounds (plain), the margin bound (margin), or decode plus
     weighted detection (detect-then-decode).  Returns a BoundReport."""
-    from .exponents import VACUITY_TOL, BoundReport
-
     cache = cache or ExponentCache(scenario.model, scenario.alpha)
-    model, alpha, N = scenario.model, scenario.alpha, scenario.N
     if scenario.decoder == "margin":
-        D = tuple(range(model.K))
-        return gep_bound_margin(model, D, scenario.region, scenario.margin,
-                                alpha, N, cache=cache)
+        return margin_bound_report(scenario, cache)
     reports = decode_bound_reports(scenario, cache)
-    raw = sum(r.raw for r in reports.values())
-    components = {str(D): r.raw for D, r in reports.items()}
+    extra = {}
     if scenario.decoder == "detect":
-        det_raw = 0.0
-        log_norm = alpha.log_total(N)
-        for g in model.index_space():
-            rep = detection_bound(model, g, scenario.detection, alpha, N)
-            det_raw += rep.raw
-        det_raw = det_raw / math.exp(log_norm)
-        components["detection"] = det_raw
-        raw += det_raw
-    terms = tuple(t for r in reports.values() for t in r.terms)
-    log_raw = math.log(raw) if raw > 0 else float("-inf")
-    return BoundReport(value=min(1.0, raw), raw=raw, log_raw=log_raw, N=N,
-                       terms=terms, vacuous=raw >= 1.0 - VACUITY_TOL,
-                       alpha_key=alpha.key(), components=components)
+        detection = detection_bound_reports(scenario, cache).values()
+        extra["detection"] = sum(r.raw for r in detection) / math.exp(
+            scenario.alpha.log_total(scenario.N))
+    return summed_report(reports, scenario.N, scenario.alpha, extra)
 
 
 def _report_dict(report) -> dict:
@@ -108,24 +111,17 @@ def _report_dict(report) -> dict:
 
 def cmd_exponents(scenario: Scenario, out: Path, args) -> int:
     cache = ExponentCache(scenario.model, scenario.alpha)
-    rows = []
-    reports = decode_bound_reports(scenario, cache)
-    for D, report in reports.items():
-        for t in report.terms:
-            rows.append(("decode", D, t))
-    if scenario.margin or scenario.decoder == "margin":
+    rows = [("decode", D, t)
+            for D, rep in decode_bound_reports(scenario, cache).items()
+            for t in rep.terms]
+    margin = margin_bound_report(scenario, cache)
+    if margin is not None:
         D = tuple(range(scenario.model.K))
-        rep = gep_bound_margin(scenario.model, D, scenario.region,
-                               scenario.margin, scenario.alpha, scenario.N,
-                               cache=cache)
-        for t in rep.terms:
-            rows.append(("margin", D, t))
+        rows += [("margin", D, t) for t in margin.terms]
     if scenario.detection is not None:
-        for g in scenario.model.index_space():
-            rep = detection_bound(scenario.model, g, scenario.detection,
-                                  scenario.alpha, scenario.N)
-            for t in rep.terms:
-                rows.append(("detect", (), t))
+        rows += [("detect", (), t)
+                 for rep in detection_bound_reports(scenario, cache).values()
+                 for t in rep.terms]
     path = out / "exponents.csv"
     with open(path, "w", newline="") as fh:
         wr = csv.writer(fh)
@@ -155,17 +151,13 @@ def cmd_bound(scenario: Scenario, out: Path, args) -> int:
     payload["partitioned"]["partition"] = [
         {"D": list(D), "region": [list(g) for g in sorted(reg)]}
         for D, reg in partition.items()]
-    if scenario.margin or scenario.decoder == "margin":
-        D = tuple(range(scenario.model.K))
-        payload["margin"] = _report_dict(gep_bound_margin(
-            scenario.model, D, scenario.region, scenario.margin,
-            scenario.alpha, scenario.N, cache=cache))
+    margin = margin_bound_report(scenario, cache)
+    if margin is not None:
+        payload["margin"] = _report_dict(margin)
     if scenario.detection is not None:
         payload["detection"] = {
-            _join(g): _report_dict(detection_bound(
-                scenario.model, g, scenario.detection, scenario.alpha,
-                scenario.N))
-            for g in scenario.model.index_space()}
+            _join(g): _report_dict(rep)
+            for g, rep in detection_bound_reports(scenario, cache).items()}
     path = out / "bounds.json"
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -178,7 +170,7 @@ def cmd_simulate(scenario: Scenario, out: Path, args) -> int:
     # one cache: the verdict bound reuses the threshold build's exponents
     cache = ExponentCache(scenario.model, scenario.alpha)
     records = montecarlo.run_trials(scenario, scenario.trials, scenario.seed,
-                                    threads=args.threads, cache=cache)
+                                    cache=cache)
     estimate = montecarlo.empirical_gep(records, scenario.alpha, scenario.N)
     bound = scenario_bound(scenario, cache)
     verdict = montecarlo.compare_bound(estimate, bound)
@@ -278,8 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     ]:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--scenario", required=True, help="scenario JSON path")
-        p.add_argument("--threads", type=int, default=0,
-                       help="worker threads for trials (0 or 1 = serial)")
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--trials", type=int, default=None,
                        help="override the scenario trial count")

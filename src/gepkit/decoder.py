@@ -196,22 +196,15 @@ def build_thresholds(model: SystemModel, D, region, alpha: WeightFunction,
                            if set(D) - S)
     subsets_margin = tuple(S for S in proper_subsets(model.n_users)
                            if not (set(D) - S)) if margin is not None else ()
+    searches = [(S, region, False) for S in subsets_decode] + \
+        [(S, region | margin, True) for S in subsets_margin]
     params = {}
     for g in sorted(region):
-        for S in subsets_decode:
-            gp, res = select_gstar(model, D, S, g, region, alpha, settings,
-                                   cache)
-            params[(g, S)] = None if gp is None \
+        for S, excluded, allow_empty in searches:
+            gp, res = select_gstar(model, D, S, g, excluded, alpha, settings,
+                                   cache, allow_empty_difference=allow_empty)
+            params[(g, S)] = _unconstrained() if gp is None \
                 else params_from_exponent(gp, res)
-        for S in subsets_margin:
-            gp, res = select_gstar(model, D, S, g, region | margin, alpha,
-                                   settings, cache,
-                                   allow_empty_difference=True)
-            params[(g, S)] = None if gp is None \
-                else params_from_exponent(gp, res)
-    # normalize the NO_CONSTRAINT sentinel into ThresholdParams-or-None
-    params = {k: (v if v is not None else _unconstrained())
-              for k, v in params.items()}
     return ThresholdTable(D=D, region=region, margin=margin, alpha=alpha,
                           params=params, subsets_decode=subsets_decode,
                           subsets_margin=subsets_margin)

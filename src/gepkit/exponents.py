@@ -17,6 +17,7 @@ already for N around 100.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -312,7 +313,8 @@ class ExponentCache:
 
     Exponents do not depend on N, so one cache serves every blocklength
     and every model parsed from the same scenario; the bound and threshold
-    builders refuse a cache built for another alpha (:func:`_cache_for`)."""
+    builders refuse a cache built for another alpha or other search
+    settings (:func:`_cache_for`)."""
 
     def __init__(self, model: SystemModel, alpha: WeightFunction,
                  settings: SearchSettings = DEFAULT_SETTINGS):
@@ -321,6 +323,7 @@ class ExponentCache:
         self.settings = settings
         self._emd: dict = {}
         self._eid: dict = {}
+        self._ec: dict = {}
 
     def emd(self, D, S, g, gt) -> ExponentResult:
         key = (tuple(sorted(D)), frozenset(S), tuple(g), tuple(gt))
@@ -336,6 +339,13 @@ class ExponentCache:
                 self.model, D, S, g, gp, self.alpha, self.settings,
                 allow_empty_difference=allow_empty_difference)
         return self._eid[key]
+
+    def ec(self, g, gt) -> ExponentResult:
+        key = (tuple(g), tuple(gt))
+        if key not in self._ec:
+            self._ec[key] = exponent_Ec(self.model, g, gt, self.alpha,
+                                        self.settings)
+        return self._ec[key]
 
     def best_excluded(self, D, S, g, excluded_from,
                       allow_empty_difference=False):
@@ -357,13 +367,17 @@ class ExponentCache:
 def _cache_for(model: SystemModel, alpha: WeightFunction,
                settings: SearchSettings = DEFAULT_SETTINGS,
                cache: ExponentCache | None = None) -> ExponentCache:
-    """``cache`` after checking it memoizes exponents under ``alpha``, or a
-    fresh cache when it is None; MismatchedParameters otherwise."""
+    """``cache`` after checking it memoizes exponents under ``alpha`` and
+    ``settings``, or a fresh cache when it is None; MismatchedParameters
+    otherwise."""
     if cache is None:
         return ExponentCache(model, alpha, settings)
     if cache.alpha.key() != alpha.key():
         raise MismatchedParameters(
             "exponent cache was built for a different alpha")
+    if cache.settings != settings:
+        raise MismatchedParameters(
+            "exponent cache was built with different search settings")
     return cache
 
 
@@ -388,7 +402,7 @@ VACUITY_TOL = 1e-9  # optimizer noise in a zero exponent scales by N
 
 @dataclass(frozen=True)
 class BoundReport:
-    value: float           # clamped to [0, 1]
+    value: float           # raw clamped to 1 (weighted detection: raw)
     raw: float             # assembled sum before clamping
     log_raw: float
     N: int
@@ -399,15 +413,51 @@ class BoundReport:
     components: dict = field(default_factory=dict)
 
 
-def _report(terms, log_norm, N, alpha, heuristic=False, components=None):
-    logs = np.array([t.log_term for t in terms], dtype=float)
-    log_raw = float(_logsumexp(logs, axis=0) - log_norm) if len(logs) \
-        else float("-inf")
-    raw = float(np.exp(log_raw))
-    return BoundReport(value=min(1.0, raw), raw=raw, log_raw=log_raw, N=N,
-                       terms=tuple(terms), vacuous=raw >= 1.0 - VACUITY_TOL,
-                       alpha_key=alpha.key(), heuristic=heuristic,
-                       components=components or {})
+def is_vacuous(raw: float) -> bool:
+    """Whether a bound value says nothing: it reaches 1 up to optimizer
+    noise."""
+    return raw >= 1.0 - VACUITY_TOL
+
+
+def bound_report(terms, N: int, alpha: WeightFunction, log_norm: float = 0.0,
+                 components: dict | None = None, clamp: bool = True,
+                 heuristic: bool = False) -> BoundReport:
+    """The one constructor of BoundReport.
+
+    Without ``components`` the raw bound is sum_t e^{log_term} / e^{log_norm}
+    over ``terms``; with them (name -> raw bound of a part) it is their sum
+    and ``terms`` are the parts' terms, listed.  The value is the raw bound
+    clamped to 1 when ``clamp``, the raw bound itself otherwise."""
+    if components is None:
+        logs = np.array([t.log_term for t in terms], dtype=float)
+        log_raw = float(_logsumexp(logs, axis=0) - log_norm) if len(logs) \
+            else float("-inf")
+        raw = float(np.exp(log_raw))
+    else:
+        raw = sum(components.values())
+        log_raw = math.log(raw) if raw > 0 else float("-inf")
+    return BoundReport(value=min(1.0, raw) if clamp else raw, raw=raw,
+                       log_raw=log_raw, N=N, terms=tuple(terms),
+                       vacuous=is_vacuous(raw), alpha_key=alpha.key(),
+                       heuristic=heuristic, components=components or {})
+
+
+def summed_report(reports: dict, N: int, alpha: WeightFunction,
+                  extra: dict | None = None,
+                  heuristic: bool = False) -> BoundReport:
+    """Sum of per-D reports (D -> BoundReport), plus ``extra`` named raw
+    components, as one report whose terms are the per-D terms in order."""
+    components = {str(D): r.raw for D, r in reports.items()}
+    components.update(extra or {})
+    terms = [t for r in reports.values() for t in r.terms]
+    return bound_report(terms, N, alpha, components=components,
+                        heuristic=heuristic)
+
+
+def _term(kind, S, g, g_other, res: ExponentResult, N: int) -> BoundTerm:
+    return BoundTerm(kind=kind, S=tuple(sorted(S)), g=g, g_other=g_other,
+                     exponent=res.value, rho=res.rho, s=res.s,
+                     log_term=-N * res.value)
 
 
 def confusion_feasible(model: SystemModel, N: int, D, S, g, gt) -> bool:
@@ -430,47 +480,50 @@ def confusion_feasible(model: SystemModel, N: int, D, S, g, gt) -> bool:
     return True
 
 
-def _decode_terms(model, D, region, alpha, N, cache):
-    """Union-bound terms for one (D, R_D)-decoder over all proper subsets S
-    with D\\S nonempty: per in-region g a threshold-miss term (the worst
-    excluded vector's false-acceptance exponent) and message-confusion terms
-    against in-region competitors; per excluded transmitted vector, the same
-    worst-case false-acceptance term for every S-compatible in-region g."""
-    terms = []
+def _subset_terms(model, D, S, region, excluded, N, cache):
+    """Union-bound terms of one subset S: per in-region g a threshold-miss
+    term (the false-acceptance exponent of the worst vector outside
+    ``excluded``), followed, when D\\S is nonempty, by message-confusion
+    terms against in-region competitors; then, per transmitted vector
+    outside ``excluded``, the same worst-case false-acceptance term for
+    every S-compatible in-region g."""
+    confusable = bool(set(D) - S)
     region_sorted = sorted(region)
-    outside = [gt for gt in model.index_space() if gt not in region]
-    for S in proper_subsets(model.n_users):
-        if not (set(D) - S):
+    terms, miss = [], {}
+    for g in region_sorted:
+        best = cache.best_excluded(D, S, g, excluded,
+                                   allow_empty_difference=not confusable)
+        if best is not None:
+            miss[g] = best
+            terms.append(_term("miss", S, g, *best, N))
+        if not confusable:
             continue
-        miss = {}
+        for gt in region_sorted:
+            if sub(gt, S) == sub(g, S) and \
+                    confusion_feasible(model, N, D, S, g, gt):
+                terms.append(_term("confusion", S, g, gt,
+                                   cache.emd(D, S, g, gt), N))
+    for gt in model.index_space():
+        if gt in excluded:
+            continue
         for g in region_sorted:
-            best = cache.best_excluded(D, S, g, region)
-            if best is not None:
-                gp, res = best
-                miss[g] = (gp, res)
-                terms.append(BoundTerm(
-                    kind="miss", S=tuple(sorted(S)), g=g, g_other=gp,
-                    exponent=res.value, rho=res.rho, s=res.s,
-                    log_term=-N * res.value))
-            for gt in region_sorted:
-                if sub(gt, S) != sub(g, S):
-                    continue
-                if not confusion_feasible(model, N, D, S, g, gt):
-                    continue
-                res = cache.emd(D, S, g, gt)
-                terms.append(BoundTerm(
-                    kind="confusion", S=tuple(sorted(S)), g=g, g_other=gt,
-                    exponent=res.value, rho=res.rho, s=res.s,
-                    log_term=-N * res.value))
-        for gt in outside:
-            for g in region_sorted:
-                if sub(g, S) != sub(gt, S) or g not in miss:
-                    continue
-                gp, res = miss[g]
-                terms.append(BoundTerm(
-                    kind="false_accept", S=tuple(sorted(S)), g=g, g_other=gp,
-                    exponent=res.value, rho=res.rho, s=res.s,
-                    log_term=-N * res.value))
+            if g in miss and sub(g, S) == sub(gt, S):
+                terms.append(_term("false_accept", S, g, *miss[g], N))
+    return terms
+
+
+def _decode_terms(model, D, region, N, cache, margin=None):
+    """Union-bound terms of the (D, R_D)-decoder: every proper subset S with
+    D\\S nonempty, excluded vectors ranging outside the region.  A margin
+    (possibly empty) adds every proper subset S covering D, excluded
+    vectors ranging outside region union margin."""
+    subsets = list(proper_subsets(model.n_users))
+    terms = [t for S in subsets if set(D) - S
+             for t in _subset_terms(model, D, S, region, region, N, cache)]
+    if margin is not None:
+        terms += [t for S in subsets if not set(D) - S
+                  for t in _subset_terms(model, D, S, region, region | margin,
+                                         N, cache)]
     return terms
 
 
@@ -483,8 +536,8 @@ def gep_bound_D(model: SystemModel, D, region, alpha: WeightFunction, N: int,
         raise UserOneMissing(f"decoded subset {D} must contain user 0")
     region = validate_region(model, region)
     cache = _cache_for(model, alpha, settings, cache)
-    terms = _decode_terms(model, D, region, alpha, N, cache)
-    return _report(terms, alpha.log_total(N), N, alpha)
+    terms = _decode_terms(model, D, region, N, cache)
+    return bound_report(terms, N, alpha, alpha.log_total(N))
 
 
 def gep_bound_partitioned(model: SystemModel, region, alpha: WeightFunction,
@@ -524,19 +577,12 @@ def gep_bound_partitioned(model: SystemModel, region, alpha: WeightFunction,
             best = (raw, mapping, reports)
     if best is None:  # empty region
         part = RegionPartition.build(model, {}, region)
-        empty = _report([], alpha.log_total(N), N, alpha, heuristic=heuristic)
+        empty = bound_report([], N, alpha, alpha.log_total(N),
+                             heuristic=heuristic)
         return empty, part
-    raw, mapping, reports = best
+    _raw, mapping, reports = best
     part = RegionPartition.build(model, mapping, region)
-    terms = [t for r in reports.values() for t in r.terms]
-    log_raw = float(np.log(raw)) if raw > 0 else float("-inf")
-    report = BoundReport(
-        value=min(1.0, raw), raw=raw, log_raw=log_raw, N=N,
-        terms=tuple(terms), vacuous=raw >= 1.0 - VACUITY_TOL,
-        alpha_key=alpha.key(),
-        heuristic=heuristic,
-        components={str(D): r.raw for D, r in reports.items()})
-    return report, part
+    return summed_report(reports, N, alpha, heuristic=heuristic), part
 
 
 def gep_bound_margin(model: SystemModel, D, region, margin,
@@ -556,33 +602,8 @@ def gep_bound_margin(model: SystemModel, D, region, margin,
     if region & margin:
         raise OverlappingMargin("operation region and margin intersect")
     cache = _cache_for(model, alpha, settings, cache)
-    terms = _decode_terms(model, D, region, alpha, N, cache)
-    excluded = region | margin
-    outside = [gt for gt in model.index_space() if gt not in excluded]
-    for S in proper_subsets(model.n_users):
-        if set(D) - S:
-            continue
-        miss = {}
-        for g in sorted(region):
-            best = cache.best_excluded(D, S, g, excluded,
-                                       allow_empty_difference=True)
-            if best is not None:
-                gp, res = best
-                miss[g] = (gp, res)
-                terms.append(BoundTerm(
-                    kind="miss", S=tuple(sorted(S)), g=g, g_other=gp,
-                    exponent=res.value, rho=res.rho, s=res.s,
-                    log_term=-N * res.value))
-        for gt in outside:
-            for g in sorted(region):
-                if sub(g, S) != sub(gt, S) or g not in miss:
-                    continue
-                gp, res = miss[g]
-                terms.append(BoundTerm(
-                    kind="false_accept", S=tuple(sorted(S)), g=g, g_other=gp,
-                    exponent=res.value, rho=res.rho, s=res.s,
-                    log_term=-N * res.value))
-    return _report(terms, alpha.log_total(N), N, alpha)
+    terms = _decode_terms(model, D, region, N, cache, margin=margin)
+    return bound_report(terms, N, alpha, alpha.log_total(N))
 
 
 def check_detection_partition(model: SystemModel, regions):
@@ -597,8 +618,8 @@ def check_detection_partition(model: SystemModel, regions):
 
 
 def detection_bound(model: SystemModel, g, regions, alpha: WeightFunction,
-                    N: int,
-                    settings: SearchSettings = DEFAULT_SETTINGS) -> BoundReport:
+                    N: int, settings: SearchSettings = DEFAULT_SETTINGS,
+                    cache: ExponentCache | None = None) -> BoundReport:
     """Bound on the weighted region-detection error for true vector g:
     the sum over hypotheses outside g's cell of e^{-N E_c}.
 
@@ -611,19 +632,7 @@ def detection_bound(model: SystemModel, g, regions, alpha: WeightFunction,
     cell = next((r for r in cleaned if g in r), None)
     if cell is None:
         raise NotAPartition(f"no detection region contains {g}")
-    terms = []
-    for gt in model.index_space():
-        if gt in cell:
-            continue
-        res = exponent_Ec(model, g, gt, alpha, settings)
-        terms.append(BoundTerm(
-            kind="detect", S=(), g=g, g_other=gt, exponent=res.value,
-            rho=None, s=res.s, log_term=-N * res.value))
-    logs = np.array([t.log_term for t in terms], dtype=float)
-    log_raw = float(_logsumexp(logs, axis=0)) if len(logs) else float("-inf")
-    raw = float(np.exp(log_raw))
-    clamp = alpha(g) == 0.0
-    return BoundReport(value=min(1.0, raw) if clamp else raw, raw=raw,
-                       log_raw=log_raw, N=N, terms=tuple(terms),
-                       vacuous=raw >= 1.0 - VACUITY_TOL,
-                       alpha_key=alpha.key())
+    cache = _cache_for(model, alpha, settings, cache)
+    terms = [_term("detect", (), g, gt, cache.ec(g, gt), N)
+             for gt in model.index_space() if gt not in cell]
+    return bound_report(terms, N, alpha, clamp=alpha(g) == 0.0)

@@ -3,9 +3,8 @@
 Each trial draws a fresh codebook realization (ensemble-average semantics),
 a code index vector g, uniform messages, transmits through the channel and
 decodes with the scenario's decoder.  Per-trial randomness is derived
-deterministically from (master_seed, trial index), so runs reproduce bit
-for bit regardless of thread count, and integer error counters make the
-aggregation order-independent.
+deterministically from (master_seed, trial index, purpose), so runs
+reproduce bit for bit.  Trials run serially.
 
 The error estimator samples messages uniformly and averages, which lower
 bounds the worst-case-over-messages definition; for the random ensembles
@@ -17,7 +16,6 @@ from __future__ import annotations
 
 import csv
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,7 +36,9 @@ from .exponents import (
     ExponentCache,
     WeightFunction,
     detection_bound,
+    is_vacuous,
 )
+from .optimize import DEFAULT_SETTINGS, SearchSettings
 
 RELAXED = "relaxed"
 STRICT = "strict"
@@ -109,13 +109,29 @@ def _g_sampler(scenario, model: SystemModel):
     raise DomainError(f"unknown g sampling rule {rule!r}")
 
 
+def _draw_g(rng, g_list, g_probs):
+    """One code index vector: uniform over ``g_list``, or by ``g_probs``."""
+    if g_probs is None:
+        return g_list[int(rng.integers(0, len(g_list)))]
+    return g_list[int(rng.choice(len(g_list), p=g_probs))]
+
+
 def _channel_sampler(model: SystemModel):
-    """Flattened per-joint-input cumulative output table."""
-    flat = model.dmc.pmf.reshape(-1, model.dmc.output_size)
-    cum = np.cumsum(flat, axis=1)
+    """transmit(rng, x) -> y for input symbols x of shape (n_users, N): one
+    uniform draw per output symbol, inverted through the flattened
+    per-joint-input cumulative output table."""
+    cum = np.cumsum(model.dmc.pmf.reshape(-1, model.dmc.output_size), axis=1)
     cum[:, -1] = 1.0
-    sizes = np.asarray(model.dmc.input_sizes, dtype=np.int64)
-    return cum, sizes
+    radix = np.asarray(model.dmc.input_sizes, dtype=np.int64)
+
+    def transmit(rng, x):
+        flat = np.zeros(x.shape[1], dtype=np.int64)
+        for k in range(model.n_users):
+            flat = flat * radix[k] + x[k]
+        u = rng.random(x.shape[1])
+        return (cum[flat] <= u[:, None]).sum(axis=1).astype(np.int64)
+
+    return transmit
 
 
 def _prepare_decoder(scenario, model, cache=None):
@@ -151,9 +167,7 @@ def _prepare_decoder(scenario, model, cache=None):
     raise DomainError(f"unknown decoder variant {variant!r}")
 
 
-def run_trials(scenario, trials: int, master_seed: int,
-               threads: int = 0, trace_path=None,
-               fixed_codebook=None,
+def run_trials(scenario, trials: int, master_seed: int, trace_path=None,
                cache: ExponentCache | None = None) -> list[TrialRecord]:
     """Simulate ``trials`` independent slots of the scenario.
 
@@ -166,10 +180,7 @@ def run_trials(scenario, trials: int, master_seed: int,
     per-subset winners and candidate-independent thresholds, and the
     outcome.
 
-    Default semantics resample the codebook every trial (the bounds are
-    ensemble averages).  Passing ``fixed_codebook`` freezes one
-    realization across all trials; that mode is for decoder debugging and
-    its estimates must not be compared against the ensemble bounds.
+    Every trial resamples the codebook (the bounds are ensemble averages).
 
     ``cache`` is the exponent cache the threshold tables are built from;
     passing the one the verdict bound will use spares that bound the
@@ -180,19 +191,15 @@ def run_trials(scenario, trials: int, master_seed: int,
     model: SystemModel = scenario.model
     N = scenario.N
     g_list, g_probs = _g_sampler(scenario, model)
-    cum, _sizes = _channel_sampler(scenario.model)
+    transmit = _channel_sampler(model)
     run_decoder = _prepare_decoder(scenario, model, cache)
     counts = {(k, gk): message_count(model.rate(k, gk), N)
               for k in range(model.K)
               for gk in range(len(model.libraries[k]))}
-    radix = np.asarray(model.dmc.input_sizes, dtype=np.int64)
 
     def one(t: int):
         rng = stream((master_seed, t, 1))
-        if g_probs is None:
-            g = g_list[int(rng.integers(0, len(g_list)))]
-        else:
-            g = g_list[int(rng.choice(len(g_list), p=g_probs))]
+        g = _draw_g(rng, g_list, g_probs)
         codebooks = sample_codebook(model, N, (master_seed, t, 0))
         w = tuple(int(rng.integers(1, counts[(k, g[k])] + 1))
                   for k in range(model.K))
@@ -201,24 +208,14 @@ def run_trials(scenario, trials: int, master_seed: int,
             x[k] = codebooks.codeword(k, g[k], w[k])
         for k in range(model.K, model.n_users):
             x[k] = sample_from_pmf(rng, model.input_pmf(k, g[k]), N)
-        flat = np.zeros(N, dtype=np.int64)
-        for k in range(model.n_users):
-            flat = flat * radix[k] + x[k]
-        u = rng.random(N)
-        y = (cum[flat] <= u[:, None]).sum(axis=1).astype(np.int64)
-        outcome = run_decoder(codebooks, y, (w, g))
+        outcome = run_decoder(codebooks, transmit(rng, x), (w, g))
         err = classify_error(scenario.error_model, scenario.region,
                              scenario.margin, g, w, outcome)
         rec = TrialRecord(trial=t, g=g, w=w, kind=outcome.kind,
                           w1=outcome.w1, g1=outcome.g1, error=err)
         return rec, outcome
 
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, range(trials)))
-    else:
-        results = [one(t) for t in range(trials)]
-    results.sort(key=lambda pair: pair[0].trial)
+    results = [one(t) for t in range(trials)]
     if trace_path is not None:
         with open(trace_path, "w") as fh:
             for rec, outcome in results:
@@ -272,10 +269,6 @@ class GepEstimate:
     alpha_key: bytes
     per_g: dict = field(repr=False)  # g -> (trials, errors)
     unestimated: tuple = ()
-
-    @property
-    def stderr(self) -> float:
-        return self.se
 
 
 def empirical_gep(records, alpha: WeightFunction, N: int,
@@ -340,24 +333,26 @@ def compare_bound(estimate: GepEstimate, bound: BoundReport) -> Verdict:
 
 @dataclass(frozen=True)
 class DetectionResult:
-    per_g: dict            # g -> (trials, errors, bound_value, vacuous)
+    per_g: dict            # g -> (trials, errors, Pr{err | g} bound, vacuous)
     passed: bool
 
 
 def run_detection_trials(scenario, trials: int, master_seed: int,
-                         settings=None) -> DetectionResult:
+                         settings: SearchSettings = DEFAULT_SETTINGS
+                         ) -> DetectionResult:
     """Empirical region-detection error per true g versus its analytic
     bound; PASS iff every g's frequency is within 3 binomial sigmas of its
-    bound."""
-    from .optimize import DEFAULT_SETTINGS
-    settings = settings or DEFAULT_SETTINGS
+    bound.
+
+    :func:`detection_bound` bounds Pr{err | g} * e^{-N alpha(g)}; the
+    frequency is compared against min(1, that bound * e^{N alpha(g)}), a
+    bound on Pr{err | g} itself."""
     model: SystemModel = scenario.model
     N = scenario.N
     alpha = scenario.alpha
     regions = scenario.detection
     g_list, g_probs = _g_sampler(scenario, model)
-    cum, _ = _channel_sampler(model)
-    radix = np.asarray(model.dmc.input_sizes, dtype=np.int64)
+    transmit = _channel_sampler(model)
     cells = {}
     for i, reg in enumerate(regions):
         for g in reg:
@@ -365,33 +360,24 @@ def run_detection_trials(scenario, trials: int, master_seed: int,
     tallies = {g: [0, 0] for g in g_list}
     for t in range(trials):
         rng = stream((master_seed, t, 2))
-        if g_probs is None:
-            g = g_list[int(rng.integers(0, len(g_list)))]
-        else:
-            g = g_list[int(rng.choice(len(g_list), p=g_probs))]
+        g = _draw_g(rng, g_list, g_probs)
         x = np.empty((model.n_users, N), dtype=np.int64)
         for k in range(model.n_users):
             x[k] = sample_from_pmf(rng, model.input_pmf(k, g[k]), N)
-        flat = np.zeros(N, dtype=np.int64)
-        for k in range(model.n_users):
-            flat = flat * radix[k] + x[k]
-        u = rng.random(N)
-        y = (cum[flat] <= u[:, None]).sum(axis=1).astype(np.int64)
-        cell, _ghat = detect_region(model, regions, alpha, y)
+        cell, _ghat = detect_region(model, regions, alpha, transmit(rng, x))
         tallies[g][0] += 1
         tallies[g][1] += int(cell != cells[g])
     per_g = {}
     ok = True
     for g, (n, e) in tallies.items():
         rep = detection_bound(model, g, regions, alpha, N, settings)
+        bound = min(1.0, float(np.exp(rep.log_raw + N * alpha(g))))
+        per_g[g] = (n, e, bound, is_vacuous(bound))
         if n == 0:
-            per_g[g] = (0, 0, rep.value, rep.vacuous)
             continue
         p = e / n
         sigma = float(np.sqrt(p * (1.0 - p) / n))
-        good = p <= rep.value + 3.0 * sigma
-        ok = ok and good
-        per_g[g] = (n, e, rep.value, rep.vacuous)
+        ok = ok and p <= bound + 3.0 * sigma
     return DetectionResult(per_g=per_g, passed=ok)
 
 

@@ -12,7 +12,7 @@ computed maxima at 1e-9; a pure grid search stops near 1e-6.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -31,13 +31,8 @@ class SearchSettings:
     polish_sweeps: int = 60
     eps: float = EPS
 
-    def coarser(self, factor: int = 4) -> "SearchSettings":
-        return replace(self, base_grid=max(4, self.base_grid // factor))
-
 
 DEFAULT_SETTINGS = SearchSettings()
-# cheap deterministic settings for candidate ranking inside decoders
-FAST_SETTINGS = SearchSettings(base_grid=16, refine_rounds=1, polish=False)
 
 
 @dataclass(frozen=True)

@@ -224,8 +224,9 @@ class TestReportMechanics:
 
 
 class TestCacheAlphaGuard:
-    """An ExponentCache memoizes exponents under its own alpha; handing it
-    to a builder called with another alpha must raise, not reuse them."""
+    """An ExponentCache memoizes exponents under its own alpha and search
+    settings; handing it to a builder called with another alpha or other
+    settings must raise, not reuse them."""
 
     SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / \
         "compound_bsc_relaxed.json"
@@ -255,6 +256,32 @@ class TestCacheAlphaGuard:
             select_gstar(m, D, [], (0, 0), region, alpha, cache=stale)
         with pytest.raises(MismatchedParameters):
             build_thresholds(m, D, region, alpha, cache=stale)
+        with pytest.raises(MismatchedParameters):
+            detection_bound(m, (0, 0), [[g] for g in m.index_space()],
+                            alpha, scen.N, cache=stale)
+
+    def test_every_builder_rejects_other_settings(self):
+        scen, m, _alpha, _stale, D, region = self._setup()
+        a0 = WeightFunction.zero(m)
+        fast = ExponentCache(m, a0, FAST)
+        # the FAST maxima differ: reusing them would move the bound
+        assert gep_bound_D(m, D, region, a0, scen.N, FAST, fast).raw == \
+            pytest.approx(0.5334481298, abs=1e-10)
+        assert gep_bound_D(m, D, region, a0, scen.N).raw == \
+            pytest.approx(0.5333823886, abs=1e-10)
+        with pytest.raises(MismatchedParameters):
+            gep_bound_D(m, D, region, a0, scen.N, cache=fast)
+        with pytest.raises(MismatchedParameters):
+            gep_bound_partitioned(m, region, a0, scen.N, cache=fast)
+        with pytest.raises(MismatchedParameters):
+            gep_bound_margin(m, D, region, [], a0, scen.N, cache=fast)
+        with pytest.raises(MismatchedParameters):
+            select_gstar(m, D, [], (0, 0), region, a0, cache=fast)
+        with pytest.raises(MismatchedParameters):
+            build_thresholds(m, D, region, a0, cache=fast)
+        with pytest.raises(MismatchedParameters):
+            detection_bound(m, (0, 0), [[g] for g in m.index_space()], a0,
+                            scen.N, cache=fast)
 
     def test_reuse_across_blocklengths_and_parses(self):
         scen, m, alpha, _stale, D, region = self._setup()

@@ -2,11 +2,12 @@
 
 ``_logsumexp`` must reproduce scipy.special.logsumexp byte for byte, the
 per-letter threshold tables must reproduce the per-symbol formula they
-replaced byte for byte, and one ``simulate`` must maximize every exponent
-at most once.
+replaced byte for byte, and one ``simulate``, ``bound`` or ``exponents``
+must maximize every exponent at most once.
 """
 
 import itertools
+import json
 from collections import Counter
 from pathlib import Path
 
@@ -157,24 +158,62 @@ class TestLetterTables:
             assert _same(mine, ref), a
 
 
+def _count_maximizations(monkeypatch) -> Counter:
+    """Counts calls of the three exponent functionals, keyed by functional
+    and (D, S, g, g_other) or, for exponent_Ec, (g, g_tilde)."""
+    calls = Counter()
+    for fn in ("exponent_EiD", "exponent_EmD"):
+        original = getattr(gepkit.exponents, fn)
+
+        def counted(model, D, S, g, g_other, *args, _fn=fn,
+                    _original=original, **kwargs):
+            calls[(_fn, tuple(sorted(D)), frozenset(S), tuple(g),
+                   tuple(g_other))] += 1
+            return _original(model, D, S, g, g_other, *args, **kwargs)
+
+        monkeypatch.setattr(gepkit.exponents, fn, counted)
+    original_ec = gepkit.exponents.exponent_Ec
+
+    def counted_ec(model, g, g_tilde, *args, **kwargs):
+        calls[("exponent_Ec", tuple(g), tuple(g_tilde))] += 1
+        return original_ec(model, g, g_tilde, *args, **kwargs)
+
+    monkeypatch.setattr(gepkit.exponents, "exponent_Ec", counted_ec)
+    return calls
+
+
 class TestOneCachePerSimulate:
     @pytest.mark.parametrize("name", ["bsc_compound_sec4.json",
                                       "compound_bsc_relaxed.json"])
     def test_each_exponent_maximized_once(self, name, tmp_path, monkeypatch):
-        calls = Counter()
-        for fn in ("exponent_EiD", "exponent_EmD"):
-            original = getattr(gepkit.exponents, fn)
-
-            def counted(model, D, S, g, g_other, *args, _fn=fn,
-                        _original=original, **kwargs):
-                calls[(_fn, tuple(sorted(D)), frozenset(S), tuple(g),
-                       tuple(g_other))] += 1
-                return _original(model, D, S, g, g_other, *args, **kwargs)
-
-            monkeypatch.setattr(gepkit.exponents, fn, counted)
+        calls = _count_maximizations(monkeypatch)
         code = main(["simulate", "--scenario", str(ROOT / "scenarios" / name),
                      "--out", str(tmp_path), "--trials", "20"])
         assert code in (0, 1)
         assert calls, "simulate maximized no exponent"
+        repeated = {k: n for k, n in calls.items() if n > 1}
+        assert not repeated
+
+
+class TestOneDetectionPath:
+    """``bound`` and ``exponents`` on a detect-then-decode scenario build
+    the decode, partitioned and per-g detection bounds from one cache, so
+    each of the 2 distinct detection pairs is maximized once."""
+
+    @pytest.mark.parametrize("command", ["bound", "exponents"])
+    def test_each_exponent_maximized_once(self, command, tmp_path,
+                                          monkeypatch):
+        doc = json.loads((ROOT / "scenarios" / "detect_two_bsc.json")
+                         .read_text())
+        doc["decoder"] = "detect-then-decode"
+        scenario = tmp_path / "dtd.json"
+        scenario.write_text(json.dumps(doc))
+        calls = _count_maximizations(monkeypatch)
+        code = main([command, "--scenario", str(scenario),
+                     "--out", str(tmp_path)])
+        assert code == 0
+        ec = {k: n for k, n in calls.items() if k[0] == "exponent_Ec"}
+        assert ec == {("exponent_Ec", (0, 0), (0, 1)): 1,
+                      ("exponent_Ec", (0, 1), (0, 0)): 1}
         repeated = {k: n for k, n in calls.items() if n > 1}
         assert not repeated

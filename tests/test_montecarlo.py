@@ -130,13 +130,12 @@ class TestRunTrials:
         assert all(r.decoded_correct or r.kind == "collision" for r in recs)
         assert errors <= sum(r.kind == "collision" for r in recs)
 
-    def test_reproducible_and_thread_invariant(self):
+    def test_reproducible(self):
         m = make_compound_bsc([0.05, 0.3], [0.5, 0.5], 0.2)
         scen = make_scenario(m, 10, [(0, 0)])
         a = run_trials(scen, 40, 9)
         b = run_trials(scen, 40, 9)
-        c = run_trials(scen, 40, 9, threads=4)
-        assert a == b == c
+        assert a == b
 
     def test_zero_capacity_channel_errs_inside_region(self):
         # crossover 1/2 carries nothing: in-region trials nearly all fail

@@ -203,6 +203,27 @@ class TestCliDispatch:
         assert rows[0] == "g,trials,errors,p_hat,bound,vacuous"
         assert len(rows) == 3
 
+    def test_detect_verdict_unweights_alpha(self, tmp_path):
+        # detection_bound bounds Pr{err | g} e^{-N alpha(g)}; the verdict
+        # compares the frequency against that bound times e^{N alpha(g)}
+        doc = json.loads((SCENARIOS / "detect_two_bsc.json").read_text())
+        doc["alpha"] = {"default": 0.0,
+                        "entries": [{"g": [0, 0], "value": 0.1}]}
+        p = self._write(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main(["detect", "--scenario", p, "--out", str(out),
+                     "--trials", "4000", "--seed", "5"]) == 0
+        rows = {r.split(",")[0]: r.split(",")
+                for r in (out / "detect.csv").read_text().splitlines()[1:]}
+        weighted = float(rows["0 1"][4])  # alpha = 0: weighted = unweighted
+        assert weighted == pytest.approx(0.129337878665, abs=1e-12)
+        assert float(rows["0 0"][4]) == \
+            pytest.approx(weighted * math.exp(20 * 0.1), rel=1e-9)
+        assert rows["0 0"][1:4] == ["1951", "556", "0.284982060482"]
+        summary = json.loads((out / "detect_summary.json").read_text())
+        assert summary["verdict"] == "PASS"
+        assert summary["per_g"]["0 0"]["bound"] == float(rows["0 0"][4])
+
     def test_simulate_detect_then_decode(self, tmp_path):
         doc = minimal_doc(trials=200, decoder="detect-then-decode",
                           detection=[[[0, 0]], [[0, 1]]])

@@ -108,8 +108,8 @@ class SystemModel:
     """Channel plus per-user code libraries and the regular/interfering split.
 
     Immutable after construction; safe to share across concurrent readers.
-    Marginalizations and the decoder's per-letter threshold tables are
-    memoized per instance.
+    Marginalizations, the decoder's per-letter threshold tables and the
+    region detector's per-run tables are memoized per instance.
     """
 
     dmc: Dmc
@@ -119,6 +119,8 @@ class SystemModel:
     _marg_cache: dict = field(default_factory=dict, repr=False, compare=False)
     _out_cache: dict = field(default_factory=dict, repr=False, compare=False)
     _letter_cache: dict = field(default_factory=dict, repr=False,
+                                compare=False)
+    _detect_cache: dict = field(default_factory=dict, repr=False,
                                 compare=False)
 
     def __post_init__(self):
@@ -190,13 +192,18 @@ class MarginalChannel:
 
     users: tuple[int, ...]  # sorted conditioned subset D
     pmf: np.ndarray         # shape (*sizes_D, |Y|)
+    _log: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.pmf.setflags(write=False)
+        with np.errstate(divide="ignore"):
+            log = np.log(self.pmf)
+        log.setflags(write=False)
+        object.__setattr__(self, "_log", log)
 
     def log_pmf(self) -> np.ndarray:
-        with np.errstate(divide="ignore"):
-            return np.log(self.pmf)
+        """log P(Y | X_D, g), computed once per marginal (read only)."""
+        return self._log
 
 
 def marginalize_out(model: SystemModel, D, g) -> MarginalChannel:

@@ -262,16 +262,15 @@ def _enumerate_candidates(model, D, g, codebooks: CodebookRealization, y,
     counts = [t.shape[0] for t in tables]
     w_tuples = list(itertools.product(*[range(1, c + 1) for c in counts]))
     n = len(w_tuples)
-    rows = np.empty((n, len(D), N), dtype=np.int64)
-    for i, w in enumerate(w_tuples):
-        for j, k in enumerate(D):
-            rows[i, j] = tables[j][w[j] - 1]
     if len(D) == 1:
-        loglik = lm[rows[:, 0, :], y[None, :]].sum(axis=1)
+        rows = tables[0][:, None, :]
+        loglik = lm[tables[0], y[None, :]].sum(axis=1)
     else:
-        y_b = np.broadcast_to(y, (n, N))
-        idx = tuple(rows[:, j, :] for j in range(len(D))) + (y_b,)
-        loglik = lm[idx].sum(axis=1)
+        # row indices of every candidate in itertools.product order
+        picks = np.indices(counts).reshape(len(D), n)
+        gathered = tuple(t[p] for t, p in zip(tables, picks))
+        rows = np.stack(gathered, axis=1)
+        loglik = lm[gathered + (np.broadcast_to(y, (n, N)),)].sum(axis=1)
     a = alpha(g)
     return _Candidates(g=g, w_tuples=w_tuples, rows=rows, loglik=loglik,
                        score=loglik - N * a, wnll=-loglik / N + a)
@@ -350,7 +349,8 @@ def decode_subset(model: SystemModel, D, region, alpha: WeightFunction,
     D = tuple(sorted(set(int(k) for k in D)))
     if 0 not in D:
         raise UserOneMissing(f"decoded subset {D} must contain user 0")
-    if D != thresholds.D or validate_region(model, region) != thresholds.region:
+    if D != thresholds.D or (region is not thresholds.region and
+                             validate_region(model, region) != thresholds.region):
         raise ShapeMismatch(
             "threshold table was built for a different (D, region)")
     y = np.asarray(y, dtype=np.int64)
@@ -452,11 +452,15 @@ def decode_margin(model: SystemModel, D, region, margin,
     """Margin decoder: the plain (D, R_D) rule plus, for every proper subset
     S covering D, the requirement that the agreed output itself passes
     tau*(g, S) (thresholds built with the excluded-vector search outside
-    region union margin).  Anything else reports a collision."""
-    region = validate_region(model, region)
-    margin = validate_region(model, margin)
-    if region & margin:
-        raise OverlappingMargin("operation region and margin intersect")
+    region union margin).  Anything else reports a collision.
+
+    Passing the threshold table's own ``region`` and ``margin`` objects
+    skips their validation: :func:`build_thresholds` already did it."""
+    if region is not thresholds.region or margin is not thresholds.margin:
+        region = validate_region(model, region)
+        margin = validate_region(model, margin)
+        if region & margin:
+            raise OverlappingMargin("operation region and margin intersect")
     if thresholds.margin is None:
         raise OverlappingMargin(
             "thresholds were built without a margin; use build_thresholds("
@@ -491,22 +495,50 @@ def decode_margin(model: SystemModel, D, region, margin,
 # region detection
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class _Hypothesis:
+    """One code index vector as the region detector scores it."""
+
+    g: tuple
+    log_out: np.ndarray      # log P(Y | g)
+    alpha: float             # alpha(g)
+    cell: int                # index of the detection cell holding g
+
+
+def _detection_tables(model: SystemModel, regions, alpha: WeightFunction):
+    """(validated cells, hypotheses in index_space() order) of a detection
+    partition, memoized on the model per (cells, alpha).  A partition that
+    fails validation is never stored, so it raises on every call."""
+    cells = tuple(tuple(sorted(tuple(int(x) for x in g) for g in r))
+                  for r in regions)
+    key = (cells, alpha.key())
+    memo = model._detect_cache.get(key)
+    if memo is None:
+        cleaned = tuple(check_detection_partition(model, cells))
+        hyps = []
+        for g in model.index_space():
+            with np.errstate(divide="ignore"):
+                lp = np.log(output_marginal(model, g))
+            cell = next(i for i, r in enumerate(cleaned) if g in r)
+            hyps.append(_Hypothesis(g, lp, alpha(g), cell))
+        memo = (cleaned, tuple(hyps))
+        model._detect_cache[key] = memo
+    return memo
+
+
 def detect_region(model: SystemModel, regions, alpha: WeightFunction, y):
     """Maximum weighted output-marginal likelihood estimate of the code
     index vector, and the index of the partition cell containing it.  Ties
     break toward the lexicographically smallest vector."""
-    cleaned = check_detection_partition(model, regions)
+    _cells, hyps = _detection_tables(model, regions, alpha)
     y = np.asarray(y, dtype=np.int64)
     N = len(y)
-    best_g, best_score = None, -INF
-    for g in model.index_space():
-        with np.errstate(divide="ignore"):
-            lp = np.log(output_marginal(model, g))
-        score = float(lp[y].sum() - N * alpha(g))
+    best, best_score = None, -INF
+    for h in hyps:
+        score = float(h.log_out[y].sum() - N * h.alpha)
         if score > best_score:
-            best_g, best_score = g, score
-    cell = next(i for i, r in enumerate(cleaned) if best_g in r)
-    return cell, best_g
+            best, best_score = h, score
+    return best.cell, best.g
 
 
 def decode_with_detection(model: SystemModel, regions, partition,
@@ -517,7 +549,7 @@ def decode_with_detection(model: SystemModel, regions, partition,
     to candidates inside the detected cell (thresholds stay those of the
     unrestricted regions)."""
     cell_idx, ghat = detect_region(model, regions, alpha, y)
-    restrict = validate_region(model, regions[cell_idx])
+    restrict = _detection_tables(model, regions, alpha)[0][cell_idx]
     out = decode_receiver(model, partition, alpha, codebooks, y,
                           thresholds_by_D, truth=truth, restrict_to=restrict)
     out.diagnostics["detected_region"] = cell_idx

@@ -49,11 +49,20 @@ def stream(master_seed, *path: int) -> np.random.Generator:
 
 
 def sample_from_pmf(rng: np.random.Generator, pmf: np.ndarray, shape):
-    """i.i.d. draws from a finite pmf by inverse CDF (bit-reproducible)."""
+    """i.i.d. draws from a finite pmf by inverse CDF (bit-reproducible).
+
+    Each draw is the number of cumulative entries <= its uniform u, one
+    comparison per symbol.  The cumulative sums are nondecreasing and the
+    last one is set to 1.0 > u, so that last entry needs no comparison and
+    the count equals ``searchsorted(cum, u, side="right")``.
+    """
     cum = np.cumsum(pmf)
     cum[-1] = 1.0
     u = rng.random(shape)
-    return np.searchsorted(cum, u, side="right").astype(np.int64)
+    idx = (u >= cum[0]).astype(np.int64)
+    for c in cum[1:-1]:
+        idx += u >= c
+    return idx
 
 
 @dataclass

@@ -67,6 +67,11 @@ class MismatchedParameters(GepkitError):
     """Bound and estimate were produced under different (N, alpha)."""
 
 
+class MemoryBudgetExceeded(GepkitError):
+    """One trial's codebook tables would exceed the simulation's memory
+    budget."""
+
+
 # -- scenario / CLI ----------------------------------------------------------
 
 class ParseError(GepkitError):

@@ -23,6 +23,7 @@ import numpy as np
 from .channel import SystemModel
 from .decoder import (
     DecodeOutcome,
+    _detection_tables,
     build_thresholds,
     decode_margin,
     decode_receiver,
@@ -30,7 +31,12 @@ from .decoder import (
     detect_region,
 )
 from .ensemble import message_count, sample_codebook, sample_from_pmf, stream
-from .errors import DomainError, MismatchedParameters, ShapeMismatch
+from .errors import (
+    DomainError,
+    MemoryBudgetExceeded,
+    MismatchedParameters,
+    ShapeMismatch,
+)
 from .exponents import (
     BoundReport,
     ExponentCache,
@@ -44,6 +50,11 @@ RELAXED = "relaxed"
 STRICT = "strict"
 MARGIN = "margin"
 ERROR_MODELS = (RELAXED, STRICT, MARGIN)
+
+# Codebook bytes one trial may hold.  A trial's peak memory is several times
+# this (uniform draws, candidate rows, likelihood gathers); the shipped
+# scenarios and benchmark workloads need under 1 MiB.
+CODEBOOK_BUDGET_BYTES = 256 * 2**20
 
 
 @dataclass(frozen=True)
@@ -142,14 +153,15 @@ def _prepare_decoder(scenario, model, cache=None):
         table = build_thresholds(model, D, scenario.region, alpha,
                                  margin=scenario.margin, cache=cache)
 
+        # the table's own validated region and margin: no per-trial check
         def run(codebooks, y, truth):
-            return decode_margin(model, D, scenario.region, scenario.margin,
+            return decode_margin(model, D, table.region, table.margin,
                                  alpha, codebooks, y, table, truth=truth)
 
         return run
-    partition = dict(scenario.partition.items())
     tables = {D: build_thresholds(model, D, reg, alpha, cache=cache)
-              for D, reg in partition.items()}
+              for D, reg in scenario.partition.items()}
+    partition = {D: table.region for D, table in tables.items()}
     if variant == "plain":
         def run(codebooks, y, truth):
             return decode_receiver(model, partition, alpha, codebooks, y,
@@ -176,11 +188,15 @@ def run_trials(scenario, trials: int, master_seed: int, trace_path=None,
     region mapping for plain/detect), detection (cell list, detect only),
     and optionally g_sampling / g_set.
 
-    ``trace_path`` writes one JSON line per trial: transmitted (w, g),
-    per-subset winners and candidate-independent thresholds, and the
-    outcome.
+    ``trace_path`` writes one JSON line per trial, as the trial finishes:
+    transmitted (w, g), per-subset winners and candidate-independent
+    thresholds, and the outcome.  Only the records outlive their trial.
 
     Every trial resamples the codebook (the bounds are ensemble averages).
+    Before any threshold is built, one trial's codebook bytes (message
+    count x N x 8, summed over every code) are checked against
+    ``CODEBOOK_BUDGET_BYTES``; a larger scenario raises
+    :class:`MemoryBudgetExceeded`.
 
     ``cache`` is the exponent cache the threshold tables are built from;
     passing the one the verdict bound will use spares that bound the
@@ -190,14 +206,19 @@ def run_trials(scenario, trials: int, master_seed: int, trace_path=None,
         raise ShapeMismatch(f"need at least 1 trial, got {trials}")
     model: SystemModel = scenario.model
     N = scenario.N
-    g_list, g_probs = _g_sampler(scenario, model)
-    transmit = _channel_sampler(model)
-    run_decoder = _prepare_decoder(scenario, model, cache)
     counts = {(k, gk): message_count(model.rate(k, gk), N)
               for k in range(model.K)
               for gk in range(len(model.libraries[k]))}
+    need = sum(n * N * 8 for n in counts.values())
+    if need > CODEBOOK_BUDGET_BYTES:
+        raise MemoryBudgetExceeded(
+            f"one trial's codebooks take {need} bytes, over the "
+            f"{CODEBOOK_BUDGET_BYTES}-byte budget (N={N})")
+    g_list, g_probs = _g_sampler(scenario, model)
+    transmit = _channel_sampler(model)
+    run_decoder = _prepare_decoder(scenario, model, cache)
 
-    def one(t: int):
+    def one(t: int, trace) -> TrialRecord:
         rng = stream((master_seed, t, 1))
         g = _draw_g(rng, g_list, g_probs)
         codebooks = sample_codebook(model, N, (master_seed, t, 0))
@@ -213,16 +234,15 @@ def run_trials(scenario, trials: int, master_seed: int, trace_path=None,
                              scenario.margin, g, w, outcome)
         rec = TrialRecord(trial=t, g=g, w=w, kind=outcome.kind,
                           w1=outcome.w1, g1=outcome.g1, error=err)
-        return rec, outcome
+        if trace is not None:
+            trace.write(json.dumps(_trace_line(rec, outcome), sort_keys=True))
+            trace.write("\n")
+        return rec
 
-    results = [one(t) for t in range(trials)]
-    if trace_path is not None:
-        with open(trace_path, "w") as fh:
-            for rec, outcome in results:
-                fh.write(json.dumps(_trace_line(rec, outcome),
-                                    sort_keys=True))
-                fh.write("\n")
-    return [rec for rec, _ in results]
+    if trace_path is None:
+        return [one(t, None) for t in range(trials)]
+    with open(trace_path, "w") as trace:
+        return [one(t, trace) for t in range(trials)]
 
 
 def _jsonable(value):
@@ -353,10 +373,7 @@ def run_detection_trials(scenario, trials: int, master_seed: int,
     regions = scenario.detection
     g_list, g_probs = _g_sampler(scenario, model)
     transmit = _channel_sampler(model)
-    cells = {}
-    for i, reg in enumerate(regions):
-        for g in reg:
-            cells[tuple(g)] = i
+    cells = {h.g: h.cell for h in _detection_tables(model, regions, alpha)[1]}
     tallies = {g: [0, 0] for g in g_list}
     for t in range(trials):
         rng = stream((master_seed, t, 2))

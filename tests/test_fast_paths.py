@@ -3,7 +3,10 @@
 ``_logsumexp`` must reproduce scipy.special.logsumexp byte for byte, the
 per-letter threshold tables must reproduce the per-symbol formula they
 replaced byte for byte, and one ``simulate``, ``bound`` or ``exponents``
-must maximize every exponent at most once.
+must maximize every exponent at most once.  The comparison-count inverse
+CDF, the gathered candidate rows and the memoized region detector must
+reproduce the bisection, the per-candidate loop and the per-g loop they
+replaced, kept here as references.
 """
 
 import itertools
@@ -13,18 +16,34 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 import gepkit.exponents
+from gepkit import (
+    CodeSpec,
+    SystemModel,
+    make_compound_bsc,
+    make_dmc,
+    marginalize_out,
+    output_marginal,
+    sample_codebook,
+)
 from gepkit.cli import main
+from gepkit.decoder import _enumerate_candidates, detect_region
 from gepkit.ensemble import (
     _logsumexp,
     ensemble_log_expectation,
     flatten_symbols,
     marginal_log_table,
+    sample_from_pmf,
     scale_log,
+    stream,
     subset_weights_log,
 )
+from gepkit.errors import NotAPartition
+from gepkit.exponents import WeightFunction, check_detection_partition
 from gepkit.scenario import load_scenario
 
 from conftest import random_model, xor_model
@@ -217,3 +236,214 @@ class TestOneDetectionPath:
                       ("exponent_Ec", (0, 1), (0, 0)): 1}
         repeated = {k: n for k, n in calls.items() if n > 1}
         assert not repeated
+
+
+# ---------------------------------------------------------------------------
+# inverse CDF
+# ---------------------------------------------------------------------------
+
+def reference_sample_from_pmf(rng, pmf, shape):
+    """The bisection inverse CDF sample_from_pmf used before it counted
+    comparisons."""
+    cum = np.cumsum(pmf)
+    cum[-1] = 1.0
+    u = rng.random(shape)
+    return np.searchsorted(cum, u, side="right").astype(np.int64)
+
+
+class _FixedUniforms:
+    """Stands in for a generator: ``random(shape)`` returns given values."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, shape):
+        return self.u.reshape(shape)
+
+
+_weights = st.lists(st.sampled_from([0.0, 0.0, 1e-300, 1e-17, 0.1, 0.25, 0.5,
+                                     1.0, 3.0, 7.5]),
+                    min_size=1, max_size=16).filter(lambda w: sum(w) > 0)
+
+
+class TestInverseCdf:
+    @given(weights=_weights,
+           excess=st.sampled_from([0.0, 1e-16, 4e-16, 1e-12, 1e-9]),
+           picks=st.lists(st.integers(0, 10**6), min_size=1, max_size=24),
+           columns=st.sampled_from([None, 1, 3]))
+    def test_counts_match_bisection(self, weights, excess, picks, columns):
+        """Zero entries, sums slightly above 1, uniforms equal to
+        cumulative entries, shapes (n,) and (n, N)."""
+        pmf = np.asarray(weights) / sum(weights) * (1.0 + excess)
+        cum = np.cumsum(pmf)
+        cum[-1] = 1.0
+        pool = np.concatenate([cum, np.nextafter(cum, 0.0),
+                               np.nextafter(cum, 2.0),
+                               [0.0, 0.5, np.nextafter(1.0, 0.0)]])
+        pool = pool[(pool >= 0.0) & (pool < 1.0)]
+        u = pool[np.asarray(picks) % len(pool)]
+        if columns is not None:
+            u = np.resize(u, (len(u), columns))
+        shape = u.shape
+        mine = sample_from_pmf(_FixedUniforms(u), pmf, shape)
+        ref = reference_sample_from_pmf(_FixedUniforms(u), pmf, shape)
+        assert mine.dtype == ref.dtype == np.int64
+        assert mine.shape == ref.shape == shape
+        assert np.array_equal(mine, ref)
+
+    @pytest.mark.parametrize("pmf", [[1.0], [0.9, 0.1], [0.0, 1.0, 0.0, 0.0],
+                                     [0.2, 0.0, 0.3, 0.5]])
+    def test_same_draws_and_stream_position(self, pmf):
+        pmf = np.asarray(pmf)
+        for shape in (16, (31, 16)):
+            rng_a, rng_b = stream(5, 0, 1), stream(5, 0, 1)
+            a = sample_from_pmf(rng_a, pmf, shape)
+            b = reference_sample_from_pmf(rng_b, pmf, shape)
+            assert _same(a, b)
+            assert rng_a.random() == rng_b.random()
+
+
+# ---------------------------------------------------------------------------
+# candidate rows
+# ---------------------------------------------------------------------------
+
+def reference_candidates(model, D, g, codebooks, y):
+    """Candidate message tuples, rows and log-likelihoods as
+    _enumerate_candidates built them before the gathers: one Python
+    iteration per candidate."""
+    N = len(y)
+    lm = marginalize_out(model, D, g).log_pmf()
+    tables = [codebooks.tables[(k, g[k])] for k in D]
+    counts = [t.shape[0] for t in tables]
+    w_tuples = list(itertools.product(*[range(1, c + 1) for c in counts]))
+    n = len(w_tuples)
+    rows = np.empty((n, len(D), N), dtype=np.int64)
+    for i, w in enumerate(w_tuples):
+        for j, _k in enumerate(D):
+            rows[i, j] = tables[j][w[j] - 1]
+    if len(D) == 1:
+        loglik = lm[rows[:, 0, :], y[None, :]].sum(axis=1)
+    else:
+        y_b = np.broadcast_to(y, (n, N))
+        idx = tuple(rows[:, j, :] for j in range(len(D))) + (y_b,)
+        loglik = lm[idx].sum(axis=1)
+    return w_tuples, rows, loglik
+
+
+def _mac_model():
+    """Two regular users and one interfering user on a random 3-output
+    channel; each regular user has a 1-message code (rate 0) and codes of
+    3 and 6 messages at N = 6."""
+    rng = np.random.default_rng(11)
+    t = rng.uniform(0.05, 1.0, size=(2, 2, 2, 3))
+    t /= t.sum(axis=-1, keepdims=True)
+    u = np.array([0.3, 0.7])
+    regular = (CodeSpec(0.0, u), CodeSpec(0.2, u), CodeSpec(0.3, u))
+    interfering = (CodeSpec(0.0, u), CodeSpec(0.0, u[::-1].copy()))
+    return SystemModel(dmc=make_dmc(t), K=2, M=1,
+                       libraries=(regular, regular, interfering))
+
+
+class TestCandidateRows:
+    @pytest.mark.parametrize("D", [(0,), (0, 1)])
+    def test_rows_and_logliks_match_loop(self, D):
+        model = _mac_model()
+        a = WeightFunction(model, np.random.default_rng(3).uniform(
+            0.0, 0.2, size=model.code_counts))
+        N = 6
+        rng = np.random.default_rng(4)
+        seen_counts = set()
+        for seed in range(3):
+            cb = sample_codebook(model, N, seed)
+            for g in model.index_space():
+                y = rng.integers(0, 3, N)
+                cand = _enumerate_candidates(model, D, g, cb, y, a)
+                w_ref, rows_ref, ll_ref = reference_candidates(
+                    model, D, g, cb, y)
+                assert cand.w_tuples == w_ref
+                assert cand.rows.dtype == np.int64
+                assert np.array_equal(cand.rows, rows_ref)
+                assert _same(cand.loglik, ll_ref)
+                assert _same(cand.score, ll_ref - N * a(g))
+                assert _same(cand.wnll, -ll_ref / N + a(g))
+                seen_counts.add(tuple(cb.n_messages(k, g[k]) for k in D))
+        assert {(1,) * len(D), (6,) * len(D)} <= seen_counts
+
+    def test_single_code_table_is_not_copied(self):
+        model = make_compound_bsc([0.05, 0.3], [0.5, 0.5], 0.2)
+        cb = sample_codebook(model, 10, 1)
+        cand = _enumerate_candidates(model, (0,), (0, 1), cb,
+                                     np.zeros(10, dtype=np.int64),
+                                     WeightFunction.zero(model))
+        assert np.shares_memory(cand.rows, cb.tables[(0, 0)])
+
+
+# ---------------------------------------------------------------------------
+# region detection
+# ---------------------------------------------------------------------------
+
+def reference_detect_region(model, regions, alpha, y):
+    """detect_region before the per-run memo: the partition is checked and
+    every log output marginal recomputed on each call."""
+    cleaned = check_detection_partition(model, regions)
+    y = np.asarray(y, dtype=np.int64)
+    N = len(y)
+    best_g, best_score = None, -float("inf")
+    for g in model.index_space():
+        with np.errstate(divide="ignore"):
+            lp = np.log(output_marginal(model, g))
+        score = float(lp[y].sum() - N * alpha(g))
+        if score > best_score:
+            best_g, best_score = g, score
+    cell = next(i for i, r in enumerate(cleaned) if best_g in r)
+    return cell, best_g
+
+
+class TestDetectRegion:
+    def test_ties_go_to_the_first_vector(self):
+        # states (0, 1) and (0, 2) share a crossover, so they tie on every
+        # output; only a tie broken toward (0, 2) would detect cell 2
+        model = make_compound_bsc([0.05, 0.3, 0.3, 0.45], [0.9, 0.1], 0.2)
+        regions = [[(0, 0)], [(0, 1), (0, 3)], [(0, 2)]]
+        a = WeightFunction.zero(model)
+        cells = set()
+        for bits in itertools.product(range(2), repeat=6):
+            y = np.array(bits)
+            got = detect_region(model, regions, a, y)
+            assert got == reference_detect_region(model, regions, a, y)
+            cells.add(got[0])
+        assert 1 in cells and 2 not in cells
+
+    def test_alphas_and_partitions_do_not_mix(self):
+        model = make_compound_bsc([0.05, 0.2, 0.35, 0.5], [0.7, 0.3], 0.2)
+        alphas = [WeightFunction.zero(model),
+                  WeightFunction(model, {(0, 0): 0.4, (0, 2): 0.05})]
+        # JSON-style lists and tuples: both spellings key the memo
+        partitions = ([[[0, 0], [0, 1]], [[0, 2], [0, 3]]],
+                      [[(0, 0)], [(0, 1), (0, 2)], [(0, 3)]])
+        rng = np.random.default_rng(8)
+        differ = set()
+        for _ in range(60):
+            y = rng.integers(0, 2, 8)
+            results = {}
+            for i, regions in enumerate(partitions):
+                for j, a in enumerate(alphas):
+                    got = detect_region(model, regions, a, y)
+                    assert got == reference_detect_region(model, regions, a,
+                                                          y)
+                    results[(i, j)] = got
+            differ |= {i for i in range(2)
+                       if results[(i, 0)] != results[(i, 1)]}
+        assert differ == {0, 1}, "alpha never changed a detection"
+
+    def test_invalid_partition_raises_on_every_call(self):
+        model = make_compound_bsc([0.1, 0.4], [0.9, 0.1], 0.2)
+        a = WeightFunction.zero(model)
+        for _ in range(3):
+            with pytest.raises(NotAPartition):
+                detect_region(model, [[(0, 0)]], a, np.array([0, 1]))
+        assert detect_region(model, [[(0, 0)], [(0, 1)]], a,
+                             np.array([0, 0, 0]))[0] == 0
+        for _ in range(2):
+            with pytest.raises(NotAPartition):
+                detect_region(model, [[(0, 0)]], a, np.array([0, 1]))

@@ -1,10 +1,15 @@
 import itertools
 import math
+import weakref
+from collections import Counter
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import gepkit.decoder
+import gepkit.montecarlo
 from gepkit import (
     CodeSpec,
     SystemModel,
@@ -29,8 +34,12 @@ from gepkit.montecarlo import (
     classify_error,
     compare_bound,
     empirical_gep,
+    run_detection_trials,
     run_trials,
 )
+from gepkit.scenario import load_scenario
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def decoded(w1, g1):
@@ -177,6 +186,73 @@ class TestRunTrials:
             assert tuple(doc["g"]) == rec.g
             assert doc["outcome"] == rec.kind
             assert "per_S" in doc and doc["per_S"]
+
+    def test_outcomes_do_not_outlive_their_trial(self, monkeypatch):
+        # without a trace only the TrialRecords are kept: every decode
+        # outcome, diagnostics included, is freed when its trial ends
+        m = make_compound_bsc([0.05, 0.3], [0.5, 0.5], 0.2)
+        scen = make_scenario(m, 8, [(0, 0)])
+        original = gepkit.montecarlo.decode_receiver
+        refs, alive = [], []
+
+        def watched(*args, **kwargs):
+            alive.append(sum(r() is not None for r in refs))
+            out = original(*args, **kwargs)
+            refs.append(weakref.ref(out))
+            return out
+
+        monkeypatch.setattr(gepkit.montecarlo, "decode_receiver", watched)
+        recs = run_trials(scen, 12, 4)
+        assert len(recs) == len(refs) == 12
+        assert alive == [0] * 12
+        assert all(r() is None for r in refs)
+
+
+class TestSetUpOncePerRun:
+    """Region and partition checks and log output marginals are work of the
+    run, not of the trial: their call counts do not grow with the number
+    of trials."""
+
+    @staticmethod
+    def _calls(monkeypatch, run):
+        calls = Counter()
+        for name in ("validate_region", "check_detection_partition",
+                     "output_marginal"):
+            original = getattr(gepkit.decoder, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(gepkit.decoder, name, counted)
+        run()
+        monkeypatch.undo()
+        return calls
+
+    @pytest.mark.parametrize("name, decoder", [
+        ("bsc_compound_sec4.json", "margin"),
+        ("compound_bsc_relaxed.json", "plain"),
+        ("detect_two_bsc.json", "detect"),
+    ])
+    def test_trial_loop(self, monkeypatch, name, decoder):
+        def run(trials):
+            scen = load_scenario(SCENARIOS / name)
+            scen.decoder = decoder
+            return lambda: run_trials(scen, trials, 3)
+
+        few = self._calls(monkeypatch, run(2))
+        many = self._calls(monkeypatch, run(7))
+        assert few == many
+
+    def test_detection_trial_loop(self, monkeypatch):
+        def run(trials):
+            scen = load_scenario(SCENARIOS / "detect_two_bsc.json")
+            return lambda: run_detection_trials(scen, trials, 3)
+
+        few = self._calls(monkeypatch, run(5))
+        many = self._calls(monkeypatch, run(60))
+        assert few == many
+        assert few["check_detection_partition"] == 1
 
 
 class TestEmpiricalGep:

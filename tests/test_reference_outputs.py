@@ -1,13 +1,17 @@
-"""CLI outputs on the shipped Sec. 4 scenario against the benchmark's
-recorded references in ``perfbench/refs/sec4-margin/`` (read only).
+"""CLI outputs against the benchmark's recorded references in
+``perfbench/refs/`` (read only).
 
-``trials.csv`` must match byte for byte; every number of ``exponents.csv``,
-``bounds.json`` and ``summary.json`` must match to 1e-9 (relative above 1),
-everything else exactly.  So a refactor that moves an output fails under
-pytest, not only in the benchmark.
+On the shipped Sec. 4 scenario, ``trials.csv`` must match byte for byte;
+every number of ``exponents.csv``, ``bounds.json`` and ``summary.json`` must
+match to 1e-9 (relative above 1), everything else exactly.  On every
+benchmark workload, ``simulate`` and ``detect`` at the reference seed and
+trial counts must write ``trials.csv`` and ``detect.csv`` byte for byte; the
+derived scenarios are generated by ``perfbench/workloads.py``.  So a
+refactor that moves an output fails under pytest, not only in the benchmark.
 """
 
 import csv
+import importlib.util
 import json
 from pathlib import Path
 
@@ -16,9 +20,21 @@ import pytest
 from gepkit.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
-REF = ROOT / "perfbench" / "refs" / "sec4-margin"
+REFS = ROOT / "perfbench" / "refs"
+REF = REFS / "sec4-margin"
 SCENARIO = ROOT / "scenarios" / "bsc_compound_sec4.json"
 TOL = 1e-9
+
+
+def _load_workloads():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+workloads = _load_workloads()
 
 
 def _number(value):
@@ -76,3 +92,30 @@ def test_exponents_csv_within_tolerance(out):
 def test_json_within_tolerance(out, name):
     got = json.loads((out / name).read_text())
     assert _same(got, json.loads((REF / name).read_text()))
+
+
+@pytest.fixture(scope="module", params=sorted(workloads.WORKLOADS))
+def trial_tables(request, tmp_path_factory):
+    """Output directories of ``simulate`` and ``detect`` on one workload at
+    its reference seed and trial counts."""
+    name = request.param
+    spec = workloads.WORKLOADS[name]
+    meta = json.loads((REFS / name / "meta.json").read_text())
+    work = tmp_path_factory.mktemp(name)
+    for op, ref, trials in (("simulate", spec["scenario"], meta["sim_trials"]),
+                            ("detect", spec["detect_scenario"],
+                             meta["detect_trials"])):
+        scenario = workloads.scenario_path(ref, ROOT, work)
+        code = main([op, "--scenario", str(scenario), "--out",
+                     str(work / op), "--trials", str(trials),
+                     "--seed", str(meta["ref_seed"])])
+        assert code == meta["exit"][op], (name, op)
+    return name, work
+
+
+@pytest.mark.parametrize("op, table", [("simulate", "trials.csv"),
+                                       ("detect", "detect.csv")])
+def test_workload_trial_tables_byte_identical(trial_tables, op, table):
+    name, work = trial_tables
+    assert (work / op / table).read_bytes() == \
+        (REFS / name / table).read_bytes()

@@ -4,7 +4,9 @@ from pathlib import Path
 
 import pytest
 
+import gepkit.montecarlo
 from gepkit.cli import entropy_gate, main
+from gepkit.ensemble import message_count
 from gepkit.errors import IntegrityError, ParseError, SchemaError
 from gepkit.scenario import emit, load_scenario, parse_scenario
 
@@ -230,3 +232,32 @@ class TestCliDispatch:
         p = self._write(tmp_path, doc)
         out = tmp_path / "out"
         assert main(["simulate", "--scenario", p, "--out", str(out)]) == 0
+
+
+class TestMemoryPreflight:
+    """simulate refuses a scenario whose codebooks would not fit before it
+    builds a threshold or draws a codebook; sizes are computed, never
+    allocated."""
+
+    def test_sec4_at_n64_exits_2_with_the_byte_count(self, tmp_path,
+                                                     monkeypatch, capsys):
+        doc = json.loads((SCENARIOS / "bsc_compound_sec4.json").read_text())
+        doc["N"] = 64
+        p = tmp_path / "sec4_n64.json"
+        p.write_text(json.dumps(doc))
+        rate = load_scenario(p).model.rate(0, 0)
+        assert message_count(rate, 64) == 938501
+        assert 938501 * 64 * 8 == 480512512 > \
+            gepkit.montecarlo.CODEBOOK_BUDGET_BYTES
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("simulate allocated before its pre-flight")
+
+        monkeypatch.setattr(gepkit.montecarlo, "sample_codebook", forbidden)
+        monkeypatch.setattr(gepkit.montecarlo, "build_thresholds", forbidden)
+        code = main(["simulate", "--scenario", str(p), "--trials", "1",
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "480512512 bytes" in capsys.readouterr().err
+        assert main(["bound", "--scenario", str(p),
+                     "--out", str(tmp_path / "out")]) == 0

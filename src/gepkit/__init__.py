@@ -17,7 +17,6 @@ from .decoder import (
     ThresholdParams,
     ThresholdTable,
     build_thresholds,
-    competitor_match,
     decode_margin,
     decode_receiver,
     decode_subset,

@@ -44,36 +44,6 @@ INF = float("inf")
 
 
 # ---------------------------------------------------------------------------
-# competitor relation
-# ---------------------------------------------------------------------------
-
-def competitor_match(S, D, pair_a, pair_b, n_users: int) -> bool:
-    """Whether (w_D, g) and (w~_D, g~) are S-competitors: messages and codes
-    agree on S inside D, codes agree on S outside D, (w_k, g_k) differs for
-    every k in D outside S, and codes differ for every k outside both."""
-    S, D = set(S), set(D)
-    w_a, g_a = pair_a
-    w_b, g_b = pair_b
-    Ds = sorted(D)
-    wa = dict(zip(Ds, w_a))
-    wb = dict(zip(Ds, w_b))
-    for k in range(n_users):
-        if k in S and k in D:
-            if wa[k] != wb[k] or g_a[k] != g_b[k]:
-                return False
-        elif k in S:
-            if g_a[k] != g_b[k]:
-                return False
-        elif k in D:
-            if wa[k] == wb[k] and g_a[k] == g_b[k]:
-                return False
-        else:
-            if g_a[k] == g_b[k]:
-                return False
-    return True
-
-
-# ---------------------------------------------------------------------------
 # thresholds
 # ---------------------------------------------------------------------------
 

@@ -17,7 +17,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import SystemModel, marginalize_out
-from .errors import CodeOutOfRange, MessageOutOfRange, ShapeMismatch
+from .errors import (
+    CodeOutOfRange,
+    DomainError,
+    MessageOutOfRange,
+    ShapeMismatch,
+)
 
 _NEG_INF = float("-inf")
 
@@ -27,13 +32,18 @@ def message_count(rate: float, N: int) -> int:
     blocklength N: floor(e^{N r}), floored at 1 so zero-rate codes exist.
 
     The floor carries a 1e-12 relative slack so rates given as float logs
-    of integers (e.g. log 2) yield the exact integer count.
+    of integers (e.g. log 2) yield the exact integer count.  A count past
+    the float range raises DomainError.
     """
     if rate < 0:
         raise ShapeMismatch(f"rate must be >= 0, got {rate}")
     if N < 1:
         raise ShapeMismatch(f"blocklength must be >= 1, got {N}")
-    return max(1, int(math.floor(math.exp(N * rate) * (1.0 + 1e-12))))
+    try:
+        return max(1, int(math.floor(math.exp(N * rate) * (1.0 + 1e-12))))
+    except OverflowError:
+        raise DomainError(f"e^(N r) messages at N={N}, r={rate} nats is "
+                          f"past the float range") from None
 
 
 def _as_entropy(master_seed) -> tuple[int, ...]:
@@ -69,21 +79,15 @@ def sample_from_pmf(rng: np.random.Generator, pmf: np.ndarray, shape):
 class CodebookRealization:
     """One sampled draw of every regular user's codebook library.
 
-    ``tables[(k, g_k)]`` is an integer array of shape
-    (message_count(r_k(g_k), N), N); interfering users have no tables (the
-    receiver only knows their input distributions).
+    ``tables[(k, g_k)]`` is an integer array of shape (counts[(k, g_k)], N)
+    with counts[(k, g_k)] = message_count(r_k(g_k), N); interfering users
+    have no tables (the receiver only knows their input distributions).
     """
 
     N: int
     master_seed: tuple[int, ...]
     tables: dict = field(repr=False)
     counts: dict = field(repr=False)
-
-    def n_messages(self, k: int, g_k: int) -> int:
-        try:
-            return self.counts[(k, g_k)]
-        except KeyError:
-            raise CodeOutOfRange(f"no code ({k}, {g_k}) in realization")
 
     def codeword(self, k: int, g_k: int, w: int) -> np.ndarray:
         """Codeword of message w (1-based) of code g_k of user k."""

@@ -195,6 +195,31 @@ def _scaler(logs):
     return lambda c: np.asarray(c, dtype=float) * logs
 
 
+def _keyed(make, *tables):
+    """``make(*tables)``, an objective that closes over nothing but
+    ``tables``, with its content key attached: the factory's name and the
+    shape and bytes of every table.  Equal keys mean the same function, so
+    :class:`ExponentCache` maximizes it once."""
+    f = make(*tables)
+    f.key = (make.__name__,) + tuple(
+        (np.shape(t), np.asarray(t, dtype=float).tobytes()) for t in tables)
+    return f
+
+
+def _emd(lw_g, a_g, lw_t, a_t, lw_fixed, rate_sum):
+    scale_g, scale_t = _scaler(a_g[None]), _scaler(a_t[None])
+
+    def objective(rho, s):
+        s = np.asarray(s, dtype=float).reshape(-1, 1, 1, 1)
+        t1 = _logsumexp(lw_g[None, None, None, :] + scale_g(1.0 - s), axis=3)
+        t2 = _logsumexp(lw_t[None, None, None, :] + scale_t(s / rho), axis=3)
+        combined = lw_fixed[None, None, :] + t1 + rho * t2
+        total = _logsumexp(combined.reshape(combined.shape[0], -1), axis=1)
+        return -rho * rate_sum - total
+
+    return objective
+
+
 def emd_objective(model: SystemModel, D, S, g, g_tilde, alpha: WeightFunction):
     """Objective (rho, s_array) -> values for the message-confusion
     exponent; maximize over rho in (0,1], s in (0,1]."""
@@ -205,16 +230,21 @@ def emd_objective(model: SystemModel, D, S, g, g_tilde, alpha: WeightFunction):
     lm_g, lw_g = _pair_factors(model, D, S, g)
     lm_t, lw_t = _pair_factors(model, D, S, gt)
     lw_fixed = subset_weights_log(model, fixed, g)
-    a_g = lm_g - alpha(g)
-    a_t = lm_t - alpha(gt)
     rate_sum = sum(model.rate(k, gt[k]) for k in set(D) - set(S))
-    scale_g, scale_t = _scaler(a_g[None]), _scaler(a_t[None])
+    return _keyed(_emd, lw_g, lm_g - alpha(g), lw_t, lm_t - alpha(gt),
+                  lw_fixed, rate_sum)
+
+
+def _eid(lw_g, a_g, t2c, lw_fixed, rate_sum):
+    scale_g, scale_t2c = _scaler(a_g[None]), _scaler(t2c[None])
 
     def objective(rho, s):
         s = np.asarray(s, dtype=float).reshape(-1, 1, 1, 1)
-        t1 = _logsumexp(lw_g[None, None, None, :] + scale_g(1.0 - s), axis=3)
-        t2 = _logsumexp(lw_t[None, None, None, :] + scale_t(s / rho), axis=3)
-        combined = lw_fixed[None, None, :] + t1 + rho * t2
+        t1 = _logsumexp(lw_g[None, None, None, :] + scale_g(s / (s + rho)),
+                        axis=3)
+        s2 = s.reshape(-1, 1, 1)
+        combined = (lw_fixed[None, None, :] + scale_log(s2 + rho, t1)
+                    + scale_t2c(1.0 - s2))
         total = _logsumexp(combined.reshape(combined.shape[0], -1), axis=1)
         return -rho * rate_sum - total
 
@@ -232,22 +262,19 @@ def eid_objective(model: SystemModel, D, S, g, g_prime, alpha: WeightFunction,
     lm_g, lw_g = _pair_factors(model, D, S, g)
     lm_p, lw_p = _pair_factors(model, D, S, gp)
     lw_fixed = subset_weights_log(model, fixed, g)
-    a_g = lm_g - alpha(g)
-    a_p = lm_p - alpha(gp)
-    # the excluded-vector factor carries exponent 1: s-independent
-    t2c = _logsumexp(lw_p[None, None, :] + a_p, axis=2)  # (Y, F)
+    # the excluded-vector factor carries exponent 1: s-independent, (Y, F)
+    t2c = _logsumexp(lw_p[None, None, :] + (lm_p - alpha(gp)), axis=2)
     rate_sum = sum(model.rate(k, g[k]) for k in set(D) - set(S))
-    scale_g, scale_t2c = _scaler(a_g[None]), _scaler(t2c[None])
+    return _keyed(_eid, lw_g, lm_g - alpha(g), t2c, lw_fixed, rate_sum)
 
-    def objective(rho, s):
-        s = np.asarray(s, dtype=float).reshape(-1, 1, 1, 1)
-        t1 = _logsumexp(lw_g[None, None, None, :] + scale_g(s / (s + rho)),
-                        axis=3)
-        s2 = s.reshape(-1, 1, 1)
-        combined = (lw_fixed[None, None, :] + scale_log(s2 + rho, t1)
-                    + scale_t2c(1.0 - s2))
-        total = _logsumexp(combined.reshape(combined.shape[0], -1), axis=1)
-        return -rho * rate_sum - total
+
+def _ec(lp, lq):
+    scale_p, scale_q = _scaler(lp[None, :]), _scaler(lq[None, :])
+
+    def objective(s):
+        s = np.asarray(s, dtype=float).reshape(-1, 1)
+        terms = scale_p(s) + scale_q(1.0 - s)
+        return -_logsumexp(terms, axis=1)
 
     return objective
 
@@ -260,14 +287,7 @@ def ec_objective(model: SystemModel, g, g_tilde, alpha: WeightFunction):
     with np.errstate(divide="ignore"):
         lp = np.log(output_marginal(model, g)) - alpha(g)
         lq = np.log(output_marginal(model, gt)) - alpha(gt)
-    scale_p, scale_q = _scaler(lp[None, :]), _scaler(lq[None, :])
-
-    def objective(s):
-        s = np.asarray(s, dtype=float).reshape(-1, 1)
-        terms = scale_p(s) + scale_q(1.0 - s)
-        return -_logsumexp(terms, axis=1)
-
-    return objective
+    return _keyed(_ec, lp, lq)
 
 
 def exponent_EmD(model: SystemModel, D, S, g, g_tilde, alpha: WeightFunction,
@@ -309,7 +329,11 @@ def exponent_Ec(model: SystemModel, g, g_tilde, alpha: WeightFunction,
 
 
 class ExponentCache:
-    """Memoizes exponent maximizations for one (model, alpha, settings).
+    """Memoizes exponent maximizations for one (model, alpha, settings),
+    keyed by what each objective computes (:func:`_keyed`): codes enter an
+    objective only through their rates and input pmfs, so distinct
+    (D, S, g, g') often share one maximization.  Every lookup builds its
+    objective, so its arguments are checked each time.
 
     Exponents do not depend on N, so one cache serves every blocklength
     and every model parsed from the same scenario; the bound and threshold
@@ -321,31 +345,25 @@ class ExponentCache:
         self.model = model
         self.alpha = alpha
         self.settings = settings
-        self._emd: dict = {}
-        self._eid: dict = {}
-        self._ec: dict = {}
+        self._memo: dict = {}  # content key -> ExponentResult
+
+    def _lookup(self, build, maximize, *args, **kwargs) -> ExponentResult:
+        key = build(self.model, *args, self.alpha, **kwargs).key
+        if key not in self._memo:
+            self._memo[key] = maximize(self.model, *args, self.alpha,
+                                       self.settings, **kwargs)
+        return self._memo[key]
 
     def emd(self, D, S, g, gt) -> ExponentResult:
-        key = (tuple(sorted(D)), frozenset(S), tuple(g), tuple(gt))
-        if key not in self._emd:
-            self._emd[key] = exponent_EmD(self.model, D, S, g, gt, self.alpha,
-                                          self.settings)
-        return self._emd[key]
+        _check_DS(self.model, D, S)  # EmptyDifferenceSet on D\S == empty
+        return self._lookup(emd_objective, exponent_EmD, D, S, g, gt)
 
     def eid(self, D, S, g, gp, allow_empty_difference=False) -> ExponentResult:
-        key = (tuple(sorted(D)), frozenset(S), tuple(g), tuple(gp))
-        if key not in self._eid:
-            self._eid[key] = exponent_EiD(
-                self.model, D, S, g, gp, self.alpha, self.settings,
-                allow_empty_difference=allow_empty_difference)
-        return self._eid[key]
+        return self._lookup(eid_objective, exponent_EiD, D, S, g, gp,
+                            allow_empty_difference=allow_empty_difference)
 
     def ec(self, g, gt) -> ExponentResult:
-        key = (tuple(g), tuple(gt))
-        if key not in self._ec:
-            self._ec[key] = exponent_Ec(self.model, g, gt, self.alpha,
-                                        self.settings)
-        return self._ec[key]
+        return self._lookup(ec_objective, exponent_Ec, g, gt)
 
     def best_excluded(self, D, S, g, excluded_from,
                       allow_empty_difference=False):
@@ -464,15 +482,18 @@ def confusion_feasible(model: SystemModel, N: int, D, S, g, gt) -> bool:
     """Whether the S-competitor relation between code vectors g (transmitted)
     and gt admits at least one message assignment: agreement on S, different
     codes off S outside D, and off S inside D either a different code or a
-    code with at least two messages."""
+    code with at least two messages.  A code with N r > 1 has at least
+    floor(e) = 2 messages, so its count, past the float range at large N,
+    is never formed."""
     D, S = set(D), set(S)
     for k in range(model.n_users):
         if k in S:
             if g[k] != gt[k]:
                 return False
         elif k in D:
-            if g[k] == gt[k] and \
-                    message_count(model.rate(k, g[k]), N) < 2:
+            rate = model.rate(k, g[k])
+            if g[k] == gt[k] and N * rate <= 1.0 and \
+                    message_count(rate, N) < 2:
                 return False
         else:
             if g[k] == gt[k]:

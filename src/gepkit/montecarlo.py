@@ -386,8 +386,9 @@ def run_detection_trials(scenario, trials: int, master_seed: int,
         tallies[g][1] += int(cell != cells[g])
     per_g = {}
     ok = True
+    cache = ExponentCache(model, alpha, settings)
     for g, (n, e) in tallies.items():
-        rep = detection_bound(model, g, regions, alpha, N, settings)
+        rep = detection_bound(model, g, regions, alpha, N, settings, cache)
         bound = min(1.0, float(np.exp(rep.log_raw + N * alpha(g))))
         per_g[g] = (n, e, bound, is_vacuous(bound))
         if n == 0:

@@ -1,4 +1,6 @@
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,17 @@ settings.register_profile("ci", deadline=None, max_examples=25)
 settings.load_profile("ci")
 
 LN2 = math.log(2.0)
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def load_workloads():
+    """The benchmark's workload module, ``perfbench/workloads.py``, read
+    only: it generates the derived scenarios."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def bsc_table(p):

@@ -8,7 +8,6 @@ from gepkit import (
     CodeSpec,
     SystemModel,
     build_thresholds,
-    competitor_match,
     decode_margin,
     decode_receiver,
     decode_subset,
@@ -22,7 +21,7 @@ from gepkit import (
     typicality_threshold,
 )
 from gepkit.decoder import NO_CONSTRAINT, ThresholdParams, params_from_exponent
-from gepkit.ensemble import ensemble_log_expectation
+from gepkit.ensemble import ensemble_log_expectation, message_count
 from gepkit.errors import (
     DomainError,
     GepkitError,
@@ -33,7 +32,9 @@ from gepkit.exponents import (
     ExponentCache,
     RegionPartition,
     WeightFunction,
+    confusion_feasible,
     exponent_EiD,
+    proper_subsets,
     validate_region,
 )
 from gepkit.optimize import SearchSettings
@@ -50,6 +51,33 @@ def zero(model):
 # ---------------------------------------------------------------------------
 # competitor relation
 # ---------------------------------------------------------------------------
+
+def competitor_match(S, D, pair_a, pair_b, n_users: int) -> bool:
+    """Oracle: whether (w_D, g) and (w~_D, g~) are S-competitors: messages
+    and codes agree on S inside D, codes agree on S outside D, (w_k, g_k)
+    differs for every k in D outside S, and codes differ for every k outside
+    both."""
+    S, D = set(S), set(D)
+    w_a, g_a = pair_a
+    w_b, g_b = pair_b
+    Ds = sorted(D)
+    wa = dict(zip(Ds, w_a))
+    wb = dict(zip(Ds, w_b))
+    for k in range(n_users):
+        if k in S and k in D:
+            if wa[k] != wb[k] or g_a[k] != g_b[k]:
+                return False
+        elif k in S:
+            if g_a[k] != g_b[k]:
+                return False
+        elif k in D:
+            if wa[k] == wb[k] and g_a[k] == g_b[k]:
+                return False
+        else:
+            if g_a[k] == g_b[k]:
+                return False
+    return True
+
 
 def naive_competitor(S, D, pair_a, pair_b, n_users):
     """Literal clause-by-clause reimplementation."""
@@ -99,6 +127,35 @@ class TestCompetitorRelation:
                 for b in pairs:
                     assert competitor_match(S, D, a, b, n_users) == \
                         naive_competitor(S, D, a, b, n_users)
+
+    def test_confusion_feasible_matches_message_enumeration(self):
+        """The bound charges a confusion term for (S, g, g~) exactly when
+        some messages make (w_D, g) and (w~_D, g~) S-competitors."""
+        rng = np.random.default_rng(21)
+        checked = {True: 0, False: 0}
+        for _ in range(12):
+            model = random_model(rng, max_users=3, max_codes=2)
+            regular = range(1, model.K)
+            for N, r in itertools.product((1, 2, 4), range(model.K)):
+                for rest in itertools.combinations(regular, r):
+                    D = (0,) + rest
+
+                    def messages(g):
+                        return itertools.product(*[
+                            range(1, message_count(model.rate(k, g[k]), N)
+                                  + 1) for k in D])
+
+                    for S in proper_subsets(model.n_users):
+                        for g, gt in itertools.product(model.index_space(),
+                                                       repeat=2):
+                            want = any(
+                                competitor_match(S, D, (w, g), (wt, gt),
+                                                 model.n_users)
+                                for w in messages(g) for wt in messages(gt))
+                            got = confusion_feasible(model, N, D, S, g, gt)
+                            assert got == want, (N, D, sorted(S), g, gt)
+                            checked[got] += 1
+        assert min(checked.values()) > 100
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +313,7 @@ def reference_decode_subset(model, D, region, alpha, codebooks, y,
     candidates = []
     for g in members:
         lm = marginalize_out(model, D, g).pmf
-        ranges = [range(1, codebooks.n_messages(k, g[k]) + 1) for k in D]
+        ranges = [range(1, codebooks.counts[(k, g[k])] + 1) for k in D]
         for w in itertools.product(*ranges):
             rows = [codebooks.codeword(k, g[k], w[i])
                     for i, k in enumerate(D)]
@@ -308,7 +365,7 @@ def random_instance(rng):
         for g in region:
             n = 1
             for k in D:
-                n *= cb.n_messages(k, g[k])
+                n *= cb.counts[(k, g[k])]
             total += n
         if total <= 8:
             return m, N, region, cb, D
@@ -496,7 +553,7 @@ class TestDecodeMargin:
         decoded_both = 0
         for t in range(80):
             cb = sample_codebook(m, 12, t)
-            w = int(rng.integers(1, cb.n_messages(0, 0) + 1))
+            w = int(rng.integers(1, cb.counts[(0, 0)] + 1))
             x = cb.codeword(0, 0, w)
             y = np.where(rng.random(12) < 0.05, 1 - x, x)
             o_s = decode_margin(m, [0], region, small, a, cb, y, tbl_s)
@@ -582,7 +639,7 @@ class TestDetectThenDecode:
         regions = [[(0, 0)], [(0, 1)]]
         cb = sample_codebook(m, 10, 5)
         budget = max(
-            sum(cb.n_messages(0, g[0]) for g in cell if g in region)
+            sum(cb.counts[(0, g[0])] for g in cell if g in region)
             for cell in regions)
         y = np.random.default_rng(0).integers(0, 2, 10)
         d = decode_with_detection(m, regions, part, a, cb, y, tbl)

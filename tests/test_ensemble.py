@@ -94,7 +94,7 @@ class TestEncode:
         m = make_compound_bsc([0.2, 0.3], [0.5, 0.5], 0.5)
         cb = sample_codebook(m, 10, 13)
         table = cb.tables[(0, 0)]
-        for w in (1, cb.n_messages(0, 0)):
+        for w in (1, cb.counts[(0, 0)]):
             row = encode(cb, w, (0, 0), 0)
             assert np.array_equal(table[w - 1], row)
 

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gepkit import make_compound_bsc
+from gepkit.ensemble import message_count
 from gepkit.exponents import (
     WeightFunction,
+    confusion_feasible,
     ec_objective,
     eid_objective,
     emd_objective,
@@ -180,3 +182,42 @@ class TestGridMonotonicity:
                                                  refine_rounds=0,
                                                  polish=False)).value
                 assert hi >= lo - 1e-15
+
+
+class TestConfusionFeasibleAtLargeN:
+    """A code confuses with itself iff it has at least two messages.  The
+    test skips the count where N r > 1, so a count past the float range is
+    never formed; everywhere the count is finite the answer is the count's.
+    """
+
+    @staticmethod
+    def _rates(N):
+        out = []
+        for r in (math.log(2.0) / N, 1.0 / N):
+            lo = hi = r
+            for _ in range(4):
+                lo, hi = np.nextafter(lo, 0.0), np.nextafter(hi, 1.0)
+                out += [lo, hi]
+            out.append(r)
+        return out + [0.0, 5e-324, 0.5 / N, 1.5 / N, 0.3, 2.0]
+
+    def test_grid_around_two_messages(self):
+        seen = {True: 0, False: 0}
+        for N in (1, 2, 3, 7, 16, 100, 1000, 4000, 10**6):
+            for r in self._rates(N):
+                got = confusion_feasible(bsc_model(0.1, float(r)), N, (0,),
+                                         (), (0,), (0,))
+                try:
+                    count = message_count(float(r), N)
+                except DomainError:
+                    assert got and N * r > 700
+                    continue
+                assert got == (count >= 2), (N, r, count)
+                seen[got] += 1
+        assert min(seen.values()) > 20
+
+    def test_count_past_float_range_raises(self):
+        assert message_count(700.0 / 4000, 4000) > 10**303
+        for r, N in ((0.3, 4000), (1.0, 710), (2.0, 10**6)):
+            with pytest.raises(DomainError):
+                message_count(r, N)

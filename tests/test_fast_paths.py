@@ -6,7 +6,10 @@ replaced byte for byte, and one ``simulate``, ``bound`` or ``exponents``
 must maximize every exponent at most once.  The comparison-count inverse
 CDF, the gathered candidate rows and the memoized region detector must
 reproduce the bisection, the per-candidate loop and the per-g loop they
-replaced, kept here as references.
+replaced, kept here as references.  The exponent memo, keyed by what each
+objective computes, must return what a fresh maximization returns for every
+lookup, maximize each distinct objective once, and tell apart objectives
+that differ in any input.
 """
 
 import itertools
@@ -43,10 +46,21 @@ from gepkit.ensemble import (
     subset_weights_log,
 )
 from gepkit.errors import NotAPartition
-from gepkit.exponents import WeightFunction, check_detection_partition
+from gepkit.exponents import (
+    ExponentCache,
+    WeightFunction,
+    check_detection_partition,
+    ec_objective,
+    eid_objective,
+    emd_objective,
+    exponent_Ec,
+    exponent_EiD,
+    exponent_EmD,
+)
+from gepkit.optimize import SearchSettings
 from gepkit.scenario import load_scenario
 
-from conftest import random_model, xor_model
+from conftest import load_workloads, random_model, xor_model
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = sorted((ROOT / "scenarios").glob("*.json"))
@@ -366,7 +380,7 @@ class TestCandidateRows:
                 assert _same(cand.loglik, ll_ref)
                 assert _same(cand.score, ll_ref - N * a(g))
                 assert _same(cand.wnll, -ll_ref / N + a(g))
-                seen_counts.add(tuple(cb.n_messages(k, g[k]) for k in D))
+                seen_counts.add(tuple(cb.counts[(k, g[k])] for k in D))
         assert {(1,) * len(D), (6,) * len(D)} <= seen_counts
 
     def test_single_code_table_is_not_copied(self):
@@ -447,3 +461,180 @@ class TestDetectRegion:
         for _ in range(2):
             with pytest.raises(NotAPartition):
                 detect_region(model, [[(0, 0)]], a, np.array([0, 1]))
+
+
+# ---------------------------------------------------------------------------
+# content-keyed exponent memo
+# ---------------------------------------------------------------------------
+
+# lookup name -> (unmemoized maximization, objective builder)
+FRESH = {"emd": (exponent_EmD, emd_objective),
+         "eid": (exponent_EiD, eid_objective),
+         "ec": (exponent_Ec, ec_objective)}
+MAXIMIZERS = {"exponent_EmD": "emd", "exponent_EiD": "eid",
+              "exponent_Ec": "ec"}
+WORKLOAD_SCENARIOS = ("sec4-detect", "mac2-partition", "bigcode-detect")
+
+
+def _content_key(name, model, alpha, args, kwargs):
+    """Content key of the objective behind one lookup or maximization:
+    ``args`` are its arguments after the model, up to alpha."""
+    return FRESH[name][1](model, *args, alpha, **kwargs).key
+
+
+@pytest.fixture(scope="module", params=[p.name for p in SCENARIOS]
+                + list(WORKLOAD_SCENARIOS))
+def memo_run(request, tmp_path_factory):
+    """Runs exponents, bound, simulate and (where the scenario has cells)
+    detect on one scenario, recording every exponent-cache lookup with its
+    result and, per command, the content key of every maximization."""
+    name = request.param
+    work = tmp_path_factory.mktemp("memo")
+    scenario = ROOT / "scenarios" / name if name.endswith(".json") else \
+        load_workloads().scenario_path(name, ROOT, work)
+    lookups, maximized = [], {}
+    command = []
+    with pytest.MonkeyPatch.context() as mp:
+        for lookup in FRESH:
+            original = getattr(ExponentCache, lookup)
+
+            def recorded(self, *args, _lookup=lookup, _original=original,
+                         **kwargs):
+                result = _original(self, *args, **kwargs)
+                lookups.append((self, _lookup, args, kwargs, result))
+                return result
+
+            mp.setattr(ExponentCache, lookup, recorded)
+        for fn, lookup in MAXIMIZERS.items():
+            original = getattr(gepkit.exponents, fn)
+
+            def counted(model, *args, _lookup=lookup, _original=original,
+                        **kwargs):
+                # ExponentCache passes the lookup's arguments, alpha and
+                # settings, all by position
+                maximized[command[0]].append(_content_key(
+                    _lookup, model, args[-2], args[:-2], kwargs))
+                return _original(model, *args, **kwargs)
+
+            mp.setattr(gepkit.exponents, fn, counted)
+        commands = ["exponents", "bound", "simulate"]
+        if load_scenario(scenario).detection is not None:
+            commands.append("detect")
+        for cmd in commands:
+            command[:] = [cmd]
+            maximized[cmd] = []
+            code = main([cmd, "--scenario", str(scenario),
+                         "--out", str(work / cmd), "--trials", "3"])
+            assert code in (0, 1), (name, cmd)
+    return name, lookups, maximized
+
+
+class TestContentKeyedMemo:
+    def test_every_lookup_equals_a_fresh_maximization(self, memo_run):
+        name, lookups, maximized = memo_run
+        checked = {}
+        for cache, lookup, args, kwargs, result in lookups:
+            identity = (lookup, args, tuple(sorted(kwargs.items())))
+            if identity in checked:
+                assert result == checked[identity], (name, identity)
+                continue
+            fresh = FRESH[lookup][0](cache.model, *args, cache.alpha,
+                                     cache.settings, **kwargs)
+            assert result == fresh, (name, identity)
+            checked[identity] = fresh
+        n_max = sum(len(keys) for keys in maximized.values())
+        assert checked and n_max
+        if name == "mac2-partition":  # the memo shared maximizations here
+            assert len(checked) > len(set().union(*maximized.values()))
+
+    def test_each_distinct_objective_maximized_once(self, memo_run):
+        name, _lookups, maximized = memo_run
+        for cmd, keys in maximized.items():
+            repeated = [k for k, n in Counter(keys).items() if n > 1]
+            assert not repeated, (name, cmd)
+        expected = {"mac2-partition": {"exponents": 9, "bound": 13,
+                                       "simulate": 8, "detect": 1},
+                    "sec4-detect": {"bound": 5}}.get(name, {})
+        for cmd, n in expected.items():
+            assert len(maximized[cmd]) == n, (name, cmd)
+
+
+def _twin_model():
+    """Two regular users and one interfering user, binary inputs, three
+    outputs.  Regular code 1 copies code 0, code 2 differs from it only in
+    rate and code 3 only in input pmf; interferer state 1 copies state 0
+    and state 2 differs from it in pmf.  alpha is zero except at (1, 0, 0),
+    so user 0's code 1 differs from code 0 only in alpha."""
+    rng = np.random.default_rng(5)
+    t = rng.uniform(0.05, 1.0, size=(2, 2, 2, 3))
+    t /= t.sum(axis=-1, keepdims=True)
+    u, v = np.array([0.3, 0.7]), np.array([0.6, 0.4])
+    regular = (CodeSpec(0.2, u), CodeSpec(0.2, u), CodeSpec(0.35, u),
+               CodeSpec(0.2, v))
+    interfering = (CodeSpec(0.0, u), CodeSpec(0.0, u), CodeSpec(0.0, v))
+    model = SystemModel(dmc=make_dmc(t), K=2, M=1,
+                        libraries=(regular, regular, interfering))
+    return model, WeightFunction(model, {(1, 0, 0): 0.1})
+
+
+# (lookup, D, S, keyword arguments); user 0 is in D\S in every one
+KEYED_LOOKUPS = [("emd", (0, 1), (), {}), ("emd", (0, 1), (1,), {}),
+                 ("eid", (0, 1), (), {}), ("eid", (0,), (1,), {}),
+                 ("ec", None, None, {})]
+# the side (0: g, 1: the other vector) whose D\S rates the objective charges
+RATE_SIDE = {"emd": 1, "eid": 0}
+BASE = ((0, 0, 0), (0, 0, 0))
+
+
+def _changes(lookup):
+    """(what, side, user, code, shares the base key): one code of one of
+    the two vectors replaced."""
+    out = [("alpha(g)", 0, 0, 1, False), ("alpha(g~)", 1, 0, 1, False)]
+    for side in (0, 1):
+        out += [("free user's pmf", side, 0, 3, False),
+                ("interferer's pmf", side, 2, 2, False),
+                ("copy of user 1's code", side, 1, 1, True),
+                ("copy of the interferer's state", side, 2, 1, True),
+                ("rate of user 0's code", side, 0, 2,
+                 side != RATE_SIDE.get(lookup))]
+    return out
+
+
+def _changed(side, user, code):
+    pair = [list(BASE[0]), list(BASE[1])]
+    pair[side][user] = code
+    return tuple(pair[0]), tuple(pair[1])
+
+
+def _arguments(lookup, D, S, pair):
+    return pair if lookup == "ec" else (D, S) + pair
+
+
+class TestKeyCompleteness:
+    """Changing the rate of a D\\S user's code, alpha(g), alpha(g~), a free
+    user's input pmf or an interfering user's pmf changes the content key;
+    changing what the objective does not read keeps it."""
+
+    def test_changed_inputs_change_the_key(self):
+        model, alpha = _twin_model()
+        for lookup, D, S, kwargs in KEYED_LOOKUPS:
+            base = _content_key(lookup, model, alpha,
+                                _arguments(lookup, D, S, BASE), kwargs)
+            for what, side, user, code, shares in _changes(lookup):
+                args = _arguments(lookup, D, S, _changed(side, user, code))
+                key = _content_key(lookup, model, alpha, args, kwargs)
+                assert (key == base) == shares, (lookup, D, S, what, side)
+
+    def test_one_cache_never_merges_them(self):
+        model, alpha = _twin_model()
+        fast = SearchSettings(base_grid=8, refine_rounds=0, polish=False)
+        cache = ExponentCache(model, alpha, fast)
+        for lookup, D, S, kwargs in KEYED_LOOKUPS:
+            values = set()
+            for *_what, side, user, code, _shares in _changes(lookup):
+                args = _arguments(lookup, D, S, _changed(side, user, code))
+                got = getattr(cache, lookup)(*args, **kwargs)
+                fresh = FRESH[lookup][0](model, *args, alpha, fast, **kwargs)
+                assert got == fresh, (lookup, D, S, side, user, code)
+                values.add(got.value)
+            assert len(values) > 1, (lookup, D, S)

@@ -11,7 +11,6 @@ refactor that moves an output fails under pytest, not only in the benchmark.
 """
 
 import csv
-import importlib.util
 import json
 from pathlib import Path
 
@@ -19,22 +18,15 @@ import pytest
 
 from gepkit.cli import main
 
+from conftest import load_workloads
+
 ROOT = Path(__file__).resolve().parent.parent
 REFS = ROOT / "perfbench" / "refs"
 REF = REFS / "sec4-margin"
 SCENARIO = ROOT / "scenarios" / "bsc_compound_sec4.json"
 TOL = 1e-9
 
-
-def _load_workloads():
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-workloads = _load_workloads()
+workloads = load_workloads()
 
 
 def _number(value):

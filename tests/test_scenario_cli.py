@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 from pathlib import Path
@@ -261,3 +262,27 @@ class TestMemoryPreflight:
         assert "480512512 bytes" in capsys.readouterr().err
         assert main(["bound", "--scenario", str(p),
                      "--out", str(tmp_path / "out")]) == 0
+
+    def test_sec4_at_n4000_bounds_finite_and_simulate_exits_2(
+            self, tmp_path, capsys):
+        """e^{N r} is past the float range: the bounds never form the
+        message count, and simulate reports it as an input error."""
+        doc = json.loads((SCENARIOS / "bsc_compound_sec4.json").read_text())
+        doc["N"] = 4000
+        p = tmp_path / "sec4_n4000.json"
+        p.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["exponents", "--scenario", str(p),
+                     "--out", str(out)]) == 0
+        rows = list(csv.DictReader(open(out / "exponents.csv")))
+        assert rows and all(math.isfinite(float(r["exponent"]))
+                            for r in rows)
+        assert main(["bound", "--scenario", str(p), "--out", str(out)]) == 0
+        bounds = json.loads((out / "bounds.json").read_text())
+        assert bounds["N"] == 4000
+        for report in (bounds["margin"], bounds["partitioned"]):
+            assert math.isfinite(report["raw"])
+        capsys.readouterr()
+        assert main(["simulate", "--scenario", str(p), "--trials", "1",
+                     "--out", str(out)]) == 2
+        assert "past the float range" in capsys.readouterr().err

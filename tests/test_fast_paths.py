@@ -554,7 +554,7 @@ class TestContentKeyedMemo:
             assert not repeated, (name, cmd)
         expected = {"mac2-partition": {"exponents": 9, "bound": 13,
                                        "simulate": 8, "detect": 1},
-                    "sec4-detect": {"bound": 5}}.get(name, {})
+                    "sec4-detect": {"bound": 5, "detect": 1}}.get(name, {})
         for cmd, n in expected.items():
             assert len(maximized[cmd]) == n, (name, cmd)
 
@@ -577,10 +577,9 @@ def _twin_model():
     return model, WeightFunction(model, {(1, 0, 0): 0.1})
 
 
-# (lookup, D, S, keyword arguments); user 0 is in D\S in every one
-KEYED_LOOKUPS = [("emd", (0, 1), (), {}), ("emd", (0, 1), (1,), {}),
-                 ("eid", (0, 1), (), {}), ("eid", (0,), (1,), {}),
-                 ("ec", None, None, {})]
+# (lookup, D, S); user 0 is in D\S in every one
+KEYED_LOOKUPS = [("emd", (0, 1), ()), ("emd", (0, 1), (1,)),
+                 ("eid", (0, 1), ()), ("eid", (0,), (1,)), ("ec", None, None)]
 # the side (0: g, 1: the other vector) whose D\S rates the objective charges
 RATE_SIDE = {"emd": 1, "eid": 0}
 BASE = ((0, 0, 0), (0, 0, 0))
@@ -617,24 +616,24 @@ class TestKeyCompleteness:
 
     def test_changed_inputs_change_the_key(self):
         model, alpha = _twin_model()
-        for lookup, D, S, kwargs in KEYED_LOOKUPS:
+        for lookup, D, S in KEYED_LOOKUPS:
             base = _content_key(lookup, model, alpha,
-                                _arguments(lookup, D, S, BASE), kwargs)
+                                _arguments(lookup, D, S, BASE), {})
             for what, side, user, code, shares in _changes(lookup):
                 args = _arguments(lookup, D, S, _changed(side, user, code))
-                key = _content_key(lookup, model, alpha, args, kwargs)
+                key = _content_key(lookup, model, alpha, args, {})
                 assert (key == base) == shares, (lookup, D, S, what, side)
 
     def test_one_cache_never_merges_them(self):
         model, alpha = _twin_model()
         fast = SearchSettings(base_grid=8, refine_rounds=0, polish=False)
         cache = ExponentCache(model, alpha, fast)
-        for lookup, D, S, kwargs in KEYED_LOOKUPS:
+        for lookup, D, S in KEYED_LOOKUPS:
             values = set()
             for *_what, side, user, code, _shares in _changes(lookup):
                 args = _arguments(lookup, D, S, _changed(side, user, code))
-                got = getattr(cache, lookup)(*args, **kwargs)
-                fresh = FRESH[lookup][0](model, *args, alpha, fast, **kwargs)
+                got = getattr(cache, lookup)(*args)
+                fresh = FRESH[lookup][0](model, *args, alpha, fast)
                 assert got == fresh, (lookup, D, S, side, user, code)
                 values.add(got.value)
             assert len(values) > 1, (lookup, D, S)

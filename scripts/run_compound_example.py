@@ -31,12 +31,13 @@ def main():
     trials = args.trials or scen.trials
     seed = args.seed if args.seed is not None else scen.seed
 
-    capacities, rate_bits, worst, next_worst, gate_ok = entropy_gate(scen)
+    rate_bits, rows, gate_ok = entropy_gate(scen)
     print("== operating point ==")
-    for p in sorted(capacities):
-        print(f"  1 - H({p}) = {capacities[p]:.6f} bits")
+    for i, p, cap, role, ok in rows:
+        print(f"  state {i}: 1 - H({p}) = {cap:.6f} bits ({role}"
+              f"{'' if ok is None else ', ok' if ok else ', violated'})")
     print(f"  rate = {rate_bits:.6f} bits/symbol; "
-          f"gate ({worst} vs {next_worst}): {'PASS' if gate_ok else 'FAIL'}")
+          f"entropy gate: {'PASS' if gate_ok else 'FAIL'}")
 
     cache = ExponentCache(scen.model, scen.alpha)
     bound = gep_bound_margin(scen.model, [0], scen.region, scen.margin,

@@ -22,12 +22,10 @@ from .decoder import (
     decode_subset,
     decode_with_detection,
     detect_region,
-    select_gstar,
     typicality_threshold,
 )
 from .ensemble import (
     CodebookRealization,
-    encode,
     ensemble_log_expectation,
     message_count,
     sample_codebook,

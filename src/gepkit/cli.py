@@ -3,8 +3,8 @@
 Subcommands: ``exponents`` (per-pair exponent breakdown CSV), ``bound``
 (analytic bound reports as JSON), ``simulate`` (Monte Carlo estimate plus
 bound verdict), ``detect`` (region-detection trials against their bound)
-and ``gate-sec4`` (the entropy-margin gate for the shipped compound-BSC
-example).
+and ``gate`` (the margin construction's entropy gate on a compound-BSC
+scenario).
 
 Exit codes: 0 success / PASS verdict, 1 FAIL verdict, 2 input error.
 All numeric output carries 12 significant digits so regression diffs are
@@ -208,31 +208,40 @@ def cmd_detect(scenario: Scenario, out: Path, args) -> int:
 
 
 def entropy_gate(scenario: Scenario):
-    """The compound-BSC operating-point gate: the code rate must exceed the
-    capacity of the worst channel state and stay below the capacity of the
-    next-worst distinct state (all in bits/symbol)."""
+    """The margin construction's entropy gate on a compound-BSC scenario, in
+    bits/symbol, with state i the code index vector g = (0, i): the rate r
+    lies strictly below the capacity 1 - H(p_i) of every region state and
+    strictly above that of every state outside region and margin.  Margin
+    states carry no inequality; the other two groups may not be empty.
+
+    Returns (r, rows, passed) with one row (i, p_i, capacity, role, ok) per
+    state: role "region", "margin" or "outside", ok None for a margin
+    state."""
     if scenario.channel_spec.get("type") != "bsc_compound":
-        raise SchemaError(
-            "$.channel.type: gate-sec4 needs a bsc_compound channel")
-    crossovers = scenario.channel_spec["crossovers"]
+        raise SchemaError("$.channel.type: gate needs a bsc_compound channel")
     rate_bits = scenario.channel_spec["rate"] / math.log(2.0)
-    levels = sorted(set(crossovers))
-    if len(levels) < 2:
-        raise SchemaError(
-            "$.channel.crossovers: gate needs >= 2 distinct values")
-    capacities = {p: 1.0 - binary_entropy(p, unit="bits") for p in levels}
-    worst, next_worst = levels[-1], levels[-2]
-    passed = capacities[worst] < rate_bits < capacities[next_worst]
-    return capacities, rate_bits, worst, next_worst, passed
+    rows = []
+    for i, p in enumerate(scenario.channel_spec["crossovers"]):
+        cap = 1.0 - binary_entropy(p, unit="bits")
+        role = "region" if (0, i) in scenario.region else \
+            "margin" if (0, i) in scenario.margin else "outside"
+        ok = {"region": cap > rate_bits, "outside": cap < rate_bits}.get(role)
+        rows.append((i, p, cap, role, ok))
+    roles = {row[3] for row in rows}
+    passed = {"region", "outside"} <= roles and \
+        all(row[4] is not False for row in rows)
+    return rate_bits, rows, passed
 
 
 def cmd_gate(scenario: Scenario, out: Path, args) -> int:
-    capacities, rate_bits, worst, next_worst, passed = entropy_gate(scenario)
-    for p in sorted(capacities):
-        print(f"1 - H({_fmt(p)}) = {_fmt(capacities[p])} bits")
-    print(f"rate = {_fmt(rate_bits)} bits/symbol")
-    print(f"gate: 1 - H({_fmt(worst)}) < r < 1 - H({_fmt(next_worst)}): "
-          f"{'PASS' if passed else 'FAIL'}")
+    rate_bits, rows, passed = entropy_gate(scenario)
+    print(f"rate r = {_fmt(rate_bits)} bits/symbol")
+    need = {"region": "C > r", "margin": "no inequality", "outside": "C < r"}
+    for i, p, cap, role, ok in rows:
+        verdict = "" if ok is None else f": {'ok' if ok else 'violated'}"
+        print(f"state {i}: C = 1 - H({_fmt(p)}) = {_fmt(cap)} bits, {role} "
+              f"({need[role]}){verdict}")
+    print(f"gate: {'PASS' if passed else 'FAIL'}")
     return 0 if passed else 1
 
 
@@ -245,7 +254,7 @@ _COMMANDS = {
     "bound": cmd_bound,
     "simulate": cmd_simulate,
     "detect": cmd_detect,
-    "gate-sec4": cmd_gate,
+    "gate": cmd_gate,
 }
 
 
@@ -266,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("bound", "write analytic bound reports"),
         ("simulate", "run decoder trials and compare against the bound"),
         ("detect", "run region-detection trials against their bound"),
-        ("gate-sec4", "check the compound-BSC entropy-margin gate"),
+        ("gate", "check the margin construction's entropy gate"),
     ]:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--scenario", required=True, help="scenario JSON path")

@@ -82,36 +82,23 @@ def params_from_exponent(gstar, result) -> ThresholdParams:
                            exponent=result.value)
 
 
-def select_gstar(model: SystemModel, D, S, g, excluded_from,
-                 alpha: WeightFunction,
-                 settings: SearchSettings = DEFAULT_SETTINGS,
-                 cache: ExponentCache | None = None,
-                 allow_empty_difference: bool = False):
-    """Excluded vector minimizing the false-acceptance exponent among
-    {g' outside excluded_from with g'_S = g_S}; (None, None) when empty."""
-    cache = _cache_for(model, alpha, settings, cache)
-    best = cache.best_excluded(D, S, g, frozenset(excluded_from),
-                               allow_empty_difference=allow_empty_difference)
-    if best is None:
-        return None, None
-    gp, res = best
-    return gp, res
-
-
 def typicality_threshold(model: SystemModel, D, S, g,
                          params: ThresholdParams, x_fixed, y,
-                         alpha: WeightFunction) -> float:
+                         alpha: WeightFunction):
     """Per-symbol typicality threshold tau* for candidate vector g and
-    subset S at output y, with the candidate's symbols on S cap D fixed.
+    subset S at output y, with the candidate's symbols on S cap D fixed:
+    one float for rows x_fixed of shape (|S cap D|, N), an array of m for a
+    block of shape (m, |S cap D|, N).
 
     Solves the balance between the missed-detection expression (exponent
     1 - s1 on the candidate's weighted likelihood) and the false-acceptance
     expression (exponent s2/rho_t plus the excluded vector's expected
     likelihood and the D\\S rate factor).  May be negative; +inf when the
-    threshold is unconstrained.
+    threshold is unconstrained; nan (never accepted) when two expectations
+    vanish.
     """
     if params.gstar is NO_CONSTRAINT:
-        return INF
+        return INF if np.ndim(x_fixed) < 3 else np.full(len(x_fixed), INF)
     N = len(y)
     s1, s2, rt = params.s1, params.s2, params.rho_t
     a_g = alpha(g)
@@ -123,7 +110,9 @@ def typicality_threshold(model: SystemModel, D, S, g,
     l3 = ensemble_log_expectation(model, D, S, params.gstar, y, x_fixed, 1.0) \
         - N * a_star
     rate_sum = sum(model.rate(k, g[k]) for k in set(D) - set(S))
-    return (l1 - rt * l2 - l3) / (N * (s1 + s2)) - rt * rate_sum / (s1 + s2)
+    with np.errstate(invalid="ignore"):  # -inf - -inf in a block row
+        return (l1 - rt * l2 - l3) / (N * (s1 + s2)) \
+            - rt * rate_sum / (s1 + s2)
 
 
 @dataclass
@@ -171,10 +160,10 @@ def build_thresholds(model: SystemModel, D, region, alpha: WeightFunction,
     params = {}
     for g in sorted(region):
         for S, excluded, allow_empty in searches:
-            gp, res = select_gstar(model, D, S, g, excluded, alpha, settings,
-                                   cache, allow_empty_difference=allow_empty)
-            params[(g, S)] = _unconstrained() if gp is None \
-                else params_from_exponent(gp, res)
+            best = cache.best_excluded(D, S, g, excluded,
+                                       allow_empty_difference=allow_empty)
+            params[(g, S)] = _unconstrained() if best is None \
+                else params_from_exponent(*best)
     return ThresholdTable(D=D, region=region, margin=margin, alpha=alpha,
                           params=params, subsets_decode=subsets_decode,
                           subsets_margin=subsets_margin)
@@ -197,6 +186,10 @@ class DecodeOutcome:
     w1: int | None = None
     g1: int | None = None
     winner: tuple | None = None   # (w_D tuple, full g tuple)
+    # a decode subset's winner as it was scored: its (|D|, N) symbols and
+    # its -log P(y | x_D, g)/N + alpha(g)
+    winner_rows: np.ndarray | None = field(default=None, repr=False)
+    winner_wnll: float | None = None
     diagnostics: dict = field(default_factory=dict)
 
     @property
@@ -210,9 +203,11 @@ def _collision(diag) -> DecodeOutcome:
 
 @dataclass
 class _Candidates:
-    """Flattened candidate list for one in-region code vector."""
+    """Flattened candidate list for one in-region code vector: the message
+    grid of D's codes in C order."""
 
     g: tuple
+    grid: tuple              # message count of each user of D
     w_tuples: list           # list of per-D message tuples (1-based)
     rows: np.ndarray         # (n_candidates, |D|, N) codeword symbols
     loglik: np.ndarray       # (n_candidates,) log P(y | x_D, g)
@@ -242,33 +237,29 @@ def _enumerate_candidates(model, D, g, codebooks: CodebookRealization, y,
         rows = np.stack(gathered, axis=1)
         loglik = lm[gathered + (np.broadcast_to(y, (n, N)),)].sum(axis=1)
     a = alpha(g)
-    return _Candidates(g=g, w_tuples=w_tuples, rows=rows, loglik=loglik,
-                       score=loglik - N * a, wnll=-loglik / N + a)
+    return _Candidates(g=g, grid=tuple(counts), w_tuples=w_tuples,
+                       rows=rows, loglik=loglik, score=loglik - N * a,
+                       wnll=-loglik / N + a)
 
 
 def _thresholds_for(model, D, S, cand: _Candidates, params, y, alpha):
-    """Per-candidate tau* array for one (g, S); groups candidates sharing
-    the same symbols on S cap D so each distinct threshold is solved once."""
-    n = len(cand.w_tuples)
-    if params.gstar is NO_CONSTRAINT:
-        return np.full(n, INF)
-    sd = sorted(set(S) & set(D))
-    if not sd:
-        tau = typicality_threshold(model, D, S, cand.g, params,
-                                   np.zeros((0, len(y)), dtype=np.int64), y,
-                                   alpha)
-        return np.full(n, tau)
-    pos = [list(D).index(k) for k in sd]
-    taus = np.empty(n)
-    seen = {}
-    for i, w in enumerate(cand.w_tuples):
-        key = tuple(w[p] for p in pos)
-        if key not in seen:
-            x_fixed = cand.rows[i, pos, :]
-            seen[key] = typicality_threshold(model, D, S, cand.g, params,
-                                             x_fixed, y, alpha)
-        taus[i] = seen[key]
-    return taus
+    """Per-candidate tau* array for one (g, S).  tau* depends on a candidate
+    only through its symbols on S cap D, so it is solved in one block call
+    on the distinct rows of those users' messages and broadcast over the
+    message grid."""
+    pos = [D.index(k) for k in sorted(set(S) & set(D))]
+    if not pos or params.gstar is NO_CONSTRAINT:
+        return np.full(len(cand.w_tuples), typicality_threshold(
+            model, D, S, cand.g, params, np.zeros((0, len(y)), dtype=np.int64),
+            y, alpha))
+    # the messages of S cap D vary, every other user's stays the first
+    first = tuple(slice(None) if j in pos else slice(1)
+                  for j in range(len(D)))
+    grid = cand.rows.reshape(cand.grid + cand.rows.shape[1:])
+    fixed = grid[first][..., pos, :]
+    tau = typicality_threshold(model, D, S, cand.g, params,
+                               fixed.reshape(-1, len(pos), len(y)), y, alpha)
+    return np.broadcast_to(tau.reshape(fixed.shape[:-2]), cand.grid).ravel()
 
 
 def _subset_winner(cands, accepted_masks):
@@ -362,8 +353,11 @@ def decode_subset(model: SystemModel, D, region, alpha: WeightFunction,
         diag["reason"] = "disagreement"
         return _collision(diag)
     w_D, g = first
+    cand = cands[members.index(g)]
+    j = np.ravel_multi_index(tuple(w - 1 for w in w_D), cand.grid)
     return DecodeOutcome(kind="decoded", w1=w_D[D.index(0)], g1=g[0],
-                         winner=first, diagnostics=diag)
+                         winner=first, winner_rows=cand.rows[j],
+                         winner_wnll=float(cand.wnll[j]), diagnostics=diag)
 
 
 def _truth_events(truth, D, cands, masks, winner, members):
@@ -439,23 +433,15 @@ def decode_margin(model: SystemModel, D, region, margin,
                         truth=truth)
     if not out.decoded:
         return out
-    w_D, g = out.winner
-    D_sorted = tuple(sorted(set(int(k) for k in D)))
-    cand_rows = np.stack([codebooks.codeword(k, g[k], w_D[i])
-                          for i, k in enumerate(D_sorted)])
-    y = np.asarray(y, dtype=np.int64)
-    lm = marginalize_out(model, D_sorted, g).log_pmf()
-    idx = tuple(cand_rows[j] for j in range(len(D_sorted))) + (y,)
-    wnll = float(-lm[idx].sum() / len(y) + alpha(g))
+    g = out.winner[1]
     for S in thresholds.subsets_margin:
-        params = thresholds.get(g, S)
-        sd = sorted(set(S) & set(D_sorted))
-        pos = [D_sorted.index(k) for k in sd]
-        tau = typicality_threshold(model, D_sorted, S, g, params,
-                                   cand_rows[pos, :], y, alpha)
+        # S covers D, so every symbol of the winner is fixed
+        tau = typicality_threshold(model, thresholds.D, S, g,
+                                   thresholds.get(g, S), out.winner_rows, y,
+                                   alpha)
         out.diagnostics.setdefault("margin_checks", {})[
             tuple(sorted(S))] = tau
-        if not wnll < tau:
+        if not out.winner_wnll < tau:
             out.diagnostics["reason"] = "margin_reject"
             return _collision(out.diagnostics)
     return out

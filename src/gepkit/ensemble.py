@@ -117,12 +117,6 @@ def sample_codebook(model: SystemModel, N: int, master_seed) -> CodebookRealizat
                                counts=counts)
 
 
-def encode(codebook: CodebookRealization, w: int, g, k: int) -> np.ndarray:
-    """Look up the codeword for (w, g_k) of user k; pure table read."""
-    g_k = g[k] if isinstance(g, (tuple, list)) else int(g)
-    return codebook.codeword(k, g_k, w)
-
-
 def _logsumexp(a, axis: int):
     """log(sum(exp(a))) along ``axis``, by scipy.special.logsumexp's
     real-input algorithm (scipy 1.17.1) step for step, so that results agree
@@ -203,15 +197,11 @@ def marginal_log_table(model: SystemModel, D, g, fixed, free) -> np.ndarray:
 
 
 def flatten_symbols(model: SystemModel, users, rows: np.ndarray) -> np.ndarray:
-    """Mixed-radix flatten of per-user symbol rows (len(users), N) into flat
-    indices matching :func:`marginal_log_table`'s fixed axis."""
-    users = sorted(users)
-    if not users:
-        return np.zeros(rows.shape[-1] if rows.ndim else 0, dtype=np.int64)
-    sizes = [model.dmc.input_sizes[k] for k in users]
-    flat = np.zeros(rows.shape[1], dtype=np.int64)
-    for i, _k in enumerate(users):
-        flat = flat * sizes[i] + rows[i]
+    """Mixed-radix flatten of per-user symbol rows (..., len(users), N) into
+    flat indices (..., N) matching :func:`marginal_log_table`'s fixed axis."""
+    flat = np.zeros(rows.shape[:-2] + rows.shape[-1:], dtype=np.int64)
+    for i, k in enumerate(sorted(users)):
+        flat = flat * model.dmc.input_sizes[k] + rows[..., i, :]
     return flat
 
 
@@ -239,11 +229,13 @@ def ensemble_log_expectation(model: SystemModel, D, S, g, y: np.ndarray,
                   * P(y_j | x_{S cap D, j}, X_{D\\S}, g)^a
 
     ``x_fixed`` holds the fixed symbols of users sorted(S cap D), shape
-    (|S cap D|, N).  The free users D\\S are averaged under their code-g
-    input pmfs.  The channel is memoryless, so this is a sum of per-letter
-    table entries T[y_j, x_fixed_j].  Returns -inf when the inner sum
-    vanishes (possible for a > 0 on channels with zeros); never raises for
-    that.
+    (|S cap D|, N), or a block of m such rows, shape (m, |S cap D|, N), for
+    which the m values come back as an array.  The free users D\\S are
+    averaged under their code-g input pmfs.  The channel is memoryless, so
+    this is a sum of per-letter table entries T[y_j, x_fixed_j]; a block
+    row's sum equals the single row's bit for bit.  Returns -inf when the
+    inner sum vanishes (possible for a > 0 on channels with zeros); never
+    raises for that.
     """
     D = sorted(set(D))
     S = set(S)
@@ -251,7 +243,8 @@ def ensemble_log_expectation(model: SystemModel, D, S, g, y: np.ndarray,
     free = sorted(set(D) - S)
     y = np.asarray(y, dtype=np.int64)
     table = _letter_table(model, D, fixed, free, g, a)
-    x_fixed = np.asarray(x_fixed, dtype=np.int64).reshape(len(fixed), len(y)) \
-        if len(fixed) else np.zeros((0, len(y)), dtype=np.int64)
-    fixed_flat = flatten_symbols(model, fixed, x_fixed)
-    return float(np.sum(table[y, fixed_flat]))
+    x_fixed = np.asarray(x_fixed, dtype=np.int64)
+    if x_fixed.ndim == 3:
+        return table[y, flatten_symbols(model, fixed, x_fixed)].sum(axis=1)
+    x_fixed = x_fixed.reshape(len(fixed), len(y))
+    return float(np.sum(table[y, flatten_symbols(model, fixed, x_fixed)]))

@@ -48,6 +48,17 @@ def xor_model(rate=0.0):
                        libraries=((CodeSpec(rate, u),), (CodeSpec(rate, u),)))
 
 
+def three_user_model(rng, rate):
+    """Three regular users with two codes of rate ``rate`` each (input pmfs
+    (0.4, 0.6) and (0.7, 0.3)) on a random binary-input, 3-output channel:
+    D = (0, 1, 2) with S = {0, 1} fixes two users' symbols."""
+    t = rng.uniform(0.05, 1.0, size=(2, 2, 2, 3))
+    t /= t.sum(axis=-1, keepdims=True)
+    codes = (CodeSpec(rate, np.array([0.4, 0.6])),
+             CodeSpec(rate, np.array([0.7, 0.3])))
+    return SystemModel(dmc=make_dmc(t), K=3, M=0, libraries=(codes,) * 3)
+
+
 def random_model(rng, max_users=3, max_codes=2, max_out=3, min_prob=0.05):
     """Small random system: binary inputs, K >= 1 regular users."""
     users = int(rng.integers(1, max_users + 1))

@@ -33,6 +33,7 @@ from gepkit import (
 )
 from gepkit import montecarlo
 from gepkit.channel import marginalize_out
+from gepkit.cli import entropy_gate, main
 from gepkit.exponents import (
     ExponentCache,
     WeightFunction,
@@ -69,7 +70,7 @@ def report(num, ok, detail, elapsed, budget):
     return line
 
 
-def test_criterion_1_entropy_gate():
+def test_criterion_1_entropy_gate(tmp_path):
     """The shipped compound-BSC example satisfies the margin construction's
     entropy gate: with state i the code index vector g = (0, i), the rate r
     lies strictly below the capacity 1 - H(p) of every region state and
@@ -77,7 +78,9 @@ def test_criterion_1_entropy_gate():
     states are a buffer zone where both a collision and a correct decode
     are expected outcomes, so no inequality is required there.
 
-    The three capacities are pinned to 2e-6 bits, so a broken
+    The rule is checked here from the scenario file, and ``gepkit gate``
+    (``cli.entropy_gate``) must reach the same verdict state by state and
+    exit 0.  The three capacities are pinned to 2e-6 bits, so a broken
     ``binary_entropy`` still fails.  The PASS/FAIL line also prints where r
     sits against the margin states: on the shipped example
     1 - H(0.185) = 0.309106 bits < 0.31, i.e. r is just above their
@@ -110,8 +113,18 @@ def test_criterion_1_entropy_gate():
 
     below_region = [i for i in sorted(region) if not cap(i) > rate]
     above_outside = [i for i in sorted(outside) if not cap(i) < rate]
+    scenario = SCENARIOS / "bsc_compound_sec4.json"
+    gate_rate, gate_rows, gate_passed = entropy_gate(load_scenario(scenario))
+    gate_roles = {i: role for i, _p, _c, role, _ok in gate_rows}
+    roles = {i: "region" if i in region else "margin" if i in margin
+             else "outside" for i in range(len(crossovers))}
+    gate_agrees = (gate_roles == roles and gate_passed
+                   and abs(gate_rate - rate) <= 1e-12
+                   and all(c == cap(i) for i, _p, c, _r, _ok in gate_rows)
+                   and main(["gate", "--scenario", str(scenario),
+                             "--out", str(tmp_path)]) == 0)
     ok = (worst_pin <= 2e-6 and bool(region) and bool(outside)
-          and not below_region and not above_outside)
+          and not below_region and not above_outside and gate_agrees)
     margin_gap = rate - max((cap(i) for i in margin), default=rate)
     line = report(
         1, ok,
@@ -120,9 +133,11 @@ def test_criterion_1_entropy_gate():
         f"{caps_of(outside)} (violated by states {above_outside}); margin "
         f"{caps_of(margin)} "
         f"(no inequality required; r - max C = {margin_gap:+.2e}); "
-        f"capacity pin dev {worst_pin:.1e} (tol 2e-6)",
+        f"capacity pin dev {worst_pin:.1e} (tol 2e-6); `gepkit gate` "
+        f"{'PASS' if gate_passed else 'FAIL'}, agrees: {gate_agrees}",
         time.time() - t0, 1.0)
     assert worst_pin <= 2e-6, line
+    assert gate_agrees, line
     assert region and outside, line
     assert not below_region, line
     assert not above_outside, line

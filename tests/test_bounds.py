@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gepkit import CodeSpec, SystemModel, make_compound_bsc, make_dmc
-from gepkit.decoder import build_thresholds, select_gstar
+from gepkit.decoder import build_thresholds
 from gepkit.errors import (
     MismatchedParameters,
     NotAPartition,
@@ -253,8 +253,6 @@ class TestCacheAlphaGuard:
         with pytest.raises(MismatchedParameters):
             gep_bound_margin(m, D, region, [], alpha, scen.N, cache=stale)
         with pytest.raises(MismatchedParameters):
-            select_gstar(m, D, [], (0, 0), region, alpha, cache=stale)
-        with pytest.raises(MismatchedParameters):
             build_thresholds(m, D, region, alpha, cache=stale)
         with pytest.raises(MismatchedParameters):
             detection_bound(m, (0, 0), [[g] for g in m.index_space()],
@@ -275,8 +273,6 @@ class TestCacheAlphaGuard:
             gep_bound_partitioned(m, region, a0, scen.N, cache=fast)
         with pytest.raises(MismatchedParameters):
             gep_bound_margin(m, D, region, [], a0, scen.N, cache=fast)
-        with pytest.raises(MismatchedParameters):
-            select_gstar(m, D, [], (0, 0), region, a0, cache=fast)
         with pytest.raises(MismatchedParameters):
             build_thresholds(m, D, region, a0, cache=fast)
         with pytest.raises(MismatchedParameters):

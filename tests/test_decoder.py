@@ -17,7 +17,6 @@ from gepkit import (
     make_dmc,
     marginalize_out,
     sample_codebook,
-    select_gstar,
     typicality_threshold,
 )
 from gepkit.decoder import NO_CONSTRAINT, ThresholdParams, params_from_exponent
@@ -39,7 +38,7 @@ from gepkit.exponents import (
 )
 from gepkit.optimize import SearchSettings
 
-from conftest import random_model
+from conftest import random_model, three_user_model
 
 FAST = SearchSettings(base_grid=8, refine_rounds=0, polish=False)
 
@@ -165,19 +164,20 @@ class TestCompetitorRelation:
 class TestSelectGstar:
     def test_single_candidate(self):
         m = make_compound_bsc([0.05, 0.3], [0.5, 0.5], 0.2)
-        gp, res = select_gstar(m, [0], [], (0, 0), {(0, 0)}, zero(m))
+        gp, res = ExponentCache(m, zero(m)).best_excluded(
+            [0], [], (0, 0), {(0, 0)})
         assert gp == (0, 1) and res.value > 0
 
     def test_empty_candidate_set(self):
         m = make_compound_bsc([0.05, 0.3], [0.5, 0.5], 0.2)
-        gp, res = select_gstar(m, [0], [1], (0, 0), {(0, 0)}, zero(m))
-        assert gp is None and res is None
+        best = ExponentCache(m, zero(m)).best_excluded(
+            [0], [1], (0, 0), {(0, 0)})
+        assert best is None
 
     def test_sec4_scan_matches_exhaustive(self, sec4_model):
         m = sec4_model
         a = zero(m)
-        cache = ExponentCache(m, a)
-        gp, res = select_gstar(m, [0], [], (0, 0), {(0, 0)}, a, cache=cache)
+        gp, res = ExponentCache(m, a).best_excluded([0], [], (0, 0), {(0, 0)})
         vals = {g: exponent_EiD(m, [0], [], (0, 0), g, a).value
                 for g in m.index_space() if g != (0, 0)}
         assert gp == min(sorted(vals), key=lambda g: vals[g])
@@ -371,6 +371,24 @@ def random_instance(rng):
             return m, N, region, cb, D
 
 
+def three_user_instance(seed):
+    """Three regular users, two 2-message codes each at N = 4, all decoded:
+    S = {0, 1} and {1, 2} fix two users' symbols, so their thresholds vary
+    over a 2 x 2 grid of rows.  The output is the channel's answer to one
+    in-region vector's codewords."""
+    rng = np.random.default_rng(seed)
+    N = 4
+    m = three_user_model(rng, math.log(2.0) / N)
+    t = m.dmc.pmf
+    region = [(0, 0, 0), (1, 0, 1)]
+    cb = sample_codebook(m, N, seed)
+    g = region[seed % 2]
+    x = [cb.codeword(k, g[k], int(rng.integers(1, 3))) for k in range(3)]
+    y = np.array([rng.choice(3, p=t[x[0][j], x[1][j], x[2][j]])
+                  for j in range(N)])
+    return m, N, region, cb, (0, 1, 2), y
+
+
 class TestDecodeSubset:
     def test_noiseless_decode(self):
         m = SystemModel(
@@ -425,6 +443,19 @@ class TestDecodeSubset:
             assert (mine.kind, mine.w1, mine.g1) == ref
             agree += 1
         assert agree == 60
+        # two fixed users: grids of thresholds, none of them unconstrained
+        kinds = set()
+        for seed in range(8):
+            m, N, region, cb, D, y = three_user_instance(seed)
+            a = WeightFunction(m, rng.uniform(0, 0.2, size=m.code_counts))
+            tbl = build_thresholds(m, D, region, a, settings=FAST)
+            assert all(tbl.get(g, S).gstar is not None for g in region
+                       for S in ({0, 1}, {1, 2}))
+            mine = decode_subset(m, D, region, a, cb, y, tbl)
+            ref = reference_decode_subset(m, D, region, a, cb, y, tbl)
+            assert (mine.kind, mine.w1, mine.g1) == ref, seed
+            kinds.add(mine.kind)
+        assert kinds == {"decoded", "collision"}
 
 
 class TestDecodeReceiver:
@@ -527,6 +558,53 @@ class TestDecodeMargin:
             out = decode_margin(m, [0], region, margin, a, cb, y, tbl)
             reasons.add(out.diagnostics.get("reason"))
         assert "margin_reject" in reasons or "no_winner" in reasons
+
+    def test_checks_match_a_fresh_gather_of_the_winner(self, sec4_model):
+        # the margin check reuses decode_subset's rows and score of the
+        # winner; regathering them from the codebook gives the same bits
+        rng = np.random.default_rng(12)
+        two_users = three_user_model(rng, 0.2)
+        two_users = SystemModel(dmc=two_users.dmc, K=2, M=1,
+                                libraries=two_users.libraries)
+        cases = [(sec4_model, (0,), [(0, 0)], [(0, 1), (0, 2)], 16),
+                 (two_users, (0, 1), [(0, 0, 0), (1, 1, 0)],
+                  [(0, 1, 0)], 6)]
+        checked = []
+        for m, D, region, margin, N in cases:
+            checked.append(0)
+            a = WeightFunction(m, rng.uniform(0, 0.2, size=m.code_counts))
+            tbl = build_thresholds(m, D, region, a, margin=margin,
+                                   settings=FAST)
+            for seed in range(40):
+                cb = sample_codebook(m, N, seed)
+                g = region[seed % len(region)]
+                x = [cb.codeword(k, g[k], 1) for k in D]
+                x += [rng.choice(len(m.input_pmf(k, g[k])), size=N,
+                                 p=m.input_pmf(k, g[k]))
+                      for k in range(len(D), m.n_users)]
+                y = np.array([rng.choice(m.dmc.output_size,
+                                         p=m.dmc.pmf[tuple(r[j] for r in x)])
+                              for j in range(N)])
+                out = decode_margin(m, D, region, margin, a, cb, y, tbl)
+                plain = decode_subset(m, D, region, a, cb, y, tbl)
+                if not plain.decoded:
+                    continue
+                w_D, g_hat = plain.winner
+                rows = np.stack([cb.codeword(k, g_hat[k], w_D[i])
+                                 for i, k in enumerate(D)])
+                lm = marginalize_out(m, D, g_hat).log_pmf()
+                wnll = float(-lm[tuple(rows) + (y,)].sum() / N + a(g_hat))
+                taus, passed = {}, True
+                for S in tbl.subsets_margin:
+                    taus[tuple(sorted(S))] = typicality_threshold(
+                        m, D, S, g_hat, tbl.get(g_hat, S), rows, y, a)
+                    if not wnll < taus[tuple(sorted(S))]:
+                        passed = False
+                        break
+                assert out.diagnostics["margin_checks"] == taus
+                assert out.decoded == passed
+                checked[-1] += 1
+        assert min(checked) >= 10
 
     def test_overlap_rejected(self):
         m = make_compound_bsc([0.05, 0.3], [0.5, 0.5], 0.2)

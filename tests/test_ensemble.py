@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from gepkit import (
     CodeSpec,
     SystemModel,
-    encode,
     ensemble_log_expectation,
     make_compound_bsc,
     make_dmc,
@@ -75,14 +74,14 @@ class TestEncode:
     def test_single_message_lookup(self):
         m = make_compound_bsc([0.2], [0.5, 0.5], 0.0)
         cb = sample_codebook(m, 6, 9)
-        cw = encode(cb, 1, (0, 0), 0)
+        cw = cb.codeword(0, 0, 1)
         assert cw.shape == (6,)
 
     def test_message_out_of_range(self):
         m = make_compound_bsc([0.2], [0.5, 0.5], 0.0)
         cb = sample_codebook(m, 6, 9)
         with pytest.raises(MessageOutOfRange):
-            encode(cb, 2, (0, 0), 0)
+            cb.codeword(0, 0, 2)
 
     def test_code_out_of_range(self):
         m = make_compound_bsc([0.2], [0.5, 0.5], 0.0)
@@ -95,7 +94,7 @@ class TestEncode:
         cb = sample_codebook(m, 10, 13)
         table = cb.tables[(0, 0)]
         for w in (1, cb.counts[(0, 0)]):
-            row = encode(cb, w, (0, 0), 0)
+            row = cb.codeword(0, 0, w)
             assert np.array_equal(table[w - 1], row)
 
 

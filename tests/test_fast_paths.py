@@ -6,7 +6,9 @@ replaced byte for byte, and one ``simulate``, ``bound`` or ``exponents``
 must maximize every exponent at most once.  The comparison-count inverse
 CDF, the gathered candidate rows and the memoized region detector must
 reproduce the bisection, the per-candidate loop and the per-g loop they
-replaced, kept here as references.  The exponent memo, keyed by what each
+replaced, kept here as references.  A threshold solve on a block of
+fixed-symbol rows must give, row by row, the per-row reference's bits.  The
+exponent memo, keyed by what each
 objective computes, must return what a fresh maximization returns for every
 lookup, maximize each distinct objective once, and tell apart objectives
 that differ in any input.
@@ -34,7 +36,12 @@ from gepkit import (
     sample_codebook,
 )
 from gepkit.cli import main
-from gepkit.decoder import _enumerate_candidates, detect_region
+from gepkit.decoder import (
+    ThresholdParams,
+    _enumerate_candidates,
+    detect_region,
+    typicality_threshold,
+)
 from gepkit.ensemble import (
     _logsumexp,
     ensemble_log_expectation,
@@ -58,12 +65,20 @@ from gepkit.exponents import (
     exponent_EmD,
 )
 from gepkit.optimize import SearchSettings
-from gepkit.scenario import load_scenario
+from gepkit.scenario import load_scenario, parse_scenario
 
-from conftest import load_workloads, random_model, xor_model
+from conftest import (
+    load_workloads,
+    random_alpha,
+    random_g,
+    random_model,
+    three_user_model,
+    xor_model,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = sorted((ROOT / "scenarios").glob("*.json"))
+WORKLOAD_SCENARIOS = ("sec4-detect", "mac2-partition", "bigcode-detect")
 
 
 def _same(mine, ref):
@@ -189,6 +204,97 @@ class TestLetterTables:
             ref = reference_log_expectation(model, [0, 1], [0, 1], (0, 0), y,
                                             xf, a)
             assert _same(mine, ref), a
+
+
+# ---------------------------------------------------------------------------
+# block threshold solves
+# ---------------------------------------------------------------------------
+
+def reference_threshold(model, D, S, g, params, x_fixed, y, alpha):
+    """typicality_threshold for one row of fixed symbols, in Python floats,
+    from reference_log_expectation."""
+    N = len(y)
+    s1, s2, rt = params.s1, params.s2, params.rho_t
+    l1 = reference_log_expectation(model, D, S, g, y, x_fixed, 1.0 - s1) \
+        - N * (1.0 - s1) * alpha(g)
+    l2 = reference_log_expectation(model, D, S, g, y, x_fixed, s2 / rt) \
+        - N * (s2 / rt) * alpha(g)
+    l3 = reference_log_expectation(model, D, S, params.gstar, y, x_fixed,
+                                   1.0) - N * alpha(params.gstar)
+    rate_sum = sum(model.rate(k, g[k]) for k in set(D) - set(S))
+    return (l1 - rt * l2 - l3) / (N * (s1 + s2)) - rt * rate_sum / (s1 + s2)
+
+
+BLOCK_MODELS = [p.name for p in SCENARIOS] + list(WORKLOAD_SCENARIOS) + \
+    ["xor", "three users"]
+
+
+def _block_model(name):
+    if name == "xor":
+        return xor_model(0.2)   # noiseless: P(y | x1, x2) has zeros
+    if name == "three users":
+        return three_user_model(np.random.default_rng(17), 0.1)
+    if name.endswith(".json"):
+        return load_scenario(ROOT / "scenarios" / name).model
+    return parse_scenario(load_workloads().generate(name, ROOT)).model
+
+
+class TestBlockThresholds:
+    """Every value of a block call, x_fixed of shape (m, |S cap D|, N), is
+    the per-row reference's value bit for bit, for every (D, S, g) and under
+    a nonzero alpha."""
+
+    @pytest.mark.parametrize("name", BLOCK_MODELS)
+    def test_block_rows_match_per_row_reference(self, name):
+        model = _block_model(name)
+        rng = np.random.default_rng(BLOCK_MODELS.index(name))
+        alpha = random_alpha(rng, model)
+        fixed_users = set()
+        for D, S, g in _all_cases(model):
+            fixed = sorted(set(D) & set(S))
+            fixed_users.add(len(fixed))
+            m, N = int(rng.integers(1, 6)), int(rng.choice([1, 7, 40, 300]))
+            y = rng.integers(0, model.dmc.output_size, N)
+            xf = np.stack([rng.integers(0, model.dmc.input_sizes[k], (m, N))
+                           for k in fixed], axis=1) if fixed \
+                else np.zeros((m, 0, N), dtype=np.int64)
+            a = float(rng.choice([0.0, 0.3, 1.0]))
+            mine = ensemble_log_expectation(model, D, S, g, y, xf, a)
+            ref = [reference_log_expectation(model, D, S, g, y, row, a)
+                   for row in xf]
+            assert _same(mine, np.array(ref)), (name, D, S, g, a)
+            rho_t = float(rng.uniform(0.3, 1.0))
+            params = ThresholdParams(
+                rho_t=rho_t, s2=rho_t * float(rng.uniform(0.05, 0.95)),
+                s1=float(rng.uniform(0.05, 0.95)), gstar=random_g(rng, model),
+                exponent=0.1)
+            mine = typicality_threshold(model, D, S, g, params, xf, y, alpha)
+            ref = [reference_threshold(model, D, S, g, params, row, y, alpha)
+                   for row in xf]
+            assert _same(mine, np.array(ref)), (name, D, S, g, params)
+        assert max(fixed_users) == model.K
+
+    def test_zero_probabilities_give_the_reference_nan(self):
+        model = xor_model(0.2)
+        alpha = WeightFunction(model, np.full(model.code_counts, 0.1))
+        params = ThresholdParams(rho_t=0.8, s2=0.3, s1=0.4, gstar=(0, 0),
+                                 exponent=0.1)
+        y = np.array([0, 1, 1, 0])
+        # rows 0 and 2 explain y exactly, row 1 contradicts it: with both
+        # users fixed its expectations vanish and tau* is nan (never met),
+        # computed without a RuntimeWarning
+        xf = np.array([[[0, 0, 1, 1], [0, 1, 0, 1]],
+                       [[0, 0, 1, 1], [0, 1, 0, 0]],
+                       [[1, 1, 1, 1], [1, 0, 0, 1]]])
+        values = []
+        for S in ([0, 1], [0]):
+            block = typicality_threshold(model, [0, 1], S, (0, 0), params,
+                                         xf[:, :len(S)], y, alpha)
+            ref = [reference_threshold(model, [0, 1], S, (0, 0), params,
+                                       row[:len(S)], y, alpha) for row in xf]
+            assert _same(block, np.array(ref)), S
+            values += list(block)
+        assert np.isnan(values).sum() == 1
 
 
 def _count_maximizations(monkeypatch) -> Counter:
@@ -473,7 +579,6 @@ FRESH = {"emd": (exponent_EmD, emd_objective),
          "ec": (exponent_Ec, ec_objective)}
 MAXIMIZERS = {"exponent_EmD": "emd", "exponent_EiD": "eid",
               "exponent_Ec": "ec"}
-WORKLOAD_SCENARIOS = ("sec4-detect", "mac2-partition", "bigcode-detect")
 
 
 def _content_key(name, model, alpha, args, kwargs):

@@ -116,18 +116,46 @@ class TestLoadScenario:
 
 
 class TestEntropyGate:
-    def test_sec4_gate_values_and_outcome(self):
+    def test_sec4_gate_values_and_outcome(self, tmp_path):
         s = load_scenario(SCENARIOS / "bsc_compound_sec4.json")
-        capacities, rate_bits, worst, next_worst, passed = entropy_gate(s)
+        rate_bits, rows, passed = entropy_gate(s)
         assert rate_bits == pytest.approx(0.31)
-        assert worst == 0.19 and next_worst == 0.185
-        assert capacities[0.19] == pytest.approx(0.298529, abs=2e-6)
-        assert capacities[0.185] == pytest.approx(0.309106, abs=2e-6)
-        # r = 0.31 sits above the 0.185-state capacity (0.309106), so the
-        # literal gate inequality does not hold at these numbers
-        assert capacities[0.19] < rate_bits
-        assert not rate_bits < capacities[0.185]
-        assert passed is False
+        assert [(i, p, role, ok) for i, p, _c, role, ok in rows] == [
+            (0, 0.18, "region", True), (1, 0.185, "margin", None),
+            (2, 0.185, "margin", None), (3, 0.19, "outside", True)]
+        for (_i, _p, cap, _role, _ok), pin in zip(
+                rows, (0.319923, 0.309106, 0.309106, 0.298529)):
+            assert cap == pytest.approx(pin, abs=2e-6)
+        # r = 0.31 sits just above the margin states' capacity (0.309106),
+        # which the margin construction allows
+        assert rows[1][2] < rate_bits
+        assert passed is True
+        assert main(["gate", "--scenario",
+                     str(SCENARIOS / "bsc_compound_sec4.json"),
+                     "--out", str(tmp_path)]) == 0
+
+    @pytest.mark.parametrize("change", [
+        {"rate": 0.32},                           # above the region's 0.319923
+        {"rate": 0.2985},                         # below the outside 0.298529
+        {"region": [[0, 3]]},                     # region and outside swapped
+    ])
+    def test_mutated_sec4_copies_fail(self, tmp_path, change):
+        doc = json.loads((SCENARIOS / "bsc_compound_sec4.json").read_text())
+        if "rate" in change:
+            doc["channel"]["rate"] = change["rate"]
+        doc.update({k: v for k, v in change.items() if k != "rate"})
+        p = tmp_path / "s.json"
+        p.write_text(json.dumps(doc))
+        assert entropy_gate(load_scenario(p))[2] is False
+        assert main(["gate", "--scenario", str(p),
+                     "--out", str(tmp_path)]) == 1
+
+    def test_every_group_but_the_margin_must_be_nonempty(self, tmp_path):
+        doc = minimal_doc()
+        doc["margin"] = [[0, 1]]   # no state outside region and margin
+        p = tmp_path / "s.json"
+        p.write_text(json.dumps(doc))
+        assert entropy_gate(load_scenario(p))[2] is False
 
     def test_gate_passes_on_separated_states(self, tmp_path):
         doc = minimal_doc()
@@ -137,7 +165,8 @@ class TestEntropyGate:
         p = tmp_path / "s.json"
         p.write_text(json.dumps(doc))
         # capacities: 1-H(0.3) = 0.1187, 1-H(0.05) = 0.7136
-        assert main(["gate-sec4", "--scenario", str(p)]) == 0
+        assert main(["gate", "--scenario", str(p),
+                     "--out", str(tmp_path)]) == 0
 
     def test_gate_needs_compound_channel(self, tmp_path):
         doc = {
@@ -149,7 +178,8 @@ class TestEntropyGate:
         }
         p = tmp_path / "s.json"
         p.write_text(json.dumps(doc))
-        assert main(["gate-sec4", "--scenario", str(p)]) == 2
+        assert main(["gate", "--scenario", str(p),
+                     "--out", str(tmp_path)]) == 2
 
 
 class TestCliDispatch:

@@ -8,10 +8,9 @@ CDF, the gathered candidate rows and the memoized region detector must
 reproduce the bisection, the per-candidate loop and the per-g loop they
 replaced, kept here as references.  A threshold solve on a block of
 fixed-symbol rows must give, row by row, the per-row reference's bits.  The
-exponent memo, keyed by what each
-objective computes, must return what a fresh maximization returns for every
-lookup, maximize each distinct objective once, and tell apart objectives
-that differ in any input.
+exponent memo, keyed by what each objective computes, must return what a
+fresh maximization returns for every lookup, maximize each distinct
+objective once, and tell apart objectives that differ in any input.
 """
 
 import itertools

@@ -14,8 +14,10 @@ from .channel import (
 )
 from .decoder import (
     DecodeOutcome,
+    RegionDetector,
     ThresholdParams,
     ThresholdTable,
+    build_detector,
     build_thresholds,
     decode_margin,
     decode_receiver,

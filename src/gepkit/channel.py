@@ -61,10 +61,6 @@ class Dmc:
     def n_users(self) -> int:
         return len(self.input_sizes)
 
-    def log_pmf(self) -> np.ndarray:
-        with np.errstate(divide="ignore"):
-            return np.log(self.pmf)
-
 
 def make_dmc(table, input_sizes=None, output_size=None) -> Dmc:
     """Validate a raw probability table into a :class:`Dmc`.
@@ -108,8 +104,8 @@ class SystemModel:
     """Channel plus per-user code libraries and the regular/interfering split.
 
     Immutable after construction; safe to share across concurrent readers.
-    Marginalizations, the decoder's per-letter threshold tables and the
-    region detector's per-run tables are memoized per instance.
+    Marginalizations and the decoder's per-letter threshold tables are
+    memoized per instance.
     """
 
     dmc: Dmc
@@ -117,10 +113,7 @@ class SystemModel:
     M: int
     libraries: tuple[tuple[CodeSpec, ...], ...]
     _marg_cache: dict = field(default_factory=dict, repr=False, compare=False)
-    _out_cache: dict = field(default_factory=dict, repr=False, compare=False)
     _letter_cache: dict = field(default_factory=dict, repr=False,
-                                compare=False)
-    _detect_cache: dict = field(default_factory=dict, repr=False,
                                 compare=False)
 
     def __post_init__(self):
@@ -155,9 +148,6 @@ class SystemModel:
     @property
     def code_counts(self) -> tuple[int, ...]:
         return tuple(len(lib) for lib in self.libraries)
-
-    def code(self, k: int, g_k: int) -> CodeSpec:
-        return self.libraries[k][g_k]
 
     def rate(self, k: int, g_k: int) -> float:
         return self.libraries[k][g_k].rate
@@ -235,18 +225,9 @@ def marginalize_out(model: SystemModel, D, g) -> MarginalChannel:
 
 
 def output_marginal(model: SystemModel, g) -> np.ndarray:
-    """P(Y | g): output distribution with every user's input averaged out."""
-    g = model.check_g(g)
-    cached = model._out_cache.get(g)
-    if cached is not None:
-        return cached
-    table = model.dmc.pmf
-    for k in range(model.n_users - 1, -1, -1):
-        table = np.tensordot(model.input_pmf(k, g[k]), table, axes=([0], [k]))
-    table = np.ascontiguousarray(table)
-    table.setflags(write=False)
-    model._out_cache[g] = table
-    return table
+    """P(Y | g): output distribution with every user's input averaged out
+    (the marginal of the empty subset, read only)."""
+    return marginalize_out(model, (), g).pmf
 
 
 def binary_entropy(p: float, unit: str = "nats") -> float:

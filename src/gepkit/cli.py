@@ -260,7 +260,8 @@ _COMMANDS = {
 
 def dispatch(subcommand: str, scenario: Scenario, args) -> int:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    if subcommand != "gate":  # the one subcommand that writes no file
+        out.mkdir(parents=True, exist_ok=True)
     return _COMMANDS[subcommand](scenario, out, args)
 
 

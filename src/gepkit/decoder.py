@@ -3,14 +3,16 @@ typicality thresholds, cross-subset agreement, the operation-margin variant,
 and output-distribution region detection.
 
 A decoder instance is parametrized by a :class:`ThresholdTable` built once
-per (model, D, R_D[, margin], alpha): for every in-region code vector and
-every relevant user subset S it stores the auxiliary exponents
-(rho_t, s2, s1) and the worst excluded vector used by the threshold.  The
-auxiliary triple is the exact image of the optimized false-acceptance
-exponent's (rho, s) under the variable change rho_t = rho/(1-s),
-s2 = rho_t * s/(s+rho), s1 = 1 - s2/rho_t, which equalizes the
-missed-detection and false-acceptance bound expressions; this is also what
-keeps the analytic bounds valid for the decoder actually simulated.
+per (model, D, R_D[, margin], alpha), its only per-run input: for every
+in-region code vector and every relevant user subset S it stores the
+auxiliary exponents (rho_t, s2, s1) and the worst excluded vector used by
+the threshold.  The auxiliary triple is the exact image of the optimized
+false-acceptance exponent's (rho, s) under the variable change
+rho_t = rho/(1-s), s2 = rho_t * s/(s+rho), s1 = 1 - s2/rho_t, which
+equalizes the missed-detection and false-acceptance bound expressions; this
+is also what keeps the analytic bounds valid for the decoder actually
+simulated.  Region detection takes a :class:`RegionDetector` built once per
+(model, detection cells, alpha).
 """
 
 from __future__ import annotations
@@ -22,19 +24,14 @@ import numpy as np
 
 from .channel import SystemModel, marginalize_out, output_marginal
 from .ensemble import CodebookRealization, ensemble_log_expectation
-from .errors import (
-    DomainError,
-    MissingCodebook,
-    OverlappingMargin,
-    ShapeMismatch,
-    UserOneMissing,
-)
+from .errors import DomainError, MissingCodebook, OverlappingMargin
 from .exponents import (
     DEFAULT_SETTINGS,
     ExponentCache,
     SearchSettings,
     WeightFunction,
     _cache_for,
+    _decoded_subset,
     check_detection_partition,
     proper_subsets,
     validate_region,
@@ -69,6 +66,8 @@ class ThresholdParams:
 
 
 NO_CONSTRAINT = None  # sentinel meaning tau* = +inf
+UNCONSTRAINED = ThresholdParams(rho_t=1.0, s2=0.5, s1=0.5, gstar=NO_CONSTRAINT,
+                                exponent=INF)
 
 
 def params_from_exponent(gstar, result) -> ThresholdParams:
@@ -115,10 +114,12 @@ def typicality_threshold(model: SystemModel, D, S, g,
             - rt * rate_sum / (s1 + s2)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ThresholdTable:
-    """Precomputed threshold parameters for one (D, R_D[, margin]) decoder."""
+    """Precomputed threshold parameters for one (D, R_D[, margin]) decoder
+    and the model, D, region, margin and alpha they were solved under."""
 
+    model: SystemModel
     D: tuple
     region: frozenset
     margin: frozenset | None
@@ -142,9 +143,7 @@ def build_thresholds(model: SystemModel, D, region, alpha: WeightFunction,
     subsets S covering D, whose excluded-vector search ranges outside
     region union margin.
     """
-    D = tuple(sorted(set(int(k) for k in D)))
-    if 0 not in D:
-        raise UserOneMissing(f"decoded subset {D} must contain user 0")
+    D = _decoded_subset(D)
     region = validate_region(model, region)
     if margin is not None:
         margin = validate_region(model, margin)
@@ -162,16 +161,12 @@ def build_thresholds(model: SystemModel, D, region, alpha: WeightFunction,
         for S, excluded, allow_empty in searches:
             best = cache.best_excluded(D, S, g, excluded,
                                        allow_empty_difference=allow_empty)
-            params[(g, S)] = _unconstrained() if best is None \
+            params[(g, S)] = UNCONSTRAINED if best is None \
                 else params_from_exponent(*best)
-    return ThresholdTable(D=D, region=region, margin=margin, alpha=alpha,
-                          params=params, subsets_decode=subsets_decode,
+    return ThresholdTable(model=model, D=D, region=region, margin=margin,
+                          alpha=alpha, params=params,
+                          subsets_decode=subsets_decode,
                           subsets_margin=subsets_margin)
-
-
-def _unconstrained() -> ThresholdParams:
-    return ThresholdParams(rho_t=1.0, s2=0.5, s1=0.5, gstar=NO_CONSTRAINT,
-                           exponent=INF)
 
 
 # ---------------------------------------------------------------------------
@@ -290,9 +285,8 @@ def _subset_winner(cands, accepted_masks):
     return ("tie" if tie else best), n_acc
 
 
-def decode_subset(model: SystemModel, D, region, alpha: WeightFunction,
-                  codebooks: CodebookRealization, y,
-                  thresholds: ThresholdTable, truth=None,
+def decode_subset(thresholds: ThresholdTable,
+                  codebooks: CodebookRealization, y, truth=None,
                   restrict_to=None) -> DecodeOutcome:
     """One (D, R_D)-decoder: per subset S (proper, D\\S nonempty) keep the
     candidates whose per-symbol weighted neg-log-likelihood is strictly
@@ -307,13 +301,7 @@ def decode_subset(model: SystemModel, D, region, alpha: WeightFunction,
     its agreement pattern with the transmitted vector, otherwise the
     false-acceptance terms would not cover it.
     """
-    D = tuple(sorted(set(int(k) for k in D)))
-    if 0 not in D:
-        raise UserOneMissing(f"decoded subset {D} must contain user 0")
-    if D != thresholds.D or (region is not thresholds.region and
-                             validate_region(model, region) != thresholds.region):
-        raise ShapeMismatch(
-            "threshold table was built for a different (D, region)")
+    model, D, alpha = thresholds.model, thresholds.D, thresholds.alpha
     y = np.asarray(y, dtype=np.int64)
     members = sorted(thresholds.region)
     if restrict_to is not None:
@@ -381,18 +369,16 @@ def _truth_events(truth, D, cands, masks, winner, members):
     return out
 
 
-def decode_receiver(model: SystemModel, partition, alpha: WeightFunction,
-                    codebooks: CodebookRealization, y, thresholds_by_D,
-                    truth=None, restrict_to=None) -> DecodeOutcome:
-    """Run every (D, R_D)-decoder of the partition; output (w1, g1) iff at
-    least one decoded and all decoded outputs agree on (w1, g1)."""
+def decode_receiver(thresholds_by_D: dict, codebooks: CodebookRealization,
+                    y, truth=None, restrict_to=None) -> DecodeOutcome:
+    """Run every table's (D, R_D)-decoder in partition order; output (w1, g1)
+    iff at least one decoded and all decoded outputs agree on (w1, g1)."""
     y = np.asarray(y, dtype=np.int64)
     sub_outcomes = {}
     pairs = []
     evaluated = 0
-    for D, region in partition.items():
-        out = decode_subset(model, D, region, alpha, codebooks, y,
-                            thresholds_by_D[D], truth=truth,
+    for D, thresholds in thresholds_by_D.items():
+        out = decode_subset(thresholds, codebooks, y, truth=truth,
                             restrict_to=restrict_to)
         sub_outcomes[D] = out
         evaluated += out.diagnostics.get("candidates_evaluated", 0)
@@ -410,35 +396,25 @@ def decode_receiver(model: SystemModel, partition, alpha: WeightFunction,
                          winner=first[2], diagnostics=diag)
 
 
-def decode_margin(model: SystemModel, D, region, margin,
-                  alpha: WeightFunction, codebooks: CodebookRealization, y,
-                  thresholds: ThresholdTable, truth=None) -> DecodeOutcome:
+def decode_margin(thresholds: ThresholdTable, codebooks: CodebookRealization,
+                  y, truth=None) -> DecodeOutcome:
     """Margin decoder: the plain (D, R_D) rule plus, for every proper subset
     S covering D, the requirement that the agreed output itself passes
     tau*(g, S) (thresholds built with the excluded-vector search outside
-    region union margin).  Anything else reports a collision.
-
-    Passing the threshold table's own ``region`` and ``margin`` objects
-    skips their validation: :func:`build_thresholds` already did it."""
-    if region is not thresholds.region or margin is not thresholds.margin:
-        region = validate_region(model, region)
-        margin = validate_region(model, margin)
-        if region & margin:
-            raise OverlappingMargin("operation region and margin intersect")
+    region union margin).  Anything else reports a collision."""
     if thresholds.margin is None:
         raise OverlappingMargin(
             "thresholds were built without a margin; use build_thresholds("
             "..., margin=...)")
-    out = decode_subset(model, D, region, alpha, codebooks, y, thresholds,
-                        truth=truth)
+    out = decode_subset(thresholds, codebooks, y, truth=truth)
     if not out.decoded:
         return out
     g = out.winner[1]
     for S in thresholds.subsets_margin:
         # S covers D, so every symbol of the winner is fixed
-        tau = typicality_threshold(model, thresholds.D, S, g,
+        tau = typicality_threshold(thresholds.model, thresholds.D, S, g,
                                    thresholds.get(g, S), out.winner_rows, y,
-                                   alpha)
+                                   thresholds.alpha)
         out.diagnostics.setdefault("margin_checks", {})[
             tuple(sorted(S))] = tau
         if not out.winner_wnll < tau:
@@ -461,53 +437,52 @@ class _Hypothesis:
     cell: int                # index of the detection cell holding g
 
 
-def _detection_tables(model: SystemModel, regions, alpha: WeightFunction):
-    """(validated cells, hypotheses in index_space() order) of a detection
-    partition, memoized on the model per (cells, alpha).  A partition that
-    fails validation is never stored, so it raises on every call."""
-    cells = tuple(tuple(sorted(tuple(int(x) for x in g) for g in r))
-                  for r in regions)
-    key = (cells, alpha.key())
-    memo = model._detect_cache.get(key)
-    if memo is None:
-        cleaned = tuple(check_detection_partition(model, cells))
-        hyps = []
-        for g in model.index_space():
-            with np.errstate(divide="ignore"):
-                lp = np.log(output_marginal(model, g))
-            cell = next(i for i, r in enumerate(cleaned) if g in r)
-            hyps.append(_Hypothesis(g, lp, alpha(g), cell))
-        memo = (cleaned, tuple(hyps))
-        model._detect_cache[key] = memo
-    return memo
+@dataclass(frozen=True)
+class RegionDetector:
+    """A detection partition's validated cells and its hypotheses, one per
+    code index vector in index_space() order, scored under one alpha."""
+
+    cells: tuple             # frozenset of g per detection cell
+    hyps: tuple              # _Hypothesis per code index vector
 
 
-def detect_region(model: SystemModel, regions, alpha: WeightFunction, y):
+def build_detector(model: SystemModel, regions,
+                   alpha: WeightFunction) -> RegionDetector:
+    """Validate the detection cells (:class:`NotAPartition` unless they
+    partition the code-index space) and score every hypothesis once."""
+    cells = tuple(check_detection_partition(model, regions))
+    hyps = []
+    for g in model.index_space():
+        with np.errstate(divide="ignore"):
+            lp = np.log(output_marginal(model, g))
+        cell = next(i for i, r in enumerate(cells) if g in r)
+        hyps.append(_Hypothesis(g, lp, alpha(g), cell))
+    return RegionDetector(cells, tuple(hyps))
+
+
+def detect_region(detector: RegionDetector, y):
     """Maximum weighted output-marginal likelihood estimate of the code
     index vector, and the index of the partition cell containing it.  Ties
     break toward the lexicographically smallest vector."""
-    _cells, hyps = _detection_tables(model, regions, alpha)
     y = np.asarray(y, dtype=np.int64)
     N = len(y)
     best, best_score = None, -INF
-    for h in hyps:
+    for h in detector.hyps:
         score = float(h.log_out[y].sum() - N * h.alpha)
         if score > best_score:
             best, best_score = h, score
     return best.cell, best.g
 
 
-def decode_with_detection(model: SystemModel, regions, partition,
-                          alpha: WeightFunction,
-                          codebooks: CodebookRealization, y, thresholds_by_D,
+def decode_with_detection(detector: RegionDetector, thresholds_by_D: dict,
+                          codebooks: CodebookRealization, y,
                           truth=None) -> DecodeOutcome:
     """Detect the code-index region first, then run the receiver restricted
     to candidates inside the detected cell (thresholds stay those of the
     unrestricted regions)."""
-    cell_idx, ghat = detect_region(model, regions, alpha, y)
-    restrict = _detection_tables(model, regions, alpha)[0][cell_idx]
-    out = decode_receiver(model, partition, alpha, codebooks, y,
-                          thresholds_by_D, truth=truth, restrict_to=restrict)
+    cell_idx, ghat = detect_region(detector, y)
+    out = decode_receiver(thresholds_by_D, codebooks, y, truth=truth,
+                          restrict_to=detector.cells[cell_idx])
     out.diagnostics["detected_region"] = cell_idx
     out.diagnostics["ghat"] = ghat
     return out

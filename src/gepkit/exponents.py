@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import SystemModel, output_marginal
+from .channel import SystemModel, marginalize_out
 from .ensemble import (
     _logsumexp,
     marginal_log_table,
@@ -99,6 +99,14 @@ def validate_region(model: SystemModel, members) -> frozenset:
     return frozenset(members)
 
 
+def _decoded_subset(D) -> tuple:
+    """A decoded subset as a sorted tuple of users; it must contain user 0."""
+    D = tuple(sorted(set(int(k) for k in D)))
+    if 0 not in D:
+        raise UserOneMissing(f"decoded subset {D} must contain user 0")
+    return D
+
+
 @dataclass(frozen=True)
 class RegionPartition:
     """Assignment of each operation-region vector to one decoded subset D
@@ -111,9 +119,7 @@ class RegionPartition:
         seen = set()
         parts = []
         for D, members in mapping.items():
-            D = tuple(sorted(set(int(k) for k in D)))
-            if 0 not in D:
-                raise UserOneMissing(f"decoded subset {D} must contain user 0")
+            D = _decoded_subset(D)
             if any(k >= model.K for k in D):
                 raise ShapeMismatch(f"decoded subset {D} has non-regular users")
             reg = validate_region(model, members)
@@ -130,12 +136,6 @@ class RegionPartition:
 
     def items(self):
         return self.parts
-
-    def union(self) -> frozenset:
-        out = frozenset()
-        for _, reg in self.parts:
-            out |= reg
-        return out
 
 
 def proper_subsets(n_users: int):
@@ -284,9 +284,8 @@ def ec_objective(model: SystemModel, g, g_tilde, alpha: WeightFunction):
     exponent; maximize over s in (0, 1]."""
     g = model.check_g(g)
     gt = model.check_g(g_tilde)
-    with np.errstate(divide="ignore"):
-        lp = np.log(output_marginal(model, g)) - alpha(g)
-        lq = np.log(output_marginal(model, gt)) - alpha(gt)
+    lp = marginalize_out(model, (), g).log_pmf() - alpha(g)
+    lq = marginalize_out(model, (), gt).log_pmf() - alpha(gt)
     return _keyed(_ec, lp, lq)
 
 
@@ -552,9 +551,7 @@ def gep_bound_D(model: SystemModel, D, region, alpha: WeightFunction, N: int,
                 settings: SearchSettings = DEFAULT_SETTINGS,
                 cache: ExponentCache | None = None) -> BoundReport:
     """Achievable weighted-error bound for a single (D, R_D)-decoder."""
-    D = tuple(sorted(set(int(k) for k in D)))
-    if 0 not in D:
-        raise UserOneMissing(f"decoded subset {D} must contain user 0")
+    D = _decoded_subset(D)
     region = validate_region(model, region)
     cache = _cache_for(model, alpha, settings, cache)
     terms = _decode_terms(model, D, region, N, cache)
@@ -615,9 +612,7 @@ def gep_bound_margin(model: SystemModel, D, region, margin,
     and false-acceptance terms for vectors outside region and margin, all
     with the excluded-vector search ranging outside region union margin.
     Margin vectors themselves are charged no collision-failure term."""
-    D = tuple(sorted(set(int(k) for k in D)))
-    if 0 not in D:
-        raise UserOneMissing(f"decoded subset {D} must contain user 0")
+    D = _decoded_subset(D)
     region = validate_region(model, region)
     margin = validate_region(model, margin)
     if region & margin:

@@ -23,14 +23,20 @@ import numpy as np
 from .channel import SystemModel
 from .decoder import (
     DecodeOutcome,
-    _detection_tables,
+    build_detector,
     build_thresholds,
     decode_margin,
     decode_receiver,
     decode_with_detection,
     detect_region,
 )
-from .ensemble import message_count, sample_codebook, sample_from_pmf, stream
+from .ensemble import (
+    flatten_symbols,
+    message_count,
+    sample_codebook,
+    sample_from_pmf,
+    stream,
+)
 from .errors import (
     DomainError,
     MemoryBudgetExceeded,
@@ -133,12 +139,9 @@ def _channel_sampler(model: SystemModel):
     per-joint-input cumulative output table."""
     cum = np.cumsum(model.dmc.pmf.reshape(-1, model.dmc.output_size), axis=1)
     cum[:, -1] = 1.0
-    radix = np.asarray(model.dmc.input_sizes, dtype=np.int64)
 
     def transmit(rng, x):
-        flat = np.zeros(x.shape[1], dtype=np.int64)
-        for k in range(model.n_users):
-            flat = flat * radix[k] + x[k]
+        flat = flatten_symbols(model, range(model.n_users), x)
         u = rng.random(x.shape[1])
         return (cum[flat] <= u[:, None]).sum(axis=1).astype(np.int64)
 
@@ -149,31 +152,26 @@ def _prepare_decoder(scenario, model, cache=None):
     variant = getattr(scenario, "decoder", "plain")
     alpha = scenario.alpha
     if variant == "margin":
-        D = tuple(range(model.K))
-        table = build_thresholds(model, D, scenario.region, alpha,
-                                 margin=scenario.margin, cache=cache)
+        table = build_thresholds(model, range(model.K), scenario.region,
+                                 alpha, margin=scenario.margin, cache=cache)
 
-        # the table's own validated region and margin: no per-trial check
         def run(codebooks, y, truth):
-            return decode_margin(model, D, table.region, table.margin,
-                                 alpha, codebooks, y, table, truth=truth)
+            return decode_margin(table, codebooks, y, truth=truth)
 
         return run
     tables = {D: build_thresholds(model, D, reg, alpha, cache=cache)
               for D, reg in scenario.partition.items()}
-    partition = {D: table.region for D, table in tables.items()}
     if variant == "plain":
         def run(codebooks, y, truth):
-            return decode_receiver(model, partition, alpha, codebooks, y,
-                                   tables, truth=truth)
+            return decode_receiver(tables, codebooks, y, truth=truth)
 
         return run
     if variant == "detect":
-        regions = scenario.detection
+        detector = build_detector(model, scenario.detection, alpha)
 
         def run(codebooks, y, truth):
-            return decode_with_detection(model, regions, partition, alpha,
-                                         codebooks, y, tables, truth=truth)
+            return decode_with_detection(detector, tables, codebooks, y,
+                                         truth=truth)
 
         return run
     raise DomainError(f"unknown decoder variant {variant!r}")
@@ -373,7 +371,8 @@ def run_detection_trials(scenario, trials: int, master_seed: int,
     regions = scenario.detection
     g_list, g_probs = _g_sampler(scenario, model)
     transmit = _channel_sampler(model)
-    cells = {h.g: h.cell for h in _detection_tables(model, regions, alpha)[1]}
+    detector = build_detector(model, regions, alpha)
+    cells = {h.g: h.cell for h in detector.hyps}
     tallies = {g: [0, 0] for g in g_list}
     for t in range(trials):
         rng = stream((master_seed, t, 2))
@@ -381,7 +380,7 @@ def run_detection_trials(scenario, trials: int, master_seed: int,
         x = np.empty((model.n_users, N), dtype=np.int64)
         for k in range(model.n_users):
             x[k] = sample_from_pmf(rng, model.input_pmf(k, g[k]), N)
-        cell, _ghat = detect_region(model, regions, alpha, transmit(rng, x))
+        cell, _ghat = detect_region(detector, transmit(rng, x))
         tallies[g][0] += 1
         tallies[g][1] += int(cell != cells[g])
     per_g = {}

@@ -16,14 +16,20 @@ LN2 = math.log(2.0)
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def load_workloads():
-    """The benchmark's workload module, ``perfbench/workloads.py``, read
-    only: it generates the derived scenarios."""
+def load_perfbench(name):
+    """A module of the benchmark, ``perfbench/<name>.py``, loaded read only
+    and without importing the benchmark as a package."""
     spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+        "perfbench_" + name, ROOT / "perfbench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_workloads():
+    """The benchmark's workload module, ``perfbench/workloads.py``: it
+    generates the derived scenarios."""
+    return load_perfbench("workloads")
 
 
 def bsc_table(p):

@@ -260,7 +260,7 @@ def test_criterion_6_decoder_matches_reference():
         a = WeightFunction(m, rng.uniform(0, 0.2, size=m.code_counts))
         tbl = build_thresholds(m, D, region, a, settings=THRESH)
         y = rng.integers(0, m.dmc.output_size, N)
-        mine = decode_subset(m, D, region, a, cb, y, tbl)
+        mine = decode_subset(tbl, cb, y)
         ref = reference_decode_subset(m, D, region, a, cb, y, tbl)
         if (mine.kind, mine.w1, mine.g1) != ref:
             mismatches += 1

@@ -7,6 +7,7 @@ import pytest
 from gepkit import (
     CodeSpec,
     SystemModel,
+    build_detector,
     build_thresholds,
     decode_margin,
     decode_receiver,
@@ -29,7 +30,6 @@ from gepkit.errors import (
 )
 from gepkit.exponents import (
     ExponentCache,
-    RegionPartition,
     WeightFunction,
     confusion_feasible,
     exponent_EiD,
@@ -401,7 +401,7 @@ class TestDecodeSubset:
         table = cb.tables[(0, 0)]
         assert not np.array_equal(table[0], table[1])  # distinct codewords
         y = cb.codeword(0, 0, 2)
-        out = decode_subset(m, [0], region, a, cb, y, tbl,
+        out = decode_subset(tbl, cb, y,
                             truth=((2,), (0,)))
         assert out.decoded and out.w1 == 2 and out.g1 == 0
 
@@ -414,7 +414,7 @@ class TestDecodeSubset:
         # an output sequence maximally atypical for the in-region state:
         # flip every symbol of codeword 1
         y = 1 - cb.codeword(0, 0, 1)
-        out = decode_subset(m, [0], region, a, cb, y, tbl)
+        out = decode_subset(tbl, cb, y)
         assert out.kind == "collision"
 
     def test_repeat_decode_is_identical(self):
@@ -424,8 +424,8 @@ class TestDecodeSubset:
         tbl = build_thresholds(m, [0], region, a)
         cb = sample_codebook(m, 10, 31)
         y = np.random.default_rng(2).integers(0, 2, 10)
-        first = decode_subset(m, [0], region, a, cb, y, tbl)
-        second = decode_subset(m, [0], region, a, cb, y, tbl)
+        first = decode_subset(tbl, cb, y)
+        second = decode_subset(tbl, cb, y)
         assert (first.kind, first.w1, first.g1, first.winner) == \
             (second.kind, second.w1, second.g1, second.winner)
 
@@ -438,7 +438,7 @@ class TestDecodeSubset:
                 m, rng.uniform(0, 0.2, size=m.code_counts))
             tbl = build_thresholds(m, D, region, a, settings=FAST)
             y = rng.integers(0, m.dmc.output_size, N)
-            mine = decode_subset(m, D, region, a, cb, y, tbl)
+            mine = decode_subset(tbl, cb, y)
             ref = reference_decode_subset(m, D, region, a, cb, y, tbl)
             assert (mine.kind, mine.w1, mine.g1) == ref
             agree += 1
@@ -451,7 +451,7 @@ class TestDecodeSubset:
             tbl = build_thresholds(m, D, region, a, settings=FAST)
             assert all(tbl.get(g, S).gstar is not None for g in region
                        for S in ({0, 1}, {1, 2}))
-            mine = decode_subset(m, D, region, a, cb, y, tbl)
+            mine = decode_subset(tbl, cb, y)
             ref = reference_decode_subset(m, D, region, a, cb, y, tbl)
             assert (mine.kind, mine.w1, mine.g1) == ref, seed
             kinds.add(mine.kind)
@@ -463,14 +463,13 @@ class TestDecodeReceiver:
         m = make_compound_bsc([0.05, 0.3], [0.5, 0.5], 0.2)
         a = zero(m)
         region = validate_region(m, [(0, 0)])
-        part = RegionPartition.build(m, {(0,): region}, region)
         tbl = {(0,): build_thresholds(m, (0,), region, a)}
         cb = sample_codebook(m, 8, 11)
         rng = np.random.default_rng(0)
         for _ in range(10):
             y = rng.integers(0, 2, 8)
-            a_out = decode_receiver(m, part, a, cb, y, tbl)
-            b_out = decode_subset(m, (0,), region, a, cb, y, tbl[(0,)])
+            a_out = decode_receiver(tbl, cb, y)
+            b_out = decode_subset(tbl[(0,)], cb, y)
             assert (a_out.kind, a_out.w1, a_out.g1) == \
                 (b_out.kind, b_out.w1, b_out.g1)
 
@@ -487,9 +486,6 @@ class TestDecodeReceiver:
             (CodeSpec(0.0, u), CodeSpec(0.0, u)),
             (CodeSpec(0.0, u), CodeSpec(0.0, u))))
         a = zero(m)
-        region = validate_region(m, [(0, 0), (1, 1)])
-        part = RegionPartition.build(
-            m, {(0,): [(0, 0)], (0, 1): [(1, 1)]}, region)
         tbl = {(0,): build_thresholds(m, (0,), [(0, 0)], a),
                (0, 1): build_thresholds(m, (0, 1), [(1, 1)], a)}
         cb = sample_codebook(m, 6, 40)
@@ -497,9 +493,9 @@ class TestDecodeReceiver:
         x0 = cb.codeword(0, 0, 1)
         x1 = cb.codeword(1, 0, 1)
         y = 2 * x0 + x1
-        sub0 = decode_subset(m, (0,), [(0, 0)], a, cb, y, tbl[(0,)])
-        sub01 = decode_subset(m, (0, 1), [(1, 1)], a, cb, y, tbl[(0, 1)])
-        out = decode_receiver(m, part, a, cb, y, tbl)
+        sub0 = decode_subset(tbl[(0,)], cb, y)
+        sub01 = decode_subset(tbl[(0, 1)], cb, y)
+        out = decode_receiver(tbl, cb, y)
         if sub0.decoded and sub01.kind == "collision":
             assert out.decoded
             assert (out.w1, out.g1) == (sub0.w1, sub0.g1)
@@ -514,11 +510,10 @@ class TestDecodeReceiver:
                         CodeSpec(0.0, np.array([0.5, 0.5]))),))
         a = zero(m)
         region = validate_region(m, [(0,), (1,)])
-        part = RegionPartition.build(m, {(0,): region}, region)
         tbl = {(0,): build_thresholds(m, (0,), region, a)}
         cb = sample_codebook(m, 6, 1)
         y = cb.codeword(0, 0, 1)
-        out = decode_subset(m, (0,), region, a, cb, y, tbl[(0,)])
+        out = decode_subset(tbl[(0,)], cb, y)
         if np.array_equal(cb.codeword(0, 1, 1), y):
             assert out.kind == "collision"  # identical scores tie
 
@@ -537,27 +532,35 @@ class TestDecodeMargin:
         rng = np.random.default_rng(2)
         for _ in range(20):
             y = rng.integers(0, 2, 8)
-            a_out = decode_margin(m, [0], region, complement, a, cb, y, tbl_m)
-            b_out = decode_subset(m, [0], region, a, cb, y, tbl_p)
+            a_out = decode_margin(tbl_m, cb, y)
+            b_out = decode_subset(tbl_p, cb, y)
             assert (a_out.kind, a_out.w1) == (b_out.kind, b_out.w1)
 
     def test_margin_reject_path(self, sec4_model):
+        # with every symbol of the winner fixed, the covering-subset check
+        # rejects iff the winner is likelier under the excluded vector
+        # (0, 3) than under (0, 0), alpha included.  Under alpha = 0 the
+        # decode thresholds only let through winners for which it is not;
+        # weighting the region state by alpha = 0.02 nats/symbol makes it so
         m = sec4_model
-        a = zero(m)
-        region = [(0, 0)]
-        margin = [(0, 1), (0, 2)]
-        tbl = build_thresholds(m, [0], region, a, margin=margin)
-        cb = sample_codebook(m, 16, 9)
-        # an output far from every codeword passes nothing; an output equal
-        # to a codeword passes; look for at least one margin rejection over
-        # random outputs (likelihood-ratio test vs the far state)
+        a = WeightFunction(m, {(0, 0): 0.02})
+        tbl = build_thresholds(m, [0], [(0, 0)], a, margin=[(0, 1), (0, 2)])
         rng = np.random.default_rng(4)
-        reasons = set()
-        for _ in range(200):
-            y = rng.integers(0, 2, 16)
-            out = decode_margin(m, [0], region, margin, a, cb, y, tbl)
-            reasons.add(out.diagnostics.get("reason"))
-        assert "margin_reject" in reasons or "no_winner" in reasons
+        rejected = 0
+        for seed in range(60):
+            cb = sample_codebook(m, 16, seed)
+            x = cb.codeword(0, 0, int(rng.integers(1, cb.counts[(0, 0)] + 1)))
+            y = np.where(rng.random(16) < 0.18, 1 - x, x)
+            out = decode_margin(tbl, cb, y)
+            if out.diagnostics.get("reason") != "margin_reject":
+                continue
+            rejected += 1
+            assert out.kind == "collision"
+            plain = decode_subset(tbl, cb, y)
+            assert plain.decoded
+            tau = out.diagnostics["margin_checks"][(0,)]
+            assert not plain.winner_wnll < tau
+        assert rejected >= 10
 
     def test_checks_match_a_fresh_gather_of_the_winner(self, sec4_model):
         # the margin check reuses decode_subset's rows and score of the
@@ -585,8 +588,8 @@ class TestDecodeMargin:
                 y = np.array([rng.choice(m.dmc.output_size,
                                          p=m.dmc.pmf[tuple(r[j] for r in x)])
                               for j in range(N)])
-                out = decode_margin(m, D, region, margin, a, cb, y, tbl)
-                plain = decode_subset(m, D, region, a, cb, y, tbl)
+                out = decode_margin(tbl, cb, y)
+                plain = decode_subset(tbl, cb, y)
                 if not plain.decoded:
                     continue
                 w_D, g_hat = plain.winner
@@ -608,12 +611,15 @@ class TestDecodeMargin:
 
     def test_overlap_rejected(self):
         m = make_compound_bsc([0.05, 0.3], [0.5, 0.5], 0.2)
-        a = zero(m)
-        tbl = build_thresholds(m, [0], [(0, 0)], a, margin=[(0, 1)])
-        cb = sample_codebook(m, 4, 1)
         with pytest.raises(OverlappingMargin):
-            decode_margin(m, [0], [(0, 0)], [(0, 0)], a, cb,
-                          np.zeros(4, dtype=int), tbl)
+            build_thresholds(m, [0], [(0, 0)], zero(m), margin=[(0, 0)])
+
+    def test_table_without_margin_refused(self):
+        m = make_compound_bsc([0.05, 0.3], [0.5, 0.5], 0.2)
+        tbl = build_thresholds(m, [0], [(0, 0)], zero(m))
+        cb = sample_codebook(m, 4, 1)
+        with pytest.raises(OverlappingMargin, match="without a margin"):
+            decode_margin(tbl, cb, np.zeros(4, dtype=int))
 
     def test_growing_margin_never_creates_wrong_decodes(self):
         # margin growth only moves the covering-subset veto (winner
@@ -634,8 +640,8 @@ class TestDecodeMargin:
             w = int(rng.integers(1, cb.counts[(0, 0)] + 1))
             x = cb.codeword(0, 0, w)
             y = np.where(rng.random(12) < 0.05, 1 - x, x)
-            o_s = decode_margin(m, [0], region, small, a, cb, y, tbl_s)
-            o_b = decode_margin(m, [0], region, big, a, cb, y, tbl_b)
+            o_s = decode_margin(tbl_s, cb, y)
+            o_b = decode_margin(tbl_b, cb, y)
             if o_s.decoded and o_b.decoded:
                 assert (o_s.w1, o_s.g1) == (o_b.w1, o_b.g1)
                 decoded_both += 1
@@ -645,18 +651,20 @@ class TestDecodeMargin:
 class TestDetectRegion:
     def test_single_region_always_chosen(self):
         m = make_compound_bsc([0.1, 0.4], [0.9, 0.1], 0.2)
-        cell, ghat = detect_region(m, [list(m.index_space())], zero(m),
-                                   np.array([0, 1, 0]))
+        detector = build_detector(m, [list(m.index_space())], zero(m))
+        cell, ghat = detect_region(detector, np.array([0, 1, 0]))
         assert cell == 0
 
     def test_alpha_shift_invariance_on_every_output(self):
         m = make_compound_bsc([0.1, 0.4], [0.9, 0.1], 0.2)
         a = WeightFunction(m, {(0, 0): 0.2})
         regions = [[(0, 0)], [(0, 1)]]
+        d0 = build_detector(m, regions, a)
+        d1 = build_detector(m, regions, a.shifted(0.3))
         for bits in itertools.product(range(2), repeat=6):
             y = np.array(bits)
-            c0, g0 = detect_region(m, regions, a, y)
-            c1, g1 = detect_region(m, regions, a.shifted(0.3), y)
+            c0, g0 = detect_region(d0, y)
+            c1, g1 = detect_region(d1, y)
             assert (c0, g0) == (c1, g1)
 
     def test_likelihood_selects_nearer_state(self):
@@ -664,13 +672,14 @@ class TestDetectRegion:
         m = make_compound_bsc([0.1, 0.4], [0.9, 0.1], 0.2)
         y = np.zeros(20, dtype=int)
         y[:3] = 1
-        cell, ghat = detect_region(m, [[(0, 0)], [(0, 1)]], zero(m), y)
+        detector = build_detector(m, [[(0, 0)], [(0, 1)]], zero(m))
+        cell, ghat = detect_region(detector, y)
         assert ghat == (0, 0) and cell == 0
 
     def test_partition_validated(self):
         m = make_compound_bsc([0.1, 0.4], [0.9, 0.1], 0.2)
         with pytest.raises(NotAPartition):
-            detect_region(m, [[(0, 0)]], zero(m), np.array([0]))
+            build_detector(m, [[(0, 0)]], zero(m))
 
 
 class TestDetectThenDecode:
@@ -678,31 +687,31 @@ class TestDetectThenDecode:
         m = make_compound_bsc([0.05, 0.3], [0.5, 0.5], 0.2)
         a = zero(m)
         region = validate_region(m, [(0, 0), (0, 1)])
-        part = RegionPartition.build(m, {(0,): region}, region)
         tbl = {(0,): build_thresholds(m, (0,), region, a)}
-        return m, a, region, part, tbl
+        return m, a, region, tbl
 
     def test_single_cell_equals_plain_receiver(self):
-        m, a, region, part, tbl = self._setup()
-        regions = [list(m.index_space())]
+        m, a, region, tbl = self._setup()
+        detector = build_detector(m, [list(m.index_space())], a)
         cb = sample_codebook(m, 8, 3)
         rng = np.random.default_rng(1)
         for _ in range(10):
             y = rng.integers(0, 2, 8)
-            d = decode_with_detection(m, regions, part, a, cb, y, tbl)
-            p = decode_receiver(m, part, a, cb, y, tbl)
+            d = decode_with_detection(detector, tbl, cb, y)
+            p = decode_receiver(tbl, cb, y)
             assert (d.kind, d.w1, d.g1) == (p.kind, p.w1, p.g1)
 
     def test_matches_unrestricted_when_winners_inside_cell(self):
-        m, a, region, part, tbl = self._setup()
+        m, a, region, tbl = self._setup()
         regions = [[(0, 0)], [(0, 1)]]
+        detector = build_detector(m, regions, a)
         cb = sample_codebook(m, 10, 5)
         rng = np.random.default_rng(9)
         checked = 0
         for _ in range(40):
             y = rng.integers(0, 2, 10)
-            d = decode_with_detection(m, regions, part, a, cb, y, tbl)
-            p = decode_receiver(m, part, a, cb, y, tbl)
+            d = decode_with_detection(detector, tbl, cb, y)
+            p = decode_receiver(tbl, cb, y)
             cell = regions[d.diagnostics["detected_region"]]
             if p.decoded and p.winner[1] in cell:
                 sub = p.diagnostics["per_D"][(0,)]
@@ -713,12 +722,12 @@ class TestDetectThenDecode:
         assert checked > 0
 
     def test_candidate_count_within_cell_budget(self):
-        m, a, region, part, tbl = self._setup()
+        m, a, region, tbl = self._setup()
         regions = [[(0, 0)], [(0, 1)]]
         cb = sample_codebook(m, 10, 5)
         budget = max(
             sum(cb.counts[(0, g[0])] for g in cell if g in region)
             for cell in regions)
         y = np.random.default_rng(0).integers(0, 2, 10)
-        d = decode_with_detection(m, regions, part, a, cb, y, tbl)
+        d = decode_with_detection(build_detector(m, regions, a), tbl, cb, y)
         assert d.diagnostics["candidates_evaluated"] <= budget

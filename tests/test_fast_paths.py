@@ -4,7 +4,7 @@
 per-letter threshold tables must reproduce the per-symbol formula they
 replaced byte for byte, and one ``simulate``, ``bound`` or ``exponents``
 must maximize every exponent at most once.  The comparison-count inverse
-CDF, the gathered candidate rows and the memoized region detector must
+CDF, the gathered candidate rows and the region detector built once must
 reproduce the bisection, the per-candidate loop and the per-g loop they
 replaced, kept here as references.  A threshold solve on a block of
 fixed-symbol rows must give, row by row, the per-row reference's bits.  The
@@ -38,6 +38,7 @@ from gepkit.cli import main
 from gepkit.decoder import (
     ThresholdParams,
     _enumerate_candidates,
+    build_detector,
     detect_region,
     typicality_threshold,
 )
@@ -502,8 +503,8 @@ class TestCandidateRows:
 # ---------------------------------------------------------------------------
 
 def reference_detect_region(model, regions, alpha, y):
-    """detect_region before the per-run memo: the partition is checked and
-    every log output marginal recomputed on each call."""
+    """detect_region without a detector: the partition is checked and every
+    log output marginal recomputed on each call."""
     cleaned = check_detection_partition(model, regions)
     y = np.asarray(y, dtype=np.int64)
     N = len(y)
@@ -525,10 +526,11 @@ class TestDetectRegion:
         model = make_compound_bsc([0.05, 0.3, 0.3, 0.45], [0.9, 0.1], 0.2)
         regions = [[(0, 0)], [(0, 1), (0, 3)], [(0, 2)]]
         a = WeightFunction.zero(model)
+        detector = build_detector(model, regions, a)
         cells = set()
         for bits in itertools.product(range(2), repeat=6):
             y = np.array(bits)
-            got = detect_region(model, regions, a, y)
+            got = detect_region(detector, y)
             assert got == reference_detect_region(model, regions, a, y)
             cells.add(got[0])
         assert 1 in cells and 2 not in cells
@@ -537,9 +539,12 @@ class TestDetectRegion:
         model = make_compound_bsc([0.05, 0.2, 0.35, 0.5], [0.7, 0.3], 0.2)
         alphas = [WeightFunction.zero(model),
                   WeightFunction(model, {(0, 0): 0.4, (0, 2): 0.05})]
-        # JSON-style lists and tuples: both spellings key the memo
+        # JSON-style lists and tuples: both spellings build a detector
         partitions = ([[[0, 0], [0, 1]], [[0, 2], [0, 3]]],
                       [[(0, 0)], [(0, 1), (0, 2)], [(0, 3)]])
+        detectors = {(i, j): build_detector(model, regions, a)
+                     for i, regions in enumerate(partitions)
+                     for j, a in enumerate(alphas)}
         rng = np.random.default_rng(8)
         differ = set()
         for _ in range(60):
@@ -547,7 +552,7 @@ class TestDetectRegion:
             results = {}
             for i, regions in enumerate(partitions):
                 for j, a in enumerate(alphas):
-                    got = detect_region(model, regions, a, y)
+                    got = detect_region(detectors[(i, j)], y)
                     assert got == reference_detect_region(model, regions, a,
                                                           y)
                     results[(i, j)] = got
@@ -560,12 +565,12 @@ class TestDetectRegion:
         a = WeightFunction.zero(model)
         for _ in range(3):
             with pytest.raises(NotAPartition):
-                detect_region(model, [[(0, 0)]], a, np.array([0, 1]))
-        assert detect_region(model, [[(0, 0)], [(0, 1)]], a,
-                             np.array([0, 0, 0]))[0] == 0
+                build_detector(model, [[(0, 0)]], a)
+        detector = build_detector(model, [[(0, 0)], [(0, 1)]], a)
+        assert detect_region(detector, np.array([0, 0, 0]))[0] == 0
         for _ in range(2):
             with pytest.raises(NotAPartition):
-                detect_region(model, [[(0, 0)]], a, np.array([0, 1]))
+                build_detector(model, [[(0, 0)]], a)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import importlib
+import inspect
 import itertools
 import math
 import weakref
@@ -38,6 +40,8 @@ from gepkit.montecarlo import (
     run_trials,
 )
 from gepkit.scenario import load_scenario
+
+from conftest import load_perfbench
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -255,6 +259,30 @@ class TestSetUpOncePerRun:
         assert few["check_detection_partition"] == 1
 
 
+class TestBenchmarkHooks:
+    """The benchmark's tracer wraps gepkit functions by name: its phases
+    must name functions gepkit defines, ``trials_per_s`` subtracts the
+    threshold build timed at ``decoder.build_thresholds`` from the time in
+    ``run_trials``, and the margin decoder is looked up at the name the
+    trial runner calls and bound by argument name."""
+
+    def test_tracer_phases_resolve(self):
+        tracer = load_perfbench("tracer")
+        assert tracer.PHASES
+        for key in tracer.PHASES:
+            layer, name = key.split(".")
+            module = importlib.import_module("gepkit." + layer)
+            fn = getattr(module, name, None)
+            assert inspect.isfunction(fn), key
+            assert fn.__module__ == module.__name__, key
+
+    def test_trial_runner_calls_the_traced_names(self):
+        assert gepkit.montecarlo.build_thresholds is \
+            gepkit.decoder.build_thresholds
+        params = inspect.signature(gepkit.montecarlo.decode_margin).parameters
+        assert {"codebooks", "y", "truth"} <= set(params)
+
+
 class TestEmpiricalGep:
     def test_all_errors_give_one(self):
         m = make_compound_bsc([0.5], [0.5, 0.5], 0.3)
@@ -306,8 +334,7 @@ class TestEmpiricalGep:
                     for y in words:
                         py = np.prod([marg_pmf[x[j], y[j]]
                                       for j in range(N)])
-                        out = decode_subset(m, [0], region, alpha, cb,
-                                            np.array(y), tbl)
+                        out = decode_subset(tbl, cb, np.array(y))
                         err = classify_error(RELAXED, region, frozenset(),
                                              (0, 0), (w,), out)
                         exact += p1 * p2 * 0.5 * py * err

@@ -168,6 +168,16 @@ class TestEntropyGate:
         assert main(["gate", "--scenario", str(p),
                      "--out", str(tmp_path)]) == 0
 
+    def test_gate_creates_no_output_directory(self, tmp_path):
+        sec4 = str(SCENARIOS / "bsc_compound_sec4.json")
+        assert main(["gate", "--scenario", sec4,
+                     "--out", str(tmp_path / "x")]) == 0
+        assert not (tmp_path / "x").exists()
+        # a subcommand that writes files still creates its directory
+        assert main(["exponents", "--scenario", sec4,
+                     "--out", str(tmp_path / "y")]) == 0
+        assert (tmp_path / "y" / "exponents.csv").is_file()
+
     def test_gate_needs_compound_channel(self, tmp_path):
         doc = {
             "channel": {"type": "table", "pmf": [[0.9, 0.1], [0.1, 0.9]]},

@@ -24,7 +24,8 @@ import numpy as np
 
 from .channel import SystemModel, marginalize_out, output_marginal
 from .ensemble import CodebookRealization, ensemble_log_expectation
-from .errors import DomainError, MissingCodebook, OverlappingMargin
+from .errors import (DomainError, MarginMissing, MissingCodebook,
+                     OverlappingMargin)
 from .exponents import (
     DEFAULT_SETTINGS,
     ExponentCache,
@@ -403,7 +404,7 @@ def decode_margin(thresholds: ThresholdTable, codebooks: CodebookRealization,
     tau*(g, S) (thresholds built with the excluded-vector search outside
     region union margin).  Anything else reports a collision."""
     if thresholds.margin is None:
-        raise OverlappingMargin(
+        raise MarginMissing(
             "thresholds were built without a margin; use build_thresholds("
             "..., margin=...)")
     out = decode_subset(thresholds, codebooks, y, truth=truth)

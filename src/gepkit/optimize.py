@@ -7,17 +7,20 @@ more stages can never decrease it, and doubling the base grid evaluates a
 superset of points (grids are nested: lo + (hi-lo)*i/n for i = 1..n).
 
 The polish stage exists because several contracts compare independently
-computed maxima at 1e-9; a pure grid search stops near 1e-6.
+computed maxima at 1e-9; a pure grid search stops near 1e-6.  It is Brent's
+bounded method, ported from scipy 1.17.1 and tested against it bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 EPS = 1e-6  # open-interval floor for (0, 1] parameters
+_SQRT_EPS = math.sqrt(2.2e-16)  # the Brent polish's constants, as in scipy
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
 
 
 @dataclass(frozen=True)
@@ -52,15 +55,66 @@ def _brent_max(f, lo: float, hi: float, x0: float, xatol: float):
     start point and both endpoints (never regresses)."""
     best_x, best_v = x0, f(x0)
     if hi - lo > 4 * xatol:
-        res = minimize_scalar(lambda x: -f(x), bounds=(lo, hi),
-                              method="bounded", options={"xatol": xatol})
-        if np.isfinite(res.fun) and -res.fun > best_v:
-            best_x, best_v = float(res.x), float(-res.fun)
+        x, v = _bounded_brent(f, lo, hi, xatol)
+        if np.isfinite(v) and v > best_v:
+            best_x, best_v = float(x), float(v)
     for x in (lo, hi):
         v = f(x)
         if v > best_v:
             best_x, best_v = x, v
     return best_x, best_v
+
+
+def _unit_step(r):  # np.sign(r) + (r == 0): nan for nan, else -1 or 1
+    return -1.0 if r < 0 else 1.0 if r >= 0 else math.nan
+
+
+def _bounded_brent(f, a, b, xatol):
+    """Brent's bounded minimization of -f on [a, b] by scipy 1.17.1's float
+    operations in their order, stopping after at most 500 evaluations as
+    scipy does by default; returns Brent's final point and f there."""
+    fulc = nfc = xf = a + _GOLDEN * (b - a)
+    rat = e = 0.0
+    fx = ffulc = fnfc = -f(xf)
+    num = 1
+    while True:
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= 500 or not abs(xf - xm) > tol2 - 0.5 * (b - a):
+            return xf, -fx
+        golden = True
+        if abs(e) > tol1:  # try a parabolic fit
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            p = -p if q > 0.0 else p
+            q = abs(q)
+            r, e = e, rat
+            if (abs(p) < abs(0.5 * q * r) and p > q * (a - xf)
+                    and p < q * (b - xf)):
+                golden = False
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 * _unit_step(xm - xf)
+        if golden:
+            e = a - xf if xf >= xm else b - xf
+            rat = _GOLDEN * e
+        m = abs(rat)  # np.maximum(|rat|, tol1): nan if either is nan
+        x = xf + _unit_step(rat) * (m if m >= tol1 or m != m else tol1)
+        fu = -f(x)
+        num += 1
+        if fu <= fx:
+            a, b = (xf, b) if x >= xf else (a, xf)
+            fulc, ffulc, nfc, fnfc, xf, fx = nfc, fnfc, xf, fx, x, fu
+        else:
+            a, b = (x, b) if x < xf else (a, x)
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc, nfc, fnfc = nfc, fnfc, x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
 
 
 def maximize_scalar(f, lo: float, hi: float,

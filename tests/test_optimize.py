@@ -21,8 +21,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from gepkit import optimize
-from gepkit.cli import decode_bound_reports, detection_bound_reports
-from gepkit.cli import scenario_bound
+from gepkit.cli import detection_bound_reports, scenario_bound
 from gepkit.exponents import ExponentCache
 from gepkit.optimize import (
     SearchSettings,
@@ -31,7 +30,7 @@ from gepkit.optimize import (
     maximize_rho_s,
     maximize_scalar,
 )
-from gepkit.scenario import load_scenario, parse_scenario
+from gepkit.scenario import parse_scenario
 
 from conftest import ROOT, load_workloads
 
@@ -186,12 +185,6 @@ class TestBrentPort:
                                      0.0)
 
 
-def _workload_scenario(name):
-    if name.endswith(".json"):
-        return load_scenario(ROOT / "scenarios" / name)
-    return parse_scenario(load_workloads().generate(name, ROOT))
-
-
 def _recorded_maximizations(scenario, monkeypatch):
     """Every (maximizer, objective, args, kwargs) that the scenario's bound
     and detection bound hand to the optimizer."""
@@ -205,7 +198,6 @@ def _recorded_maximizations(scenario, monkeypatch):
         monkeypatch.setattr(f"gepkit.exponents.{name}", record)
     cache = ExponentCache(scenario.model, scenario.alpha)
     scenario_bound(scenario, cache)
-    decode_bound_reports(scenario, cache)
     detection_bound_reports(scenario, cache)
     monkeypatch.undo()
     return calls
@@ -214,8 +206,9 @@ def _recorded_maximizations(scenario, monkeypatch):
 @pytest.mark.parametrize("name", ["sec4-detect", "mac2-partition"])
 def test_real_objectives_give_the_reference_search_results(name,
                                                            monkeypatch):
-    calls = _recorded_maximizations(_workload_scenario(name), monkeypatch)
-    kinds = {(n, "s_cap" in kw and kw["s_cap"] is not None)
+    scenario = parse_scenario(load_workloads().generate(name, ROOT))
+    calls = _recorded_maximizations(scenario, monkeypatch)
+    kinds = {(n, kw.get("s_cap") is not None)
              for n, _, _, kw in calls}
     # EmD (uncoupled), EiD (s <= 1 - rho) and Ec (scalar) all occur
     assert kinds == {("maximize_rho_s", False), ("maximize_rho_s", True),

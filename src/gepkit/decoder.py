@@ -429,22 +429,15 @@ def decode_margin(thresholds: ThresholdTable, codebooks: CodebookRealization,
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class _Hypothesis:
-    """One code index vector as the region detector scores it."""
-
-    g: tuple
-    log_out: np.ndarray      # log P(Y | g)
-    alpha: float             # alpha(g)
-    cell: int                # index of the detection cell holding g
-
-
-@dataclass(frozen=True)
 class RegionDetector:
     """A detection partition's validated cells and its hypotheses, one per
     code index vector in index_space() order, scored under one alpha."""
 
     cells: tuple             # frozenset of g per detection cell
-    hyps: tuple              # _Hypothesis per code index vector
+    gs: tuple                # code index vector of each hypothesis
+    log_out: np.ndarray      # (H, |Y|) log P(Y | g)
+    alpha: np.ndarray        # (H,) alpha(g)
+    cell: np.ndarray         # (H,) index of the detection cell holding g
 
 
 def build_detector(model: SystemModel, regions,
@@ -452,27 +445,39 @@ def build_detector(model: SystemModel, regions,
     """Validate the detection cells (:class:`NotAPartition` unless they
     partition the code-index space) and score every hypothesis once."""
     cells = tuple(check_detection_partition(model, regions))
-    hyps = []
-    for g in model.index_space():
-        with np.errstate(divide="ignore"):
-            lp = np.log(output_marginal(model, g))
-        cell = next(i for i, r in enumerate(cells) if g in r)
-        hyps.append(_Hypothesis(g, lp, alpha(g), cell))
-    return RegionDetector(cells, tuple(hyps))
+    gs = tuple(model.index_space())
+    with np.errstate(divide="ignore"):
+        log_out = np.array([np.log(output_marginal(model, g)) for g in gs])
+    return RegionDetector(
+        cells, gs, log_out, np.array([alpha(g) for g in gs]),
+        np.array([next(i for i, r in enumerate(cells) if g in r)
+                  for g in gs]))
+
+
+def _detection_scores(detector: RegionDetector, y: np.ndarray) -> np.ndarray:
+    """log P(y | g) - N alpha(g) per hypothesis g (axis 0) and output y."""
+    N = y.shape[-1]
+    return np.array([detector.log_out[h][y].sum(axis=-1) - N * a
+                     for h, a in enumerate(detector.alpha.tolist())])
 
 
 def detect_region(detector: RegionDetector, y):
     """Maximum weighted output-marginal likelihood estimate of the code
     index vector, and the index of the partition cell containing it.  Ties
-    break toward the lexicographically smallest vector."""
+    break toward the lexicographically smallest vector.  A block of m
+    outputs, y of shape (m, N), gives arrays of m cells and m vectors.
+    :class:`DomainError` when no vector gives an output a score above -inf.
+    """
     y = np.asarray(y, dtype=np.int64)
-    N = len(y)
-    best, best_score = None, -INF
-    for h in detector.hyps:
-        score = float(h.log_out[y].sum() - N * h.alpha)
-        if score > best_score:
-            best, best_score = h, score
-    return best.cell, best.g
+    scores = _detection_scores(detector, y)
+    best = scores.argmax(axis=0)
+    # one output gets a scalar test, much cheaper than an array's any()
+    if (scores[best] == -INF) if y.ndim == 1 else \
+            (scores.max(axis=0) == -INF).any():
+        raise DomainError("no code index vector can produce this output")
+    if y.ndim == 1:
+        return int(detector.cell[best]), detector.gs[best]
+    return detector.cell[best], np.array(detector.gs)[best]
 
 
 def decode_with_detection(detector: RegionDetector, thresholds_by_D: dict,

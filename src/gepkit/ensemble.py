@@ -59,16 +59,20 @@ def stream(master_seed, *path: int) -> np.random.Generator:
 
 
 def sample_from_pmf(rng: np.random.Generator, pmf: np.ndarray, shape):
-    """i.i.d. draws from a finite pmf by inverse CDF (bit-reproducible).
+    """i.i.d. draws from a finite pmf, one uniform each, by inverse CDF."""
+    return _inverse_cdf(pmf, rng.random(shape))
 
-    Each draw is the number of cumulative entries <= its uniform u, one
+
+def _inverse_cdf(pmf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Symbols of the finite pmf at uniforms ``u``, elementwise.
+
+    Each symbol is the number of cumulative entries <= its uniform u, one
     comparison per symbol.  The cumulative sums are nondecreasing and the
     last one is set to 1.0 > u, so that last entry needs no comparison and
     the count equals ``searchsorted(cum, u, side="right")``.
     """
     cum = np.cumsum(pmf)
     cum[-1] = 1.0
-    u = rng.random(shape)
     idx = (u >= cum[0]).astype(np.int64)
     for c in cum[1:-1]:
         idx += u >= c

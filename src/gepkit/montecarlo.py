@@ -4,7 +4,9 @@ Each trial draws a fresh codebook realization (ensemble-average semantics),
 a code index vector g, uniform messages, transmits through the channel and
 decodes with the scenario's decoder.  Per-trial randomness is derived
 deterministically from (master_seed, trial index, purpose), so runs
-reproduce bit for bit.  Trials run serially.
+reproduce bit for bit.  Trials run serially; region-detection trials draw
+from their streams one by one, then invert, transmit and detect a block of
+trials at once.
 
 The error estimator samples messages uniformly and averages, which lower
 bounds the worst-case-over-messages definition; for the random ensembles
@@ -31,6 +33,7 @@ from .decoder import (
     detect_region,
 )
 from .ensemble import (
+    _inverse_cdf,
     flatten_symbols,
     message_count,
     sample_codebook,
@@ -61,6 +64,10 @@ ERROR_MODELS = (RELAXED, STRICT, MARGIN)
 # this (uniform draws, candidate rows, likelihood gathers); the shipped
 # scenarios and benchmark workloads need under 1 MiB.
 CODEBOOK_BUDGET_BYTES = 256 * 2**20
+
+# Uniform-draw bytes a block of detection trials may hold, unless one trial's
+# draws alone take more; the block's inputs and outputs take no more.
+DETECT_BLOCK_BYTES = 64 * 2**10
 
 
 @dataclass(frozen=True)
@@ -134,16 +141,20 @@ def _draw_g(rng, g_list, g_probs):
 
 
 def _channel_sampler(model: SystemModel):
-    """transmit(rng, x) -> y for input symbols x of shape (n_users, N): one
-    uniform draw per output symbol, inverted through the flattened
-    per-joint-input cumulative output table."""
+    """transmit(x, u) -> y for input symbols x of shape (..., n_users, N)
+    and one uniform per output symbol, u of shape (..., N): each y is the
+    number of entries <= u of its joint input's cumulative output row, the
+    last of which is 1.0 > u and needs no comparison."""
     cum = np.cumsum(model.dmc.pmf.reshape(-1, model.dmc.output_size), axis=1)
     cum[:, -1] = 1.0
+    columns = np.ascontiguousarray(cum.T)
 
-    def transmit(rng, x):
+    def transmit(x, u):
         flat = flatten_symbols(model, range(model.n_users), x)
-        u = rng.random(x.shape[1])
-        return (cum[flat] <= u[:, None]).sum(axis=1).astype(np.int64)
+        y = (u >= columns[0][flat]).astype(np.int64)
+        for col in columns[1:-1]:
+            y += u >= col[flat]
+        return y
 
     return transmit
 
@@ -227,7 +238,7 @@ def run_trials(scenario, trials: int, master_seed: int, trace_path=None,
             x[k] = codebooks.codeword(k, g[k], w[k])
         for k in range(model.K, model.n_users):
             x[k] = sample_from_pmf(rng, model.input_pmf(k, g[k]), N)
-        outcome = run_decoder(codebooks, transmit(rng, x), (w, g))
+        outcome = run_decoder(codebooks, transmit(x, rng.random(N)), (w, g))
         err = classify_error(scenario.error_model, scenario.region,
                              scenario.margin, g, w, outcome)
         rec = TrialRecord(trial=t, g=g, w=w, kind=outcome.kind,
@@ -362,9 +373,16 @@ def run_detection_trials(scenario, trials: int, master_seed: int,
     bound; PASS iff every g's frequency is within 3 binomial sigmas of its
     bound.
 
+    Trial t draws g and then one (n_users + 1, N) block of uniforms from
+    its stream: row k < n_users is user k's input, the last row the
+    channel's.  Trials are inverted, transmitted and detected together, in
+    blocks of as many trials as ``DETECT_BLOCK_BYTES`` of uniforms hold.
+
     :func:`detection_bound` bounds Pr{err | g} * e^{-N alpha(g)}; the
     frequency is compared against min(1, that bound * e^{N alpha(g)}), a
     bound on Pr{err | g} itself."""
+    if trials < 1:
+        raise ShapeMismatch(f"need at least 1 trial, got {trials}")
     model: SystemModel = scenario.model
     N = scenario.N
     alpha = scenario.alpha
@@ -372,17 +390,28 @@ def run_detection_trials(scenario, trials: int, master_seed: int,
     g_list, g_probs = _g_sampler(scenario, model)
     transmit = _channel_sampler(model)
     detector = build_detector(model, regions, alpha)
-    cells = {h.g: h.cell for h in detector.hyps}
     tallies = {g: [0, 0] for g in g_list}
-    for t in range(trials):
-        rng = stream((master_seed, t, 2))
-        g = _draw_g(rng, g_list, g_probs)
-        x = np.empty((model.n_users, N), dtype=np.int64)
+    rows = model.n_users + 1
+    per_block = max(1, DETECT_BLOCK_BYTES // (8 * rows * N))
+    for start in range(0, trials, per_block):
+        u = np.empty((min(per_block, trials - start), rows, N))
+        gs = []
+        for i in range(len(u)):
+            rng = stream((master_seed, start + i, 2))
+            gs.append(_draw_g(rng, g_list, g_probs))
+            rng.random(out=u[i])
+        g_rows = np.array(gs, dtype=np.int64)
+        x = np.empty((len(u), model.n_users, N), dtype=np.int64)
         for k in range(model.n_users):
-            x[k] = sample_from_pmf(rng, model.input_pmf(k, g[k]), N)
-        cell, _ghat = detect_region(detector, transmit(rng, x))
-        tallies[g][0] += 1
-        tallies[g][1] += int(cell != cells[g])
+            for gk in range(model.code_counts[k]):
+                drew = g_rows[:, k] == gk
+                x[drew, k] = _inverse_cdf(model.input_pmf(k, gk), u[drew, k])
+        cells, _ghat = detect_region(detector, transmit(x, u[:, -1]))
+        truth = detector.cell[np.ravel_multi_index(g_rows.T,
+                                                   model.code_counts)]
+        for g, err in zip(gs, (cells != truth).tolist()):
+            tallies[g][0] += 1
+            tallies[g][1] += err
     per_g = {}
     ok = True
     cache = ExponentCache(model, alpha, settings)

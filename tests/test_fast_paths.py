@@ -37,6 +37,7 @@ from gepkit import (
 from gepkit.cli import main
 from gepkit.decoder import (
     ThresholdParams,
+    _detection_scores,
     _enumerate_candidates,
     build_detector,
     detect_region,
@@ -52,7 +53,7 @@ from gepkit.ensemble import (
     stream,
     subset_weights_log,
 )
-from gepkit.errors import NotAPartition
+from gepkit.errors import DomainError, NotAPartition
 from gepkit.exponents import (
     ExponentCache,
     WeightFunction,
@@ -64,6 +65,7 @@ from gepkit.exponents import (
     exponent_EiD,
     exponent_EmD,
 )
+from gepkit.montecarlo import _channel_sampler
 from gepkit.optimize import SearchSettings
 from gepkit.scenario import load_scenario, parse_scenario
 
@@ -423,6 +425,32 @@ class TestInverseCdf:
             assert rng_a.random() == rng_b.random()
 
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_channel_inversion_matches_bisection(self, seed):
+        """transmit on a block of inputs, with uniforms on, just below and
+        just above the cumulative output entries, gives each symbol's
+        bisection inverse of its joint input's output row."""
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, max_users=3, max_out=4)
+        cum = np.cumsum(model.dmc.pmf.reshape(-1, model.dmc.output_size),
+                        axis=1)
+        cum[:, -1] = 1.0
+        x = rng.integers(0, 2, (5, model.n_users, 40))
+        flat = flatten_symbols(model, range(model.n_users), x)
+        pool = np.concatenate([cum[flat], np.nextafter(cum[flat], 0.0),
+                               np.nextafter(cum[flat], 2.0)], axis=-1)
+        pick = rng.integers(0, pool.shape[-1], flat.shape)
+        u = np.minimum(np.take_along_axis(pool, pick[..., None], -1)[..., 0],
+                       np.nextafter(1.0, 0.0))
+        y = _channel_sampler(model)(x, u)
+        ref = [[np.searchsorted(cum[j], v, side="right")
+                for j, v in zip(fr, ur)] for fr, ur in zip(flat, u)]
+        assert y.dtype == np.int64
+        assert np.array_equal(y, np.array(ref))
+        one = _channel_sampler(model)(x[2], u[2])
+        assert np.array_equal(one, y[2])
+
+
 # ---------------------------------------------------------------------------
 # candidate rows
 # ---------------------------------------------------------------------------
@@ -559,6 +587,53 @@ class TestDetectRegion:
             differ |= {i for i in range(2)
                        if results[(i, 0)] != results[(i, 1)]}
         assert differ == {0, 1}, "alpha never changed a detection"
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_block_scores_are_the_one_output_scores(self, seed):
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, max_users=3, max_out=4)
+        space = list(model.index_space())
+        alpha = random_alpha(rng, model)
+        regions = [space[:1], space[1:]] if len(space) > 1 else [space]
+        detector = build_detector(model, regions, alpha)
+        N = int(rng.integers(1, 300))
+        ys = rng.integers(0, model.dmc.output_size, (17, N))
+        block = _detection_scores(detector, ys)
+        assert block.shape == (len(space), 17)
+        cells, gs = detect_region(detector, ys)
+        for i, y in enumerate(ys):
+            one = _detection_scores(detector, y)
+            assert _same(block[:, i], one)
+            ref = [float(np.log(output_marginal(model, g))[y].sum()
+                         - N * alpha(g)) for g in space]
+            assert _same(one, np.array(ref))
+            cell, g = detect_region(detector, y)
+            assert (cells[i], tuple(gs[i])) == (cell, g)
+            assert (cell, g) == reference_detect_region(model, regions,
+                                                        alpha, y)
+
+    def test_block_ties_go_to_the_first_vector(self):
+        model = make_compound_bsc([0.05, 0.3, 0.3, 0.45], [0.9, 0.1], 0.2)
+        regions = [[(0, 0)], [(0, 1), (0, 3)], [(0, 2)]]
+        detector = build_detector(model, regions, WeightFunction.zero(model))
+        ys = np.array(list(itertools.product(range(2), repeat=6)))
+        cells, gs = detect_region(detector, ys)
+        assert 2 not in cells.tolist() and 1 in cells.tolist()
+        assert [detect_region(detector, y) for y in ys] == \
+            list(zip(cells.tolist(), map(tuple, gs.tolist())))
+
+    def test_impossible_output_raises(self):
+        # both states always output 0, so y = (1, 1, 1) has no hypothesis
+        model = make_compound_bsc([0.0, 0.0], [1.0, 0.0], 0.2)
+        detector = build_detector(model, [[(0, 0)], [(0, 1)]],
+                                  WeightFunction.zero(model))
+        assert detect_region(detector, np.array([0, 0, 0])) == (0, (0, 0))
+        with pytest.raises(DomainError):
+            detect_region(detector, np.array([1, 1, 1]))
+        with pytest.raises(DomainError):
+            detect_region(detector, np.array([[0, 0, 0], [1, 1, 1]]))
+        cells, _ = detect_region(detector, np.zeros((2, 3), dtype=np.int64))
+        assert cells.tolist() == [0, 0]
 
     def test_invalid_partition_raises_on_every_call(self):
         model = make_compound_bsc([0.1, 0.4], [0.9, 0.1], 0.2)

@@ -21,27 +21,38 @@ from gepkit import (
     make_dmc,
 )
 from gepkit.decoder import DecodeOutcome
-from gepkit.errors import MismatchedParameters
+from gepkit.channel import output_marginal
+from gepkit.ensemble import flatten_symbols, stream
+from gepkit.errors import MismatchedParameters, ShapeMismatch
 from gepkit.exponents import (
     BoundReport,
+    ExponentCache,
     RegionPartition,
     WeightFunction,
+    check_detection_partition,
+    detection_bound,
     gep_bound_D,
+    is_vacuous,
     validate_region,
 )
 from gepkit.montecarlo import (
     MARGIN,
     RELAXED,
     STRICT,
+    DetectionResult,
+    _draw_g,
+    _g_sampler,
     classify_error,
     compare_bound,
     empirical_gep,
     run_detection_trials,
     run_trials,
 )
+from gepkit.optimize import DEFAULT_SETTINGS
 from gepkit.scenario import load_scenario
 
-from conftest import load_perfbench
+from conftest import (ROOT, load_perfbench, load_workloads, random_alpha,
+                      random_model)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -393,3 +404,241 @@ class TestCompareBound:
         est = empirical_gep(recs, scen.alpha, 12)
         bound = gep_bound_D(m, [0], [(0, 0)], scen.alpha, 12)
         assert compare_bound(est, bound).passed
+
+
+# ---------------------------------------------------------------------------
+# region-detection trials in blocks
+# ---------------------------------------------------------------------------
+
+def reference_detection_trials(scenario, trials, master_seed,
+                               settings=DEFAULT_SETTINGS):
+    """run_detection_trials as a loop over trials: each trial inverts its
+    users' inputs and the channel one uniform row at a time, and scores
+    every code index vector on its own output."""
+    model = scenario.model
+    N = scenario.N
+    alpha = scenario.alpha
+    regions = scenario.detection
+    g_list, g_probs = _g_sampler(scenario, model)
+    cum = np.cumsum(model.dmc.pmf.reshape(-1, model.dmc.output_size), axis=1)
+    cum[:, -1] = 1.0
+    cleaned = check_detection_partition(model, regions)
+    cell_of = {g: next(i for i, r in enumerate(cleaned) if g in r)
+               for g in model.index_space()}
+    hyps = []
+    for g in model.index_space():
+        with np.errstate(divide="ignore"):
+            hyps.append((g, np.log(output_marginal(model, g)), alpha(g)))
+    tallies = {g: [0, 0] for g in g_list}
+    for t in range(trials):
+        rng = stream((master_seed, t, 2))
+        g = _draw_g(rng, g_list, g_probs)
+        x = np.empty((model.n_users, N), dtype=np.int64)
+        for k in range(model.n_users):
+            cum_k = np.cumsum(model.input_pmf(k, g[k]))
+            cum_k[-1] = 1.0
+            x[k] = np.searchsorted(cum_k, rng.random(N), side="right")
+        flat = flatten_symbols(model, range(model.n_users), x)
+        u = rng.random(N)
+        y = (cum[flat] <= u[:, None]).sum(axis=1)
+        best, best_score = None, -math.inf
+        for h, lp, a in hyps:
+            score = float(lp[y].sum() - N * a)
+            if score > best_score:
+                best, best_score = h, score
+        tallies[g][0] += 1
+        tallies[g][1] += int(cell_of[best] != cell_of[g])
+    per_g = {}
+    ok = True
+    cache = ExponentCache(model, alpha, settings)
+    for g, (n, e) in tallies.items():
+        rep = detection_bound(model, g, regions, alpha, N, settings, cache)
+        bound = min(1.0, float(np.exp(rep.log_raw + N * alpha(g))))
+        per_g[g] = (n, e, bound, is_vacuous(bound))
+        if n == 0:
+            continue
+        p = e / n
+        sigma = float(np.sqrt(p * (1.0 - p) / n))
+        ok = ok and p <= bound + 3.0 * sigma
+    return DetectionResult(per_g=per_g, passed=ok)
+
+
+def _detect_scenario(model, N, detection, alpha=None, g_sampling="uniform"):
+    return SimpleNamespace(model=model, N=N, detection=detection,
+                           alpha=alpha or WeightFunction.zero(model),
+                           g_sampling=g_sampling, g_set=None)
+
+
+def _random_detect_scenario(seed):
+    """A random model with 1 or 2 regular users, an interferer, random
+    alpha > 0 and a random 2-cell detection partition."""
+    rng = np.random.default_rng(seed)
+    while True:
+        model = random_model(rng, max_users=3)
+        space = list(model.index_space())
+        if model.M > 0 and len(space) >= 2:
+            break
+    side = rng.permutation(len(space)) < rng.integers(1, len(space))
+    detection = [[g for g, s in zip(space, side) if s],
+                 [g for g, s in zip(space, side) if not s]]
+    return _detect_scenario(model, int(rng.integers(4, 12)), detection,
+                            random_alpha(rng, model, hi=0.2))
+
+
+def _block_bytes(scenario, per_block):
+    """DETECT_BLOCK_BYTES that makes blocks of ``per_block`` trials."""
+    return per_block * 8 * (scenario.model.n_users + 1) * scenario.N
+
+
+def _workload_detect_scenarios():
+    workloads = load_workloads()
+    out = {"detect_two_bsc": SCENARIOS / "detect_two_bsc.json"}
+    for name, spec in workloads.WORKLOADS.items():
+        out[name] = spec["detect_scenario"]
+    return out
+
+
+class TestDetectionBlocks:
+    """Blocked detection trials give the per-trial loop's result exactly,
+    whatever the block size, and hold at most DETECT_BLOCK_BYTES per
+    block array."""
+
+    @pytest.mark.parametrize("name", sorted(_workload_detect_scenarios()))
+    def test_shipped_and_workload_scenarios(self, name, tmp_path):
+        ref = _workload_detect_scenarios()[name]
+        path = ref if isinstance(ref, Path) else \
+            load_workloads().scenario_path(ref, ROOT, tmp_path)
+        scen = load_scenario(path)
+        assert scen.detection
+        assert run_detection_trials(scen, 700, 31) == \
+            reference_detection_trials(scen, 700, 31)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_models_with_interferers_and_alpha(self, seed):
+        scen = _random_detect_scenario(seed)
+        assert np.any(scen.alpha.array > 0)
+        got = run_detection_trials(scen, 150, seed)
+        assert got == reference_detection_trials(scen, 150, seed)
+
+    def test_alpha_prior_sampling(self):
+        m = make_compound_bsc([0.05, 0.2, 0.3], [0.6, 0.4], 0.2)
+        alpha = WeightFunction(m, {(0, 1): 0.05, (0, 2): 0.1})
+        scen = _detect_scenario(m, 10, [[(0, 0)], [(0, 1), (0, 2)]], alpha,
+                                g_sampling="alpha_prior")
+        got = run_detection_trials(scen, 300, 5)
+        assert got == reference_detection_trials(scen, 300, 5)
+        assert len({n for n, *_ in got.per_g.values()}) == 3
+
+    @pytest.mark.parametrize("per_block", [1, 7, None])
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_block_sizes(self, monkeypatch, per_block, seed):
+        scen = _random_detect_scenario(seed)
+        trials = 45
+        monkeypatch.setattr(gepkit.montecarlo, "DETECT_BLOCK_BYTES",
+                            _block_bytes(scen, per_block or trials))
+        sizes = []
+        original = gepkit.montecarlo.detect_region
+
+        def spied(detector, y):
+            sizes.append(len(y))
+            return original(detector, y)
+
+        monkeypatch.setattr(gepkit.montecarlo, "detect_region", spied)
+        got = run_detection_trials(scen, trials, seed)
+        assert sizes == ([per_block] * (trials // per_block)
+                         + [trials % per_block] * (trials % per_block > 0)
+                         if per_block else [trials])
+        assert got == reference_detection_trials(scen, trials, seed)
+
+    def test_draws_are_the_successive_row_draws(self):
+        m = make_compound_bsc([0.05, 0.2, 0.3], [0.6, 0.4], 0.2)
+        scen = _detect_scenario(m, 13, [[(0, 0)], [(0, 1), (0, 2)]],
+                                WeightFunction(m, {(0, 2): 0.1}))
+        for rule in ("uniform", "alpha_prior"):
+            scen.g_sampling = rule
+            g_list, g_probs = _g_sampler(scen, m)
+            for t in range(20):
+                a, b, c = (stream((4, t, 2)) for _ in range(3))
+                assert isinstance(a.bit_generator, np.random.Philox)
+                g = _draw_g(a, g_list, g_probs)
+                assert _draw_g(b, g_list, g_probs) == g
+                assert _draw_g(c, g_list, g_probs) == g
+                block = a.random((m.n_users + 1, scen.N))
+                rows = np.array([b.random(scen.N)
+                                 for _ in range(m.n_users + 1)])
+                into = np.empty_like(block)
+                c.random(out=into)
+                assert block.tobytes() == rows.tobytes() == into.tobytes()
+                assert a.random() == b.random() == c.random()
+
+    def test_one_stream_per_trial_in_order(self, monkeypatch):
+        scen = _random_detect_scenario(2)
+        monkeypatch.setattr(gepkit.montecarlo, "DETECT_BLOCK_BYTES",
+                            _block_bytes(scen, 4))
+        keys = []
+        original = gepkit.montecarlo.stream
+
+        def spied(*args):
+            keys.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(gepkit.montecarlo, "stream", spied)
+        run_detection_trials(scen, 11, 8)
+        assert keys == [((8, t, 2),) for t in range(11)]
+
+    def test_zero_trials_refused(self):
+        scen = _random_detect_scenario(0)
+        for trials in (0, -3):
+            with pytest.raises(ShapeMismatch):
+                run_detection_trials(scen, trials, 1)
+
+    @pytest.mark.parametrize("N", [None, 20000])
+    def test_block_arrays_stay_within_budget(self, monkeypatch, N):
+        # N = None: one trial's uniforms fill the budget, so each block holds
+        # one trial and every block array fits the budget; at N = 20000 one
+        # trial alone takes more, and a block holds just that trial
+        scen = load_scenario(SCENARIOS / "detect_two_bsc.json")
+        rows = scen.model.n_users + 1
+        budget = gepkit.montecarlo.DETECT_BLOCK_BYTES
+        scen.N = N or budget // (8 * rows)
+        limit = max(budget, 8 * rows * scen.N)
+        seen = []
+
+        def watch(*arrays):
+            for a in arrays:
+                seen.append(a.nbytes)
+                if a.base is not None:
+                    seen.append(a.base.nbytes)
+
+        inverse_cdf = gepkit.montecarlo._inverse_cdf
+        channel_sampler = gepkit.montecarlo._channel_sampler
+        detect = gepkit.montecarlo.detect_region
+
+        def spied_inverse_cdf(pmf, u):
+            out = inverse_cdf(pmf, u)
+            watch(u, out)
+            return out
+
+        def spied_channel_sampler(model):
+            transmit = channel_sampler(model)
+
+            def spied_transmit(x, u):
+                y = transmit(x, u)
+                watch(x, u, y)
+                return y
+
+            return spied_transmit
+
+        def spied_detect(detector, y):
+            watch(y)
+            return detect(detector, y)
+
+        monkeypatch.setattr(gepkit.montecarlo, "_inverse_cdf",
+                            spied_inverse_cdf)
+        monkeypatch.setattr(gepkit.montecarlo, "_channel_sampler",
+                            spied_channel_sampler)
+        monkeypatch.setattr(gepkit.montecarlo, "detect_region", spied_detect)
+        result = run_detection_trials(scen, 300, 2)
+        assert sum(n for n, *_ in result.per_g.values()) == 300
+        assert seen and max(seen) <= limit
+        assert (limit == budget) == (N is None)

@@ -534,8 +534,9 @@ class TestDetectionBlocks:
     def test_block_sizes(self, monkeypatch, per_block, seed):
         scen = _random_detect_scenario(seed)
         trials = 45
+        per_block = per_block or trials
         monkeypatch.setattr(gepkit.montecarlo, "DETECT_BLOCK_BYTES",
-                            _block_bytes(scen, per_block or trials))
+                            _block_bytes(scen, per_block))
         sizes = []
         original = gepkit.montecarlo.detect_region
 
@@ -545,9 +546,8 @@ class TestDetectionBlocks:
 
         monkeypatch.setattr(gepkit.montecarlo, "detect_region", spied)
         got = run_detection_trials(scen, trials, seed)
-        assert sizes == ([per_block] * (trials // per_block)
-                         + [trials % per_block] * (trials % per_block > 0)
-                         if per_block else [trials])
+        assert sizes == [min(per_block, trials - start)
+                         for start in range(0, trials, per_block)]
         assert got == reference_detection_trials(scen, trials, seed)
 
     def test_draws_are_the_successive_row_draws(self):

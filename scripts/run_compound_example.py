@@ -14,7 +14,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from gepkit.cli import entropy_gate  # noqa: E402
-from gepkit.exponents import ExponentCache, gep_bound_margin  # noqa: E402
+from gepkit.exponents import ExponentCache, gep_bound_D  # noqa: E402
 from gepkit.montecarlo import compare_bound, empirical_gep, run_trials  # noqa: E402
 from gepkit.scenario import load_scenario  # noqa: E402
 
@@ -39,9 +39,9 @@ def main():
     print(f"  rate = {rate_bits:.6f} bits/symbol; "
           f"entropy gate: {'PASS' if gate_ok else 'FAIL'}")
 
-    cache = ExponentCache(scen.model, scen.alpha)
-    bound = gep_bound_margin(scen.model, [0], scen.region, scen.margin,
-                             scen.alpha, scen.N, cache=cache)
+    cache = ExponentCache()
+    bound = gep_bound_D(scen.model, [0], scen.region, scen.alpha, scen.N,
+                        margin=scen.margin, cache=cache)
     print(f"\n== margin bound at N={scen.N} ==")
     print(f"  raw sum {bound.raw:.6f} -> value {bound.value:.6f}"
           f"{' (vacuous)' if bound.vacuous else ''}")

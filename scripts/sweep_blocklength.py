@@ -33,7 +33,7 @@ def main():
     args = ap.parse_args()
 
     base = load_scenario(args.scenario)
-    cache = ExponentCache(base.model, base.alpha)
+    cache = ExponentCache()
     rows = []
     for N in args.blocklengths:
         doc = emit(base)

@@ -43,7 +43,6 @@ from .exponents import (
     exponent_EiD,
     exponent_EmD,
     gep_bound_D,
-    gep_bound_margin,
     gep_bound_partitioned,
     validate_region,
 )

@@ -27,7 +27,6 @@ from .exponents import (
     ExponentCache,
     detection_bound,
     gep_bound_D,
-    gep_bound_margin,
     gep_bound_partitioned,
     summed_report,
 )
@@ -54,7 +53,7 @@ def _join(ids) -> str:
 
 def decode_bound_reports(scenario: Scenario, cache=None):
     """Per-D decoder bounds for the scenario's own partition."""
-    cache = cache or ExponentCache(scenario.model, scenario.alpha)
+    cache = cache or ExponentCache()
     return {D: gep_bound_D(scenario.model, D, reg, scenario.alpha,
                            scenario.N, cache=cache)
             for D, reg in scenario.partition.items()}
@@ -66,9 +65,8 @@ def margin_bound_report(scenario: Scenario, cache=None):
     if not (scenario.margin or scenario.decoder == "margin"):
         return None
     D = tuple(range(scenario.model.K))
-    return gep_bound_margin(scenario.model, D, scenario.region,
-                            scenario.margin, scenario.alpha, scenario.N,
-                            cache=cache)
+    return gep_bound_D(scenario.model, D, scenario.region, scenario.alpha,
+                       scenario.N, margin=scenario.margin, cache=cache)
 
 
 def detection_bound_reports(scenario: Scenario, cache=None):
@@ -82,7 +80,7 @@ def scenario_bound(scenario: Scenario, cache=None):
     """The analytic bound matching the scenario's decoder variant: summed
     per-D decoder bounds (plain), the margin bound (margin), or decode plus
     weighted detection (detect-then-decode).  Returns a BoundReport."""
-    cache = cache or ExponentCache(scenario.model, scenario.alpha)
+    cache = cache or ExponentCache()
     if scenario.decoder == "margin":
         return margin_bound_report(scenario, cache)
     reports = decode_bound_reports(scenario, cache)
@@ -110,7 +108,7 @@ def _report_dict(report) -> dict:
 # ---------------------------------------------------------------------------
 
 def cmd_exponents(scenario: Scenario, out: Path, args) -> int:
-    cache = ExponentCache(scenario.model, scenario.alpha)
+    cache = ExponentCache()
     rows = [("decode", D, t)
             for D, rep in decode_bound_reports(scenario, cache).items()
             for t in rep.terms]
@@ -140,7 +138,7 @@ def cmd_exponents(scenario: Scenario, out: Path, args) -> int:
 
 
 def cmd_bound(scenario: Scenario, out: Path, args) -> int:
-    cache = ExponentCache(scenario.model, scenario.alpha)
+    cache = ExponentCache()
     payload: dict = {"N": scenario.N}
     payload["decode"] = _report_dict(scenario_bound(scenario, cache)) \
         if scenario.decoder != "margin" else None
@@ -168,7 +166,7 @@ def cmd_bound(scenario: Scenario, out: Path, args) -> int:
 
 def cmd_simulate(scenario: Scenario, out: Path, args) -> int:
     # one cache: the verdict bound reuses the threshold build's exponents
-    cache = ExponentCache(scenario.model, scenario.alpha)
+    cache = ExponentCache()
     records = montecarlo.run_trials(scenario, scenario.trials, scenario.seed,
                                     cache=cache)
     estimate = montecarlo.empirical_gep(records, scenario.alpha, scenario.N)

@@ -24,18 +24,13 @@ import numpy as np
 
 from .channel import SystemModel, marginalize_out, output_marginal
 from .ensemble import CodebookRealization, ensemble_log_expectation
-from .errors import (DomainError, MarginMissing, MissingCodebook,
-                     OverlappingMargin)
+from .errors import DomainError, MarginMissing, MissingCodebook
 from .exponents import (
-    DEFAULT_SETTINGS,
     ExponentCache,
-    SearchSettings,
     WeightFunction,
-    _cache_for,
-    _decoded_subset,
+    _decoder_regions,
     check_detection_partition,
     proper_subsets,
-    validate_region,
 )
 
 INF = float("inf")
@@ -135,22 +130,17 @@ class ThresholdTable:
 
 def build_thresholds(model: SystemModel, D, region, alpha: WeightFunction,
                      margin=None,
-                     settings: SearchSettings = DEFAULT_SETTINGS,
                      cache: ExponentCache | None = None) -> ThresholdTable:
     """Select (rho_t, s2, s1, gstar) for every (in-region g, subset S).
 
     ``margin=None`` builds the plain decoder of the union-bound analysis;
     passing a (possibly empty) margin region additionally equips the
     subsets S covering D, whose excluded-vector search ranges outside
-    region union margin.
+    region union margin.  Exponents are looked up in ``cache``, a fresh
+    :class:`ExponentCache` when None.
     """
-    D = _decoded_subset(D)
-    region = validate_region(model, region)
-    if margin is not None:
-        margin = validate_region(model, margin)
-        if region & margin:
-            raise OverlappingMargin("operation region and margin intersect")
-    cache = _cache_for(model, alpha, settings, cache)
+    D, region, margin = _decoder_regions(model, D, region, margin)
+    cache = cache or ExponentCache()
     subsets_decode = tuple(S for S in proper_subsets(model.n_users)
                            if set(D) - S)
     subsets_margin = tuple(S for S in proper_subsets(model.n_users)
@@ -160,7 +150,7 @@ def build_thresholds(model: SystemModel, D, region, alpha: WeightFunction,
     params = {}
     for g in sorted(region):
         for S, excluded, allow_empty in searches:
-            best = cache.best_excluded(D, S, g, excluded,
+            best = cache.best_excluded(model, D, S, g, excluded, alpha,
                                        allow_empty_difference=allow_empty)
             params[(g, S)] = UNCONSTRAINED if best is None \
                 else params_from_exponent(*best)

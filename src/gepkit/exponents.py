@@ -33,7 +33,6 @@ from .ensemble import (
 from .errors import (
     DomainError,
     EmptyDifferenceSet,
-    MismatchedParameters,
     NotAPartition,
     OverlappingMargin,
     ShapeMismatch,
@@ -328,74 +327,54 @@ def exponent_Ec(model: SystemModel, g, g_tilde, alpha: WeightFunction,
 
 
 class ExponentCache:
-    """Memoizes exponent maximizations for one (model, alpha, settings),
-    keyed by what each objective computes (:func:`_keyed`): codes enter an
-    objective only through their rates and input pmfs, so distinct
-    (D, S, g, g') often share one maximization.  Every lookup builds its
-    objective, so its arguments are checked each time.
+    """Memoizes exponent maximizations under one set of search settings,
+    keyed by what each objective computes (:func:`_keyed`).  A model and
+    alpha enter an objective only through its tables, and no exponent
+    depends on N, so one cache serves any model, alpha and blocklength
+    without changing a result; codes enter only through their rates and
+    input pmfs, so distinct (D, S, g, g') often share one maximization.
+    Every lookup builds its objective, so its arguments are checked each
+    time."""
 
-    Exponents do not depend on N, so one cache serves every blocklength
-    and every model parsed from the same scenario; the bound and threshold
-    builders refuse a cache built for another alpha or other search
-    settings (:func:`_cache_for`)."""
-
-    def __init__(self, model: SystemModel, alpha: WeightFunction,
-                 settings: SearchSettings = DEFAULT_SETTINGS):
-        self.model = model
-        self.alpha = alpha
+    def __init__(self, settings: SearchSettings = DEFAULT_SETTINGS):
         self.settings = settings
         self._memo: dict = {}  # content key -> ExponentResult
 
     def _lookup(self, build, maximize, *args, **kwargs) -> ExponentResult:
-        key = build(self.model, *args, self.alpha, **kwargs).key
+        key = build(*args, **kwargs).key
         if key not in self._memo:
-            self._memo[key] = maximize(self.model, *args, self.alpha,
-                                       self.settings, **kwargs)
+            self._memo[key] = maximize(*args, self.settings, **kwargs)
         return self._memo[key]
 
-    def emd(self, D, S, g, gt) -> ExponentResult:
-        _check_DS(self.model, D, S)  # EmptyDifferenceSet on D\S == empty
-        return self._lookup(emd_objective, exponent_EmD, D, S, g, gt)
+    def emd(self, model, D, S, g, gt, alpha) -> ExponentResult:
+        _check_DS(model, D, S)  # EmptyDifferenceSet on D\S == empty
+        return self._lookup(emd_objective, exponent_EmD, model, D, S, g, gt,
+                            alpha)
 
-    def eid(self, D, S, g, gp, allow_empty_difference=False) -> ExponentResult:
-        return self._lookup(eid_objective, exponent_EiD, D, S, g, gp,
+    def eid(self, model, D, S, g, gp, alpha,
+            allow_empty_difference=False) -> ExponentResult:
+        return self._lookup(eid_objective, exponent_EiD, model, D, S, g, gp,
+                            alpha,
                             allow_empty_difference=allow_empty_difference)
 
-    def ec(self, g, gt) -> ExponentResult:
-        return self._lookup(ec_objective, exponent_Ec, g, gt)
+    def ec(self, model, g, gt, alpha) -> ExponentResult:
+        return self._lookup(ec_objective, exponent_Ec, model, g, gt, alpha)
 
-    def best_excluded(self, D, S, g, excluded_from,
+    def best_excluded(self, model, D, S, g, excluded_from, alpha,
                       allow_empty_difference=False):
         """Excluded vector g' minimizing the false-acceptance exponent among
         {g' not in excluded_from, g'_S = g_S}; None when the set is empty.
         Ties break lexicographically for determinism."""
         gs = sub(g, S)
         best = None
-        for gp in self.model.index_space():
+        for gp in model.index_space():
             if gp in excluded_from or sub(gp, S) != gs:
                 continue
-            res = self.eid(D, S, g, gp,
+            res = self.eid(model, D, S, g, gp, alpha,
                            allow_empty_difference=allow_empty_difference)
             if best is None or res.value < best[1].value:
                 best = (gp, res)
         return best
-
-
-def _cache_for(model: SystemModel, alpha: WeightFunction,
-               settings: SearchSettings = DEFAULT_SETTINGS,
-               cache: ExponentCache | None = None) -> ExponentCache:
-    """``cache`` after checking it memoizes exponents under ``alpha`` and
-    ``settings``, or a fresh cache when it is None; MismatchedParameters
-    otherwise."""
-    if cache is None:
-        return ExponentCache(model, alpha, settings)
-    if cache.alpha.key() != alpha.key():
-        raise MismatchedParameters(
-            "exponent cache was built for a different alpha")
-    if cache.settings != settings:
-        raise MismatchedParameters(
-            "exponent cache was built with different search settings")
-    return cache
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +479,7 @@ def confusion_feasible(model: SystemModel, N: int, D, S, g, gt) -> bool:
     return True
 
 
-def _subset_terms(model, D, S, region, excluded, N, cache):
+def _subset_terms(model, D, S, region, excluded, alpha, N, cache):
     """Union-bound terms of one subset S: per in-region g a threshold-miss
     term (the false-acceptance exponent of the worst vector outside
     ``excluded``), followed, when D\\S is nonempty, by message-confusion
@@ -511,7 +490,7 @@ def _subset_terms(model, D, S, region, excluded, N, cache):
     region_sorted = sorted(region)
     terms, miss = [], {}
     for g in region_sorted:
-        best = cache.best_excluded(D, S, g, excluded,
+        best = cache.best_excluded(model, D, S, g, excluded, alpha,
                                    allow_empty_difference=not confusable)
         if best is not None:
             miss[g] = best
@@ -522,7 +501,7 @@ def _subset_terms(model, D, S, region, excluded, N, cache):
             if sub(gt, S) == sub(g, S) and \
                     confusion_feasible(model, N, D, S, g, gt):
                 terms.append(_term("confusion", S, g, gt,
-                                   cache.emd(D, S, g, gt), N))
+                                   cache.emd(model, D, S, g, gt, alpha), N))
     for gt in model.index_space():
         if gt in excluded:
             continue
@@ -532,35 +511,50 @@ def _subset_terms(model, D, S, region, excluded, N, cache):
     return terms
 
 
-def _decode_terms(model, D, region, N, cache, margin=None):
-    """Union-bound terms of the (D, R_D)-decoder: every proper subset S with
-    D\\S nonempty, excluded vectors ranging outside the region.  A margin
-    (possibly empty) adds every proper subset S covering D, excluded
-    vectors ranging outside region union margin."""
-    subsets = list(proper_subsets(model.n_users))
-    terms = [t for S in subsets if set(D) - S
-             for t in _subset_terms(model, D, S, region, region, N, cache)]
+def _decoder_regions(model: SystemModel, D, region, margin=None):
+    """(D, region, margin) of a (D, R_D[, margin])-decoder, validated: D
+    contains user 0, region and margin (None: no margin) are valid and, by
+    :class:`OverlappingMargin`, disjoint."""
+    D = _decoded_subset(D)
+    region = validate_region(model, region)
     if margin is not None:
-        terms += [t for S in subsets if not set(D) - S
-                  for t in _subset_terms(model, D, S, region, region | margin,
-                                         N, cache)]
-    return terms
+        margin = validate_region(model, margin)
+        if region & margin:
+            raise OverlappingMargin("operation region and margin intersect")
+    return D, region, margin
 
 
 def gep_bound_D(model: SystemModel, D, region, alpha: WeightFunction, N: int,
-                settings: SearchSettings = DEFAULT_SETTINGS,
-                cache: ExponentCache | None = None) -> BoundReport:
-    """Achievable weighted-error bound for a single (D, R_D)-decoder."""
-    D = _decoded_subset(D)
-    region = validate_region(model, region)
-    cache = _cache_for(model, alpha, settings, cache)
-    terms = _decode_terms(model, D, region, N, cache)
+                margin=None, cache: ExponentCache | None = None
+                ) -> BoundReport:
+    """Achievable weighted-error bound for a single (D, R_D)-decoder: the
+    terms of every proper subset S with D\\S nonempty, excluded vectors
+    ranging outside the region.
+
+    A (possibly empty) ``margin`` bounds the margin decoder instead: every
+    proper subset S covering D adds threshold-miss terms for in-region
+    vectors and false-acceptance terms for vectors outside region and
+    margin, all with the excluded-vector search ranging outside region
+    union margin.  Margin vectors themselves are charged no
+    collision-failure term.
+
+    Exponents are looked up in ``cache``, a fresh :class:`ExponentCache`
+    when None."""
+    D, region, margin = _decoder_regions(model, D, region, margin)
+    cache = cache or ExponentCache()
+    subsets = list(proper_subsets(model.n_users))
+    terms = [t for S in subsets if set(D) - S
+             for t in _subset_terms(model, D, S, region, region, alpha, N,
+                                    cache)]
+    if margin is not None:
+        terms += [t for S in subsets if not set(D) - S
+                  for t in _subset_terms(model, D, S, region, region | margin,
+                                         alpha, N, cache)]
     return bound_report(terms, N, alpha, alpha.log_total(N))
 
 
 def gep_bound_partitioned(model: SystemModel, region, alpha: WeightFunction,
                           N: int, partition_cap: int = 4096,
-                          settings: SearchSettings = DEFAULT_SETTINGS,
                           cache: ExponentCache | None = None):
     """Receiver-level bound: minimum over assignments of region vectors to
     decoded subsets D (all containing user 0) of the per-D bound sum.
@@ -570,7 +564,7 @@ def gep_bound_partitioned(model: SystemModel, region, alpha: WeightFunction,
     report is flagged heuristic.
     """
     region = validate_region(model, region)
-    cache = _cache_for(model, alpha, settings, cache)
+    cache = cache or ExponentCache()
     others = list(range(1, model.K))
     subsets = sorted(tuple(sorted({0, *combo}))
                      for r in range(len(others) + 1)
@@ -588,7 +582,7 @@ def gep_bound_partitioned(model: SystemModel, region, alpha: WeightFunction,
         mapping = {}
         for g, D in zip(members, assign):
             mapping.setdefault(D, []).append(g)
-        reports = {D: gep_bound_D(model, D, regs, alpha, N, settings, cache)
+        reports = {D: gep_bound_D(model, D, regs, alpha, N, cache=cache)
                    for D, regs in mapping.items()}
         raw = sum(r.raw for r in reports.values())
         if best is None or raw < best[0]:
@@ -603,25 +597,6 @@ def gep_bound_partitioned(model: SystemModel, region, alpha: WeightFunction,
     return summed_report(reports, N, alpha, heuristic=heuristic), part
 
 
-def gep_bound_margin(model: SystemModel, D, region, margin,
-                     alpha: WeightFunction, N: int,
-                     settings: SearchSettings = DEFAULT_SETTINGS,
-                     cache: ExponentCache | None = None) -> BoundReport:
-    """Bound for the margin decoder: the plain (D, R_D) terms plus, for every
-    proper subset S covering D, threshold-miss terms for in-region vectors
-    and false-acceptance terms for vectors outside region and margin, all
-    with the excluded-vector search ranging outside region union margin.
-    Margin vectors themselves are charged no collision-failure term."""
-    D = _decoded_subset(D)
-    region = validate_region(model, region)
-    margin = validate_region(model, margin)
-    if region & margin:
-        raise OverlappingMargin("operation region and margin intersect")
-    cache = _cache_for(model, alpha, settings, cache)
-    terms = _decode_terms(model, D, region, N, cache, margin=margin)
-    return bound_report(terms, N, alpha, alpha.log_total(N))
-
-
 def check_detection_partition(model: SystemModel, regions):
     """Validate that regions cover the code-index space disjointly."""
     cleaned = [validate_region(model, r) for r in regions]
@@ -634,10 +609,11 @@ def check_detection_partition(model: SystemModel, regions):
 
 
 def detection_bound(model: SystemModel, g, regions, alpha: WeightFunction,
-                    N: int, settings: SearchSettings = DEFAULT_SETTINGS,
-                    cache: ExponentCache | None = None) -> BoundReport:
+                    N: int, cache: ExponentCache | None = None
+                    ) -> BoundReport:
     """Bound on the weighted region-detection error for true vector g:
-    the sum over hypotheses outside g's cell of e^{-N E_c}.
+    the sum over hypotheses outside g's cell of e^{-N E_c}, with E_c looked
+    up in ``cache`` (a fresh :class:`ExponentCache` when None).
 
     The raw sum bounds Pr{detected cell wrong | g} * e^{-N alpha(g)}; it is
     reported clamped as a probability only when alpha(g) = 0, and flagged
@@ -648,7 +624,7 @@ def detection_bound(model: SystemModel, g, regions, alpha: WeightFunction,
     cell = next((r for r in cleaned if g in r), None)
     if cell is None:
         raise NotAPartition(f"no detection region contains {g}")
-    cache = _cache_for(model, alpha, settings, cache)
-    terms = [_term("detect", (), g, gt, cache.ec(g, gt), N)
+    cache = cache or ExponentCache()
+    terms = [_term("detect", (), g, gt, cache.ec(model, g, gt, alpha), N)
              for gt in model.index_space() if gt not in cell]
     return bound_report(terms, N, alpha, clamp=alpha(g) == 0.0)

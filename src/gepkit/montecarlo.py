@@ -53,17 +53,18 @@ from .exponents import (
     detection_bound,
     is_vacuous,
 )
-from .optimize import DEFAULT_SETTINGS, SearchSettings
 
 RELAXED = "relaxed"
 STRICT = "strict"
 MARGIN = "margin"
 ERROR_MODELS = (RELAXED, STRICT, MARGIN)
 
-# Codebook bytes one trial may hold.  A trial's peak memory is several times
-# this (uniform draws, candidate rows, likelihood gathers); the shipped
-# scenarios and benchmark workloads need under 1 MiB.
-CODEBOOK_BUDGET_BYTES = 256 * 2**20
+# Bytes one trial may hold: a decoding trial's codebooks, or a detection
+# trial's uniforms and detection scores.  A decoding trial's peak memory is
+# several times its codebook bytes (uniform draws, candidate rows,
+# likelihood gathers); the shipped scenarios and benchmark workloads need
+# under 1 MiB.
+TRIAL_BUDGET_BYTES = 256 * 2**20
 
 # Uniform-draw bytes a block of detection trials may hold, unless one trial's
 # draws alone take more; the block's inputs and outputs take no more.
@@ -204,7 +205,7 @@ def run_trials(scenario, trials: int, master_seed: int, trace_path=None,
     Every trial resamples the codebook (the bounds are ensemble averages).
     Before any threshold is built, one trial's codebook bytes (message
     count x N x 8, summed over every code) are checked against
-    ``CODEBOOK_BUDGET_BYTES``; a larger scenario raises
+    ``TRIAL_BUDGET_BYTES``; a larger scenario raises
     :class:`MemoryBudgetExceeded`.
 
     ``cache`` is the exponent cache the threshold tables are built from;
@@ -219,10 +220,10 @@ def run_trials(scenario, trials: int, master_seed: int, trace_path=None,
               for k in range(model.K)
               for gk in range(len(model.libraries[k]))}
     need = sum(n * N * 8 for n in counts.values())
-    if need > CODEBOOK_BUDGET_BYTES:
+    if need > TRIAL_BUDGET_BYTES:
         raise MemoryBudgetExceeded(
             f"one trial's codebooks take {need} bytes, over the "
-            f"{CODEBOOK_BUDGET_BYTES}-byte budget (N={N})")
+            f"{TRIAL_BUDGET_BYTES}-byte budget (N={N})")
     g_list, g_probs = _g_sampler(scenario, model)
     transmit = _channel_sampler(model)
     run_decoder = _prepare_decoder(scenario, model, cache)
@@ -366,9 +367,8 @@ class DetectionResult:
     passed: bool
 
 
-def run_detection_trials(scenario, trials: int, master_seed: int,
-                         settings: SearchSettings = DEFAULT_SETTINGS
-                         ) -> DetectionResult:
+def run_detection_trials(scenario, trials: int,
+                         master_seed: int) -> DetectionResult:
     """Empirical region-detection error per true g versus its analytic
     bound; PASS iff every g's frequency is within 3 binomial sigmas of its
     bound.
@@ -377,6 +377,10 @@ def run_detection_trials(scenario, trials: int, master_seed: int,
     its stream: row k < n_users is user k's input, the last row the
     channel's.  Trials are inverted, transmitted and detected together, in
     blocks of as many trials as ``DETECT_BLOCK_BYTES`` of uniforms hold.
+    Before any stream is drawn, one trial's uniforms and detection scores
+    ((n_users + 1 + H) x N x 8 bytes for H code index vectors) are checked
+    against ``TRIAL_BUDGET_BYTES``; a larger scenario raises
+    :class:`MemoryBudgetExceeded`.
 
     :func:`detection_bound` bounds Pr{err | g} * e^{-N alpha(g)}; the
     frequency is compared against min(1, that bound * e^{N alpha(g)}), a
@@ -387,11 +391,16 @@ def run_detection_trials(scenario, trials: int, master_seed: int,
     N = scenario.N
     alpha = scenario.alpha
     regions = scenario.detection
+    rows = model.n_users + 1
+    need = (rows + model.space_size) * N * 8
+    if need > TRIAL_BUDGET_BYTES:
+        raise MemoryBudgetExceeded(
+            f"one detection trial takes {need} bytes, over the "
+            f"{TRIAL_BUDGET_BYTES}-byte budget (N={N})")
     g_list, g_probs = _g_sampler(scenario, model)
     transmit = _channel_sampler(model)
     detector = build_detector(model, regions, alpha)
     tallies = {g: [0, 0] for g in g_list}
-    rows = model.n_users + 1
     per_block = max(1, DETECT_BLOCK_BYTES // (8 * rows * N))
     for start in range(0, trials, per_block):
         u = np.empty((min(per_block, trials - start), rows, N))
@@ -414,9 +423,9 @@ def run_detection_trials(scenario, trials: int, master_seed: int,
             tallies[g][1] += err
     per_g = {}
     ok = True
-    cache = ExponentCache(model, alpha, settings)
+    cache = ExponentCache()
     for g, (n, e) in tallies.items():
-        rep = detection_bound(model, g, regions, alpha, N, settings, cache)
+        rep = detection_bound(model, g, regions, alpha, N, cache)
         bound = min(1.0, float(np.exp(rep.log_raw + N * alpha(g))))
         per_g[g] = (n, e, bound, is_vacuous(bound))
         if n == 0:

@@ -45,10 +45,10 @@ from .exponents import (
     check_detection_partition,
     validate_region,
 )
+from .montecarlo import ERROR_MODELS
 
 DECODERS = {"plain": "plain", "margin": "margin",
             "detect-then-decode": "detect"}
-ERROR_MODELS = ("relaxed", "strict", "margin")
 LN2 = math.log(2.0)
 
 
@@ -63,7 +63,6 @@ class Scenario:
     detection: list | None
     error_model: str
     decoder: str            # "plain" | "margin" | "detect"
-    decoder_name: str       # schema spelling
     g_sampling: str
     g_set: list | None
     trials: int
@@ -239,11 +238,10 @@ def parse_scenario(doc: dict) -> Scenario:
     if error_model not in ERROR_MODELS:
         raise SchemaError(
             f"$.error_model: must be one of {ERROR_MODELS}")
-    decoder_name = doc.get("decoder", "plain")
-    if decoder_name not in DECODERS:
+    decoder = DECODERS.get(doc.get("decoder", "plain"))
+    if decoder is None:
         raise SchemaError(
             f"$.decoder: must be one of {sorted(DECODERS)}")
-    decoder = DECODERS[decoder_name]
     if decoder == "detect" and detection is None:
         raise IntegrityError(
             "$.detection: required for the detect-then-decode decoder")
@@ -258,9 +256,8 @@ def parse_scenario(doc: dict) -> Scenario:
     return Scenario(model=model, N=N, alpha=alpha, region=region,
                     margin=margin, partition=partition, detection=detection,
                     error_model=error_model, decoder=decoder,
-                    decoder_name=decoder_name, g_sampling=g_sampling,
-                    g_set=g_set, trials=trials, seed=seed,
-                    channel_spec=channel_spec)
+                    g_sampling=g_sampling, g_set=g_set, trials=trials,
+                    seed=seed, channel_spec=channel_spec)
 
 
 def load_scenario(path) -> Scenario:
@@ -308,7 +305,8 @@ def emit(scenario: Scenario) -> dict:
         doc["detection"] = [[list(g) for g in sorted(cell)]
                             for cell in scenario.detection]
     doc["error_model"] = scenario.error_model
-    doc["decoder"] = scenario.decoder_name
+    doc["decoder"] = next(name for name, variant in DECODERS.items()
+                          if variant == scenario.decoder)
     doc["g_sampling"] = scenario.g_sampling
     if scenario.g_set is not None:
         doc["g_set"] = [list(g) for g in scenario.g_set]

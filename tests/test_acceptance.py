@@ -41,7 +41,6 @@ from gepkit.exponents import (
     exponent_EiD,
     exponent_EmD,
     gep_bound_D,
-    gep_bound_margin,
 )
 from gepkit.montecarlo import (
     compare_bound,
@@ -258,7 +257,7 @@ def test_criterion_6_decoder_matches_reference():
     for _ in range(1000):
         m, N, region, cb, D = random_instance(rng)
         a = WeightFunction(m, rng.uniform(0, 0.2, size=m.code_counts))
-        tbl = build_thresholds(m, D, region, a, settings=THRESH)
+        tbl = build_thresholds(m, D, region, a, cache=ExponentCache(THRESH))
         y = rng.integers(0, m.dmc.output_size, N)
         mine = decode_subset(tbl, cb, y)
         ref = reference_decode_subset(m, D, region, a, cb, y, tbl)
@@ -382,8 +381,8 @@ def test_criterion_9_margin_behavior(monkeypatch):
     monkeypatch.setattr(montecarlo, "decode_margin", recording_decode_margin)
     records = run_trials(scen, scen.trials, scen.seed)
     est = empirical_gep(records, scen.alpha, scen.N)
-    bound = gep_bound_margin(scen.model, [0], scen.region, scen.margin,
-                             scen.alpha, scen.N)
+    bound = gep_bound_D(scen.model, [0], scen.region, scen.alpha, scen.N,
+                        margin=scen.margin)
     verdict = compare_bound(est, bound)
 
     margin_records = [r for r in records if r.g in scen.margin]

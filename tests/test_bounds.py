@@ -8,7 +8,6 @@ import pytest
 from gepkit import CodeSpec, SystemModel, make_compound_bsc, make_dmc
 from gepkit.decoder import build_thresholds
 from gepkit.errors import (
-    MismatchedParameters,
     NotAPartition,
     OverlappingMargin,
     UserOneMissing,
@@ -19,7 +18,6 @@ from gepkit.exponents import (
     WeightFunction,
     detection_bound,
     gep_bound_D,
-    gep_bound_margin,
     gep_bound_partitioned,
     validate_region,
 )
@@ -49,18 +47,20 @@ def two_user_model(rate=0.2):
 class TestDecoderBound:
     def test_empty_region_is_zero(self):
         m = make_compound_bsc([0.05, 0.3], [0.5, 0.5], 0.2)
-        rep = gep_bound_D(m, [0], [], WeightFunction.zero(m), 10, FAST)
+        rep = gep_bound_D(m, [0], [], WeightFunction.zero(m), 10,
+                          cache=ExponentCache(FAST))
         assert rep.value == 0.0 and rep.raw == 0.0
 
     def test_user_one_required(self):
         m = two_user_model()
         with pytest.raises(UserOneMissing):
-            gep_bound_D(m, [1], [(0, 0)], WeightFunction.zero(m), 8, FAST)
+            gep_bound_D(m, [1], [(0, 0)], WeightFunction.zero(m), 8,
+                        cache=ExponentCache(FAST))
 
     def test_monotone_in_blocklength_when_exponents_positive(self):
         m = make_compound_bsc([0.05, 0.3], [0.5, 0.5], 0.05)
         a = WeightFunction.zero(m)
-        cache = ExponentCache(m, a)
+        cache = ExponentCache()
         values = [gep_bound_D(m, [0], [(0, 0)], a, N, cache=cache).raw
                   for N in (4, 8, 16, 32)]
         assert all(t.exponent > 0 for N in [4]
@@ -103,16 +103,15 @@ class TestPartitionedBound:
         m = two_user_model()
         a = WeightFunction.zero(m)
         region = [(0, 0), (1, 1)]
-        cache = ExponentCache(m, a, FAST)
-        rep, part = gep_bound_partitioned(m, region, a, 6, cache=cache,
-                                          settings=FAST)
+        cache = ExponentCache(FAST)
+        rep, part = gep_bound_partitioned(m, region, a, 6, cache=cache)
         subsets = [(0,), (0, 1)]
         best = math.inf
         for assign in itertools.product(subsets, repeat=2):
             mapping = {}
             for g, D in zip(sorted(validate_region(m, region)), assign):
                 mapping.setdefault(D, []).append(g)
-            total = sum(gep_bound_D(m, D, regs, a, 6, FAST, cache).raw
+            total = sum(gep_bound_D(m, D, regs, a, 6, cache=cache).raw
                         for D, regs in mapping.items())
             best = min(best, total)
         assert rep.raw == pytest.approx(best, rel=1e-12)
@@ -121,7 +120,8 @@ class TestPartitionedBound:
         m = two_user_model()
         a = WeightFunction.zero(m)
         rep, part = gep_bound_partitioned(m, [(0, 0), (1, 1)], a, 6,
-                                          partition_cap=1, settings=FAST)
+                                          partition_cap=1,
+                                          cache=ExponentCache(FAST))
         assert rep.heuristic
         assert part.items()[0][0] == (0, 1)
 
@@ -133,14 +133,14 @@ class TestMarginBound:
         region = [(0, 0)]
         complement = [g for g in m.index_space() if g != (0, 0)]
         plain = gep_bound_D(m, [0], region, a, 12)
-        margin = gep_bound_margin(m, [0], region, complement, a, 12)
+        margin = gep_bound_D(m, [0], region, a, 12, margin=complement)
         assert margin.raw == pytest.approx(plain.raw, rel=1e-12)
 
     def test_empty_margin_adds_covering_subset_terms(self):
         m = make_compound_bsc([0.05, 0.3], [0.5, 0.5], 0.2)
         a = WeightFunction.zero(m)
         plain = gep_bound_D(m, [0], [(0, 0)], a, 12)
-        with_empty = gep_bound_margin(m, [0], [(0, 0)], [], a, 12)
+        with_empty = gep_bound_D(m, [0], [(0, 0)], a, 12, margin=[])
         assert with_empty.raw > plain.raw
         extra = [t for t in with_empty.terms if t.S == (0,)]
         assert extra and all(t.g_other == (0, 1) for t in extra)
@@ -148,8 +148,8 @@ class TestMarginBound:
     def test_overlap_rejected(self):
         m = make_compound_bsc([0.05, 0.3], [0.5, 0.5], 0.2)
         with pytest.raises(OverlappingMargin):
-            gep_bound_margin(m, [0], [(0, 0)], [(0, 0)],
-                             WeightFunction.zero(m), 12)
+            gep_bound_D(m, [0], [(0, 0)], WeightFunction.zero(m), 12,
+                        margin=[(0, 0)])
 
     def test_sec4_binding_pair_is_widest_gap(self, sec4_model):
         # with the two middle states inside the margin, the covering-subset
@@ -157,9 +157,9 @@ class TestMarginBound:
         # larger exponent than the no-margin nearest-state pair
         m = sec4_model
         a = WeightFunction.zero(m)
-        with_margin = gep_bound_margin(m, [0], [(0, 0)], [(0, 1), (0, 2)],
-                                       a, 16)
-        no_margin = gep_bound_margin(m, [0], [(0, 0)], [], a, 16)
+        with_margin = gep_bound_D(m, [0], [(0, 0)], a, 16,
+                                  margin=[(0, 1), (0, 2)])
+        no_margin = gep_bound_D(m, [0], [(0, 0)], a, 16, margin=[])
         pick = lambda rep: {t.g_other for t in rep.terms
                             if t.S == (0,) and t.kind == "miss"}
         assert pick(with_margin) == {(0, 3)}
@@ -224,65 +224,80 @@ class TestReportMechanics:
 
 
 class TestCacheAlphaGuard:
-    """An ExponentCache memoizes exponents under its own alpha and search
-    settings; handing it to a builder called with another alpha or other
-    settings must raise, not reuse them."""
+    """An ExponentCache memoizes maximizations by the content of their
+    objectives, which alpha and the model enter through their tables, so
+    one cache shared across models, alphas and blocklengths gives exactly
+    what fresh caches give; the cache carries only the search settings."""
 
     SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / \
         "compound_bsc_relaxed.json"
+    N = 12
 
-    def _setup(self):
+    def _builds(self, m, alpha, cache):
+        """Every bound and threshold builder on model m under alpha."""
+        D, region, margin = (0,), [(0, 0)], [(0, 1)]
+        cells = [[g] for g in m.index_space()]
+        return (
+            gep_bound_D(m, D, region, alpha, self.N, cache=cache),
+            gep_bound_D(m, D, region, alpha, self.N, margin=margin,
+                        cache=cache),
+            gep_bound_D(m, D, region, alpha, self.N, margin=[], cache=cache),
+            gep_bound_partitioned(m, region, alpha, self.N, cache=cache),
+            build_thresholds(m, D, region, alpha, cache=cache).params,
+            build_thresholds(m, D, region, alpha, margin=margin,
+                             cache=cache).params,
+            [detection_bound(m, g, cells, alpha, self.N, cache=cache)
+             for g in m.index_space()],
+        )
+
+    def test_one_cache_across_models_and_alphas(self):
+        models = [make_compound_bsc(p, [0.5, 0.5], 0.2)
+                  for p in ([0.05, 0.3], [0.10, 0.2])]
+        alphas = [{}, {(0, 1): 0.2}, {(0, 0): 0.05, (0, 1): 0.3}]
+        shared = ExponentCache()
+        for m in models:
+            for values in alphas:
+                alpha = WeightFunction(m, values)
+                assert self._builds(m, alpha, shared) == \
+                    self._builds(m, alpha, ExponentCache()), (m, values)
+        # the raw bound of the second model, which a cache that ignored
+        # the model would have answered with the first model's 0.5334
+        second = gep_bound_D(models[1], [0], [(0, 0)],
+                             WeightFunction.zero(models[1]), self.N,
+                             cache=shared)
+        assert second.raw == pytest.approx(1.030525729635, abs=1e-10)
+
+    def test_decoder_bound_under_another_alpha(self):
         scen = load_scenario(self.SCENARIO)
         m = scen.model
-        alpha = WeightFunction(m, {(0, 1): 0.2})
-        stale = ExponentCache(m, WeightFunction.zero(m))
         (D, region), = scen.partition.items()
-        return scen, m, alpha, stale, D, region
+        used = ExponentCache()
+        gep_bound_D(m, D, region, WeightFunction.zero(m), scen.N, cache=used)
+        alpha = WeightFunction(m, {(0, 1): 0.2})
+        reused = gep_bound_D(m, D, region, alpha, scen.N, cache=used)
+        assert reused.value == pytest.approx(0.355879916, abs=1e-8)
+        assert reused == gep_bound_D(m, D, region, alpha, scen.N)
 
-    def test_decoder_bound_rejects_other_alpha(self):
-        scen, m, alpha, stale, D, region = self._setup()
-        assert gep_bound_D(m, D, region, alpha, scen.N).value == \
-            pytest.approx(0.355879916, abs=1e-8)
-        with pytest.raises(MismatchedParameters):
-            gep_bound_D(m, D, region, alpha, scen.N, cache=stale)
-
-    def test_every_builder_rejects_other_alpha(self):
-        scen, m, alpha, stale, D, region = self._setup()
-        with pytest.raises(MismatchedParameters):
-            gep_bound_partitioned(m, region, alpha, scen.N, cache=stale)
-        with pytest.raises(MismatchedParameters):
-            gep_bound_margin(m, D, region, [], alpha, scen.N, cache=stale)
-        with pytest.raises(MismatchedParameters):
-            build_thresholds(m, D, region, alpha, cache=stale)
-        with pytest.raises(MismatchedParameters):
-            detection_bound(m, (0, 0), [[g] for g in m.index_space()],
-                            alpha, scen.N, cache=stale)
-
-    def test_every_builder_rejects_other_settings(self):
-        scen, m, _alpha, _stale, D, region = self._setup()
+    def test_cache_carries_the_search_settings(self):
+        scen = load_scenario(self.SCENARIO)
+        m = scen.model
+        (D, region), = scen.partition.items()
         a0 = WeightFunction.zero(m)
-        fast = ExponentCache(m, a0, FAST)
-        # the FAST maxima differ: reusing them would move the bound
-        assert gep_bound_D(m, D, region, a0, scen.N, FAST, fast).raw == \
+        assert gep_bound_D(m, D, region, a0, scen.N,
+                           cache=ExponentCache(FAST)).raw == \
             pytest.approx(0.5334481298, abs=1e-10)
-        assert gep_bound_D(m, D, region, a0, scen.N).raw == \
+        assert gep_bound_D(m, D, region, a0, scen.N,
+                           cache=ExponentCache()).raw == \
             pytest.approx(0.5333823886, abs=1e-10)
-        with pytest.raises(MismatchedParameters):
-            gep_bound_D(m, D, region, a0, scen.N, cache=fast)
-        with pytest.raises(MismatchedParameters):
-            gep_bound_partitioned(m, region, a0, scen.N, cache=fast)
-        with pytest.raises(MismatchedParameters):
-            gep_bound_margin(m, D, region, [], a0, scen.N, cache=fast)
-        with pytest.raises(MismatchedParameters):
-            build_thresholds(m, D, region, a0, cache=fast)
-        with pytest.raises(MismatchedParameters):
-            detection_bound(m, (0, 0), [[g] for g in m.index_space()], a0,
-                            scen.N, cache=fast)
 
     def test_reuse_across_blocklengths_and_parses(self):
-        scen, m, alpha, _stale, D, region = self._setup()
+        scen = load_scenario(self.SCENARIO)
+        m = scen.model
+        (D, region), = scen.partition.items()
+        alpha = WeightFunction(m, {(0, 1): 0.2})
         other = load_scenario(self.SCENARIO).model  # a separate parse
-        shared = ExponentCache(m, WeightFunction(m, {(0, 1): 0.2}))
+        shared = ExponentCache()
+        gep_bound_D(m, D, region, alpha, scen.N, cache=shared)
         for N in (scen.N, 2 * scen.N):
             fresh = gep_bound_D(other, D, region,
                                 WeightFunction(other, {(0, 1): 0.2}), N)

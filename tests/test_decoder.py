@@ -165,20 +165,21 @@ class TestCompetitorRelation:
 class TestSelectGstar:
     def test_single_candidate(self):
         m = make_compound_bsc([0.05, 0.3], [0.5, 0.5], 0.2)
-        gp, res = ExponentCache(m, zero(m)).best_excluded(
-            [0], [], (0, 0), {(0, 0)})
+        gp, res = ExponentCache().best_excluded(
+            m, [0], [], (0, 0), {(0, 0)}, zero(m))
         assert gp == (0, 1) and res.value > 0
 
     def test_empty_candidate_set(self):
         m = make_compound_bsc([0.05, 0.3], [0.5, 0.5], 0.2)
-        best = ExponentCache(m, zero(m)).best_excluded(
-            [0], [1], (0, 0), {(0, 0)})
+        best = ExponentCache().best_excluded(
+            m, [0], [1], (0, 0), {(0, 0)}, zero(m))
         assert best is None
 
     def test_sec4_scan_matches_exhaustive(self, sec4_model):
         m = sec4_model
         a = zero(m)
-        gp, res = ExponentCache(m, a).best_excluded([0], [], (0, 0), {(0, 0)})
+        gp, res = ExponentCache().best_excluded(m, [0], [], (0, 0), {(0, 0)},
+                                                a)
         vals = {g: exponent_EiD(m, [0], [], (0, 0), g, a).value
                 for g in m.index_space() if g != (0, 0)}
         assert gp == min(sorted(vals), key=lambda g: vals[g])
@@ -437,7 +438,8 @@ class TestDecodeSubset:
             m, N, region, cb, D = random_instance(rng)
             a = WeightFunction(
                 m, rng.uniform(0, 0.2, size=m.code_counts))
-            tbl = build_thresholds(m, D, region, a, settings=FAST)
+            tbl = build_thresholds(m, D, region, a,
+                                   cache=ExponentCache(FAST))
             y = rng.integers(0, m.dmc.output_size, N)
             mine = decode_subset(tbl, cb, y)
             ref = reference_decode_subset(m, D, region, a, cb, y, tbl)
@@ -449,7 +451,8 @@ class TestDecodeSubset:
         for seed in range(8):
             m, N, region, cb, D, y = three_user_instance(seed)
             a = WeightFunction(m, rng.uniform(0, 0.2, size=m.code_counts))
-            tbl = build_thresholds(m, D, region, a, settings=FAST)
+            tbl = build_thresholds(m, D, region, a,
+                                   cache=ExponentCache(FAST))
             assert all(tbl.get(g, S).gstar is not None for g in region
                        for S in ({0, 1}, {1, 2}))
             mine = decode_subset(tbl, cb, y)
@@ -578,7 +581,7 @@ class TestDecodeMargin:
             checked.append(0)
             a = WeightFunction(m, rng.uniform(0, 0.2, size=m.code_counts))
             tbl = build_thresholds(m, D, region, a, margin=margin,
-                                   settings=FAST)
+                                   cache=ExponentCache(FAST))
             for seed in range(40):
                 cb = sample_codebook(m, N, seed)
                 g = region[seed % len(region)]

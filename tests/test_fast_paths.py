@@ -718,12 +718,14 @@ class TestContentKeyedMemo:
         name, lookups, maximized = memo_run
         checked = {}
         for cache, lookup, args, kwargs, result in lookups:
-            identity = (lookup, args, tuple(sorted(kwargs.items())))
+            # one scenario per run: the model's content is fixed, alpha's
+            # key stands for alpha
+            identity = (lookup, args[1:-1], args[-1].key(),
+                        tuple(sorted(kwargs.items())))
             if identity in checked:
                 assert result == checked[identity], (name, identity)
                 continue
-            fresh = FRESH[lookup][0](cache.model, *args, cache.alpha,
-                                     cache.settings, **kwargs)
+            fresh = FRESH[lookup][0](*args, cache.settings, **kwargs)
             assert result == fresh, (name, identity)
             checked[identity] = fresh
         n_max = sum(len(keys) for keys in maximized.values())
@@ -811,12 +813,12 @@ class TestKeyCompleteness:
     def test_one_cache_never_merges_them(self):
         model, alpha = _twin_model()
         fast = SearchSettings(base_grid=8, refine_rounds=0, polish=False)
-        cache = ExponentCache(model, alpha, fast)
+        cache = ExponentCache(fast)
         for lookup, D, S in KEYED_LOOKUPS:
             values = set()
             for *_what, side, user, code, _shares in _changes(lookup):
                 args = _arguments(lookup, D, S, _changed(side, user, code))
-                got = getattr(cache, lookup)(*args)
+                got = getattr(cache, lookup)(model, *args, alpha)
                 fresh = FRESH[lookup][0](model, *args, alpha, fast)
                 assert got == fresh, (lookup, D, S, side, user, code)
                 values.add(got.value)

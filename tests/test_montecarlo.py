@@ -48,7 +48,6 @@ from gepkit.montecarlo import (
     run_detection_trials,
     run_trials,
 )
-from gepkit.optimize import DEFAULT_SETTINGS
 from gepkit.scenario import load_scenario
 
 from conftest import (ROOT, load_perfbench, load_workloads, random_alpha,
@@ -231,7 +230,7 @@ class TestSetUpOncePerRun:
     @staticmethod
     def _calls(monkeypatch, run):
         calls = Counter()
-        for name in ("validate_region", "check_detection_partition",
+        for name in ("_decoder_regions", "check_detection_partition",
                      "output_marginal"):
             original = getattr(gepkit.decoder, name)
 
@@ -410,8 +409,7 @@ class TestCompareBound:
 # region-detection trials in blocks
 # ---------------------------------------------------------------------------
 
-def reference_detection_trials(scenario, trials, master_seed,
-                               settings=DEFAULT_SETTINGS):
+def reference_detection_trials(scenario, trials, master_seed):
     """run_detection_trials as a loop over trials: each trial inverts its
     users' inputs and the channel one uniform row at a time, and scores
     every code index vector on its own output."""
@@ -450,9 +448,9 @@ def reference_detection_trials(scenario, trials, master_seed,
         tallies[g][1] += int(cell_of[best] != cell_of[g])
     per_g = {}
     ok = True
-    cache = ExponentCache(model, alpha, settings)
+    cache = ExponentCache()
     for g, (n, e) in tallies.items():
-        rep = detection_bound(model, g, regions, alpha, N, settings, cache)
+        rep = detection_bound(model, g, regions, alpha, N, cache)
         bound = min(1.0, float(np.exp(rep.log_raw + N * alpha(g))))
         per_g[g] = (n, e, bound, is_vacuous(bound))
         if n == 0:

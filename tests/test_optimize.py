@@ -196,7 +196,7 @@ def _recorded_maximizations(scenario, monkeypatch):
             calls.append((_name, f, args, kwargs))
             return _real(f, *args, **kwargs)
         monkeypatch.setattr(f"gepkit.exponents.{name}", record)
-    cache = ExponentCache(scenario.model, scenario.alpha)
+    cache = ExponentCache()
     scenario_bound(scenario, cache)
     detection_bound_reports(scenario, cache)
     monkeypatch.undo()

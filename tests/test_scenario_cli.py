@@ -9,7 +9,7 @@ import gepkit.montecarlo
 from gepkit.cli import entropy_gate, main
 from gepkit.ensemble import message_count
 from gepkit.errors import IntegrityError, ParseError, SchemaError
-from gepkit.scenario import emit, load_scenario, parse_scenario
+from gepkit.scenario import DECODERS, emit, load_scenario, parse_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
@@ -113,6 +113,18 @@ class TestLoadScenario:
             doc1 = emit(s1)
             s2 = parse_scenario(doc1)
             assert emit(s2) == doc1
+
+    @pytest.mark.parametrize("spelling", sorted(DECODERS))
+    def test_decoder_spellings_round_trip(self, spelling):
+        s = parse_scenario(minimal_doc(decoder=spelling,
+                                       detection=[[[0, 0]], [[0, 1]]]))
+        assert s.decoder == DECODERS[spelling]
+        assert emit(s)["decoder"] == spelling
+        # the emitted spelling follows the decoder field when it is set
+        for other, variant in DECODERS.items():
+            s.decoder = variant
+            assert emit(s)["decoder"] == other
+            assert parse_scenario(emit(s)).decoder == variant
 
 
 class TestEntropyGate:
@@ -289,7 +301,7 @@ class TestMemoryPreflight:
         rate = load_scenario(p).model.rate(0, 0)
         assert message_count(rate, 64) == 938501
         assert 938501 * 64 * 8 == 480512512 > \
-            gepkit.montecarlo.CODEBOOK_BUDGET_BYTES
+            gepkit.montecarlo.TRIAL_BUDGET_BYTES
 
         def forbidden(*args, **kwargs):
             raise AssertionError("simulate allocated before its pre-flight")
@@ -302,6 +314,32 @@ class TestMemoryPreflight:
         assert "480512512 bytes" in capsys.readouterr().err
         assert main(["bound", "--scenario", str(p),
                      "--out", str(tmp_path / "out")]) == 0
+
+    def test_detect_exits_2_with_the_byte_count(self, tmp_path, monkeypatch,
+                                                capsys):
+        """detect counts one trial's uniforms and detection scores,
+        (n_users + 1 + H) x N x 8 bytes, before it draws any stream."""
+        p = SCENARIOS / "detect_two_bsc.json"
+        scen = load_scenario(p)
+        need = (scen.model.n_users + 1 + scen.model.space_size) * scen.N * 8
+        assert need == 800
+        drawn = []
+        original = gepkit.montecarlo.stream
+
+        def spy(key):
+            drawn.append(key)
+            return original(key)
+
+        monkeypatch.setattr(gepkit.montecarlo, "stream", spy)
+        monkeypatch.setattr(gepkit.montecarlo, "TRIAL_BUDGET_BYTES", need - 1)
+        argv = ["detect", "--scenario", str(p), "--trials", "2",
+                "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert "800 bytes" in capsys.readouterr().err
+        assert drawn == []
+        monkeypatch.setattr(gepkit.montecarlo, "TRIAL_BUDGET_BYTES", need)
+        assert main(argv) in (0, 1)
+        assert len(drawn) == 2
 
     def test_sec4_at_n4000_bounds_finite_and_simulate_exits_2(
             self, tmp_path, capsys):

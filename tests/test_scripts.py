@@ -1,0 +1,30 @@
+"""The experiment scripts under scripts/ run end to end against the
+library's current API."""
+
+import subprocess
+import sys
+
+from conftest import ROOT
+
+
+def _run(script, *args, cwd):
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / script),
+                           *args], cwd=cwd, capture_output=True, text=True,
+                          timeout=300)
+
+
+def test_sweep_blocklength_writes_its_csv(tmp_path):
+    out = tmp_path / "sweep.csv"
+    res = _run("sweep_blocklength.py", "--blocklengths", "4", "8",
+               "--out", str(out), cwd=tmp_path)
+    assert res.returncode == 0, res.stderr
+    lines = out.read_text().splitlines()
+    assert lines[0] == "N,bound,bound_raw"
+    assert [line.split(",")[0] for line in lines[1:]] == ["4", "8"]
+
+
+def test_run_compound_example(tmp_path):
+    res = _run("run_compound_example.py", "--trials", "50", cwd=tmp_path)
+    assert res.returncode == 0, res.stdout + res.stderr
+    assert "== margin bound at N=16 ==" in res.stdout
+    assert "entropy gate: PASS" in res.stdout

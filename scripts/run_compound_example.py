@@ -13,8 +13,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from gepkit.cli import entropy_gate  # noqa: E402
-from gepkit.exponents import ExponentCache, gep_bound_D  # noqa: E402
+from gepkit.cli import entropy_gate, scenario_bound  # noqa: E402
+from gepkit.exponents import ExponentCache  # noqa: E402
 from gepkit.montecarlo import compare_bound, empirical_gep, run_trials  # noqa: E402
 from gepkit.scenario import load_scenario  # noqa: E402
 
@@ -40,8 +40,7 @@ def main():
           f"entropy gate: {'PASS' if gate_ok else 'FAIL'}")
 
     cache = ExponentCache()
-    bound = gep_bound_D(scen.model, [0], scen.region, scen.alpha, scen.N,
-                        margin=scen.margin, cache=cache)
+    bound = scenario_bound(scen, cache)
     print(f"\n== margin bound at N={scen.N} ==")
     print(f"  raw sum {bound.raw:.6f} -> value {bound.value:.6f}"
           f"{' (vacuous)' if bound.vacuous else ''}")

@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Sweep the decode bound (and optionally a simulation) over blocklengths
-for a scenario, emitting a plot-ready CSV.
+"""Sweep the scenario's verdict bound, the one ``simulate`` compares against
+(and optionally a simulation), over blocklengths, emitting a plot-ready CSV.
 
 Usage: python scripts/sweep_blocklength.py --scenario scenarios/compound_bsc_relaxed.json \
            --blocklengths 4 8 12 16 24 32 --trials 2000 --out sweep.csv
@@ -14,7 +14,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from gepkit.exponents import ExponentCache, gep_bound_D  # noqa: E402
+from gepkit.cli import scenario_bound  # noqa: E402
+from gepkit.exponents import ExponentCache  # noqa: E402
 from gepkit.montecarlo import empirical_gep, run_trials  # noqa: E402
 from gepkit.scenario import load_scenario, parse_scenario, emit  # noqa: E402
 
@@ -39,8 +40,7 @@ def main():
         doc = emit(base)
         doc["N"] = N
         scen = parse_scenario(doc)
-        bound = gep_bound_D(scen.model, [0], scen.region, scen.alpha, N,
-                            cache=cache)
+        bound = scenario_bound(scen, cache)
         row = {"N": N, "bound": f"{bound.value:.12g}",
                "bound_raw": f"{bound.raw:.12g}"}
         if args.trials:

@@ -19,7 +19,6 @@ from .decoder import (
     ThresholdTable,
     build_detector,
     build_thresholds,
-    decode_margin,
     decode_receiver,
     decode_subset,
     decode_with_detection,

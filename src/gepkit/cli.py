@@ -59,10 +59,15 @@ def decode_bound_reports(scenario: Scenario, cache=None):
             for D, reg in scenario.partition.items()}
 
 
+def _decodes_with_margin(scenario: Scenario) -> bool:
+    return any(margin is not None
+               for _D, _reg, margin in montecarlo.receiver_parts(scenario))
+
+
 def margin_bound_report(scenario: Scenario, cache=None):
     """The margin decoder's bound over all regular users, or None when the
-    scenario has no margin and does not use the margin decoder."""
-    if not (scenario.margin or scenario.decoder == "margin"):
+    scenario has no margin and its receiver has no margin decoder."""
+    if not (scenario.margin or _decodes_with_margin(scenario)):
         return None
     D = tuple(range(scenario.model.K))
     return gep_bound_D(scenario.model, D, scenario.region, scenario.alpha,
@@ -77,13 +82,14 @@ def detection_bound_reports(scenario: Scenario, cache=None):
 
 
 def scenario_bound(scenario: Scenario, cache=None):
-    """The analytic bound matching the scenario's decoder variant: summed
-    per-D decoder bounds (plain), the margin bound (margin), or decode plus
-    weighted detection (detect-then-decode).  Returns a BoundReport."""
+    """The analytic bound of the receiver ``simulate`` runs: the bounds of
+    the decoders of :func:`montecarlo.receiver_parts`, summed, plus the
+    weighted detection bound under detect-then-decode.  Returns a
+    BoundReport."""
     cache = cache or ExponentCache()
-    if scenario.decoder == "margin":
-        return margin_bound_report(scenario, cache)
-    reports = decode_bound_reports(scenario, cache)
+    reports = {D: gep_bound_D(scenario.model, D, reg, scenario.alpha,
+                              scenario.N, margin=margin, cache=cache)
+               for D, reg, margin in montecarlo.receiver_parts(scenario)}
     extra = {}
     if scenario.decoder == "detect":
         detection = detection_bound_reports(scenario, cache).values()
@@ -140,8 +146,9 @@ def cmd_exponents(scenario: Scenario, out: Path, args) -> int:
 def cmd_bound(scenario: Scenario, out: Path, args) -> int:
     cache = ExponentCache()
     payload: dict = {"N": scenario.N}
-    payload["decode"] = _report_dict(scenario_bound(scenario, cache)) \
-        if scenario.decoder != "margin" else None
+    # a margin decoder's verdict bound is the "margin" report
+    payload["decode"] = None if _decodes_with_margin(scenario) \
+        else _report_dict(scenario_bound(scenario, cache))
     optimized, partition = gep_bound_partitioned(
         scenario.model, scenario.region, scenario.alpha, scenario.N,
         cache=cache)

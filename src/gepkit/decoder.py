@@ -1,10 +1,11 @@
 """Operational decoders: weighted-likelihood decoding with per-subset
-typicality thresholds, cross-subset agreement, the operation-margin variant,
+typicality thresholds, cross-subset agreement, the operation-margin checks,
 and output-distribution region detection.
 
 A decoder instance is parametrized by a :class:`ThresholdTable` built once
-per (model, D, R_D[, margin], alpha), its only per-run input: for every
-in-region code vector and every relevant user subset S it stores the
+per (model, D, R_D[, margin], alpha), its only per-run input; a table built
+with a margin is the margin decoder, one without it the plain decoder.  For
+every in-region code vector and every relevant user subset S it stores the
 auxiliary exponents (rho_t, s2, s1) and the worst excluded vector used by
 the threshold.  The auxiliary triple is the exact image of the optimized
 false-acceptance exponent's (rho, s) under the variable change
@@ -17,20 +18,19 @@ simulated.  Region detection takes a :class:`RegionDetector` built once per
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .channel import SystemModel, marginalize_out, output_marginal
 from .ensemble import CodebookRealization, ensemble_log_expectation
-from .errors import DomainError, MarginMissing, MissingCodebook
+from .errors import DomainError, MissingCodebook
 from .exponents import (
     ExponentCache,
     WeightFunction,
-    _decoder_regions,
     check_detection_partition,
-    proper_subsets,
+    decoder_searches,
 )
 
 INF = float("inf")
@@ -122,7 +122,7 @@ class ThresholdTable:
     alpha: WeightFunction
     params: dict             # (g, frozenset S) -> ThresholdParams | None
     subsets_decode: tuple    # proper S with D\S nonempty
-    subsets_margin: tuple    # proper S covering D (margin mode only)
+    subsets_margin: tuple    # proper S covering D (margin decoder only)
 
     def get(self, g, S):
         return self.params[(tuple(g), frozenset(S))]
@@ -134,30 +134,27 @@ def build_thresholds(model: SystemModel, D, region, alpha: WeightFunction,
     """Select (rho_t, s2, s1, gstar) for every (in-region g, subset S).
 
     ``margin=None`` builds the plain decoder of the union-bound analysis;
-    passing a (possibly empty) margin region additionally equips the
-    subsets S covering D, whose excluded-vector search ranges outside
-    region union margin.  Exponents are looked up in ``cache``, a fresh
-    :class:`ExponentCache` when None.
+    passing a (possibly empty) margin region builds the margin decoder,
+    which additionally equips the subsets S covering D, whose
+    excluded-vector search ranges outside region union margin (the
+    searches of :func:`decoder_searches`).  Exponents are looked up in
+    ``cache``, a fresh :class:`ExponentCache` when None.
     """
-    D, region, margin = _decoder_regions(model, D, region, margin)
+    (D, region, margin), searches = decoder_searches(model, D, region,
+                                                     margin)
     cache = cache or ExponentCache()
-    subsets_decode = tuple(S for S in proper_subsets(model.n_users)
-                           if set(D) - S)
-    subsets_margin = tuple(S for S in proper_subsets(model.n_users)
-                           if not (set(D) - S)) if margin is not None else ()
-    searches = [(S, region, False) for S in subsets_decode] + \
-        [(S, region | margin, True) for S in subsets_margin]
     params = {}
     for g in sorted(region):
-        for S, excluded, allow_empty in searches:
+        for S, excluded, covers_D in searches:
             best = cache.best_excluded(model, D, S, g, excluded, alpha,
-                                       allow_empty_difference=allow_empty)
+                                       allow_empty_difference=covers_D)
             params[(g, S)] = UNCONSTRAINED if best is None \
                 else params_from_exponent(*best)
-    return ThresholdTable(model=model, D=D, region=region, margin=margin,
-                          alpha=alpha, params=params,
-                          subsets_decode=subsets_decode,
-                          subsets_margin=subsets_margin)
+    return ThresholdTable(
+        model=model, D=D, region=region, margin=margin, alpha=alpha,
+        params=params,
+        subsets_decode=tuple(S for S, _, covers in searches if not covers),
+        subsets_margin=tuple(S for S, _, covers in searches if covers))
 
 
 # ---------------------------------------------------------------------------
@@ -172,10 +169,6 @@ class DecodeOutcome:
     w1: int | None = None
     g1: int | None = None
     winner: tuple | None = None   # (w_D tuple, full g tuple)
-    # a decode subset's winner as it was scored: its (|D|, N) symbols and
-    # its -log P(y | x_D, g)/N + alpha(g)
-    winner_rows: np.ndarray | None = field(default=None, repr=False)
-    winner_wnll: float | None = None
     diagnostics: dict = field(default_factory=dict)
 
     @property
@@ -190,11 +183,11 @@ def _collision(diag) -> DecodeOutcome:
 @dataclass
 class _Candidates:
     """Flattened candidate list for one in-region code vector: the message
-    grid of D's codes in C order."""
+    grid of D's codes in C order (``np.ravel_multi_index`` of the 0-based
+    messages)."""
 
     g: tuple
     grid: tuple              # message count of each user of D
-    w_tuples: list           # list of per-D message tuples (1-based)
     rows: np.ndarray         # (n_candidates, |D|, N) codeword symbols
     loglik: np.ndarray       # (n_candidates,) log P(y | x_D, g)
     score: np.ndarray        # loglik - N * alpha(g)
@@ -211,21 +204,19 @@ def _enumerate_candidates(model, D, g, codebooks: CodebookRealization, y,
             raise MissingCodebook(f"realization lacks user {k} code {g[k]}")
         tables.append(codebooks.tables[(k, g[k])])
     counts = [t.shape[0] for t in tables]
-    w_tuples = list(itertools.product(*[range(1, c + 1) for c in counts]))
-    n = len(w_tuples)
+    n = math.prod(counts)
     if len(D) == 1:
         rows = tables[0][:, None, :]
         loglik = lm[tables[0], y[None, :]].sum(axis=1)
     else:
-        # row indices of every candidate in itertools.product order
+        # row indices of every candidate in message-grid order
         picks = np.indices(counts).reshape(len(D), n)
         gathered = tuple(t[p] for t, p in zip(tables, picks))
         rows = np.stack(gathered, axis=1)
         loglik = lm[gathered + (np.broadcast_to(y, (n, N)),)].sum(axis=1)
     a = alpha(g)
-    return _Candidates(g=g, grid=tuple(counts), w_tuples=w_tuples,
-                       rows=rows, loglik=loglik, score=loglik - N * a,
-                       wnll=-loglik / N + a)
+    return _Candidates(g=g, grid=tuple(counts), rows=rows, loglik=loglik,
+                       score=loglik - N * a, wnll=-loglik / N + a)
 
 
 def _thresholds_for(model, D, S, cand: _Candidates, params, y, alpha):
@@ -235,7 +226,7 @@ def _thresholds_for(model, D, S, cand: _Candidates, params, y, alpha):
     message grid."""
     pos = [D.index(k) for k in sorted(set(S) & set(D))]
     if not pos or params.gstar is NO_CONSTRAINT:
-        return np.full(len(cand.w_tuples), typicality_threshold(
+        return np.full(len(cand.score), typicality_threshold(
             model, D, S, cand.g, params, np.zeros((0, len(y)), dtype=np.int64),
             y, alpha))
     # the messages of S cap D vary, every other user's stays the first
@@ -251,29 +242,25 @@ def _thresholds_for(model, D, S, cand: _Candidates, params, y, alpha):
 def _subset_winner(cands, accepted_masks):
     """Best accepted candidate across all in-region vectors for one S.
     Returns (winner, n_accepted) where winner is (w_D, g), None when the
-    candidate set is empty, or "tie" on an exact score tie at the top."""
-    best_score = -INF
-    best = None
-    tie = False
-    n_acc = 0
-    for cand, mask in zip(cands, accepted_masks):
-        if not mask.any():
-            continue
-        n_acc += int(mask.sum())
-        idx = np.flatnonzero(mask)
-        scores = cand.score[idx]
-        j = int(np.argmax(scores))
-        top = float(scores[j])
-        n_top = int(np.sum(scores == top))
-        if top > best_score:
-            best_score = top
-            best = (cand.w_tuples[idx[j]], cand.g)
-            tie = n_top > 1
-        elif top == best_score:
-            tie = True
-    if best is None:
+    candidate set is empty, or "tie" when more than one accepted candidate
+    reaches the top score.  An accepted candidate's score is finite (its
+    weighted neg-log-likelihood is below a threshold), so rejected ones
+    are scored -inf and one argmax over all candidates in member order
+    finds the winner."""
+    n_acc = sum(int(mask.sum()) for mask in accepted_masks)
+    if not n_acc:
         return None, 0
-    return ("tie" if tie else best), n_acc
+    scores = np.concatenate([np.where(mask, cand.score, -INF)
+                             for cand, mask in zip(cands, accepted_masks)])
+    j = int(np.argmax(scores))
+    if np.count_nonzero(scores == scores[j]) > 1:
+        return "tie", n_acc
+    for cand in cands:
+        if j < len(cand.score):
+            break
+        j -= len(cand.score)
+    w_D = tuple(int(i) + 1 for i in np.unravel_index(j, cand.grid))
+    return (w_D, cand.g), n_acc
 
 
 def decode_subset(thresholds: ThresholdTable,
@@ -284,7 +271,11 @@ def decode_subset(thresholds: ThresholdTable,
     below tau*(g, S); the S-winner is the accepted candidate with maximum
     weighted likelihood.  Decoded iff every subset produced a winner and
     the winners coincide on the full (w_D, g); an empty candidate set for
-    any S, a tie, or a disagreement reports a collision.
+    any S, a tie, or a disagreement reports a collision.  A table built
+    with a margin then requires the agreed output itself to pass
+    tau*(g, S) of every proper subset S covering D (thresholds built with
+    the excluded-vector search outside region union margin); a failed
+    check reports the collision "margin_reject".
 
     Requiring a winner from every subset (not just agreement among the
     subsets that produced one) is what the union-bound analysis charges:
@@ -300,7 +291,7 @@ def decode_subset(thresholds: ThresholdTable,
     cands = [_enumerate_candidates(model, D, g, codebooks, y, alpha)
              for g in members]
     diag = {"per_S": {}, "candidates_evaluated":
-            int(sum(len(c.w_tuples) for c in cands))}
+            int(sum(len(c.score) for c in cands))}
 
     winners = []
     for S in thresholds.subsets_decode:
@@ -334,9 +325,16 @@ def decode_subset(thresholds: ThresholdTable,
     w_D, g = first
     cand = cands[members.index(g)]
     j = np.ravel_multi_index(tuple(w - 1 for w in w_D), cand.grid)
+    for S in thresholds.subsets_margin:
+        # S covers D, so every symbol of the winner is fixed
+        tau = typicality_threshold(model, D, S, g, thresholds.get(g, S),
+                                   cand.rows[j], y, alpha)
+        diag.setdefault("margin_checks", {})[tuple(sorted(S))] = tau
+        if not cand.wnll[j] < tau:
+            diag["reason"] = "margin_reject"
+            return _collision(diag)
     return DecodeOutcome(kind="decoded", w1=w_D[D.index(0)], g1=g[0],
-                         winner=first, winner_rows=cand.rows[j],
-                         winner_wnll=float(cand.wnll[j]), diagnostics=diag)
+                         winner=first, diagnostics=diag)
 
 
 def _truth_events(truth, D, cands, masks, winner, members):
@@ -348,9 +346,9 @@ def _truth_events(truth, D, cands, masks, winner, members):
     out = {}
     if g_true in members:
         i = members.index(g_true)
-        cand = cands[i]
         try:
-            j = cand.w_tuples.index(w_D)
+            j = np.ravel_multi_index(tuple(w - 1 for w in w_D),
+                                     cands[i].grid)
         except ValueError:
             return {"miss": None}
         out["miss"] = not bool(masks[i][j])
@@ -385,33 +383,6 @@ def decode_receiver(thresholds_by_D: dict, codebooks: CodebookRealization,
         return _collision(diag)
     return DecodeOutcome(kind="decoded", w1=first[0], g1=first[1],
                          winner=first[2], diagnostics=diag)
-
-
-def decode_margin(thresholds: ThresholdTable, codebooks: CodebookRealization,
-                  y, truth=None) -> DecodeOutcome:
-    """Margin decoder: the plain (D, R_D) rule plus, for every proper subset
-    S covering D, the requirement that the agreed output itself passes
-    tau*(g, S) (thresholds built with the excluded-vector search outside
-    region union margin).  Anything else reports a collision."""
-    if thresholds.margin is None:
-        raise MarginMissing(
-            "thresholds were built without a margin; use build_thresholds("
-            "..., margin=...)")
-    out = decode_subset(thresholds, codebooks, y, truth=truth)
-    if not out.decoded:
-        return out
-    g = out.winner[1]
-    for S in thresholds.subsets_margin:
-        # S covers D, so every symbol of the winner is fixed
-        tau = typicality_threshold(thresholds.model, thresholds.D, S, g,
-                                   thresholds.get(g, S), out.winner_rows, y,
-                                   thresholds.alpha)
-        out.diagnostics.setdefault("margin_checks", {})[
-            tuple(sorted(S))] = tau
-        if not out.winner_wnll < tau:
-            out.diagnostics["reason"] = "margin_reject"
-            return _collision(out.diagnostics)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -53,10 +53,6 @@ class OverlappingMargin(GepkitError):
     """Operation region and operation margin intersect."""
 
 
-class MarginMissing(GepkitError):
-    """A margin decode was asked of thresholds built without a margin."""
-
-
 class NotAPartition(GepkitError):
     """Detection regions do not partition the code-index space."""
 

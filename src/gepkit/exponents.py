@@ -38,7 +38,13 @@ from .errors import (
     ShapeMismatch,
     UserOneMissing,
 )
-from .optimize import DEFAULT_SETTINGS, SearchSettings, maximize_rho_s, maximize_scalar
+from .optimize import (
+    DEFAULT_SETTINGS,
+    EPS,
+    SearchSettings,
+    maximize_rho_s,
+    maximize_scalar,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +300,7 @@ def exponent_EmD(model: SystemModel, D, S, g, g_tilde, alpha: WeightFunction,
     g_tilde; the (rho, s) maximization runs over (0,1] x (0,1]."""
     _check_DS(model, D, S)  # EmptyDifferenceSet on D\S == empty
     f = emd_objective(model, D, S, g, g_tilde, alpha)
-    res = maximize_rho_s(f, rho_hi=1.0, s_cap=None, settings=settings)
+    res = maximize_rho_s(f, s_cap=None, settings=settings)
     return ExponentResult(res.value, res.argmax[0], res.argmax[1],
                           res.grid_shape)
 
@@ -311,8 +317,7 @@ def exponent_EiD(model: SystemModel, D, S, g, g_prime, alpha: WeightFunction,
     """
     f = eid_objective(model, D, S, g, g_prime, alpha,
                       allow_empty_difference=allow_empty_difference)
-    res = maximize_rho_s(f, rho_hi=1.0, s_cap=lambda r: 1.0 - r,
-                         settings=settings)
+    res = maximize_rho_s(f, s_cap=lambda r: 1.0 - r, settings=settings)
     return ExponentResult(res.value, res.argmax[0], res.argmax[1],
                           res.grid_shape)
 
@@ -322,7 +327,7 @@ def exponent_Ec(model: SystemModel, g, g_tilde, alpha: WeightFunction,
     """Output-marginal discrimination exponent between hypotheses g and
     g_tilde (region detection); maximized over s in (0, 1]."""
     f = ec_objective(model, g, g_tilde, alpha)
-    res = maximize_scalar(f, settings.eps, 1.0, settings=settings)
+    res = maximize_scalar(f, EPS, 1.0, settings=settings)
     return ExponentResult(res.value, None, res.argmax[0], res.grid_shape)
 
 
@@ -479,23 +484,22 @@ def confusion_feasible(model: SystemModel, N: int, D, S, g, gt) -> bool:
     return True
 
 
-def _subset_terms(model, D, S, region, excluded, alpha, N, cache):
+def _subset_terms(model, D, S, region, excluded, covers_D, alpha, N, cache):
     """Union-bound terms of one subset S: per in-region g a threshold-miss
     term (the false-acceptance exponent of the worst vector outside
-    ``excluded``), followed, when D\\S is nonempty, by message-confusion
-    terms against in-region competitors; then, per transmitted vector
-    outside ``excluded``, the same worst-case false-acceptance term for
-    every S-compatible in-region g."""
-    confusable = bool(set(D) - S)
+    ``excluded``), followed, unless S covers D, by message-confusion terms
+    against in-region competitors; then, per transmitted vector outside
+    ``excluded``, the same worst-case false-acceptance term for every
+    S-compatible in-region g."""
     region_sorted = sorted(region)
     terms, miss = [], {}
     for g in region_sorted:
         best = cache.best_excluded(model, D, S, g, excluded, alpha,
-                                   allow_empty_difference=not confusable)
+                                   allow_empty_difference=covers_D)
         if best is not None:
             miss[g] = best
             terms.append(_term("miss", S, g, *best, N))
-        if not confusable:
+        if covers_D:
             continue
         for gt in region_sorted:
             if sub(gt, S) == sub(g, S) and \
@@ -511,17 +515,24 @@ def _subset_terms(model, D, S, region, excluded, alpha, N, cache):
     return terms
 
 
-def _decoder_regions(model: SystemModel, D, region, margin=None):
-    """(D, region, margin) of a (D, R_D[, margin])-decoder, validated: D
-    contains user 0, region and margin (None: no margin) are valid and, by
-    :class:`OverlappingMargin`, disjoint."""
+def decoder_searches(model: SystemModel, D, region, margin=None):
+    """The validated (D, region, margin) of a (D, R_D[, margin])-decoder and
+    its excluded-vector searches in term order, as (S, excluded, covers_D):
+    every proper subset S with D\\S nonempty searches outside the region;
+    with a margin (None: none), every proper S covering D follows,
+    searching outside region union margin.  D must contain user 0; region
+    and margin must be valid and, by :class:`OverlappingMargin`, disjoint."""
     D = _decoded_subset(D)
     region = validate_region(model, region)
+    subsets = list(proper_subsets(model.n_users))
+    searches = [(S, region, False) for S in subsets if set(D) - S]
     if margin is not None:
         margin = validate_region(model, margin)
         if region & margin:
             raise OverlappingMargin("operation region and margin intersect")
-    return D, region, margin
+        searches += [(S, region | margin, True) for S in subsets
+                     if not set(D) - S]
+    return (D, region, margin), searches
 
 
 def gep_bound_D(model: SystemModel, D, region, alpha: WeightFunction, N: int,
@@ -536,20 +547,17 @@ def gep_bound_D(model: SystemModel, D, region, alpha: WeightFunction, N: int,
     vectors and false-acceptance terms for vectors outside region and
     margin, all with the excluded-vector search ranging outside region
     union margin.  Margin vectors themselves are charged no
-    collision-failure term.
+    collision-failure term.  The subsets and their order are those of
+    :func:`decoder_searches`.
 
     Exponents are looked up in ``cache``, a fresh :class:`ExponentCache`
     when None."""
-    D, region, margin = _decoder_regions(model, D, region, margin)
+    (D, region, _margin), searches = decoder_searches(model, D, region,
+                                                      margin)
     cache = cache or ExponentCache()
-    subsets = list(proper_subsets(model.n_users))
-    terms = [t for S in subsets if set(D) - S
-             for t in _subset_terms(model, D, S, region, region, alpha, N,
-                                    cache)]
-    if margin is not None:
-        terms += [t for S in subsets if not set(D) - S
-                  for t in _subset_terms(model, D, S, region, region | margin,
-                                         alpha, N, cache)]
+    terms = [t for S, excluded, covers_D in searches
+             for t in _subset_terms(model, D, S, region, excluded, covers_D,
+                                    alpha, N, cache)]
     return bound_report(terms, N, alpha, alpha.log_total(N))
 
 

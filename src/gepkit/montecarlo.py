@@ -27,7 +27,6 @@ from .decoder import (
     DecodeOutcome,
     build_detector,
     build_thresholds,
-    decode_margin,
     decode_receiver,
     decode_with_detection,
     detect_region,
@@ -121,11 +120,10 @@ def classify_error(error_model: str, region, margin, g, w,
 # ---------------------------------------------------------------------------
 
 def _g_sampler(scenario, model: SystemModel):
-    rule = getattr(scenario, "g_sampling", "uniform")
+    rule = scenario.g_sampling
     if rule == "uniform":
-        g_set = getattr(scenario, "g_set", None)
-        g_list = [model.check_g(g) for g in g_set] if g_set \
-            else list(model.index_space())
+        g_list = [model.check_g(g) for g in scenario.g_set] \
+            if scenario.g_set else list(model.index_space())
         return g_list, None
     if rule == "alpha_prior":
         g_list = list(model.index_space())
@@ -160,33 +158,31 @@ def _channel_sampler(model: SystemModel):
     return transmit
 
 
+def receiver_parts(scenario) -> list:
+    """(D, region, margin) of each threshold decoder the scenario's receiver
+    runs, in partition order: the margin decoder is one table over all
+    regular users with the scenario's margin, every other variant one
+    plain table (margin None) per partition part.  The trials build their
+    tables from this list and the verdict bound sums its bounds over it."""
+    if scenario.decoder == "margin":
+        return [(tuple(range(scenario.model.K)), scenario.region,
+                 scenario.margin)]
+    return [(D, reg, None) for D, reg in scenario.partition.items()]
+
+
 def _prepare_decoder(scenario, model, cache=None):
-    variant = getattr(scenario, "decoder", "plain")
-    alpha = scenario.alpha
-    if variant == "margin":
-        table = build_thresholds(model, range(model.K), scenario.region,
-                                 alpha, margin=scenario.margin, cache=cache)
-
-        def run(codebooks, y, truth):
-            return decode_margin(table, codebooks, y, truth=truth)
-
-        return run
-    tables = {D: build_thresholds(model, D, reg, alpha, cache=cache)
-              for D, reg in scenario.partition.items()}
-    if variant == "plain":
-        def run(codebooks, y, truth):
-            return decode_receiver(tables, codebooks, y, truth=truth)
-
-        return run
-    if variant == "detect":
-        detector = build_detector(model, scenario.detection, alpha)
-
-        def run(codebooks, y, truth):
-            return decode_with_detection(detector, tables, codebooks, y,
-                                         truth=truth)
-
-        return run
-    raise DomainError(f"unknown decoder variant {variant!r}")
+    """run(codebooks, y, truth) -> DecodeOutcome of the scenario's receiver:
+    one threshold table per :func:`receiver_parts` entry, with the region
+    detected first under detect-then-decode."""
+    tables = {D: build_thresholds(model, D, reg, scenario.alpha,
+                                  margin=margin, cache=cache)
+              for D, reg, margin in receiver_parts(scenario)}
+    if scenario.decoder != "detect":
+        return lambda codebooks, y, truth: decode_receiver(
+            tables, codebooks, y, truth=truth)
+    detector = build_detector(model, scenario.detection, scenario.alpha)
+    return lambda codebooks, y, truth: decode_with_detection(
+        detector, tables, codebooks, y, truth=truth)
 
 
 def run_trials(scenario, trials: int, master_seed: int, trace_path=None,
@@ -196,7 +192,7 @@ def run_trials(scenario, trials: int, master_seed: int, trace_path=None,
     ``scenario`` provides: model, N, alpha, region, margin, error_model,
     decoder ("plain" | "margin" | "detect"), partition (decoded-subset ->
     region mapping for plain/detect), detection (cell list, detect only),
-    and optionally g_sampling / g_set.
+    g_sampling and g_set (None: the whole index space).
 
     ``trace_path`` writes one JSON line per trial, as the trial finishes:
     transmitted (w, g), per-subset winners and candidate-independent
@@ -269,11 +265,7 @@ def _jsonable(value):
 
 
 def _trace_line(rec: TrialRecord, outcome: DecodeOutcome) -> dict:
-    diag = outcome.diagnostics
-    per_s = diag.get("per_S")
-    if per_s is None and "per_D" in diag:
-        per_s = {str(D): sub.diagnostics.get("per_S", {})
-                 for D, sub in diag["per_D"].items()}
+    per_d = outcome.diagnostics["per_D"].items()
     return {
         "trial": rec.trial,
         "g": list(rec.g),
@@ -282,8 +274,11 @@ def _trace_line(rec: TrialRecord, outcome: DecodeOutcome) -> dict:
         "w1": rec.w1,
         "g1": rec.g1,
         "error": rec.error,
-        "per_S": _jsonable(per_s or {}),
-        "margin_checks": _jsonable(diag.get("margin_checks", {})),
+        "per_S": _jsonable({D: sub.diagnostics["per_S"]
+                            for D, sub in per_d}),
+        "margin_checks": _jsonable({D: sub.diagnostics["margin_checks"]
+                                    for D, sub in per_d
+                                    if "margin_checks" in sub.diagnostics}),
     }
 
 

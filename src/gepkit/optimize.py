@@ -19,20 +19,22 @@ from dataclasses import dataclass
 import numpy as np
 
 EPS = 1e-6  # open-interval floor for (0, 1] parameters
+REFINE_POINTS = 9  # points per axis of a refinement round's window
+POLISH_XATOL = 1e-12  # the Brent polish's absolute argument tolerance
+POLISH_VALUE_TOL = 1e-13  # a polish sweep gaining less ends the polish
+POLISH_SWEEPS = 60  # at most this many (s, rho) polish sweeps
 _SQRT_EPS = math.sqrt(2.2e-16)  # the Brent polish's constants, as in scipy
 _GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
 
 
 @dataclass(frozen=True)
 class SearchSettings:
+    """The search's size: base grid points per axis, refinement rounds,
+    and whether the Brent polish runs."""
+
     base_grid: int = 64
     refine_rounds: int = 2
-    refine_points: int = 9
     polish: bool = True
-    polish_xatol: float = 1e-12
-    polish_value_tol: float = 1e-13
-    polish_sweeps: int = 60
-    eps: float = EPS
 
 
 DEFAULT_SETTINGS = SearchSettings()
@@ -127,36 +129,35 @@ def maximize_scalar(f, lo: float, hi: float,
     step = (hi - lo) / settings.base_grid
     for _ in range(settings.refine_rounds):
         a, b = max(lo, best_x - step), min(hi, best_x + step)
-        xs = np.linspace(a, b, settings.refine_points)
+        xs = np.linspace(a, b, REFINE_POINTS)
         vs = np.asarray(f(xs), dtype=float)
         i = int(np.nanargmax(vs))
         if vs[i] > best_v:
             best_x, best_v = float(xs[i]), float(vs[i])
-        step = (b - a) / max(settings.refine_points - 1, 1)
+        step = (b - a) / (REFINE_POINTS - 1)
     if settings.polish:
         fs = lambda x: float(f(np.asarray([x]))[0])
-        x, v = _brent_max(fs, lo, hi, best_x, settings.polish_xatol)
+        x, v = _brent_max(fs, lo, hi, best_x, POLISH_XATOL)
         if v > best_v:
             best_x, best_v = x, v
     return SearchResult(best_v, (best_x,), (settings.base_grid,))
 
 
-def maximize_rho_s(f, rho_hi: float = 1.0, s_cap=None,
+def maximize_rho_s(f, s_cap=None,
                    settings: SearchSettings = DEFAULT_SETTINGS) -> SearchResult:
-    """Maximize f(rho, s_array) over rho in (eps, rho_hi], s in (eps, s_max].
+    """Maximize f(rho, s_array) over rho in (EPS, 1], s in (EPS, s_max].
 
     ``s_cap``: None for s_max = 1 independent of rho, or a callable
     rho -> s_max (the coupled constraint s <= 1 - rho uses
     ``s_cap=lambda r: 1.0 - r``).  rho values whose s-range collapses below
-    eps are skipped.
+    EPS are skipped.
     """
-    eps = settings.eps
     s_max = (lambda r: 1.0) if s_cap is None else s_cap
 
     def s_range_ok(r):
-        return s_max(r) > eps
+        return s_max(r) > EPS
 
-    best = (-np.inf, eps, eps)
+    best = (-np.inf, EPS, EPS)
 
     def scan(rhos, s_windows=None):
         nonlocal best
@@ -164,66 +165,63 @@ def maximize_rho_s(f, rho_hi: float = 1.0, s_cap=None,
             if not s_range_ok(rho):
                 continue
             if s_windows is None:
-                ss = _axis(eps, s_max(rho), settings.base_grid)
+                ss = _axis(EPS, s_max(rho), settings.base_grid)
             else:
                 a, b = s_windows
-                a, b = max(eps, a), min(s_max(rho), b)
+                a, b = max(EPS, a), min(s_max(rho), b)
                 if b <= a:
                     continue
-                ss = np.linspace(a, b, settings.refine_points)
+                ss = np.linspace(a, b, REFINE_POINTS)
             vs = np.asarray(f(rho, ss), dtype=float)
             j = int(np.nanargmax(vs))
             if vs[j] > best[0]:
                 best = (float(vs[j]), float(rho), float(ss[j]))
 
-    rho_grid = _axis(eps, rho_hi, settings.base_grid)
+    rho_grid = _axis(EPS, 1.0, settings.base_grid)
     scan(rho_grid)
-    rho_step = (rho_hi - eps) / settings.base_grid
+    rho_step = (1.0 - EPS) / settings.base_grid
     for _ in range(settings.refine_rounds):
         _, r0, s0 = best
-        a, b = max(eps, r0 - rho_step), min(rho_hi, r0 + rho_step)
-        rhos = np.linspace(a, b, settings.refine_points)
+        a, b = max(EPS, r0 - rho_step), min(1.0, r0 + rho_step)
+        rhos = np.linspace(a, b, REFINE_POINTS)
         # s window scales with the current s grid step around the incumbent
-        s_step = max(s_max(r0) - eps, eps) / settings.base_grid
+        s_step = max(s_max(r0) - EPS, EPS) / settings.base_grid
         scan(rhos, s_windows=(s0 - s_step, s0 + s_step))
-        rho_step = (b - a) / max(settings.refine_points - 1, 1)
+        rho_step = (b - a) / (REFINE_POINTS - 1)
 
     if settings.polish:
         fhat = lambda r, s: float(f(r, np.asarray([s]))[0])
-        for _ in range(settings.polish_sweeps):
+        for _ in range(POLISH_SWEEPS):
             v_prev, r0, s0 = best
             # s sweep at fixed rho
             s_hi = s_max(r0)
-            if s_hi > eps:
-                s_new, v = _brent_max(lambda s: fhat(r0, s), eps, s_hi,
-                                      min(s0, s_hi), settings.polish_xatol)
+            if s_hi > EPS:
+                s_new, v = _brent_max(lambda s: fhat(r0, s), EPS, s_hi,
+                                      min(s0, s_hi), POLISH_XATOL)
                 if v > best[0]:
                     best = (v, r0, s_new)
             # rho sweep at fixed s; under a coupled cap keep s <= s_max(rho)
             _, r0, s0 = best
-            if s_cap is None:
-                r_hi = rho_hi
-            else:
-                r_hi = _max_feasible_rho(s_max, s0, rho_hi, eps)
-            if r_hi > eps:
-                r_new, v = _brent_max(lambda r: fhat(r, s0), eps, r_hi,
-                                      min(r0, r_hi), settings.polish_xatol)
+            r_hi = 1.0 if s_cap is None else _max_feasible_rho(s_max, s0)
+            if r_hi > EPS:
+                r_new, v = _brent_max(lambda r: fhat(r, s0), EPS, r_hi,
+                                      min(r0, r_hi), POLISH_XATOL)
                 if v > best[0]:
                     best = (v, r_new, s0)
-            if best[0] - v_prev < settings.polish_value_tol:
+            if best[0] - v_prev < POLISH_VALUE_TOL:
                 break
     return SearchResult(best[0], (best[1], best[2]),
                         (settings.base_grid, settings.base_grid))
 
 
-def _max_feasible_rho(s_max, s0: float, rho_hi: float, eps: float) -> float:
-    """Largest rho in (eps, rho_hi] with s0 <= s_max(rho), by bisection
-    (s_max is nonincreasing for the coupled constraint used here)."""
-    if s0 <= s_max(rho_hi):
-        return rho_hi
-    if s0 > s_max(eps):
-        return eps
-    lo, hi = eps, rho_hi
+def _max_feasible_rho(s_max, s0: float) -> float:
+    """Largest rho in (EPS, 1] with s0 <= s_max(rho), by bisection (s_max
+    is nonincreasing for the coupled constraint used here)."""
+    if s0 <= s_max(1.0):
+        return 1.0
+    if s0 > s_max(EPS):
+        return EPS
+    lo, hi = EPS, 1.0
     for _ in range(80):
         mid = 0.5 * (lo + hi)
         if s0 <= s_max(mid):

@@ -71,12 +71,30 @@ class Scenario:
 
 
 def _need(obj: dict, key: str, types, path: str):
+    """obj[key], of one of ``types``; a JSON boolean is not a number."""
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{path}: expected an object")
     if key not in obj:
         raise SchemaError(f"{path}.{key}: missing")
     val = obj[key]
-    if types is not None and not isinstance(val, types):
+    if types is not None and (not isinstance(val, types) or
+                              isinstance(val, bool)):
         raise SchemaError(
             f"{path}.{key}: expected {types}, got {type(val).__name__}")
+    return val
+
+
+def _list(val, path: str) -> list:
+    if not isinstance(val, list):
+        raise SchemaError(f"{path}: expected a list, got {type(val).__name__}")
+    return val
+
+
+def _indices(val, path: str) -> list:
+    """A list of integer indices (users or codes)."""
+    if not all(isinstance(i, int) and not isinstance(i, bool)
+               for i in _list(val, path)):
+        raise SchemaError(f"{path}: expected a list of integer indices")
     return val
 
 
@@ -155,9 +173,8 @@ def _build_model(doc: dict) -> tuple[SystemModel, dict]:
 
 def _g_list(model, doc_val, path: str):
     out = []
-    for i, g in enumerate(doc_val):
-        if not isinstance(g, list):
-            raise SchemaError(f"{path}[{i}]: expected a list of indices")
+    for i, g in enumerate(_list(doc_val, path)):
+        _indices(g, f"{path}[{i}]")
         try:
             out.append(model.check_g(g))
         except GepkitError as exc:
@@ -184,7 +201,8 @@ def parse_scenario(doc: dict) -> Scenario:
     if not isinstance(default, (int, float)) or default < 0:
         raise SchemaError("$.alpha.default: must be a number >= 0")
     table = np.full(model.code_counts, float(default))
-    for i, entry in enumerate(alpha_doc.get("entries", [])):
+    for i, entry in enumerate(_list(alpha_doc.get("entries", []),
+                                    "$.alpha.entries")):
         path = f"$.alpha.entries[{i}]"
         g = _g_list(model, [_need(entry, "g", list, path)], path)[0]
         val = _need(entry, "value", (int, float), path)
@@ -209,9 +227,10 @@ def parse_scenario(doc: dict) -> Scenario:
 
     if "partition" in doc:
         mapping = {}
-        for i, part in enumerate(doc["partition"]):
+        for i, part in enumerate(_list(doc["partition"], "$.partition")):
             path = f"$.partition[{i}]"
-            D = tuple(sorted(_need(part, "D", list, path)))
+            D = tuple(sorted(_indices(_need(part, "D", list, path),
+                                      f"{path}.D")))
             members = _g_list(model, _need(part, "region", list, path),
                               f"{path}.region")
             mapping[D] = mapping.get(D, []) + members
@@ -238,7 +257,8 @@ def parse_scenario(doc: dict) -> Scenario:
     if error_model not in ERROR_MODELS:
         raise SchemaError(
             f"$.error_model: must be one of {ERROR_MODELS}")
-    decoder = DECODERS.get(doc.get("decoder", "plain"))
+    decoder = doc.get("decoder", "plain")
+    decoder = DECODERS.get(decoder) if isinstance(decoder, str) else None
     if decoder is None:
         raise SchemaError(
             f"$.decoder: must be one of {sorted(DECODERS)}")

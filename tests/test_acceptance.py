@@ -360,25 +360,27 @@ def test_criterion_9_margin_behavior(monkeypatch):
     margin bound is vacuous on this example).  The PASS/FAIL line prints
     them per margin state next to the avoidable count.
 
-    ``decode_margin`` is wrapped at the name the trial runner looks up, so
-    the scenario's own run is inspected and its records are unchanged.
+    ``decode_receiver`` is wrapped at the name the trial runner looks up,
+    so the scenario's own run is inspected and its records are unchanged;
+    the margin decoder is its one table, D = (0,).
     """
     t0 = time.time()
     scen = load_scenario(SCENARIOS / "bsc_compound_sec4.json")
     assert scen.N == 16 and scen.trials >= 10_000
     seen = []
-    real_decode_margin = montecarlo.decode_margin
-    signature = inspect.signature(real_decode_margin)
+    real_decode_receiver = montecarlo.decode_receiver
+    signature = inspect.signature(real_decode_receiver)
 
-    def recording_decode_margin(*args, **kwargs):
-        outcome = real_decode_margin(*args, **kwargs)
+    def recording_decode_receiver(*args, **kwargs):
+        outcome = real_decode_receiver(*args, **kwargs)
         call = signature.bind(*args, **kwargs).arguments
         if tuple(call["truth"][1]) in scen.margin:
             seen.append((call["codebooks"], np.asarray(call["y"]),
                          call["truth"], outcome))
         return outcome
 
-    monkeypatch.setattr(montecarlo, "decode_margin", recording_decode_margin)
+    monkeypatch.setattr(montecarlo, "decode_receiver",
+                        recording_decode_receiver)
     records = run_trials(scen, scen.trials, scen.seed)
     est = empirical_gep(records, scen.alpha, scen.N)
     bound = gep_bound_D(scen.model, [0], scen.region, scen.alpha, scen.N,
@@ -406,7 +408,8 @@ def test_criterion_9_margin_behavior(monkeypatch):
     for codebooks, y, (w, g), outcome in seen:
         if outcome.decoded:
             decodes.append(advantage(codebooks, y, w, g, outcome.winner))
-        for s_diag in outcome.diagnostics["per_S"].values():
+        per_S = outcome.diagnostics["per_D"][(0,)].diagnostics["per_S"]
+        for s_diag in per_S.values():
             if s_diag["winner"] not in (None, "tie"):
                 winners.append(
                     advantage(codebooks, y, w, g, s_diag["winner"]))

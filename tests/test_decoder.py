@@ -9,7 +9,6 @@ from gepkit import (
     SystemModel,
     build_detector,
     build_thresholds,
-    decode_margin,
     decode_receiver,
     decode_subset,
     decode_with_detection,
@@ -25,7 +24,6 @@ from gepkit.ensemble import ensemble_log_expectation, message_count
 from gepkit.errors import (
     DomainError,
     GepkitError,
-    MarginMissing,
     NotAPartition,
     OverlappingMargin,
 )
@@ -536,7 +534,7 @@ class TestDecodeMargin:
         rng = np.random.default_rng(2)
         for _ in range(20):
             y = rng.integers(0, 2, 8)
-            a_out = decode_margin(tbl_m, cb, y)
+            a_out = decode_subset(tbl_m, cb, y)
             b_out = decode_subset(tbl_p, cb, y)
             assert (a_out.kind, a_out.w1) == (b_out.kind, b_out.w1)
 
@@ -549,21 +547,26 @@ class TestDecodeMargin:
         m = sec4_model
         a = WeightFunction(m, {(0, 0): 0.02})
         tbl = build_thresholds(m, [0], [(0, 0)], a, margin=[(0, 1), (0, 2)])
+        tbl_p = build_thresholds(m, [0], [(0, 0)], a)
         rng = np.random.default_rng(4)
         rejected = 0
         for seed in range(60):
             cb = sample_codebook(m, 16, seed)
             x = cb.codeword(0, 0, int(rng.integers(1, cb.counts[(0, 0)] + 1)))
             y = np.where(rng.random(16) < 0.18, 1 - x, x)
-            out = decode_margin(tbl, cb, y)
+            out = decode_subset(tbl, cb, y)
             if out.diagnostics.get("reason") != "margin_reject":
                 continue
             rejected += 1
             assert out.kind == "collision"
-            plain = decode_subset(tbl, cb, y)
+            plain = decode_subset(tbl_p, cb, y)
             assert plain.decoded
+            (w_hat,), g_hat = plain.winner
+            lm = marginalize_out(m, [0], g_hat).log_pmf()
+            wnll = -lm[cb.codeword(0, g_hat[0], w_hat), y].sum() / 16 \
+                + a(g_hat)
             tau = out.diagnostics["margin_checks"][(0,)]
-            assert not plain.winner_wnll < tau
+            assert not wnll < tau
         assert rejected >= 10
 
     def test_checks_match_a_fresh_gather_of_the_winner(self, sec4_model):
@@ -580,8 +583,10 @@ class TestDecodeMargin:
         for m, D, region, margin, N in cases:
             checked.append(0)
             a = WeightFunction(m, rng.uniform(0, 0.2, size=m.code_counts))
+            cache = ExponentCache(FAST)
             tbl = build_thresholds(m, D, region, a, margin=margin,
-                                   cache=ExponentCache(FAST))
+                                   cache=cache)
+            tbl_p = build_thresholds(m, D, region, a, cache=cache)
             for seed in range(40):
                 cb = sample_codebook(m, N, seed)
                 g = region[seed % len(region)]
@@ -592,8 +597,8 @@ class TestDecodeMargin:
                 y = np.array([rng.choice(m.dmc.output_size,
                                          p=m.dmc.pmf[tuple(r[j] for r in x)])
                               for j in range(N)])
-                out = decode_margin(tbl, cb, y)
-                plain = decode_subset(tbl, cb, y)
+                out = decode_subset(tbl, cb, y)
+                plain = decode_subset(tbl_p, cb, y)
                 if not plain.decoded:
                     continue
                 w_D, g_hat = plain.winner
@@ -618,15 +623,6 @@ class TestDecodeMargin:
         with pytest.raises(OverlappingMargin):
             build_thresholds(m, [0], [(0, 0)], zero(m), margin=[(0, 0)])
 
-    def test_table_without_margin_refused(self):
-        m = make_compound_bsc([0.05, 0.3], [0.5, 0.5], 0.2)
-        tbl = build_thresholds(m, [0], [(0, 0)], zero(m))
-        cb = sample_codebook(m, 4, 1)
-        with pytest.raises(MarginMissing) as refused:
-            decode_margin(tbl, cb, np.zeros(4, dtype=int))
-        # a missing margin is not the region/margin overlap error
-        assert not isinstance(refused.value, OverlappingMargin)
-
     def test_growing_margin_never_creates_wrong_decodes(self):
         # margin growth only moves the covering-subset veto (winner
         # selection is untouched), so on a fixed (codebooks, y) the decoded
@@ -646,8 +642,8 @@ class TestDecodeMargin:
             w = int(rng.integers(1, cb.counts[(0, 0)] + 1))
             x = cb.codeword(0, 0, w)
             y = np.where(rng.random(12) < 0.05, 1 - x, x)
-            o_s = decode_margin(tbl_s, cb, y)
-            o_b = decode_margin(tbl_b, cb, y)
+            o_s = decode_subset(tbl_s, cb, y)
+            o_b = decode_subset(tbl_b, cb, y)
             if o_s.decoded and o_b.decoded:
                 assert (o_s.w1, o_s.g1) == (o_b.w1, o_b.g1)
                 decoded_both += 1

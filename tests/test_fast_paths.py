@@ -508,7 +508,9 @@ class TestCandidateRows:
                 cand = _enumerate_candidates(model, D, g, cb, y, a)
                 w_ref, rows_ref, ll_ref = reference_candidates(
                     model, D, g, cb, y)
-                assert cand.w_tuples == w_ref
+                # candidate j is message tuple j of the C-order grid
+                assert [tuple(int(i) + 1 for i in np.unravel_index(
+                    j, cand.grid)) for j in range(len(w_ref))] == w_ref
                 assert cand.rows.dtype == np.int64
                 assert np.array_equal(cand.rows, rows_ref)
                 assert _same(cand.loglik, ll_ref)

@@ -230,7 +230,7 @@ class TestSetUpOncePerRun:
     @staticmethod
     def _calls(monkeypatch, run):
         calls = Counter()
-        for name in ("_decoder_regions", "check_detection_partition",
+        for name in ("decoder_searches", "check_detection_partition",
                      "output_marginal"):
             original = getattr(gepkit.decoder, name)
 
@@ -273,8 +273,8 @@ class TestBenchmarkHooks:
     """The benchmark's tracer wraps gepkit functions by name: its phases
     must name functions gepkit defines, ``trials_per_s`` subtracts the
     threshold build timed at ``decoder.build_thresholds`` from the time in
-    ``run_trials``, and the margin decoder is looked up at the name the
-    trial runner calls and bound by argument name."""
+    ``run_trials``, and the receiver is looked up at the name the trial
+    runner calls and bound by argument name."""
 
     def test_tracer_phases_resolve(self):
         tracer = load_perfbench("tracer")
@@ -289,7 +289,8 @@ class TestBenchmarkHooks:
     def test_trial_runner_calls_the_traced_names(self):
         assert gepkit.montecarlo.build_thresholds is \
             gepkit.decoder.build_thresholds
-        params = inspect.signature(gepkit.montecarlo.decode_margin).parameters
+        params = inspect.signature(
+            gepkit.montecarlo.decode_receiver).parameters
         assert {"codebooks", "y", "truth"} <= set(params)
 
 

@@ -4,8 +4,9 @@
 On the shipped Sec. 4 scenario, ``trials.csv`` must match byte for byte;
 every number of ``exponents.csv``, ``bounds.json`` and ``summary.json`` must
 match to 1e-9 (relative above 1), everything else exactly.  On every
-benchmark workload, ``simulate`` and ``detect`` at the reference seed and
-trial counts must write ``trials.csv`` and ``detect.csv`` byte for byte; the
+benchmark workload, ``exponents.csv`` and ``bounds.json`` must match in the
+same way, and ``simulate`` and ``detect`` at the reference seed and trial
+counts must write ``trials.csv`` and ``detect.csv`` byte for byte; the
 derived scenarios are generated by ``perfbench/workloads.py``.  So a
 refactor that moves an output fails under pytest, not only in the benchmark.
 """
@@ -88,19 +89,24 @@ def test_json_within_tolerance(out, name):
 
 @pytest.fixture(scope="module", params=sorted(workloads.WORKLOADS))
 def trial_tables(request, tmp_path_factory):
-    """Output directories of ``simulate`` and ``detect`` on one workload at
-    its reference seed and trial counts."""
+    """Output directories of every subcommand on one workload: ``exponents``
+    and ``bound``, and ``simulate`` and ``detect`` at its reference seed and
+    trial counts."""
     name = request.param
     spec = workloads.WORKLOADS[name]
     meta = json.loads((REFS / name / "meta.json").read_text())
     work = tmp_path_factory.mktemp(name)
-    for op, ref, trials in (("simulate", spec["scenario"], meta["sim_trials"]),
-                            ("detect", spec["detect_scenario"],
-                             meta["detect_trials"])):
+    seeded = ["--seed", str(meta["ref_seed"])]
+    for op, ref, extra in (
+            ("exponents", spec["scenario"], []),
+            ("bound", spec["scenario"], []),
+            ("simulate", spec["scenario"],
+             ["--trials", str(meta["sim_trials"])] + seeded),
+            ("detect", spec["detect_scenario"],
+             ["--trials", str(meta["detect_trials"])] + seeded)):
         scenario = workloads.scenario_path(ref, ROOT, work)
         code = main([op, "--scenario", str(scenario), "--out",
-                     str(work / op), "--trials", str(trials),
-                     "--seed", str(meta["ref_seed"])])
+                     str(work / op)] + extra)
         assert code == meta["exit"][op], (name, op)
     return name, work
 
@@ -111,3 +117,15 @@ def test_workload_trial_tables_byte_identical(trial_tables, op, table):
     name, work = trial_tables
     assert (work / op / table).read_bytes() == \
         (REFS / name / table).read_bytes()
+
+
+def test_workload_exponents_csv_within_tolerance(trial_tables):
+    name, work = trial_tables
+    assert _same(_csv_cells(work / "exponents" / "exponents.csv"),
+                 _csv_cells(REFS / name / "exponents.csv"))
+
+
+def test_workload_bounds_json_within_tolerance(trial_tables):
+    name, work = trial_tables
+    got = json.loads((work / "bound" / "bounds.json").read_text())
+    assert _same(got, json.loads((REFS / name / "bounds.json").read_text()))

@@ -221,6 +221,30 @@ class TestCliDispatch:
         assert main(["bound", "--scenario", p,
                      "--out", str(tmp_path / "out")]) == 2
 
+    @pytest.mark.parametrize("change", [
+        {"decoder": ["plain"]},
+        {"partition": 5},
+        {"partition": [5]},
+        {"partition": [{"D": ["a"], "region": [[0, 0]]}]},
+        {"margin": 5},
+        {"alpha": {"entries": 5}},
+        {"alpha": {"entries": [5]}},
+        {"detection": [[[0, 0]], 5]},
+        {"region": [["a", 0]]},
+        {"N": True},
+        {"trials": True},
+        {"seed": True},
+    ])
+    def test_wrong_json_types_exit_2(self, tmp_path, change, capsys):
+        # a malformed scenario is an input error (exit 2), never a
+        # traceback, whose exit 1 would read as a FAIL verdict
+        with pytest.raises(SchemaError):
+            parse_scenario(minimal_doc(**change))
+        p = self._write(tmp_path, minimal_doc(**change))
+        assert main(["bound", "--scenario", p,
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("error: $")
+
     def test_bound_then_simulate_pass(self, tmp_path):
         doc = minimal_doc(trials=400)
         p = self._write(tmp_path, doc)

@@ -4,7 +4,7 @@ library's current API."""
 import subprocess
 import sys
 
-from conftest import ROOT
+from conftest import ROOT, load_workloads
 
 
 def _run(script, *args, cwd):
@@ -21,6 +21,19 @@ def test_sweep_blocklength_writes_its_csv(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "N,bound,bound_raw"
     assert [line.split(",")[0] for line in lines[1:]] == ["4", "8"]
+
+
+def test_sweep_reports_the_verdict_bound(tmp_path):
+    # the bound of the simulated detect-then-decode receiver: decoding plus
+    # weighted detection, as ``simulate`` compares against
+    scenario = load_workloads().scenario_path("bigcode-detect", ROOT,
+                                              tmp_path)
+    res = _run("sweep_blocklength.py", "--scenario", str(scenario),
+               "--blocklengths", "40", "--out", str(tmp_path / "sweep.csv"),
+               cwd=tmp_path)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[0] == \
+        "N=40 bound=0.971724052105 bound_raw=0.971724052105"
 
 
 def test_run_compound_example(tmp_path):

@@ -7,7 +7,8 @@ and ``gate`` (the margin construction's entropy gate on a compound-BSC
 scenario).
 
 Exit codes: 0 success / PASS verdict, 1 FAIL verdict, 2 input error.
-All numeric output carries 12 significant digits so regression diffs are
+This module writes every result file, through one CSV and one JSON writer;
+all numeric output carries 12 significant digits so regression diffs are
 meaningful.
 """
 
@@ -45,6 +46,26 @@ def _round12(x: float) -> float:
 
 def _join(ids) -> str:
     return " ".join(str(i) for i in ids)
+
+
+def _write_csv(path: Path, header, rows) -> None:
+    with open(path, "w", newline="") as fh:
+        wr = csv.writer(fh)
+        wr.writerow(header)
+        wr.writerows(rows)
+
+
+def _write_json(path: Path, payload: dict) -> None:
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def _tally_rows(per_g: dict, extra=lambda *rest: rest) -> list:
+    """Rows of ``trials.csv`` and ``detect.csv`` in g order: g, trials,
+    errors, p_hat, then ``extra`` of the rest of g's entry."""
+    return [[_join(g), n, e, _fmt(e / n if n else math.nan), *extra(*rest)]
+            for g, (n, e, *rest) in sorted(per_g.items())]
 
 
 # ---------------------------------------------------------------------------
@@ -127,18 +148,14 @@ def cmd_exponents(scenario: Scenario, out: Path, args) -> int:
                  for rep in detection_bound_reports(scenario, cache).values()
                  for t in rep.terms]
     path = out / "exponents.csv"
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["theorem", "D", "S", "g", "g_alt", "exponent",
-                     "rho_star", "s_star"])
-        for theorem, D, t in rows:
-            wr.writerow([
-                theorem, _join(D), _join(t.S), _join(t.g),
-                _join(t.g_other) if t.g_other is not None else "",
-                _fmt(t.exponent),
-                _fmt(t.rho) if t.rho is not None else "",
-                _fmt(t.s),
-            ])
+    _write_csv(path, ["theorem", "D", "S", "g", "g_alt", "exponent",
+                      "rho_star", "s_star"],
+               [[theorem, _join(D), _join(t.S), _join(t.g),
+                 _join(t.g_other) if t.g_other is not None else "",
+                 _fmt(t.exponent),
+                 _fmt(t.rho) if t.rho is not None else "",
+                 _fmt(t.s)]
+                for theorem, D, t in rows])
     print(f"wrote {path} ({len(rows)} rows)")
     return 0
 
@@ -164,9 +181,7 @@ def cmd_bound(scenario: Scenario, out: Path, args) -> int:
             _join(g): _report_dict(rep)
             for g, rep in detection_bound_reports(scenario, cache).items()}
     path = out / "bounds.json"
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, payload)
     print(f"wrote {path}")
     return 0
 
@@ -179,14 +194,15 @@ def cmd_simulate(scenario: Scenario, out: Path, args) -> int:
     estimate = montecarlo.empirical_gep(records, scenario.alpha, scenario.N)
     bound = scenario_bound(scenario, cache)
     verdict = montecarlo.compare_bound(estimate, bound)
-    montecarlo.write_trials_csv(out / "trials.csv", estimate)
-    summary = montecarlo.summary_dict(estimate, verdict)
-    summary["trials"] = scenario.trials
-    summary["seed"] = scenario.seed
-    montecarlo.write_summary_json(out / "summary.json", summary)
+    word = "PASS" if verdict.passed else "FAIL"
+    _write_csv(out / "trials.csv", ["g", "trials", "errors", "p_hat"],
+               _tally_rows(estimate.per_g))
+    _write_json(out / "summary.json", {
+        "estimate": _round12(estimate.point), "sigma": _round12(estimate.se),
+        "bound": _round12(verdict.bound), "verdict": word,
+        "trials": scenario.trials, "seed": scenario.seed})
     print(f"estimate = {_fmt(estimate.point)}  sigma = {_fmt(estimate.se)}  "
-          f"bound = {_fmt(bound.value)}  -> "
-          f"{'PASS' if verdict.passed else 'FAIL'}")
+          f"bound = {_fmt(bound.value)}  -> {word}")
     return 0 if verdict.passed else 1
 
 
@@ -196,18 +212,13 @@ def cmd_detect(scenario: Scenario, out: Path, args) -> int:
     result = montecarlo.run_detection_trials(scenario, scenario.trials,
                                              scenario.seed)
     path = out / "detect.csv"
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["g", "trials", "errors", "p_hat", "bound", "vacuous"])
-        for g in sorted(result.per_g):
-            n, e, b, vac = result.per_g[g]
-            p = e / n if n else float("nan")
-            wr.writerow([_join(g), n, e, _fmt(p), _fmt(b), int(vac)])
-    payload = {"verdict": "PASS" if result.passed else "FAIL",
-               "per_g": {_join(g): {"trials": n, "errors": e,
-                                    "bound": _round12(b)}
-                         for g, (n, e, b, _v) in result.per_g.items()}}
-    montecarlo.write_summary_json(out / "detect_summary.json", payload)
+    _write_csv(path, ["g", "trials", "errors", "p_hat", "bound", "vacuous"],
+               _tally_rows(result.per_g,
+                           lambda b, vacuous: (_fmt(b), int(vacuous))))
+    _write_json(out / "detect_summary.json", {
+        "verdict": "PASS" if result.passed else "FAIL",
+        "per_g": {_join(g): {"trials": n, "errors": e, "bound": _round12(b)}
+                  for g, (n, e, b, _v) in result.per_g.items()}})
     print(f"wrote {path}; verdict {'PASS' if result.passed else 'FAIL'}")
     return 0 if result.passed else 1
 

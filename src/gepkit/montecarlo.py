@@ -16,7 +16,6 @@ equals the worst case in expectation.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
 
@@ -430,34 +429,3 @@ def run_detection_trials(scenario, trials: int,
         ok = ok and p <= bound + 3.0 * sigma
     return DetectionResult(per_g=per_g, passed=ok)
 
-
-# ---------------------------------------------------------------------------
-# emission
-# ---------------------------------------------------------------------------
-
-def write_trials_csv(path, estimate: GepEstimate) -> None:
-    """One row per code index vector: (g, trials, errors, p_hat)."""
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["g", "trials", "errors", "p_hat"])
-        for g in sorted(estimate.per_g):
-            n, e = estimate.per_g[g]
-            p = e / n if n else float("nan")
-            wr.writerow([" ".join(map(str, g)), n, e, f"{p:.12g}"])
-
-
-def summary_dict(estimate: GepEstimate, verdict: Verdict | None) -> dict:
-    out = {
-        "estimate": float(f"{estimate.point:.12g}"),
-        "sigma": float(f"{estimate.se:.12g}"),
-    }
-    if verdict is not None:
-        out["bound"] = float(f"{verdict.bound:.12g}")
-        out["verdict"] = "PASS" if verdict.passed else "FAIL"
-    return out
-
-
-def write_summary_json(path, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")

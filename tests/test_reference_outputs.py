@@ -4,10 +4,11 @@
 On the shipped Sec. 4 scenario, ``trials.csv`` must match byte for byte;
 every number of ``exponents.csv``, ``bounds.json`` and ``summary.json`` must
 match to 1e-9 (relative above 1), everything else exactly.  On every
-benchmark workload, ``exponents.csv`` and ``bounds.json`` must match in the
-same way, and ``simulate`` and ``detect`` at the reference seed and trial
-counts must write ``trials.csv`` and ``detect.csv`` byte for byte; the
-derived scenarios are generated by ``perfbench/workloads.py``.  So a
+benchmark workload, ``exponents.csv``, ``bounds.json``, ``summary.json`` and
+``detect_summary.json`` must match in the same way, and ``simulate`` and
+``detect`` at the reference seed and trial counts must write ``trials.csv``
+and ``detect.csv`` byte for byte; the derived scenarios are generated by
+``perfbench/workloads.py``.  So a
 refactor that moves an output fails under pytest, not only in the benchmark.
 """
 
@@ -129,3 +130,11 @@ def test_workload_bounds_json_within_tolerance(trial_tables):
     name, work = trial_tables
     got = json.loads((work / "bound" / "bounds.json").read_text())
     assert _same(got, json.loads((REFS / name / "bounds.json").read_text()))
+
+
+@pytest.mark.parametrize("op, name", [("simulate", "summary.json"),
+                                      ("detect", "detect_summary.json")])
+def test_workload_summaries_within_tolerance(trial_tables, op, name):
+    workload, work = trial_tables
+    got = json.loads((work / op / name).read_text())
+    assert _same(got, json.loads((REFS / workload / name).read_text()))

@@ -310,6 +310,21 @@ class TestCliDispatch:
         out = tmp_path / "out"
         assert main(["simulate", "--scenario", p, "--out", str(out)]) == 0
 
+    def test_cli_writes_every_result_file(self, tmp_path, monkeypatch):
+        # montecarlo returns data only; without a trace it opens no file
+        def no_open(*args, **kwargs):
+            raise AssertionError(f"montecarlo opened {args[0]}")
+
+        monkeypatch.setattr(gepkit.montecarlo, "open", no_open, raising=False)
+        p = str(SCENARIOS / "detect_two_bsc.json")
+        out = tmp_path / "out"
+        for command in ("simulate", "detect"):
+            assert main([command, "--scenario", p, "--out", str(out),
+                         "--trials", "200"]) in (0, 1)
+        assert sorted(f.name for f in out.iterdir()) == [
+            "detect.csv", "detect_summary.json", "summary.json",
+            "trials.csv"]
+
 
 class TestMemoryPreflight:
     """simulate refuses a scenario whose codebooks would not fit before it

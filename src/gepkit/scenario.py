@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -90,6 +91,22 @@ def _list(val, path: str) -> list:
     return val
 
 
+def _number(val, path: str) -> float:
+    """A finite JSON number as a float; booleans, NaN and +-inf are not."""
+    if isinstance(val, (int, float)) and not isinstance(val, bool) and \
+            abs(val) <= sys.float_info.max:
+        return float(val)
+    raise SchemaError(f"{path}: expected a finite number, got {val!r}")
+
+
+def _numbers(val, path: str, nested: bool = False) -> list:
+    """A list of finite numbers, as floats; with ``nested``, entries may be
+    such lists in turn (a table channel's pmf)."""
+    return [_numbers(v, f"{path}[{i}]", nested)
+            if nested and isinstance(v, list) else _number(v, f"{path}[{i}]")
+            for i, v in enumerate(_list(val, path))]
+
+
 def _indices(val, path: str) -> list:
     """A list of integer indices (users or codes)."""
     if not all(isinstance(i, int) and not isinstance(i, bool)
@@ -99,12 +116,12 @@ def _indices(val, path: str) -> list:
 
 
 def _rate_nats(entry: dict, path: str) -> float:
-    rate = _need(entry, "rate", (int, float), path)
+    rate = _number(_need(entry, "rate", None, path), f"{path}.rate")
     unit = _need(entry, "rate_unit", str, path)
     if unit == "nats":
-        return float(rate)
+        return rate
     if unit == "bits":
-        return float(rate) * LN2
+        return rate * LN2
     raise SchemaError(f"{path}.rate_unit: must be 'nats' or 'bits'")
 
 
@@ -112,20 +129,22 @@ def _build_model(doc: dict) -> tuple[SystemModel, dict]:
     channel = _need(doc, "channel", dict, "$")
     ctype = _need(channel, "type", str, "$.channel")
     if ctype == "bsc_compound":
-        crossovers = _need(channel, "crossovers", list, "$.channel")
+        crossovers = _numbers(_need(channel, "crossovers", None, "$.channel"),
+                              "$.channel.crossovers")
         rate = _rate_nats(channel, "$.channel")
-        input_pmf = channel.get("input_pmf", [0.5, 0.5])
+        input_pmf = _numbers(channel.get("input_pmf", [0.5, 0.5]),
+                             "$.channel.input_pmf")
         if "users" in doc:
             raise SchemaError(
                 "$.users: not allowed with a bsc_compound channel")
         model = make_compound_bsc(crossovers, input_pmf, rate)
         spec = {"type": "bsc_compound",
-                "crossovers": [float(p) for p in crossovers],
-                "rate": rate, "rate_unit": "nats",
-                "input_pmf": [float(p) for p in input_pmf]}
+                "crossovers": crossovers, "rate": rate, "rate_unit": "nats",
+                "input_pmf": input_pmf}
         return model, spec
     if ctype == "table":
-        pmf = _need(channel, "pmf", list, "$.channel")
+        pmf = _numbers(_need(channel, "pmf", None, "$.channel"),
+                       "$.channel.pmf", nested=True)
         users = _need(doc, "users", list, "$")
         if not users:
             raise SchemaError("$.users: at least one user required")
@@ -151,9 +170,10 @@ def _build_model(doc: dict) -> tuple[SystemModel, dict]:
             for j, code in enumerate(codes):
                 cpath = f"{path}.codes[{j}]"
                 r = _rate_nats(code, cpath)
-                pmf_in = _need(code, "input_pmf", list, cpath)
+                pmf_in = _numbers(_need(code, "input_pmf", None, cpath),
+                                  f"{cpath}.input_pmf")
                 try:
-                    lib.append(CodeSpec(rate=r, input_pmf=np.asarray(pmf_in)))
+                    lib.append(CodeSpec(rate=r, input_pmf=pmf_in))
                 except GepkitError as exc:
                     raise SchemaError(f"{cpath}: {exc}") from exc
             libraries.append(tuple(lib))
@@ -161,12 +181,14 @@ def _build_model(doc: dict) -> tuple[SystemModel, dict]:
         if K < 1:
             raise SchemaError("$.users: need at least one regular user")
         try:
-            dmc = make_dmc(np.asarray(pmf, dtype=float))
+            dmc = make_dmc(pmf)
             model = SystemModel(dmc=dmc, K=K, M=M,
                                 libraries=tuple(libraries))
         except GepkitError as exc:
             raise SchemaError(f"$.channel/users: {exc}") from exc
-        spec = {"type": "table", "pmf": np.asarray(pmf, float).tolist()}
+        except ValueError as exc:  # numpy refuses a ragged pmf
+            raise SchemaError("$.channel.pmf: rows of unequal length") from exc
+        spec = {"type": "table", "pmf": pmf}
         return model, spec
     raise SchemaError("$.channel.type: must be 'table' or 'bsc_compound'")
 
@@ -197,18 +219,18 @@ def parse_scenario(doc: dict) -> Scenario:
     alpha_doc = doc.get("alpha", {})
     if not isinstance(alpha_doc, dict):
         raise SchemaError("$.alpha: expected an object")
-    default = alpha_doc.get("default", 0.0)
-    if not isinstance(default, (int, float)) or default < 0:
-        raise SchemaError("$.alpha.default: must be a number >= 0")
-    table = np.full(model.code_counts, float(default))
+    default = _number(alpha_doc.get("default", 0.0), "$.alpha.default")
+    if default < 0:
+        raise SchemaError("$.alpha.default: must be >= 0")
+    table = np.full(model.code_counts, default)
     for i, entry in enumerate(_list(alpha_doc.get("entries", []),
                                     "$.alpha.entries")):
         path = f"$.alpha.entries[{i}]"
         g = _g_list(model, [_need(entry, "g", list, path)], path)[0]
-        val = _need(entry, "value", (int, float), path)
+        val = _number(_need(entry, "value", None, path), f"{path}.value")
         if val < 0:
             raise SchemaError(f"{path}.value: must be >= 0")
-        table[g] = float(val)
+        table[g] = val
     alpha = WeightFunction(model, table)
 
     region_members = _g_list(model, _need(doc, "region", list, "$"),

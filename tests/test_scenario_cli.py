@@ -30,6 +30,23 @@ def minimal_doc(**over):
     return doc
 
 
+def bsc_doc(**channel):
+    doc = minimal_doc()
+    doc["channel"].update(channel)
+    return doc
+
+
+def table_doc(pmf=None, input_pmf=None):
+    """One regular user with a single code over a binary table channel."""
+    return {
+        "channel": {"type": "table", "pmf": pmf or [[0.9, 0.1], [0.1, 0.9]]},
+        "users": [{"kind": "regular",
+                   "codes": [{"rate": 0.3, "rate_unit": "bits",
+                              "input_pmf": input_pmf or [0.5, 0.5]}]}],
+        "N": 6, "region": [[0]], "trials": 5, "seed": 0,
+    }
+
+
 class TestLoadScenario:
     def test_shipped_sec4_rate_converted_to_nats(self):
         s = load_scenario(SCENARIOS / "bsc_compound_sec4.json")
@@ -88,15 +105,7 @@ class TestLoadScenario:
             parse_scenario(minimal_doc(decoder="detect-then-decode"))
 
     def test_table_channel_with_users(self):
-        doc = {
-            "channel": {"type": "table",
-                        "pmf": [[0.9, 0.1], [0.1, 0.9]]},
-            "users": [{"kind": "regular",
-                       "codes": [{"rate": 0.3, "rate_unit": "bits",
-                                  "input_pmf": [0.5, 0.5]}]}],
-            "N": 6, "region": [[0]], "trials": 5, "seed": 0,
-        }
-        s = parse_scenario(doc)
+        s = parse_scenario(table_doc())
         assert s.model.K == 1 and s.model.M == 0
         assert s.model.rate(0, 0) == pytest.approx(0.3 * LN2)
 
@@ -191,15 +200,8 @@ class TestEntropyGate:
         assert (tmp_path / "y" / "exponents.csv").is_file()
 
     def test_gate_needs_compound_channel(self, tmp_path):
-        doc = {
-            "channel": {"type": "table", "pmf": [[0.9, 0.1], [0.1, 0.9]]},
-            "users": [{"kind": "regular",
-                       "codes": [{"rate": 0.3, "rate_unit": "bits",
-                                  "input_pmf": [0.5, 0.5]}]}],
-            "N": 6, "region": [[0]], "trials": 5, "seed": 0,
-        }
         p = tmp_path / "s.json"
-        p.write_text(json.dumps(doc))
+        p.write_text(json.dumps(table_doc()))
         assert main(["gate", "--scenario", str(p),
                      "--out", str(tmp_path)]) == 2
 
@@ -244,6 +246,26 @@ class TestCliDispatch:
         assert main(["bound", "--scenario", p,
                      "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith("error: $")
+
+    @pytest.mark.parametrize("doc, path", [
+        (bsc_doc(crossovers=["a", 0.3]), "$.channel.crossovers[0]"),
+        (table_doc(input_pmf=["a", 0.5]), "$.users[0].codes[0].input_pmf[0]"),
+        (table_doc(pmf=[["a", 0.1], [0.1, 0.9]]), "$.channel.pmf[0][0]"),
+        (bsc_doc(rate=math.nan), "$.channel.rate"),
+        (minimal_doc(alpha={"entries": [{"g": [0, 1], "value": math.nan}]}),
+         "$.alpha.entries[0].value"),
+        (table_doc(pmf=[[math.nan, 0.1], [0.1, 0.9]]), "$.channel.pmf[0][0]"),
+        (bsc_doc(rate=math.inf), "$.channel.rate"),
+        (minimal_doc(alpha={"default": math.inf}), "$.alpha.default"),
+        (table_doc(pmf=[[0.9, 0.1], [0.1]]), "$.channel.pmf"),
+    ])
+    def test_malformed_numbers_exit_2(self, tmp_path, doc, path, capsys):
+        # a string, NaN or infinity where a number belongs is an input error
+        # naming its key path, not a traceback or a bound of 1.0
+        p = self._write(tmp_path, doc)
+        assert main(["bound", "--scenario", p,
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
     def test_bound_then_simulate_pass(self, tmp_path):
         doc = minimal_doc(trials=400)

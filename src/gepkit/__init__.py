@@ -35,7 +35,6 @@ from .exponents import (
     BoundReport,
     ExponentCache,
     ExponentResult,
-    RegionPartition,
     WeightFunction,
     detection_bound,
     exponent_Ec,
@@ -43,6 +42,7 @@ from .exponents import (
     exponent_EmD,
     gep_bound_D,
     gep_bound_partitioned,
+    validate_partition,
     validate_region,
 )
 from .montecarlo import (

@@ -77,7 +77,7 @@ def decode_bound_reports(scenario: Scenario, cache=None):
     cache = cache or ExponentCache()
     return {D: gep_bound_D(scenario.model, D, reg, scenario.alpha,
                            scenario.N, cache=cache)
-            for D, reg in scenario.partition.items()}
+            for D, reg in scenario.partition}
 
 
 def _decodes_with_margin(scenario: Scenario) -> bool:
@@ -172,7 +172,7 @@ def cmd_bound(scenario: Scenario, out: Path, args) -> int:
     payload["partitioned"] = _report_dict(optimized)
     payload["partitioned"]["partition"] = [
         {"D": list(D), "region": [list(g) for g in sorted(reg)]}
-        for D, reg in partition.items()]
+        for D, reg in partition]
     margin = margin_bound_report(scenario, cache)
     if margin is not None:
         payload["margin"] = _report_dict(margin)

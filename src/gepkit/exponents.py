@@ -112,35 +112,26 @@ def _decoded_subset(D) -> tuple:
     return D
 
 
-@dataclass(frozen=True)
-class RegionPartition:
-    """Assignment of each operation-region vector to one decoded subset D
-    (every D contains user 0); the per-D regions are disjoint and cover R."""
-
-    parts: tuple  # ((D tuple, frozenset of g), ...) sorted by D
-
-    @classmethod
-    def build(cls, model: SystemModel, mapping, region=None) -> "RegionPartition":
-        seen = set()
-        parts = []
-        for D, members in mapping.items():
-            D = _decoded_subset(D)
-            if any(k >= model.K for k in D):
-                raise ShapeMismatch(f"decoded subset {D} has non-regular users")
-            reg = validate_region(model, members)
-            if reg & seen:
-                raise ShapeMismatch("partition regions overlap")
-            seen |= reg
-            if reg:
-                parts.append((D, reg))
-        if region is not None:
-            region = validate_region(model, region)
-            if seen != region:
-                raise ShapeMismatch("partition does not cover the region")
-        return cls(tuple(sorted(parts, key=lambda t: t[0])))
-
-    def items(self):
-        return self.parts
+def validate_partition(model: SystemModel, mapping, region=None) -> tuple:
+    """Assignment of region vectors to decoded subsets D (every D contains
+    user 0 and regular users only): the per-D regions must be disjoint and,
+    when ``region`` is given, cover it.  Returns the nonempty parts as
+    ((D, frozenset of g), ...) sorted by D."""
+    seen = set()
+    parts = []
+    for D, members in mapping.items():
+        D = _decoded_subset(D)
+        if any(k >= model.K for k in D):
+            raise ShapeMismatch(f"decoded subset {D} has non-regular users")
+        reg = validate_region(model, members)
+        if reg & seen:
+            raise ShapeMismatch("partition regions overlap")
+        seen |= reg
+        if reg:
+            parts.append((D, reg))
+    if region is not None and seen != validate_region(model, region):
+        raise ShapeMismatch("partition does not cover the region")
+    return tuple(sorted(parts, key=lambda t: t[0]))
 
 
 def proper_subsets(n_users: int):
@@ -595,14 +586,9 @@ def gep_bound_partitioned(model: SystemModel, region, alpha: WeightFunction,
         raw = sum(r.raw for r in reports.values())
         if best is None or raw < best[0]:
             best = (raw, mapping, reports)
-    if best is None:  # empty region
-        part = RegionPartition.build(model, {}, region)
-        empty = bound_report([], N, alpha, alpha.log_total(N),
-                             heuristic=heuristic)
-        return empty, part
     _raw, mapping, reports = best
-    part = RegionPartition.build(model, mapping, region)
-    return summed_report(reports, N, alpha, heuristic=heuristic), part
+    return summed_report(reports, N, alpha, heuristic=heuristic), \
+        validate_partition(model, mapping, region)
 
 
 def check_detection_partition(model: SystemModel, regions):

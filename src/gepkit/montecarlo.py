@@ -166,7 +166,7 @@ def receiver_parts(scenario) -> list:
     if scenario.decoder == "margin":
         return [(tuple(range(scenario.model.K)), scenario.region,
                  scenario.margin)]
-    return [(D, reg, None) for D, reg in scenario.partition.items()]
+    return [(D, reg, None) for D, reg in scenario.partition]
 
 
 def _prepare_decoder(scenario, model, cache=None):

@@ -41,9 +41,9 @@ import numpy as np
 from .channel import CodeSpec, SystemModel, make_compound_bsc, make_dmc
 from .errors import GepkitError, IntegrityError, ParseError, SchemaError
 from .exponents import (
-    RegionPartition,
     WeightFunction,
     check_detection_partition,
+    validate_partition,
     validate_region,
 )
 from .montecarlo import ERROR_MODELS
@@ -60,7 +60,7 @@ class Scenario:
     alpha: WeightFunction
     region: frozenset
     margin: frozenset
-    partition: RegionPartition
+    partition: tuple        # ((D, region of D), ...) sorted by D
     detection: list | None
     error_model: str
     decoder: str            # "plain" | "margin" | "detect"
@@ -257,11 +257,11 @@ def parse_scenario(doc: dict) -> Scenario:
                               f"{path}.region")
             mapping[D] = mapping.get(D, []) + members
         try:
-            partition = RegionPartition.build(model, mapping, region)
+            partition = validate_partition(model, mapping, region)
         except GepkitError as exc:
             raise IntegrityError(f"$.partition: {exc}") from exc
     else:
-        partition = RegionPartition.build(
+        partition = validate_partition(
             model, {tuple(range(model.K)): region}, region)
 
     detection = None
@@ -338,11 +338,10 @@ def emit(scenario: Scenario) -> dict:
     doc["region"] = [list(g) for g in sorted(scenario.region)]
     if scenario.margin:
         doc["margin"] = [list(g) for g in sorted(scenario.margin)]
-    if len(scenario.partition.items()) != 1 or \
-            scenario.partition.items()[0][0] != tuple(range(scenario.model.K)):
+    if [D for D, _ in scenario.partition] != [tuple(range(scenario.model.K))]:
         doc["partition"] = [
             {"D": list(D), "region": [list(g) for g in sorted(reg)]}
-            for D, reg in scenario.partition.items()]
+            for D, reg in scenario.partition]
     if scenario.detection is not None:
         doc["detection"] = [[list(g) for g in sorted(cell)]
                             for cell in scenario.detection]

@@ -14,11 +14,11 @@ from gepkit.errors import (
 )
 from gepkit.exponents import (
     ExponentCache,
-    RegionPartition,
     WeightFunction,
     detection_bound,
     gep_bound_D,
     gep_bound_partitioned,
+    validate_partition,
     validate_region,
 )
 from gepkit.optimize import SearchSettings
@@ -92,12 +92,12 @@ class TestPartitionedBound:
         rep, part = gep_bound_partitioned(m, [(0, 0)], a, 12)
         direct = gep_bound_D(m, [0], [(0, 0)], a, 12)
         assert rep.raw == pytest.approx(direct.raw, rel=1e-12)
-        assert part.items() == (((0,), frozenset({(0, 0)})),)
+        assert part == (((0,), frozenset({(0, 0)})),)
 
     def test_empty_region(self):
         m = make_compound_bsc([0.05, 0.3], [0.5, 0.5], 0.2)
         rep, part = gep_bound_partitioned(m, [], WeightFunction.zero(m), 12)
-        assert rep.value == 0.0 and part.items() == ()
+        assert rep.value == 0.0 and part == ()
 
     def test_two_user_enumeration_matches_brute_force(self):
         m = two_user_model()
@@ -123,7 +123,7 @@ class TestPartitionedBound:
                                           partition_cap=1,
                                           cache=ExponentCache(FAST))
         assert rep.heuristic
-        assert part.items()[0][0] == (0, 1)
+        assert part[0][0] == (0, 1)
 
 
 class TestMarginBound:
@@ -217,9 +217,9 @@ class TestReportMechanics:
         m = two_user_model()
         region = validate_region(m, [(0, 0), (1, 1)])
         with pytest.raises(Exception):
-            RegionPartition.build(m, {(0,): [(0, 0)]}, region)
+            validate_partition(m, {(0,): [(0, 0)]}, region)
         with pytest.raises(Exception):
-            RegionPartition.build(
+            validate_partition(
                 m, {(0,): [(0, 0), (1, 1)], (0, 1): [(1, 1)]}, region)
 
 
@@ -270,7 +270,7 @@ class TestCacheAlphaGuard:
     def test_decoder_bound_under_another_alpha(self):
         scen = load_scenario(self.SCENARIO)
         m = scen.model
-        (D, region), = scen.partition.items()
+        (D, region), = scen.partition
         used = ExponentCache()
         gep_bound_D(m, D, region, WeightFunction.zero(m), scen.N, cache=used)
         alpha = WeightFunction(m, {(0, 1): 0.2})
@@ -281,7 +281,7 @@ class TestCacheAlphaGuard:
     def test_cache_carries_the_search_settings(self):
         scen = load_scenario(self.SCENARIO)
         m = scen.model
-        (D, region), = scen.partition.items()
+        (D, region), = scen.partition
         a0 = WeightFunction.zero(m)
         assert gep_bound_D(m, D, region, a0, scen.N,
                            cache=ExponentCache(FAST)).raw == \
@@ -293,7 +293,7 @@ class TestCacheAlphaGuard:
     def test_reuse_across_blocklengths_and_parses(self):
         scen = load_scenario(self.SCENARIO)
         m = scen.model
-        (D, region), = scen.partition.items()
+        (D, region), = scen.partition
         alpha = WeightFunction(m, {(0, 1): 0.2})
         other = load_scenario(self.SCENARIO).model  # a separate parse
         shared = ExponentCache()

@@ -27,12 +27,12 @@ from gepkit.errors import MismatchedParameters, ShapeMismatch
 from gepkit.exponents import (
     BoundReport,
     ExponentCache,
-    RegionPartition,
     WeightFunction,
     check_detection_partition,
     detection_bound,
     gep_bound_D,
     is_vacuous,
+    validate_partition,
     validate_region,
 )
 from gepkit.montecarlo import (
@@ -68,7 +68,7 @@ def make_scenario(model, N, region, *, margin=frozenset(), decoder="plain",
                   g_set=None):
     region = validate_region(model, region)
     if partition is None and decoder != "margin":
-        partition = RegionPartition.build(
+        partition = validate_partition(
             model, {tuple(range(model.K)): region}, region)
     return SimpleNamespace(model=model, N=N,
                            alpha=WeightFunction.zero(model), region=region,

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import SystemModel, marginalize_out, output_marginal
+from .channel import SystemModel, marginalize_out
 from .ensemble import CodebookRealization, ensemble_log_expectation
 from .errors import DomainError, MissingCodebook
 from .exponents import (
@@ -407,8 +407,7 @@ def build_detector(model: SystemModel, regions,
     partition the code-index space) and score every hypothesis once."""
     cells = tuple(check_detection_partition(model, regions))
     gs = tuple(model.index_space())
-    with np.errstate(divide="ignore"):
-        log_out = np.array([np.log(output_marginal(model, g)) for g in gs])
+    log_out = np.array([marginalize_out(model, (), g).log_pmf() for g in gs])
     return RegionDetector(
         cells, gs, log_out, np.array([alpha(g) for g in gs]),
         np.array([next(i for i, r in enumerate(cells) if g in r)

@@ -41,3 +41,14 @@ def test_run_compound_example(tmp_path):
     assert res.returncode == 0, res.stdout + res.stderr
     assert "== margin bound at N=16 ==" in res.stdout
     assert "entropy gate: PASS" in res.stdout
+
+
+def test_run_compound_example_labels_follow_the_decoder(tmp_path):
+    # a plain-decoder scenario: its bound and estimate carry no margin label
+    res = _run("run_compound_example.py", "--trials", "50", "--scenario",
+               str(ROOT / "scenarios" / "compound_bsc_relaxed.json"),
+               cwd=tmp_path)
+    assert res.returncode == 0, res.stdout + res.stderr
+    assert "== plain bound at N=12 ==" in res.stdout
+    assert "plain-decoder GEP" in res.stdout
+    assert "margin" not in res.stdout

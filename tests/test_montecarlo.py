@@ -1,3 +1,4 @@
+import ast
 import importlib
 import inspect
 import itertools
@@ -280,15 +281,32 @@ class TestBenchmarkHooks:
     ``run_trials``, and the receiver is looked up at the name the trial
     runner calls and bound by argument name."""
 
+    @staticmethod
+    def _assert_defined(key):
+        layer, name = key.split(".")
+        module = importlib.import_module("gepkit." + layer)
+        fn = getattr(module, name, None)
+        assert inspect.isfunction(fn), key
+        assert fn.__module__ == module.__name__, key
+
     def test_tracer_phases_resolve(self):
         tracer = load_perfbench("tracer")
         assert tracer.PHASES
         for key in tracer.PHASES:
-            layer, name = key.split(".")
-            module = importlib.import_module("gepkit." + layer)
-            fn = getattr(module, name, None)
-            assert inspect.isfunction(fn), key
-            assert fn.__module__ == module.__name__, key
+            self._assert_defined(key)
+
+    def test_run_timers_resolve(self):
+        # ``trials_per_s`` subtracts the second timer from the first; run.py
+        # is parsed, not imported, since importing it sets BLAS environment
+        # variables for the whole process
+        tree = ast.parse((ROOT / "perfbench" / "run.py").read_text())
+        (timers,) = [ast.literal_eval(node.value) for node in tree.body
+                     if isinstance(node, ast.Assign)
+                     and any(getattr(t, "id", None) == "TIMERS"
+                             for t in node.targets)]
+        assert len(timers) == 2
+        for key in timers:
+            self._assert_defined(key)
 
     def test_trial_runner_calls_the_traced_names(self):
         assert gepkit.montecarlo.build_thresholds is \

@@ -428,4 +428,3 @@ def run_detection_trials(scenario, trials: int,
         sigma = float(np.sqrt(p * (1.0 - p) / n))
         ok = ok and p <= bound + 3.0 * sigma
     return DetectionResult(per_g=per_g, passed=ok)
-

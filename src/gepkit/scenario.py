@@ -145,6 +145,10 @@ def _build_model(doc: dict) -> tuple[SystemModel, dict]:
     if ctype == "table":
         pmf = _numbers(_need(channel, "pmf", None, "$.channel"),
                        "$.channel.pmf", nested=True)
+        try:
+            table = np.asarray(pmf, dtype=float)
+        except ValueError as exc:  # numpy refuses a ragged pmf
+            raise SchemaError("$.channel.pmf: rows of unequal length") from exc
         users = _need(doc, "users", list, "$")
         if not users:
             raise SchemaError("$.users: at least one user required")
@@ -181,13 +185,11 @@ def _build_model(doc: dict) -> tuple[SystemModel, dict]:
         if K < 1:
             raise SchemaError("$.users: need at least one regular user")
         try:
-            dmc = make_dmc(pmf)
+            dmc = make_dmc(table)
             model = SystemModel(dmc=dmc, K=K, M=M,
                                 libraries=tuple(libraries))
         except GepkitError as exc:
             raise SchemaError(f"$.channel/users: {exc}") from exc
-        except ValueError as exc:  # numpy refuses a ragged pmf
-            raise SchemaError("$.channel.pmf: rows of unequal length") from exc
         spec = {"type": "table", "pmf": pmf}
         return model, spec
     raise SchemaError("$.channel.type: must be 'table' or 'bsc_compound'")

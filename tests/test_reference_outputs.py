@@ -8,8 +8,8 @@ benchmark workload, ``exponents.csv``, ``bounds.json``, ``summary.json`` and
 ``detect_summary.json`` must match in the same way, and ``simulate`` and
 ``detect`` at the reference seed and trial counts must write ``trials.csv``
 and ``detect.csv`` byte for byte; the derived scenarios are generated by
-``perfbench/workloads.py``.  So a
-refactor that moves an output fails under pytest, not only in the benchmark.
+``perfbench/workloads.py``.  So a refactor that moves an output fails under
+pytest, not only in the benchmark.
 """
 
 import csv

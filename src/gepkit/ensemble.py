@@ -12,6 +12,7 @@ codeword table bit for bit.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,6 +80,60 @@ def _inverse_cdf(pmf: np.ndarray, u: np.ndarray) -> np.ndarray:
     return idx
 
 
+def draw_table(rng: np.random.Generator, pmf: np.ndarray, shape):
+    """A code's (messages, N) codeword table, drawn from its own stream:
+    the one call behind every table draw, so a trace or a test sees each."""
+    return sample_from_pmf(rng, pmf, shape)
+
+
+class CodebookTables(Mapping):
+    """(k, g_k) -> codeword table of one realization.  Every code of every
+    regular user is a key (``in`` means "in the library"); its table is
+    drawn from ``stream(master_seed, k, g_k)`` on its first ``[]``, so a
+    table gets the same symbols whichever other tables are drawn."""
+
+    def __init__(self, model: SystemModel, N: int, seed: tuple, counts: dict):
+        self._N, self._seed, self._counts = N, seed, counts
+        self._pmfs = {key: model.input_pmf(*key) for key in counts}
+        self._rngs, self._drawn = {}, {}
+
+    def _rng(self, key):
+        if key not in self._rngs:
+            self._rngs[key] = stream(self._seed, *key)
+        return self._rngs[key]
+
+    def __getitem__(self, key):
+        if key not in self._drawn:  # KeyError for a code outside the library
+            pmf, shape = self._pmfs[key], (self._counts[key], self._N)
+            self._drawn[key] = draw_table(self._rng(key), pmf, shape)
+        return self._drawn[key]
+
+    def __contains__(self, key):
+        return key in self._counts
+
+    def __iter__(self):
+        return iter(self._counts)
+
+    def __len__(self):
+        return len(self._counts)
+
+    def row(self, key, i: int) -> np.ndarray:
+        """Row i (0-based) of table ``key``, without drawing an undrawn
+        table: the N doubles at offset i*N of its stream, reached by
+        ``advance(i*N // 4)`` (Philox makes four per step) and i*N mod 4
+        discards.  The stream's state is restored, so a later full draw
+        gets the same bits from the same stream."""
+        if key in self._drawn:
+            return self._drawn[key][i]
+        rng = self._rng(key)
+        state = rng.bit_generator.state
+        rng.bit_generator.advance(i * self._N // 4)
+        rng.random(i * self._N % 4)
+        row = sample_from_pmf(rng, self._pmfs[key], self._N)
+        rng.bit_generator.state = state
+        return row
+
+
 @dataclass
 class CodebookRealization:
     """One sampled draw of every regular user's codebook library.
@@ -86,11 +141,13 @@ class CodebookRealization:
     ``tables[(k, g_k)]`` is an integer array of shape (counts[(k, g_k)], N)
     with counts[(k, g_k)] = message_count(r_k(g_k), N); interfering users
     have no tables (the receiver only knows their input distributions).
+    :func:`lazy_codebook` draws each table on its first read,
+    :func:`sample_codebook` draws them all; the symbols are the same.
     """
 
     N: int
     master_seed: tuple[int, ...]
-    tables: dict = field(repr=False)
+    tables: CodebookTables = field(repr=False)
     counts: dict = field(repr=False)
 
     def codeword(self, k: int, g_k: int, w: int) -> np.ndarray:
@@ -101,24 +158,31 @@ class CodebookRealization:
         if not 1 <= w <= n:
             raise MessageOutOfRange(
                 f"message {w} outside 1..{n} for user {k} code {g_k}")
-        return self.tables[(k, g_k)][w - 1]
+        return self.tables.row((k, g_k), w - 1)
 
 
-def sample_codebook(model: SystemModel, N: int, master_seed) -> CodebookRealization:
-    """Draw a fresh codebook realization: every symbol of every codeword of
-    code g_k of regular user k is i.i.d. from that code's input pmf."""
+def lazy_codebook(model: SystemModel, N: int,
+                  master_seed) -> CodebookRealization:
+    """A fresh codebook realization, no table drawn yet: every symbol of
+    every codeword of code g_k of regular user k is i.i.d. from that code's
+    input pmf."""
     if N < 1:
         raise ShapeMismatch(f"blocklength must be >= 1, got {N}")
     seed = _as_entropy(master_seed)
-    tables, counts = {}, {}
-    for k in range(model.K):
-        for g_k, spec in enumerate(model.libraries[k]):
-            n_msgs = message_count(spec.rate, N)
-            rng = stream(seed, k, g_k)
-            tables[(k, g_k)] = sample_from_pmf(rng, spec.input_pmf, (n_msgs, N))
-            counts[(k, g_k)] = n_msgs
-    return CodebookRealization(N=N, master_seed=seed, tables=tables,
-                               counts=counts)
+    counts = {(k, g_k): message_count(spec.rate, N)
+              for k in range(model.K)
+              for g_k, spec in enumerate(model.libraries[k])}
+    return CodebookRealization(N, seed, CodebookTables(model, N, seed, counts),
+                               counts)
+
+
+def sample_codebook(model: SystemModel, N: int,
+                    master_seed) -> CodebookRealization:
+    """Draw a fresh codebook realization with every table drawn."""
+    codebooks = lazy_codebook(model, N, master_seed)
+    for key in codebooks.tables:
+        codebooks.tables[key]
+    return codebooks
 
 
 def _logsumexp(a, axis: int):

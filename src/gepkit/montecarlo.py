@@ -2,7 +2,8 @@
 
 Each trial draws a fresh codebook realization (ensemble-average semantics),
 a code index vector g, uniform messages, transmits through the channel and
-decodes with the scenario's decoder.  Per-trial randomness is derived
+decodes with the scenario's decoder; of the realization it draws only the
+tables the decoder can read.  Per-trial randomness is derived
 deterministically from (master_seed, trial index, purpose), so runs
 reproduce bit for bit.  Trials run serially; region-detection trials draw
 from their streams one by one, then invert, transmit and detect a block of
@@ -33,8 +34,8 @@ from .decoder import (
 from .ensemble import (
     _inverse_cdf,
     flatten_symbols,
+    lazy_codebook,
     message_count,
-    sample_codebook,
     sample_from_pmf,
     stream,
 )
@@ -122,7 +123,7 @@ def _g_sampler(scenario, model: SystemModel):
     rule = scenario.g_sampling
     if rule == "uniform":
         g_list = [model.check_g(g) for g in scenario.g_set] \
-            if scenario.g_set else list(model.index_space())
+            if scenario.g_set is not None else list(model.index_space())
         return g_list, None
     if rule == "alpha_prior":
         g_list = list(model.index_space())
@@ -197,9 +198,14 @@ def run_trials(scenario, trials: int, master_seed: int, trace_path=None,
     transmitted (w, g), per-subset winners and candidate-independent
     thresholds, and the outcome.  Only the records outlive their trial.
 
-    Every trial resamples the codebook (the bounds are ensemble averages).
-    Before any threshold is built, one trial's codebook bytes (message
-    count x N x 8, summed over every code) are checked against
+    Every trial resamples the codebook (the bounds are ensemble averages),
+    but draws only the tables its decoder can read, with the symbols a
+    full draw gives them: under the plain and margin decoders, before the
+    transmitted codewords are read, the (k, g_k) of every region member of
+    every :func:`receiver_parts` entry; under detect-then-decode, after
+    detection, those of the detected cell's region members only.  Before
+    any threshold is built, one trial's codebook bytes (message count x N
+    x 8, summed over every code, drawn or not) are checked against
     ``TRIAL_BUDGET_BYTES``; a larger scenario raises
     :class:`MemoryBudgetExceeded`.
 
@@ -222,11 +228,16 @@ def run_trials(scenario, trials: int, master_seed: int, trace_path=None,
     g_list, g_probs = _g_sampler(scenario, model)
     transmit = _channel_sampler(model)
     run_decoder = _prepare_decoder(scenario, model, cache)
+    prefetch = () if scenario.decoder == "detect" else sorted(
+        {(k, g[k]) for D, region, _margin in receiver_parts(scenario)
+         for g in region for k in D})
 
     def one(t: int, trace) -> TrialRecord:
         rng = stream((master_seed, t, 1))
         g = _draw_g(rng, g_list, g_probs)
-        codebooks = sample_codebook(model, N, (master_seed, t, 0))
+        codebooks = lazy_codebook(model, N, (master_seed, t, 0))
+        for key in prefetch:
+            codebooks.tables[key]
         w = tuple(int(rng.integers(1, counts[(k, g[k])] + 1))
                   for k in range(model.K))
         x = np.empty((model.n_users, N), dtype=np.int64)

@@ -20,7 +20,7 @@ Schema (all code index vectors are 0-based lists, one entry per user):
       "error_model": "relaxed" | "strict" | "margin",
       "decoder": "plain" | "margin" | "detect-then-decode",
       "g_sampling": "uniform" | "alpha_prior",        # optional
-      "g_set": [[..], ..],                            # optional
+      "g_set": [[..], ..],            # optional, distinct; uniform only
       "trials": 10000,
       "seed": 7
     }
@@ -296,6 +296,10 @@ def parse_scenario(doc: dict) -> Scenario:
     g_set = None
     if "g_set" in doc:
         g_set = _g_list(model, _need(doc, "g_set", list, "$"), "$.g_set")
+        if not g_set or len(set(g_set)) != len(g_set):
+            raise IntegrityError("$.g_set: needs distinct vectors, at least 1")
+        if g_sampling != "uniform":
+            raise SchemaError("$.g_set: only with uniform g_sampling")
 
     return Scenario(model=model, N=N, alpha=alpha, region=region,
                     margin=margin, partition=partition, detection=detection,

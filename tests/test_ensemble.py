@@ -15,6 +15,7 @@ from gepkit import (
     message_count,
     sample_codebook,
 )
+from gepkit.ensemble import lazy_codebook, sample_from_pmf, stream
 from gepkit.errors import CodeOutOfRange, MessageOutOfRange
 
 from conftest import random_g, random_model
@@ -96,6 +97,52 @@ class TestEncode:
         for w in (1, cb.counts[(0, 0)]):
             row = cb.codeword(0, 0, w)
             assert np.array_equal(table[w - 1], row)
+
+
+class TestRowSkip:
+    """``codeword`` on an undrawn table skips its stream ahead to the row:
+    the row equals the fully drawn table's, and the stream is left where
+    it was, so drawing the table afterwards gives a fresh draw's bits."""
+
+    @staticmethod
+    def _model(N):
+        # seven messages of a ternary, non-uniform code at every N
+        return SystemModel(
+            dmc=make_dmc(np.eye(3)), K=1, M=0,
+            libraries=((CodeSpec(0.0, np.array([0.5, 0.5, 0.0])),
+                        CodeSpec(math.log(7.0) / N,
+                                 np.array([0.2, 0.5, 0.3]))),))
+
+    @pytest.mark.parametrize("N", [1, 3, 5, 13, 16, 21, 40])
+    def test_rows_of_an_undrawn_table(self, N):
+        m = self._model(N)
+        seed = (5, 8, 0)
+        full = sample_codebook(m, N, seed).tables[(0, 1)]
+        # an eager draw of the table: every row in order from its stream
+        fresh = sample_from_pmf(stream(seed, 0, 1),
+                                m.input_pmf(0, 1), (7, N))
+        assert np.array_equal(full, fresh)
+        lazy = lazy_codebook(m, N, seed)
+        assert lazy.counts[(0, 1)] == 7
+        for w in (1, 2, 7, 2):
+            assert np.array_equal(lazy.codeword(0, 1, w), fresh[w - 1])
+        assert np.array_equal(lazy.tables[(0, 1)], fresh)
+        for w in (1, 2, 7):  # now read from the drawn table
+            assert np.array_equal(lazy.codeword(0, 1, w), fresh[w - 1])
+
+    def test_unknown_codes_and_messages_on_undrawn_tables(self):
+        lazy = lazy_codebook(self._model(5), 5, 3)
+        assert (0, 1) in lazy.tables and (0, 2) not in lazy.tables
+        assert list(lazy.tables) == [(0, 0), (0, 1)]
+        with pytest.raises(CodeOutOfRange):
+            lazy.codeword(0, 2, 1)
+        with pytest.raises(CodeOutOfRange):
+            lazy.codeword(1, 0, 1)
+        for w in (0, 8):
+            with pytest.raises(MessageOutOfRange):
+                lazy.codeword(0, 1, w)
+        with pytest.raises(KeyError):
+            lazy.tables[(0, 2)]
 
 
 def brute_force_expectation(model, D, S, g, y, x_fixed, a):

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import gepkit.decoder
+import gepkit.ensemble
 import gepkit.montecarlo
 from gepkit import (
     CodeSpec,
@@ -23,7 +24,8 @@ from gepkit import (
 )
 from gepkit.decoder import DecodeOutcome
 from gepkit.channel import output_marginal
-from gepkit.ensemble import flatten_symbols, stream
+from gepkit.ensemble import (flatten_symbols, sample_codebook,
+                             sample_from_pmf, stream)
 from gepkit.errors import MismatchedParameters, ShapeMismatch
 from gepkit.exponents import (
     BoundReport,
@@ -41,15 +43,19 @@ from gepkit.montecarlo import (
     RELAXED,
     STRICT,
     DetectionResult,
+    TrialRecord,
+    _channel_sampler,
     _draw_g,
     _g_sampler,
+    _prepare_decoder,
     classify_error,
     compare_bound,
     empirical_gep,
+    receiver_parts,
     run_detection_trials,
     run_trials,
 )
-from gepkit.scenario import load_scenario
+from gepkit.scenario import load_scenario, parse_scenario
 
 from conftest import (ROOT, load_perfbench, load_workloads, random_alpha,
                       random_model)
@@ -426,6 +432,142 @@ class TestCompareBound:
         est = empirical_gep(recs, scen.alpha, 12)
         bound = gep_bound_D(m, [0], [(0, 0)], scen.alpha, 12)
         assert compare_bound(est, bound).passed
+
+
+# ---------------------------------------------------------------------------
+# the codebook tables a trial draws
+# ---------------------------------------------------------------------------
+
+def reference_trials(scenario, trials, master_seed):
+    """run_trials' loop with every table drawn: each trial draws its whole
+    realization with sample_codebook and reads the transmitted codewords
+    from the drawn tables."""
+    model, N = scenario.model, scenario.N
+    g_list, g_probs = _g_sampler(scenario, model)
+    transmit = _channel_sampler(model)
+    run_decoder = _prepare_decoder(scenario, model)
+    records = []
+    for t in range(trials):
+        rng = stream((master_seed, t, 1))
+        g = _draw_g(rng, g_list, g_probs)
+        cb = sample_codebook(model, N, (master_seed, t, 0))
+        w = tuple(int(rng.integers(1, cb.counts[(k, g[k])] + 1))
+                  for k in range(model.K))
+        x = np.empty((model.n_users, N), dtype=np.int64)
+        for k in range(model.K):
+            x[k] = cb.tables[(k, g[k])][w[k] - 1]
+        for k in range(model.K, model.n_users):
+            x[k] = sample_from_pmf(rng, model.input_pmf(k, g[k]), N)
+        out = run_decoder(cb, transmit(x, rng.random(N)), (w, g))
+        err = classify_error(scenario.error_model, scenario.region,
+                             scenario.margin, g, w, out)
+        records.append(TrialRecord(trial=t, g=g, w=w, kind=out.kind,
+                                   w1=out.w1, g1=out.g1, error=err))
+    return records
+
+
+def _trial_scenarios():
+    """name -> (scenario, reference seed, trials) of the shipped scenarios
+    and the benchmark's simulate workloads."""
+    out = {}
+    for path in sorted(SCENARIOS.glob("*.json")):
+        scen = load_scenario(path)
+        out[path.stem] = (scen, scen.seed, 200)
+    workloads = load_workloads()
+    for name, spec in workloads.WORKLOADS.items():
+        ref = spec["scenario"]
+        scen = parse_scenario(workloads.generate(ref, ROOT)) \
+            if ref in workloads.GENERATORS else load_scenario(ROOT / ref)
+        out[name] = (scen, spec["ref_seed"], spec["sim_trials"])
+    return out
+
+
+TRIAL_SCENARIOS = _trial_scenarios()
+
+
+def _readable(scenario, cells=None):
+    """The (k, g_k) of every region member of every receiver part, for
+    each k of its D: of the members inside ``cells`` only, if given."""
+    return sorted({(k, g[k]) for D, region, _margin in receiver_parts(scenario)
+                   for g in region if cells is None or g in cells
+                   for k in D})
+
+
+class TestTablesDrawn:
+    """A trial draws only the codebook tables its decoder can read, builds
+    each (trial, code) stream once, and gives the records of drawing the
+    whole realization."""
+
+    @pytest.mark.parametrize("seed", ["ref", 3, 91])
+    @pytest.mark.parametrize("name", sorted(TRIAL_SCENARIOS))
+    def test_records_equal_the_eager_loop(self, name, seed):
+        scen, ref_seed, trials = TRIAL_SCENARIOS[name]
+        seed = ref_seed if seed == "ref" else seed
+        assert run_trials(scen, trials, seed) == \
+            reference_trials(scen, trials, seed)
+
+    @staticmethod
+    def _spy(monkeypatch, scen, trials, seed):
+        """(built, drawn, cells): how often each (trial, code) stream was
+        built, the codes whose table each trial drew, and the detected
+        cell of each trial under detect-then-decode."""
+        built, drawn, cells, owner = Counter(), {}, [], {}
+        make_stream = gepkit.ensemble.stream
+        draw_table = gepkit.ensemble.draw_table
+        decode = gepkit.montecarlo.decode_with_detection
+
+        def spy_stream(master_seed, *path):
+            rng = make_stream(master_seed, *path)
+            owner[id(rng)] = (rng, master_seed[1], path)  # keeps rng alive
+            built[master_seed[1], path] += 1
+            return rng
+
+        def spy_draw(rng, *args):
+            _rng, t, code = owner[id(rng)]
+            drawn.setdefault(t, []).append(code)
+            return draw_table(rng, *args)
+
+        def spy_decode(*args, **kwargs):
+            out = decode(*args, **kwargs)
+            cells.append(out.diagnostics["detected_region"])
+            return out
+
+        monkeypatch.setattr(gepkit.ensemble, "stream", spy_stream)
+        monkeypatch.setattr(gepkit.ensemble, "draw_table", spy_draw)
+        monkeypatch.setattr(gepkit.montecarlo, "decode_with_detection",
+                            spy_decode)
+        run_trials(scen, trials, seed)
+        monkeypatch.undo()
+        return built, drawn, cells
+
+    def test_detect_draws_only_the_detected_cells_tables(self, monkeypatch):
+        scen, seed, trials = TRIAL_SCENARIOS["bigcode-detect"]
+        assert (seed, trials) == (2020, 150)
+        built, drawn, cells = self._spy(monkeypatch, scen, trials, seed)
+        assert len(cells) == trials
+        assert max(built.values()) == 1
+        nothing = 0
+        for t, cell in enumerate(cells):
+            want = _readable(scen, scen.detection[cell])
+            assert sorted(drawn.get(t, [])) == want
+            nothing += not want
+        assert nothing == 71
+
+    @pytest.mark.parametrize("name", ["bsc_compound_sec4",
+                                      "compound_bsc_relaxed",
+                                      "mac2-partition"])
+    def test_plain_and_margin_draw_the_receiver_set(self, monkeypatch,
+                                                    name):
+        scen, seed, trials = TRIAL_SCENARIOS[name]
+        built, drawn, cells = self._spy(monkeypatch, scen, trials, seed)
+        assert not cells
+        assert max(built.values()) == 1
+        want = _readable(scen)
+        assert all(sorted(drawn[t]) == want for t in range(trials))
+        if name == "mac2-partition":
+            # no region member uses user 1's second code
+            assert (1, 1) not in want and (1, 1) in {
+                code for _t, code in built}
 
 
 # ---------------------------------------------------------------------------

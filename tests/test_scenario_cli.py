@@ -267,6 +267,24 @@ class TestCliDispatch:
                      "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
+
+    @pytest.mark.parametrize("change, error", [
+        ({"g_set": []}, IntegrityError),
+        ({"g_set": [[0, 1]], "g_sampling": "alpha_prior"}, SchemaError),
+        ({"g_set": [[0, 1], [0, 1], [0, 0]]}, IntegrityError),
+    ], ids=["empty", "alpha_prior", "duplicate"])
+    def test_g_set_that_would_be_misread_exits_2(self, tmp_path, change,
+                                                 error, capsys):
+        # an empty g_set would sample the whole index space, alpha_prior
+        # would ignore the set, and a repeated vector would be drawn twice
+        # as often: each is refused by its key path
+        with pytest.raises(error):
+            parse_scenario(minimal_doc(**change))
+        p = self._write(tmp_path, minimal_doc(**change))
+        assert main(["simulate", "--scenario", p,
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("error: $.g_set: ")
+
     def test_bound_then_simulate_pass(self, tmp_path):
         doc = minimal_doc(trials=400)
         p = self._write(tmp_path, doc)
@@ -367,7 +385,7 @@ class TestMemoryPreflight:
         def forbidden(*args, **kwargs):
             raise AssertionError("simulate allocated before its pre-flight")
 
-        monkeypatch.setattr(gepkit.montecarlo, "sample_codebook", forbidden)
+        monkeypatch.setattr(gepkit.montecarlo, "lazy_codebook", forbidden)
         monkeypatch.setattr(gepkit.montecarlo, "build_thresholds", forbidden)
         code = main(["simulate", "--scenario", str(p), "--trials", "1",
                      "--out", str(tmp_path / "out")])

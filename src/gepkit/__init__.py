@@ -28,7 +28,6 @@ from .decoder import (
 from .ensemble import (
     CodebookRealization,
     ensemble_log_expectation,
-    lazy_codebook,
     message_count,
     sample_codebook,
 )

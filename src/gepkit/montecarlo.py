@@ -123,7 +123,7 @@ def _g_sampler(scenario, model: SystemModel):
     rule = scenario.g_sampling
     if rule == "uniform":
         g_list = [model.check_g(g) for g in scenario.g_set] \
-            if scenario.g_set is not None else list(model.index_space())
+            if scenario.g_set else list(model.index_space())
         return g_list, None
     if rule == "alpha_prior":
         g_list = list(model.index_space())

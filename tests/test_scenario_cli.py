@@ -267,7 +267,6 @@ class TestCliDispatch:
                      "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
-
     @pytest.mark.parametrize("change, error", [
         ({"g_set": []}, IntegrityError),
         ({"g_set": [[0, 1]], "g_sampling": "alpha_prior"}, SchemaError),

@@ -80,15 +80,10 @@ def decode_bound_reports(scenario: Scenario, cache=None):
             for D, reg in scenario.partition}
 
 
-def _decodes_with_margin(scenario: Scenario) -> bool:
-    return any(margin is not None
-               for _D, _reg, margin in montecarlo.receiver_parts(scenario))
-
-
 def margin_bound_report(scenario: Scenario, cache=None):
     """The margin decoder's bound over all regular users, or None when the
     scenario has no margin and its receiver has no margin decoder."""
-    if not (scenario.margin or _decodes_with_margin(scenario)):
+    if not (scenario.margin or scenario.decoder == "margin"):
         return None
     D = tuple(range(scenario.model.K))
     return gep_bound_D(scenario.model, D, scenario.region, scenario.alpha,
@@ -164,7 +159,7 @@ def cmd_bound(scenario: Scenario, out: Path, args) -> int:
     cache = ExponentCache()
     payload: dict = {"N": scenario.N}
     # a margin decoder's verdict bound is the "margin" report
-    payload["decode"] = None if _decodes_with_margin(scenario) \
+    payload["decode"] = None if scenario.decoder == "margin" \
         else _report_dict(scenario_bound(scenario, cache))
     optimized, partition = gep_bound_partitioned(
         scenario.model, scenario.region, scenario.alpha, scenario.N,
@@ -197,12 +192,17 @@ def cmd_simulate(scenario: Scenario, out: Path, args) -> int:
     word = "PASS" if verdict.passed else "FAIL"
     _write_csv(out / "trials.csv", ["g", "trials", "errors", "p_hat"],
                _tally_rows(estimate.per_g))
-    _write_json(out / "summary.json", {
+    summary = {
         "estimate": _round12(estimate.point), "sigma": _round12(estimate.se),
         "bound": _round12(verdict.bound), "verdict": word,
-        "trials": scenario.trials, "seed": scenario.seed})
+        "trials": scenario.trials, "seed": scenario.seed}
+    note = ""
+    if estimate.unestimated:  # strata without trials count as zero error
+        summary["unestimated"] = [_join(g) for g in estimate.unestimated]
+        note = f" (no trials for g = {', '.join(summary['unestimated'])})"
+    _write_json(out / "summary.json", summary)
     print(f"estimate = {_fmt(estimate.point)}  sigma = {_fmt(estimate.se)}  "
-          f"bound = {_fmt(bound.value)}  -> {word}")
+          f"bound = {_fmt(bound.value)}  -> {word}{note}")
     return 0 if verdict.passed else 1
 
 

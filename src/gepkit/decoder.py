@@ -25,7 +25,7 @@ import numpy as np
 
 from .channel import SystemModel, marginalize_out
 from .ensemble import CodebookRealization, ensemble_log_expectation
-from .errors import DomainError, MissingCodebook
+from .errors import DomainError
 from .exponents import (
     ExponentCache,
     WeightFunction,
@@ -198,11 +198,7 @@ def _enumerate_candidates(model, D, g, codebooks: CodebookRealization, y,
                           alpha) -> _Candidates:
     N = len(y)
     lm = marginalize_out(model, D, g).log_pmf()
-    tables = []
-    for k in D:
-        if (k, g[k]) not in codebooks.tables:
-            raise MissingCodebook(f"realization lacks user {k} code {g[k]}")
-        tables.append(codebooks.tables[(k, g[k])])
+    tables = [codebooks.table(k, g[k]) for k in D]
     counts = [t.shape[0] for t in tables]
     n = math.prod(counts)
     if len(D) == 1:

@@ -6,14 +6,14 @@ stream is a ``numpy.random.Philox`` generator keyed by a ``SeedSequence``
 whose entropy is the tuple ``(master_seed..., user_index, code_index)``.
 Message and symbol positions enter through the draw order inside the
 stream, so a fixed (master_seed, user, code) always reproduces the same
-codeword table bit for bit.
+codeword table bit for bit.  A :class:`CodebookRealization` draws each
+table on its first read and reads a single codeword of an undrawn table by
+skipping its stream ahead to the row.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -86,102 +86,73 @@ def draw_table(rng: np.random.Generator, pmf: np.ndarray, shape):
     return sample_from_pmf(rng, pmf, shape)
 
 
-class CodebookTables(Mapping):
-    """(k, g_k) -> codeword table of one realization.  Every code of every
-    regular user is a key (``in`` means "in the library"); its table is
-    drawn from ``stream(master_seed, k, g_k)`` on its first ``[]``, so a
-    table gets the same symbols whichever other tables are drawn."""
-
-    def __init__(self, model: SystemModel, N: int, seed: tuple, counts: dict):
-        self._N, self._seed, self._counts = N, seed, counts
-        self._pmfs = {key: model.input_pmf(*key) for key in counts}
-        self._rngs, self._drawn = {}, {}
-
-    def _rng(self, key):
-        if key not in self._rngs:
-            self._rngs[key] = stream(self._seed, *key)
-        return self._rngs[key]
-
-    def __getitem__(self, key):
-        if key not in self._drawn:  # KeyError for a code outside the library
-            pmf, shape = self._pmfs[key], (self._counts[key], self._N)
-            self._drawn[key] = draw_table(self._rng(key), pmf, shape)
-        return self._drawn[key]
-
-    def __contains__(self, key):
-        return key in self._counts
-
-    def __iter__(self):
-        return iter(self._counts)
-
-    def __len__(self):
-        return len(self._counts)
-
-    def row(self, key, i: int) -> np.ndarray:
-        """Row i (0-based) of table ``key``, without drawing an undrawn
-        table: the N doubles at offset i*N of its stream, reached by
-        ``advance(i*N // 4)`` (Philox makes four per step) and i*N mod 4
-        discards.  The stream's state is restored, so a later full draw
-        gets the same bits from the same stream."""
-        if key in self._drawn:
-            return self._drawn[key][i]
-        rng = self._rng(key)
-        state = rng.bit_generator.state
-        rng.bit_generator.advance(i * self._N // 4)
-        rng.random(i * self._N % 4)
-        row = sample_from_pmf(rng, self._pmfs[key], self._N)
-        rng.bit_generator.state = state
-        return row
-
-
-@dataclass
 class CodebookRealization:
     """One sampled draw of every regular user's codebook library.
 
-    ``tables[(k, g_k)]`` is an integer array of shape (counts[(k, g_k)], N)
-    with counts[(k, g_k)] = message_count(r_k(g_k), N); interfering users
+    ``counts[(k, g_k)]`` = message_count(r_k(g_k), N) for every code g_k of
+    every regular user k: the library.  ``tables`` holds the tables drawn
+    so far, each an integer array of shape (counts[(k, g_k)], N) whose
+    symbols are i.i.d. from the code's input pmf; :meth:`table` draws one
+    from ``stream(master_seed, k, g_k)`` on its first call, so a table gets
+    the same symbols whichever other tables are drawn.  Interfering users
     have no tables (the receiver only knows their input distributions).
-    :func:`lazy_codebook` draws each table on its first read,
-    :func:`sample_codebook` draws them all; the symbols are the same.
     """
 
-    N: int
-    master_seed: tuple[int, ...]
-    tables: CodebookTables = field(repr=False)
-    counts: dict = field(repr=False)
+    def __init__(self, model: SystemModel, N: int, master_seed):
+        if N < 1:
+            raise ShapeMismatch(f"blocklength must be >= 1, got {N}")
+        self.N = N
+        self.master_seed = _as_entropy(master_seed)
+        self.counts = {(k, g_k): message_count(spec.rate, N)
+                       for k in range(model.K)
+                       for g_k, spec in enumerate(model.libraries[k])}
+        self.tables = {}
+        self._model, self._rngs = model, {}
+
+    def _stream(self, k: int, g_k: int) -> np.random.Generator:
+        """The stream of code g_k of user k, built once."""
+        if (k, g_k) not in self.counts:
+            raise CodeOutOfRange(f"no code ({k}, {g_k}) in realization")
+        if (k, g_k) not in self._rngs:
+            self._rngs[k, g_k] = stream(self.master_seed, k, g_k)
+        return self._rngs[k, g_k]
+
+    def table(self, k: int, g_k: int) -> np.ndarray:
+        """The codeword table of code g_k of user k, drawn on first call."""
+        if (k, g_k) not in self.tables:
+            self.tables[k, g_k] = draw_table(
+                self._stream(k, g_k), self._model.input_pmf(k, g_k),
+                (self.counts[k, g_k], self.N))
+        return self.tables[k, g_k]
 
     def codeword(self, k: int, g_k: int, w: int) -> np.ndarray:
-        """Codeword of message w (1-based) of code g_k of user k."""
-        if (k, g_k) not in self.tables:
-            raise CodeOutOfRange(f"no code ({k}, {g_k}) in realization")
-        n = self.counts[(k, g_k)]
+        """Codeword of message w (1-based) of code g_k of user k, without
+        drawing an undrawn table: the N doubles at offset (w-1)*N of its
+        stream, reached by ``advance((w-1)*N // 4)`` (Philox makes four per
+        step) and (w-1)*N mod 4 discards.  The stream's state is restored,
+        so a later full draw gets the same bits from the same stream."""
+        rng = self._stream(k, g_k)
+        n = self.counts[k, g_k]
         if not 1 <= w <= n:
             raise MessageOutOfRange(
                 f"message {w} outside 1..{n} for user {k} code {g_k}")
-        return self.tables.row((k, g_k), w - 1)
-
-
-def lazy_codebook(model: SystemModel, N: int,
-                  master_seed) -> CodebookRealization:
-    """A fresh codebook realization, no table drawn yet: every symbol of
-    every codeword of code g_k of regular user k is i.i.d. from that code's
-    input pmf."""
-    if N < 1:
-        raise ShapeMismatch(f"blocklength must be >= 1, got {N}")
-    seed = _as_entropy(master_seed)
-    counts = {(k, g_k): message_count(spec.rate, N)
-              for k in range(model.K)
-              for g_k, spec in enumerate(model.libraries[k])}
-    return CodebookRealization(N, seed, CodebookTables(model, N, seed, counts),
-                               counts)
+        if (k, g_k) in self.tables:
+            return self.tables[k, g_k][w - 1]
+        skip = (w - 1) * self.N
+        state = rng.bit_generator.state
+        rng.bit_generator.advance(skip // 4)
+        rng.random(skip % 4)
+        row = sample_from_pmf(rng, self._model.input_pmf(k, g_k), self.N)
+        rng.bit_generator.state = state
+        return row
 
 
 def sample_codebook(model: SystemModel, N: int,
                     master_seed) -> CodebookRealization:
     """Draw a fresh codebook realization with every table drawn."""
-    codebooks = lazy_codebook(model, N, master_seed)
-    for key in codebooks.tables:
-        codebooks.tables[key]
+    codebooks = CodebookRealization(model, N, master_seed)
+    for key in codebooks.counts:
+        codebooks.table(*key)
     return codebooks
 
 

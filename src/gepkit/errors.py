@@ -59,10 +59,6 @@ class NotAPartition(GepkitError):
 
 # -- decoder / simulation ----------------------------------------------------
 
-class MissingCodebook(GepkitError):
-    """Codebook realization lacks a (user, code) table needed for decoding."""
-
-
 class MismatchedParameters(GepkitError):
     """Bound and estimate were produced under different (N, alpha)."""
 

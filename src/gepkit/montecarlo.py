@@ -1,13 +1,13 @@
 """Trial runner and empirical weighted-error estimation.
 
-Each trial draws a fresh codebook realization (ensemble-average semantics),
-a code index vector g, uniform messages, transmits through the channel and
-decodes with the scenario's decoder; of the realization it draws only the
-tables the decoder can read.  Per-trial randomness is derived
-deterministically from (master_seed, trial index, purpose), so runs
-reproduce bit for bit.  Trials run serially; region-detection trials draw
-from their streams one by one, then invert, transmit and detect a block of
-trials at once.
+Each trial takes a fresh :class:`~gepkit.ensemble.CodebookRealization`
+(ensemble-average semantics), a code index vector g and uniform messages,
+transmits through the channel and decodes with the scenario's decoder; of
+the realization it draws only the tables the decoder can read.  Per-trial
+randomness is derived deterministically from (master_seed, trial index,
+purpose), so runs reproduce bit for bit.  Trials run serially;
+region-detection trials draw from their streams one by one, then invert,
+transmit and detect a block of trials at once.
 
 The error estimator samples messages uniformly and averages, which lower
 bounds the worst-case-over-messages definition; for the random ensembles
@@ -32,9 +32,9 @@ from .decoder import (
     detect_region,
 )
 from .ensemble import (
+    CodebookRealization,
     _inverse_cdf,
     flatten_symbols,
-    lazy_codebook,
     message_count,
     sample_from_pmf,
     stream,
@@ -235,9 +235,9 @@ def run_trials(scenario, trials: int, master_seed: int, trace_path=None,
     def one(t: int, trace) -> TrialRecord:
         rng = stream((master_seed, t, 1))
         g = _draw_g(rng, g_list, g_probs)
-        codebooks = lazy_codebook(model, N, (master_seed, t, 0))
+        codebooks = CodebookRealization(model, N, (master_seed, t, 0))
         for key in prefetch:
-            codebooks.tables[key]
+            codebooks.table(*key)
         w = tuple(int(rng.integers(1, counts[(k, g[k])] + 1))
                   for k in range(model.K))
         x = np.empty((model.n_users, N), dtype=np.int64)

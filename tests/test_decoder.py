@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from gepkit import (
+    CodebookRealization,
     CodeSpec,
     SystemModel,
     build_detector,
@@ -22,6 +23,7 @@ from gepkit import (
 from gepkit.decoder import NO_CONSTRAINT, ThresholdParams, params_from_exponent
 from gepkit.ensemble import ensemble_log_expectation, message_count
 from gepkit.errors import (
+    CodeOutOfRange,
     DomainError,
     GepkitError,
     NotAPartition,
@@ -428,6 +430,20 @@ class TestDecodeSubset:
         second = decode_subset(tbl, cb, y)
         assert (first.kind, first.w1, first.g1, first.winner) == \
             (second.kind, second.w1, second.g1, second.winner)
+
+    def test_code_missing_from_the_realization_raises(self):
+        """A table needs code 1 of user 0; a realization of a model whose
+        library holds only code 0 has no such code."""
+        pmf = np.array([0.5, 0.5])
+        two = SystemModel(dmc=make_dmc(np.eye(2)), K=1, M=0,
+                          libraries=((CodeSpec(0.2, pmf),
+                                      CodeSpec(0.1, pmf)),))
+        one = SystemModel(dmc=make_dmc(np.eye(2)), K=1, M=0,
+                          libraries=((CodeSpec(0.2, pmf),),))
+        tbl = build_thresholds(two, [0], [(0,), (1,)], zero(two))
+        cb = CodebookRealization(one, 6, 4)
+        with pytest.raises(CodeOutOfRange):
+            decode_subset(tbl, cb, np.zeros(6, dtype=np.int64))
 
     def test_matches_reference_on_random_instances(self):
         rng = np.random.default_rng(8)

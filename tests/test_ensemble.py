@@ -15,7 +15,7 @@ from gepkit import (
     message_count,
     sample_codebook,
 )
-from gepkit.ensemble import lazy_codebook, sample_from_pmf, stream
+from gepkit.ensemble import CodebookRealization, sample_from_pmf, stream
 from gepkit.errors import CodeOutOfRange, MessageOutOfRange
 
 from conftest import random_g, random_model
@@ -122,18 +122,21 @@ class TestRowSkip:
         fresh = sample_from_pmf(stream(seed, 0, 1),
                                 m.input_pmf(0, 1), (7, N))
         assert np.array_equal(full, fresh)
-        lazy = lazy_codebook(m, N, seed)
+        lazy = CodebookRealization(m, N, seed)
         assert lazy.counts[(0, 1)] == 7
         for w in (1, 2, 7, 2):
             assert np.array_equal(lazy.codeword(0, 1, w), fresh[w - 1])
-        assert np.array_equal(lazy.tables[(0, 1)], fresh)
+        assert not lazy.tables
+        assert np.array_equal(lazy.table(0, 1), fresh)
+        assert list(lazy.tables) == [(0, 1)]
         for w in (1, 2, 7):  # now read from the drawn table
             assert np.array_equal(lazy.codeword(0, 1, w), fresh[w - 1])
 
     def test_unknown_codes_and_messages_on_undrawn_tables(self):
-        lazy = lazy_codebook(self._model(5), 5, 3)
-        assert (0, 1) in lazy.tables and (0, 2) not in lazy.tables
-        assert list(lazy.tables) == [(0, 0), (0, 1)]
+        lazy = CodebookRealization(self._model(5), 5, 3)
+        assert (0, 1) in lazy.counts and (0, 2) not in lazy.counts
+        assert list(lazy.counts) == [(0, 0), (0, 1)]
+        assert lazy.tables == {}
         with pytest.raises(CodeOutOfRange):
             lazy.codeword(0, 2, 1)
         with pytest.raises(CodeOutOfRange):
@@ -141,8 +144,9 @@ class TestRowSkip:
         for w in (0, 8):
             with pytest.raises(MessageOutOfRange):
                 lazy.codeword(0, 1, w)
-        with pytest.raises(KeyError):
-            lazy.tables[(0, 2)]
+        with pytest.raises(CodeOutOfRange):
+            lazy.table(0, 2)
+        assert lazy.tables == {}
 
 
 def brute_force_expectation(model, D, S, g, y, x_fixed, a):

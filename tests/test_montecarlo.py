@@ -367,6 +367,7 @@ class TestEmpiricalGep:
                 cb = type("CB", (), {})()
                 cb.tables = {(0, 0): np.array([cw1, cw2])}
                 cb.counts = {(0, 0): 2}
+                cb.table = lambda k, g, _c=cb: _c.tables[(k, g)]
                 cb.codeword = lambda k, g, w, _c=cb: _c.tables[(k, g)][w - 1]
                 for w in (1, 2):
                     x = cb.tables[(0, 0)][w - 1]

@@ -298,6 +298,30 @@ class TestCliDispatch:
         assert summary["estimate"] <= bounds["decode"]["value"] + \
             3 * summary["sigma"] + 1e-12
 
+    def test_unsampled_strata_are_named(self, tmp_path, capsys):
+        """A g_set that leaves a stratum unsampled counts it as zero error
+        at its full weight: summary.json and the verdict line name it."""
+        doc = json.loads((SCENARIOS / "detect_two_bsc.json").read_text())
+        doc.update(N=12, trials=400, g_set=[[0, 0]])
+        p = self._write(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main(["simulate", "--scenario", p, "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["unestimated"] == ["0 1"]
+        rows = (out / "trials.csv").read_text().splitlines()
+        assert rows[2] == "0 1,0,0,nan"
+        p_hat = float(rows[1].split(",")[3])
+        assert summary["estimate"] == pytest.approx(p_hat / 2, abs=1e-12)
+        line = capsys.readouterr().out.strip()
+        assert line.endswith("-> PASS (no trials for g = 0 1)")
+        # every stratum sampled: no key, no note
+        doc.pop("g_set")
+        p = self._write(tmp_path, doc)
+        assert main(["simulate", "--scenario", p, "--out", str(out)]) == 0
+        assert "unestimated" not in json.loads(
+            (out / "summary.json").read_text())
+        assert "no trials" not in capsys.readouterr().out
+
     def test_exponents_csv_byte_stable(self, tmp_path):
         p = self._write(tmp_path, minimal_doc())
         out1, out2 = tmp_path / "o1", tmp_path / "o2"
@@ -384,7 +408,8 @@ class TestMemoryPreflight:
         def forbidden(*args, **kwargs):
             raise AssertionError("simulate allocated before its pre-flight")
 
-        monkeypatch.setattr(gepkit.montecarlo, "lazy_codebook", forbidden)
+        monkeypatch.setattr(gepkit.montecarlo, "CodebookRealization",
+                            forbidden)
         monkeypatch.setattr(gepkit.montecarlo, "build_thresholds", forbidden)
         code = main(["simulate", "--scenario", str(p), "--trials", "1",
                      "--out", str(tmp_path / "out")])

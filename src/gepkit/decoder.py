@@ -163,7 +163,23 @@ def build_thresholds(model: SystemModel, D, region, alpha: WeightFunction,
 
 @dataclass
 class DecodeOutcome:
-    """Either a decoded (w1, g1) for transmitter 1 or a collision report."""
+    """Either a decoded (w1, g1) for transmitter 1 or a collision report.
+
+    ``diagnostics`` holds only these keys:
+
+    - ``reason``: why a collision was reported, one of "tie", "no_winner",
+      "disagreement", "margin_reject" (:func:`decode_subset`),
+      "no_decoder_decoded" and "cross_D_disagreement"
+      (:func:`decode_receiver`); absent on a decode;
+    - ``candidates_evaluated``: the number of candidates scored;
+    - ``winners``: from :func:`decode_subset`, one entry per S of the
+      table's ``subsets_decode``: the S-winner (w_D, g), None when no
+      candidate was accepted, or "tie";
+    - ``per_D``: from :func:`decode_receiver`, each D's
+      :func:`decode_subset` outcome;
+    - ``detected_region``: from :func:`decode_with_detection`, the index
+      of the detected cell.
+    """
 
     kind: str                # "decoded" | "collision"
     w1: int | None = None
@@ -176,7 +192,8 @@ class DecodeOutcome:
         return self.kind == "decoded"
 
 
-def _collision(diag) -> DecodeOutcome:
+def _collision(diag, reason) -> DecodeOutcome:
+    diag["reason"] = reason
     return DecodeOutcome(kind="collision", diagnostics=diag)
 
 
@@ -236,31 +253,29 @@ def _thresholds_for(model, D, S, cand: _Candidates, params, y, alpha):
 
 
 def _subset_winner(cands, accepted_masks):
-    """Best accepted candidate across all in-region vectors for one S.
-    Returns (winner, n_accepted) where winner is (w_D, g), None when the
-    candidate set is empty, or "tie" when more than one accepted candidate
-    reaches the top score.  An accepted candidate's score is finite (its
-    weighted neg-log-likelihood is below a threshold), so rejected ones
-    are scored -inf and one argmax over all candidates in member order
-    finds the winner."""
-    n_acc = sum(int(mask.sum()) for mask in accepted_masks)
-    if not n_acc:
-        return None, 0
+    """Best accepted candidate across all in-region vectors for one S:
+    (w_D, g), None when no candidate is accepted, or "tie" when more than
+    one accepted candidate reaches the top score.  An accepted candidate's
+    score is finite (its weighted neg-log-likelihood is below a
+    threshold), so rejected ones are scored -inf and one argmax over all
+    candidates in member order finds the winner."""
+    if not any(mask.any() for mask in accepted_masks):
+        return None
     scores = np.concatenate([np.where(mask, cand.score, -INF)
                              for cand, mask in zip(cands, accepted_masks)])
     j = int(np.argmax(scores))
     if np.count_nonzero(scores == scores[j]) > 1:
-        return "tie", n_acc
+        return "tie"
     for cand in cands:
         if j < len(cand.score):
             break
         j -= len(cand.score)
     w_D = tuple(int(i) + 1 for i in np.unravel_index(j, cand.grid))
-    return (w_D, cand.g), n_acc
+    return w_D, cand.g
 
 
 def decode_subset(thresholds: ThresholdTable,
-                  codebooks: CodebookRealization, y, truth=None,
+                  codebooks: CodebookRealization, y,
                   restrict_to=None) -> DecodeOutcome:
     """One (D, R_D)-decoder: per subset S (proper, D\\S nonempty) keep the
     candidates whose per-symbol weighted neg-log-likelihood is strictly
@@ -286,38 +301,22 @@ def decode_subset(thresholds: ThresholdTable,
         members = [g for g in members if g in restrict_to]
     cands = [_enumerate_candidates(model, D, g, codebooks, y, alpha)
              for g in members]
-    diag = {"per_S": {}, "candidates_evaluated":
-            int(sum(len(c.score) for c in cands))}
-
     winners = []
     for S in thresholds.subsets_decode:
-        masks = []
-        taus = {}
-        for cand in cands:
-            tau = _thresholds_for(model, D, S, cand,
-                                  thresholds.get(cand.g, S), y, alpha)
-            # candidate-independent thresholds are worth tracing
-            if not (set(S) & set(D)):
-                taus[cand.g] = float(tau[0]) if len(tau) else None
-            masks.append(cand.wnll < tau)
-        winner, n_acc = _subset_winner(cands, masks)
-        s_diag = {"winner": winner, "accepted": n_acc, "tau": taus}
-        if truth is not None:
-            s_diag.update(
-                _truth_events(truth, D, cands, masks, winner, members))
-        diag["per_S"][tuple(sorted(S))] = s_diag
-        winners.append(winner)
-
-    if any(w == "tie" for w in winners):
-        diag["reason"] = "tie"
-        return _collision(diag)
-    if any(w is None for w in winners):
-        diag["reason"] = "no_winner"
-        return _collision(diag)
+        masks = [cand.wnll < _thresholds_for(model, D, S, cand,
+                                             thresholds.get(cand.g, S), y,
+                                             alpha)
+                 for cand in cands]
+        winners.append(_subset_winner(cands, masks))
+    diag = {"candidates_evaluated": int(sum(len(c.score) for c in cands)),
+            "winners": winners}
+    if "tie" in winners:
+        return _collision(diag, "tie")
+    if None in winners:
+        return _collision(diag, "no_winner")
     first = winners[0]
     if any(w != first for w in winners[1:]):
-        diag["reason"] = "disagreement"
-        return _collision(diag)
+        return _collision(diag, "disagreement")
     w_D, g = first
     cand = cands[members.index(g)]
     j = np.ravel_multi_index(tuple(w - 1 for w in w_D), cand.grid)
@@ -325,37 +324,14 @@ def decode_subset(thresholds: ThresholdTable,
         # S covers D, so every symbol of the winner is fixed
         tau = typicality_threshold(model, D, S, g, thresholds.get(g, S),
                                    cand.rows[j], y, alpha)
-        diag.setdefault("margin_checks", {})[tuple(sorted(S))] = tau
         if not cand.wnll[j] < tau:
-            diag["reason"] = "margin_reject"
-            return _collision(diag)
+            return _collision(diag, "margin_reject")
     return DecodeOutcome(kind="decoded", w1=w_D[D.index(0)], g1=g[0],
                          winner=first, diagnostics=diag)
 
 
-def _truth_events(truth, D, cands, masks, winner, members):
-    """Diagnostic flags for the three analyzed event classes, given the
-    transmitted (w over all regular users, g)."""
-    w_full, g_true = truth
-    g_true = tuple(g_true)
-    w_D = tuple(w_full[k] for k in D)
-    out = {}
-    if g_true in members:
-        i = members.index(g_true)
-        try:
-            j = np.ravel_multi_index(tuple(w - 1 for w in w_D),
-                                     cands[i].grid)
-        except ValueError:
-            return {"miss": None}
-        out["miss"] = not bool(masks[i][j])
-        out["lost"] = winner not in (None, "tie") and winner != (w_D, g_true)
-    else:
-        out["false_accept"] = any(m.any() for m in masks)
-    return out
-
-
 def decode_receiver(thresholds_by_D: dict, codebooks: CodebookRealization,
-                    y, truth=None, restrict_to=None) -> DecodeOutcome:
+                    y, restrict_to=None) -> DecodeOutcome:
     """Run every table's (D, R_D)-decoder in partition order; output (w1, g1)
     iff at least one decoded and all decoded outputs agree on (w1, g1)."""
     y = np.asarray(y, dtype=np.int64)
@@ -363,20 +339,18 @@ def decode_receiver(thresholds_by_D: dict, codebooks: CodebookRealization,
     pairs = []
     evaluated = 0
     for D, thresholds in thresholds_by_D.items():
-        out = decode_subset(thresholds, codebooks, y, truth=truth,
+        out = decode_subset(thresholds, codebooks, y,
                             restrict_to=restrict_to)
         sub_outcomes[D] = out
-        evaluated += out.diagnostics.get("candidates_evaluated", 0)
+        evaluated += out.diagnostics["candidates_evaluated"]
         if out.decoded:
             pairs.append((out.w1, out.g1, out.winner))
     diag = {"per_D": sub_outcomes, "candidates_evaluated": evaluated}
     if not pairs:
-        diag["reason"] = "no_decoder_decoded"
-        return _collision(diag)
+        return _collision(diag, "no_decoder_decoded")
     first = pairs[0]
     if any(p[:2] != first[:2] for p in pairs[1:]):
-        diag["reason"] = "cross_D_disagreement"
-        return _collision(diag)
+        return _collision(diag, "cross_D_disagreement")
     return DecodeOutcome(kind="decoded", w1=first[0], g1=first[1],
                          winner=first[2], diagnostics=diag)
 
@@ -437,14 +411,13 @@ def detect_region(detector: RegionDetector, y):
 
 
 def decode_with_detection(detector: RegionDetector, thresholds_by_D: dict,
-                          codebooks: CodebookRealization, y,
-                          truth=None) -> DecodeOutcome:
+                          codebooks: CodebookRealization,
+                          y) -> DecodeOutcome:
     """Detect the code-index region first, then run the receiver restricted
     to candidates inside the detected cell (thresholds stay those of the
     unrestricted regions)."""
-    cell_idx, ghat = detect_region(detector, y)
-    out = decode_receiver(thresholds_by_D, codebooks, y, truth=truth,
+    cell_idx, _ghat = detect_region(detector, y)
+    out = decode_receiver(thresholds_by_D, codebooks, y,
                           restrict_to=detector.cells[cell_idx])
     out.diagnostics["detected_region"] = cell_idx
-    out.diagnostics["ghat"] = ghat
     return out

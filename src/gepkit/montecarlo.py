@@ -17,7 +17,6 @@ equals the worst case in expectation.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -171,21 +170,20 @@ def receiver_parts(scenario) -> list:
 
 
 def _prepare_decoder(scenario, model, cache=None):
-    """run(codebooks, y, truth) -> DecodeOutcome of the scenario's receiver:
+    """run(codebooks, y) -> DecodeOutcome of the scenario's receiver:
     one threshold table per :func:`receiver_parts` entry, with the region
     detected first under detect-then-decode."""
     tables = {D: build_thresholds(model, D, reg, scenario.alpha,
                                   margin=margin, cache=cache)
               for D, reg, margin in receiver_parts(scenario)}
     if scenario.decoder != "detect":
-        return lambda codebooks, y, truth: decode_receiver(
-            tables, codebooks, y, truth=truth)
+        return lambda codebooks, y: decode_receiver(tables, codebooks, y)
     detector = build_detector(model, scenario.detection, scenario.alpha)
-    return lambda codebooks, y, truth: decode_with_detection(
-        detector, tables, codebooks, y, truth=truth)
+    return lambda codebooks, y: decode_with_detection(
+        detector, tables, codebooks, y)
 
 
-def run_trials(scenario, trials: int, master_seed: int, trace_path=None,
+def run_trials(scenario, trials: int, master_seed: int,
                cache: ExponentCache | None = None) -> list[TrialRecord]:
     """Simulate ``trials`` independent slots of the scenario.
 
@@ -193,10 +191,6 @@ def run_trials(scenario, trials: int, master_seed: int, trace_path=None,
     decoder ("plain" | "margin" | "detect"), partition (decoded-subset ->
     region mapping for plain/detect), detection (cell list, detect only),
     g_sampling and g_set (None: the whole index space).
-
-    ``trace_path`` writes one JSON line per trial, as the trial finishes:
-    transmitted (w, g), per-subset winners and candidate-independent
-    thresholds, and the outcome.  Only the records outlive their trial.
 
     Every trial resamples the codebook (the bounds are ensemble averages),
     but draws only the tables its decoder can read, with the symbols a
@@ -232,7 +226,7 @@ def run_trials(scenario, trials: int, master_seed: int, trace_path=None,
         {(k, g[k]) for D, region, _margin in receiver_parts(scenario)
          for g in region for k in D})
 
-    def one(t: int, trace) -> TrialRecord:
+    def one(t: int) -> TrialRecord:
         rng = stream((master_seed, t, 1))
         g = _draw_g(rng, g_list, g_probs)
         codebooks = CodebookRealization(model, N, (master_seed, t, 0))
@@ -245,51 +239,13 @@ def run_trials(scenario, trials: int, master_seed: int, trace_path=None,
             x[k] = codebooks.codeword(k, g[k], w[k])
         for k in range(model.K, model.n_users):
             x[k] = sample_from_pmf(rng, model.input_pmf(k, g[k]), N)
-        outcome = run_decoder(codebooks, transmit(x, rng.random(N)), (w, g))
+        outcome = run_decoder(codebooks, transmit(x, rng.random(N)))
         err = classify_error(scenario.error_model, scenario.region,
                              scenario.margin, g, w, outcome)
-        rec = TrialRecord(trial=t, g=g, w=w, kind=outcome.kind,
-                          w1=outcome.w1, g1=outcome.g1, error=err)
-        if trace is not None:
-            trace.write(json.dumps(_trace_line(rec, outcome), sort_keys=True))
-            trace.write("\n")
-        return rec
+        return TrialRecord(trial=t, g=g, w=w, kind=outcome.kind,
+                           w1=outcome.w1, g1=outcome.g1, error=err)
 
-    if trace_path is None:
-        return [one(t, None) for t in range(trials)]
-    with open(trace_path, "w") as trace:
-        return [one(t, trace) for t in range(trials)]
-
-
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating, float)):
-        v = float(value)
-        return v if np.isfinite(v) else repr(v)
-    return value
-
-
-def _trace_line(rec: TrialRecord, outcome: DecodeOutcome) -> dict:
-    per_d = outcome.diagnostics["per_D"].items()
-    return {
-        "trial": rec.trial,
-        "g": list(rec.g),
-        "w": list(rec.w),
-        "outcome": rec.kind,
-        "w1": rec.w1,
-        "g1": rec.g1,
-        "error": rec.error,
-        "per_S": _jsonable({D: sub.diagnostics["per_S"]
-                            for D, sub in per_d}),
-        "margin_checks": _jsonable({D: sub.diagnostics["margin_checks"]
-                                    for D, sub in per_d
-                                    if "margin_checks" in sub.diagnostics}),
-    }
+    return [one(t) for t in range(trials)]
 
 
 # ---------------------------------------------------------------------------
@@ -421,9 +377,9 @@ def run_detection_trials(scenario, trials: int,
                 drew = g_rows[:, k] == gk
                 x[drew, k] = _inverse_cdf(model.input_pmf(k, gk), u[drew, k])
         cells, _ghat = detect_region(detector, transmit(x, u[:, -1]))
-        truth = detector.cell[np.ravel_multi_index(g_rows.T,
-                                                   model.code_counts)]
-        for g, err in zip(gs, (cells != truth).tolist()):
+        true_cells = detector.cell[np.ravel_multi_index(g_rows.T,
+                                                        model.code_counts)]
+        for g, err in zip(gs, (cells != true_cells).tolist()):
             tallies[g][0] += 1
             tallies[g][1] += err
     per_g = {}

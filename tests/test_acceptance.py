@@ -52,7 +52,7 @@ from gepkit.optimize import EPS, SearchSettings
 from gepkit.scenario import load_scenario
 
 from conftest import bsc_model, random_alpha, random_g, random_model
-from test_decoder import random_instance, reference_decode_subset
+from test_decoder import decision, random_instance, reference_decode_subset
 from test_ensemble import brute_force_expectation
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -250,7 +250,8 @@ def test_criterion_5_detection_bound_vs_simulation():
 
 def test_criterion_6_decoder_matches_reference():
     """The subset decoder agrees with a naive exhaustive reference decoder
-    on 1000 randomized tiny instances."""
+    on 1000 randomized tiny instances: on its decision, on each subset's
+    winner and on the collision reason."""
     t0 = time.time()
     rng = np.random.default_rng(66)
     mismatches = 0
@@ -259,9 +260,9 @@ def test_criterion_6_decoder_matches_reference():
         a = WeightFunction(m, rng.uniform(0, 0.2, size=m.code_counts))
         tbl = build_thresholds(m, D, region, a, cache=ExponentCache(THRESH))
         y = rng.integers(0, m.dmc.output_size, N)
-        mine = decode_subset(tbl, cb, y)
+        mine = decision(decode_subset(tbl, cb, y))
         ref = reference_decode_subset(m, D, region, a, cb, y, tbl)
-        if (mine.kind, mine.w1, mine.g1) != ref:
+        if mine != ref:
             mismatches += 1
     ok = mismatches == 0
     line = report(6, ok, f"{mismatches} mismatches over 1000 instances",
@@ -360,38 +361,24 @@ def test_criterion_9_margin_behavior(monkeypatch):
     margin bound is vacuous on this example).  The PASS/FAIL line prints
     them per margin state next to the avoidable count.
 
-    ``decode_receiver`` is wrapped at the name the trial runner looks up,
-    so the scenario's own run is inspected and its records are unchanged;
-    the margin decoder is its one table, D = (0,).
+    ``decode_receiver`` and ``classify_error`` are wrapped at the names
+    the trial runner looks up, so the scenario's own run is inspected and
+    its records are unchanged.  The runner classifies each trial with its
+    transmitted (g, w) right after decoding it, so the wrapped
+    ``classify_error`` checks the decode that the wrapped
+    ``decode_receiver`` last kept; the margin decoder is its one table,
+    D = (0,).
     """
     t0 = time.time()
     scen = load_scenario(SCENARIOS / "bsc_compound_sec4.json")
     assert scen.N == 16 and scen.trials >= 10_000
+    last = {}
     seen = []
+    decodes, winners = [], []
     real_decode_receiver = montecarlo.decode_receiver
-    signature = inspect.signature(real_decode_receiver)
-
-    def recording_decode_receiver(*args, **kwargs):
-        outcome = real_decode_receiver(*args, **kwargs)
-        call = signature.bind(*args, **kwargs).arguments
-        if tuple(call["truth"][1]) in scen.margin:
-            seen.append((call["codebooks"], np.asarray(call["y"]),
-                         call["truth"], outcome))
-        return outcome
-
-    monkeypatch.setattr(montecarlo, "decode_receiver",
-                        recording_decode_receiver)
-    records = run_trials(scen, scen.trials, scen.seed)
-    est = empirical_gep(records, scen.alpha, scen.N)
-    bound = gep_bound_D(scen.model, [0], scen.region, scen.alpha, scen.N,
-                        margin=scen.margin)
-    verdict = compare_bound(est, bound)
-
-    margin_records = [r for r in records if r.g in scen.margin]
-    margin_trials = len(margin_records)
-    wrong_per_state = {g: sum(1 for r in margin_records
-                              if r.g == g and r.decoded_wrong)
-                       for g in sorted(scen.margin)}
+    real_classify_error = montecarlo.classify_error
+    decode_signature = inspect.signature(real_decode_receiver)
+    classify_signature = inspect.signature(real_classify_error)
 
     def advantage(codebooks, y, w, g, choice):
         """Log-likelihood of a wrong (w_D, g) choice minus the transmitted
@@ -404,15 +391,43 @@ def test_criterion_9_margin_behavior(monkeypatch):
         chosen = codebooks.codeword(0, g_dec[0], w_dec[0])
         return float(lm[chosen, y].sum() - lm[sent, y].sum())
 
-    decodes, winners = [], []
-    for codebooks, y, (w, g), outcome in seen:
-        if outcome.decoded:
-            decodes.append(advantage(codebooks, y, w, g, outcome.winner))
-        per_S = outcome.diagnostics["per_D"][(0,)].diagnostics["per_S"]
-        for s_diag in per_S.values():
-            if s_diag["winner"] not in (None, "tie"):
-                winners.append(
-                    advantage(codebooks, y, w, g, s_diag["winner"]))
+    def recording_decode_receiver(*args, **kwargs):
+        outcome = real_decode_receiver(*args, **kwargs)
+        call = decode_signature.bind(*args, **kwargs).arguments
+        last.update(codebooks=call["codebooks"], y=np.asarray(call["y"]),
+                    outcome=outcome)
+        return outcome
+
+    def checking_classify_error(*args, **kwargs):
+        call = classify_signature.bind(*args, **kwargs).arguments
+        g, w, outcome = tuple(call["g"]), call["w"], call["outcome"]
+        assert outcome is last["outcome"]
+        if g in scen.margin:
+            seen.append(g)
+            codebooks, y = last["codebooks"], last["y"]
+            if outcome.decoded:
+                decodes.append(advantage(codebooks, y, w, g, outcome.winner))
+            sub = outcome.diagnostics["per_D"][(0,)]
+            for choice in sub.diagnostics["winners"]:
+                if choice not in (None, "tie"):
+                    winners.append(advantage(codebooks, y, w, g, choice))
+        return real_classify_error(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "decode_receiver",
+                        recording_decode_receiver)
+    monkeypatch.setattr(montecarlo, "classify_error", checking_classify_error)
+    records = run_trials(scen, scen.trials, scen.seed)
+    est = empirical_gep(records, scen.alpha, scen.N)
+    bound = gep_bound_D(scen.model, [0], scen.region, scen.alpha, scen.N,
+                        margin=scen.margin)
+    verdict = compare_bound(est, bound)
+
+    margin_records = [r for r in records if r.g in scen.margin]
+    margin_trials = len(margin_records)
+    wrong_per_state = {g: sum(1 for r in margin_records
+                              if r.g == g and r.decoded_wrong)
+                       for g in sorted(scen.margin)}
+
     decodes = [d for d in decodes if d is not None]
     winners = [d for d in winners if d is not None]
     wrong_seen = len(decodes)

@@ -193,24 +193,9 @@ class TestRunTrials:
         assert n1 == 0
         assert sum(r.g == (0, 0) for r in recs) == 300
 
-    def test_trace_records_written(self, tmp_path):
-        import json
-        m = make_compound_bsc([0.05, 0.3], [0.5, 0.5], 0.2)
-        scen = make_scenario(m, 8, [(0, 0)])
-        path = tmp_path / "trace.jsonl"
-        recs = run_trials(scen, 12, 4, trace_path=path)
-        lines = path.read_text().splitlines()
-        assert len(lines) == 12
-        for rec, line in zip(recs, lines):
-            doc = json.loads(line)
-            assert doc["trial"] == rec.trial
-            assert tuple(doc["g"]) == rec.g
-            assert doc["outcome"] == rec.kind
-            assert "per_S" in doc and doc["per_S"]
-
     def test_outcomes_do_not_outlive_their_trial(self, monkeypatch):
-        # without a trace only the TrialRecords are kept: every decode
-        # outcome, diagnostics included, is freed when its trial ends
+        # only the TrialRecords are kept: every decode outcome,
+        # diagnostics included, is freed when its trial ends
         m = make_compound_bsc([0.05, 0.3], [0.5, 0.5], 0.2)
         scen = make_scenario(m, 8, [(0, 0)])
         original = gepkit.montecarlo.decode_receiver
@@ -319,7 +304,20 @@ class TestBenchmarkHooks:
             gepkit.decoder.build_thresholds
         params = inspect.signature(
             gepkit.montecarlo.decode_receiver).parameters
-        assert {"codebooks", "y", "truth"} <= set(params)
+        assert {"codebooks", "y"} <= set(params)
+
+    def test_decode_subset_reports_its_candidate_count(self):
+        # the tracer sums diagnostics["candidates_evaluated"] over the
+        # decode_subset calls and reads a missing key as 0
+        m = make_compound_bsc([0.05, 0.3], [0.5, 0.5], 0.2)
+        region = validate_region(m, [(0, 0), (0, 1)])
+        tbl = build_thresholds(m, (0,), region, WeightFunction.zero(m))
+        cb = sample_codebook(m, 10, 5)
+        y = np.random.default_rng(0).integers(0, 2, 10)
+        candidates = sum(cb.counts[(0, g[0])] for g in region)
+        assert candidates > 0
+        out = decode_subset(tbl, cb, y)
+        assert out.diagnostics["candidates_evaluated"] == candidates
 
 
 class TestEmpiricalGep:
@@ -459,7 +457,7 @@ def reference_trials(scenario, trials, master_seed):
             x[k] = cb.tables[(k, g[k])][w[k] - 1]
         for k in range(model.K, model.n_users):
             x[k] = sample_from_pmf(rng, model.input_pmf(k, g[k]), N)
-        out = run_decoder(cb, transmit(x, rng.random(N)), (w, g))
+        out = run_decoder(cb, transmit(x, rng.random(N)))
         err = classify_error(scenario.error_model, scenario.region,
                              scenario.margin, g, w, out)
         records.append(TrialRecord(trial=t, g=g, w=w, kind=out.kind,

@@ -21,7 +21,6 @@ from .decoder import (
     build_thresholds,
     decode_receiver,
     decode_subset,
-    decode_with_detection,
     detect_region,
     typicality_threshold,
 )

@@ -62,24 +62,17 @@ class Dmc:
         return len(self.input_sizes)
 
 
-def make_dmc(table, input_sizes=None, output_size=None) -> Dmc:
+def make_dmc(table) -> Dmc:
     """Validate a raw probability table into a :class:`Dmc`.
 
-    ``table`` has one axis per user plus a trailing output axis.  Declared
-    sizes, when given, are checked against the array shape.
+    ``table`` has one axis per user plus a trailing output axis, which set
+    the input alphabet sizes and the output size.
     """
     arr = np.asarray(table, dtype=float)
     if arr.ndim < 2:
         raise ShapeMismatch(f"channel table needs >= 2 axes, got {arr.ndim}")
-    shape_in, shape_out = tuple(arr.shape[:-1]), int(arr.shape[-1])
-    if input_sizes is not None and tuple(input_sizes) != shape_in:
-        raise ShapeMismatch(
-            f"declared input sizes {tuple(input_sizes)} != table {shape_in}")
-    if output_size is not None and int(output_size) != shape_out:
-        raise ShapeMismatch(
-            f"declared output size {output_size} != table {shape_out}")
     pmf = _normalize_rows(arr, INPUT_TOL, "channel table")
-    return Dmc(shape_in, shape_out, pmf)
+    return Dmc(tuple(arr.shape[:-1]), int(arr.shape[-1]), pmf)
 
 
 @dataclass(frozen=True)
@@ -265,7 +258,7 @@ def make_compound_bsc(crossovers, input_pmf, rate: float) -> SystemModel:
     for i, p in enumerate(crossovers):
         table[0, i, :] = (1.0 - p, p)
         table[1, i, :] = (p, 1.0 - p)
-    dmc = make_dmc(table, input_sizes=(2, L), output_size=2)
+    dmc = make_dmc(table)
     user0 = (CodeSpec(rate=rate, input_pmf=np.asarray(input_pmf, float)),)
     virtual = tuple(
         CodeSpec(rate=0.0, input_pmf=np.eye(L)[i]) for i in range(L))

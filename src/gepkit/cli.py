@@ -277,7 +277,10 @@ _COMMANDS = {
 def dispatch(subcommand: str, scenario: Scenario, args) -> int:
     out = Path(args.out)
     if subcommand != "gate":  # the one subcommand that writes no file
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:  # a file on the path, for instance
+            raise SchemaError(f"--out: {exc.strerror}: {out}") from exc
     return _COMMANDS[subcommand](scenario, out, args)
 
 
@@ -308,12 +311,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         scenario = load_scenario(args.scenario)
-        if args.trials is not None:
-            if args.trials < 1:
-                raise SchemaError("--trials: must be >= 1")
-            scenario.trials = args.trials
-        if args.seed is not None:
-            scenario.seed = args.seed
+        for name, low in (("trials", 1), ("seed", 0)):
+            value = getattr(args, name)
+            if value is not None:
+                if value < low:
+                    raise SchemaError(f"--{name}: must be >= {low}")
+                setattr(scenario, name, value)
         return dispatch(args.command, scenario, args)
     except (ParseError, SchemaError, IntegrityError, GepkitError) as exc:
         print(f"error: {exc}", file=sys.stderr)

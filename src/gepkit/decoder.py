@@ -51,7 +51,6 @@ class ThresholdParams:
     s2: float
     s1: float
     gstar: tuple | None
-    exponent: float  # optimized false-acceptance exponent against gstar
 
     def __post_init__(self):
         if self.gstar is not None:
@@ -62,8 +61,7 @@ class ThresholdParams:
 
 
 NO_CONSTRAINT = None  # sentinel meaning tau* = +inf
-UNCONSTRAINED = ThresholdParams(rho_t=1.0, s2=0.5, s1=0.5, gstar=NO_CONSTRAINT,
-                                exponent=INF)
+UNCONSTRAINED = ThresholdParams(rho_t=1.0, s2=0.5, s1=0.5, gstar=NO_CONSTRAINT)
 
 
 def params_from_exponent(gstar, result) -> ThresholdParams:
@@ -73,8 +71,7 @@ def params_from_exponent(gstar, result) -> ThresholdParams:
     rho_t = min(1.0, rho / (1.0 - s))
     s2 = rho_t * s / (s + rho)
     s1 = 1.0 - s2 / rho_t
-    return ThresholdParams(rho_t=rho_t, s2=s2, s1=s1, gstar=tuple(gstar),
-                           exponent=result.value)
+    return ThresholdParams(rho_t=rho_t, s2=s2, s1=s1, gstar=tuple(gstar))
 
 
 def typicality_threshold(model: SystemModel, D, S, g,
@@ -92,6 +89,9 @@ def typicality_threshold(model: SystemModel, D, S, g,
     threshold is unconstrained; nan (never accepted) when two expectations
     vanish.
     """
+    # One row is solved on floats: 46-48 us per call on sec4, 48-49 us as a
+    # block of one (2 vCPUs). End to end, blocks of one here and in
+    # detect_region moved no workload beyond noise (3 8-s benchmark pairs).
     if params.gstar is NO_CONSTRAINT:
         return INF if np.ndim(x_fixed) < 3 else np.full(len(x_fixed), INF)
     N = len(y)
@@ -146,8 +146,7 @@ def build_thresholds(model: SystemModel, D, region, alpha: WeightFunction,
     params = {}
     for g in sorted(region):
         for S, excluded, covers_D in searches:
-            best = cache.best_excluded(model, D, S, g, excluded, alpha,
-                                       allow_empty_difference=covers_D)
+            best = cache.best_excluded(model, D, S, g, excluded, alpha)
             params[(g, S)] = UNCONSTRAINED if best is None \
                 else params_from_exponent(*best)
     return ThresholdTable(
@@ -177,8 +176,8 @@ class DecodeOutcome:
       candidate was accepted, or "tie";
     - ``per_D``: from :func:`decode_receiver`, each D's
       :func:`decode_subset` outcome;
-    - ``detected_region``: from :func:`decode_with_detection`, the index
-      of the detected cell.
+    - ``detected_region``: from :func:`decode_receiver` with a detector,
+      the index of the detected cell.
     """
 
     kind: str                # "decoded" | "collision"
@@ -238,6 +237,7 @@ def _thresholds_for(model, D, S, cand: _Candidates, params, y, alpha):
     on the distinct rows of those users' messages and broadcast over the
     message grid."""
     pos = [D.index(k) for k in sorted(set(S) & set(D))]
+    # one single-row solve, broadcast: 39 us on sec4, 41 as a block of one
     if not pos or params.gstar is NO_CONSTRAINT:
         return np.full(len(cand.score), typicality_threshold(
             model, D, S, cand.g, params, np.zeros((0, len(y)), dtype=np.int64),
@@ -331,21 +331,25 @@ def decode_subset(thresholds: ThresholdTable,
 
 
 def decode_receiver(thresholds_by_D: dict, codebooks: CodebookRealization,
-                    y, restrict_to=None) -> DecodeOutcome:
+                    y, detector=None) -> DecodeOutcome:
     """Run every table's (D, R_D)-decoder in partition order; output (w1, g1)
-    iff at least one decoded and all decoded outputs agree on (w1, g1)."""
+    iff at least one decoded and all decoded outputs agree on (w1, g1).
+    With a :class:`RegionDetector` (detect-then-decode), the region is
+    detected first and the decoders score only the candidates inside the
+    detected cell, under the thresholds of the unrestricted regions."""
     y = np.asarray(y, dtype=np.int64)
-    sub_outcomes = {}
+    diag = {"per_D": {}, "candidates_evaluated": 0}
+    cell = None
+    if detector is not None:
+        diag["detected_region"], _ghat = detect_region(detector, y)
+        cell = detector.cells[diag["detected_region"]]
     pairs = []
-    evaluated = 0
     for D, thresholds in thresholds_by_D.items():
-        out = decode_subset(thresholds, codebooks, y,
-                            restrict_to=restrict_to)
-        sub_outcomes[D] = out
-        evaluated += out.diagnostics["candidates_evaluated"]
+        out = decode_subset(thresholds, codebooks, y, restrict_to=cell)
+        diag["per_D"][D] = out
+        diag["candidates_evaluated"] += out.diagnostics["candidates_evaluated"]
         if out.decoded:
             pairs.append((out.w1, out.g1, out.winner))
-    diag = {"per_D": sub_outcomes, "candidates_evaluated": evaluated}
     if not pairs:
         return _collision(diag, "no_decoder_decoded")
     first = pairs[0]
@@ -401,23 +405,11 @@ def detect_region(detector: RegionDetector, y):
     y = np.asarray(y, dtype=np.int64)
     scores = _detection_scores(detector, y)
     best = scores.argmax(axis=0)
-    # one output gets a scalar test, much cheaper than an array's any()
+    # one output gets a scalar test, not an array's any(): 9-15 us per call
+    # over sec4's 4 hypotheses, 19-29 us as a block of one (2 vCPUs)
     if (scores[best] == -INF) if y.ndim == 1 else \
             (scores.max(axis=0) == -INF).any():
         raise DomainError("no code index vector can produce this output")
     if y.ndim == 1:
         return int(detector.cell[best]), detector.gs[best]
     return detector.cell[best], np.array(detector.gs)[best]
-
-
-def decode_with_detection(detector: RegionDetector, thresholds_by_D: dict,
-                          codebooks: CodebookRealization,
-                          y) -> DecodeOutcome:
-    """Detect the code-index region first, then run the receiver restricted
-    to candidates inside the detected cell (thresholds stay those of the
-    unrestricted regions)."""
-    cell_idx, _ghat = detect_region(detector, y)
-    out = decode_receiver(thresholds_by_D, codebooks, y,
-                          restrict_to=detector.cells[cell_idx])
-    out.diagnostics["detected_region"] = cell_idx
-    return out

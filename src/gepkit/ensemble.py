@@ -285,5 +285,7 @@ def ensemble_log_expectation(model: SystemModel, D, S, g, y: np.ndarray,
     x_fixed = np.asarray(x_fixed, dtype=np.int64)
     if x_fixed.ndim == 3:
         return table[y, flatten_symbols(model, fixed, x_fixed)].sum(axis=1)
+    # a float for typicality_threshold's one-row form; alone it is no faster
+    # than a block of one (9-13 us per call on sec4, 7-11 as a block)
     x_fixed = x_fixed.reshape(len(fixed), len(y))
     return float(np.sum(table[y, flatten_symbols(model, fixed, x_fixed)]))

@@ -10,7 +10,7 @@ Three per-letter exponents drive everything:
   two hypotheses' output distributions, used by region detection).
 
 All sums over outputs and input symbols run in log domain with max-shift
-accumulation; the e^{-N alpha} weighting would underflow linear-domain sums
+accumulation; the e^{-N alpha} weights would underflow linear-domain sums
 already for N around 100.
 """
 
@@ -48,7 +48,7 @@ from .optimize import (
 
 
 # ---------------------------------------------------------------------------
-# weighting, regions, partitions
+# weights, regions, partitions
 # ---------------------------------------------------------------------------
 
 class WeightFunction:
@@ -112,11 +112,11 @@ def _decoded_subset(D) -> tuple:
     return D
 
 
-def validate_partition(model: SystemModel, mapping, region=None) -> tuple:
+def validate_partition(model: SystemModel, mapping, region) -> tuple:
     """Assignment of region vectors to decoded subsets D (every D contains
-    user 0 and regular users only): the per-D regions must be disjoint and,
-    when ``region`` is given, cover it.  Returns the nonempty parts as
-    ((D, frozenset of g), ...) sorted by D."""
+    user 0 and regular users only): the per-D regions must be disjoint and
+    cover ``region``.  Returns the nonempty parts as ((D, frozenset of g),
+    ...) sorted by D."""
     seen = set()
     parts = []
     for D, members in mapping.items():
@@ -129,7 +129,7 @@ def validate_partition(model: SystemModel, mapping, region=None) -> tuple:
         seen |= reg
         if reg:
             parts.append((D, reg))
-    if region is not None and seen != validate_region(model, region):
+    if seen != validate_region(model, region):
         raise ShapeMismatch("partition does not cover the region")
     return tuple(sorted(parts, key=lambda t: t[0]))
 
@@ -155,10 +155,9 @@ class ExponentResult:
     value: float
     rho: float | None
     s: float
-    grid_resolution: tuple
 
 
-def _check_DS(model: SystemModel, D, S, require_diff=True):
+def _check_DS(model: SystemModel, D, S):
     D = tuple(sorted(set(int(k) for k in D)))
     if not D:
         raise EmptyDifferenceSet("decoded subset D is empty")
@@ -167,8 +166,6 @@ def _check_DS(model: SystemModel, D, S, require_diff=True):
     S = frozenset(int(k) for k in S)
     if any(not 0 <= k < model.n_users for k in S):
         raise ShapeMismatch(f"S={sorted(S)} outside the user range")
-    if require_diff and not (set(D) - S):
-        raise EmptyDifferenceSet(f"D\\S is empty for D={D}, S={sorted(S)}")
     return D, S
 
 
@@ -219,7 +216,9 @@ def _emd(lw_g, a_g, lw_t, a_t, lw_fixed, rate_sum):
 def emd_objective(model: SystemModel, D, S, g, g_tilde, alpha: WeightFunction):
     """Objective (rho, s_array) -> values for the message-confusion
     exponent; maximize over rho in (0,1], s in (0,1]."""
-    D, S = _check_DS(model, D, S, require_diff=False)
+    D, S = _check_DS(model, D, S)
+    if not set(D) - S:
+        raise EmptyDifferenceSet(f"D\\S is empty for D={D}, S={sorted(S)}")
     g = model.check_g(g)
     gt = model.check_g(g_tilde)
     fixed = sorted(set(D) & set(S))
@@ -247,11 +246,10 @@ def _eid(lw_g, a_g, t2c, lw_fixed, rate_sum):
     return objective
 
 
-def eid_objective(model: SystemModel, D, S, g, g_prime, alpha: WeightFunction,
-                  allow_empty_difference=False):
+def eid_objective(model: SystemModel, D, S, g, g_prime, alpha: WeightFunction):
     """Objective (rho, s_array) -> values for the false-acceptance exponent;
     maximize over rho in (0,1], s in (0, 1-rho]."""
-    D, S = _check_DS(model, D, S, require_diff=not allow_empty_difference)
+    D, S = _check_DS(model, D, S)
     g = model.check_g(g)
     gp = model.check_g(g_prime)
     fixed = sorted(set(D) & set(S))
@@ -288,29 +286,24 @@ def ec_objective(model: SystemModel, g, g_tilde, alpha: WeightFunction):
 def exponent_EmD(model: SystemModel, D, S, g, g_tilde, alpha: WeightFunction,
                  settings: SearchSettings = DEFAULT_SETTINGS) -> ExponentResult:
     """Message-confusion exponent for subset S, transmitted g, competitor
-    g_tilde; the (rho, s) maximization runs over (0,1] x (0,1]."""
-    _check_DS(model, D, S)  # EmptyDifferenceSet on D\S == empty
+    g_tilde; the (rho, s) maximization runs over (0,1] x (0,1].
+    :class:`EmptyDifferenceSet` when D\\S is empty."""
     f = emd_objective(model, D, S, g, g_tilde, alpha)
     res = maximize_rho_s(f, s_cap=None, settings=settings)
-    return ExponentResult(res.value, res.argmax[0], res.argmax[1],
-                          res.grid_shape)
+    return ExponentResult(res.value, res.argmax[0], res.argmax[1])
 
 
 def exponent_EiD(model: SystemModel, D, S, g, g_prime, alpha: WeightFunction,
-                 settings: SearchSettings = DEFAULT_SETTINGS,
-                 allow_empty_difference: bool = False) -> ExponentResult:
+                 settings: SearchSettings = DEFAULT_SETTINGS) -> ExponentResult:
     """False-acceptance exponent for subset S, in-region g, excluded
     g_prime; s is constrained to (0, 1-rho].
 
-    ``allow_empty_difference`` admits D\\S empty (needed by the margin
-    bound, where the functional degenerates to a conditional Chernoff
-    quantity); the public contract without the flag rejects that case.
+    D\\S may be empty (the margin bound's subsets S covering D), where the
+    functional degenerates to a conditional Chernoff quantity.
     """
-    f = eid_objective(model, D, S, g, g_prime, alpha,
-                      allow_empty_difference=allow_empty_difference)
+    f = eid_objective(model, D, S, g, g_prime, alpha)
     res = maximize_rho_s(f, s_cap=lambda r: 1.0 - r, settings=settings)
-    return ExponentResult(res.value, res.argmax[0], res.argmax[1],
-                          res.grid_shape)
+    return ExponentResult(res.value, res.argmax[0], res.argmax[1])
 
 
 def exponent_Ec(model: SystemModel, g, g_tilde, alpha: WeightFunction,
@@ -319,7 +312,7 @@ def exponent_Ec(model: SystemModel, g, g_tilde, alpha: WeightFunction,
     g_tilde (region detection); maximized over s in (0, 1]."""
     f = ec_objective(model, g, g_tilde, alpha)
     res = maximize_scalar(f, EPS, 1.0, settings=settings)
-    return ExponentResult(res.value, None, res.argmax[0], res.grid_shape)
+    return ExponentResult(res.value, None, res.argmax[0])
 
 
 class ExponentCache:
@@ -336,28 +329,24 @@ class ExponentCache:
         self.settings = settings
         self._memo: dict = {}  # content key -> ExponentResult
 
-    def _lookup(self, build, maximize, *args, **kwargs) -> ExponentResult:
-        key = build(*args, **kwargs).key
+    def _lookup(self, build, maximize, *args) -> ExponentResult:
+        key = build(*args).key
         if key not in self._memo:
-            self._memo[key] = maximize(*args, self.settings, **kwargs)
+            self._memo[key] = maximize(*args, self.settings)
         return self._memo[key]
 
     def emd(self, model, D, S, g, gt, alpha) -> ExponentResult:
-        _check_DS(model, D, S)  # EmptyDifferenceSet on D\S == empty
         return self._lookup(emd_objective, exponent_EmD, model, D, S, g, gt,
                             alpha)
 
-    def eid(self, model, D, S, g, gp, alpha,
-            allow_empty_difference=False) -> ExponentResult:
+    def eid(self, model, D, S, g, gp, alpha) -> ExponentResult:
         return self._lookup(eid_objective, exponent_EiD, model, D, S, g, gp,
-                            alpha,
-                            allow_empty_difference=allow_empty_difference)
+                            alpha)
 
     def ec(self, model, g, gt, alpha) -> ExponentResult:
         return self._lookup(ec_objective, exponent_Ec, model, g, gt, alpha)
 
-    def best_excluded(self, model, D, S, g, excluded_from, alpha,
-                      allow_empty_difference=False):
+    def best_excluded(self, model, D, S, g, excluded_from, alpha):
         """Excluded vector g' minimizing the false-acceptance exponent among
         {g' not in excluded_from, g'_S = g_S}; None when the set is empty.
         Ties break lexicographically for determinism."""
@@ -366,8 +355,7 @@ class ExponentCache:
         for gp in model.index_space():
             if gp in excluded_from or sub(gp, S) != gs:
                 continue
-            res = self.eid(model, D, S, g, gp, alpha,
-                           allow_empty_difference=allow_empty_difference)
+            res = self.eid(model, D, S, g, gp, alpha)
             if best is None or res.value < best[1].value:
                 best = (gp, res)
         return best
@@ -390,6 +378,7 @@ class BoundTerm:
 
 
 VACUITY_TOL = 1e-9  # optimizer noise in a zero exponent scales by N
+PARTITION_CAP = 4096  # most D-assignments gep_bound_partitioned tries
 
 
 @dataclass(frozen=True)
@@ -485,8 +474,7 @@ def _subset_terms(model, D, S, region, excluded, covers_D, alpha, N, cache):
     region_sorted = sorted(region)
     terms, miss = [], {}
     for g in region_sorted:
-        best = cache.best_excluded(model, D, S, g, excluded, alpha,
-                                   allow_empty_difference=covers_D)
+        best = cache.best_excluded(model, D, S, g, excluded, alpha)
         if best is not None:
             miss[g] = best
             terms.append(_term("miss", S, g, *best, N))
@@ -553,12 +541,11 @@ def gep_bound_D(model: SystemModel, D, region, alpha: WeightFunction, N: int,
 
 
 def gep_bound_partitioned(model: SystemModel, region, alpha: WeightFunction,
-                          N: int, partition_cap: int = 4096,
-                          cache: ExponentCache | None = None):
+                          N: int, cache: ExponentCache | None = None):
     """Receiver-level bound: minimum over assignments of region vectors to
     decoded subsets D (all containing user 0) of the per-D bound sum.
 
-    Exhaustive when the assignment count fits in ``partition_cap``;
+    Exhaustive when the assignment count fits in ``PARTITION_CAP``;
     otherwise only the all-into-{0..K-1} assignment is evaluated and the
     report is flagged heuristic.
     """
@@ -570,7 +557,7 @@ def gep_bound_partitioned(model: SystemModel, region, alpha: WeightFunction,
                      for combo in itertools.combinations(others, r))
     members = sorted(region)
     n_assign = len(subsets) ** len(members)
-    heuristic = n_assign > partition_cap
+    heuristic = n_assign > PARTITION_CAP
     if heuristic:
         assignments = [tuple([tuple(range(model.K))] * len(members))]
     else:

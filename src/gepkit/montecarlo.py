@@ -27,7 +27,6 @@ from .decoder import (
     build_detector,
     build_thresholds,
     decode_receiver,
-    decode_with_detection,
     detect_region,
 )
 from .ensemble import (
@@ -176,11 +175,9 @@ def _prepare_decoder(scenario, model, cache=None):
     tables = {D: build_thresholds(model, D, reg, scenario.alpha,
                                   margin=margin, cache=cache)
               for D, reg, margin in receiver_parts(scenario)}
-    if scenario.decoder != "detect":
-        return lambda codebooks, y: decode_receiver(tables, codebooks, y)
-    detector = build_detector(model, scenario.detection, scenario.alpha)
-    return lambda codebooks, y: decode_with_detection(
-        detector, tables, codebooks, y)
+    detector = build_detector(model, scenario.detection, scenario.alpha) \
+        if scenario.decoder == "detect" else None
+    return lambda codebooks, y: decode_receiver(tables, codebooks, y, detector)
 
 
 def run_trials(scenario, trials: int, master_seed: int,
@@ -262,20 +259,17 @@ class GepEstimate:
     unestimated: tuple = ()
 
 
-def empirical_gep(records, alpha: WeightFunction, N: int,
-                  weighting=None) -> GepEstimate:
-    """Weighted average of per-g empirical error rates with weights
-    e^{-N alpha(g)}; the standard error propagates per-stratum binomial
-    variance.  Strata in the weighting with no trials contribute zero and
-    are flagged unestimated.
+def empirical_gep(records, alpha: WeightFunction, N: int) -> GepEstimate:
+    """Weighted average of per-g empirical error rates over the index
+    space with weights e^{-N alpha(g)}; the standard error propagates
+    per-stratum binomial variance.  Strata with no trials contribute zero
+    and are flagged unestimated.
     """
-    g_all = [tuple(g) for g in weighting] if weighting is not None \
-        else list(alpha.model.index_space())
+    g_all = list(alpha.model.index_space())
     tallies = {g: [0, 0] for g in g_all}
     for r in records:
-        if r.g in tallies:
-            tallies[r.g][0] += 1
-            tallies[r.g][1] += int(r.error)
+        tallies[r.g][0] += 1
+        tallies[r.g][1] += int(r.error)
     logw = np.array([-N * alpha(g) for g in g_all])
     w = np.exp(logw - logw.max())
     w /= w.sum()

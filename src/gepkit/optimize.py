@@ -44,7 +44,6 @@ DEFAULT_SETTINGS = SearchSettings()
 class SearchResult:
     value: float
     argmax: tuple[float, ...]
-    grid_shape: tuple[int, ...]
 
 
 def _axis(lo: float, hi: float, n: int) -> np.ndarray:
@@ -140,7 +139,7 @@ def maximize_scalar(f, lo: float, hi: float,
         x, v = _brent_max(fs, lo, hi, best_x, POLISH_XATOL)
         if v > best_v:
             best_x, best_v = x, v
-    return SearchResult(best_v, (best_x,), (settings.base_grid,))
+    return SearchResult(best_v, (best_x,))
 
 
 def maximize_rho_s(f, s_cap=None,
@@ -210,8 +209,7 @@ def maximize_rho_s(f, s_cap=None,
                     best = (v, r_new, s0)
             if best[0] - v_prev < POLISH_VALUE_TOL:
                 break
-    return SearchResult(best[0], (best[1], best[2]),
-                        (settings.base_grid, settings.base_grid))
+    return SearchResult(best[0], (best[1], best[2]))
 
 
 def _max_feasible_rho(s_max, s0: float) -> float:

@@ -1,4 +1,4 @@
-"""Scenario files: the JSON surface describing a model, weighting, regions,
+"""Scenario files: the JSON surface describing a model, alpha weights, regions,
 decoder and trial plan.
 
 Schema (all code index vectors are 0-based lists, one entry per user):
@@ -217,6 +217,8 @@ def parse_scenario(doc: dict) -> Scenario:
     if trials < 1:
         raise SchemaError("$.trials: must be >= 1")
     seed = _need(doc, "seed", int, "$")
+    if seed < 0:
+        raise SchemaError("$.seed: must be >= 0")
 
     alpha_doc = doc.get("alpha", {})
     if not isinstance(alpha_doc, dict):

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import gepkit.exponents
 from gepkit import CodeSpec, SystemModel, make_compound_bsc, make_dmc
 from gepkit.decoder import build_thresholds
 from gepkit.errors import (
@@ -116,11 +117,11 @@ class TestPartitionedBound:
             best = min(best, total)
         assert rep.raw == pytest.approx(best, rel=1e-12)
 
-    def test_heuristic_flag_when_over_cap(self):
+    def test_heuristic_flag_when_over_cap(self, monkeypatch):
         m = two_user_model()
         a = WeightFunction.zero(m)
+        monkeypatch.setattr(gepkit.exponents, "PARTITION_CAP", 1)
         rep, part = gep_bound_partitioned(m, [(0, 0), (1, 1)], a, 6,
-                                          partition_cap=1,
                                           cache=ExponentCache(FAST))
         assert rep.heuristic
         assert part[0][0] == (0, 1)

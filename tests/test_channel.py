@@ -16,7 +16,6 @@ from gepkit.errors import (
     DomainError,
     EmptyCrossoverList,
     NonStochastic,
-    ShapeMismatch,
     SubsetOutOfRange,
 )
 
@@ -43,12 +42,6 @@ class TestMakeDmc:
     def test_bsc_018_entry(self):
         dmc = make_dmc(bsc_table(0.18))
         assert dmc.pmf[0, 1] == pytest.approx(0.18, abs=1e-15)
-
-    def test_declared_shape_checked(self):
-        with pytest.raises(ShapeMismatch):
-            make_dmc(bsc_table(0.1), input_sizes=(3,))
-        with pytest.raises(ShapeMismatch):
-            make_dmc(bsc_table(0.1), output_size=3)
 
     def test_small_rounding_renormalized(self):
         t = bsc_table(0.3)

@@ -13,7 +13,6 @@ from gepkit import (
     build_thresholds,
     decode_receiver,
     decode_subset,
-    decode_with_detection,
     detect_region,
     make_compound_bsc,
     make_dmc,
@@ -292,14 +291,12 @@ class TestTypicalityThreshold:
     def test_inadmissible_params_raise_domain_error(self):
         # a GepkitError, so the CLI reports it and exits 2
         with pytest.raises(DomainError):
-            ThresholdParams(rho_t=0.5, s2=0.6, s1=0.5, gstar=(0, 1),
-                            exponent=0.1)
+            ThresholdParams(rho_t=0.5, s2=0.6, s1=0.5, gstar=(0, 1))
         with pytest.raises(DomainError):
-            ThresholdParams(rho_t=1.0, s2=0.5, s1=1.0, gstar=(0, 1),
-                            exponent=0.1)
+            ThresholdParams(rho_t=1.0, s2=0.5, s1=1.0, gstar=(0, 1))
         assert issubclass(DomainError, GepkitError)
         # no excluded vector: the values are placeholders and not checked
-        ThresholdParams(rho_t=1.0, s2=0.5, s1=1.0, gstar=None, exponent=0.1)
+        ThresholdParams(rho_t=1.0, s2=0.5, s1=1.0, gstar=None)
 
 
 # ---------------------------------------------------------------------------
@@ -739,7 +736,7 @@ class TestDetectThenDecode:
         rng = np.random.default_rng(1)
         for _ in range(10):
             y = rng.integers(0, 2, 8)
-            d = decode_with_detection(detector, tbl, cb, y)
+            d = decode_receiver(tbl, cb, y, detector)
             p = decode_receiver(tbl, cb, y)
             assert (d.kind, d.w1, d.g1) == (p.kind, p.w1, p.g1)
 
@@ -752,7 +749,7 @@ class TestDetectThenDecode:
         checked = 0
         for _ in range(40):
             y = rng.integers(0, 2, 10)
-            d = decode_with_detection(detector, tbl, cb, y)
+            d = decode_receiver(tbl, cb, y, detector)
             p = decode_receiver(tbl, cb, y)
             cell = regions[d.diagnostics["detected_region"]]
             if p.decoded and p.winner[1] in cell:
@@ -768,7 +765,7 @@ class TestDetectThenDecode:
         regions = [[(0, 0)], [(0, 1)]]
         cb = sample_codebook(m, 10, 5)
         y = np.random.default_rng(0).integers(0, 2, 10)
-        d = decode_with_detection(build_detector(m, regions, a), tbl, cb, y)
+        d = decode_receiver(tbl, cb, y, build_detector(m, regions, a))
         cell = regions[d.diagnostics["detected_region"]]
         assert d.diagnostics["candidates_evaluated"] == \
             sum(cb.counts[(0, g[0])] for g in cell if g in region)

@@ -105,12 +105,10 @@ class TestFalseAcceptanceExponent:
         small = float(f(1e-6, np.linspace(1e-6, 1 - 1e-6, 4001)).max())
         assert small == pytest.approx(ec, abs=1e-4)
 
-    def test_empty_difference_flag(self):
+    def test_empty_difference_admitted(self):
+        # the margin bound's subsets S covering D leave D\S empty
         m = make_compound_bsc([0.18, 0.19], [0.5, 0.5], 0.2)
-        with pytest.raises(EmptyDifferenceSet):
-            exponent_EiD(m, [0], [0], (0, 0), (0, 1), zero(m))
-        res = exponent_EiD(m, [0], [0], (0, 0), (0, 1), zero(m),
-                           allow_empty_difference=True)
+        res = exponent_EiD(m, [0], [0], (0, 0), (0, 1), zero(m))
         assert np.isfinite(res.value)
 
 

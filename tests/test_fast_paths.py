@@ -268,8 +268,7 @@ class TestBlockThresholds:
             rho_t = float(rng.uniform(0.3, 1.0))
             params = ThresholdParams(
                 rho_t=rho_t, s2=rho_t * float(rng.uniform(0.05, 0.95)),
-                s1=float(rng.uniform(0.05, 0.95)), gstar=random_g(rng, model),
-                exponent=0.1)
+                s1=float(rng.uniform(0.05, 0.95)), gstar=random_g(rng, model))
             mine = typicality_threshold(model, D, S, g, params, xf, y, alpha)
             ref = [reference_threshold(model, D, S, g, params, row, y, alpha)
                    for row in xf]
@@ -279,8 +278,7 @@ class TestBlockThresholds:
     def test_zero_probabilities_give_the_reference_nan(self):
         model = xor_model(0.2)
         alpha = WeightFunction(model, np.full(model.code_counts, 0.1))
-        params = ThresholdParams(rho_t=0.8, s2=0.3, s1=0.4, gstar=(0, 0),
-                                 exponent=0.1)
+        params = ThresholdParams(rho_t=0.8, s2=0.3, s1=0.4, gstar=(0, 0))
         y = np.array([0, 1, 1, 0])
         # rows 0 and 2 explain y exactly, row 1 contradicts it: with both
         # users fixed its expectations vanish and tau* is nan (never met),

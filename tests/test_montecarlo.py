@@ -13,6 +13,7 @@ import pytest
 
 import gepkit.decoder
 import gepkit.ensemble
+import gepkit.exponents
 import gepkit.montecarlo
 from gepkit import (
     CodeSpec,
@@ -55,6 +56,7 @@ from gepkit.montecarlo import (
     run_detection_trials,
     run_trials,
 )
+from gepkit.optimize import SearchSettings
 from gepkit.scenario import load_scenario, parse_scenario
 
 from conftest import (ROOT, load_perfbench, load_workloads, random_alpha,
@@ -306,6 +308,47 @@ class TestBenchmarkHooks:
             gepkit.montecarlo.decode_receiver).parameters
         assert {"codebooks", "y"} <= set(params)
 
+    def test_exponent_hooks_resolve_and_take_positional_args(self,
+                                                              monkeypatch):
+        # the tracer counts maximizations at these names and keys each one
+        # by _exponent_key, which reads (model, D, S, g, g_other, alpha,
+        # settings) by position: the cache must pass them so, no keyword
+        tracer = load_perfbench("tracer")
+        for key in tracer.MAXIMIZERS | tracer.EXPONENTS:
+            self._assert_defined(key)
+        for key in tracer.CACHE:
+            layer, owner, name = key.split(".")
+            assert (layer, owner) == ("exponents", "ExponentCache"), key
+            assert inspect.isfunction(
+                getattr(gepkit.exponents.ExponentCache, name, None)), key
+        seen = []
+        for key in sorted(tracer.EXPONENTS):
+            name = key.split(".")[1]
+            fn = getattr(gepkit.exponents, name)
+
+            def spy(*args, _key=key, _fn=fn, **kwargs):
+                seen.append((_key, args, kwargs))
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(gepkit.exponents, name, spy)
+        m = make_compound_bsc([0.05, 0.3], [0.5, 0.5], 0.2)
+        a = WeightFunction.zero(m)
+        cache = ExponentCache(SearchSettings(base_grid=8, refine_rounds=0,
+                                             polish=False))
+        cache.emd(m, (0,), (), (0, 0), (0, 1), a)
+        cache.eid(m, (0,), (), (0, 0), (0, 1), a)
+        cache.ec(m, (0, 0), (0, 1), a)
+        assert [(k, len(args), kwargs) for k, args, kwargs in seen] == [
+            ("exponents.exponent_EmD", 7, {}),
+            ("exponents.exponent_EiD", 7, {}),
+            ("exponents.exponent_Ec", 5, {})]
+        for _key, args, _kwargs in seen:
+            assert args[0] is m and args[-2] is a
+            assert args[-1] is cache.settings
+        assert [tracer._exponent_key(k, args) for k, args, _ in seen] == [
+            ("exponents.exponent_EmD", (0,), frozenset(), (0, 0), (0, 1)),
+            ("exponents.exponent_EiD", (0,), frozenset(), (0, 0), (0, 1)),
+            ("exponents.exponent_Ec", (0, 0), (0, 1))]
+
     def test_decode_subset_reports_its_candidate_count(self):
         # the tracer sums diagnostics["candidates_evaluated"] over the
         # decode_subset calls and reads a missing key as 0
@@ -379,12 +422,12 @@ class TestEmpiricalGep:
 
         scen = make_scenario(m, N, region, g_set=[(0, 0)])
         recs = run_trials(scen, 4000, 11)
-        est = empirical_gep(recs, alpha, N, weighting=[(0, 0)])
+        est = empirical_gep(recs, alpha, N)  # the index space is {(0, 0)}
         assert abs(est.point - exact) <= 3 * max(est.se, 1e-3)
 
         # estimator consistency: quadrupling the trials roughly halves the
         # standard error and keeps the estimate within 3 sigma of exact
-        small = empirical_gep(recs[:1000], alpha, N, weighting=[(0, 0)])
+        small = empirical_gep(recs[:1000], alpha, N)
         assert abs(small.point - exact) <= 3 * max(small.se, 1e-3)
         assert est.se <= 0.65 * small.se
 
@@ -513,7 +556,7 @@ class TestTablesDrawn:
         built, drawn, cells, owner = Counter(), {}, [], {}
         make_stream = gepkit.ensemble.stream
         draw_table = gepkit.ensemble.draw_table
-        decode = gepkit.montecarlo.decode_with_detection
+        decode = gepkit.montecarlo.decode_receiver
 
         def spy_stream(master_seed, *path):
             rng = make_stream(master_seed, *path)
@@ -528,13 +571,13 @@ class TestTablesDrawn:
 
         def spy_decode(*args, **kwargs):
             out = decode(*args, **kwargs)
-            cells.append(out.diagnostics["detected_region"])
+            if "detected_region" in out.diagnostics:
+                cells.append(out.diagnostics["detected_region"])
             return out
 
         monkeypatch.setattr(gepkit.ensemble, "stream", spy_stream)
         monkeypatch.setattr(gepkit.ensemble, "draw_table", spy_draw)
-        monkeypatch.setattr(gepkit.montecarlo, "decode_with_detection",
-                            spy_decode)
+        monkeypatch.setattr(gepkit.montecarlo, "decode_receiver", spy_decode)
         run_trials(scen, trials, seed)
         monkeypatch.undo()
         return built, drawn, cells

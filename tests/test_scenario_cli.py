@@ -218,6 +218,25 @@ class TestCliDispatch:
                      "--out", str(tmp_path / "out")])
         assert code == 2
 
+    def test_negative_seed_override_exits_2(self, tmp_path, capsys):
+        # numpy's seeding rejects it mid-run with a traceback and exit 1,
+        # which would read as a FAIL verdict
+        p = self._write(tmp_path, minimal_doc())
+        assert main(["simulate", "--scenario", p, "--seed", "-1",
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "error: --seed: must be >= 0\n"
+
+    @pytest.mark.parametrize("sub, reason", [
+        ("", "File exists"), ("sub", "Not a directory")])
+    def test_unusable_out_exits_2(self, tmp_path, sub, reason, capsys):
+        # an existing file where the output directory belongs, or on its
+        # path, is an input error, not a traceback
+        p = self._write(tmp_path, minimal_doc())
+        (tmp_path / "taken").write_text("")
+        out = tmp_path / "taken" / sub
+        assert main(["bound", "--scenario", p, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: --out: {reason}: {out}\n"
+
     def test_bad_scenario_exits_2(self, tmp_path):
         p = self._write(tmp_path, minimal_doc(region=[[0, 9]]))
         assert main(["bound", "--scenario", p,
@@ -258,6 +277,7 @@ class TestCliDispatch:
         (bsc_doc(rate=math.inf), "$.channel.rate"),
         (minimal_doc(alpha={"default": math.inf}), "$.alpha.default"),
         (table_doc(pmf=[[0.9, 0.1], [0.1]]), "$.channel.pmf"),
+        (minimal_doc(seed=-3), "$.seed"),
     ])
     def test_malformed_numbers_exit_2(self, tmp_path, doc, path, capsys):
         # a string, NaN or infinity where a number belongs is an input error

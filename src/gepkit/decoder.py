@@ -76,11 +76,11 @@ def params_from_exponent(gstar, result) -> ThresholdParams:
 
 def typicality_threshold(model: SystemModel, D, S, g,
                          params: ThresholdParams, x_fixed, y,
-                         alpha: WeightFunction):
+                         alpha: WeightFunction) -> np.ndarray:
     """Per-symbol typicality threshold tau* for candidate vector g and
-    subset S at output y, with the candidate's symbols on S cap D fixed:
-    one float for rows x_fixed of shape (|S cap D|, N), an array of m for a
-    block of shape (m, |S cap D|, N).
+    subset S at output y, one per candidate of a block x_fixed of shape
+    (m, |S cap D|, N) holding the candidates' symbols on S cap D: an array
+    of shape (m,).
 
     Solves the balance between the missed-detection expression (exponent
     1 - s1 on the candidate's weighted likelihood) and the false-acceptance
@@ -89,11 +89,8 @@ def typicality_threshold(model: SystemModel, D, S, g,
     threshold is unconstrained; nan (never accepted) when two expectations
     vanish.
     """
-    # One row is solved on floats: 46-48 us per call on sec4, 48-49 us as a
-    # block of one (2 vCPUs). End to end, blocks of one here and in
-    # detect_region moved no workload beyond noise (3 8-s benchmark pairs).
     if params.gstar is NO_CONSTRAINT:
-        return INF if np.ndim(x_fixed) < 3 else np.full(len(x_fixed), INF)
+        return np.full(len(x_fixed), INF)
     N = len(y)
     s1, s2, rt = params.s1, params.s2, params.rho_t
     a_g = alpha(g)
@@ -105,7 +102,7 @@ def typicality_threshold(model: SystemModel, D, S, g,
     l3 = ensemble_log_expectation(model, D, S, params.gstar, y, x_fixed, 1.0) \
         - N * a_star
     rate_sum = sum(model.rate(k, g[k]) for k in set(D) - set(S))
-    with np.errstate(invalid="ignore"):  # -inf - -inf in a block row
+    with np.errstate(invalid="ignore"):  # -inf - -inf in a row
         return (l1 - rt * l2 - l3) / (N * (s1 + s2)) \
             - rt * rate_sum / (s1 + s2)
 
@@ -234,21 +231,16 @@ def _enumerate_candidates(model, D, g, codebooks: CodebookRealization, y,
 def _thresholds_for(model, D, S, cand: _Candidates, params, y, alpha):
     """Per-candidate tau* array for one (g, S).  tau* depends on a candidate
     only through its symbols on S cap D, so it is solved in one block call
-    on the distinct rows of those users' messages and broadcast over the
-    message grid."""
+    on the distinct rows of those users' messages (one zero-width row when
+    S cap D is empty) and broadcast over the message grid."""
     pos = [D.index(k) for k in sorted(set(S) & set(D))]
-    # one single-row solve, broadcast: 39 us on sec4, 41 as a block of one
-    if not pos or params.gstar is NO_CONSTRAINT:
-        return np.full(len(cand.score), typicality_threshold(
-            model, D, S, cand.g, params, np.zeros((0, len(y)), dtype=np.int64),
-            y, alpha))
     # the messages of S cap D vary, every other user's stays the first
     first = tuple(slice(None) if j in pos else slice(1)
                   for j in range(len(D)))
     grid = cand.rows.reshape(cand.grid + cand.rows.shape[1:])
     fixed = grid[first][..., pos, :]
-    tau = typicality_threshold(model, D, S, cand.g, params,
-                               fixed.reshape(-1, len(pos), len(y)), y, alpha)
+    rows = fixed.reshape(math.prod(fixed.shape[:-2]), len(pos), len(y))
+    tau = typicality_threshold(model, D, S, cand.g, params, rows, y, alpha)
     return np.broadcast_to(tau.reshape(fixed.shape[:-2]), cand.grid).ravel()
 
 
@@ -323,8 +315,8 @@ def decode_subset(thresholds: ThresholdTable,
     for S in thresholds.subsets_margin:
         # S covers D, so every symbol of the winner is fixed
         tau = typicality_threshold(model, D, S, g, thresholds.get(g, S),
-                                   cand.rows[j], y, alpha)
-        if not cand.wnll[j] < tau:
+                                   cand.rows[j:j + 1], y, alpha)
+        if not cand.wnll[j] < tau[0]:
             return _collision(diag, "margin_reject")
     return DecodeOutcome(kind="decoded", w1=w_D[D.index(0)], g1=g[0],
                          winner=first, diagnostics=diag)
@@ -341,7 +333,7 @@ def decode_receiver(thresholds_by_D: dict, codebooks: CodebookRealization,
     diag = {"per_D": {}, "candidates_evaluated": 0}
     cell = None
     if detector is not None:
-        diag["detected_region"], _ghat = detect_region(detector, y)
+        diag["detected_region"] = int(detect_region(detector, y[None])[0])
         cell = detector.cells[diag["detected_region"]]
     pairs = []
     for D, thresholds in thresholds_by_D.items():
@@ -366,10 +358,9 @@ def decode_receiver(thresholds_by_D: dict, codebooks: CodebookRealization,
 @dataclass(frozen=True)
 class RegionDetector:
     """A detection partition's validated cells and its hypotheses, one per
-    code index vector in index_space() order, scored under one alpha."""
+    code index vector g in index_space() order, scored under one alpha."""
 
     cells: tuple             # frozenset of g per detection cell
-    gs: tuple                # code index vector of each hypothesis
     log_out: np.ndarray      # (H, |Y|) log P(Y | g)
     alpha: np.ndarray        # (H,) alpha(g)
     cell: np.ndarray         # (H,) index of the detection cell holding g
@@ -383,7 +374,7 @@ def build_detector(model: SystemModel, regions,
     gs = tuple(model.index_space())
     log_out = np.array([marginalize_out(model, (), g).log_pmf() for g in gs])
     return RegionDetector(
-        cells, gs, log_out, np.array([alpha(g) for g in gs]),
+        cells, log_out, np.array([alpha(g) for g in gs]),
         np.array([next(i for i, r in enumerate(cells) if g in r)
                   for g in gs]))
 
@@ -395,21 +386,15 @@ def _detection_scores(detector: RegionDetector, y: np.ndarray) -> np.ndarray:
                      for h, a in enumerate(detector.alpha.tolist())])
 
 
-def detect_region(detector: RegionDetector, y):
-    """Maximum weighted output-marginal likelihood estimate of the code
-    index vector, and the index of the partition cell containing it.  Ties
-    break toward the lexicographically smallest vector.  A block of m
-    outputs, y of shape (m, N), gives arrays of m cells and m vectors.
+def detect_region(detector: RegionDetector, y) -> np.ndarray:
+    """Detected cell of each output of a block y of shape (m, N): the index
+    of the partition cell holding the maximum weighted output-marginal
+    likelihood estimate of the code index vector, ties broken toward the
+    lexicographically smallest vector; an array of shape (m,).
     :class:`DomainError` when no vector gives an output a score above -inf.
     """
     y = np.asarray(y, dtype=np.int64)
     scores = _detection_scores(detector, y)
-    best = scores.argmax(axis=0)
-    # one output gets a scalar test, not an array's any(): 9-15 us per call
-    # over sec4's 4 hypotheses, 19-29 us as a block of one (2 vCPUs)
-    if (scores[best] == -INF) if y.ndim == 1 else \
-            (scores.max(axis=0) == -INF).any():
+    if (scores.max(axis=0) == -INF).any():
         raise DomainError("no code index vector can produce this output")
-    if y.ndim == 1:
-        return int(detector.cell[best]), detector.gs[best]
-    return detector.cell[best], np.array(detector.gs)[best]
+    return detector.cell[scores.argmax(axis=0)]

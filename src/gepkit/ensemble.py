@@ -260,32 +260,26 @@ def _letter_table(model: SystemModel, D, fixed, free, g, a: float):
 
 
 def ensemble_log_expectation(model: SystemModel, D, S, g, y: np.ndarray,
-                             x_fixed, a: float) -> float:
-    """Log of the codebook-ensemble expectation of the candidate sequence
+                             x_fixed, a: float) -> np.ndarray:
+    """Log of the codebook-ensemble expectation of each candidate sequence
     likelihood raised to ``a``:
 
         sum_j log sum_{X_{D\\S}} prod_{k in D\\S} P_{X|g_k}(X_k)
                   * P(y_j | x_{S cap D, j}, X_{D\\S}, g)^a
 
-    ``x_fixed`` holds the fixed symbols of users sorted(S cap D), shape
-    (|S cap D|, N), or a block of m such rows, shape (m, |S cap D|, N), for
-    which the m values come back as an array.  The free users D\\S are
-    averaged under their code-g input pmfs.  The channel is memoryless, so
-    this is a sum of per-letter table entries T[y_j, x_fixed_j]; a block
-    row's sum equals the single row's bit for bit.  Returns -inf when the
-    inner sum vanishes (possible for a > 0 on channels with zeros); never
-    raises for that.
+    ``x_fixed`` is a block of m candidates' fixed symbols of users
+    sorted(S cap D), shape (m, |S cap D|, N); the m values come back as an
+    array of shape (m,).  The free users D\\S are averaged under their
+    code-g input pmfs.  The channel is memoryless, so each value is a sum
+    of per-letter table entries T[y_j, x_fixed_j].  A value is -inf when
+    the inner sum vanishes (possible for a > 0 on channels with zeros);
+    never raises for that.
     """
     D = sorted(set(D))
     S = set(S)
     fixed = sorted(set(D) & S)
     free = sorted(set(D) - S)
     y = np.asarray(y, dtype=np.int64)
-    table = _letter_table(model, D, fixed, free, g, a)
     x_fixed = np.asarray(x_fixed, dtype=np.int64)
-    if x_fixed.ndim == 3:
-        return table[y, flatten_symbols(model, fixed, x_fixed)].sum(axis=1)
-    # a float for typicality_threshold's one-row form; alone it is no faster
-    # than a block of one (9-13 us per call on sec4, 7-11 as a block)
-    x_fixed = x_fixed.reshape(len(fixed), len(y))
-    return float(np.sum(table[y, flatten_symbols(model, fixed, x_fixed)]))
+    table = _letter_table(model, D, fixed, free, g, a)
+    return table[y, flatten_symbols(model, fixed, x_fixed)].sum(axis=1)

@@ -370,7 +370,7 @@ def run_detection_trials(scenario, trials: int,
             for gk in range(model.code_counts[k]):
                 drew = g_rows[:, k] == gk
                 x[drew, k] = _inverse_cdf(model.input_pmf(k, gk), u[drew, k])
-        cells, _ghat = detect_region(detector, transmit(x, u[:, -1]))
+        cells = detect_region(detector, transmit(x, u[:, -1]))
         true_cells = detector.cell[np.ravel_multi_index(g_rows.T,
                                                         model.code_counts)]
         for g, err in zip(gs, (cells != true_cells).tolist()):

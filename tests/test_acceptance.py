@@ -205,10 +205,10 @@ def test_criterion_3_ensemble_factorization():
                          for s in itertools.combinations(range(m.n_users), r)]
                 for S in all_S:
                     fixed = sorted(set(D) & set(S))
-                    xf = rng.integers(0, 2, (len(fixed), N))
+                    xf = rng.integers(0, 2, (1, len(fixed), N))
                     a = float(rng.choice([0.25, 0.5, 1.0, 1.3]))
-                    mine = ensemble_log_expectation(m, D, S, g, y, xf, a)
-                    oracle = brute_force_expectation(m, D, S, g, y, xf, a)
+                    mine, = ensemble_log_expectation(m, D, S, g, y, xf, a)
+                    oracle = brute_force_expectation(m, D, S, g, y, xf[0], a)
                     worst = max(worst, abs(mine - oracle))
                     cases += 1
     ok = worst <= 1e-9
@@ -324,15 +324,15 @@ def test_criterion_8_threshold_balance():
             sd = sorted(set(S) & {0})
             for _ in range(25):
                 y = rng.integers(0, 2, N)
-                xf = rng.integers(0, 2, (len(sd), N))
-                tau = typicality_threshold(m, [0], S, g, params, xf, y, a)
+                xf = rng.integers(0, 2, (1, len(sd), N))
+                tau, = typicality_threshold(m, [0], S, g, params, xf, y, a)
                 s1, s2, rt = params.s1, params.s2, params.rho_t
-                l1 = ensemble_log_expectation(m, [0], S, g, y, xf, 1 - s1) \
+                l1, = ensemble_log_expectation(m, [0], S, g, y, xf, 1 - s1) \
                     - N * (1 - s1) * a(g)
-                l2 = ensemble_log_expectation(m, [0], S, g, y, xf, s2 / rt) \
+                l2, = ensemble_log_expectation(m, [0], S, g, y, xf, s2 / rt) \
                     - N * (s2 / rt) * a(g)
-                l3 = ensemble_log_expectation(m, [0], S, params.gstar, y,
-                                              xf, 1.0) - N * a(params.gstar)
+                l3, = ensemble_log_expectation(m, [0], S, params.gstar, y,
+                                               xf, 1.0) - N * a(params.gstar)
                 rate = sum(m.rate(k, g[k]) for k in {0} - set(S))
                 lhs = l1 - N * s1 * tau
                 rhs = l3 + rt * l2 + N * s2 * tau + N * rt * rate

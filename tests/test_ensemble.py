@@ -182,8 +182,8 @@ class TestEnsembleExpectation:
     def test_a_one_is_marginal_likelihood(self):
         m = make_compound_bsc([0.1, 0.3], [0.5, 0.5], 0.2)
         y = np.array([0, 1, 1, 0])
-        val = ensemble_log_expectation(m, [0], [], (0, 0), y,
-                                       np.zeros((0, 4)), 1.0)
+        val, = ensemble_log_expectation(m, [0], [], (0, 0), y,
+                                        np.zeros((1, 0, 4)), 1.0)
         pm = m.input_pmf(0, 0)
         marg = marginalize_out(m, [0], (0, 0)).pmf
         expect = sum(math.log(sum(pm[x] * marg[x, yj] for x in range(2)))
@@ -194,7 +194,8 @@ class TestEnsembleExpectation:
         m = make_compound_bsc([0.1, 0.3], [0.5, 0.5], 0.2)
         y = np.array([0, 1, 0])
         xf = np.array([[1, 0, 1]])
-        val = ensemble_log_expectation(m, [0], [0, 1], (0, 1), y, xf, 0.6)
+        val, = ensemble_log_expectation(m, [0], [0, 1], (0, 1), y, xf[None],
+                                        0.6)
         lm = np.log(marginalize_out(m, [0], (0, 1)).pmf)
         expect = 0.6 * sum(lm[xf[0, j], y[j]] for j in range(3))
         assert val == pytest.approx(expect, abs=1e-12)
@@ -214,7 +215,7 @@ class TestEnsembleExpectation:
         fixed = sorted(set(D) & set(S))
         xf = rng.integers(0, 2, (len(fixed), N))
         a = float(rng.uniform(0.05, 1.5))
-        mine = ensemble_log_expectation(m, D, S, g, y, xf, a)
+        mine, = ensemble_log_expectation(m, D, S, g, y, xf[None], a)
         oracle = brute_force_expectation(m, D, S, g, y, xf, a)
         assert mine == pytest.approx(oracle, abs=1e-9)
 
@@ -223,6 +224,6 @@ class TestEnsembleExpectation:
             dmc=make_dmc(np.eye(2)), K=1, M=0,
             libraries=((CodeSpec(0.0, np.array([1.0, 0.0])),),))
         # input locked to 0 on the identity channel, but y = 1
-        val = ensemble_log_expectation(m, [0], [], (0,), np.array([1]),
-                                       np.zeros((0, 1)), 1.0)
+        val, = ensemble_log_expectation(m, [0], [], (0,), np.array([1]),
+                                        np.zeros((1, 0, 1)), 1.0)
         assert val == float("-inf")

@@ -173,9 +173,10 @@ class TestLetterTables:
                 xf = np.stack([rng.integers(0, model.dmc.input_sizes[k], N)
                                for k in fixed]) if fixed \
                     else np.zeros((0, N), dtype=np.int64)
-                mine = ensemble_log_expectation(model, D, S, g, y, xf, a)
+                mine = ensemble_log_expectation(model, D, S, g, y, xf[None],
+                                                a)
                 ref = reference_log_expectation(model, D, S, g, y, xf, a)
-                assert _same(mine, ref), (path.name, D, S, g, a)
+                assert _same(mine, np.array([ref])), (path.name, D, S, g, a)
                 checked += 1
         # D = (0,), 4 subsets S, and 2 + 2 + 4 code index vectors
         assert checked == 4 * (2 + 2 + 4)
@@ -192,9 +193,10 @@ class TestLetterTables:
                 N = int(rng.integers(1, 25))
                 y = rng.integers(0, model.dmc.output_size, N)
                 xf = rng.integers(0, 2, (len(fixed), N))
-                mine = ensemble_log_expectation(model, D, S, g, y, xf, a)
+                mine = ensemble_log_expectation(model, D, S, g, y, xf[None],
+                                                a)
                 ref = reference_log_expectation(model, D, S, g, y, xf, a)
-                assert _same(mine, ref), (D, S, g, a)
+                assert _same(mine, np.array([ref])), (D, S, g, a)
 
     def test_zero_probability_output_matches(self):
         model = xor_model(0.2)  # noiseless: P(y | x1, x2) has zeros
@@ -202,10 +204,10 @@ class TestLetterTables:
         xf = np.array([[0, 0, 1, 1], [0, 1, 0, 0]])
         for a in (0.0, 0.5, 1.0):
             mine = ensemble_log_expectation(model, [0, 1], [0, 1], (0, 0), y,
-                                            xf, a)
+                                            xf[None], a)
             ref = reference_log_expectation(model, [0, 1], [0, 1], (0, 0), y,
                                             xf, a)
-            assert _same(mine, ref), a
+            assert _same(mine, np.array([ref])), a
 
 
 # ---------------------------------------------------------------------------
@@ -531,8 +533,8 @@ class TestCandidateRows:
 # ---------------------------------------------------------------------------
 
 def reference_detect_region(model, regions, alpha, y):
-    """detect_region without a detector: the partition is checked and every
-    log output marginal recomputed on each call."""
+    """detect_region of one output y without a detector: the partition is
+    checked and every log output marginal recomputed on each call."""
     cleaned = check_detection_partition(model, regions)
     y = np.asarray(y, dtype=np.int64)
     N = len(y)
@@ -543,8 +545,7 @@ def reference_detect_region(model, regions, alpha, y):
         score = float(lp[y].sum() - N * alpha(g))
         if score > best_score:
             best_g, best_score = g, score
-    cell = next(i for i, r in enumerate(cleaned) if best_g in r)
-    return cell, best_g
+    return next(i for i, r in enumerate(cleaned) if best_g in r)
 
 
 class TestDetectRegion:
@@ -558,9 +559,9 @@ class TestDetectRegion:
         cells = set()
         for bits in itertools.product(range(2), repeat=6):
             y = np.array(bits)
-            got = detect_region(detector, y)
+            got, = detect_region(detector, y[None])
             assert got == reference_detect_region(model, regions, a, y)
-            cells.add(got[0])
+            cells.add(int(got))
         assert 1 in cells and 2 not in cells
 
     def test_alphas_and_partitions_do_not_mix(self):
@@ -576,11 +577,13 @@ class TestDetectRegion:
         rng = np.random.default_rng(8)
         differ = set()
         for _ in range(60):
-            y = rng.integers(0, 2, 8)
+            # at N = 12 alpha moves outputs across the cells of both
+            # partitions; at N = 8 only within the first one's cells
+            y = rng.integers(0, 2, 12)
             results = {}
             for i, regions in enumerate(partitions):
                 for j, a in enumerate(alphas):
-                    got = detect_region(detectors[(i, j)], y)
+                    got, = detect_region(detectors[(i, j)], y[None])
                     assert got == reference_detect_region(model, regions, a,
                                                           y)
                     results[(i, j)] = got
@@ -600,39 +603,38 @@ class TestDetectRegion:
         ys = rng.integers(0, model.dmc.output_size, (17, N))
         block = _detection_scores(detector, ys)
         assert block.shape == (len(space), 17)
-        cells, gs = detect_region(detector, ys)
+        cells = detect_region(detector, ys)
         for i, y in enumerate(ys):
-            one = _detection_scores(detector, y)
-            assert _same(block[:, i], one)
-            ref = [float(np.log(output_marginal(model, g))[y].sum()
-                         - N * alpha(g)) for g in space]
+            one = _detection_scores(detector, y[None])
+            assert _same(block[:, i:i + 1], one)
+            ref = [[float(np.log(output_marginal(model, g))[y].sum()
+                          - N * alpha(g))] for g in space]
             assert _same(one, np.array(ref))
-            cell, g = detect_region(detector, y)
-            assert (cells[i], tuple(gs[i])) == (cell, g)
-            assert (cell, g) == reference_detect_region(model, regions,
-                                                        alpha, y)
+            cell, = detect_region(detector, y[None])
+            assert cells[i] == cell
+            assert cell == reference_detect_region(model, regions, alpha, y)
 
     def test_block_ties_go_to_the_first_vector(self):
         model = make_compound_bsc([0.05, 0.3, 0.3, 0.45], [0.9, 0.1], 0.2)
         regions = [[(0, 0)], [(0, 1), (0, 3)], [(0, 2)]]
         detector = build_detector(model, regions, WeightFunction.zero(model))
         ys = np.array(list(itertools.product(range(2), repeat=6)))
-        cells, gs = detect_region(detector, ys)
+        cells = detect_region(detector, ys)
         assert 2 not in cells.tolist() and 1 in cells.tolist()
-        assert [detect_region(detector, y) for y in ys] == \
-            list(zip(cells.tolist(), map(tuple, gs.tolist())))
+        assert [detect_region(detector, y[None]).tolist() for y in ys] == \
+            [[cell] for cell in cells.tolist()]
 
     def test_impossible_output_raises(self):
         # both states always output 0, so y = (1, 1, 1) has no hypothesis
         model = make_compound_bsc([0.0, 0.0], [1.0, 0.0], 0.2)
         detector = build_detector(model, [[(0, 0)], [(0, 1)]],
                                   WeightFunction.zero(model))
-        assert detect_region(detector, np.array([0, 0, 0])) == (0, (0, 0))
+        assert detect_region(detector, np.array([[0, 0, 0]])).tolist() == [0]
         with pytest.raises(DomainError):
-            detect_region(detector, np.array([1, 1, 1]))
+            detect_region(detector, np.array([[1, 1, 1]]))
         with pytest.raises(DomainError):
             detect_region(detector, np.array([[0, 0, 0], [1, 1, 1]]))
-        cells, _ = detect_region(detector, np.zeros((2, 3), dtype=np.int64))
+        cells = detect_region(detector, np.zeros((2, 3), dtype=np.int64))
         assert cells.tolist() == [0, 0]
 
     def test_invalid_partition_raises_on_every_call(self):
@@ -642,7 +644,7 @@ class TestDetectRegion:
             with pytest.raises(NotAPartition):
                 build_detector(model, [[(0, 0)]], a)
         detector = build_detector(model, [[(0, 0)], [(0, 1)]], a)
-        assert detect_region(detector, np.array([0, 0, 0]))[0] == 0
+        assert detect_region(detector, np.array([[0, 0, 0]]))[0] == 0
         for _ in range(2):
             with pytest.raises(NotAPartition):
                 build_detector(model, [[(0, 0)]], a)

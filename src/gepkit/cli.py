@@ -23,7 +23,7 @@ from pathlib import Path
 
 from . import montecarlo
 from .channel import binary_entropy
-from .errors import GepkitError, IntegrityError, ParseError, SchemaError
+from .errors import GepkitError, IntegrityError, SchemaError
 from .exponents import (
     ExponentCache,
     detection_bound,
@@ -318,7 +318,7 @@ def main(argv=None) -> int:
                     raise SchemaError(f"--{name}: must be >= {low}")
                 setattr(scenario, name, value)
         return dispatch(args.command, scenario, args)
-    except (ParseError, SchemaError, IntegrityError, GepkitError) as exc:
+    except GepkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

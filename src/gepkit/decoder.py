@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import SystemModel, marginalize_out
-from .ensemble import CodebookRealization, ensemble_log_expectation
+from .ensemble import CodebookRealization, as_block, ensemble_log_expectation
 from .errors import DomainError
 from .exponents import (
     ExponentCache,
@@ -80,7 +80,7 @@ def typicality_threshold(model: SystemModel, D, S, g,
     """Per-symbol typicality threshold tau* for candidate vector g and
     subset S at output y, one per candidate of a block x_fixed of shape
     (m, |S cap D|, N) holding the candidates' symbols on S cap D: an array
-    of shape (m,).
+    of shape (m,).  Any other shape of x_fixed raises ShapeMismatch.
 
     Solves the balance between the missed-detection expression (exponent
     1 - s1 on the candidate's weighted likelihood) and the false-acceptance
@@ -89,6 +89,7 @@ def typicality_threshold(model: SystemModel, D, S, g,
     threshold is unconstrained; nan (never accepted) when two expectations
     vanish.
     """
+    x_fixed = as_block(x_fixed, 3, "(m, |S cap D|, N)")
     if params.gstar is NO_CONSTRAINT:
         return np.full(len(x_fixed), INF)
     N = len(y)
@@ -110,12 +111,12 @@ def typicality_threshold(model: SystemModel, D, S, g,
 @dataclass(frozen=True)
 class ThresholdTable:
     """Precomputed threshold parameters for one (D, R_D[, margin]) decoder
-    and the model, D, region, margin and alpha they were solved under."""
+    and the model, D, region and alpha they were solved under; a margin
+    shows only as the covering subsets in ``subsets_margin``."""
 
     model: SystemModel
     D: tuple
     region: frozenset
-    margin: frozenset | None
     alpha: WeightFunction
     params: dict             # (g, frozenset S) -> ThresholdParams | None
     subsets_decode: tuple    # proper S with D\S nonempty
@@ -137,8 +138,8 @@ def build_thresholds(model: SystemModel, D, region, alpha: WeightFunction,
     searches of :func:`decoder_searches`).  Exponents are looked up in
     ``cache``, a fresh :class:`ExponentCache` when None.
     """
-    (D, region, margin), searches = decoder_searches(model, D, region,
-                                                     margin)
+    (D, region, _margin), searches = decoder_searches(model, D, region,
+                                                      margin)
     cache = cache or ExponentCache()
     params = {}
     for g in sorted(region):
@@ -147,8 +148,7 @@ def build_thresholds(model: SystemModel, D, region, alpha: WeightFunction,
             params[(g, S)] = UNCONSTRAINED if best is None \
                 else params_from_exponent(*best)
     return ThresholdTable(
-        model=model, D=D, region=region, margin=margin, alpha=alpha,
-        params=params,
+        model=model, D=D, region=region, alpha=alpha, params=params,
         subsets_decode=tuple(S for S, _, covers in searches if not covers),
         subsets_margin=tuple(S for S, _, covers in searches if covers))
 
@@ -229,19 +229,20 @@ def _enumerate_candidates(model, D, g, codebooks: CodebookRealization, y,
 
 
 def _thresholds_for(model, D, S, cand: _Candidates, params, y, alpha):
-    """Per-candidate tau* array for one (g, S).  tau* depends on a candidate
-    only through its symbols on S cap D, so it is solved in one block call
-    on the distinct rows of those users' messages (one zero-width row when
-    S cap D is empty) and broadcast over the message grid."""
+    """tau* of one (g, S) over the candidates' message grid, in an array
+    that broadcasts against it.  tau* depends on a candidate only through
+    its symbols on S cap D, so it is solved in one block call on the
+    distinct rows of those users' messages (one zero-width row when S cap
+    D is empty), and the grid axes of the other users have length 1."""
     pos = [D.index(k) for k in sorted(set(S) & set(D))]
     # the messages of S cap D vary, every other user's stays the first
     first = tuple(slice(None) if j in pos else slice(1)
                   for j in range(len(D)))
     grid = cand.rows.reshape(cand.grid + cand.rows.shape[1:])
-    fixed = grid[first][..., pos, :]
+    fixed = grid[first].take(pos, axis=-2)
     rows = fixed.reshape(math.prod(fixed.shape[:-2]), len(pos), len(y))
     tau = typicality_threshold(model, D, S, cand.g, params, rows, y, alpha)
-    return np.broadcast_to(tau.reshape(fixed.shape[:-2]), cand.grid).ravel()
+    return tau.reshape(fixed.shape[:-2])
 
 
 def _subset_winner(cands, accepted_masks):
@@ -295,10 +296,9 @@ def decode_subset(thresholds: ThresholdTable,
              for g in members]
     winners = []
     for S in thresholds.subsets_decode:
-        masks = [cand.wnll < _thresholds_for(model, D, S, cand,
-                                             thresholds.get(cand.g, S), y,
-                                             alpha)
-                 for cand in cands]
+        masks = [(cand.wnll.reshape(cand.grid) < _thresholds_for(
+                     model, D, S, cand, thresholds.get(cand.g, S), y, alpha))
+                 .ravel() for cand in cands]
         winners.append(_subset_winner(cands, masks))
     diag = {"candidates_evaluated": int(sum(len(c.score) for c in cands)),
             "winners": winners}
@@ -391,9 +391,10 @@ def detect_region(detector: RegionDetector, y) -> np.ndarray:
     of the partition cell holding the maximum weighted output-marginal
     likelihood estimate of the code index vector, ties broken toward the
     lexicographically smallest vector; an array of shape (m,).
-    :class:`DomainError` when no vector gives an output a score above -inf.
+    :class:`ShapeMismatch` for any other shape of y, :class:`DomainError`
+    when no vector gives an output a score above -inf.
     """
-    y = np.asarray(y, dtype=np.int64)
+    y = as_block(y, 2, "(m, N)")
     scores = _detection_scores(detector, y)
     if (scores.max(axis=0) == -INF).any():
         raise DomainError("no code index vector can produce this output")

@@ -65,17 +65,20 @@ def sample_from_pmf(rng: np.random.Generator, pmf: np.ndarray, shape):
 
 
 def _inverse_cdf(pmf: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Symbols of the finite pmf at uniforms ``u``, elementwise.
+    """Symbols of the finite pmf at uniforms ``u``, elementwise, by
+    :func:`_count_at_or_below` on its cumulative sums."""
+    return _count_at_or_below(np.cumsum(pmf)[:-1], u)
 
-    Each symbol is the number of cumulative entries <= its uniform u, one
-    comparison per symbol.  The cumulative sums are nondecreasing and the
-    last one is set to 1.0 > u, so that last entry needs no comparison and
-    the count equals ``searchsorted(cum, u, side="right")``.
-    """
-    cum = np.cumsum(pmf)
-    cum[-1] = 1.0
+
+def _count_at_or_below(cum, u: np.ndarray) -> np.ndarray:
+    """Inverse CDF at uniforms ``u``: how many entries of ``cum`` (scalars
+    or arrays shaped like u) are <= u, elementwise.  ``cum`` omits the last
+    cumulative entry, taken as 1.0 > u, so the count equals
+    ``searchsorted(cum + [1.0], u, side="right")``."""
+    if not len(cum):
+        return np.zeros(np.shape(u), dtype=np.int64)
     idx = (u >= cum[0]).astype(np.int64)
-    for c in cum[1:-1]:
+    for c in cum[1:]:
         idx += u >= c
     return idx
 
@@ -244,6 +247,16 @@ def flatten_symbols(model: SystemModel, users, rows: np.ndarray) -> np.ndarray:
     return flat
 
 
+def as_block(rows, ndim: int, expected: str) -> np.ndarray:
+    """``rows`` as an int64 block with ``ndim`` axes; a lone row or any
+    other shape raises ShapeMismatch naming the ``expected`` one."""
+    rows = np.asarray(rows, dtype=np.int64)
+    if rows.ndim != ndim:
+        raise ShapeMismatch(f"expected a block of shape {expected}, got "
+                            f"shape {rows.shape}")
+    return rows
+
+
 def _letter_table(model: SystemModel, D, fixed, free, g, a: float):
     """(|Y|, |X_fixed|) table of per-letter log expectations,
     log sum_{x_free} w(x_free) P(y | x_fixed, x_free, g)^a, memoized on the
@@ -269,17 +282,17 @@ def ensemble_log_expectation(model: SystemModel, D, S, g, y: np.ndarray,
 
     ``x_fixed`` is a block of m candidates' fixed symbols of users
     sorted(S cap D), shape (m, |S cap D|, N); the m values come back as an
-    array of shape (m,).  The free users D\\S are averaged under their
-    code-g input pmfs.  The channel is memoryless, so each value is a sum
-    of per-letter table entries T[y_j, x_fixed_j].  A value is -inf when
-    the inner sum vanishes (possible for a > 0 on channels with zeros);
-    never raises for that.
+    array of shape (m,); any other shape raises ShapeMismatch.  The free
+    users D\\S are averaged under their code-g input pmfs.  The channel is
+    memoryless, so each value is a sum of per-letter table entries
+    T[y_j, x_fixed_j].  A value is -inf when the inner sum vanishes
+    (possible for a > 0 on channels with zeros); never raises for that.
     """
     D = sorted(set(D))
     S = set(S)
     fixed = sorted(set(D) & S)
     free = sorted(set(D) - S)
     y = np.asarray(y, dtype=np.int64)
-    x_fixed = np.asarray(x_fixed, dtype=np.int64)
+    x_fixed = as_block(x_fixed, 3, "(m, |S cap D|, N)")
     table = _letter_table(model, D, fixed, free, g, a)
     return table[y, flatten_symbols(model, fixed, x_fixed)].sum(axis=1)

@@ -17,6 +17,7 @@ equals the worst case in expectation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,6 +32,7 @@ from .decoder import (
 )
 from .ensemble import (
     CodebookRealization,
+    _count_at_or_below,
     _inverse_cdf,
     flatten_symbols,
     message_count,
@@ -56,11 +58,9 @@ STRICT = "strict"
 MARGIN = "margin"
 ERROR_MODELS = (RELAXED, STRICT, MARGIN)
 
-# Bytes one trial may hold: a decoding trial's codebooks, or a detection
-# trial's uniforms and detection scores.  A decoding trial's peak memory is
-# several times its codebook bytes (uniform draws, candidate rows,
-# likelihood gathers); the shipped scenarios and benchmark workloads need
-# under 1 MiB.
+# Bytes one trial may hold: a decoding trial's codebooks and candidate grid
+# (see _trial_bytes), or a detection trial's uniforms and detection
+# scores.  The shipped scenarios and benchmark workloads need under 1 MiB.
 TRIAL_BUDGET_BYTES = 256 * 2**20
 
 # Uniform-draw bytes a block of detection trials may hold, unless one trial's
@@ -140,18 +140,13 @@ def _draw_g(rng, g_list, g_probs):
 def _channel_sampler(model: SystemModel):
     """transmit(x, u) -> y for input symbols x of shape (..., n_users, N)
     and one uniform per output symbol, u of shape (..., N): each y is the
-    number of entries <= u of its joint input's cumulative output row, the
-    last of which is 1.0 > u and needs no comparison."""
+    inverse CDF (``_count_at_or_below``) of its joint input's output row."""
     cum = np.cumsum(model.dmc.pmf.reshape(-1, model.dmc.output_size), axis=1)
-    cum[:, -1] = 1.0
-    columns = np.ascontiguousarray(cum.T)
+    columns = np.ascontiguousarray(cum[:, :-1].T)
 
     def transmit(x, u):
         flat = flatten_symbols(model, range(model.n_users), x)
-        y = (u >= columns[0][flat]).astype(np.int64)
-        for col in columns[1:-1]:
-            y += u >= col[flat]
-        return y
+        return _count_at_or_below([col[flat] for col in columns], u)
 
     return transmit
 
@@ -166,6 +161,20 @@ def receiver_parts(scenario) -> list:
         return [(tuple(range(scenario.model.K)), scenario.region,
                  scenario.margin)]
     return [(D, reg, None) for D, reg in scenario.partition]
+
+
+def _trial_bytes(scenario, counts: dict) -> int:
+    """Bytes one decoding trial may hold: every code's table (message count
+    x N x 8, drawn or not), plus the candidate grid of the largest decoder
+    over two or more users.  Such a decoder holds prod_{k in D} M_k
+    candidates per in-region g, each as |D| gathered rows, their stacked
+    copy and a likelihood gather: (2|D| + 1) x N x 8 bytes.  A single-user
+    decoder's candidate rows are views of its table, so it adds nothing."""
+    N = scenario.N
+    grids = [sum(math.prod(counts[k, g[k]] for k in D) for g in region)
+             * (2 * len(D) + 1) * N * 8
+             for D, region, _margin in receiver_parts(scenario) if len(D) > 1]
+    return sum(n * N * 8 for n in counts.values()) + max(grids, default=0)
 
 
 def _prepare_decoder(scenario, model, cache=None):
@@ -195,10 +204,9 @@ def run_trials(scenario, trials: int, master_seed: int,
     transmitted codewords are read, the (k, g_k) of every region member of
     every :func:`receiver_parts` entry; under detect-then-decode, after
     detection, those of the detected cell's region members only.  Before
-    any threshold is built, one trial's codebook bytes (message count x N
-    x 8, summed over every code, drawn or not) are checked against
-    ``TRIAL_BUDGET_BYTES``; a larger scenario raises
-    :class:`MemoryBudgetExceeded`.
+    any threshold is built, one trial's codebook and candidate-grid bytes
+    (:func:`_trial_bytes`) are checked against ``TRIAL_BUDGET_BYTES``; a
+    larger scenario raises :class:`MemoryBudgetExceeded`.
 
     ``cache`` is the exponent cache the threshold tables are built from;
     passing the one the verdict bound will use spares that bound the
@@ -211,11 +219,11 @@ def run_trials(scenario, trials: int, master_seed: int,
     counts = {(k, gk): message_count(model.rate(k, gk), N)
               for k in range(model.K)
               for gk in range(len(model.libraries[k]))}
-    need = sum(n * N * 8 for n in counts.values())
+    need = _trial_bytes(scenario, counts)
     if need > TRIAL_BUDGET_BYTES:
         raise MemoryBudgetExceeded(
-            f"one trial's codebooks take {need} bytes, over the "
-            f"{TRIAL_BUDGET_BYTES}-byte budget (N={N})")
+            f"one trial's codebooks and candidates take {need} bytes, over "
+            f"the {TRIAL_BUDGET_BYTES}-byte budget (N={N})")
     g_list, g_probs = _g_sampler(scenario, model)
     transmit = _channel_sampler(model)
     run_decoder = _prepare_decoder(scenario, model, cache)
@@ -292,10 +300,7 @@ def empirical_gep(records, alpha: WeightFunction, N: int) -> GepEstimate:
 @dataclass(frozen=True)
 class Verdict:
     passed: bool
-    estimate: float
-    se: float
     bound: float
-    slack: float  # bound + 3 se - estimate
 
 
 def compare_bound(estimate: GepEstimate, bound: BoundReport) -> Verdict:
@@ -306,10 +311,8 @@ def compare_bound(estimate: GepEstimate, bound: BoundReport) -> Verdict:
             f"estimate at N={estimate.N}, bound at N={bound.N}")
     if estimate.alpha_key != bound.alpha_key:
         raise MismatchedParameters("estimate and bound use different alpha")
-    limit = bound.value + 3.0 * estimate.se
-    return Verdict(passed=estimate.point <= limit, estimate=estimate.point,
-                   se=estimate.se, bound=bound.value,
-                   slack=limit - estimate.point)
+    return Verdict(passed=estimate.point <= bound.value + 3.0 * estimate.se,
+                   bound=bound.value)
 
 
 # ---------------------------------------------------------------------------

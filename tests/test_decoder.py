@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -20,7 +21,12 @@ from gepkit import (
     sample_codebook,
     typicality_threshold,
 )
-from gepkit.decoder import NO_CONSTRAINT, ThresholdParams, params_from_exponent
+from gepkit.decoder import (
+    NO_CONSTRAINT,
+    UNCONSTRAINED,
+    ThresholdParams,
+    params_from_exponent,
+)
 from gepkit.ensemble import ensemble_log_expectation, message_count
 from gepkit.errors import (
     CodeOutOfRange,
@@ -28,6 +34,7 @@ from gepkit.errors import (
     GepkitError,
     NotAPartition,
     OverlappingMargin,
+    ShapeMismatch,
 )
 from gepkit.exponents import (
     ExponentCache,
@@ -719,6 +726,38 @@ class TestDetectRegion:
         m = make_compound_bsc([0.1, 0.4], [0.9, 0.1], 0.2)
         with pytest.raises(NotAPartition):
             build_detector(m, [[(0, 0)]], zero(m))
+
+
+@pytest.mark.parametrize("call", ["ensemble_log_expectation",
+                                  "typicality_threshold",
+                                  "unconstrained typicality_threshold",
+                                  "detect_region"])
+def test_one_row_is_refused(call):
+    """Every per-letter solve takes blocks only: a lone row, which a block
+    call would misread (an unconstrained threshold as |S cap D| infinities,
+    an output as a 0-d cell), raises ShapeMismatch naming the shape."""
+    m = make_compound_bsc([0.05, 0.3], [0.5, 0.5], 0.2)
+    a = zero(m)
+    y = np.array([0, 1, 1, 0])
+    S = frozenset([0])
+    params = build_thresholds(m, [0], [(0, 0)], a, margin=[]).get((0, 0), S)
+    assert params.gstar is not NO_CONSTRAINT
+    detector = build_detector(m, [[(0, 0)], [(0, 1)]], a)
+    solves = {
+        "ensemble_log_expectation": lambda x: ensemble_log_expectation(
+            m, [0], S, (0, 0), y, x, 0.5),
+        "typicality_threshold": lambda x: typicality_threshold(
+            m, [0], S, (0, 0), params, x, y, a),
+        "unconstrained typicality_threshold": lambda x: typicality_threshold(
+            m, [0], S, (0, 0), UNCONSTRAINED, x, y, a),
+        "detect_region": lambda x: detect_region(detector, x),
+    }
+    # user 0's symbols, shape (|S cap D|, N) = (1, N), or one output (N,)
+    row = y if call == "detect_region" else np.array([[1, 0, 1, 1]])
+    expected = "(m, N)" if call == "detect_region" else "(m, |S cap D|, N)"
+    assert len(solves[call](row[None])) == 1
+    with pytest.raises(ShapeMismatch, match=re.escape(expected)):
+        solves[call](row)
 
 
 class TestDetectThenDecode:

@@ -6,9 +6,16 @@ from pathlib import Path
 import pytest
 
 import gepkit.montecarlo
+from conftest import load_workloads
 from gepkit.cli import entropy_gate, main
 from gepkit.ensemble import message_count
-from gepkit.errors import IntegrityError, ParseError, SchemaError
+from gepkit.errors import (
+    IntegrityError,
+    MemoryBudgetExceeded,
+    ParseError,
+    SchemaError,
+)
+from gepkit.montecarlo import run_trials
 from gepkit.scenario import DECODERS, emit, load_scenario, parse_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -487,3 +494,58 @@ class TestMemoryPreflight:
         assert main(["simulate", "--scenario", str(p), "--trials", "1",
                      "--out", str(out)]) == 2
         assert "past the float range" in capsys.readouterr().err
+
+    @staticmethod
+    def _refuse_thresholds(monkeypatch):
+        class Built(Exception):
+            pass
+
+        def built(*args, **kwargs):
+            raise Built
+
+        monkeypatch.setattr(gepkit.montecarlo, "build_thresholds", built)
+        return Built
+
+    def test_two_user_candidate_grid_counts(self, tmp_path, monkeypatch,
+                                            capsys):
+        """mac2-partition at N = 30 with (1, 1) decoded under D = (0, 1):
+        its codebooks take 3.75 MiB, but g = (1, 1) alone has 8103^2
+        candidates, each held as 2 gathered rows, their stack and a
+        likelihood gather of 30 symbols."""
+        doc = load_workloads().generate("mac2-partition", ROOT)
+        doc["N"] = 30
+        doc["region"].append([1, 1])
+        doc["partition"][1]["region"].append([1, 1])
+        scen = parse_scenario(doc)
+        codebooks = 2 * (90 + 8103) * 30 * 8
+        assert (message_count(scen.model.rate(0, 0), 30),
+                message_count(scen.model.rate(0, 1), 30)) == (90, 8103)
+        assert codebooks == 3932640 < gepkit.montecarlo.TRIAL_BUDGET_BYTES
+        grid = (90 * 90 + 8103 * 8103) * 5 * 30 * 8
+        assert 8103 * 8103 == 65658609
+        built = self._refuse_thresholds(monkeypatch)
+        with pytest.raises(MemoryBudgetExceeded,
+                           match=f" {codebooks + grid} bytes"):
+            run_trials(scen, 1, 1)
+        p = tmp_path / "mac2_n30.json"
+        p.write_text(json.dumps(doc))
+        assert main(["simulate", "--scenario", str(p), "--trials", "1",
+                     "--out", str(tmp_path / "out")]) == 2
+        assert f"{codebooks + grid} bytes" in capsys.readouterr().err
+        doc["N"] = 12  # the benchmark workload's length still passes
+        with pytest.raises(built):
+            run_trials(parse_scenario(doc), 1, 1)
+
+    def test_single_user_boundary_is_the_codebooks(self, monkeypatch):
+        """A single-user decoder's candidates are views of its table:
+        compound_bsc_relaxed reaches its thresholds at N = 65 (230,054,760
+        codebook bytes) and is refused at N = 66."""
+        doc = json.loads((SCENARIOS / "compound_bsc_relaxed.json").read_text())
+        built = self._refuse_thresholds(monkeypatch)
+        doc["N"] = 65
+        assert message_count(0.2, 65) * 65 * 8 == 230054760
+        with pytest.raises(built):
+            run_trials(parse_scenario(doc), 1, 1)
+        doc["N"] = 66
+        with pytest.raises(MemoryBudgetExceeded):
+            run_trials(parse_scenario(doc), 1, 1)

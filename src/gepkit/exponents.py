@@ -38,13 +38,7 @@ from .errors import (
     ShapeMismatch,
     UserOneMissing,
 )
-from .optimize import (
-    DEFAULT_SETTINGS,
-    EPS,
-    SearchSettings,
-    maximize_rho_s,
-    maximize_scalar,
-)
+from .optimize import EPS, maximize_rho_s, maximize_scalar
 
 
 # ---------------------------------------------------------------------------
@@ -283,18 +277,18 @@ def ec_objective(model: SystemModel, g, g_tilde, alpha: WeightFunction):
     return _keyed(_ec, lp, lq)
 
 
-def exponent_EmD(model: SystemModel, D, S, g, g_tilde, alpha: WeightFunction,
-                 settings: SearchSettings = DEFAULT_SETTINGS) -> ExponentResult:
+def exponent_EmD(model: SystemModel, D, S, g, g_tilde,
+                 alpha: WeightFunction) -> ExponentResult:
     """Message-confusion exponent for subset S, transmitted g, competitor
     g_tilde; the (rho, s) maximization runs over (0,1] x (0,1].
     :class:`EmptyDifferenceSet` when D\\S is empty."""
     f = emd_objective(model, D, S, g, g_tilde, alpha)
-    res = maximize_rho_s(f, s_cap=None, settings=settings)
+    res = maximize_rho_s(f, s_cap=None)
     return ExponentResult(res.value, res.argmax[0], res.argmax[1])
 
 
-def exponent_EiD(model: SystemModel, D, S, g, g_prime, alpha: WeightFunction,
-                 settings: SearchSettings = DEFAULT_SETTINGS) -> ExponentResult:
+def exponent_EiD(model: SystemModel, D, S, g, g_prime,
+                 alpha: WeightFunction) -> ExponentResult:
     """False-acceptance exponent for subset S, in-region g, excluded
     g_prime; s is constrained to (0, 1-rho].
 
@@ -302,37 +296,36 @@ def exponent_EiD(model: SystemModel, D, S, g, g_prime, alpha: WeightFunction,
     functional degenerates to a conditional Chernoff quantity.
     """
     f = eid_objective(model, D, S, g, g_prime, alpha)
-    res = maximize_rho_s(f, s_cap=lambda r: 1.0 - r, settings=settings)
+    res = maximize_rho_s(f, s_cap=lambda r: 1.0 - r)
     return ExponentResult(res.value, res.argmax[0], res.argmax[1])
 
 
-def exponent_Ec(model: SystemModel, g, g_tilde, alpha: WeightFunction,
-                settings: SearchSettings = DEFAULT_SETTINGS) -> ExponentResult:
+def exponent_Ec(model: SystemModel, g, g_tilde,
+                alpha: WeightFunction) -> ExponentResult:
     """Output-marginal discrimination exponent between hypotheses g and
     g_tilde (region detection); maximized over s in (0, 1]."""
     f = ec_objective(model, g, g_tilde, alpha)
-    res = maximize_scalar(f, EPS, 1.0, settings=settings)
+    res = maximize_scalar(f, EPS, 1.0)
     return ExponentResult(res.value, None, res.argmax[0])
 
 
 class ExponentCache:
-    """Memoizes exponent maximizations under one set of search settings,
-    keyed by what each objective computes (:func:`_keyed`).  A model and
-    alpha enter an objective only through its tables, and no exponent
-    depends on N, so one cache serves any model, alpha and blocklength
-    without changing a result; codes enter only through their rates and
-    input pmfs, so distinct (D, S, g, g') often share one maximization.
-    Every lookup builds its objective, so its arguments are checked each
-    time."""
+    """Memoizes exponent maximizations, keyed by what each objective
+    computes (:func:`_keyed`).  The search is fixed (:mod:`.optimize`), a
+    model and alpha enter an objective only through its tables, and no
+    exponent depends on N, so one cache serves any model, alpha and
+    blocklength without changing a result; codes enter only through their
+    rates and input pmfs, so distinct (D, S, g, g') often share one
+    maximization.  Every lookup builds its objective, so its arguments are
+    checked each time."""
 
-    def __init__(self, settings: SearchSettings = DEFAULT_SETTINGS):
-        self.settings = settings
+    def __init__(self):
         self._memo: dict = {}  # content key -> ExponentResult
 
     def _lookup(self, build, maximize, *args) -> ExponentResult:
         key = build(*args).key
         if key not in self._memo:
-            self._memo[key] = maximize(*args, self.settings)
+            self._memo[key] = maximize(*args)
         return self._memo[key]
 
     def emd(self, model, D, S, g, gt, alpha) -> ExponentResult:

@@ -1,10 +1,11 @@
 """Maximization of the smooth exponent objectives over open unit boxes.
 
-Strategy: coarse grid on the half-open parameter box, two rounds of local
-grid refinement around the incumbent, then a coordinate-wise bounded-Brent
-polish.  The reported value is the best point ever evaluated, so enabling
-more stages can never decrease it, and doubling the base grid evaluates a
-superset of points (grids are nested: lo + (hi-lo)*i/n for i = 1..n).
+Strategy: coarse grid on the half-open parameter box, ``REFINE_ROUNDS``
+rounds of local grid refinement around the incumbent, then a coordinate-wise
+bounded-Brent polish.  The stages are fixed; the reported value is the best
+point ever evaluated, so no later stage can lower what an earlier one found,
+and doubling the base grid evaluates a superset of points (grids are nested:
+lo + (hi-lo)*i/n for i = 1..n).
 
 The polish stage exists because several contracts compare independently
 computed maxima at 1e-9; a pure grid search stops near 1e-6.  It is Brent's
@@ -19,25 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 
 EPS = 1e-6  # open-interval floor for (0, 1] parameters
+BASE_GRID = 64  # base grid points per axis
+REFINE_ROUNDS = 2  # local refinement rounds after the base grid
 REFINE_POINTS = 9  # points per axis of a refinement round's window
 POLISH_XATOL = 1e-12  # the Brent polish's absolute argument tolerance
 POLISH_VALUE_TOL = 1e-13  # a polish sweep gaining less ends the polish
 POLISH_SWEEPS = 60  # at most this many (s, rho) polish sweeps
 _SQRT_EPS = math.sqrt(2.2e-16)  # the Brent polish's constants, as in scipy
 _GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
-
-
-@dataclass(frozen=True)
-class SearchSettings:
-    """The search's size: base grid points per axis, refinement rounds,
-    and whether the Brent polish runs."""
-
-    base_grid: int = 64
-    refine_rounds: int = 2
-    polish: bool = True
-
-
-DEFAULT_SETTINGS = SearchSettings()
 
 
 @dataclass(frozen=True)
@@ -118,15 +108,14 @@ def _bounded_brent(f, a, b, xatol):
                 fulc, ffulc = x, fu
 
 
-def maximize_scalar(f, lo: float, hi: float,
-                    settings: SearchSettings = DEFAULT_SETTINGS) -> SearchResult:
+def maximize_scalar(f, lo: float, hi: float) -> SearchResult:
     """Maximize a vectorized scalar function f(x_array) on (lo, hi]."""
-    xs = _axis(lo, hi, settings.base_grid)
+    xs = _axis(lo, hi, BASE_GRID)
     vs = np.asarray(f(xs), dtype=float)
     i = int(np.nanargmax(vs))
     best_x, best_v = float(xs[i]), float(vs[i])
-    step = (hi - lo) / settings.base_grid
-    for _ in range(settings.refine_rounds):
+    step = (hi - lo) / BASE_GRID
+    for _ in range(REFINE_ROUNDS):
         a, b = max(lo, best_x - step), min(hi, best_x + step)
         xs = np.linspace(a, b, REFINE_POINTS)
         vs = np.asarray(f(xs), dtype=float)
@@ -134,16 +123,14 @@ def maximize_scalar(f, lo: float, hi: float,
         if vs[i] > best_v:
             best_x, best_v = float(xs[i]), float(vs[i])
         step = (b - a) / (REFINE_POINTS - 1)
-    if settings.polish:
-        fs = lambda x: float(f(np.asarray([x]))[0])
-        x, v = _brent_max(fs, lo, hi, best_x, POLISH_XATOL)
-        if v > best_v:
-            best_x, best_v = x, v
+    fs = lambda x: float(f(np.asarray([x]))[0])
+    x, v = _brent_max(fs, lo, hi, best_x, POLISH_XATOL)
+    if v > best_v:
+        best_x, best_v = x, v
     return SearchResult(best_v, (best_x,))
 
 
-def maximize_rho_s(f, s_cap=None,
-                   settings: SearchSettings = DEFAULT_SETTINGS) -> SearchResult:
+def maximize_rho_s(f, s_cap=None) -> SearchResult:
     """Maximize f(rho, s_array) over rho in (EPS, 1], s in (EPS, s_max].
 
     ``s_cap``: None for s_max = 1 independent of rho, or a callable
@@ -164,7 +151,7 @@ def maximize_rho_s(f, s_cap=None,
             if not s_range_ok(rho):
                 continue
             if s_windows is None:
-                ss = _axis(EPS, s_max(rho), settings.base_grid)
+                ss = _axis(EPS, s_max(rho), BASE_GRID)
             else:
                 a, b = s_windows
                 a, b = max(EPS, a), min(s_max(rho), b)
@@ -176,39 +163,38 @@ def maximize_rho_s(f, s_cap=None,
             if vs[j] > best[0]:
                 best = (float(vs[j]), float(rho), float(ss[j]))
 
-    rho_grid = _axis(EPS, 1.0, settings.base_grid)
+    rho_grid = _axis(EPS, 1.0, BASE_GRID)
     scan(rho_grid)
-    rho_step = (1.0 - EPS) / settings.base_grid
-    for _ in range(settings.refine_rounds):
+    rho_step = (1.0 - EPS) / BASE_GRID
+    for _ in range(REFINE_ROUNDS):
         _, r0, s0 = best
         a, b = max(EPS, r0 - rho_step), min(1.0, r0 + rho_step)
         rhos = np.linspace(a, b, REFINE_POINTS)
         # s window scales with the current s grid step around the incumbent
-        s_step = max(s_max(r0) - EPS, EPS) / settings.base_grid
+        s_step = max(s_max(r0) - EPS, EPS) / BASE_GRID
         scan(rhos, s_windows=(s0 - s_step, s0 + s_step))
         rho_step = (b - a) / (REFINE_POINTS - 1)
 
-    if settings.polish:
-        fhat = lambda r, s: float(f(r, np.asarray([s]))[0])
-        for _ in range(POLISH_SWEEPS):
-            v_prev, r0, s0 = best
-            # s sweep at fixed rho
-            s_hi = s_max(r0)
-            if s_hi > EPS:
-                s_new, v = _brent_max(lambda s: fhat(r0, s), EPS, s_hi,
-                                      min(s0, s_hi), POLISH_XATOL)
-                if v > best[0]:
-                    best = (v, r0, s_new)
-            # rho sweep at fixed s; under a coupled cap keep s <= s_max(rho)
-            _, r0, s0 = best
-            r_hi = 1.0 if s_cap is None else _max_feasible_rho(s_max, s0)
-            if r_hi > EPS:
-                r_new, v = _brent_max(lambda r: fhat(r, s0), EPS, r_hi,
-                                      min(r0, r_hi), POLISH_XATOL)
-                if v > best[0]:
-                    best = (v, r_new, s0)
-            if best[0] - v_prev < POLISH_VALUE_TOL:
-                break
+    fhat = lambda r, s: float(f(r, np.asarray([s]))[0])
+    for _ in range(POLISH_SWEEPS):
+        v_prev, r0, s0 = best
+        # s sweep at fixed rho
+        s_hi = s_max(r0)
+        if s_hi > EPS:
+            s_new, v = _brent_max(lambda s: fhat(r0, s), EPS, s_hi,
+                                  min(s0, s_hi), POLISH_XATOL)
+            if v > best[0]:
+                best = (v, r0, s_new)
+        # rho sweep at fixed s; under a coupled cap keep s <= s_max(rho)
+        _, r0, s0 = best
+        r_hi = 1.0 if s_cap is None else _max_feasible_rho(s_max, s0)
+        if r_hi > EPS:
+            r_new, v = _brent_max(lambda r: fhat(r, s0), EPS, r_hi,
+                                  min(r0, r_hi), POLISH_XATOL)
+            if v > best[0]:
+                best = (v, r_new, s0)
+        if best[0] - v_prev < POLISH_VALUE_TOL:
+            break
     return SearchResult(best[0], (best[1], best[2]))
 
 

@@ -1,3 +1,4 @@
+import contextlib
 import importlib.util
 import math
 from pathlib import Path
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import settings
 
 from gepkit import CodeSpec, SystemModel, make_compound_bsc, make_dmc
+from gepkit import optimize
 from gepkit.exponents import WeightFunction
 
 settings.register_profile("ci", deadline=None, max_examples=25)
@@ -30,6 +32,24 @@ def load_workloads():
     """The benchmark's workload module, ``perfbench/workloads.py``: it
     generates the derived scenarios."""
     return load_perfbench("workloads")
+
+
+@contextlib.contextmanager
+def small_search(base_grid, refine_rounds):
+    """Within it (a ``with`` block or a decorated test), every exponent
+    search uses ``base_grid`` points per axis, ``refine_rounds`` refinement
+    rounds and no Brent polish: the objective is only evaluated once more
+    at the grid's best point.  A smaller search gives other exponents, so
+    an ExponentCache filled inside it must not be read outside it."""
+    mp = pytest.MonkeyPatch()
+    mp.setattr(optimize, "BASE_GRID", base_grid)
+    mp.setattr(optimize, "REFINE_ROUNDS", refine_rounds)
+    mp.setattr(optimize, "_brent_max",
+               lambda f, lo, hi, x0, xatol: (x0, f(x0)))
+    try:
+        yield
+    finally:
+        mp.undo()
 
 
 def bsc_table(p):

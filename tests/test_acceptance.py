@@ -35,7 +35,6 @@ from gepkit import montecarlo
 from gepkit.channel import marginalize_out
 from gepkit.cli import entropy_gate, main
 from gepkit.exponents import (
-    ExponentCache,
     WeightFunction,
     exponent_Ec,
     exponent_EiD,
@@ -48,16 +47,20 @@ from gepkit.montecarlo import (
     run_detection_trials,
     run_trials,
 )
-from gepkit.optimize import EPS, SearchSettings
+from gepkit.optimize import EPS
 from gepkit.scenario import load_scenario
 
-from conftest import bsc_model, random_alpha, random_g, random_model
+from conftest import (
+    bsc_model,
+    random_alpha,
+    random_g,
+    random_model,
+    small_search,
+)
 from test_decoder import decision, random_instance, reference_decode_subset
 from test_ensemble import brute_force_expectation
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
-FAST = SearchSettings(base_grid=16, refine_rounds=1, polish=False)
-THRESH = SearchSettings(base_grid=8, refine_rounds=0, polish=False)
 LN2 = math.log(2.0)
 
 
@@ -154,14 +157,15 @@ def test_criterion_2_shift_and_symmetry_laws():
         a = random_alpha(rng, m)
         c = float(rng.uniform(0.0, 0.8))
         g, gt = random_g(rng, m), random_g(rng, m)
-        pairs = [
-            (exponent_EmD(m, [0], [], g, gt, a, FAST).value,
-             exponent_EmD(m, [0], [], g, gt, a.shifted(c), FAST).value),
-            (exponent_EiD(m, [0], [], g, gt, a, FAST).value,
-             exponent_EiD(m, [0], [], g, gt, a.shifted(c), FAST).value),
-            (exponent_Ec(m, g, gt, a, FAST).value,
-             exponent_Ec(m, g, gt, a.shifted(c), FAST).value),
-        ]
+        with small_search(16, 1):
+            pairs = [
+                (exponent_EmD(m, [0], [], g, gt, a).value,
+                 exponent_EmD(m, [0], [], g, gt, a.shifted(c)).value),
+                (exponent_EiD(m, [0], [], g, gt, a).value,
+                 exponent_EiD(m, [0], [], g, gt, a.shifted(c)).value),
+                (exponent_Ec(m, g, gt, a).value,
+                 exponent_Ec(m, g, gt, a.shifted(c)).value),
+            ]
         for v0, v1 in pairs:
             worst_shift = max(worst_shift, abs(v1 - v0 - c))
         fwd = exponent_Ec(m, g, gt, a).value
@@ -258,7 +262,8 @@ def test_criterion_6_decoder_matches_reference():
     for _ in range(1000):
         m, N, region, cb, D = random_instance(rng)
         a = WeightFunction(m, rng.uniform(0, 0.2, size=m.code_counts))
-        tbl = build_thresholds(m, D, region, a, cache=ExponentCache(THRESH))
+        with small_search(8, 0):
+            tbl = build_thresholds(m, D, region, a)
         y = rng.integers(0, m.dmc.output_size, N)
         mine = decision(decode_subset(tbl, cb, y))
         ref = reference_decode_subset(m, D, region, a, cb, y, tbl)

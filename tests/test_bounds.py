@@ -22,12 +22,10 @@ from gepkit.exponents import (
     validate_partition,
     validate_region,
 )
-from gepkit.optimize import SearchSettings
 from gepkit.scenario import load_scenario
 
-from conftest import random_alpha, random_model
+from conftest import random_alpha, random_model, small_search
 
-FAST = SearchSettings(base_grid=16, refine_rounds=1, polish=False)
 LN2 = math.log(2.0)
 
 
@@ -46,17 +44,17 @@ def two_user_model(rate=0.2):
 
 
 class TestDecoderBound:
+    @small_search(16, 1)
     def test_empty_region_is_zero(self):
         m = make_compound_bsc([0.05, 0.3], [0.5, 0.5], 0.2)
-        rep = gep_bound_D(m, [0], [], WeightFunction.zero(m), 10,
-                          cache=ExponentCache(FAST))
+        rep = gep_bound_D(m, [0], [], WeightFunction.zero(m), 10)
         assert rep.value == 0.0 and rep.raw == 0.0
 
+    @small_search(16, 1)
     def test_user_one_required(self):
         m = two_user_model()
         with pytest.raises(UserOneMissing):
-            gep_bound_D(m, [1], [(0, 0)], WeightFunction.zero(m), 8,
-                        cache=ExponentCache(FAST))
+            gep_bound_D(m, [1], [(0, 0)], WeightFunction.zero(m), 8)
 
     def test_monotone_in_blocklength_when_exponents_positive(self):
         m = make_compound_bsc([0.05, 0.3], [0.5, 0.5], 0.05)
@@ -100,11 +98,12 @@ class TestPartitionedBound:
         rep, part = gep_bound_partitioned(m, [], WeightFunction.zero(m), 12)
         assert rep.value == 0.0 and part == ()
 
+    @small_search(16, 1)
     def test_two_user_enumeration_matches_brute_force(self):
         m = two_user_model()
         a = WeightFunction.zero(m)
         region = [(0, 0), (1, 1)]
-        cache = ExponentCache(FAST)
+        cache = ExponentCache()
         rep, part = gep_bound_partitioned(m, region, a, 6, cache=cache)
         subsets = [(0,), (0, 1)]
         best = math.inf
@@ -117,12 +116,12 @@ class TestPartitionedBound:
             best = min(best, total)
         assert rep.raw == pytest.approx(best, rel=1e-12)
 
+    @small_search(16, 1)
     def test_heuristic_flag_when_over_cap(self, monkeypatch):
         m = two_user_model()
         a = WeightFunction.zero(m)
         monkeypatch.setattr(gepkit.exponents, "PARTITION_CAP", 1)
-        rep, part = gep_bound_partitioned(m, [(0, 0), (1, 1)], a, 6,
-                                          cache=ExponentCache(FAST))
+        rep, part = gep_bound_partitioned(m, [(0, 0), (1, 1)], a, 6)
         assert rep.heuristic
         assert part[0][0] == (0, 1)
 
@@ -228,7 +227,7 @@ class TestCacheAlphaGuard:
     """An ExponentCache memoizes maximizations by the content of their
     objectives, which alpha and the model enter through their tables, so
     one cache shared across models, alphas and blocklengths gives exactly
-    what fresh caches give; the cache carries only the search settings."""
+    what fresh caches give."""
 
     SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / \
         "compound_bsc_relaxed.json"
@@ -278,18 +277,6 @@ class TestCacheAlphaGuard:
         reused = gep_bound_D(m, D, region, alpha, scen.N, cache=used)
         assert reused.value == pytest.approx(0.355879916, abs=1e-8)
         assert reused == gep_bound_D(m, D, region, alpha, scen.N)
-
-    def test_cache_carries_the_search_settings(self):
-        scen = load_scenario(self.SCENARIO)
-        m = scen.model
-        (D, region), = scen.partition
-        a0 = WeightFunction.zero(m)
-        assert gep_bound_D(m, D, region, a0, scen.N,
-                           cache=ExponentCache(FAST)).raw == \
-            pytest.approx(0.5334481298, abs=1e-10)
-        assert gep_bound_D(m, D, region, a0, scen.N,
-                           cache=ExponentCache()).raw == \
-            pytest.approx(0.5333823886, abs=1e-10)
 
     def test_reuse_across_blocklengths_and_parses(self):
         scen = load_scenario(self.SCENARIO)

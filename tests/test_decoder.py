@@ -44,11 +44,8 @@ from gepkit.exponents import (
     proper_subsets,
     validate_region,
 )
-from gepkit.optimize import SearchSettings
 
-from conftest import random_model, three_user_model
-
-FAST = SearchSettings(base_grid=8, refine_rounds=0, polish=False)
+from conftest import random_model, small_search, three_user_model
 
 
 def zero(model):
@@ -462,6 +459,7 @@ class TestDecodeSubset:
         with pytest.raises(CodeOutOfRange):
             decode_subset(tbl, cb, np.zeros(6, dtype=np.int64))
 
+    @small_search(8, 0)
     def test_matches_reference_on_random_instances(self):
         rng = np.random.default_rng(8)
         agree = 0
@@ -470,8 +468,7 @@ class TestDecodeSubset:
             m, N, region, cb, D = random_instance(rng)
             a = WeightFunction(
                 m, rng.uniform(0, 0.2, size=m.code_counts))
-            tbl = build_thresholds(m, D, region, a,
-                                   cache=ExponentCache(FAST))
+            tbl = build_thresholds(m, D, region, a)
             y = rng.integers(0, m.dmc.output_size, N)
             mine = decision(decode_subset(tbl, cb, y))
             ref = reference_decode_subset(m, D, region, a, cb, y, tbl)
@@ -485,8 +482,7 @@ class TestDecodeSubset:
         for seed in range(8):
             m, N, region, cb, D, y = three_user_instance(seed)
             a = WeightFunction(m, rng.uniform(0, 0.2, size=m.code_counts))
-            tbl = build_thresholds(m, D, region, a,
-                                   cache=ExponentCache(FAST))
+            tbl = build_thresholds(m, D, region, a)
             assert all(tbl.get(g, S).gstar is not None for g in region
                        for S in ({0, 1}, {1, 2}))
             mine = decision(decode_subset(tbl, cb, y))
@@ -615,6 +611,7 @@ class TestDecodeMargin:
                 rejected += 1
         assert rejected >= 10
 
+    @small_search(8, 0)
     def test_checks_match_a_fresh_gather_of_the_winner(self, sec4_model):
         # the margin check reuses decode_subset's rows and score of the
         # winner; regathering them from the codebook and solving tau* with
@@ -630,7 +627,7 @@ class TestDecodeMargin:
         for m, D, region, margin, N in cases:
             checked.append(0)
             a = WeightFunction(m, rng.uniform(0, 0.2, size=m.code_counts))
-            cache = ExponentCache(FAST)
+            cache = ExponentCache()
             tbl = build_thresholds(m, D, region, a, margin=margin,
                                    cache=cache)
             tbl_p = build_thresholds(m, D, region, a, cache=cache)

@@ -17,12 +17,14 @@ from gepkit.exponents import (
     exponent_EmD,
 )
 from gepkit.errors import DomainError, EmptyDifferenceSet
-from gepkit.optimize import SearchSettings
 
-from conftest import bsc_model, random_alpha, random_g, random_model
-
-FAST = SearchSettings(base_grid=16, refine_rounds=1, polish=False)
-GRID_ONLY = SearchSettings(refine_rounds=0, polish=False)
+from conftest import (
+    bsc_model,
+    random_alpha,
+    random_g,
+    random_model,
+    small_search,
+)
 
 
 def zero(model):
@@ -133,12 +135,12 @@ class TestDiscriminationExponent:
         assert fwd == pytest.approx(dense, abs=1e-6)
         assert abs(fwd - rev) <= 1e-9
 
+    @small_search(16, 1)
     def test_nonnegative_at_zero_alpha(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
             m = random_model(rng)
-            res = exponent_Ec(m, random_g(rng, m), random_g(rng, m), zero(m),
-                              FAST)
+            res = exponent_Ec(m, random_g(rng, m), random_g(rng, m), zero(m))
             assert res.value >= -1e-12
 
 
@@ -152,14 +154,15 @@ class TestShiftLaws:
         c = float(rng.uniform(0.0, 0.8))
         g, gt = random_g(rng, m), random_g(rng, m)
         D = [0]
-        em0 = exponent_EmD(m, D, [], g, gt, a, FAST).value
-        em1 = exponent_EmD(m, D, [], g, gt, a.shifted(c), FAST).value
+        with small_search(16, 1):
+            em0 = exponent_EmD(m, D, [], g, gt, a).value
+            em1 = exponent_EmD(m, D, [], g, gt, a.shifted(c)).value
+            ei0 = exponent_EiD(m, D, [], g, gt, a).value
+            ei1 = exponent_EiD(m, D, [], g, gt, a.shifted(c)).value
+            ec0 = exponent_Ec(m, g, gt, a).value
+            ec1 = exponent_Ec(m, g, gt, a.shifted(c)).value
         assert em1 - em0 == pytest.approx(c, abs=1e-9)
-        ei0 = exponent_EiD(m, D, [], g, gt, a, FAST).value
-        ei1 = exponent_EiD(m, D, [], g, gt, a.shifted(c), FAST).value
         assert ei1 - ei0 == pytest.approx(c, abs=1e-9)
-        ec0 = exponent_Ec(m, g, gt, a, FAST).value
-        ec1 = exponent_Ec(m, g, gt, a.shifted(c), FAST).value
         assert ec1 - ec0 == pytest.approx(c, abs=1e-9)
 
 
@@ -171,14 +174,10 @@ class TestGridMonotonicity:
             a = random_alpha(rng, m)
             g, gt = random_g(rng, m), random_g(rng, m)
             for n in (8, 16, 32):
-                lo = exponent_EmD(m, [0], [], g, gt, a,
-                                  SearchSettings(base_grid=n,
-                                                 refine_rounds=0,
-                                                 polish=False)).value
-                hi = exponent_EmD(m, [0], [], g, gt, a,
-                                  SearchSettings(base_grid=2 * n,
-                                                 refine_rounds=0,
-                                                 polish=False)).value
+                with small_search(n, 0):
+                    lo = exponent_EmD(m, [0], [], g, gt, a).value
+                with small_search(2 * n, 0):
+                    hi = exponent_EmD(m, [0], [], g, gt, a).value
                 assert hi >= lo - 1e-15
 
 

@@ -66,7 +66,6 @@ from gepkit.exponents import (
     exponent_EmD,
 )
 from gepkit.montecarlo import _channel_sampler
-from gepkit.optimize import SearchSettings
 from gepkit.scenario import load_scenario, parse_scenario
 
 from conftest import (
@@ -74,6 +73,7 @@ from conftest import (
     random_alpha,
     random_g,
     random_model,
+    small_search,
     three_user_model,
     xor_model,
 )
@@ -696,10 +696,10 @@ def memo_run(request, tmp_path_factory):
 
             def counted(model, *args, _lookup=lookup, _original=original,
                         **kwargs):
-                # ExponentCache passes the lookup's arguments, alpha and
-                # settings, all by position
+                # ExponentCache passes the lookup's arguments and alpha,
+                # all by position
                 maximized[command[0]].append(_content_key(
-                    _lookup, model, args[-2], args[:-2], kwargs))
+                    _lookup, model, args[-1], args[:-1], kwargs))
                 return _original(model, *args, **kwargs)
 
             mp.setattr(gepkit.exponents, fn, counted)
@@ -727,7 +727,7 @@ class TestContentKeyedMemo:
             if identity in checked:
                 assert result == checked[identity], (name, identity)
                 continue
-            fresh = FRESH[lookup][0](*args, cache.settings, **kwargs)
+            fresh = FRESH[lookup][0](*args, **kwargs)
             assert result == fresh, (name, identity)
             checked[identity] = fresh
         n_max = sum(len(keys) for keys in maximized.values())
@@ -812,16 +812,16 @@ class TestKeyCompleteness:
                 key = _content_key(lookup, model, alpha, args, {})
                 assert (key == base) == shares, (lookup, D, S, what, side)
 
+    @small_search(8, 0)
     def test_one_cache_never_merges_them(self):
         model, alpha = _twin_model()
-        fast = SearchSettings(base_grid=8, refine_rounds=0, polish=False)
-        cache = ExponentCache(fast)
+        cache = ExponentCache()
         for lookup, D, S in KEYED_LOOKUPS:
             values = set()
             for *_what, side, user, code, _shares in _changes(lookup):
                 args = _arguments(lookup, D, S, _changed(side, user, code))
                 got = getattr(cache, lookup)(model, *args, alpha)
-                fresh = FRESH[lookup][0](model, *args, alpha, fast)
+                fresh = FRESH[lookup][0](model, *args, alpha)
                 assert got == fresh, (lookup, D, S, side, user, code)
                 values.add(got.value)
             assert len(values) > 1, (lookup, D, S)

@@ -56,11 +56,10 @@ from gepkit.montecarlo import (
     run_detection_trials,
     run_trials,
 )
-from gepkit.optimize import SearchSettings
 from gepkit.scenario import load_scenario, parse_scenario
 
 from conftest import (ROOT, load_perfbench, load_workloads, random_alpha,
-                      random_model)
+                      random_model, small_search)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -311,8 +310,8 @@ class TestBenchmarkHooks:
     def test_exponent_hooks_resolve_and_take_positional_args(self,
                                                               monkeypatch):
         # the tracer counts maximizations at these names and keys each one
-        # by _exponent_key, which reads (model, D, S, g, g_other, alpha,
-        # settings) by position: the cache must pass them so, no keyword
+        # by _exponent_key, which reads (model, D, S, g, g_other, alpha) by
+        # position: the cache must pass them so, no keyword
         tracer = load_perfbench("tracer")
         for key in tracer.MAXIMIZERS | tracer.EXPONENTS:
             self._assert_defined(key)
@@ -332,18 +331,17 @@ class TestBenchmarkHooks:
             monkeypatch.setattr(gepkit.exponents, name, spy)
         m = make_compound_bsc([0.05, 0.3], [0.5, 0.5], 0.2)
         a = WeightFunction.zero(m)
-        cache = ExponentCache(SearchSettings(base_grid=8, refine_rounds=0,
-                                             polish=False))
-        cache.emd(m, (0,), (), (0, 0), (0, 1), a)
-        cache.eid(m, (0,), (), (0, 0), (0, 1), a)
-        cache.ec(m, (0, 0), (0, 1), a)
+        cache = ExponentCache()
+        with small_search(8, 0):
+            cache.emd(m, (0,), (), (0, 0), (0, 1), a)
+            cache.eid(m, (0,), (), (0, 0), (0, 1), a)
+            cache.ec(m, (0, 0), (0, 1), a)
         assert [(k, len(args), kwargs) for k, args, kwargs in seen] == [
-            ("exponents.exponent_EmD", 7, {}),
-            ("exponents.exponent_EiD", 7, {}),
-            ("exponents.exponent_Ec", 5, {})]
+            ("exponents.exponent_EmD", 6, {}),
+            ("exponents.exponent_EiD", 6, {}),
+            ("exponents.exponent_Ec", 4, {})]
         for _key, args, _kwargs in seen:
-            assert args[0] is m and args[-2] is a
-            assert args[-1] is cache.settings
+            assert args[0] is m and args[-1] is a
         assert [tracer._exponent_key(k, args) for k, args, _ in seen] == [
             ("exponents.exponent_EmD", (0,), frozenset(), (0, 0), (0, 1)),
             ("exponents.exponent_EiD", (0,), frozenset(), (0, 0), (0, 1)),

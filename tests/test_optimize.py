@@ -24,7 +24,6 @@ from gepkit import optimize
 from gepkit.cli import detection_bound_reports, scenario_bound
 from gepkit.exponents import ExponentCache
 from gepkit.optimize import (
-    SearchSettings,
     _axis,
     _brent_max,
     maximize_rho_s,
@@ -32,9 +31,7 @@ from gepkit.optimize import (
 )
 from gepkit.scenario import parse_scenario
 
-from conftest import ROOT, load_workloads
-
-GRID_ONLY = SearchSettings(refine_rounds=0, polish=False)
+from conftest import ROOT, load_workloads, small_search
 
 
 def test_axis_is_nested_under_doubling():
@@ -59,10 +56,10 @@ def test_scalar_boundary_maximum_exact():
 
 def test_grid_refinement_monotone():
     f = lambda x: np.sin(7.0 * np.asarray(x))
-    coarse = maximize_scalar(f, 1e-6, 1.0, SearchSettings(
-        base_grid=16, refine_rounds=0, polish=False))
-    fine = maximize_scalar(f, 1e-6, 1.0, SearchSettings(
-        base_grid=32, refine_rounds=0, polish=False))
+    with small_search(16, 0):
+        coarse = maximize_scalar(f, 1e-6, 1.0)
+    with small_search(32, 0):
+        fine = maximize_scalar(f, 1e-6, 1.0)
     assert fine.value >= coarse.value
 
 

@@ -23,6 +23,7 @@ from pathlib import Path
 
 from . import montecarlo
 from .channel import binary_entropy
+from .ensemble import _logsumexp
 from .errors import GepkitError, IntegrityError, SchemaError
 from .exponents import (
     ExponentCache,
@@ -108,9 +109,11 @@ def scenario_bound(scenario: Scenario, cache=None):
                for D, reg, margin in montecarlo.receiver_parts(scenario)}
     extra = {}
     if scenario.decoder == "detect":
+        # normalized in log domain: e^{-N alpha} underflows at large alpha
         detection = detection_bound_reports(scenario, cache).values()
-        extra["detection"] = sum(r.raw for r in detection) / math.exp(
-            scenario.alpha.log_total(scenario.N))
+        extra["detection"] = math.exp(
+            _logsumexp([r.log_raw for r in detection], axis=0)
+            - scenario.alpha.log_total(scenario.N))
     return summed_report(reports, scenario.N, scenario.alpha, extra)
 
 

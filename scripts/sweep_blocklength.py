@@ -8,6 +8,7 @@ Usage: python scripts/sweep_blocklength.py --scenario scenarios/compound_bsc_rel
 
 import argparse
 import csv
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -17,7 +18,7 @@ sys.path.insert(0, str(ROOT / "src"))
 from gepkit.cli import scenario_bound  # noqa: E402
 from gepkit.exponents import ExponentCache  # noqa: E402
 from gepkit.montecarlo import empirical_gep, run_trials  # noqa: E402
-from gepkit.scenario import load_scenario, parse_scenario, emit  # noqa: E402
+from gepkit.scenario import load_scenario  # noqa: E402
 
 
 def main():
@@ -37,9 +38,7 @@ def main():
     cache = ExponentCache()
     rows = []
     for N in args.blocklengths:
-        doc = emit(base)
-        doc["N"] = N
-        scen = parse_scenario(doc)
+        scen = dataclasses.replace(base, N=N)
         bound = scenario_bound(scen, cache)
         row = {"N": N, "bound": f"{bound.value:.12g}",
                "bound_raw": f"{bound.raw:.12g}"}

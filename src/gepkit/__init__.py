@@ -54,6 +54,6 @@ from .montecarlo import (
     run_detection_trials,
     run_trials,
 )
-from .scenario import Scenario, emit, load_scenario
+from .scenario import Scenario, load_scenario
 
 __version__ = "0.1.0"

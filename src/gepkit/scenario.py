@@ -25,8 +25,9 @@ Schema (all code index vectors are 0-based lists, one entry per user):
       "seed": 7
     }
 
-Rates are converted to nats on load; ``emit`` writes the canonical form
-(rates in nats), which reloads to an identical scenario.
+Rates are converted to nats on load.  A scenario's fields are independent
+of one another's values, so ``dataclasses.replace(scenario, N=n)`` is the
+same scenario at blocklength n.
 """
 
 from __future__ import annotations
@@ -190,8 +191,7 @@ def _build_model(doc: dict) -> tuple[SystemModel, dict]:
                                 libraries=tuple(libraries))
         except GepkitError as exc:
             raise SchemaError(f"$.channel/users: {exc}") from exc
-        spec = {"type": "table", "pmf": pmf}
-        return model, spec
+        return model, {"type": "table"}
     raise SchemaError("$.channel.type: must be 'table' or 'bsc_compound'")
 
 
@@ -227,10 +227,14 @@ def parse_scenario(doc: dict) -> Scenario:
     if default < 0:
         raise SchemaError("$.alpha.default: must be >= 0")
     table = np.full(model.code_counts, default)
+    seen = set()
     for i, entry in enumerate(_list(alpha_doc.get("entries", []),
                                     "$.alpha.entries")):
         path = f"$.alpha.entries[{i}]"
         g = _g_list(model, [_need(entry, "g", list, path)], path)[0]
+        if g in seen:
+            raise IntegrityError(f"{path}: a second entry for g = {list(g)}")
+        seen.add(g)
         val = _number(_need(entry, "value", None, path), f"{path}.value")
         if val < 0:
             raise SchemaError(f"{path}.value: must be >= 0")
@@ -320,45 +324,3 @@ def load_scenario(path) -> Scenario:
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
     return parse_scenario(doc)
-
-
-def emit(scenario: Scenario) -> dict:
-    """Canonical JSON form of a scenario (rates in nats); reloading the
-    emitted document reproduces the scenario exactly."""
-    doc: dict = {"channel": scenario.channel_spec}
-    if scenario.channel_spec["type"] == "table":
-        users = []
-        model = scenario.model
-        for k in range(model.n_users):
-            users.append({
-                "kind": "regular" if k < model.K else "interfering",
-                "codes": [{"rate": spec.rate, "rate_unit": "nats",
-                           "input_pmf": spec.input_pmf.tolist()}
-                          for spec in model.libraries[k]],
-            })
-        doc["users"] = users
-    doc["N"] = scenario.N
-    arr = scenario.alpha.array
-    doc["alpha"] = {"default": 0.0,
-                    "entries": [{"g": list(g), "value": float(arr[g])}
-                                for g in scenario.model.index_space()
-                                if arr[g] != 0.0]}
-    doc["region"] = [list(g) for g in sorted(scenario.region)]
-    if scenario.margin:
-        doc["margin"] = [list(g) for g in sorted(scenario.margin)]
-    if [D for D, _ in scenario.partition] != [tuple(range(scenario.model.K))]:
-        doc["partition"] = [
-            {"D": list(D), "region": [list(g) for g in sorted(reg)]}
-            for D, reg in scenario.partition]
-    if scenario.detection is not None:
-        doc["detection"] = [[list(g) for g in sorted(cell)]
-                            for cell in scenario.detection]
-    doc["error_model"] = scenario.error_model
-    doc["decoder"] = next(name for name, variant in DECODERS.items()
-                          if variant == scenario.decoder)
-    doc["g_sampling"] = scenario.g_sampling
-    if scenario.g_set is not None:
-        doc["g_set"] = [list(g) for g in scenario.g_set]
-    doc["trials"] = scenario.trials
-    doc["seed"] = scenario.seed
-    return doc

@@ -25,9 +25,8 @@ Schema (all code index vectors are 0-based lists, one entry per user):
       "seed": 7
     }
 
-Rates are converted to nats on load.  A scenario's fields are independent
-of one another's values, so ``dataclasses.replace(scenario, N=n)`` is the
-same scenario at blocklength n.
+Rates are converted to nats on load.  No other field depends on N, so
+``dataclasses.replace(scenario, N=n)`` is the scenario at blocklength n.
 """
 
 from __future__ import annotations

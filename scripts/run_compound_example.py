@@ -49,10 +49,10 @@ def main():
     print(f"\n== simulation ({trials} trials, seed {seed}) ==")
     records = run_trials(scen, trials, seed, cache=cache)
     est = empirical_gep(records, scen.alpha, scen.N)
-    verdict = compare_bound(est, bound)
+    passed = compare_bound(est, bound)
     print(f"  {scen.decoder}-decoder GEP {est.point:.4f} (sigma {est.se:.4f}) "
           f"vs bound {bound.value:.4f}: "
-          f"{'PASS' if verdict.passed else 'FAIL'}")
+          f"{'PASS' if passed else 'FAIL'}")
 
     print(f"\n  {'state':>10} {'trials':>7} {'correct':>8} "
           f"{'collision':>10} {'wrong':>6}")
@@ -66,7 +66,7 @@ def main():
         wrong = sum(r.decoded_wrong for r in rs)
         print(f"  {str(g):>10} {len(rs):>7} {correct:>8} {coll:>10} "
               f"{wrong:>6}  ({where})")
-    return 0 if verdict.passed else 1
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":

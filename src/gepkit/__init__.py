@@ -47,9 +47,9 @@ from .exponents import (
 from .montecarlo import (
     GepEstimate,
     TrialRecord,
-    Verdict,
     classify_error,
     compare_bound,
+    compare_per_g,
     empirical_gep,
     run_detection_trials,
     run_trials,

@@ -27,9 +27,8 @@ from .errors import (
     SubsetOutOfRange,
 )
 
-# user-supplied tables may carry JSON rounding; internal tables are exact
+# user-supplied tables may carry JSON rounding
 INPUT_TOL = 1e-9
-INTERNAL_TOL = 1e-15
 
 
 def _normalize_rows(table: np.ndarray, tol: float, what: str) -> np.ndarray:

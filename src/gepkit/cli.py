@@ -21,6 +21,8 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import montecarlo
 from .channel import binary_entropy
 from .ensemble import _logsumexp
@@ -93,6 +95,7 @@ def margin_bound_report(scenario: Scenario, cache=None):
 
 def detection_bound_reports(scenario: Scenario, cache=None):
     """Per-g weighted detection bounds for the scenario's detection cells."""
+    cache = cache or ExponentCache()
     return {g: detection_bound(scenario.model, g, scenario.detection,
                                scenario.alpha, scenario.N, cache=cache)
             for g in scenario.model.index_space()}
@@ -132,7 +135,7 @@ def _report_dict(report) -> dict:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_exponents(scenario: Scenario, out: Path, args) -> int:
+def cmd_exponents(scenario: Scenario, out: Path) -> int:
     cache = ExponentCache()
     rows = [("decode", D, t)
             for D, rep in decode_bound_reports(scenario, cache).items()
@@ -158,7 +161,7 @@ def cmd_exponents(scenario: Scenario, out: Path, args) -> int:
     return 0
 
 
-def cmd_bound(scenario: Scenario, out: Path, args) -> int:
+def cmd_bound(scenario: Scenario, out: Path) -> int:
     cache = ExponentCache()
     payload: dict = {"N": scenario.N}
     # a margin decoder's verdict bound is the "margin" report
@@ -184,20 +187,20 @@ def cmd_bound(scenario: Scenario, out: Path, args) -> int:
     return 0
 
 
-def cmd_simulate(scenario: Scenario, out: Path, args) -> int:
+def cmd_simulate(scenario: Scenario, out: Path) -> int:
     # one cache: the verdict bound reuses the threshold build's exponents
     cache = ExponentCache()
     records = montecarlo.run_trials(scenario, scenario.trials, scenario.seed,
                                     cache=cache)
     estimate = montecarlo.empirical_gep(records, scenario.alpha, scenario.N)
     bound = scenario_bound(scenario, cache)
-    verdict = montecarlo.compare_bound(estimate, bound)
-    word = "PASS" if verdict.passed else "FAIL"
+    passed = montecarlo.compare_bound(estimate, bound)
+    word = "PASS" if passed else "FAIL"
     _write_csv(out / "trials.csv", ["g", "trials", "errors", "p_hat"],
                _tally_rows(estimate.per_g))
     summary = {
         "estimate": _round12(estimate.point), "sigma": _round12(estimate.se),
-        "bound": _round12(verdict.bound), "verdict": word,
+        "bound": _round12(bound.value), "verdict": word,
         "trials": scenario.trials, "seed": scenario.seed}
     note = ""
     if estimate.unestimated:  # strata without trials count as zero error
@@ -206,24 +209,30 @@ def cmd_simulate(scenario: Scenario, out: Path, args) -> int:
     _write_json(out / "summary.json", summary)
     print(f"estimate = {_fmt(estimate.point)}  sigma = {_fmt(estimate.se)}  "
           f"bound = {_fmt(bound.value)}  -> {word}{note}")
-    return 0 if verdict.passed else 1
+    return 0 if passed else 1
 
 
-def cmd_detect(scenario: Scenario, out: Path, args) -> int:
+def cmd_detect(scenario: Scenario, out: Path) -> int:
     if scenario.detection is None:
         raise IntegrityError("$.detection: required for the detect command")
-    result = montecarlo.run_detection_trials(scenario, scenario.trials,
-                                             scenario.seed)
+    tallies = montecarlo.run_detection_trials(scenario, scenario.trials,
+                                              scenario.seed)
+    reports = detection_bound_reports(scenario)  # one cache for every g
+    # each report bounds Pr{err | g} e^{-N alpha(g)}; judge Pr{err | g}
+    per_g, passed = montecarlo.compare_per_g(tallies, {
+        g: min(1.0, float(np.exp(reports[g].log_raw
+                                 + scenario.N * scenario.alpha(g))))
+        for g in tallies})
+    word = "PASS" if passed else "FAIL"
     path = out / "detect.csv"
     _write_csv(path, ["g", "trials", "errors", "p_hat", "bound", "vacuous"],
-               _tally_rows(result.per_g,
-                           lambda b, vacuous: (_fmt(b), int(vacuous))))
+               _tally_rows(per_g, lambda b, vacuous: (_fmt(b), int(vacuous))))
     _write_json(out / "detect_summary.json", {
-        "verdict": "PASS" if result.passed else "FAIL",
+        "verdict": word,
         "per_g": {_join(g): {"trials": n, "errors": e, "bound": _round12(b)}
-                  for g, (n, e, b, _v) in result.per_g.items()}})
-    print(f"wrote {path}; verdict {'PASS' if result.passed else 'FAIL'}")
-    return 0 if result.passed else 1
+                  for g, (n, e, b, _v) in per_g.items()}})
+    print(f"wrote {path}; verdict {word}")
+    return 0 if passed else 1
 
 
 def entropy_gate(scenario: Scenario):
@@ -252,7 +261,7 @@ def entropy_gate(scenario: Scenario):
     return rate_bits, rows, passed
 
 
-def cmd_gate(scenario: Scenario, out: Path, args) -> int:
+def cmd_gate(scenario: Scenario, _out: Path) -> int:
     rate_bits, rows, passed = entropy_gate(scenario)
     print(f"rate r = {_fmt(rate_bits)} bits/symbol")
     need = {"region": "C > r", "margin": "no inequality", "outside": "C < r"}
@@ -277,14 +286,13 @@ _COMMANDS = {
 }
 
 
-def dispatch(subcommand: str, scenario: Scenario, args) -> int:
-    out = Path(args.out)
+def dispatch(subcommand: str, scenario: Scenario, out: Path) -> int:
     if subcommand != "gate":  # the one subcommand that writes no file
         try:
             out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:  # a file on the path, for instance
             raise SchemaError(f"--out: {exc.strerror}: {out}") from exc
-    return _COMMANDS[subcommand](scenario, out, args)
+    return _COMMANDS[subcommand](scenario, out)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -320,7 +328,7 @@ def main(argv=None) -> int:
                 if value < low:
                     raise SchemaError(f"--{name}: must be >= {low}")
                 setattr(scenario, name, value)
-        return dispatch(args.command, scenario, args)
+        return dispatch(args.command, scenario, Path(args.out))
     except GepkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -107,25 +107,28 @@ def _decoded_subset(D) -> tuple:
 
 
 def validate_partition(model: SystemModel, mapping, region) -> tuple:
-    """Assignment of region vectors to decoded subsets D (every D contains
-    user 0 and regular users only): the per-D regions must be disjoint and
-    cover ``region``.  Returns the nonempty parts as ((D, frozenset of g),
-    ...) sorted by D."""
+    """Assignment of region vectors to decoded subsets D (every D names
+    distinct regular users, user 0 among them, and no two entries name one
+    D): the per-D regions must be disjoint and cover ``region``.  Returns
+    the nonempty parts as ((D, frozenset of g), ...) sorted by D."""
     seen = set()
-    parts = []
+    parts = {}
     for D, members in mapping.items():
+        if len(set(D)) != len(D):
+            raise ShapeMismatch(f"decoded subset {tuple(D)} repeats a user")
         D = _decoded_subset(D)
-        if any(k >= model.K for k in D):
-            raise ShapeMismatch(f"decoded subset {D} has non-regular users")
-        reg = validate_region(model, members)
-        if reg & seen:
+        if not set(D) <= set(range(model.K)):
+            raise ShapeMismatch(
+                f"decoded subset {D} names a user outside 0..{model.K - 1}")
+        if D in parts:
+            raise ShapeMismatch(f"decoded subset {D} has a second entry")
+        parts[D] = validate_region(model, members)
+        if parts[D] & seen:
             raise ShapeMismatch("partition regions overlap")
-        seen |= reg
-        if reg:
-            parts.append((D, reg))
+        seen |= parts[D]
     if seen != validate_region(model, region):
         raise ShapeMismatch("partition does not cover the region")
-    return tuple(sorted(parts, key=lambda t: t[0]))
+    return tuple(sorted((D, reg) for D, reg in parts.items() if reg))
 
 
 def proper_subsets(n_users: int):

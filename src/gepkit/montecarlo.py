@@ -45,13 +45,7 @@ from .errors import (
     MismatchedParameters,
     ShapeMismatch,
 )
-from .exponents import (
-    BoundReport,
-    ExponentCache,
-    WeightFunction,
-    detection_bound,
-    is_vacuous,
-)
+from .exponents import BoundReport, ExponentCache, WeightFunction, is_vacuous
 
 RELAXED = "relaxed"
 STRICT = "strict"
@@ -297,13 +291,7 @@ def empirical_gep(records, alpha: WeightFunction, N: int) -> GepEstimate:
                        unestimated=tuple(missing))
 
 
-@dataclass(frozen=True)
-class Verdict:
-    passed: bool
-    bound: float
-
-
-def compare_bound(estimate: GepEstimate, bound: BoundReport) -> Verdict:
+def compare_bound(estimate: GepEstimate, bound: BoundReport) -> bool:
     """PASS iff the point estimate does not exceed the bound by more than
     three standard errors."""
     if estimate.N != bound.N:
@@ -311,25 +299,36 @@ def compare_bound(estimate: GepEstimate, bound: BoundReport) -> Verdict:
             f"estimate at N={estimate.N}, bound at N={bound.N}")
     if estimate.alpha_key != bound.alpha_key:
         raise MismatchedParameters("estimate and bound use different alpha")
-    return Verdict(passed=estimate.point <= bound.value + 3.0 * estimate.se,
-                   bound=bound.value)
+    return estimate.point <= bound.value + 3.0 * estimate.se
+
+
+def compare_per_g(tallies: dict, bounds: dict) -> tuple[dict, bool]:
+    """Per-g frequencies against per-g bounds on Pr{err | g}.
+
+    ``tallies`` maps g to (trials, errors), ``bounds`` g to its bound.
+    Returns (per_g, passed): per_g[g] is (trials, errors, bound, vacuous),
+    and the run passes iff every g with trials has a frequency within 3
+    binomial sigmas of its bound."""
+    per_g = {}
+    ok = True
+    for g, (n, e) in tallies.items():
+        bound = bounds[g]
+        per_g[g] = (n, e, bound, is_vacuous(bound))
+        if n == 0:
+            continue
+        p = e / n
+        sigma = float(np.sqrt(p * (1.0 - p) / n))
+        ok = ok and p <= bound + 3.0 * sigma
+    return per_g, ok
 
 
 # ---------------------------------------------------------------------------
 # region-detection trials
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DetectionResult:
-    per_g: dict            # g -> (trials, errors, Pr{err | g} bound, vacuous)
-    passed: bool
-
-
-def run_detection_trials(scenario, trials: int,
-                         master_seed: int) -> DetectionResult:
-    """Empirical region-detection error per true g versus its analytic
-    bound; PASS iff every g's frequency is within 3 binomial sigmas of its
-    bound.
+def run_detection_trials(scenario, trials: int, master_seed: int) -> dict:
+    """Region-detection trials: g -> [trials, errors] for every g the
+    scenario samples, in sampling order.
 
     Trial t draws g and then one (n_users + 1, N) block of uniforms from
     its stream: row k < n_users is user k's input, the last row the
@@ -338,17 +337,11 @@ def run_detection_trials(scenario, trials: int,
     Before any stream is drawn, one trial's uniforms and detection scores
     ((n_users + 1 + H) x N x 8 bytes for H code index vectors) are checked
     against ``TRIAL_BUDGET_BYTES``; a larger scenario raises
-    :class:`MemoryBudgetExceeded`.
-
-    :func:`detection_bound` bounds Pr{err | g} * e^{-N alpha(g)}; the
-    frequency is compared against min(1, that bound * e^{N alpha(g)}), a
-    bound on Pr{err | g} itself."""
+    :class:`MemoryBudgetExceeded`."""
     if trials < 1:
         raise ShapeMismatch(f"need at least 1 trial, got {trials}")
     model: SystemModel = scenario.model
     N = scenario.N
-    alpha = scenario.alpha
-    regions = scenario.detection
     rows = model.n_users + 1
     need = (rows + model.space_size) * N * 8
     if need > TRIAL_BUDGET_BYTES:
@@ -357,7 +350,7 @@ def run_detection_trials(scenario, trials: int,
             f"{TRIAL_BUDGET_BYTES}-byte budget (N={N})")
     g_list, g_probs = _g_sampler(scenario, model)
     transmit = _channel_sampler(model)
-    detector = build_detector(model, regions, alpha)
+    detector = build_detector(model, scenario.detection, scenario.alpha)
     tallies = {g: [0, 0] for g in g_list}
     per_block = max(1, DETECT_BLOCK_BYTES // (8 * rows * N))
     for start in range(0, trials, per_block):
@@ -379,16 +372,4 @@ def run_detection_trials(scenario, trials: int,
         for g, err in zip(gs, (cells != true_cells).tolist()):
             tallies[g][0] += 1
             tallies[g][1] += err
-    per_g = {}
-    ok = True
-    cache = ExponentCache()
-    for g, (n, e) in tallies.items():
-        rep = detection_bound(model, g, regions, alpha, N, cache)
-        bound = min(1.0, float(np.exp(rep.log_raw + N * alpha(g))))
-        per_g[g] = (n, e, bound, is_vacuous(bound))
-        if n == 0:
-            continue
-        p = e / n
-        sigma = float(np.sqrt(p * (1.0 - p) / n))
-        ok = ok and p <= bound + 3.0 * sigma
-    return DetectionResult(per_g=per_g, passed=ok)
+    return tallies

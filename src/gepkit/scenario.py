@@ -115,6 +115,15 @@ def _indices(val, path: str) -> list:
     return val
 
 
+def _checked(error, path: str, build, *args):
+    """build(*args), with a validator's error re-raised as ``error`` naming
+    ``path``."""
+    try:
+        return build(*args)
+    except GepkitError as exc:
+        raise error(f"{path}: {exc}") from exc
+
+
 def _rate_nats(entry: dict, path: str) -> float:
     rate = _number(_need(entry, "rate", None, path), f"{path}.rate")
     unit = _need(entry, "rate_unit", str, path)
@@ -176,20 +185,13 @@ def _build_model(doc: dict) -> tuple[SystemModel, dict]:
                 r = _rate_nats(code, cpath)
                 pmf_in = _numbers(_need(code, "input_pmf", None, cpath),
                                   f"{cpath}.input_pmf")
-                try:
-                    lib.append(CodeSpec(rate=r, input_pmf=pmf_in))
-                except GepkitError as exc:
-                    raise SchemaError(f"{cpath}: {exc}") from exc
+                lib.append(_checked(SchemaError, cpath, CodeSpec, r, pmf_in))
             libraries.append(tuple(lib))
         M = len(users) - K
         if K < 1:
             raise SchemaError("$.users: need at least one regular user")
-        try:
-            dmc = make_dmc(table)
-            model = SystemModel(dmc=dmc, K=K, M=M,
-                                libraries=tuple(libraries))
-        except GepkitError as exc:
-            raise SchemaError(f"$.channel/users: {exc}") from exc
+        model = _checked(SchemaError, "$.channel/users", lambda: SystemModel(
+            dmc=make_dmc(table), K=K, M=M, libraries=tuple(libraries)))
         return model, {"type": "table"}
     raise SchemaError("$.channel.type: must be 'table' or 'bsc_compound'")
 
@@ -198,10 +200,7 @@ def _g_list(model, doc_val, path: str):
     out = []
     for i, g in enumerate(_list(doc_val, path)):
         _indices(g, f"{path}[{i}]")
-        try:
-            out.append(model.check_g(g))
-        except GepkitError as exc:
-            raise IntegrityError(f"{path}[{i}]: {exc}") from exc
+        out.append(_checked(IntegrityError, f"{path}[{i}]", model.check_g, g))
     return out
 
 
@@ -242,10 +241,8 @@ def parse_scenario(doc: dict) -> Scenario:
 
     region_members = _g_list(model, _need(doc, "region", list, "$"),
                              "$.region")
-    try:
-        region = validate_region(model, region_members)
-    except GepkitError as exc:
-        raise IntegrityError(f"$.region: {exc}") from exc
+    region = _checked(IntegrityError, "$.region", validate_region, model,
+                      region_members)
 
     margin_members = _g_list(model, doc.get("margin", []), "$.margin")
     margin = frozenset(margin_members)
@@ -263,10 +260,8 @@ def parse_scenario(doc: dict) -> Scenario:
             members = _g_list(model, _need(part, "region", list, path),
                               f"{path}.region")
             mapping[D] = mapping.get(D, []) + members
-        try:
-            partition = validate_partition(model, mapping, region)
-        except GepkitError as exc:
-            raise IntegrityError(f"$.partition: {exc}") from exc
+        partition = _checked(IntegrityError, "$.partition",
+                             validate_partition, model, mapping, region)
     else:
         partition = validate_partition(
             model, {tuple(range(model.K)): region}, region)
@@ -276,11 +271,8 @@ def parse_scenario(doc: dict) -> Scenario:
         cells = [
             _g_list(model, cell, f"$.detection[{i}]")
             for i, cell in enumerate(_need(doc, "detection", list, "$"))]
-        try:
-            detection = [frozenset(c) for c in
-                         check_detection_partition(model, cells)]
-        except GepkitError as exc:
-            raise IntegrityError(f"$.detection: {exc}") from exc
+        detection = _checked(IntegrityError, "$.detection",
+                             check_detection_partition, model, cells)
 
     error_model = doc.get("error_model", "relaxed")
     if error_model not in ERROR_MODELS:

@@ -33,7 +33,7 @@ from gepkit import (
 )
 from gepkit import montecarlo
 from gepkit.channel import marginalize_out
-from gepkit.cli import entropy_gate, main
+from gepkit.cli import detection_bound_reports, entropy_gate, main
 from gepkit.exponents import (
     WeightFunction,
     exponent_Ec,
@@ -43,6 +43,7 @@ from gepkit.exponents import (
 )
 from gepkit.montecarlo import (
     compare_bound,
+    compare_per_g,
     empirical_gep,
     run_detection_trials,
     run_trials,
@@ -230,12 +231,12 @@ def test_criterion_4_bound_vs_simulation():
     records = run_trials(scen, scen.trials, scen.seed)
     est = empirical_gep(records, scen.alpha, scen.N)
     bound = gep_bound_D(scen.model, [0], scen.region, scen.alpha, scen.N)
-    verdict = compare_bound(est, bound)
-    line = report(4, verdict.passed,
+    passed = compare_bound(est, bound)
+    line = report(4, passed,
                   f"estimate {est.point:.4f} (sigma {est.se:.4f}) <= "
                   f"bound {bound.value:.4f} + 3 sigma",
                   time.time() - t0, 300.0)
-    assert verdict.passed, line
+    assert passed, line
 
 
 def test_criterion_5_detection_bound_vs_simulation():
@@ -244,12 +245,16 @@ def test_criterion_5_detection_bound_vs_simulation():
     t0 = time.time()
     scen = load_scenario(SCENARIOS / "detect_two_bsc.json")
     assert scen.N == 20 and scen.trials >= 10_000
-    result = run_detection_trials(scen, scen.trials, scen.seed)
+    tallies = run_detection_trials(scen, scen.trials, scen.seed)
+    # each report bounds Pr{err | g} e^{-N alpha(g)}
+    per_g, passed = compare_per_g(tallies, {
+        g: min(1.0, math.exp(rep.log_raw + scen.N * scen.alpha(g)))
+        for g, rep in detection_bound_reports(scen).items()})
     parts = []
-    for g, (n, e, b, _vac) in sorted(result.per_g.items()):
+    for g, (n, e, b, _vac) in sorted(per_g.items()):
         parts.append(f"g={g}: {e}/{n} vs {b:.4f}")
-    line = report(5, result.passed, "; ".join(parts), time.time() - t0, 60.0)
-    assert result.passed, line
+    line = report(5, passed, "; ".join(parts), time.time() - t0, 60.0)
+    assert passed, line
 
 
 def test_criterion_6_decoder_matches_reference():
@@ -425,7 +430,7 @@ def test_criterion_9_margin_behavior(monkeypatch):
     est = empirical_gep(records, scen.alpha, scen.N)
     bound = gep_bound_D(scen.model, [0], scen.region, scen.alpha, scen.N,
                         margin=scen.margin)
-    verdict = compare_bound(est, bound)
+    passed = compare_bound(est, bound)
 
     margin_records = [r for r in records if r.g in scen.margin]
     margin_trials = len(margin_records)
@@ -439,7 +444,7 @@ def test_criterion_9_margin_behavior(monkeypatch):
     avoidable = sum(1 for d in decodes if not d > 0.0)
     avoidable_winners = sum(1 for d in winners if not d > 0.0)
     wrong_in_margin = sum(wrong_per_state.values())
-    ok = (verdict.passed and avoidable == 0 and avoidable_winners == 0
+    ok = (passed and avoidable == 0 and avoidable_winners == 0
           and margin_trials > 0 and len(seen) == margin_trials
           and wrong_seen == wrong_in_margin)
     per_state = ", ".join(f"{g}: {n}" for g, n in wrong_per_state.items())
@@ -447,11 +452,11 @@ def test_criterion_9_margin_behavior(monkeypatch):
         9, ok,
         f"margin-GEP {est.point:.4f} <= bound {bound.value:.4f}"
         f"{' (vacuous)' if bound.vacuous else ''} (+3 sigma): "
-        f"{verdict.passed}; wrong decodes in margin: {wrong_in_margin} of "
+        f"{passed}; wrong decodes in margin: {wrong_in_margin} of "
         f"{margin_trials} trials ({per_state}), avoidable: {avoidable} "
         f"(required 0); wrong subset winners: {len(winners)}, avoidable: "
         f"{avoidable_winners} (required 0)", time.time() - t0, 300.0)
-    assert verdict.passed, line
+    assert passed, line
     assert margin_trials > 0 and len(seen) == margin_trials, line
     assert wrong_seen == wrong_in_margin, line
     assert avoidable == 0, line

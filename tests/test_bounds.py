@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ from gepkit.decoder import build_thresholds
 from gepkit.errors import (
     NotAPartition,
     OverlappingMargin,
+    ShapeMismatch,
     UserOneMissing,
 )
 from gepkit.exponents import (
@@ -209,7 +211,6 @@ class TestReportMechanics:
 
     def test_region_duplicates_rejected(self):
         m = make_compound_bsc([0.1, 0.4], [0.9, 0.1], 0.2)
-        from gepkit.errors import ShapeMismatch
         with pytest.raises(ShapeMismatch):
             validate_region(m, [(0, 0), (0, 0)])
 
@@ -221,6 +222,20 @@ class TestReportMechanics:
         with pytest.raises(Exception):
             validate_partition(
                 m, {(0,): [(0, 0), (1, 1)], (0, 1): [(1, 1)]}, region)
+
+    @pytest.mark.parametrize("mapping, message", [
+        ({(0, 1): [(0, 0)], (1, 0): [(1, 1)]}, "(0, 1) has a second entry"),
+        ({(0, 0): [(0, 0)], (0,): [(1, 1)]}, "(0, 0) repeats a user"),
+        ({(0, -1): [(0, 0), (1, 1)]}, "(-1, 0) names a user outside 0..1"),
+    ], ids=["same-D", "repeated-user", "negative-user"])
+    def test_partition_refuses_a_decoded_subset_it_would_misread(
+            self, mapping, message):
+        # normalizing D to a sorted set would merge these entries or keep
+        # a user the receiver has no table for
+        m = two_user_model()
+        region = validate_region(m, [(0, 0), (1, 1)])
+        with pytest.raises(ShapeMismatch, match=re.escape(message)):
+            validate_partition(m, mapping, region)
 
 
 class TestCacheAlphaGuard:

@@ -33,9 +33,7 @@ from gepkit.exponents import (
     ExponentCache,
     WeightFunction,
     check_detection_partition,
-    detection_bound,
     gep_bound_D,
-    is_vacuous,
     validate_partition,
     validate_region,
 )
@@ -43,7 +41,6 @@ from gepkit.montecarlo import (
     MARGIN,
     RELAXED,
     STRICT,
-    DetectionResult,
     TrialRecord,
     _channel_sampler,
     _draw_g,
@@ -51,6 +48,7 @@ from gepkit.montecarlo import (
     _prepare_decoder,
     classify_error,
     compare_bound,
+    compare_per_g,
     empirical_gep,
     receiver_parts,
     run_detection_trials,
@@ -442,8 +440,7 @@ class TestCompareBound:
         recs = run_trials(scen, 30, 1)
         clean = [r.__class__(**{**r.__dict__, "error": False}) for r in recs]
         est = empirical_gep(clean, scen.alpha, 6)
-        v = compare_bound(est, self._bound(0.001, 6, scen.alpha))
-        assert v.passed
+        assert compare_bound(est, self._bound(0.001, 6, scen.alpha)) is True
 
     def test_vacuous_bound_passes_everything(self):
         m = make_compound_bsc([0.5], [0.5, 0.5], 0.3)
@@ -451,8 +448,7 @@ class TestCompareBound:
         recs = run_trials(scen, 100, 3)
         forced = [r.__class__(**{**r.__dict__, "error": True}) for r in recs]
         est = empirical_gep(forced, scen.alpha, 10)
-        v = compare_bound(est, self._bound(1.0, 10, scen.alpha))
-        assert v.passed
+        assert compare_bound(est, self._bound(1.0, 10, scen.alpha)) is True
 
     def test_mismatched_parameters_rejected(self):
         m = make_compound_bsc([0.05, 0.3], [0.5, 0.5], 0.2)
@@ -471,7 +467,30 @@ class TestCompareBound:
         recs = run_trials(scen, 1500, 123)
         est = empirical_gep(recs, scen.alpha, 12)
         bound = gep_bound_D(m, [0], [(0, 0)], scen.alpha, 12)
-        assert compare_bound(est, bound).passed
+        assert compare_bound(est, bound) is True
+
+
+class TestComparePerG:
+    """The detect verdict: every g with trials has a frequency within three
+    binomial sigmas of its own bound; a g without trials is not judged."""
+
+    TALLIES = {(0, 0): [100, 10], (0, 1): [0, 0], (0, 2): [4, 4]}
+
+    def test_three_sigma_margin(self):
+        # p = 0.1 over 100 trials: sigma = 0.03, so the bound must reach 0.01
+        bounds = {(0, 0): 0.011, (0, 1): 0.0, (0, 2): 1.0}
+        per_g, passed = compare_per_g(self.TALLIES, bounds)
+        assert passed is True
+        assert per_g == {(0, 0): (100, 10, 0.011, False),
+                         (0, 1): (0, 0, 0.0, False),
+                         (0, 2): (4, 4, 1.0, True)}
+        _per_g, passed = compare_per_g(self.TALLIES, {**bounds, (0, 0): 0.009})
+        assert passed is False
+
+    def test_one_failing_g_fails_the_run(self):
+        # p = 1 has sigma 0: any bound below 1 fails
+        bounds = {(0, 0): 0.5, (0, 1): 0.0, (0, 2): 0.99}
+        assert compare_per_g(self.TALLIES, bounds)[1] is False
 
 
 # ---------------------------------------------------------------------------
@@ -617,15 +636,15 @@ class TestTablesDrawn:
 def reference_detection_trials(scenario, trials, master_seed):
     """run_detection_trials as a loop over trials: each trial inverts its
     users' inputs and the channel one uniform row at a time, and scores
-    every code index vector on its own output."""
+    every code index vector on its own output.  Returns the per-g tallies
+    g -> [trials, errors]."""
     model = scenario.model
     N = scenario.N
     alpha = scenario.alpha
-    regions = scenario.detection
     g_list, g_probs = _g_sampler(scenario, model)
     cum = np.cumsum(model.dmc.pmf.reshape(-1, model.dmc.output_size), axis=1)
     cum[:, -1] = 1.0
-    cleaned = check_detection_partition(model, regions)
+    cleaned = check_detection_partition(model, scenario.detection)
     cell_of = {g: next(i for i, r in enumerate(cleaned) if g in r)
                for g in model.index_space()}
     hyps = []
@@ -651,19 +670,7 @@ def reference_detection_trials(scenario, trials, master_seed):
                 best, best_score = h, score
         tallies[g][0] += 1
         tallies[g][1] += int(cell_of[best] != cell_of[g])
-    per_g = {}
-    ok = True
-    cache = ExponentCache()
-    for g, (n, e) in tallies.items():
-        rep = detection_bound(model, g, regions, alpha, N, cache)
-        bound = min(1.0, float(np.exp(rep.log_raw + N * alpha(g))))
-        per_g[g] = (n, e, bound, is_vacuous(bound))
-        if n == 0:
-            continue
-        p = e / n
-        sigma = float(np.sqrt(p * (1.0 - p) / n))
-        ok = ok and p <= bound + 3.0 * sigma
-    return DetectionResult(per_g=per_g, passed=ok)
+    return tallies
 
 
 def _detect_scenario(model, N, detection, alpha=None, g_sampling="uniform"):
@@ -702,7 +709,7 @@ def _workload_detect_scenarios():
 
 
 class TestDetectionBlocks:
-    """Blocked detection trials give the per-trial loop's result exactly,
+    """Blocked detection trials give the per-trial loop's tallies exactly,
     whatever the block size, and hold at most DETECT_BLOCK_BYTES per
     block array."""
 
@@ -730,7 +737,7 @@ class TestDetectionBlocks:
                                 g_sampling="alpha_prior")
         got = run_detection_trials(scen, 300, 5)
         assert got == reference_detection_trials(scen, 300, 5)
-        assert len({n for n, *_ in got.per_g.values()}) == 3
+        assert len({n for n, _e in got.values()}) == 3
 
     @pytest.mark.parametrize("per_block", [1, 7, None])
     @pytest.mark.parametrize("seed", [0, 3])
@@ -841,7 +848,7 @@ class TestDetectionBlocks:
         monkeypatch.setattr(gepkit.montecarlo, "_channel_sampler",
                             spied_channel_sampler)
         monkeypatch.setattr(gepkit.montecarlo, "detect_region", spied_detect)
-        result = run_detection_trials(scen, 300, 2)
-        assert sum(n for n, *_ in result.per_g.values()) == 300
+        tallies = run_detection_trials(scen, 300, 2)
+        assert sum(n for n, _e in tallies.values()) == 300
         assert seen and max(seen) <= limit
         assert (limit == budget) == (N is None)

@@ -275,11 +275,19 @@ class TestCliDispatch:
         (minimal_doc(alpha={"entries": [{"g": [0, 1], "value": 0.1},
                                         {"g": [0, 1], "value": 0.4}]}),
          "$.alpha.entries[1]"),
+        (minimal_doc(region=[[0, 0], [0, 1]],
+                     partition=[{"D": [0, 0], "region": [[0, 0]]},
+                                {"D": [0], "region": [[0, 1]]}]),
+         "$.partition"),
+        (minimal_doc(partition=[{"D": [0, -1], "region": [[0, 0]]}]),
+         "$.partition"),
     ])
     def test_malformed_numbers_exit_2(self, tmp_path, doc, path, capsys):
-        # a string, NaN or infinity where a number belongs, or a second
-        # alpha value for one g, is an input error naming its key path, not
-        # a traceback, a bound of 1.0 or the last value silently applied
+        # a string, NaN or infinity where a number belongs, a second alpha
+        # value for one g, or a decoded subset that repeats a user or names
+        # one that does not exist, is an input error naming its key path,
+        # not a traceback, a bound of 1.0, the last value silently applied
+        # or a partition part silently dropped
         p = self._write(tmp_path, doc)
         assert main(["bound", "--scenario", p,
                      "--out", str(tmp_path / "out")]) == 2
@@ -383,6 +391,29 @@ class TestCliDispatch:
         summary = json.loads((out / "detect_summary.json").read_text())
         assert summary["verdict"] == "PASS"
         assert summary["per_g"]["0 0"]["bound"] == float(rows["0 0"][4])
+
+    def test_detect_judges_against_the_bound_reports(self, tmp_path):
+        # detect's per-g bound is bounds.json's detection report for g,
+        # which carries the weight e^{-N alpha(g)}, times e^{N alpha(g)} and
+        # clamped at 1; no shipped scenario or workload has alpha != 0
+        doc = json.loads((SCENARIOS / "detect_two_bsc.json").read_text())
+        doc["alpha"] = {"entries": [{"g": [0, 1], "value": 0.05}]}
+        p = self._write(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main(["bound", "--scenario", p, "--out", str(out)]) == 0
+        assert main(["detect", "--scenario", p, "--out", str(out),
+                     "--trials", "500"]) == 0
+        reports = json.loads((out / "bounds.json").read_text())["detection"]
+        with open(out / "detect.csv", newline="") as fh:
+            rows = {r["g"]: float(r["bound"]) for r in csv.DictReader(fh)}
+        summary = json.loads((out / "detect_summary.json").read_text())
+        assert sorted(reports) == sorted(rows) == ["0 0", "0 1"]
+        for g, alpha in (("0 0", 0.0), ("0 1", 0.05)):
+            want = min(1.0, math.exp(doc["N"] * alpha) * reports[g]["raw"])
+            assert want < 1.0
+            assert rows[g] == pytest.approx(want, rel=1e-10)
+            assert summary["per_g"][g]["bound"] == \
+                pytest.approx(want, rel=1e-10)
 
     @pytest.mark.parametrize("default", [0.0, 37.0, 38.0, 60.0])
     def test_detection_component_ignores_a_uniform_alpha(self, tmp_path,

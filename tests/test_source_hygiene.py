@@ -1,0 +1,92 @@
+"""Source hygiene of ``src/gepkit``: no dead top-level names, no unread
+parameters.
+
+Two rules, checked on the syntax trees of the package's modules:
+
+* every top-level def, class and assignment is referenced outside its own
+  definition, somewhere in ``src/gepkit`` (an ``__init__`` export counts),
+  ``scripts/`` or ``perfbench/``;
+* every parameter of a named function is read in its body; ``self``,
+  ``cls`` and names starting with ``_`` are exempt, lambdas unchecked.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = sorted((ROOT / "src" / "gepkit").glob("*.py"))
+READERS = PACKAGE + sorted((ROOT / "scripts").glob("*.py")) + \
+    sorted((ROOT / "perfbench").glob("*.py"))
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _defined(stmt) -> list:
+    """Names a top-level statement defines: a def or class name, or the
+    plain names an assignment binds."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                         ast.ClassDef)):
+        return [stmt.name]
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else \
+        [stmt.target] if isinstance(stmt, ast.AnnAssign) else []
+    return [node.id for t in targets for node in ast.walk(t)
+            if isinstance(node, ast.Name)]
+
+
+def _used(node) -> set:
+    """Names read anywhere under ``node``: loaded names, attributes and
+    imported names."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            out.update(alias.name for alias in sub.names)
+    return out
+
+
+def _unreferenced() -> list:
+    # uses[(path, i)]: names read by top-level statement i of path
+    uses = {(path, i): _used(stmt) for path in READERS
+            for i, stmt in enumerate(_parse(path).body)}
+    dead = []
+    for path in PACKAGE:
+        for i, stmt in enumerate(_parse(path).body):
+            for name in _defined(stmt):
+                if name.startswith("__"):
+                    continue
+                if not any(name in names for key, names in uses.items()
+                           if key != (path, i)):
+                    dead.append(f"{path.stem}.{name}")
+    return dead
+
+
+def _unread_parameters() -> list:
+    unread = []
+    for path in PACKAGE:
+        for node in ast.walk(_parse(path)):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = node.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + \
+                [p for p in (a.vararg, a.kwarg) if p is not None]
+            read = set().union(*(_used(stmt) for stmt in node.body))
+            unread += [f"{path.stem}.{node.name}({p.arg})" for p in params
+                       if p.arg not in ("self", "cls")
+                       and not p.arg.startswith("_") and p.arg not in read]
+    return unread
+
+
+@pytest.mark.parametrize("check", [_unreferenced, _unread_parameters],
+                         ids=["top-level names", "parameters"])
+def test_nothing_dead(check):
+    assert len(PACKAGE) >= 10  # the glob found the package
+    assert check() == []

@@ -18,13 +18,14 @@ simulated.  Region detection takes a :class:`RegionDetector` built once per
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .channel import SystemModel, marginalize_out
-from .ensemble import CodebookRealization, as_block, ensemble_log_expectation
+from .ensemble import as_block, ensemble_log_expectation
 from .errors import DomainError
 from .exponents import (
     ExponentCache,
@@ -80,7 +81,8 @@ def typicality_threshold(model: SystemModel, D, S, g,
     """Per-symbol typicality threshold tau* for candidate vector g and
     subset S at output y, one per candidate of a block x_fixed of shape
     (m, |S cap D|, N) holding the candidates' symbols on S cap D: an array
-    of shape (m,).  Any other shape of x_fixed raises ShapeMismatch.
+    of shape (m,).  y is one output of shape (N,) or one per candidate,
+    shape (m, N).  Any other shape of x_fixed raises ShapeMismatch.
 
     Solves the balance between the missed-detection expression (exponent
     1 - s1 on the candidate's weighted likelihood) and the false-acceptance
@@ -92,7 +94,7 @@ def typicality_threshold(model: SystemModel, D, S, g,
     x_fixed = as_block(x_fixed, 3, "(m, |S cap D|, N)")
     if params.gstar is NO_CONSTRAINT:
         return np.full(len(x_fixed), INF)
-    N = len(y)
+    N = y.shape[-1]
     s1, s2, rt = params.s1, params.s2, params.rho_t
     a_g = alpha(g)
     a_star = alpha(params.gstar)
@@ -157,123 +159,126 @@ def build_thresholds(model: SystemModel, D, region, alpha: WeightFunction,
 # decoding
 # ---------------------------------------------------------------------------
 
-@dataclass
-class DecodeOutcome:
-    """Either a decoded (w1, g1) for transmitter 1 or a collision report.
+# Collision reasons, indexed by DecodeOutcome.reason (0 is a decode): the
+# first four from decode_subset, the last two from decode_receiver.
+REASONS = (None, "tie", "no_winner", "disagreement", "margin_reject",
+           "no_decoder_decoded", "cross_D_disagreement")
+(TIE, NO_WINNER, DISAGREEMENT, MARGIN_REJECT, NO_DECODER_DECODED,
+ CROSS_D_DISAGREEMENT) = range(1, len(REASONS))
+# S-winner indices for no accepted candidate and a tie, below every index
+_NONE, _TIED = -1, -2
 
+
+@dataclass(frozen=True)
+class DecodeOutcome:
+    """Decisions on a block of B trials, one entry per trial in each array:
+    ``reason`` indexes REASONS (0 on a decode), ``w1`` and ``g1`` are
+    transmitter 1's decoded message and code (0 on a collision), and
     ``diagnostics`` holds only these keys:
 
-    - ``reason``: why a collision was reported, one of "tie", "no_winner",
-      "disagreement", "margin_reject" (:func:`decode_subset`),
-      "no_decoder_decoded" and "cross_D_disagreement"
-      (:func:`decode_receiver`); absent on a decode;
-    - ``candidates_evaluated``: the number of candidates scored;
-    - ``winners``: from :func:`decode_subset`, one entry per S of the
-      table's ``subsets_decode``: the S-winner (w_D, g), None when no
-      candidate was accepted, or "tie";
-    - ``per_D``: from :func:`decode_receiver`, each D's
-      :func:`decode_subset` outcome;
+    - ``candidates_evaluated``: the candidates scored, summed over trials;
+    - ``winners``: from :func:`decode_subset`, per S of ``subsets_decode``
+      and trial the S-winner's messages w_D (from 1) and code index vector
+      g, shape (n_S, B, |D| + n_users); 0s for no winner, -1s for a tie;
     - ``detected_region``: from :func:`decode_receiver` with a detector,
-      the index of the detected cell.
+      each trial's detected cell.
     """
 
-    kind: str                # "decoded" | "collision"
-    w1: int | None = None
-    g1: int | None = None
-    winner: tuple | None = None   # (w_D tuple, full g tuple)
+    reason: np.ndarray       # (B,) index into REASONS
+    w1: np.ndarray           # (B,)
+    g1: np.ndarray           # (B,)
     diagnostics: dict = field(default_factory=dict)
 
     @property
-    def decoded(self) -> bool:
-        return self.kind == "decoded"
-
-
-def _collision(diag, reason) -> DecodeOutcome:
-    diag["reason"] = reason
-    return DecodeOutcome(kind="collision", diagnostics=diag)
+    def decoded(self) -> np.ndarray:
+        return self.reason == 0
 
 
 @dataclass
 class _Candidates:
-    """Flattened candidate list for one in-region code vector: the message
-    grid of D's codes in C order (``np.ravel_multi_index`` of the 0-based
-    messages)."""
+    """Flattened candidate list for one in-region code vector on a block of
+    B trials: the message grid of D's codes in C order
+    (``np.ravel_multi_index`` of the 0-based messages)."""
 
     g: tuple
     grid: tuple              # message count of each user of D
-    rows: np.ndarray         # (n_candidates, |D|, N) codeword symbols
-    loglik: np.ndarray       # (n_candidates,) log P(y | x_D, g)
+    tables: tuple            # (B, M_k, N) codeword table of each k in D
+    loglik: np.ndarray       # (B, n_candidates) log P(y | x_D, g)
     score: np.ndarray        # loglik - N * alpha(g)
     wnll: np.ndarray         # -loglik/N + alpha(g), per-symbol units
 
 
-def _enumerate_candidates(model, D, g, codebooks: CodebookRealization, y,
-                          alpha) -> _Candidates:
-    N = len(y)
+def _enumerate_candidates(model, D, g, tables, y, alpha) -> _Candidates:
+    """Score g's candidates on every trial: one gather of their symbols and
+    the trial's output y (shape (B, N)) in the marginal channel's log
+    table, summed over the symbols.  A single user's table is read as is."""
+    N = y.shape[-1]
     lm = marginalize_out(model, D, g).log_pmf()
-    tables = [codebooks.table(k, g[k]) for k in D]
-    counts = [t.shape[0] for t in tables]
-    n = math.prod(counts)
-    if len(D) == 1:
-        rows = tables[0][:, None, :]
-        loglik = lm[tables[0], y[None, :]].sum(axis=1)
-    else:
-        # row indices of every candidate in message-grid order
-        picks = np.indices(counts).reshape(len(D), n)
-        gathered = tuple(t[p] for t, p in zip(tables, picks))
-        rows = np.stack(gathered, axis=1)
-        loglik = lm[gathered + (np.broadcast_to(y, (n, N)),)].sum(axis=1)
+    grid = tuple(t.shape[1] for t in tables)
+    gathered = tuple(tables) if len(D) == 1 else tuple(
+        t[:, p] for t, p in zip(tables, np.indices(grid).reshape(len(D), -1)))
+    loglik = lm[gathered + (y[:, None, :],)].sum(axis=-1)
     a = alpha(g)
-    return _Candidates(g=g, grid=tuple(counts), rows=rows, loglik=loglik,
+    return _Candidates(g=g, grid=grid, tables=tuple(tables), loglik=loglik,
                        score=loglik - N * a, wnll=-loglik / N + a)
 
 
 def _thresholds_for(model, D, S, cand: _Candidates, params, y, alpha):
-    """tau* of one (g, S) over the candidates' message grid, in an array
-    that broadcasts against it.  tau* depends on a candidate only through
-    its symbols on S cap D, so it is solved in one block call on the
-    distinct rows of those users' messages (one zero-width row when S cap
-    D is empty), and the grid axes of the other users have length 1."""
+    """tau* of one (g, S) on every trial's message grid, shape (B, *grid)
+    with length-1 axes for the users outside S cap D.  tau* depends on a
+    candidate only through its symbols on S cap D, so it is solved in one
+    block call on the distinct rows of those users' messages in every
+    trial (one zero-width row per trial when S cap D is empty)."""
     pos = [D.index(k) for k in sorted(set(S) & set(D))]
-    # the messages of S cap D vary, every other user's stays the first
-    first = tuple(slice(None) if j in pos else slice(1)
-                  for j in range(len(D)))
-    grid = cand.rows.reshape(cand.grid + cand.rows.shape[1:])
-    fixed = grid[first].take(pos, axis=-2)
-    rows = fixed.reshape(math.prod(fixed.shape[:-2]), len(pos), len(y))
-    tau = typicality_threshold(model, D, S, cand.g, params, rows, y, alpha)
-    return tau.reshape(fixed.shape[:-2])
+    sub = tuple(n if j in pos else 1 for j, n in enumerate(cand.grid))
+    picks = np.indices(sub).reshape(len(D), -1)
+    B, m, N = len(y), picks.shape[1], y.shape[-1]
+    rows = np.empty((B, m, len(pos), N), dtype=np.int64)
+    for i, j in enumerate(pos):
+        rows[:, :, i] = cand.tables[j][:, picks[j]]
+    tau = typicality_threshold(model, D, S, cand.g, params,
+                               rows.reshape(B * m, len(pos), N),
+                               np.repeat(y, m, axis=0), alpha)
+    return tau.reshape((B,) + sub)
 
 
 def _subset_winner(cands, accepted_masks):
-    """Best accepted candidate across all in-region vectors for one S:
-    (w_D, g), None when no candidate is accepted, or "tie" when more than
-    one accepted candidate reaches the top score.  An accepted candidate's
-    score is finite (its weighted neg-log-likelihood is below a
-    threshold), so rejected ones are scored -inf and one argmax over all
-    candidates in member order finds the winner."""
+    """Each trial's best accepted candidate for one S: its index in member
+    order, _NONE when none is accepted, or _TIED when several reach the top
+    score.  An accepted score is finite (its weighted neg-log-likelihood is
+    below a threshold), so rejected ones score -inf and one argmax per
+    trial finds the winner."""
     if not any(mask.any() for mask in accepted_masks):
-        return None
+        return _NONE
     scores = np.concatenate([np.where(mask, cand.score, -INF)
-                             for cand, mask in zip(cands, accepted_masks)])
-    j = int(np.argmax(scores))
-    if np.count_nonzero(scores == scores[j]) > 1:
-        return "tie"
-    for cand in cands:
-        if j < len(cand.score):
-            break
-        j -= len(cand.score)
-    w_D = tuple(int(i) + 1 for i in np.unravel_index(j, cand.grid))
-    return w_D, cand.g
+                             for cand, mask in zip(cands, accepted_masks)],
+                            axis=1)
+    j = scores.argmax(axis=1)
+    top = scores[np.arange(len(j)), j]
+    tied = np.count_nonzero(scores == top[:, None], axis=1) > 1
+    return np.where(top == -INF, _NONE, np.where(tied, _TIED, j))
 
 
-def decode_subset(thresholds: ThresholdTable,
-                  codebooks: CodebookRealization, y,
+@functools.lru_cache(maxsize=64)
+def _labels(members: tuple, width: int) -> np.ndarray:
+    """Each candidate's (w_D, g) for members ((grid, g), ...), messages from
+    1, then rows of -1s and 0s that _TIED and _NONE index from the end."""
+    labels = np.concatenate([np.column_stack(
+        (np.indices(grid).reshape(len(grid), -1).T + 1,
+         np.tile(g, (math.prod(grid), 1)))) for grid, g in members]
+        + [np.full((1, width), -1), np.zeros((1, width), dtype=np.int64)])
+    labels.setflags(write=False)
+    return labels
+
+
+def decode_subset(thresholds: ThresholdTable, codebooks, y,
                   restrict_to=None) -> DecodeOutcome:
-    """One (D, R_D)-decoder: per subset S (proper, D\\S nonempty) keep the
-    candidates whose per-symbol weighted neg-log-likelihood is strictly
-    below tau*(g, S); the S-winner is the accepted candidate with maximum
-    weighted likelihood.  Decoded iff every subset produced a winner and
+    """One (D, R_D)-decoder on a block of B trials: ``codebooks`` holds one
+    :class:`CodebookRealization` per trial and y their outputs, shape
+    (B, N).  Per subset S (proper, D\\S nonempty) keep the candidates whose
+    per-symbol weighted neg-log-likelihood is strictly below tau*(g, S);
+    the S-winner is the accepted candidate with maximum weighted
+    likelihood.  A trial decodes iff every subset produced a winner and
     the winners coincide on the full (w_D, g); an empty candidate set for
     any S, a tie, or a disagreement reports a collision.  A table built
     with a margin then requires the agreed output itself to pass
@@ -288,67 +293,86 @@ def decode_subset(thresholds: ThresholdTable,
     false-acceptance terms would not cover it.
     """
     model, D, alpha = thresholds.model, thresholds.D, thresholds.alpha
-    y = np.asarray(y, dtype=np.int64)
+    y = as_block(y, 2, "(B, N)")
     members = sorted(thresholds.region)
     if restrict_to is not None:
         members = [g for g in members if g in restrict_to]
-    cands = [_enumerate_candidates(model, D, g, codebooks, y, alpha)
+    stacked = {}
+    for key in sorted({(k, g[k]) for g in members for k in D}):
+        drawn = [cb.table(*key) for cb in codebooks]
+        stacked[key] = drawn[0][None] if len(drawn) == 1 else np.stack(drawn)
+    cands = [_enumerate_candidates(model, D, g,
+                                   [stacked[k, g[k]] for k in D], y, alpha)
              for g in members]
-    winners = []
-    for S in thresholds.subsets_decode:
-        masks = [(cand.wnll.reshape(cand.grid) < _thresholds_for(
-                     model, D, S, cand, thresholds.get(cand.g, S), y, alpha))
-                 .ravel() for cand in cands]
-        winners.append(_subset_winner(cands, masks))
-    diag = {"candidates_evaluated": int(sum(len(c.score) for c in cands)),
-            "winners": winners}
-    if "tie" in winners:
-        return _collision(diag, "tie")
-    if None in winners:
-        return _collision(diag, "no_winner")
-    first = winners[0]
-    if any(w != first for w in winners[1:]):
-        return _collision(diag, "disagreement")
-    w_D, g = first
-    cand = cands[members.index(g)]
-    j = np.ravel_multi_index(tuple(w - 1 for w in w_D), cand.grid)
-    for S in thresholds.subsets_margin:
-        # S covers D, so every symbol of the winner is fixed
-        tau = typicality_threshold(model, D, S, g, thresholds.get(g, S),
-                                   cand.rows[j:j + 1], y, alpha)
-        if not cand.wnll[j] < tau[0]:
-            return _collision(diag, "margin_reject")
-    return DecodeOutcome(kind="decoded", w1=w_D[D.index(0)], g1=g[0],
-                         winner=first, diagnostics=diag)
+    winners = np.full((len(thresholds.subsets_decode), len(y)), _NONE)
+    for i, S in enumerate(thresholds.subsets_decode if cands else ()):
+        masks = [(cand.wnll.reshape(cand.wnll.shape[:1] + cand.grid)
+                  < _thresholds_for(model, D, S, cand,
+                                    thresholds.get(cand.g, S), y, alpha))
+                 .reshape(len(y), -1) for cand in cands]
+        winners[i] = _subset_winner(cands, masks)
+    labels = _labels(tuple((cand.grid, cand.g) for cand in cands),
+                     len(D) + model.n_users)
+    choices, low = labels[winners], winners.min(axis=0)
+    reason = np.where(low == _TIED, TIE, np.where(
+        low == _NONE, NO_WINNER,
+        np.where(winners.max(axis=0) != low, DISAGREEMENT, 0)))
+    for S in thresholds.subsets_margin if cands else ():
+        wnll = np.concatenate([cand.wnll for cand in cands], axis=1)
+        for cand in cands:
+            # S covers D, so every symbol of the winner is fixed
+            at = np.flatnonzero((reason == 0) & (choices[0, :, len(D):]
+                                                 == cand.g).all(axis=1))
+            rows = np.stack([t[at, w - 1] for t, w
+                             in zip(cand.tables, choices[0, at, :len(D)].T)],
+                            axis=1)
+            tau = typicality_threshold(model, D, S, cand.g,
+                                       thresholds.get(cand.g, S), rows,
+                                       y[at], alpha)
+            reason[at[~(wnll[at, winners[0, at]] < tau)]] = MARGIN_REJECT
+    decoded = reason == 0
+    return DecodeOutcome(
+        reason=reason, w1=np.where(decoded, choices[0, :, D.index(0)], 0),
+        g1=np.where(decoded, choices[0, :, len(D)], 0),
+        diagnostics={"candidates_evaluated": len(y) * (len(labels) - 2),
+                     "winners": choices})
 
 
-def decode_receiver(thresholds_by_D: dict, codebooks: CodebookRealization,
-                    y, detector=None) -> DecodeOutcome:
-    """Run every table's (D, R_D)-decoder in partition order; output (w1, g1)
-    iff at least one decoded and all decoded outputs agree on (w1, g1).
-    With a :class:`RegionDetector` (detect-then-decode), the region is
-    detected first and the decoders score only the candidates inside the
-    detected cell, under the thresholds of the unrestricted regions."""
-    y = np.asarray(y, dtype=np.int64)
-    diag = {"per_D": {}, "candidates_evaluated": 0}
-    cell = None
+def decode_receiver(thresholds_by_D: dict, codebooks, y,
+                    detector=None) -> DecodeOutcome:
+    """Run every table's (D, R_D)-decoder in partition order on a block of
+    trials (``codebooks`` and y as in :func:`decode_subset`); a trial
+    outputs (w1, g1) iff at least one decoded and all decoded outputs
+    agree on (w1, g1).  With a :class:`RegionDetector` (detect-then-decode),
+    the block's regions are detected first, in one call, and each detected
+    cell's trials are decoded together, scoring only the cell's candidates,
+    under the thresholds of the unrestricted regions."""
+    y = as_block(y, 2, "(B, N)")
+    diag = {"candidates_evaluated": 0}
+    groups = [(None, np.arange(len(y)))]
     if detector is not None:
-        diag["detected_region"] = int(detect_region(detector, y[None])[0])
-        cell = detector.cells[diag["detected_region"]]
-    pairs = []
-    for D, thresholds in thresholds_by_D.items():
-        out = decode_subset(thresholds, codebooks, y, restrict_to=cell)
-        diag["per_D"][D] = out
-        diag["candidates_evaluated"] += out.diagnostics["candidates_evaluated"]
-        if out.decoded:
-            pairs.append((out.w1, out.g1, out.winner))
-    if not pairs:
-        return _collision(diag, "no_decoder_decoded")
-    first = pairs[0]
-    if any(p[:2] != first[:2] for p in pairs[1:]):
-        return _collision(diag, "cross_D_disagreement")
-    return DecodeOutcome(kind="decoded", w1=first[0], g1=first[1],
-                         winner=first[2], diagnostics=diag)
+        cells = diag["detected_region"] = detect_region(detector, y)
+        groups = [(detector.cells[c], np.flatnonzero(cells == c))
+                  for c in sorted(set(cells.tolist()))]
+    reason = np.zeros(len(y), dtype=np.int64)
+    w1, g1 = np.zeros_like(reason), np.zeros_like(reason)
+    for cell, at in groups:
+        outs = [decode_subset(thresholds, [codebooks[i] for i in at], y[at],
+                              restrict_to=cell)
+                for thresholds in thresholds_by_D.values()]
+        diag["candidates_evaluated"] += sum(
+            out.diagnostics["candidates_evaluated"] for out in outs)
+        # per D and trial: decoded, and the decoded (w1, g1)
+        ok = np.array([out.decoded for out in outs])
+        pairs = np.array([(out.w1, out.g1) for out in outs])
+        first = pairs[ok.argmax(axis=0), :, np.arange(len(at))]
+        w1[at], g1[at] = first.T
+        clash = (ok & (pairs != first.T).any(axis=1)).any(axis=0)
+        reason[at] = np.where(ok.any(axis=0), np.where(
+            clash, CROSS_D_DISAGREEMENT, 0), NO_DECODER_DECODED)
+    decoded = reason == 0
+    return DecodeOutcome(reason=reason, w1=np.where(decoded, w1, 0),
+                         g1=np.where(decoded, g1, 0), diagnostics=diag)
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,9 @@ Each trial takes a fresh :class:`~gepkit.ensemble.CodebookRealization`
 transmits through the channel and decodes with the scenario's decoder; of
 the realization it draws only the tables the decoder can read.  Per-trial
 randomness is derived deterministically from (master_seed, trial index,
-purpose), so runs reproduce bit for bit.  Trials run serially;
-region-detection trials draw from their streams one by one, then invert,
-transmit and detect a block of trials at once.
+purpose), so runs reproduce bit for bit.  Trials run in blocks of at most
+``BLOCK_BYTES``: each trial draws from its own streams in turn, then the
+block is transmitted and decoded, or detected, at once.
 
 The error estimator samples messages uniformly and averages, which lower
 bounds the worst-case-over-messages definition; for the random ensembles
@@ -57,9 +57,10 @@ ERROR_MODELS = (RELAXED, STRICT, MARGIN)
 # scores.  The shipped scenarios and benchmark workloads need under 1 MiB.
 TRIAL_BUDGET_BYTES = 256 * 2**20
 
-# Uniform-draw bytes a block of detection trials may hold, unless one trial's
-# draws alone take more; the block's inputs and outputs take no more.
-DETECT_BLOCK_BYTES = 64 * 2**10
+# Bytes a block of trials may hold, unless one trial alone takes more: a
+# decoding block's tables, gathers and scores (_decode_bytes), a detection
+# block's uniforms (its inputs and outputs take no more).
+BLOCK_BYTES = 256 * 2**10
 
 
 @dataclass(frozen=True)
@@ -83,8 +84,10 @@ class TrialRecord:
 
 
 def classify_error(error_model: str, region, margin, g, w,
-                   outcome: DecodeOutcome) -> bool:
-    """Pure error classification of one trial under the active definition.
+                   outcome: DecodeOutcome) -> np.ndarray:
+    """Pure error classification of a block of trials under the active
+    definition: g and w hold each trial's code index vector and messages,
+    ``outcome`` the block's decisions; one bool per trial.
 
     relaxed: inside R anything but correct decoding errs; outside R only a
     wrong decoding errs.  strict: outside R anything but a collision errs.
@@ -93,18 +96,14 @@ def classify_error(error_model: str, region, margin, g, w,
     """
     if error_model not in ERROR_MODELS:
         raise DomainError(f"unknown error model {error_model!r}")
-    g = tuple(g)
-    correct = outcome.decoded and outcome.w1 == w[0] and outcome.g1 == g[0]
-    wrong = outcome.decoded and not correct
-    if g in region:
-        return not correct
-    if error_model == RELAXED:
-        return wrong
-    if error_model == STRICT:
-        return outcome.decoded
-    if margin is not None and g in margin:
-        return wrong
-    return outcome.decoded
+    decoded = outcome.decoded
+    correct = decoded & (outcome.w1 == [wi[0] for wi in w]) \
+        & (outcome.g1 == [gi[0] for gi in g])
+    outside = decoded & ~correct if error_model == RELAXED else decoded
+    if error_model == MARGIN and margin is not None:
+        outside = np.where([gi in margin for gi in g], decoded & ~correct,
+                           decoded)
+    return np.where([gi in region for gi in g], ~correct, outside)
 
 
 # ---------------------------------------------------------------------------
@@ -171,16 +170,15 @@ def _trial_bytes(scenario, counts: dict) -> int:
     return sum(n * N * 8 for n in counts.values()) + max(grids, default=0)
 
 
-def _prepare_decoder(scenario, model, cache=None):
-    """run(codebooks, y) -> DecodeOutcome of the scenario's receiver:
-    one threshold table per :func:`receiver_parts` entry, with the region
-    detected first under detect-then-decode."""
-    tables = {D: build_thresholds(model, D, reg, scenario.alpha,
-                                  margin=margin, cache=cache)
-              for D, reg, margin in receiver_parts(scenario)}
-    detector = build_detector(model, scenario.detection, scenario.alpha) \
-        if scenario.decoder == "detect" else None
-    return lambda codebooks, y: decode_receiver(tables, codebooks, y, detector)
+def _decode_bytes(scenario, counts: dict, read) -> int:
+    """Bytes one trial adds to a decoding block: its stacked copy of each
+    table in ``read``, the tables the region members' candidates read, and
+    per candidate a likelihood gather of N symbols and four score arrays."""
+    cands = sum(math.prod(counts[k, g[k]] for k in D)
+                for D, region, _margin in receiver_parts(scenario)
+                for g in region)
+    return 8 * (scenario.N * sum(map(counts.get, read))
+                + (scenario.N + 4) * cands)
 
 
 def run_trials(scenario, trials: int, master_seed: int,
@@ -200,7 +198,8 @@ def run_trials(scenario, trials: int, master_seed: int,
     detection, those of the detected cell's region members only.  Before
     any threshold is built, one trial's codebook and candidate-grid bytes
     (:func:`_trial_bytes`) are checked against ``TRIAL_BUDGET_BYTES``; a
-    larger scenario raises :class:`MemoryBudgetExceeded`.
+    larger scenario raises :class:`MemoryBudgetExceeded`.  Trials are
+    decoded in blocks of as many as ``BLOCK_BYTES`` hold, at least one.
 
     ``cache`` is the exponent cache the threshold tables are built from;
     passing the one the verdict bound will use spares that bound the
@@ -220,31 +219,47 @@ def run_trials(scenario, trials: int, master_seed: int,
             f"the {TRIAL_BUDGET_BYTES}-byte budget (N={N})")
     g_list, g_probs = _g_sampler(scenario, model)
     transmit = _channel_sampler(model)
-    run_decoder = _prepare_decoder(scenario, model, cache)
-    prefetch = () if scenario.decoder == "detect" else sorted(
-        {(k, g[k]) for D, region, _margin in receiver_parts(scenario)
-         for g in region for k in D})
+    tables = {D: build_thresholds(model, D, reg, scenario.alpha,
+                                  margin=margin, cache=cache)
+              for D, reg, margin in receiver_parts(scenario)}
+    detector = build_detector(model, scenario.detection, scenario.alpha) \
+        if scenario.decoder == "detect" else None
+    read = sorted({(k, g[k]) for D, region, _margin in receiver_parts(
+        scenario) for g in region for k in D})
+    prefetch = () if scenario.decoder == "detect" else read
 
-    def one(t: int) -> TrialRecord:
-        rng = stream((master_seed, t, 1))
-        g = _draw_g(rng, g_list, g_probs)
-        codebooks = CodebookRealization(model, N, (master_seed, t, 0))
-        for key in prefetch:
-            codebooks.table(*key)
-        w = tuple(int(rng.integers(1, counts[(k, g[k])] + 1))
-                  for k in range(model.K))
-        x = np.empty((model.n_users, N), dtype=np.int64)
-        for k in range(model.K):
-            x[k] = codebooks.codeword(k, g[k], w[k])
-        for k in range(model.K, model.n_users):
-            x[k] = sample_from_pmf(rng, model.input_pmf(k, g[k]), N)
-        outcome = run_decoder(codebooks, transmit(x, rng.random(N)))
-        err = classify_error(scenario.error_model, scenario.region,
-                             scenario.margin, g, w, outcome)
-        return TrialRecord(trial=t, g=g, w=w, kind=outcome.kind,
-                           w1=outcome.w1, g1=outcome.g1, error=err)
+    def decode_block(block: range) -> list[TrialRecord]:
+        drawn = []
+        x = np.empty((len(block), model.n_users, N), dtype=np.int64)
+        u = np.empty((len(block), N))
+        for i, t in enumerate(block):
+            rng = stream((master_seed, t, 1))
+            g = _draw_g(rng, g_list, g_probs)
+            codebooks = CodebookRealization(model, N, (master_seed, t, 0))
+            for key in prefetch:
+                codebooks.table(*key)
+            w = tuple(int(rng.integers(1, counts[(k, g[k])] + 1))
+                      for k in range(model.K))
+            for k in range(model.K):
+                x[i, k] = codebooks.codeword(k, g[k], w[k])
+            for k in range(model.K, model.n_users):
+                x[i, k] = sample_from_pmf(rng, model.input_pmf(k, g[k]), N)
+            rng.random(out=u[i])
+            drawn.append((g, w, codebooks))
+        gs, ws, books = zip(*drawn)
+        outcome = decode_receiver(tables, books, transmit(x, u), detector)
+        errors = classify_error(scenario.error_model, scenario.region,
+                                scenario.margin, gs, ws, outcome)
+        return [TrialRecord(t, g, w, "decoded" if ok else "collision",
+                            w1 if ok else None, g1 if ok else None, err)
+                for t, g, w, ok, w1, g1, err in zip(
+                    block, gs, ws, outcome.decoded.tolist(),
+                    outcome.w1.tolist(), outcome.g1.tolist(), errors.tolist())]
 
-    return [one(t) for t in range(trials)]
+    per_block = max(1, BLOCK_BYTES // _decode_bytes(scenario, counts, read))
+    return [record for start in range(0, trials, per_block)
+            for record in decode_block(
+                range(start, min(start + per_block, trials)))]
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +348,7 @@ def run_detection_trials(scenario, trials: int, master_seed: int) -> dict:
     Trial t draws g and then one (n_users + 1, N) block of uniforms from
     its stream: row k < n_users is user k's input, the last row the
     channel's.  Trials are inverted, transmitted and detected together, in
-    blocks of as many trials as ``DETECT_BLOCK_BYTES`` of uniforms hold.
+    blocks of as many trials as ``BLOCK_BYTES`` of uniforms hold.
     Before any stream is drawn, one trial's uniforms and detection scores
     ((n_users + 1 + H) x N x 8 bytes for H code index vectors) are checked
     against ``TRIAL_BUDGET_BYTES``; a larger scenario raises
@@ -352,7 +367,7 @@ def run_detection_trials(scenario, trials: int, master_seed: int) -> dict:
     transmit = _channel_sampler(model)
     detector = build_detector(model, scenario.detection, scenario.alpha)
     tallies = {g: [0, 0] for g in g_list}
-    per_block = max(1, DETECT_BLOCK_BYTES // (8 * rows * N))
+    per_block = max(1, BLOCK_BYTES // (8 * rows * N))
     for start in range(0, trials, per_block):
         u = np.empty((min(per_block, trials - start), rows, N))
         gs = []

@@ -25,13 +25,12 @@ from scipy.optimize import minimize_scalar
 from gepkit import (
     binary_entropy,
     build_thresholds,
-    decode_subset,
     ensemble_log_expectation,
     make_compound_bsc,
     sample_codebook,
     typicality_threshold,
 )
-from gepkit import montecarlo
+from gepkit import decoder, montecarlo
 from gepkit.channel import marginalize_out
 from gepkit.cli import detection_bound_reports, entropy_gate, main
 from gepkit.exponents import (
@@ -58,6 +57,7 @@ from conftest import (
     random_model,
     small_search,
 )
+from reference_decoder import decode_one, trial_view
 from test_decoder import decision, random_instance, reference_decode_subset
 from test_ensemble import brute_force_expectation
 
@@ -270,7 +270,7 @@ def test_criterion_6_decoder_matches_reference():
         with small_search(8, 0):
             tbl = build_thresholds(m, D, region, a)
         y = rng.integers(0, m.dmc.output_size, N)
-        mine = decision(decode_subset(tbl, cb, y))
+        mine = decision(decode_one(tbl, cb, y))
         ref = reference_decode_subset(m, D, region, a, cb, y, tbl)
         if mine != ref:
             mismatches += 1
@@ -371,13 +371,14 @@ def test_criterion_9_margin_behavior(monkeypatch):
     margin bound is vacuous on this example).  The PASS/FAIL line prints
     them per margin state next to the avoidable count.
 
-    ``decode_receiver`` and ``classify_error`` are wrapped at the names
-    the trial runner looks up, so the scenario's own run is inspected and
-    its records are unchanged.  The runner classifies each trial with its
-    transmitted (g, w) right after decoding it, so the wrapped
-    ``classify_error`` checks the decode that the wrapped
-    ``decode_receiver`` last kept; the margin decoder is its one table,
-    D = (0,).
+    ``decode_receiver``, ``decode_subset`` and ``classify_error`` are
+    wrapped at the names their callers look up, so the scenario's own run
+    is inspected and its records are unchanged.  The runner classifies
+    each block of trials with their transmitted (g, w) right after
+    decoding it, so the wrapped ``classify_error`` checks, trial by trial,
+    the block decode that the wrapped ``decode_receiver`` last kept; the
+    margin decoder is its one table, D = (0,), whose ``decode_subset``
+    outcome on the same block holds each trial's subset winners.
     """
     t0 = time.time()
     scen = load_scenario(SCENARIOS / "bsc_compound_sec4.json")
@@ -386,6 +387,7 @@ def test_criterion_9_margin_behavior(monkeypatch):
     seen = []
     decodes, winners = [], []
     real_decode_receiver = montecarlo.decode_receiver
+    real_decode_subset = decoder.decode_subset
     real_classify_error = montecarlo.classify_error
     decode_signature = inspect.signature(real_decode_receiver)
     classify_signature = inspect.signature(real_classify_error)
@@ -401,7 +403,12 @@ def test_criterion_9_margin_behavior(monkeypatch):
         chosen = codebooks.codeword(0, g_dec[0], w_dec[0])
         return float(lm[chosen, y].sum() - lm[sent, y].sum())
 
+    def recording_decode_subset(*args, **kwargs):
+        last["sub"] = real_decode_subset(*args, **kwargs)
+        return last["sub"]
+
     def recording_decode_receiver(*args, **kwargs):
+        last.pop("sub", None)
         outcome = real_decode_receiver(*args, **kwargs)
         call = decode_signature.bind(*args, **kwargs).arguments
         last.update(codebooks=call["codebooks"], y=np.asarray(call["y"]),
@@ -410,21 +417,25 @@ def test_criterion_9_margin_behavior(monkeypatch):
 
     def checking_classify_error(*args, **kwargs):
         call = classify_signature.bind(*args, **kwargs).arguments
-        g, w, outcome = tuple(call["g"]), call["w"], call["outcome"]
-        assert outcome is last["outcome"]
-        if g in scen.margin:
-            seen.append(g)
-            codebooks, y = last["codebooks"], last["y"]
-            if outcome.decoded:
-                decodes.append(advantage(codebooks, y, w, g, outcome.winner))
-            sub = outcome.diagnostics["per_D"][(0,)]
-            for choice in sub.diagnostics["winners"]:
-                if choice not in (None, "tie"):
-                    winners.append(advantage(codebooks, y, w, g, choice))
+        assert call["outcome"] is last["outcome"]
+        for i, (g, w) in enumerate(zip(call["g"], call["w"])):
+            g = tuple(g)
+            outcome = trial_view(last["sub"], i, (0,))
+            assert outcome.kind == trial_view(call["outcome"], i).kind
+            if g in scen.margin:
+                seen.append(g)
+                codebooks, y = last["codebooks"][i], last["y"][i]
+                if outcome.decoded:
+                    decodes.append(advantage(codebooks, y, w, g,
+                                             outcome.winner))
+                for choice in outcome.diagnostics["winners"]:
+                    if choice not in (None, "tie"):
+                        winners.append(advantage(codebooks, y, w, g, choice))
         return real_classify_error(*args, **kwargs)
 
     monkeypatch.setattr(montecarlo, "decode_receiver",
                         recording_decode_receiver)
+    monkeypatch.setattr(decoder, "decode_subset", recording_decode_subset)
     monkeypatch.setattr(montecarlo, "classify_error", checking_classify_error)
     records = run_trials(scen, scen.trials, scen.seed)
     est = empirical_gep(records, scen.alpha, scen.N)

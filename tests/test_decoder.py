@@ -12,8 +12,6 @@ from gepkit import (
     SystemModel,
     build_detector,
     build_thresholds,
-    decode_receiver,
-    decode_subset,
     detect_region,
     make_compound_bsc,
     make_dmc,
@@ -46,6 +44,7 @@ from gepkit.exponents import (
 )
 
 from conftest import random_model, small_search, three_user_model
+from reference_decoder import decode_one, receive_one
 
 
 def zero(model):
@@ -418,7 +417,7 @@ class TestDecodeSubset:
         table = cb.tables[(0, 0)]
         assert not np.array_equal(table[0], table[1])  # distinct codewords
         y = cb.codeword(0, 0, 2)
-        out = decode_subset(tbl, cb, y)
+        out = decode_one(tbl, cb, y)
         assert out.decoded and out.w1 == 2 and out.g1 == 0
 
     def test_output_outside_every_threshold_collides(self):
@@ -430,7 +429,7 @@ class TestDecodeSubset:
         # an output sequence maximally atypical for the in-region state:
         # flip every symbol of codeword 1
         y = 1 - cb.codeword(0, 0, 1)
-        out = decode_subset(tbl, cb, y)
+        out = decode_one(tbl, cb, y)
         assert out.kind == "collision"
 
     def test_repeat_decode_is_identical(self):
@@ -440,8 +439,8 @@ class TestDecodeSubset:
         tbl = build_thresholds(m, [0], region, a)
         cb = sample_codebook(m, 10, 31)
         y = np.random.default_rng(2).integers(0, 2, 10)
-        first = decode_subset(tbl, cb, y)
-        second = decode_subset(tbl, cb, y)
+        first = decode_one(tbl, cb, y)
+        second = decode_one(tbl, cb, y)
         assert (first.kind, first.w1, first.g1, first.winner) == \
             (second.kind, second.w1, second.g1, second.winner)
 
@@ -457,7 +456,7 @@ class TestDecodeSubset:
         tbl = build_thresholds(two, [0], [(0,), (1,)], zero(two))
         cb = CodebookRealization(one, 6, 4)
         with pytest.raises(CodeOutOfRange):
-            decode_subset(tbl, cb, np.zeros(6, dtype=np.int64))
+            decode_one(tbl, cb, np.zeros(6, dtype=np.int64))
 
     @small_search(8, 0)
     def test_matches_reference_on_random_instances(self):
@@ -470,7 +469,7 @@ class TestDecodeSubset:
                 m, rng.uniform(0, 0.2, size=m.code_counts))
             tbl = build_thresholds(m, D, region, a)
             y = rng.integers(0, m.dmc.output_size, N)
-            mine = decision(decode_subset(tbl, cb, y))
+            mine = decision(decode_one(tbl, cb, y))
             ref = reference_decode_subset(m, D, region, a, cb, y, tbl)
             assert mine == ref
             agree += 1
@@ -485,7 +484,7 @@ class TestDecodeSubset:
             tbl = build_thresholds(m, D, region, a)
             assert all(tbl.get(g, S).gstar is not None for g in region
                        for S in ({0, 1}, {1, 2}))
-            mine = decision(decode_subset(tbl, cb, y))
+            mine = decision(decode_one(tbl, cb, y))
             ref = reference_decode_subset(m, D, region, a, cb, y, tbl)
             assert mine == ref, seed
             kinds.add(mine[0][0])
@@ -502,8 +501,8 @@ class TestDecodeReceiver:
         rng = np.random.default_rng(0)
         for _ in range(10):
             y = rng.integers(0, 2, 8)
-            a_out = decode_receiver(tbl, cb, y)
-            b_out = decode_subset(tbl[(0,)], cb, y)
+            a_out = receive_one(tbl, cb, y)
+            b_out = decode_one(tbl[(0,)], cb, y)
             assert (a_out.kind, a_out.w1, a_out.g1) == \
                 (b_out.kind, b_out.w1, b_out.g1)
 
@@ -527,9 +526,9 @@ class TestDecodeReceiver:
         x0 = cb.codeword(0, 0, 1)
         x1 = cb.codeword(1, 0, 1)
         y = 2 * x0 + x1
-        sub0 = decode_subset(tbl[(0,)], cb, y)
-        sub01 = decode_subset(tbl[(0, 1)], cb, y)
-        out = decode_receiver(tbl, cb, y)
+        sub0 = decode_one(tbl[(0,)], cb, y)
+        sub01 = decode_one(tbl[(0, 1)], cb, y)
+        out = receive_one(tbl, cb, y)
         if sub0.decoded and sub01.kind == "collision":
             assert out.decoded
             assert (out.w1, out.g1) == (sub0.w1, sub0.g1)
@@ -547,7 +546,7 @@ class TestDecodeReceiver:
         tbl = {(0,): build_thresholds(m, (0,), region, a)}
         cb = sample_codebook(m, 6, 1)
         y = cb.codeword(0, 0, 1)
-        out = decode_subset(tbl[(0,)], cb, y)
+        out = decode_one(tbl[(0,)], cb, y)
         if np.array_equal(cb.codeword(0, 1, 1), y):
             assert out.kind == "collision"  # identical scores tie
 
@@ -566,8 +565,8 @@ class TestDecodeMargin:
         rng = np.random.default_rng(2)
         for _ in range(20):
             y = rng.integers(0, 2, 8)
-            a_out = decode_subset(tbl_m, cb, y)
-            b_out = decode_subset(tbl_p, cb, y)
+            a_out = decode_one(tbl_m, cb, y)
+            b_out = decode_one(tbl_p, cb, y)
             assert (a_out.kind, a_out.w1) == (b_out.kind, b_out.w1)
 
     def test_margin_reject_path(self, sec4_model):
@@ -587,8 +586,8 @@ class TestDecodeMargin:
             cb = sample_codebook(m, 16, seed)
             x = cb.codeword(0, 0, int(rng.integers(1, cb.counts[(0, 0)] + 1)))
             y = np.where(rng.random(16) < 0.18, 1 - x, x)
-            out = decode_subset(tbl, cb, y)
-            plain = decode_subset(tbl_p, cb, y)
+            out = decode_one(tbl, cb, y)
+            plain = decode_one(tbl_p, cb, y)
             assert out.diagnostics["winners"] == plain.diagnostics["winners"]
             if not plain.decoded:
                 assert out.diagnostics["reason"] == \
@@ -613,9 +612,9 @@ class TestDecodeMargin:
 
     @small_search(8, 0)
     def test_checks_match_a_fresh_gather_of_the_winner(self, sec4_model):
-        # the margin check reuses decode_subset's rows and score of the
-        # winner; regathering them from the codebook and solving tau* with
-        # typicality_threshold gives the same decision
+        # the margin check reads the winner's rows from the block's tables
+        # and reuses its score; regathering them from the codebook and
+        # solving tau* with typicality_threshold gives the same decision
         rng = np.random.default_rng(12)
         two_users = three_user_model(rng, 0.2)
         two_users = SystemModel(dmc=two_users.dmc, K=2, M=1,
@@ -641,8 +640,8 @@ class TestDecodeMargin:
                 y = np.array([rng.choice(m.dmc.output_size,
                                          p=m.dmc.pmf[tuple(r[j] for r in x)])
                               for j in range(N)])
-                out = decode_subset(tbl, cb, y)
-                plain = decode_subset(tbl_p, cb, y)
+                out = decode_one(tbl, cb, y)
+                plain = decode_one(tbl_p, cb, y)
                 if not plain.decoded:
                     continue
                 w_D, g_hat = plain.winner
@@ -685,8 +684,8 @@ class TestDecodeMargin:
             w = int(rng.integers(1, cb.counts[(0, 0)] + 1))
             x = cb.codeword(0, 0, w)
             y = np.where(rng.random(12) < 0.05, 1 - x, x)
-            o_s = decode_subset(tbl_s, cb, y)
-            o_b = decode_subset(tbl_b, cb, y)
+            o_s = decode_one(tbl_s, cb, y)
+            o_b = decode_one(tbl_b, cb, y)
             if o_s.decoded and o_b.decoded:
                 assert (o_s.w1, o_s.g1) == (o_b.w1, o_b.g1)
                 decoded_both += 1
@@ -772,8 +771,8 @@ class TestDetectThenDecode:
         rng = np.random.default_rng(1)
         for _ in range(10):
             y = rng.integers(0, 2, 8)
-            d = decode_receiver(tbl, cb, y, detector)
-            p = decode_receiver(tbl, cb, y)
+            d = receive_one(tbl, cb, y, detector)
+            p = receive_one(tbl, cb, y)
             assert (d.kind, d.w1, d.g1) == (p.kind, p.w1, p.g1)
 
     def test_matches_unrestricted_when_winners_inside_cell(self):
@@ -785,11 +784,13 @@ class TestDetectThenDecode:
         checked = 0
         for _ in range(40):
             y = rng.integers(0, 2, 10)
-            d = decode_receiver(tbl, cb, y, detector)
-            p = decode_receiver(tbl, cb, y)
+            d = receive_one(tbl, cb, y, detector)
+            p = receive_one(tbl, cb, y)
             cell = regions[d.diagnostics["detected_region"]]
-            if p.decoded and p.winner[1] in cell:
-                ws = p.diagnostics["per_D"][(0,)].diagnostics["winners"]
+            # the receiver's one decoder, D = (0,), gives its winners
+            sub = decode_one(tbl[(0,)], cb, y)
+            if p.decoded and sub.winner[1] in cell:
+                ws = sub.diagnostics["winners"]
                 if all(w not in (None, "tie") and w[1] in cell for w in ws):
                     assert (d.kind, d.w1, d.g1) == (p.kind, p.w1, p.g1)
                     checked += 1
@@ -801,7 +802,7 @@ class TestDetectThenDecode:
         regions = [[(0, 0)], [(0, 1)]]
         cb = sample_codebook(m, 10, 5)
         y = np.random.default_rng(0).integers(0, 2, 10)
-        d = decode_receiver(tbl, cb, y, build_detector(m, regions, a))
+        d = receive_one(tbl, cb, y, build_detector(m, regions, a))
         cell = regions[d.diagnostics["detected_region"]]
         assert d.diagnostics["candidates_evaluated"] == \
             sum(cb.counts[(0, g[0])] for g in cell if g in region)

@@ -24,10 +24,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
+import gepkit.decoder
 import gepkit.exponents
 from gepkit import (
     CodeSpec,
     SystemModel,
+    build_thresholds,
+    decode_subset,
     make_compound_bsc,
     make_dmc,
     marginalize_out,
@@ -456,7 +459,7 @@ class TestInverseCdf:
 # ---------------------------------------------------------------------------
 
 def reference_candidates(model, D, g, codebooks, y):
-    """Candidate message tuples, rows and log-likelihoods as
+    """Candidate message tuples, rows and log-likelihoods of one trial as
     _enumerate_candidates built them before the gathers: one Python
     iteration per candidate."""
     N = len(y)
@@ -493,6 +496,10 @@ def _mac_model():
 
 
 class TestCandidateRows:
+    """_enumerate_candidates scores a block of trials, here the 3 trials
+    of 3 realizations: trial i's candidates, in C order of the message
+    grid, and their scores are the per-candidate loop's on trial i."""
+
     @pytest.mark.parametrize("D", [(0,), (0, 1)])
     def test_rows_and_logliks_match_loop(self, D):
         model = _mac_model()
@@ -501,31 +508,45 @@ class TestCandidateRows:
         N = 6
         rng = np.random.default_rng(4)
         seen_counts = set()
-        for seed in range(3):
-            cb = sample_codebook(model, N, seed)
-            for g in model.index_space():
-                y = rng.integers(0, 3, N)
-                cand = _enumerate_candidates(model, D, g, cb, y, a)
+        books = [sample_codebook(model, N, seed) for seed in range(3)]
+        for g in model.index_space():
+            y = rng.integers(0, 3, (len(books), N))
+            tables = [np.stack([cb.tables[(k, g[k])] for cb in books])
+                      for k in D]
+            cand = _enumerate_candidates(model, D, g, tables, y, a)
+            for i, cb in enumerate(books):
                 w_ref, rows_ref, ll_ref = reference_candidates(
-                    model, D, g, cb, y)
+                    model, D, g, cb, y[i])
                 # candidate j is message tuple j of the C-order grid
-                assert [tuple(int(i) + 1 for i in np.unravel_index(
+                assert [tuple(int(u) + 1 for u in np.unravel_index(
                     j, cand.grid)) for j in range(len(w_ref))] == w_ref
-                assert cand.rows.dtype == np.int64
-                assert np.array_equal(cand.rows, rows_ref)
-                assert _same(cand.loglik, ll_ref)
-                assert _same(cand.score, ll_ref - N * a(g))
-                assert _same(cand.wnll, -ll_ref / N + a(g))
+                rows = np.stack([t[i][np.array(w_ref)[:, j] - 1] for j, t
+                                 in enumerate(cand.tables)], axis=1)
+                assert rows.dtype == np.int64
+                assert np.array_equal(rows, rows_ref)
+                assert _same(cand.loglik[i], ll_ref)
+                assert _same(cand.score[i], ll_ref - N * a(g))
+                assert _same(cand.wnll[i], -ll_ref / N + a(g))
                 seen_counts.add(tuple(cb.counts[(k, g[k])] for k in D))
         assert {(1,) * len(D), (6,) * len(D)} <= seen_counts
 
-    def test_single_code_table_is_not_copied(self):
+    def test_single_code_table_is_not_copied(self, monkeypatch):
+        """A block of one trial reads its one user's table as is: the
+        candidates' tables are views of the realization's."""
         model = make_compound_bsc([0.05, 0.3], [0.5, 0.5], 0.2)
         cb = sample_codebook(model, 10, 1)
-        cand = _enumerate_candidates(model, (0,), (0, 1), cb,
-                                     np.zeros(10, dtype=np.int64),
-                                     WeightFunction.zero(model))
-        assert np.shares_memory(cand.rows, cb.tables[(0, 0)])
+        seen = []
+
+        def spied(*args):
+            seen.append(_enumerate_candidates(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(gepkit.decoder, "_enumerate_candidates", spied)
+        tbl = build_thresholds(model, (0,), [(0, 1)],
+                               WeightFunction.zero(model))
+        decode_subset(tbl, [cb], np.zeros((1, 10), dtype=np.int64))
+        cand, = seen
+        assert np.shares_memory(cand.tables[0], cb.tables[(0, 0)])
 
 
 # ---------------------------------------------------------------------------

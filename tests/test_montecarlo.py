@@ -1,4 +1,5 @@
 import ast
+import copy
 import importlib
 import inspect
 import itertools
@@ -23,10 +24,10 @@ from gepkit import (
     make_compound_bsc,
     make_dmc,
 )
-from gepkit.decoder import DecodeOutcome
+from gepkit.decoder import REASONS, DecodeOutcome
 from gepkit.channel import output_marginal
-from gepkit.ensemble import (flatten_symbols, sample_codebook,
-                             sample_from_pmf, stream)
+from gepkit.ensemble import (flatten_symbols, message_count,
+                             sample_codebook, sample_from_pmf, stream)
 from gepkit.errors import MismatchedParameters, ShapeMismatch
 from gepkit.exponents import (
     BoundReport,
@@ -45,7 +46,8 @@ from gepkit.montecarlo import (
     _channel_sampler,
     _draw_g,
     _g_sampler,
-    _prepare_decoder,
+    _decode_bytes,
+    build_detector,
     classify_error,
     compare_bound,
     compare_per_g,
@@ -58,15 +60,27 @@ from gepkit.scenario import load_scenario, parse_scenario
 
 from conftest import (ROOT, load_perfbench, load_workloads, random_alpha,
                       random_model, small_search)
+from reference_decoder import (reference_classify_error,
+                               reference_decode_receiver)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def decoded(w1, g1):
-    return DecodeOutcome(kind="decoded", w1=w1, g1=g1)
+    """A decode of (w1, g1), a block of one trial."""
+    return DecodeOutcome(reason=np.array([0]), w1=np.array([w1]),
+                         g1=np.array([g1]))
 
 
-COLLIDE = DecodeOutcome(kind="collision")
+# a collision, a block of one trial
+COLLIDE = DecodeOutcome(reason=np.array([REASONS.index("no_winner")]),
+                        w1=np.array([0]), g1=np.array([0]))
+
+
+def classify(error_model, region, margin, g, w, outcome) -> bool:
+    """classify_error on a block of one trial."""
+    err, = classify_error(error_model, region, margin, [g], [w], outcome)
+    return bool(err)
 
 
 def make_scenario(model, N, region, *, margin=frozenset(), decoder="plain",
@@ -84,38 +98,47 @@ def make_scenario(model, N, region, *, margin=frozenset(), decoder="plain",
                            g_set=g_set)
 
 
+def _decode_block_bytes(scenario, per_block):
+    """BLOCK_BYTES that makes decoding blocks of ``per_block`` trials."""
+    model = scenario.model
+    counts = {(k, gk): message_count(model.rate(k, gk), scenario.N)
+              for k in range(model.K)
+              for gk in range(len(model.libraries[k]))}
+    return per_block * _decode_bytes(scenario, counts, _readable(scenario))
+
+
 class TestClassifyError:
     R = frozenset({(0, 0)})
     RH = frozenset({(0, 1)})
 
     def test_correct_inside_region_never_errs(self):
         for em in (RELAXED, STRICT, MARGIN):
-            assert not classify_error(em, self.R, self.RH, (0, 0), (3,),
-                                      decoded(3, 0))
+            assert not classify(em, self.R, self.RH, (0, 0), (3,),
+                                decoded(3, 0))
 
     def test_collision_inside_region_always_errs(self):
         for em in (RELAXED, STRICT, MARGIN):
-            assert classify_error(em, self.R, self.RH, (0, 0), (3,), COLLIDE)
+            assert classify(em, self.R, self.RH, (0, 0), (3,), COLLIDE)
 
     def test_correct_decode_outside_region_split(self):
         g, w = (0, 2), (3,)
         out = decoded(3, 0)
-        assert not classify_error(RELAXED, self.R, self.RH, g, w, out)
-        assert classify_error(STRICT, self.R, self.RH, g, w, out)
+        assert not classify(RELAXED, self.R, self.RH, g, w, out)
+        assert classify(STRICT, self.R, self.RH, g, w, out)
 
     def test_margin_collision_is_expected(self):
-        assert not classify_error(MARGIN, self.R, self.RH, (0, 1), (3,),
-                                  COLLIDE)
-        assert not classify_error(MARGIN, self.R, self.RH, (0, 1), (3,),
-                                  decoded(3, 0))
-        assert classify_error(MARGIN, self.R, self.RH, (0, 1), (3,),
-                              decoded(4, 0))
+        assert not classify(MARGIN, self.R, self.RH, (0, 1), (3,),
+                            COLLIDE)
+        assert not classify(MARGIN, self.R, self.RH, (0, 1), (3,),
+                            decoded(3, 0))
+        assert classify(MARGIN, self.R, self.RH, (0, 1), (3,),
+                        decoded(4, 0))
 
     def test_outside_everything_must_collide_under_margin(self):
-        assert classify_error(MARGIN, self.R, self.RH, (0, 2), (3,),
-                              decoded(3, 0))
-        assert not classify_error(MARGIN, self.R, self.RH, (0, 2), (3,),
-                                  COLLIDE)
+        assert classify(MARGIN, self.R, self.RH, (0, 2), (3,),
+                        decoded(3, 0))
+        assert not classify(MARGIN, self.R, self.RH, (0, 2), (3,),
+                            COLLIDE)
 
     def test_strict_contains_relaxed(self):
         rng = np.random.default_rng(0)
@@ -126,8 +149,8 @@ class TestClassifyError:
                 out = COLLIDE
             else:
                 out = decoded(int(rng.integers(1, 4)), 0)
-            relaxed = classify_error(RELAXED, self.R, self.RH, g, w, out)
-            strict = classify_error(STRICT, self.R, self.RH, g, w, out)
+            relaxed = classify(RELAXED, self.R, self.RH, g, w, out)
+            strict = classify(STRICT, self.R, self.RH, g, w, out)
             assert strict or not relaxed
 
     def test_margin_sandwich(self):
@@ -139,9 +162,9 @@ class TestClassifyError:
                 out = COLLIDE
             else:
                 out = decoded(int(rng.integers(1, 4)), 0)
-            margin = classify_error(MARGIN, self.R, self.RH, g, w, out)
-            strict = classify_error(STRICT, self.R, self.RH, g, w, out)
-            relaxed = classify_error(RELAXED, self.R, self.RH, g, w, out)
+            margin = classify(MARGIN, self.R, self.RH, g, w, out)
+            strict = classify(STRICT, self.R, self.RH, g, w, out)
+            relaxed = classify(RELAXED, self.R, self.RH, g, w, out)
             assert strict or not margin          # margin subset of strict
             if g not in self.RH:
                 assert margin or not relaxed     # relaxed subset off-margin
@@ -193,23 +216,27 @@ class TestRunTrials:
         assert sum(r.g == (0, 0) for r in recs) == 300
 
     def test_outcomes_do_not_outlive_their_trial(self, monkeypatch):
-        # only the TrialRecords are kept: every decode outcome,
-        # diagnostics included, is freed when its trial ends
+        # only the TrialRecords are kept: every block's decode outcome,
+        # diagnostics included, is freed when its block ends; blocks of 5
+        # trials make 3 blocks of 12 trials
         m = make_compound_bsc([0.05, 0.3], [0.5, 0.5], 0.2)
         scen = make_scenario(m, 8, [(0, 0)])
+        monkeypatch.setattr(gepkit.montecarlo, "BLOCK_BYTES",
+                            _decode_block_bytes(scen, 5))
         original = gepkit.montecarlo.decode_receiver
-        refs, alive = [], []
+        refs, alive, sizes = [], [], []
 
         def watched(*args, **kwargs):
             alive.append(sum(r() is not None for r in refs))
             out = original(*args, **kwargs)
             refs.append(weakref.ref(out))
+            sizes.append(len(out.reason))
             return out
 
         monkeypatch.setattr(gepkit.montecarlo, "decode_receiver", watched)
         recs = run_trials(scen, 12, 4)
-        assert len(recs) == len(refs) == 12
-        assert alive == [0] * 12
+        assert len(recs) == sum(sizes) == 12 and sizes == [5, 5, 2]
+        assert alive == [0] * len(refs)
         assert all(r() is None for r in refs)
 
 
@@ -298,12 +325,29 @@ class TestBenchmarkHooks:
         for key in timers:
             self._assert_defined(key)
 
-    def test_trial_runner_calls_the_traced_names(self):
+    def test_trial_runner_calls_the_traced_names(self, monkeypatch):
         assert gepkit.montecarlo.build_thresholds is \
             gepkit.decoder.build_thresholds
         params = inspect.signature(
             gepkit.montecarlo.decode_receiver).parameters
         assert {"codebooks", "y"} <= set(params)
+        # run_trials decodes every trial through the receiver at that
+        # name, one block per call, whose arrays hold one entry per trial
+        original = gepkit.montecarlo.decode_receiver
+        blocks = []
+
+        def spied(*args, **kwargs):
+            call = inspect.signature(original).bind(*args, **kwargs)
+            out = original(*args, **kwargs)
+            books, y = call.arguments["codebooks"], call.arguments["y"]
+            assert y.ndim == 2 and len(books) == len(y) == len(out.reason)
+            blocks.append(len(y))
+            return out
+
+        monkeypatch.setattr(gepkit.montecarlo, "decode_receiver", spied)
+        scen, seed, _trials = TRIAL_SCENARIOS["bsc_compound_sec4"]
+        assert len(run_trials(scen, 70, seed)) == sum(blocks) == 70
+        assert len(blocks) > 1
 
     def test_exponent_hooks_resolve_and_take_positional_args(self,
                                                               monkeypatch):
@@ -355,8 +399,11 @@ class TestBenchmarkHooks:
         y = np.random.default_rng(0).integers(0, 2, 10)
         candidates = sum(cb.counts[(0, g[0])] for g in region)
         assert candidates > 0
-        out = decode_subset(tbl, cb, y)
+        out = decode_subset(tbl, [cb], y[None])
         assert out.diagnostics["candidates_evaluated"] == candidates
+        # a block reports the sum over its trials
+        out = decode_subset(tbl, [cb] * 3, np.stack([y] * 3))
+        assert out.diagnostics["candidates_evaluated"] == 3 * candidates
 
 
 class TestEmpiricalGep:
@@ -411,9 +458,9 @@ class TestEmpiricalGep:
                     for y in words:
                         py = np.prod([marg_pmf[x[j], y[j]]
                                       for j in range(N)])
-                        out = decode_subset(tbl, cb, np.array(y))
-                        err = classify_error(RELAXED, region, frozenset(),
-                                             (0, 0), (w,), out)
+                        out = decode_subset(tbl, [cb], np.array([y]))
+                        err, = classify_error(RELAXED, region, frozenset(),
+                                              [(0, 0)], [(w,)], out)
                         exact += p1 * p2 * 0.5 * py * err
 
         scen = make_scenario(m, N, region, g_set=[(0, 0)])
@@ -498,13 +545,18 @@ class TestComparePerG:
 # ---------------------------------------------------------------------------
 
 def reference_trials(scenario, trials, master_seed):
-    """run_trials' loop with every table drawn: each trial draws its whole
-    realization with sample_codebook and reads the transmitted codewords
-    from the drawn tables."""
+    """run_trials as a loop over trials with every table drawn: each trial
+    draws its whole realization with sample_codebook, reads the
+    transmitted codewords from the drawn tables, and is decoded and
+    classified by the per-trial reference decoder."""
     model, N = scenario.model, scenario.N
     g_list, g_probs = _g_sampler(scenario, model)
     transmit = _channel_sampler(model)
-    run_decoder = _prepare_decoder(scenario, model)
+    tables = {D: build_thresholds(model, D, reg, scenario.alpha,
+                                  margin=margin)
+              for D, reg, margin in receiver_parts(scenario)}
+    detector = build_detector(model, scenario.detection, scenario.alpha) \
+        if scenario.decoder == "detect" else None
     records = []
     for t in range(trials):
         rng = stream((master_seed, t, 1))
@@ -517,9 +569,10 @@ def reference_trials(scenario, trials, master_seed):
             x[k] = cb.tables[(k, g[k])][w[k] - 1]
         for k in range(model.K, model.n_users):
             x[k] = sample_from_pmf(rng, model.input_pmf(k, g[k]), N)
-        out = run_decoder(cb, transmit(x, rng.random(N)))
-        err = classify_error(scenario.error_model, scenario.region,
-                             scenario.margin, g, w, out)
+        y = transmit(x, rng.random(N))
+        out = reference_decode_receiver(tables, cb, y, detector)
+        err = reference_classify_error(scenario.error_model, scenario.region,
+                                       scenario.margin, g, w, out)
         records.append(TrialRecord(trial=t, g=g, w=w, kind=out.kind,
                                    w1=out.w1, g1=out.g1, error=err))
     return records
@@ -589,7 +642,7 @@ class TestTablesDrawn:
         def spy_decode(*args, **kwargs):
             out = decode(*args, **kwargs)
             if "detected_region" in out.diagnostics:
-                cells.append(out.diagnostics["detected_region"])
+                cells.extend(out.diagnostics["detected_region"].tolist())
             return out
 
         monkeypatch.setattr(gepkit.ensemble, "stream", spy_stream)
@@ -627,6 +680,41 @@ class TestTablesDrawn:
             # no region member uses user 1's second code
             assert (1, 1) not in want and (1, 1) in {
                 code for _t, code in built}
+
+
+class TestDecodingBlocks:
+    """Blocked decoding trials give the same records whatever the block
+    size: one trial per block, 7 per block, and the default.
+    detect_two_bsc runs detect-then-decode."""
+
+    @pytest.mark.parametrize("name, decoder", [
+        ("bsc_compound_sec4", "margin"), ("compound_bsc_relaxed", "plain"),
+        ("detect_two_bsc", "detect"), ("mac2-partition", "plain")])
+    def test_block_sizes(self, monkeypatch, name, decoder):
+        scen, seed, _trials = TRIAL_SCENARIOS[name]
+        scen = copy.copy(scen)
+        scen.decoder = decoder
+        default = gepkit.montecarlo.BLOCK_BYTES
+        per_default = default // _decode_block_bytes(scen, 1)
+        assert per_default > 7
+        trials = 2 * per_default + 3
+        original = gepkit.montecarlo.decode_receiver
+        runs = []
+        for per_block in (1, 7, per_default):
+            sizes = []
+
+            def spied(tables, codebooks, y, detector=None, _sizes=sizes):
+                _sizes.append(len(y))
+                return original(tables, codebooks, y, detector)
+
+            monkeypatch.setattr(gepkit.montecarlo, "BLOCK_BYTES",
+                                default if per_block == per_default
+                                else _decode_block_bytes(scen, per_block))
+            monkeypatch.setattr(gepkit.montecarlo, "decode_receiver", spied)
+            runs.append(run_trials(scen, trials, seed))
+            assert sizes == [min(per_block, trials - start)
+                             for start in range(0, trials, per_block)]
+        assert runs[0] == runs[1] == runs[2]
 
 
 # ---------------------------------------------------------------------------
@@ -696,7 +784,7 @@ def _random_detect_scenario(seed):
 
 
 def _block_bytes(scenario, per_block):
-    """DETECT_BLOCK_BYTES that makes blocks of ``per_block`` trials."""
+    """BLOCK_BYTES that makes blocks of ``per_block`` trials."""
     return per_block * 8 * (scenario.model.n_users + 1) * scenario.N
 
 
@@ -710,7 +798,7 @@ def _workload_detect_scenarios():
 
 class TestDetectionBlocks:
     """Blocked detection trials give the per-trial loop's tallies exactly,
-    whatever the block size, and hold at most DETECT_BLOCK_BYTES per
+    whatever the block size, and hold at most BLOCK_BYTES per
     block array."""
 
     @pytest.mark.parametrize("name", sorted(_workload_detect_scenarios()))
@@ -745,7 +833,7 @@ class TestDetectionBlocks:
         scen = _random_detect_scenario(seed)
         trials = 45
         per_block = per_block or trials
-        monkeypatch.setattr(gepkit.montecarlo, "DETECT_BLOCK_BYTES",
+        monkeypatch.setattr(gepkit.montecarlo, "BLOCK_BYTES",
                             _block_bytes(scen, per_block))
         sizes = []
         original = gepkit.montecarlo.detect_region
@@ -783,7 +871,7 @@ class TestDetectionBlocks:
 
     def test_one_stream_per_trial_in_order(self, monkeypatch):
         scen = _random_detect_scenario(2)
-        monkeypatch.setattr(gepkit.montecarlo, "DETECT_BLOCK_BYTES",
+        monkeypatch.setattr(gepkit.montecarlo, "BLOCK_BYTES",
                             _block_bytes(scen, 4))
         keys = []
         original = gepkit.montecarlo.stream
@@ -809,7 +897,7 @@ class TestDetectionBlocks:
         # trial alone takes more, and a block holds just that trial
         scen = load_scenario(SCENARIOS / "detect_two_bsc.json")
         rows = scen.model.n_users + 1
-        budget = gepkit.montecarlo.DETECT_BLOCK_BYTES
+        budget = gepkit.montecarlo.BLOCK_BYTES
         scen.N = N or budget // (8 * rows)
         limit = max(budget, 8 * rows * scen.N)
         seen = []

@@ -217,11 +217,13 @@ def cmd_detect(scenario: Scenario, out: Path) -> int:
         raise IntegrityError("$.detection: required for the detect command")
     tallies = montecarlo.run_detection_trials(scenario, scenario.trials,
                                               scenario.seed)
-    reports = detection_bound_reports(scenario)  # one cache for every g
+    cache = ExponentCache()  # one cache for every sampled g
     # each report bounds Pr{err | g} e^{-N alpha(g)}; judge Pr{err | g}
     per_g, passed = montecarlo.compare_per_g(tallies, {
-        g: min(1.0, float(np.exp(reports[g].log_raw
-                                 + scenario.N * scenario.alpha(g))))
+        g: min(1.0, float(np.exp(
+            detection_bound(scenario.model, g, scenario.detection,
+                            scenario.alpha, scenario.N, cache).log_raw
+            + scenario.N * scenario.alpha(g))))
         for g in tallies})
     word = "PASS" if passed else "FAIL"
     path = out / "detect.csv"

@@ -170,19 +170,26 @@ def _logsumexp(a, axis: int):
     When every a_max is finite no step can warn or yield a non-finite
     value, and the maximal entries' exp(a - a_max) = 1 are zeroed after the
     exponential rather than set to -inf before it; both give the same array.
+    When, besides, every slice has one maximal entry, m = 1 is not formed:
+    s / 1 is s, log(1) is +0.0 and x + 0.0 is x for x = log1p(s) >= +0.0
+    (s >= 0), so log1p(s) + a_max is the same double.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim == 0:
         a = a.reshape(1)
-    a_max = a.max(axis=axis, keepdims=True)
+    a_max = np.maximum.reduce(a, axis=axis, keepdims=True)
     i_max = a == a_max
-    m = i_max.sum(axis=axis, keepdims=True, dtype=float)
     if np.isfinite(a_max).all():
         e = np.exp(a - a_max)
         e[i_max] = 0.0
-        s = e.sum(axis=axis, keepdims=True)
-        out = np.log1p(s / m) + np.log(m) + a_max
+        s = np.add.reduce(e, axis=axis, keepdims=True)
+        if np.count_nonzero(i_max) == a_max.size:
+            out = np.log1p(s) + a_max
+        else:
+            m = np.add.reduce(i_max, axis=axis, keepdims=True, dtype=float)
+            out = np.log1p(s / m) + np.log(m) + a_max
     else:
+        m = np.add.reduce(i_max, axis=axis, keepdims=True, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             shifted = np.array(a, copy=True)
             shifted[i_max] = _NEG_INF
@@ -197,12 +204,16 @@ def _logsumexp(a, axis: int):
 
 def scale_log(c, logs):
     """c * logs with the x^0 = 1 convention: a zero coefficient wipes a
-    -inf log-probability instead of producing nan."""
+    -inf log-probability instead of producing nan; without a -inf in
+    ``logs`` it is the plain product."""
     c = np.asarray(c, dtype=float)
     logs = np.asarray(logs, dtype=float)
+    neg = np.isneginf(logs)
+    if not neg.any():
+        return c * logs
     with np.errstate(invalid="ignore"):
         out = c * logs
-    neg = np.isneginf(logs) & (np.broadcast_to(c, out.shape) == 0.0)
+    neg = neg & (np.broadcast_to(c, out.shape) == 0.0)
     if np.any(neg):
         out = np.where(neg, 0.0, out)
     return out

@@ -197,13 +197,15 @@ def _keyed(make, *tables):
 
 
 def _emd(lw_g, a_g, lw_t, a_t, lw_fixed, rate_sum):
-    scale_g, scale_t = _scaler(a_g[None]), _scaler(a_t[None])
+    # g and g~ tables share one shape: stacked, one log-sum-exp gives both
+    lw = np.stack([lw_g, lw_t]).reshape(2, 1, 1, 1, -1)
+    scale = _scaler(np.stack([a_g, a_t])[:, None])
 
     def objective(rho, s):
-        s = np.asarray(s, dtype=float).reshape(-1, 1, 1, 1)
-        t1 = _logsumexp(lw_g[None, None, None, :] + scale_g(1.0 - s), axis=3)
-        t2 = _logsumexp(lw_t[None, None, None, :] + scale_t(s / rho), axis=3)
-        combined = lw_fixed[None, None, :] + t1 + rho * t2
+        s = np.asarray(s, dtype=float).reshape(1, -1, 1, 1, 1)
+        c = np.concatenate([1.0 - s, s / rho])
+        t1, t2 = _logsumexp(lw + scale(c), axis=-1)
+        combined = lw_fixed + t1 + rho * t2
         total = _logsumexp(combined.reshape(combined.shape[0], -1), axis=1)
         return -rho * rate_sum - total
 
@@ -228,14 +230,13 @@ def emd_objective(model: SystemModel, D, S, g, g_tilde, alpha: WeightFunction):
 
 
 def _eid(lw_g, a_g, t2c, lw_fixed, rate_sum):
-    scale_g, scale_t2c = _scaler(a_g[None]), _scaler(t2c[None])
+    scale_g, scale_t2c = _scaler(a_g), _scaler(t2c)
 
     def objective(rho, s):
         s = np.asarray(s, dtype=float).reshape(-1, 1, 1, 1)
-        t1 = _logsumexp(lw_g[None, None, None, :] + scale_g(s / (s + rho)),
-                        axis=3)
+        t1 = _logsumexp(lw_g + scale_g(s / (s + rho)), axis=3)
         s2 = s.reshape(-1, 1, 1)
-        combined = (lw_fixed[None, None, :] + scale_log(s2 + rho, t1)
+        combined = (lw_fixed + scale_log(s2 + rho, t1)
                     + scale_t2c(1.0 - s2))
         total = _logsumexp(combined.reshape(combined.shape[0], -1), axis=1)
         return -rho * rate_sum - total
@@ -260,12 +261,11 @@ def eid_objective(model: SystemModel, D, S, g, g_prime, alpha: WeightFunction):
 
 
 def _ec(lp, lq):
-    scale_p, scale_q = _scaler(lp[None, :]), _scaler(lq[None, :])
+    scale_p, scale_q = _scaler(lp), _scaler(lq)
 
     def objective(s):
         s = np.asarray(s, dtype=float).reshape(-1, 1)
-        terms = scale_p(s) + scale_q(1.0 - s)
-        return -_logsumexp(terms, axis=1)
+        return -_logsumexp(scale_p(s) + scale_q(1.0 - s), axis=1)
 
     return objective
 

@@ -52,6 +52,12 @@ def small_search(base_grid, refine_rounds):
         mp.undo()
 
 
+def _same(mine, ref):
+    """Same type, shape and bytes (so -0.0 != 0.0 and nan payloads count)."""
+    return (type(mine) is type(ref) and np.shape(mine) == np.shape(ref)
+            and np.asarray(mine).tobytes() == np.asarray(ref).tobytes())
+
+
 def bsc_table(p):
     return np.array([[1.0 - p, p], [p, 1.0 - p]])
 

@@ -72,6 +72,7 @@ from gepkit.montecarlo import _channel_sampler
 from gepkit.scenario import load_scenario, parse_scenario
 
 from conftest import (
+    _same,
     load_workloads,
     random_alpha,
     random_g,
@@ -84,12 +85,6 @@ from conftest import (
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = sorted((ROOT / "scenarios").glob("*.json"))
 WORKLOAD_SCENARIOS = ("sec4-detect", "mac2-partition", "bigcode-detect")
-
-
-def _same(mine, ref):
-    """Same type, shape and bytes (so -0.0 != 0.0 and nan payloads count)."""
-    return (type(mine) is type(ref) and np.shape(mine) == np.shape(ref)
-            and np.asarray(mine).tobytes() == np.asarray(ref).tobytes())
 
 
 def _random_array(rng, case):
@@ -129,6 +124,25 @@ class TestLogsumexp:
                     [-745.0, -745.0], [0.0], [1e-300, -1e-300]):
             a = np.array(row)
             assert _same(_logsumexp(a, 0), logsumexp(a, axis=0)), row
+
+    # the count m of maximal entries is formed only where some slice ties
+    def test_every_slice_has_one_maximum(self):
+        a = np.random.default_rng(3).normal(size=(40, 7)) * 30.0
+        assert (a == a.max(axis=1, keepdims=True)).sum() == 40
+        assert _same(_logsumexp(a, 1), logsumexp(a, axis=1))
+        assert _same(_logsumexp(a.T, 0), logsumexp(a.T, axis=0))
+
+    def test_mixed_slices(self):
+        a = np.round(np.random.default_rng(4).normal(size=(40, 7)) * 2.0)
+        ties = (a == a.max(axis=1, keepdims=True)).sum(axis=1)
+        assert (ties == 1).any() and (ties > 1).any()
+        assert _same(_logsumexp(a, 1), logsumexp(a, axis=1))
+
+    def test_every_entry_ties(self):
+        for value in (-3.5, 0.0, -0.0, 700.0):
+            a = np.full((5, 4), value)
+            assert _same(_logsumexp(a, 1), logsumexp(a, axis=1)), value
+            assert _same(_logsumexp(a[0], 0), logsumexp(a[0], axis=0))
 
 
 def reference_log_expectation(model, D, S, g, y, x_fixed, a):
@@ -361,6 +375,29 @@ class TestOneDetectionPath:
                       ("exponent_Ec", (0, 1), (0, 0)): 1}
         repeated = {k: n for k, n in calls.items() if n > 1}
         assert not repeated
+
+    def test_detect_bounds_only_the_sampled_g(self, tmp_path, monkeypatch):
+        """``detect`` with ``"g_set": [[0, 0]]`` bounds g = (0, 0) alone:
+        one detection-exponent lookup, not one per g of the index space."""
+        doc = json.loads((ROOT / "scenarios" / "detect_two_bsc.json")
+                         .read_text())
+        doc["g_set"] = [[0, 0]]
+        scenario = tmp_path / "one_g.json"
+        scenario.write_text(json.dumps(doc))
+        lookups = []
+        real = ExponentCache.ec
+
+        def spy(self, model, g, g_tilde, alpha):
+            lookups.append((tuple(g), tuple(g_tilde)))
+            return real(self, model, g, g_tilde, alpha)
+
+        monkeypatch.setattr(ExponentCache, "ec", spy)
+        out = tmp_path / "out"
+        assert main(["detect", "--scenario", str(scenario), "--out", str(out),
+                     "--trials", "50"]) in (0, 1)
+        assert lookups == [((0, 0), (0, 1))]
+        rows = (out / "detect.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in rows] == ["g", "0 0"]
 
 
 # ---------------------------------------------------------------------------

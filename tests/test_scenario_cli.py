@@ -467,8 +467,10 @@ class TestMemoryPreflight:
         p.write_text(json.dumps(doc))
         rate = load_scenario(p).model.rate(0, 0)
         assert message_count(rate, 64) == 938501
+        # its table, plus the gather and four scores of each candidate
         assert 938501 * 64 * 8 == 480512512 > \
             gepkit.montecarlo.TRIAL_BUDGET_BYTES
+        assert 480512512 + 938501 * (64 + 4) * 8 == 991057056
 
         def forbidden(*args, **kwargs):
             raise AssertionError("simulate allocated before its pre-flight")
@@ -479,7 +481,7 @@ class TestMemoryPreflight:
         code = main(["simulate", "--scenario", str(p), "--trials", "1",
                      "--out", str(tmp_path / "out")])
         assert code == 2
-        assert "480512512 bytes" in capsys.readouterr().err
+        assert "991057056 bytes" in capsys.readouterr().err
         assert main(["bound", "--scenario", str(p),
                      "--out", str(tmp_path / "out")]) == 0
 
@@ -575,15 +577,20 @@ class TestMemoryPreflight:
             run_trials(parse_scenario(doc), 1, 1)
 
     def test_single_user_boundary_is_the_codebooks(self, monkeypatch):
-        """A single-user decoder's candidates are views of its table:
-        compound_bsc_relaxed reaches its thresholds at N = 65 (230,054,760
-        codebook bytes) and is refused at N = 66."""
+        """A single-user decoder's candidates are views of its table, but
+        each holds a likelihood gather of N symbols and four scores:
+        compound_bsc_relaxed reaches its thresholds at N = 62 (242,801
+        messages, 248,628,224 bytes) and is refused at N = 63 (296,558
+        messages, 308,420,320 bytes)."""
         doc = json.loads((SCENARIOS / "compound_bsc_relaxed.json").read_text())
         built = self._refuse_thresholds(monkeypatch)
-        doc["N"] = 65
-        assert message_count(0.2, 65) * 65 * 8 == 230054760
+        for N, messages, need in ((62, 242801, 248628224),
+                                  (63, 296558, 308420320)):
+            assert message_count(0.2, N) == messages
+            assert messages * (N + N + 4) * 8 == need
+        doc["N"] = 62
         with pytest.raises(built):
             run_trials(parse_scenario(doc), 1, 1)
-        doc["N"] = 66
-        with pytest.raises(MemoryBudgetExceeded):
+        doc["N"] = 63
+        with pytest.raises(MemoryBudgetExceeded, match=" 308420320 bytes"):
             run_trials(parse_scenario(doc), 1, 1)

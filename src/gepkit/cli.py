@@ -93,11 +93,16 @@ def margin_bound_report(scenario: Scenario, cache=None):
                        scenario.N, margin=scenario.margin, cache=cache)
 
 
+def detection_report(scenario: Scenario, g, cache):
+    """Weighted detection bound at g for the scenario's detection cells."""
+    return detection_bound(scenario.model, g, scenario.detection,
+                           scenario.alpha, scenario.N, cache=cache)
+
+
 def detection_bound_reports(scenario: Scenario, cache=None):
     """Per-g weighted detection bounds for the scenario's detection cells."""
     cache = cache or ExponentCache()
-    return {g: detection_bound(scenario.model, g, scenario.detection,
-                               scenario.alpha, scenario.N, cache=cache)
+    return {g: detection_report(scenario, g, cache)
             for g in scenario.model.index_space()}
 
 
@@ -220,10 +225,8 @@ def cmd_detect(scenario: Scenario, out: Path) -> int:
     cache = ExponentCache()  # one cache for every sampled g
     # each report bounds Pr{err | g} e^{-N alpha(g)}; judge Pr{err | g}
     per_g, passed = montecarlo.compare_per_g(tallies, {
-        g: min(1.0, float(np.exp(
-            detection_bound(scenario.model, g, scenario.detection,
-                            scenario.alpha, scenario.N, cache).log_raw
-            + scenario.N * scenario.alpha(g))))
+        g: min(1.0, float(np.exp(detection_report(scenario, g, cache).log_raw
+                                 + scenario.N * scenario.alpha(g))))
         for g in tallies})
     word = "PASS" if passed else "FAIL"
     path = out / "detect.csv"

@@ -208,8 +208,8 @@ def scale_log(c, logs):
     ``logs`` it is the plain product."""
     c = np.asarray(c, dtype=float)
     logs = np.asarray(logs, dtype=float)
-    neg = np.isneginf(logs)
-    if not neg.any():
+    neg = logs == _NEG_INF
+    if not np.count_nonzero(neg):
         return c * logs
     with np.errstate(invalid="ignore"):
         out = c * logs

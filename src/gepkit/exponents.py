@@ -176,15 +176,6 @@ def _pair_factors(model, D, S, g):
     return lm, logw_free
 
 
-def _scaler(logs):
-    """c -> scale_log(c, logs) for a fixed log table, decided once: where
-    the table holds no -inf entry, scale_log's zero-coefficient repair can
-    never apply and the plain product is the same array."""
-    if np.isneginf(logs).any():
-        return lambda c: scale_log(c, logs)
-    return lambda c: np.asarray(c, dtype=float) * logs
-
-
 def _keyed(make, *tables):
     """``make(*tables)``, an objective that closes over nothing but
     ``tables``, with its content key attached: the factory's name and the
@@ -199,12 +190,12 @@ def _keyed(make, *tables):
 def _emd(lw_g, a_g, lw_t, a_t, lw_fixed, rate_sum):
     # g and g~ tables share one shape: stacked, one log-sum-exp gives both
     lw = np.stack([lw_g, lw_t]).reshape(2, 1, 1, 1, -1)
-    scale = _scaler(np.stack([a_g, a_t])[:, None])
+    a = np.stack([a_g, a_t])[:, None]
 
     def objective(rho, s):
         s = np.asarray(s, dtype=float).reshape(1, -1, 1, 1, 1)
         c = np.concatenate([1.0 - s, s / rho])
-        t1, t2 = _logsumexp(lw + scale(c), axis=-1)
+        t1, t2 = _logsumexp(lw + scale_log(c, a), axis=-1)
         combined = lw_fixed + t1 + rho * t2
         total = _logsumexp(combined.reshape(combined.shape[0], -1), axis=1)
         return -rho * rate_sum - total
@@ -230,14 +221,12 @@ def emd_objective(model: SystemModel, D, S, g, g_tilde, alpha: WeightFunction):
 
 
 def _eid(lw_g, a_g, t2c, lw_fixed, rate_sum):
-    scale_g, scale_t2c = _scaler(a_g), _scaler(t2c)
-
     def objective(rho, s):
         s = np.asarray(s, dtype=float).reshape(-1, 1, 1, 1)
-        t1 = _logsumexp(lw_g + scale_g(s / (s + rho)), axis=3)
+        t1 = _logsumexp(lw_g + scale_log(s / (s + rho), a_g), axis=3)
         s2 = s.reshape(-1, 1, 1)
         combined = (lw_fixed + scale_log(s2 + rho, t1)
-                    + scale_t2c(1.0 - s2))
+                    + scale_log(1.0 - s2, t2c))
         total = _logsumexp(combined.reshape(combined.shape[0], -1), axis=1)
         return -rho * rate_sum - total
 
@@ -261,11 +250,9 @@ def eid_objective(model: SystemModel, D, S, g, g_prime, alpha: WeightFunction):
 
 
 def _ec(lp, lq):
-    scale_p, scale_q = _scaler(lp), _scaler(lq)
-
     def objective(s):
         s = np.asarray(s, dtype=float).reshape(-1, 1)
-        return -_logsumexp(scale_p(s) + scale_q(1.0 - s), axis=1)
+        return -_logsumexp(scale_log(s, lp) + scale_log(1.0 - s, lq), axis=1)
 
     return objective
 

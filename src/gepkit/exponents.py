@@ -194,18 +194,20 @@ def _emd(lw_g, a_g, lw_t, a_t, lw_fixed, rate_sum):
 
     def objective(rho, s):
         s = np.asarray(s, dtype=float).reshape(1, -1, 1, 1, 1)
-        c = np.concatenate([1.0 - s, s / rho])
+        rho = np.asarray(rho, dtype=float).reshape(-1, 1, 1)
+        c = np.concatenate([1.0 - s, s / rho[..., None]])
         t1, t2 = _logsumexp(lw + scale_log(c, a), axis=-1)
         combined = lw_fixed + t1 + rho * t2
         total = _logsumexp(combined.reshape(combined.shape[0], -1), axis=1)
-        return -rho * rate_sum - total
+        return -rho.reshape(-1) * rate_sum - total
 
     return objective
 
 
 def emd_objective(model: SystemModel, D, S, g, g_tilde, alpha: WeightFunction):
-    """Objective (rho, s_array) -> values for the message-confusion
-    exponent; maximize over rho in (0,1], s in (0,1]."""
+    """Objective (rho, s) -> values for the message-confusion exponent, rho
+    paired with s elementwise (see :func:`maximize_rho_s`); maximize over
+    rho in (0,1], s in (0,1]."""
     D, S = _check_DS(model, D, S)
     if not set(D) - S:
         raise EmptyDifferenceSet(f"D\\S is empty for D={D}, S={sorted(S)}")
@@ -223,19 +225,20 @@ def emd_objective(model: SystemModel, D, S, g, g_tilde, alpha: WeightFunction):
 def _eid(lw_g, a_g, t2c, lw_fixed, rate_sum):
     def objective(rho, s):
         s = np.asarray(s, dtype=float).reshape(-1, 1, 1, 1)
-        t1 = _logsumexp(lw_g + scale_log(s / (s + rho), a_g), axis=3)
-        s2 = s.reshape(-1, 1, 1)
-        combined = (lw_fixed + scale_log(s2 + rho, t1)
-                    + scale_log(1.0 - s2, t2c))
+        rho = np.asarray(rho, dtype=float).reshape(-1, 1, 1, 1)
+        s_rho = s + rho
+        t1 = _logsumexp(lw_g + scale_log(s / s_rho, a_g), axis=3)
+        combined = (lw_fixed + scale_log(s_rho[..., 0], t1)
+                    + scale_log(1.0 - s[..., 0], t2c))
         total = _logsumexp(combined.reshape(combined.shape[0], -1), axis=1)
-        return -rho * rate_sum - total
+        return -rho.reshape(-1) * rate_sum - total
 
     return objective
 
 
 def eid_objective(model: SystemModel, D, S, g, g_prime, alpha: WeightFunction):
-    """Objective (rho, s_array) -> values for the false-acceptance exponent;
-    maximize over rho in (0,1], s in (0, 1-rho]."""
+    """Objective (rho, s) -> values for the false-acceptance exponent, rho
+    paired with s elementwise; maximize over rho in (0,1], s in (0, 1-rho]."""
     D, S = _check_DS(model, D, S)
     g = model.check_g(g)
     gp = model.check_g(g_prime)

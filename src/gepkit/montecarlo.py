@@ -159,14 +159,13 @@ def receiver_parts(scenario) -> list:
 def _trial_bytes(scenario, counts: dict) -> int:
     """Bytes one decoding trial may hold: every code's table (message count
     x N x 8, drawn or not), plus the candidate grid of the largest decoder.
-    A decoder holds prod_{k in D} M_k candidates per in-region g.  Over two
-    or more users each is |D| gathered rows, their stacked copy and a
-    likelihood gather, (2|D| + 1) x N x 8 bytes; a single user's rows are
-    views of its table, so each holds its likelihood gather and four
-    scores, (N + 4) x 8 bytes."""
+    A decoder holds prod_{k in D} M_k candidates per in-region g, each with
+    a likelihood gather and four scores, (N + 4) x 8 bytes.  Over two or
+    more users each also holds |D| gathered rows and their stacked copy,
+    2|D| x N x 8 bytes more; a single user's rows are views of its table."""
     N = scenario.N
     grids = [sum(math.prod(counts[k, g[k]] for k in D) for g in region)
-             * ((2 * len(D) + 1) * N if len(D) > 1 else N + 4) * 8
+             * ((2 * len(D) + 1) * N + 4 if len(D) > 1 else N + 4) * 8
              for D, region, _margin in receiver_parts(scenario)]
     return sum(n * N * 8 for n in counts.values()) + max(grids, default=0)
 

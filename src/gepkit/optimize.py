@@ -26,6 +26,7 @@ REFINE_POINTS = 9  # points per axis of a refinement round's window
 POLISH_XATOL = 1e-12  # the Brent polish's absolute argument tolerance
 POLISH_VALUE_TOL = 1e-13  # a polish sweep gaining less ends the polish
 POLISH_SWEEPS = 60  # at most this many (s, rho) polish sweeps
+SCAN_POINTS = 1024  # most (rho, s) points one scan call evaluates
 _SQRT_EPS = math.sqrt(2.2e-16)  # the Brent polish's constants, as in scipy
 _GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
 
@@ -36,9 +37,10 @@ class SearchResult:
     argmax: tuple[float, ...]
 
 
-def _axis(lo: float, hi: float, n: int) -> np.ndarray:
-    """n points on (lo, hi]; doubling n yields a superset of points."""
-    return lo + (hi - lo) * np.arange(1, n + 1) / n
+def _axis(lo: float, hi, n: int) -> np.ndarray:
+    """n points on (lo, hi]; doubling n yields a superset of points.  An
+    array hi gives one such row per entry."""
+    return lo + np.multiply.outer(hi - lo, np.arange(1, n + 1)) / n
 
 
 def _brent_max(f, lo: float, hi: float, x0: float, xatol: float):
@@ -131,7 +133,13 @@ def maximize_scalar(f, lo: float, hi: float) -> SearchResult:
 
 
 def maximize_rho_s(f, s_cap=None) -> SearchResult:
-    """Maximize f(rho, s_array) over rho in (EPS, 1], s in (EPS, s_max].
+    """Maximize f(rho, s) over rho in (EPS, 1], s in (EPS, s_max].
+
+    ``f(rho, s)`` takes s as a float or an array and rho as a float or an
+    array of s's shape, paired with s elementwise, and returns one value
+    per point, flattened.  Each scan stage evaluates all its (rho, s) rows
+    in calls of at most ``SCAN_POINTS`` points; the polish evaluates no
+    point twice.
 
     ``s_cap``: None for s_max = 1 independent of rho, or a callable
     rho -> s_max (the coupled constraint s <= 1 - rho uses
@@ -139,32 +147,32 @@ def maximize_rho_s(f, s_cap=None) -> SearchResult:
     EPS are skipped.
     """
     s_max = (lambda r: 1.0) if s_cap is None else s_cap
-
-    def s_range_ok(r):
-        return s_max(r) > EPS
-
     best = (-np.inf, EPS, EPS)
 
-    def scan(rhos, s_windows=None):
+    def scan(rhos, ss):
+        """Rows rho_i with s on ss[i], compared in order: a row's best point
+        replaces the incumbent if it is larger."""
         nonlocal best
-        for rho in rhos:
-            if not s_range_ok(rho):
-                continue
-            if s_windows is None:
-                ss = _axis(EPS, s_max(rho), BASE_GRID)
-            else:
-                a, b = s_windows
-                a, b = max(EPS, a), min(s_max(rho), b)
-                if b <= a:
-                    continue
-                ss = np.linspace(a, b, REFINE_POINTS)
-            vs = np.asarray(f(rho, ss), dtype=float)
-            j = int(np.nanargmax(vs))
-            if vs[j] > best[0]:
-                best = (float(vs[j]), float(rho), float(ss[j]))
+        if not len(rhos):
+            return
+        r, s = np.repeat(rhos, ss.shape[1]), ss.reshape(-1)
+        vs = np.concatenate([
+            np.asarray(f(r[i:i + SCAN_POINTS], s[i:i + SCAN_POINTS]),
+                       dtype=float) for i in range(0, r.size, SCAN_POINTS)
+        ]).reshape(ss.shape)
+        js = np.nanargmax(vs, axis=1)
+        row_best = vs[np.arange(len(js)), js]
+        i = int(np.argmax(row_best))
+        if row_best[i] > best[0]:
+            best = (float(row_best[i]), float(rhos[i]), float(ss[i, js[i]]))
+
+    def caps(rhos):
+        return np.array([s_max(r) for r in rhos])
 
     rho_grid = _axis(EPS, 1.0, BASE_GRID)
-    scan(rho_grid)
+    s_his = caps(rho_grid)
+    keep = s_his > EPS
+    scan(rho_grid[keep], _axis(EPS, s_his[keep], BASE_GRID))
     rho_step = (1.0 - EPS) / BASE_GRID
     for _ in range(REFINE_ROUNDS):
         _, r0, s0 = best
@@ -172,16 +180,26 @@ def maximize_rho_s(f, s_cap=None) -> SearchResult:
         rhos = np.linspace(a, b, REFINE_POINTS)
         # s window scales with the current s grid step around the incumbent
         s_step = max(s_max(r0) - EPS, EPS) / BASE_GRID
-        scan(rhos, s_windows=(s0 - s_step, s0 + s_step))
+        s_lo, s_his = max(EPS, s0 - s_step), np.minimum(caps(rhos),
+                                                        s0 + s_step)
+        keep = s_his > s_lo
+        scan(rhos[keep],
+             np.linspace(s_lo, s_his[keep], REFINE_POINTS, axis=1))
         rho_step = (b - a) / (REFINE_POINTS - 1)
 
-    fhat = lambda r, s: float(f(r, np.asarray([s]))[0])
+    seen = {}  # (rho, s) -> f there; f is deterministic
+
+    def value(r, s):
+        if (r, s) not in seen:
+            seen[r, s] = float(f(r, np.asarray([s]))[0])
+        return seen[r, s]
+
     for _ in range(POLISH_SWEEPS):
         v_prev, r0, s0 = best
         # s sweep at fixed rho
         s_hi = s_max(r0)
         if s_hi > EPS:
-            s_new, v = _brent_max(lambda s: fhat(r0, s), EPS, s_hi,
+            s_new, v = _brent_max(lambda s: value(r0, s), EPS, s_hi,
                                   min(s0, s_hi), POLISH_XATOL)
             if v > best[0]:
                 best = (v, r0, s_new)
@@ -189,7 +207,7 @@ def maximize_rho_s(f, s_cap=None) -> SearchResult:
         _, r0, s0 = best
         r_hi = 1.0 if s_cap is None else _max_feasible_rho(s_max, s0)
         if r_hi > EPS:
-            r_new, v = _brent_max(lambda r: fhat(r, s0), EPS, r_hi,
+            r_new, v = _brent_max(lambda r: value(r, s0), EPS, r_hi,
                                   min(r0, r_hi), POLISH_XATOL)
             if v > best[0]:
                 best = (v, r_new, s0)

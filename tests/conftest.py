@@ -10,6 +10,7 @@ from hypothesis import settings
 from gepkit import CodeSpec, SystemModel, make_compound_bsc, make_dmc
 from gepkit import optimize
 from gepkit.exponents import WeightFunction
+from gepkit.scenario import load_scenario, parse_scenario
 
 settings.register_profile("ci", deadline=None, max_examples=25)
 settings.load_profile("ci")
@@ -111,6 +112,40 @@ def random_model(rng, max_users=3, max_codes=2, max_out=3, min_prob=0.05):
     return SystemModel(dmc=make_dmc(t), K=K, M=M, libraries=tuple(libs))
 
 
+def with_zeros(rng, model):
+    """``model`` with about a third of its channel entries set to zero (each
+    row keeps one nonzero entry) and, on every other call, a zero in one
+    input pmf: -inf logs in the objectives' tables."""
+    t = model.dmc.pmf.copy()
+    t[rng.random(t.shape) < 0.35] = 0.0
+    rows = t.reshape(-1, t.shape[-1])
+    rows[rows.sum(axis=1) == 0, 0] = 1.0
+    t /= t.sum(axis=-1, keepdims=True)
+    libs = [list(lib) for lib in model.libraries]
+    if rng.random() < 0.5:
+        k = int(rng.integers(0, len(libs)))
+        libs[k][0] = CodeSpec(libs[k][0].rate, np.array([1.0, 0.0]))
+    return SystemModel(dmc=make_dmc(t), K=model.K, M=model.M,
+                       libraries=tuple(tuple(lib) for lib in libs))
+
+
+def tied(model):
+    """``model`` with uniform input pmfs, so that at a zero coefficient every
+    entry of an inner log-sum-exp slice ties."""
+    libs = tuple(tuple(CodeSpec(c.rate, np.array([0.5, 0.5])) for c in lib)
+                 for lib in model.libraries)
+    return SystemModel(dmc=model.dmc, K=model.K, M=model.M, libraries=libs)
+
+
+def variant_model(rng, variant):
+    """A :func:`random_model` as drawn ("plain"), with channel zeros
+    ("zeros", :func:`with_zeros`) or with tied maxima ("tied")."""
+    model = random_model(rng)
+    if variant == "zeros":
+        return with_zeros(rng, model)
+    return tied(model) if variant == "tied" else model
+
+
 def random_alpha(rng, model, hi=0.3):
     return WeightFunction(
         model, rng.uniform(0.0, hi, size=model.code_counts))
@@ -124,3 +159,21 @@ def random_g(rng, model):
 def sec4_model():
     return make_compound_bsc([0.18, 0.185, 0.185, 0.19], [0.5, 0.5],
                              0.31 * LN2)
+
+
+WORKLOAD_SCENARIOS = ("sec4-detect", "mac2-partition", "bigcode-detect")
+
+
+def search_scenarios():
+    """The shipped scenarios and the benchmark's derived ones, as pytest
+    parameters for :func:`load_search_scenario`."""
+    return [pytest.param(path.name, id=path.stem)
+            for path in sorted((ROOT / "scenarios").glob("*.json"))] + \
+        [pytest.param(name, id=name) for name in WORKLOAD_SCENARIOS]
+
+
+def load_search_scenario(name):
+    """A shipped scenario by file name, or a derived one by workload name."""
+    if name in WORKLOAD_SCENARIOS:
+        return parse_scenario(load_workloads().generate(name, ROOT))
+    return load_scenario(ROOT / "scenarios" / name)

@@ -8,17 +8,17 @@ stacks its two sides into one log-sum-exp.  Each must give the
 reference's bytes: ``scale_log`` on random tables, the objectives of
 random models (channel zeros, tied maxima, scalar and vector s), and every
 exponent search of ``bound`` and ``exponents`` on the shipped scenarios and
-the benchmark's workloads, value and argmax.
+the benchmark's workloads, value and argmax.  The reference objectives take
+a scalar rho, so their searches run under the row-by-row search of
+``tests/reference_search.py``.
 """
 
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 import gepkit.exponents
-from gepkit import CodeSpec, SystemModel, make_dmc
 from gepkit.cli import cmd_bound, cmd_exponents
 from gepkit.ensemble import scale_log
 from gepkit.exponents import (
@@ -28,45 +28,17 @@ from gepkit.exponents import (
     proper_subsets,
 )
 from gepkit.optimize import EPS
-from gepkit.scenario import load_scenario, parse_scenario
 
 from conftest import (
     _same,
-    load_workloads,
+    load_search_scenario,
     random_alpha,
     random_g,
-    random_model,
+    search_scenarios,
+    variant_model,
 )
 from reference_exponents import FACTORIES, reference_scale_log
-
-ROOT = Path(__file__).resolve().parent.parent
-SCENARIOS = sorted((ROOT / "scenarios").glob("*.json"))
-WORKLOAD_SCENARIOS = ("sec4-detect", "mac2-partition", "bigcode-detect")
-
-
-def _with_zeros(rng, model):
-    """``model`` with about a third of its channel entries set to zero (each
-    row keeps one nonzero entry) and, on every other call, a zero in one
-    input pmf: -inf logs in the objectives' tables."""
-    t = model.dmc.pmf.copy()
-    t[rng.random(t.shape) < 0.35] = 0.0
-    rows = t.reshape(-1, t.shape[-1])
-    rows[rows.sum(axis=1) == 0, 0] = 1.0
-    t /= t.sum(axis=-1, keepdims=True)
-    libs = [list(lib) for lib in model.libraries]
-    if rng.random() < 0.5:
-        k = int(rng.integers(0, len(libs)))
-        libs[k][0] = CodeSpec(libs[k][0].rate, np.array([1.0, 0.0]))
-    return SystemModel(dmc=make_dmc(t), K=model.K, M=model.M,
-                       libraries=tuple(tuple(lib) for lib in libs))
-
-
-def _tied(model):
-    """``model`` with uniform input pmfs, so that at a zero coefficient every
-    entry of an inner log-sum-exp slice ties."""
-    libs = tuple(tuple(CodeSpec(c.rate, np.array([0.5, 0.5])) for c in lib)
-                 for lib in model.libraries)
-    return SystemModel(dmc=model.dmc, K=model.K, M=model.M, libraries=libs)
+from reference_search import reference_maximize_rho_s
 
 
 def _objective_pair(monkeypatch, build, *args):
@@ -124,11 +96,7 @@ class TestObjectives:
                                     [variant])
         checked = 0
         for _ in range(12):
-            model = random_model(rng)
-            if variant == "zeros":
-                model = _with_zeros(rng, model)
-            elif variant == "tied":
-                model = _tied(model)
+            model = variant_model(rng, variant)
             alpha = random_alpha(rng, model)
             g, g2 = random_g(rng, model), random_g(rng, model)
             builds = [(ec_objective, (model, g, g2, alpha))]
@@ -152,25 +120,15 @@ class TestObjectives:
         assert checked > 300
 
 
-def _scenarios():
-    return [pytest.param(path.name, id=path.stem) for path in SCENARIOS] + \
-        [pytest.param(name, id=name) for name in WORKLOAD_SCENARIOS]
-
-
-def _load(name):
-    if name in WORKLOAD_SCENARIOS:
-        return parse_scenario(load_workloads().generate(name, ROOT))
-    return load_scenario(ROOT / "scenarios" / name)
-
-
-def _searches(monkeypatch, scenario, out, factories):
+def _searches(monkeypatch, scenario, out, swaps):
     """Every search result of ``bound`` then ``exponents`` on ``scenario``,
-    with the objective factories of ``factories`` swapped in, as the bytes
-    of (value, *argmax); and the files both commands wrote."""
+    with the objective factories and searches of ``swaps`` (names in
+    :mod:`gepkit.exponents`) swapped in, as the bytes of (value, *argmax);
+    and the files both commands wrote."""
     results = []
     with monkeypatch.context() as mp:
-        for name, make in factories.items():
-            mp.setattr(gepkit.exponents, name, make)
+        for name, swap in swaps.items():
+            mp.setattr(gepkit.exponents, name, swap)
         for name in ("maximize_rho_s", "maximize_scalar"):
             real = getattr(gepkit.exponents, name)
 
@@ -187,11 +145,13 @@ def _searches(monkeypatch, scenario, out, factories):
     return results, files
 
 
-@pytest.mark.parametrize("name", _scenarios())
+@pytest.mark.parametrize("name", search_scenarios())
 def test_every_search_matches_the_reference_objectives(name, tmp_path,
                                                         monkeypatch, capsys):
-    scenario = _load(name)
+    scenario = load_search_scenario(name)
     mine = _searches(monkeypatch, scenario, tmp_path / "kernel", {})
-    ref = _searches(monkeypatch, scenario, tmp_path / "reference", FACTORIES)
+    # the reference objectives take a scalar rho: the row-by-row search
+    ref = _searches(monkeypatch, scenario, tmp_path / "reference",
+                    {**FACTORIES, "maximize_rho_s": reference_maximize_rho_s})
     assert mine[0], "no exponent was maximized"
     assert mine == ref

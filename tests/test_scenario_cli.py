@@ -550,8 +550,8 @@ class TestMemoryPreflight:
                                             capsys):
         """mac2-partition at N = 30 with (1, 1) decoded under D = (0, 1):
         its codebooks take 3.75 MiB, but g = (1, 1) alone has 8103^2
-        candidates, each held as 2 gathered rows, their stack and a
-        likelihood gather of 30 symbols."""
+        candidates, each held as 2 gathered rows, their stack, a
+        likelihood gather of 30 symbols and four scores."""
         doc = load_workloads().generate("mac2-partition", ROOT)
         doc["N"] = 30
         doc["region"].append([1, 1])
@@ -561,7 +561,7 @@ class TestMemoryPreflight:
         assert (message_count(scen.model.rate(0, 0), 30),
                 message_count(scen.model.rate(0, 1), 30)) == (90, 8103)
         assert codebooks == 3932640 < gepkit.montecarlo.TRIAL_BUDGET_BYTES
-        grid = (90 * 90 + 8103 * 8103) * 5 * 30 * 8
+        grid = (90 * 90 + 8103 * 8103) * (5 * 30 + 4) * 8
         assert 8103 * 8103 == 65658609
         built = self._refuse_thresholds(monkeypatch)
         with pytest.raises(MemoryBudgetExceeded,

@@ -75,15 +75,14 @@ def _tally_rows(per_g: dict, extra=lambda *rest: rest) -> list:
 # bound evaluation shared by `bound` / `simulate` / `exponents`
 # ---------------------------------------------------------------------------
 
-def decode_bound_reports(scenario: Scenario, cache=None):
+def decode_bound_reports(scenario: Scenario, cache):
     """Per-D decoder bounds for the scenario's own partition."""
-    cache = cache or ExponentCache()
     return {D: gep_bound_D(scenario.model, D, reg, scenario.alpha,
                            scenario.N, cache=cache)
             for D, reg in scenario.partition}
 
 
-def margin_bound_report(scenario: Scenario, cache=None):
+def margin_bound_report(scenario: Scenario, cache):
     """The margin decoder's bound over all regular users, or None when the
     scenario has no margin and its receiver has no margin decoder."""
     if not (scenario.margin or scenario.decoder == "margin"):
@@ -99,19 +98,17 @@ def detection_report(scenario: Scenario, g, cache):
                            scenario.alpha, scenario.N, cache=cache)
 
 
-def detection_bound_reports(scenario: Scenario, cache=None):
+def detection_bound_reports(scenario: Scenario, cache):
     """Per-g weighted detection bounds for the scenario's detection cells."""
-    cache = cache or ExponentCache()
     return {g: detection_report(scenario, g, cache)
             for g in scenario.model.index_space()}
 
 
-def scenario_bound(scenario: Scenario, cache=None):
+def scenario_bound(scenario: Scenario, cache):
     """The analytic bound of the receiver ``simulate`` runs: the bounds of
     the decoders of :func:`montecarlo.receiver_parts`, summed, plus the
     weighted detection bound under detect-then-decode.  Returns a
     BoundReport."""
-    cache = cache or ExponentCache()
     reports = {D: gep_bound_D(scenario.model, D, reg, scenario.alpha,
                               scenario.N, margin=margin, cache=cache)
                for D, reg, margin in montecarlo.receiver_parts(scenario)}

@@ -114,13 +114,14 @@ def typicality_threshold(model: SystemModel, D, S, g,
 class ThresholdTable:
     """Precomputed threshold parameters for one (D, R_D[, margin]) decoder
     and the model, D, region and alpha they were solved under; a margin
-    shows only as the covering subsets in ``subsets_margin``."""
+    shows only as the covering subsets in ``subsets_margin``.  A (g, S)
+    without a compatible excluded vector holds :data:`UNCONSTRAINED`."""
 
     model: SystemModel
     D: tuple
     region: frozenset
     alpha: WeightFunction
-    params: dict             # (g, frozenset S) -> ThresholdParams | None
+    params: dict             # (g, frozenset S) -> ThresholdParams
     subsets_decode: tuple    # proper S with D\S nonempty
     subsets_margin: tuple    # proper S covering D (margin decoder only)
 
@@ -129,8 +130,7 @@ class ThresholdTable:
 
 
 def build_thresholds(model: SystemModel, D, region, alpha: WeightFunction,
-                     margin=None,
-                     cache: ExponentCache | None = None) -> ThresholdTable:
+                     margin=None, *, cache: ExponentCache) -> ThresholdTable:
     """Select (rho_t, s2, s1, gstar) for every (in-region g, subset S).
 
     ``margin=None`` builds the plain decoder of the union-bound analysis;
@@ -138,11 +138,10 @@ def build_thresholds(model: SystemModel, D, region, alpha: WeightFunction,
     which additionally equips the subsets S covering D, whose
     excluded-vector search ranges outside region union margin (the
     searches of :func:`decoder_searches`).  Exponents are looked up in
-    ``cache``, a fresh :class:`ExponentCache` when None.
+    ``cache``.
     """
     (D, region, _margin), searches = decoder_searches(model, D, region,
                                                       margin)
-    cache = cache or ExponentCache()
     params = {}
     for g in sorted(region):
         for S, excluded, covers_D in searches:

@@ -231,22 +231,21 @@ def subset_weights_log(model: SystemModel, users, g) -> np.ndarray:
     return w
 
 
-def marginal_log_table(model: SystemModel, D, g, fixed, free) -> np.ndarray:
-    """Log P(Y | X_D, g) with the D axes split and flattened into
-    (|Y|, prod fixed sizes, prod free sizes); ``fixed``/``free`` partition D
-    (each sorted ascending)."""
-    D = sorted(set(fixed) | set(free))
-    marg = marginalize_out(model, D, g)
-    lm = marg.log_pmf()  # axes: (*sorted D, Y)
-    order = [D.index(k) for k in sorted(fixed)] + \
-            [D.index(k) for k in sorted(free)]
-    lm = np.moveaxis(lm, -1, 0)  # (Y, *sorted D)
-    lm = np.transpose(lm, axes=[0] + [1 + i for i in order])
-    n_fixed = int(np.prod([model.dmc.input_sizes[k] for k in sorted(fixed)])) \
-        if fixed else 1
-    n_free = int(np.prod([model.dmc.input_sizes[k] for k in sorted(free)])) \
-        if free else 1
-    return np.ascontiguousarray(lm.reshape(lm.shape[0], n_fixed, n_free))
+def marginal_log_table(model: SystemModel, D, S, g):
+    """The marginal channel of the decoded users D split by S: log
+    P(Y | X_D, g) with its D axes flattened into (|Y|, |X_{S cap D}|,
+    |X_{D\\S}|), users ascending within each part, and the log input
+    weights of D\\S under g (:func:`subset_weights_log`)."""
+    D = sorted(set(D))
+    fixed = [k for k in D if k in S]
+    free = [k for k in D if k not in S]
+    lm = np.moveaxis(marginalize_out(model, D, g).log_pmf(), -1, 0)
+    lm = np.transpose(lm, [0] + [1 + D.index(k) for k in fixed + free])
+    sizes = model.dmc.input_sizes
+    shape = (len(lm), math.prod(sizes[k] for k in fixed),
+             math.prod(sizes[k] for k in free))
+    return np.ascontiguousarray(lm.reshape(shape)), \
+        subset_weights_log(model, free, g)
 
 
 def flatten_symbols(model: SystemModel, users, rows: np.ndarray) -> np.ndarray:
@@ -268,15 +267,14 @@ def as_block(rows, ndim: int, expected: str) -> np.ndarray:
     return rows
 
 
-def _letter_table(model: SystemModel, D, fixed, free, g, a: float):
+def _letter_table(model: SystemModel, D, fixed, g, a: float):
     """(|Y|, |X_fixed|) table of per-letter log expectations,
-    log sum_{x_free} w(x_free) P(y | x_fixed, x_free, g)^a, memoized on the
-    model per (D, fixed, g, a)."""
+    log sum_{x_free} w(x_free) P(y | x_fixed, x_free, g)^a with free =
+    D minus fixed, memoized on the model per (D, fixed, g, a)."""
     key = (tuple(D), tuple(fixed), tuple(g), a)
     table = model._letter_cache.get(key)
     if table is None:
-        lm = marginal_log_table(model, D, g, fixed, free)  # (Y, F, R)
-        logw = subset_weights_log(model, free, g)          # (R,)
+        lm, logw = marginal_log_table(model, D, fixed, g)  # (Y, F, R), (R,)
         table = _logsumexp(logw + scale_log(a, lm), axis=2)
         table.setflags(write=False)
         model._letter_cache[key] = table
@@ -300,10 +298,8 @@ def ensemble_log_expectation(model: SystemModel, D, S, g, y: np.ndarray,
     (possible for a > 0 on channels with zeros); never raises for that.
     """
     D = sorted(set(D))
-    S = set(S)
-    fixed = sorted(set(D) & S)
-    free = sorted(set(D) - S)
+    fixed = [k for k in D if k in S]
     y = np.asarray(y, dtype=np.int64)
     x_fixed = as_block(x_fixed, 3, "(m, |S cap D|, N)")
-    table = _letter_table(model, D, fixed, free, g, a)
+    table = _letter_table(model, D, fixed, g, a)
     return table[y, flatten_symbols(model, fixed, x_fixed)].sum(axis=1)

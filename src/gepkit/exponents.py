@@ -166,16 +166,6 @@ def _check_DS(model: SystemModel, D, S):
     return D, S
 
 
-def _pair_factors(model, D, S, g):
-    """Tables for one side of an exponent: channel log-table arranged
-    (Y, fixed=S&D flat, free=D\\S flat) plus the free users' log weights."""
-    fixed = sorted(set(D) & set(S))
-    free = sorted(set(D) - set(S))
-    lm = marginal_log_table(model, D, g, fixed, free)
-    logw_free = subset_weights_log(model, free, g)
-    return lm, logw_free
-
-
 def _keyed(make, *tables):
     """``make(*tables)``, an objective that closes over nothing but
     ``tables``, with its content key attached: the factory's name and the
@@ -213,10 +203,9 @@ def emd_objective(model: SystemModel, D, S, g, g_tilde, alpha: WeightFunction):
         raise EmptyDifferenceSet(f"D\\S is empty for D={D}, S={sorted(S)}")
     g = model.check_g(g)
     gt = model.check_g(g_tilde)
-    fixed = sorted(set(D) & set(S))
-    lm_g, lw_g = _pair_factors(model, D, S, g)
-    lm_t, lw_t = _pair_factors(model, D, S, gt)
-    lw_fixed = subset_weights_log(model, fixed, g)
+    lm_g, lw_g = marginal_log_table(model, D, S, g)
+    lm_t, lw_t = marginal_log_table(model, D, S, gt)
+    lw_fixed = subset_weights_log(model, set(D) & S, g)
     rate_sum = sum(model.rate(k, gt[k]) for k in set(D) - set(S))
     return _keyed(_emd, lw_g, lm_g - alpha(g), lw_t, lm_t - alpha(gt),
                   lw_fixed, rate_sum)
@@ -242,10 +231,9 @@ def eid_objective(model: SystemModel, D, S, g, g_prime, alpha: WeightFunction):
     D, S = _check_DS(model, D, S)
     g = model.check_g(g)
     gp = model.check_g(g_prime)
-    fixed = sorted(set(D) & set(S))
-    lm_g, lw_g = _pair_factors(model, D, S, g)
-    lm_p, lw_p = _pair_factors(model, D, S, gp)
-    lw_fixed = subset_weights_log(model, fixed, g)
+    lm_g, lw_g = marginal_log_table(model, D, S, g)
+    lm_p, lw_p = marginal_log_table(model, D, S, gp)
+    lw_fixed = subset_weights_log(model, set(D) & S, g)
     # the excluded-vector factor carries exponent 1: s-independent, (Y, F)
     t2c = _logsumexp(lw_p[None, None, :] + (lm_p - alpha(gp)), axis=2)
     rate_sum = sum(model.rate(k, g[k]) for k in set(D) - set(S))
@@ -501,8 +489,7 @@ def decoder_searches(model: SystemModel, D, region, margin=None):
 
 
 def gep_bound_D(model: SystemModel, D, region, alpha: WeightFunction, N: int,
-                margin=None, cache: ExponentCache | None = None
-                ) -> BoundReport:
+                margin=None, *, cache: ExponentCache) -> BoundReport:
     """Achievable weighted-error bound for a single (D, R_D)-decoder: the
     terms of every proper subset S with D\\S nonempty, excluded vectors
     ranging outside the region.
@@ -513,13 +500,9 @@ def gep_bound_D(model: SystemModel, D, region, alpha: WeightFunction, N: int,
     margin, all with the excluded-vector search ranging outside region
     union margin.  Margin vectors themselves are charged no
     collision-failure term.  The subsets and their order are those of
-    :func:`decoder_searches`.
-
-    Exponents are looked up in ``cache``, a fresh :class:`ExponentCache`
-    when None."""
+    :func:`decoder_searches`.  Exponents are looked up in ``cache``."""
     (D, region, _margin), searches = decoder_searches(model, D, region,
                                                       margin)
-    cache = cache or ExponentCache()
     terms = [t for S, excluded, covers_D in searches
              for t in _subset_terms(model, D, S, region, excluded, covers_D,
                                     alpha, N, cache)]
@@ -527,16 +510,15 @@ def gep_bound_D(model: SystemModel, D, region, alpha: WeightFunction, N: int,
 
 
 def gep_bound_partitioned(model: SystemModel, region, alpha: WeightFunction,
-                          N: int, cache: ExponentCache | None = None):
+                          N: int, cache: ExponentCache):
     """Receiver-level bound: minimum over assignments of region vectors to
     decoded subsets D (all containing user 0) of the per-D bound sum.
 
     Exhaustive when the assignment count fits in ``PARTITION_CAP``;
     otherwise only the all-into-{0..K-1} assignment is evaluated and the
-    report is flagged heuristic.
+    report is flagged heuristic.  Exponents are looked up in ``cache``.
     """
     region = validate_region(model, region)
-    cache = cache or ExponentCache()
     others = list(range(1, model.K))
     subsets = sorted(tuple(sorted({0, *combo}))
                      for r in range(len(others) + 1)
@@ -576,11 +558,10 @@ def check_detection_partition(model: SystemModel, regions):
 
 
 def detection_bound(model: SystemModel, g, regions, alpha: WeightFunction,
-                    N: int, cache: ExponentCache | None = None
-                    ) -> BoundReport:
+                    N: int, cache: ExponentCache) -> BoundReport:
     """Bound on the weighted region-detection error for true vector g:
     the sum over hypotheses outside g's cell of e^{-N E_c}, with E_c looked
-    up in ``cache`` (a fresh :class:`ExponentCache` when None).
+    up in ``cache``.
 
     The raw sum bounds Pr{detected cell wrong | g} * e^{-N alpha(g)}; it is
     reported clamped as a probability only when alpha(g) = 0, and flagged
@@ -591,7 +572,6 @@ def detection_bound(model: SystemModel, g, regions, alpha: WeightFunction,
     cell = next((r for r in cleaned if g in r), None)
     if cell is None:
         raise NotAPartition(f"no detection region contains {g}")
-    cache = cache or ExponentCache()
     terms = [_term("detect", (), g, gt, cache.ec(model, g, gt, alpha), N)
              for gt in model.index_space() if gt not in cell]
     return bound_report(terms, N, alpha, clamp=alpha(g) == 0.0)

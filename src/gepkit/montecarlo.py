@@ -201,9 +201,9 @@ def run_trials(scenario, trials: int, master_seed: int,
     larger scenario raises :class:`MemoryBudgetExceeded`.  Trials are
     decoded in blocks of as many as ``BLOCK_BYTES`` hold, at least one.
 
-    ``cache`` is the exponent cache the threshold tables are built from;
-    passing the one the verdict bound will use spares that bound the
-    maximizations the tables already ran.
+    ``cache`` is the exponent cache the threshold tables are built from,
+    a new one when None; passing the one the verdict bound will use spares
+    that bound the maximizations the tables already ran.
     """
     if trials < 1:
         raise ShapeMismatch(f"need at least 1 trial, got {trials}")
@@ -219,6 +219,7 @@ def run_trials(scenario, trials: int, master_seed: int,
             f"the {TRIAL_BUDGET_BYTES}-byte budget (N={N})")
     g_list, g_probs = _g_sampler(scenario, model)
     transmit = _channel_sampler(model)
+    cache = cache or ExponentCache()
     tables = {D: build_thresholds(model, D, reg, scenario.alpha,
                                   margin=margin, cache=cache)
               for D, reg, margin in receiver_parts(scenario)}

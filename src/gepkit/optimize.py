@@ -139,7 +139,7 @@ def maximize_rho_s(f, s_cap=None) -> SearchResult:
     array of s's shape, paired with s elementwise, and returns one value
     per point, flattened.  Each scan stage evaluates all its (rho, s) rows
     in calls of at most ``SCAN_POINTS`` points; the polish evaluates no
-    point twice.
+    point twice and starts from the scan's value at its incumbent.
 
     ``s_cap``: None for s_max = 1 independent of rho, or a callable
     rho -> s_max (the coupled constraint s <= 1 - rho uses
@@ -187,7 +187,9 @@ def maximize_rho_s(f, s_cap=None) -> SearchResult:
              np.linspace(s_lo, s_his[keep], REFINE_POINTS, axis=1))
         rho_step = (b - a) / (REFINE_POINTS - 1)
 
-    seen = {}  # (rho, s) -> f there; f is deterministic
+    # (rho, s) -> f there, f being deterministic; the scan's incumbent
+    # is in it already (a scan call gives each point its own call's bits)
+    seen = {} if best[0] == -np.inf else {best[1:]: best[0]}
 
     def value(r, s):
         if (r, s) not in seen:

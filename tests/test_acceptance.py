@@ -34,6 +34,7 @@ from gepkit import decoder, montecarlo
 from gepkit.channel import marginalize_out
 from gepkit.cli import detection_bound_reports, entropy_gate, main
 from gepkit.exponents import (
+    ExponentCache,
     WeightFunction,
     exponent_Ec,
     exponent_EiD,
@@ -230,7 +231,8 @@ def test_criterion_4_bound_vs_simulation():
     assert scen.N == 12 and scen.trials >= 10_000
     records = run_trials(scen, scen.trials, scen.seed)
     est = empirical_gep(records, scen.alpha, scen.N)
-    bound = gep_bound_D(scen.model, [0], scen.region, scen.alpha, scen.N)
+    bound = gep_bound_D(scen.model, [0], scen.region, scen.alpha, scen.N,
+                        cache=ExponentCache())
     passed = compare_bound(est, bound)
     line = report(4, passed,
                   f"estimate {est.point:.4f} (sigma {est.se:.4f}) <= "
@@ -249,7 +251,7 @@ def test_criterion_5_detection_bound_vs_simulation():
     # each report bounds Pr{err | g} e^{-N alpha(g)}
     per_g, passed = compare_per_g(tallies, {
         g: min(1.0, math.exp(rep.log_raw + scen.N * scen.alpha(g)))
-        for g, rep in detection_bound_reports(scen).items()})
+        for g, rep in detection_bound_reports(scen, ExponentCache()).items()})
     parts = []
     for g, (n, e, b, _vac) in sorted(per_g.items()):
         parts.append(f"g={g}: {e}/{n} vs {b:.4f}")
@@ -268,7 +270,7 @@ def test_criterion_6_decoder_matches_reference():
         m, N, region, cb, D = random_instance(rng)
         a = WeightFunction(m, rng.uniform(0, 0.2, size=m.code_counts))
         with small_search(8, 0):
-            tbl = build_thresholds(m, D, region, a)
+            tbl = build_thresholds(m, D, region, a, cache=ExponentCache())
         y = rng.integers(0, m.dmc.output_size, N)
         mine = decision(decode_one(tbl, cb, y))
         ref = reference_decode_subset(m, D, region, a, cb, y, tbl)
@@ -321,7 +323,7 @@ def test_criterion_8_threshold_balance():
     scen = load_scenario(SCENARIOS / "compound_bsc_relaxed.json")
     m, a, N = scen.model, scen.alpha, scen.N
     region = scen.region
-    tbl = build_thresholds(m, [0], region, a)
+    tbl = build_thresholds(m, [0], region, a, cache=ExponentCache())
     rng = np.random.default_rng(8)
     worst = 0.0
     checked = 0
@@ -440,7 +442,7 @@ def test_criterion_9_margin_behavior(monkeypatch):
     records = run_trials(scen, scen.trials, scen.seed)
     est = empirical_gep(records, scen.alpha, scen.N)
     bound = gep_bound_D(scen.model, [0], scen.region, scen.alpha, scen.N,
-                        margin=scen.margin)
+                        margin=scen.margin, cache=ExponentCache())
     passed = compare_bound(est, bound)
 
     margin_records = [r for r in records if r.g in scen.margin]

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from gepkit import (
     CodebookRealization,
+    ExponentCache,
     build_detector,
     build_thresholds,
     decode_receiver,
@@ -133,7 +134,7 @@ def test_scenario_trials_match_the_reference(name, seed):
     scen, ref_seed, trials = SCENARIO_TRIALS[name]
     seed = ref_seed if seed == "ref" else seed
     tables = {D: build_thresholds(scen.model, D, reg, scen.alpha,
-                                  margin=margin)
+                                  margin=margin, cache=ExponentCache())
               for D, reg, margin in receiver_parts(scen)}
     detector = build_detector(scen.model, scen.detection, scen.alpha) \
         if scen.decoder == "detect" else None
@@ -249,7 +250,7 @@ def test_random_instances_match_the_reference():
         alpha = random_alpha(rng, model, hi=0.2)
         with small_search(8, 0):
             tables = {D: build_thresholds(model, D, region, alpha,
-                                          margin=margin)
+                                          margin=margin, cache=ExponentCache())
                       for D, region, margin in parts if region}
         detector = None if cells is None \
             else build_detector(model, cells, alpha)

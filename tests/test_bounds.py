@@ -49,14 +49,16 @@ class TestDecoderBound:
     @small_search(16, 1)
     def test_empty_region_is_zero(self):
         m = make_compound_bsc([0.05, 0.3], [0.5, 0.5], 0.2)
-        rep = gep_bound_D(m, [0], [], WeightFunction.zero(m), 10)
+        rep = gep_bound_D(m, [0], [], WeightFunction.zero(m), 10,
+                          cache=ExponentCache())
         assert rep.value == 0.0 and rep.raw == 0.0
 
     @small_search(16, 1)
     def test_user_one_required(self):
         m = two_user_model()
         with pytest.raises(UserOneMissing):
-            gep_bound_D(m, [1], [(0, 0)], WeightFunction.zero(m), 8)
+            gep_bound_D(m, [1], [(0, 0)], WeightFunction.zero(m), 8,
+                        cache=ExponentCache())
 
     def test_monotone_in_blocklength_when_exponents_positive(self):
         m = make_compound_bsc([0.05, 0.3], [0.5, 0.5], 0.05)
@@ -74,7 +76,7 @@ class TestDecoderBound:
         # confusion term survive the feasibility filters
         m = make_compound_bsc([0.05, 0.3], [0.5, 0.5], 0.2)
         a = WeightFunction.zero(m)
-        rep = gep_bound_D(m, [0], [(0, 0)], a, 12)
+        rep = gep_bound_D(m, [0], [(0, 0)], a, 12, cache=ExponentCache())
         kinds = sorted(t.kind for t in rep.terms)
         assert kinds == ["confusion", "false_accept", "miss"]
         by_kind = {t.kind: t for t in rep.terms}
@@ -90,14 +92,16 @@ class TestPartitionedBound:
     def test_single_user_unique_partition(self):
         m = make_compound_bsc([0.05, 0.3], [0.5, 0.5], 0.2)
         a = WeightFunction.zero(m)
-        rep, part = gep_bound_partitioned(m, [(0, 0)], a, 12)
-        direct = gep_bound_D(m, [0], [(0, 0)], a, 12)
+        rep, part = gep_bound_partitioned(m, [(0, 0)], a, 12,
+                                          cache=ExponentCache())
+        direct = gep_bound_D(m, [0], [(0, 0)], a, 12, cache=ExponentCache())
         assert rep.raw == pytest.approx(direct.raw, rel=1e-12)
         assert part == (((0,), frozenset({(0, 0)})),)
 
     def test_empty_region(self):
         m = make_compound_bsc([0.05, 0.3], [0.5, 0.5], 0.2)
-        rep, part = gep_bound_partitioned(m, [], WeightFunction.zero(m), 12)
+        rep, part = gep_bound_partitioned(m, [], WeightFunction.zero(m), 12,
+                                          cache=ExponentCache())
         assert rep.value == 0.0 and part == ()
 
     @small_search(16, 1)
@@ -123,7 +127,8 @@ class TestPartitionedBound:
         m = two_user_model()
         a = WeightFunction.zero(m)
         monkeypatch.setattr(gepkit.exponents, "PARTITION_CAP", 1)
-        rep, part = gep_bound_partitioned(m, [(0, 0), (1, 1)], a, 6)
+        rep, part = gep_bound_partitioned(m, [(0, 0), (1, 1)], a, 6,
+                                          cache=ExponentCache())
         assert rep.heuristic
         assert part[0][0] == (0, 1)
 
@@ -134,15 +139,17 @@ class TestMarginBound:
         a = WeightFunction.zero(m)
         region = [(0, 0)]
         complement = [g for g in m.index_space() if g != (0, 0)]
-        plain = gep_bound_D(m, [0], region, a, 12)
-        margin = gep_bound_D(m, [0], region, a, 12, margin=complement)
+        plain = gep_bound_D(m, [0], region, a, 12, cache=ExponentCache())
+        margin = gep_bound_D(m, [0], region, a, 12, margin=complement,
+                             cache=ExponentCache())
         assert margin.raw == pytest.approx(plain.raw, rel=1e-12)
 
     def test_empty_margin_adds_covering_subset_terms(self):
         m = make_compound_bsc([0.05, 0.3], [0.5, 0.5], 0.2)
         a = WeightFunction.zero(m)
-        plain = gep_bound_D(m, [0], [(0, 0)], a, 12)
-        with_empty = gep_bound_D(m, [0], [(0, 0)], a, 12, margin=[])
+        plain = gep_bound_D(m, [0], [(0, 0)], a, 12, cache=ExponentCache())
+        with_empty = gep_bound_D(m, [0], [(0, 0)], a, 12, margin=[],
+                                 cache=ExponentCache())
         assert with_empty.raw > plain.raw
         extra = [t for t in with_empty.terms if t.S == (0,)]
         assert extra and all(t.g_other == (0, 1) for t in extra)
@@ -151,7 +158,7 @@ class TestMarginBound:
         m = make_compound_bsc([0.05, 0.3], [0.5, 0.5], 0.2)
         with pytest.raises(OverlappingMargin):
             gep_bound_D(m, [0], [(0, 0)], WeightFunction.zero(m), 12,
-                        margin=[(0, 0)])
+                        margin=[(0, 0)], cache=ExponentCache())
 
     def test_sec4_binding_pair_is_widest_gap(self, sec4_model):
         # with the two middle states inside the margin, the covering-subset
@@ -160,8 +167,10 @@ class TestMarginBound:
         m = sec4_model
         a = WeightFunction.zero(m)
         with_margin = gep_bound_D(m, [0], [(0, 0)], a, 16,
-                                  margin=[(0, 1), (0, 2)])
-        no_margin = gep_bound_D(m, [0], [(0, 0)], a, 16, margin=[])
+                                  margin=[(0, 1), (0, 2)],
+                                  cache=ExponentCache())
+        no_margin = gep_bound_D(m, [0], [(0, 0)], a, 16, margin=[],
+                                cache=ExponentCache())
         pick = lambda rep: {t.g_other for t in rep.terms
                             if t.S == (0,) and t.kind == "miss"}
         assert pick(with_margin) == {(0, 3)}
@@ -175,13 +184,15 @@ class TestDetectionBound:
     def test_single_region_is_zero(self):
         m = make_compound_bsc([0.1, 0.4], [0.9, 0.1], 0.2)
         rep = detection_bound(m, (0, 0), [list(m.index_space())],
-                              WeightFunction.zero(m), 20)
+                              WeightFunction.zero(m), 20,
+                              cache=ExponentCache())
         assert rep.raw == 0.0 and rep.value == 0.0
 
     def test_identical_hypotheses_vacuous_unclamped_raw(self):
         m = make_compound_bsc([0.2, 0.2], [0.5, 0.5], 0.2)
         rep = detection_bound(m, (0, 0), [[(0, 0)], [(0, 1)]],
-                              WeightFunction.zero(m), 20)
+                              WeightFunction.zero(m), 20,
+                              cache=ExponentCache())
         assert rep.vacuous
         assert rep.raw == pytest.approx(1.0, abs=1e-12)
         assert rep.value <= 1.0  # probability clamp at alpha(g) = 0
@@ -190,14 +201,17 @@ class TestDetectionBound:
         m = make_compound_bsc([0.1, 0.4], [0.9, 0.1], 0.2)
         a = WeightFunction.zero(m)
         with pytest.raises(NotAPartition):
-            detection_bound(m, (0, 0), [[(0, 0)]], a, 20)
+            detection_bound(m, (0, 0), [[(0, 0)]], a, 20,
+                            cache=ExponentCache())
         with pytest.raises(NotAPartition):
-            detection_bound(m, (0, 0), [[(0, 0), (0, 1)], [(0, 1)]], a, 20)
+            detection_bound(m, (0, 0), [[(0, 0), (0, 1)], [(0, 1)]], a, 20,
+                            cache=ExponentCache())
 
     def test_weighted_form_left_unclamped(self):
         m = make_compound_bsc([0.2, 0.2], [0.5, 0.5], 0.2)
         a = WeightFunction(m, {(0, 0): 0.01, (0, 1): 0.01})
-        rep = detection_bound(m, (0, 0), [[(0, 0)], [(0, 1)]], a, 20)
+        rep = detection_bound(m, (0, 0), [[(0, 0)], [(0, 1)]], a, 20,
+                              cache=ExponentCache())
         assert rep.value == rep.raw  # bound on Pr * e^{-N alpha}, no clamp
 
 
@@ -291,7 +305,8 @@ class TestCacheAlphaGuard:
         alpha = WeightFunction(m, {(0, 1): 0.2})
         reused = gep_bound_D(m, D, region, alpha, scen.N, cache=used)
         assert reused.value == pytest.approx(0.355879916, abs=1e-8)
-        assert reused == gep_bound_D(m, D, region, alpha, scen.N)
+        assert reused == gep_bound_D(m, D, region, alpha, scen.N,
+                                     cache=ExponentCache())
 
     def test_reuse_across_blocklengths_and_parses(self):
         scen = load_scenario(self.SCENARIO)
@@ -303,7 +318,8 @@ class TestCacheAlphaGuard:
         gep_bound_D(m, D, region, alpha, scen.N, cache=shared)
         for N in (scen.N, 2 * scen.N):
             fresh = gep_bound_D(other, D, region,
-                                WeightFunction(other, {(0, 1): 0.2}), N)
+                                WeightFunction(other, {(0, 1): 0.2}), N,
+                                cache=ExponentCache())
             reused = gep_bound_D(other, D, region,
                                  WeightFunction(other, {(0, 1): 0.2}), N,
                                  cache=shared)
@@ -311,4 +327,4 @@ class TestCacheAlphaGuard:
         assert build_thresholds(other, D, region,
                                 WeightFunction(other, {(0, 1): 0.2}),
                                 cache=shared).params == \
-            build_thresholds(m, D, region, alpha).params
+            build_thresholds(m, D, region, alpha, cache=ExponentCache()).params

@@ -222,7 +222,7 @@ class TestTypicalityThreshold:
     def test_matches_bisection_oracle(self):
         m = make_compound_bsc([0.05, 0.3], [0.5, 0.5], 0.2)
         a = zero(m)
-        tbl = build_thresholds(m, [0], [(0, 0)], a)
+        tbl = build_thresholds(m, [0], [(0, 0)], a, cache=ExponentCache())
         params = tbl.get((0, 0), frozenset())
         rng = np.random.default_rng(3)
         for _ in range(10):
@@ -235,7 +235,7 @@ class TestTypicalityThreshold:
     def test_per_symbol_normalized_under_repetition(self):
         m = make_compound_bsc([0.05, 0.3], [0.5, 0.5], 0.2)
         a = zero(m)
-        tbl = build_thresholds(m, [0], [(0, 0)], a)
+        tbl = build_thresholds(m, [0], [(0, 0)], a, cache=ExponentCache())
         params = tbl.get((0, 0), frozenset())
         y = np.array([0, 1, 1, 0])
         t1, = typicality_threshold(m, [0], [], (0, 0), params,
@@ -258,7 +258,7 @@ class TestTypicalityThreshold:
              CodeSpec(0.0, np.array([0.0, 1.0]))),
         ))
         a = zero(m)
-        tbl = build_thresholds(m, [0], [(0, 0)], a)
+        tbl = build_thresholds(m, [0], [(0, 0)], a, cache=ExponentCache())
         params = tbl.get((0, 0), frozenset())
         y = np.array([0])
         tau, = typicality_threshold(m, [0], [], (0, 0), params,
@@ -271,7 +271,8 @@ class TestTypicalityThreshold:
 
     def test_unconstrained_is_infinite(self):
         m = make_compound_bsc([0.05, 0.3], [0.5, 0.5], 0.2)
-        tbl = build_thresholds(m, [0], [(0, 0)], zero(m))
+        tbl = build_thresholds(m, [0], [(0, 0)], zero(m),
+                               cache=ExponentCache())
         params = tbl.get((0, 0), frozenset([1]))
         assert params.gstar is NO_CONSTRAINT
         tau = typicality_threshold(m, [0], [1], (0, 0), params,
@@ -412,7 +413,7 @@ class TestDecodeSubset:
             libraries=((CodeSpec(math.log(2.0) / 4, np.array([0.5, 0.5])),),))
         a = zero(m)
         region = [(0,)]
-        tbl = build_thresholds(m, [0], region, a)
+        tbl = build_thresholds(m, [0], region, a, cache=ExponentCache())
         cb = sample_codebook(m, 4, 2)
         table = cb.tables[(0, 0)]
         assert not np.array_equal(table[0], table[1])  # distinct codewords
@@ -424,7 +425,7 @@ class TestDecodeSubset:
         m = make_compound_bsc([0.02, 0.45], [0.5, 0.5], 0.3)
         a = zero(m)
         region = [(0, 0)]
-        tbl = build_thresholds(m, [0], region, a)
+        tbl = build_thresholds(m, [0], region, a, cache=ExponentCache())
         cb = sample_codebook(m, 10, 5)
         # an output sequence maximally atypical for the in-region state:
         # flip every symbol of codeword 1
@@ -436,7 +437,7 @@ class TestDecodeSubset:
         m = make_compound_bsc([0.05, 0.3], [0.5, 0.5], 0.2)
         a = zero(m)
         region = [(0, 0)]
-        tbl = build_thresholds(m, [0], region, a)
+        tbl = build_thresholds(m, [0], region, a, cache=ExponentCache())
         cb = sample_codebook(m, 10, 31)
         y = np.random.default_rng(2).integers(0, 2, 10)
         first = decode_one(tbl, cb, y)
@@ -453,7 +454,8 @@ class TestDecodeSubset:
                                       CodeSpec(0.1, pmf)),))
         one = SystemModel(dmc=make_dmc(np.eye(2)), K=1, M=0,
                           libraries=((CodeSpec(0.2, pmf),),))
-        tbl = build_thresholds(two, [0], [(0,), (1,)], zero(two))
+        tbl = build_thresholds(two, [0], [(0,), (1,)], zero(two),
+                               cache=ExponentCache())
         cb = CodebookRealization(one, 6, 4)
         with pytest.raises(CodeOutOfRange):
             decode_one(tbl, cb, np.zeros(6, dtype=np.int64))
@@ -467,7 +469,7 @@ class TestDecodeSubset:
             m, N, region, cb, D = random_instance(rng)
             a = WeightFunction(
                 m, rng.uniform(0, 0.2, size=m.code_counts))
-            tbl = build_thresholds(m, D, region, a)
+            tbl = build_thresholds(m, D, region, a, cache=ExponentCache())
             y = rng.integers(0, m.dmc.output_size, N)
             mine = decision(decode_one(tbl, cb, y))
             ref = reference_decode_subset(m, D, region, a, cb, y, tbl)
@@ -481,7 +483,7 @@ class TestDecodeSubset:
         for seed in range(8):
             m, N, region, cb, D, y = three_user_instance(seed)
             a = WeightFunction(m, rng.uniform(0, 0.2, size=m.code_counts))
-            tbl = build_thresholds(m, D, region, a)
+            tbl = build_thresholds(m, D, region, a, cache=ExponentCache())
             assert all(tbl.get(g, S).gstar is not None for g in region
                        for S in ({0, 1}, {1, 2}))
             mine = decision(decode_one(tbl, cb, y))
@@ -496,7 +498,8 @@ class TestDecodeReceiver:
         m = make_compound_bsc([0.05, 0.3], [0.5, 0.5], 0.2)
         a = zero(m)
         region = validate_region(m, [(0, 0)])
-        tbl = {(0,): build_thresholds(m, (0,), region, a)}
+        tbl = {(0,): build_thresholds(m, (0,), region, a,
+                                      cache=ExponentCache())}
         cb = sample_codebook(m, 8, 11)
         rng = np.random.default_rng(0)
         for _ in range(10):
@@ -519,8 +522,10 @@ class TestDecodeReceiver:
             (CodeSpec(0.0, u), CodeSpec(0.0, u)),
             (CodeSpec(0.0, u), CodeSpec(0.0, u))))
         a = zero(m)
-        tbl = {(0,): build_thresholds(m, (0,), [(0, 0)], a),
-               (0, 1): build_thresholds(m, (0, 1), [(1, 1)], a)}
+        tbl = {(0,): build_thresholds(m, (0,), [(0, 0)], a,
+                                      cache=ExponentCache()),
+               (0, 1): build_thresholds(m, (0, 1), [(1, 1)], a,
+                                        cache=ExponentCache())}
         cb = sample_codebook(m, 6, 40)
         # transmit the (0, 0) pair's codewords
         x0 = cb.codeword(0, 0, 1)
@@ -543,7 +548,8 @@ class TestDecodeReceiver:
                         CodeSpec(0.0, np.array([0.5, 0.5]))),))
         a = zero(m)
         region = validate_region(m, [(0,), (1,)])
-        tbl = {(0,): build_thresholds(m, (0,), region, a)}
+        tbl = {(0,): build_thresholds(m, (0,), region, a,
+                                      cache=ExponentCache())}
         cb = sample_codebook(m, 6, 1)
         y = cb.codeword(0, 0, 1)
         out = decode_one(tbl[(0,)], cb, y)
@@ -559,8 +565,9 @@ class TestDecodeMargin:
         a = zero(m)
         region = [(0, 0)]
         complement = [(0, 1)]
-        tbl_m = build_thresholds(m, [0], region, a, margin=complement)
-        tbl_p = build_thresholds(m, [0], region, a)
+        tbl_m = build_thresholds(m, [0], region, a, margin=complement,
+                                 cache=ExponentCache())
+        tbl_p = build_thresholds(m, [0], region, a, cache=ExponentCache())
         cb = sample_codebook(m, 8, 21)
         rng = np.random.default_rng(2)
         for _ in range(20):
@@ -578,8 +585,9 @@ class TestDecodeMargin:
         # The check is recomputed with typicality_threshold, the reference
         m = sec4_model
         a = WeightFunction(m, {(0, 0): 0.02})
-        tbl = build_thresholds(m, [0], [(0, 0)], a, margin=[(0, 1), (0, 2)])
-        tbl_p = build_thresholds(m, [0], [(0, 0)], a)
+        tbl = build_thresholds(m, [0], [(0, 0)], a, margin=[(0, 1), (0, 2)],
+                               cache=ExponentCache())
+        tbl_p = build_thresholds(m, [0], [(0, 0)], a, cache=ExponentCache())
         rng = np.random.default_rng(4)
         rejected = 0
         for seed in range(60):
@@ -663,7 +671,8 @@ class TestDecodeMargin:
     def test_overlap_rejected(self):
         m = make_compound_bsc([0.05, 0.3], [0.5, 0.5], 0.2)
         with pytest.raises(OverlappingMargin):
-            build_thresholds(m, [0], [(0, 0)], zero(m), margin=[(0, 0)])
+            build_thresholds(m, [0], [(0, 0)], zero(m), margin=[(0, 0)],
+                             cache=ExponentCache())
 
     def test_growing_margin_never_creates_wrong_decodes(self):
         # margin growth only moves the covering-subset veto (winner
@@ -675,8 +684,10 @@ class TestDecodeMargin:
         region = [(0, 0)]
         small = []
         big = [(0, 1)]
-        tbl_s = build_thresholds(m, [0], region, a, margin=small)
-        tbl_b = build_thresholds(m, [0], region, a, margin=big)
+        tbl_s = build_thresholds(m, [0], region, a, margin=small,
+                                 cache=ExponentCache())
+        tbl_b = build_thresholds(m, [0], region, a, margin=big,
+                                 cache=ExponentCache())
         rng = np.random.default_rng(6)
         decoded_both = 0
         for t in range(80):
@@ -736,7 +747,8 @@ def test_one_row_is_refused(call):
     a = zero(m)
     y = np.array([0, 1, 1, 0])
     S = frozenset([0])
-    params = build_thresholds(m, [0], [(0, 0)], a, margin=[]).get((0, 0), S)
+    params = build_thresholds(m, [0], [(0, 0)], a, margin=[],
+                              cache=ExponentCache()).get((0, 0), S)
     assert params.gstar is not NO_CONSTRAINT
     detector = build_detector(m, [[(0, 0)], [(0, 1)]], a)
     solves = {
@@ -761,7 +773,8 @@ class TestDetectThenDecode:
         m = make_compound_bsc([0.05, 0.3], [0.5, 0.5], 0.2)
         a = zero(m)
         region = validate_region(m, [(0, 0), (0, 1)])
-        tbl = {(0,): build_thresholds(m, (0,), region, a)}
+        tbl = {(0,): build_thresholds(m, (0,), region, a,
+                                      cache=ExponentCache())}
         return m, a, region, tbl
 
     def test_single_cell_equals_plain_receiver(self):

@@ -54,7 +54,6 @@ from gepkit.ensemble import (
     sample_from_pmf,
     scale_log,
     stream,
-    subset_weights_log,
 )
 from gepkit.errors import DomainError, NotAPartition
 from gepkit.exponents import (
@@ -149,12 +148,9 @@ def reference_log_expectation(model, D, S, g, y, x_fixed, a):
     """The per-symbol formula ensemble_log_expectation used before the
     per-letter tables: one scipy logsumexp per output symbol."""
     D = sorted(set(D))
-    S = set(S)
-    fixed = sorted(set(D) & S)
-    free = sorted(set(D) - S)
+    fixed = sorted(set(D) & set(S))
     y = np.asarray(y, dtype=np.int64)
-    lm = marginal_log_table(model, D, g, fixed, free)
-    logw = subset_weights_log(model, free, g)
+    lm, logw = marginal_log_table(model, D, S, g)
     x_fixed = np.asarray(x_fixed, dtype=np.int64).reshape(len(fixed), len(y)) \
         if len(fixed) else np.zeros((0, len(y)), dtype=np.int64)
     fixed_flat = flatten_symbols(model, fixed, x_fixed)
@@ -214,6 +210,24 @@ class TestLetterTables:
                                                 a)
                 ref = reference_log_expectation(model, D, S, g, y, xf, a)
                 assert _same(mine, np.array([ref])), (D, S, g, a)
+
+    def test_split_with_an_empty_part(self):
+        """S cap D empty: one fixed column and every user of D free, under
+        its input weights; D\\S empty: every user fixed and one free column
+        of weight log 1 = 0.  Both parts list users ascending."""
+        model = three_user_model(np.random.default_rng(5), 0.1)
+        g = (1, 0, 0)
+        lm = marginalize_out(model, (0, 1), g).log_pmf()  # (X_0, X_1, Y)
+        flat = lm.reshape(-1, lm.shape[-1]).T             # (Y, X_0 X_1)
+        for S in ((), (2,)):
+            table, logw = marginal_log_table(model, (1, 0), S, g)
+            assert _same(table, np.ascontiguousarray(flat[:, None, :]))
+            assert _same(logw, (np.log([0.7, 0.3])[:, None]
+                                + np.log([0.4, 0.6])).reshape(-1))
+        for S in ((0, 1), (0, 1, 2)):
+            table, logw = marginal_log_table(model, (1, 0), S, g)
+            assert _same(table, np.ascontiguousarray(flat[:, :, None]))
+            assert _same(logw, np.zeros(1))
 
     def test_zero_probability_output_matches(self):
         model = xor_model(0.2)  # noiseless: P(y | x1, x2) has zeros
@@ -340,15 +354,34 @@ def _count_maximizations(monkeypatch) -> Counter:
     return calls
 
 
+def _one_cache_cases():
+    """(scenario, command) of every command on the two shipped compound-BSC
+    scenarios and the benchmark's derived ones; ``detect`` only where the
+    scenario has detection cells."""
+    for name in ["bsc_compound_sec4.json", "compound_bsc_relaxed.json",
+                 *WORKLOAD_SCENARIOS]:
+        for command in ("exponents", "bound", "simulate", "detect"):
+            if command != "detect" or not name.endswith(".json"):
+                yield pytest.param(name, command, id=f"{name}-{command}")
+
+
 class TestOneCachePerSimulate:
-    @pytest.mark.parametrize("name", ["bsc_compound_sec4.json",
-                                      "compound_bsc_relaxed.json"])
-    def test_each_exponent_maximized_once(self, name, tmp_path, monkeypatch):
+    """Each command threads one exponent cache through every bound and
+    threshold it builds, so it maximizes each exponent at most once."""
+
+    @pytest.mark.parametrize("name, command", _one_cache_cases())
+    def test_each_exponent_maximized_once(self, name, command, tmp_path,
+                                          monkeypatch):
+        scenario = ROOT / "scenarios" / name
+        if name in WORKLOAD_SCENARIOS:
+            scenario = tmp_path / f"{name}.json"
+            scenario.write_text(json.dumps(
+                load_workloads().generate(name, ROOT)))
         calls = _count_maximizations(monkeypatch)
-        code = main(["simulate", "--scenario", str(ROOT / "scenarios" / name),
-                     "--out", str(tmp_path), "--trials", "20"])
+        code = main([command, "--scenario", str(scenario),
+                     "--out", str(tmp_path / "out"), "--trials", "20"])
         assert code in (0, 1)
-        assert calls, "simulate maximized no exponent"
+        assert calls, f"{command} maximized no exponent"
         repeated = {k: n for k, n in calls.items() if n > 1}
         assert not repeated
 
@@ -580,7 +613,8 @@ class TestCandidateRows:
 
         monkeypatch.setattr(gepkit.decoder, "_enumerate_candidates", spied)
         tbl = build_thresholds(model, (0,), [(0, 1)],
-                               WeightFunction.zero(model))
+                               WeightFunction.zero(model),
+                               cache=ExponentCache())
         decode_subset(tbl, [cb], np.zeros((1, 10), dtype=np.int64))
         cand, = seen
         assert np.shares_memory(cand.tables[0], cb.tables[(0, 0)])

@@ -394,7 +394,8 @@ class TestBenchmarkHooks:
         # decode_subset calls and reads a missing key as 0
         m = make_compound_bsc([0.05, 0.3], [0.5, 0.5], 0.2)
         region = validate_region(m, [(0, 0), (0, 1)])
-        tbl = build_thresholds(m, (0,), region, WeightFunction.zero(m))
+        tbl = build_thresholds(m, (0,), region, WeightFunction.zero(m),
+                               cache=ExponentCache())
         cb = sample_codebook(m, 10, 5)
         y = np.random.default_rng(0).integers(0, 2, 10)
         candidates = sum(cb.counts[(0, g[0])] for g in region)
@@ -438,7 +439,7 @@ class TestEmpiricalGep:
         N = 2
         alpha = WeightFunction.zero(m)
         region = validate_region(m, [(0, 0)])
-        tbl = build_thresholds(m, [0], region, alpha)
+        tbl = build_thresholds(m, [0], region, alpha, cache=ExponentCache())
         pm = m.input_pmf(0, 0)
         marg_pmf = np.array([[0.8, 0.2], [0.2, 0.8]])
 
@@ -513,7 +514,8 @@ class TestCompareBound:
         scen = make_scenario(m, 12, [(0, 0)])
         recs = run_trials(scen, 1500, 123)
         est = empirical_gep(recs, scen.alpha, 12)
-        bound = gep_bound_D(m, [0], [(0, 0)], scen.alpha, 12)
+        bound = gep_bound_D(m, [0], [(0, 0)], scen.alpha, 12,
+                            cache=ExponentCache())
         assert compare_bound(est, bound) is True
 
 
@@ -553,7 +555,7 @@ def reference_trials(scenario, trials, master_seed):
     g_list, g_probs = _g_sampler(scenario, model)
     transmit = _channel_sampler(model)
     tables = {D: build_thresholds(model, D, reg, scenario.alpha,
-                                  margin=margin)
+                                  margin=margin, cache=ExponentCache())
               for D, reg, margin in receiver_parts(scenario)}
     detector = build_detector(model, scenario.detection, scenario.alpha) \
         if scenario.decoder == "detect" else None

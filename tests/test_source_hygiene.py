@@ -6,8 +6,10 @@ Two rules, checked on the syntax trees of the package's modules:
 * every top-level def, class and assignment is referenced outside its own
   definition, somewhere in ``src/gepkit`` (an ``__init__`` export counts),
   ``scripts/`` or ``perfbench/``;
-* every parameter of a named function is read in its body; ``self``,
-  ``cls`` and names starting with ``_`` are exempt, lambdas unchecked.
+* every parameter of a named function is read in its body, and read
+  before anything is stored in it (an assignment's right-hand side is
+  evaluated before its target); ``self``, ``cls`` and names starting with
+  ``_`` are exempt, lambdas unchecked.
 """
 
 from __future__ import annotations
@@ -69,6 +71,39 @@ def _unreferenced() -> list:
     return dead
 
 
+def _in_order(node):
+    """``node`` and the nodes under it in the order Python evaluates them,
+    as far as names go: an assignment's value before its target, a loop's
+    or a comprehension's iterable before its target, a comprehension's
+    clauses before its element."""
+    first = []
+    if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign,
+                         ast.NamedExpr)) and node.value is not None:
+        first = [node.value]
+    elif isinstance(node, (ast.For, ast.AsyncFor, ast.comprehension)):
+        first = [node.iter]
+    elif isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp,
+                           ast.DictComp)):
+        first = node.generators
+    yield node
+    for child in first + [c for c in ast.iter_child_nodes(node)
+                          if c not in first]:
+        yield from _in_order(child)
+
+
+def _stored_first(name, body) -> bool:
+    """Whether the first use of the plain name ``name`` in ``body`` stores
+    it; an augmented assignment reads its target before storing it."""
+    for stmt in body:
+        augmented = {id(node.target) for node in ast.walk(stmt)
+                     if isinstance(node, ast.AugAssign)}
+        for node in _in_order(stmt):
+            if isinstance(node, ast.Name) and node.id == name:
+                return isinstance(node.ctx, ast.Store) and \
+                    id(node) not in augmented
+    return False
+
+
 def _unread_parameters() -> list:
     unread = []
     for path in PACKAGE:
@@ -81,7 +116,9 @@ def _unread_parameters() -> list:
             read = set().union(*(_used(stmt) for stmt in node.body))
             unread += [f"{path.stem}.{node.name}({p.arg})" for p in params
                        if p.arg not in ("self", "cls")
-                       and not p.arg.startswith("_") and p.arg not in read]
+                       and not p.arg.startswith("_")
+                       and (p.arg not in read
+                            or _stored_first(p.arg, node.body))]
     return unread
 
 

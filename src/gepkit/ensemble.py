@@ -3,12 +3,13 @@ per-symbol codebook-ensemble expectations used by thresholds and exponents.
 
 Seeding rule (fixed so that trials parallelize deterministically): every
 stream is a ``numpy.random.Philox`` generator keyed by a ``SeedSequence``
-whose entropy is the tuple ``(master_seed..., user_index, code_index)``.
-Message and symbol positions enter through the draw order inside the
-stream, so a fixed (master_seed, user, code) always reproduces the same
-codeword table bit for bit.  A :class:`CodebookRealization` draws each
-table on its first read and reads a single codeword of an undrawn table by
-skipping its stream ahead to the row.
+whose entropy is the tuple ``(master_seed..., user_index, code_index)``;
+:func:`philox_keys` derives many such keys at once and :func:`rekey` moves a
+reusable generator to a key's stream.  Message and symbol positions enter
+through the draw order inside the stream, so a fixed (master_seed, user, code)
+always reproduces the same codeword table bit for bit.  A
+:class:`CodebookRealization` draws each table on its first read and reads a
+single codeword of an undrawn table by skipping its stream ahead to the row.
 """
 
 from __future__ import annotations
@@ -26,6 +27,11 @@ from .errors import (
 )
 
 _NEG_INF = float("-inf")
+
+# NumPy's SeedSequence hash constants (NEP 19; numpy/random/bit_generator.pyx)
+_MASK32, _INIT_A, _MULT_A = 0xFFFFFFFF, 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B, _MIX_L, _MIX_R = 0x8B51F9DD, 0x58F38DED, 0xCA01F9DD, \
+    0x4973F715
 
 
 def message_count(rate: float, N: int) -> int:
@@ -57,6 +63,51 @@ def stream(master_seed, *path: int) -> np.random.Generator:
     """Deterministic generator for (master_seed, *path)."""
     ss = np.random.SeedSequence(_as_entropy(master_seed) + tuple(path))
     return np.random.Generator(np.random.Philox(ss))
+
+
+def philox_keys(master_seed, *path) -> np.ndarray:
+    """Philox keys of ``stream(master_seed, *path)`` for broadcasting path
+    entries, shape (broadcast shape) + (2,): ``SeedSequence(entropy)
+    .generate_state(2, np.uint64)`` on uint32 arrays.  A negative seed or
+    an entry outside [0, 2^32) raises DomainError."""
+    seed = _as_entropy(master_seed)
+    words = [n >> 32 * i & _MASK32 for n in seed
+             for i in range(-(-n.bit_length() // 32) or 1)]
+    arrays = np.broadcast_arrays(*words, *path)
+    if min(seed) < 0 or any(np.any((a < 0) | (a > _MASK32)) for a in arrays):
+        raise DomainError(f"entropy {seed} + {path}: negative or over 32 bits")
+    entropy = [a.reshape(-1).astype(np.uint32) for a in arrays]
+    const = _INIT_A
+
+    def hashmix(v, mult=_MULT_A):
+        nonlocal const
+        v, const = v ^ const, const * mult & _MASK32
+        v = v * const
+        return v ^ v >> 16
+
+    def mix(x, y):
+        v = x * _MIX_L - hashmix(y) * _MIX_R
+        return v ^ v >> 16
+
+    pool = [hashmix(v) for v in (entropy + [0 * entropy[0]] * 3)[:4]]
+    for src in range(4):
+        pool = [p if dst == src else mix(p, pool[src])
+                for dst, p in enumerate(pool)]
+    for word in entropy[4:]:
+        pool = [mix(p, word) for p in pool]
+    const = _INIT_B
+    w = [hashmix(v, _MULT_B).astype(np.uint64) for v in pool]
+    return np.stack([w[0] | w[1] << 32, w[2] | w[3] << 32],
+                    axis=-1).reshape(arrays[0].shape + (2,))
+
+
+def rekey(rng: np.random.Generator, key) -> np.random.Generator:
+    """``rng``, a Philox generator, at the start of the stream of ``key``
+    (a :func:`philox_keys` pair), as :func:`stream` starts it."""
+    rng.bit_generator.state = {
+        "bit_generator": "Philox", "state": {"counter": (0,) * 4, "key": key},
+        "buffer": (0,) * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return rng
 
 
 def sample_from_pmf(rng: np.random.Generator, pmf: np.ndarray, shape):
@@ -99,9 +150,12 @@ class CodebookRealization:
     from ``stream(master_seed, k, g_k)`` on its first call, so a table gets
     the same symbols whichever other tables are drawn.  Interfering users
     have no tables (the receiver only knows their input distributions).
+    ``keys`` lists the codes' stream keys in ``counts`` order (derived when
+    None); ``rng`` is re-keyed to a code's stream before every read.
     """
 
-    def __init__(self, model: SystemModel, N: int, master_seed):
+    def __init__(self, model: SystemModel, N: int, master_seed, keys=None,
+                 rng: np.random.Generator | None = None):
         if N < 1:
             raise ShapeMismatch(f"blocklength must be >= 1, got {N}")
         self.N = N
@@ -110,15 +164,16 @@ class CodebookRealization:
                        for k in range(model.K)
                        for g_k, spec in enumerate(model.libraries[k])}
         self.tables = {}
-        self._model, self._rngs = model, {}
+        if keys is None:
+            keys = philox_keys(self.master_seed, *zip(*self.counts)).tolist()
+        self._model, self._keys = model, dict(zip(self.counts, keys))
+        self._rng = rng or np.random.Generator(np.random.Philox())
 
     def _stream(self, k: int, g_k: int) -> np.random.Generator:
-        """The stream of code g_k of user k, built once."""
+        """The stream of code g_k of user k, at its start."""
         if (k, g_k) not in self.counts:
             raise CodeOutOfRange(f"no code ({k}, {g_k}) in realization")
-        if (k, g_k) not in self._rngs:
-            self._rngs[k, g_k] = stream(self.master_seed, k, g_k)
-        return self._rngs[k, g_k]
+        return rekey(self._rng, self._keys[k, g_k])
 
     def table(self, k: int, g_k: int) -> np.ndarray:
         """The codeword table of code g_k of user k, drawn on first call."""
@@ -131,9 +186,8 @@ class CodebookRealization:
     def codeword(self, k: int, g_k: int, w: int) -> np.ndarray:
         """Codeword of message w (1-based) of code g_k of user k, without
         drawing an undrawn table: the N doubles at offset (w-1)*N of its
-        stream, reached by ``advance((w-1)*N // 4)`` (Philox makes four per
-        step) and (w-1)*N mod 4 discards.  The stream's state is restored,
-        so a later full draw gets the same bits from the same stream."""
+        stream, reached from the stream's start by ``advance((w-1)*N //
+        4)`` (Philox makes four per step) and (w-1)*N mod 4 discards."""
         rng = self._stream(k, g_k)
         n = self.counts[k, g_k]
         if not 1 <= w <= n:
@@ -142,12 +196,9 @@ class CodebookRealization:
         if (k, g_k) in self.tables:
             return self.tables[k, g_k][w - 1]
         skip = (w - 1) * self.N
-        state = rng.bit_generator.state
         rng.bit_generator.advance(skip // 4)
         rng.random(skip % 4)
-        row = sample_from_pmf(rng, self._model.input_pmf(k, g_k), self.N)
-        rng.bit_generator.state = state
-        return row
+        return sample_from_pmf(rng, self._model.input_pmf(k, g_k), self.N)
 
 
 def sample_codebook(model: SystemModel, N: int,

@@ -2,12 +2,13 @@
 
 Each trial takes a fresh :class:`~gepkit.ensemble.CodebookRealization`
 (ensemble-average semantics), a code index vector g and uniform messages,
-transmits through the channel and decodes with the scenario's decoder; of
-the realization it draws only the tables the decoder can read.  Per-trial
+transmits through the channel and decodes with the scenario's decoder; of the
+realization it draws only the tables the decoder can read.  Per-trial
 randomness is derived deterministically from (master_seed, trial index,
-purpose), so runs reproduce bit for bit.  Trials run in blocks of at most
-``BLOCK_BYTES``: each trial draws from its own streams in turn, then the
-block is transmitted and decoded, or detected, at once.
+purpose), so runs reproduce bit for bit: reusable generators are re-keyed to
+stream keys derived for many trials at once (:func:`_trial_keys`).  Trials run
+in blocks of at most ``BLOCK_BYTES``: each trial draws from its own streams in
+turn, then the block is transmitted and decoded, or detected, at once.
 
 The error estimator samples messages uniformly and averages, which lower
 bounds the worst-case-over-messages definition; for the random ensembles
@@ -36,8 +37,9 @@ from .ensemble import (
     _inverse_cdf,
     flatten_symbols,
     message_count,
+    philox_keys,
+    rekey,
     sample_from_pmf,
-    stream,
 )
 from .errors import (
     DomainError,
@@ -61,6 +63,9 @@ TRIAL_BUDGET_BYTES = 256 * 2**20
 # decoding block's tables, gathers and scores (_decode_bytes), a detection
 # block's uniforms (its inputs and outputs take no more).
 BLOCK_BYTES = 256 * 2**10
+
+# Trials whose stream keys are derived at once, 16 bytes per stream.
+KEY_CHUNK = 512
 
 
 @dataclass(frozen=True)
@@ -128,6 +133,17 @@ def _draw_g(rng, g_list, g_probs):
     if g_probs is None:
         return g_list[int(rng.integers(0, len(g_list)))]
     return g_list[int(rng.choice(len(g_list), p=g_probs))]
+
+
+def _trial_keys(master_seed: int, trials: int, purpose: int, codes=None):
+    """Stream keys of trials t = 0, 1, ..., ``KEY_CHUNK`` trials at once:
+    of (master_seed, t, purpose), purpose 1 to decode and 2 to detect, and
+    given ``codes`` paired with those of (master_seed, t, 0, k, g_k)."""
+    for start in range(0, trials, KEY_CHUNK):
+        t = np.arange(start, min(start + KEY_CHUNK, trials))
+        own = philox_keys(master_seed, t, purpose).tolist()
+        yield from own if codes is None else zip(own, philox_keys(
+            master_seed, t[:, None], 0, *zip(*codes)).tolist())
 
 
 def _channel_sampler(model: SystemModel):
@@ -228,15 +244,17 @@ def run_trials(scenario, trials: int, master_seed: int,
     read = sorted({(k, g[k]) for D, region, _margin in receiver_parts(
         scenario) for g in region for k in D})
     prefetch = () if scenario.decoder == "detect" else read
+    keys = _trial_keys(master_seed, trials, 1, list(counts))
+    rng, code_rng = (np.random.Generator(np.random.Philox()) for _ in range(2))
 
     def decode_block(block: range) -> list[TrialRecord]:
         drawn = []
         x = np.empty((len(block), model.n_users, N), dtype=np.int64)
         u = np.empty((len(block), N))
-        for i, t in enumerate(block):
-            rng = stream((master_seed, t, 1))
-            g = _draw_g(rng, g_list, g_probs)
-            codebooks = CodebookRealization(model, N, (master_seed, t, 0))
+        for i, (t, (own, code_keys)) in enumerate(zip(block, keys)):
+            g = _draw_g(rekey(rng, own), g_list, g_probs)
+            codebooks = CodebookRealization(model, N, (master_seed, t, 0),
+                                            code_keys, code_rng)
             for key in prefetch:
                 codebooks.table(*key)
             w = tuple(int(rng.integers(1, counts[(k, g[k])] + 1))
@@ -350,10 +368,10 @@ def run_detection_trials(scenario, trials: int, master_seed: int) -> dict:
     its stream: row k < n_users is user k's input, the last row the
     channel's.  Trials are inverted, transmitted and detected together, in
     blocks of as many trials as ``BLOCK_BYTES`` of uniforms hold.
-    Before any stream is drawn, one trial's uniforms and detection scores
-    ((n_users + 1 + H) x N x 8 bytes for H code index vectors) are checked
-    against ``TRIAL_BUDGET_BYTES``; a larger scenario raises
-    :class:`MemoryBudgetExceeded`."""
+    Before any stream is keyed or drawn, one trial's uniforms and
+    detection scores ((n_users + 1 + H) x N x 8 bytes for H code index
+    vectors) are checked against ``TRIAL_BUDGET_BYTES``; a larger scenario
+    raises :class:`MemoryBudgetExceeded`."""
     if trials < 1:
         raise ShapeMismatch(f"need at least 1 trial, got {trials}")
     model: SystemModel = scenario.model
@@ -369,12 +387,13 @@ def run_detection_trials(scenario, trials: int, master_seed: int) -> dict:
     detector = build_detector(model, scenario.detection, scenario.alpha)
     tallies = {g: [0, 0] for g in g_list}
     per_block = max(1, BLOCK_BYTES // (8 * rows * N))
+    keys = _trial_keys(master_seed, trials, 2)
+    rng = np.random.Generator(np.random.Philox())
     for start in range(0, trials, per_block):
         u = np.empty((min(per_block, trials - start), rows, N))
         gs = []
-        for i in range(len(u)):
-            rng = stream((master_seed, start + i, 2))
-            gs.append(_draw_g(rng, g_list, g_probs))
+        for i, key in zip(range(len(u)), keys):
+            gs.append(_draw_g(rekey(rng, key), g_list, g_probs))
             rng.random(out=u[i])
         g_rows = np.array(gs, dtype=np.int64)
         x = np.empty((len(u), model.n_users, N), dtype=np.int64)

@@ -177,3 +177,11 @@ def load_search_scenario(name):
     if name in WORKLOAD_SCENARIOS:
         return parse_scenario(load_workloads().generate(name, ROOT))
     return load_scenario(ROOT / "scenarios" / name)
+
+
+def key_paths(master_seed, *path):
+    """The (master_seed, *path) entropy of each key one
+    ``philox_keys(master_seed, *path)`` call derives, in its row order."""
+    entries = np.broadcast_arrays(*path)
+    return [(master_seed, *p)
+            for p in zip(*(e.reshape(-1).tolist() for e in entries))]

@@ -15,8 +15,10 @@ from gepkit import (
     message_count,
     sample_codebook,
 )
-from gepkit.ensemble import CodebookRealization, sample_from_pmf, stream
-from gepkit.errors import CodeOutOfRange, MessageOutOfRange
+from gepkit.ensemble import (CodebookRealization, philox_keys, rekey,
+                             sample_from_pmf, stream)
+from gepkit.errors import (CodeOutOfRange, DomainError, GepkitError,
+                           MessageOutOfRange)
 
 from conftest import random_g, random_model
 
@@ -101,8 +103,9 @@ class TestEncode:
 
 class TestRowSkip:
     """``codeword`` on an undrawn table skips its stream ahead to the row:
-    the row equals the fully drawn table's, and the stream is left where
-    it was, so drawing the table afterwards gives a fresh draw's bits."""
+    the row equals the fully drawn table's, and every read starts from the
+    stream's start, so drawing the table afterwards gives a fresh draw's
+    bits."""
 
     @staticmethod
     def _model(N):
@@ -147,6 +150,80 @@ class TestRowSkip:
         with pytest.raises(CodeOutOfRange):
             lazy.table(0, 2)
         assert lazy.tables == {}
+
+
+# master seeds of one word (0 and below 2^32), of two words and of three or
+# more, alone or in a tuple; paths of 0 to 6 entries put the entropy below,
+# at and above SeedSequence's 4-word pool
+WORD = st.integers(0, 2**32 - 1)
+SEED = st.one_of(st.just(0), WORD, st.integers(2**32, 2**64 - 1),
+                 st.integers(2**64, 2**100))
+MASTER = st.one_of(SEED, st.lists(SEED, min_size=1, max_size=3).map(tuple))
+PATH = st.one_of(st.lists(WORD, max_size=6),
+                 st.tuples(WORD, st.just(2)),                    # detection
+                 st.tuples(WORD, st.just(0), WORD, WORD))        # code
+
+
+def _oracle(master_seed, path):
+    """The one-stream definition, built from NumPy's own SeedSequence."""
+    seed = master_seed if isinstance(master_seed, tuple) else (master_seed,)
+    ss = np.random.SeedSequence(seed + tuple(path))
+    return ss.generate_state(2, np.uint64), stream(master_seed, *path)
+
+
+class TestPhiloxKeys:
+    """philox_keys is SeedSequence's key, many streams at once, and a
+    re-keyed generator draws what stream() draws."""
+
+    @given(MASTER, PATH)
+    def test_key_equals_seed_sequence(self, master_seed, path):
+        key, rng = _oracle(master_seed, path)
+        mine = philox_keys(master_seed, *path)
+        assert mine.dtype == np.uint64 and mine.shape == (2,)
+        assert mine.tolist() == key.tolist() == \
+            rng.bit_generator.state["state"]["key"].tolist()
+
+    @given(MASTER, PATH, st.integers(0, 40), st.integers(0, 2**20))
+    def test_rekeyed_generator_draws_the_stream(self, master_seed, path, n,
+                                                steps):
+        _key, ref = _oracle(master_seed, path)
+        # a used generator, mid-buffer and with a saved uint32
+        mine = stream(99, 1)
+        mine.random(3)
+        mine.integers(0, 7, dtype=np.int32)
+        rekey(mine, philox_keys(master_seed, *path).tolist())
+        assert mine.integers(0, 2**31, 3, dtype=np.int32).tolist() == \
+            ref.integers(0, 2**31, 3, dtype=np.int32).tolist()
+        assert mine.random(n).tobytes() == ref.random(n).tobytes()
+        assert mine.integers(1, 1000, 5).tolist() == \
+            ref.integers(1, 1000, 5).tolist()
+        p = [0.1, 0.25, 0.6, 0.05]
+        assert mine.choice(4, p=p) == ref.choice(4, p=p)
+        mine.bit_generator.advance(steps)
+        ref.bit_generator.advance(steps)
+        assert mine.random(7).tobytes() == ref.random(7).tobytes()
+
+    @given(MASTER, st.integers(0, 2**32 - 5), st.lists(WORD, min_size=2,
+                                                       max_size=2))
+    def test_arrays_broadcast_to_one_key_per_stream(self, master_seed, t0,
+                                                    codes):
+        t = np.arange(5) + t0
+        codes = np.array(codes)
+        keys = philox_keys(master_seed, t[:, None], 0, codes, 1)
+        assert keys.shape == (5, 2, 2)
+        for i, j in itertools.product(range(5), range(2)):
+            path = (int(t[i]), 0, int(codes[j]), 1)
+            assert keys[i, j].tolist() == \
+                _oracle(master_seed, path)[0].tolist()
+
+    @pytest.mark.parametrize("master_seed, path", [
+        (3, (2**32, 2)), (3, (1, 0, 0, 2**40)), (3, (2**64,)), (3, (-1,)),
+        (-1, (0, 1)),
+        ((4, -2), (0,))])
+    def test_entries_outside_32_bits_refused(self, master_seed, path):
+        with pytest.raises(DomainError) as err:
+            philox_keys(master_seed, *path)
+        assert isinstance(err.value, GepkitError)
 
 
 def brute_force_expectation(model, D, S, g, y, x_fixed, a):

@@ -1,8 +1,10 @@
 import ast
 import copy
+import csv
 import importlib
 import inspect
 import itertools
+import json
 import math
 import weakref
 from collections import Counter
@@ -26,6 +28,7 @@ from gepkit import (
 )
 from gepkit.decoder import REASONS, DecodeOutcome
 from gepkit.channel import output_marginal
+from gepkit.cli import main
 from gepkit.ensemble import (flatten_symbols, message_count,
                              sample_codebook, sample_from_pmf, stream)
 from gepkit.errors import MismatchedParameters, ShapeMismatch
@@ -58,8 +61,8 @@ from gepkit.montecarlo import (
 )
 from gepkit.scenario import load_scenario, parse_scenario
 
-from conftest import (ROOT, load_perfbench, load_workloads, random_alpha,
-                      random_model, small_search)
+from conftest import (ROOT, key_paths, load_perfbench, load_workloads,
+                      random_alpha, random_model, small_search)
 from reference_decoder import (reference_classify_error,
                                reference_decode_receiver)
 
@@ -289,6 +292,39 @@ class TestSetUpOncePerRun:
         assert few == many
         assert few["check_detection_partition"] == 1
         assert few["marginalize_out"] == 2  # P(Y | g) of both hypotheses
+
+    @staticmethod
+    def _constructions(monkeypatch, run):
+        """How many SeedSequence and Philox objects gepkit builds in
+        ``run``."""
+        built = Counter()
+        for name in ("SeedSequence", "Philox"):
+            original = getattr(np.random, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                built[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.random, name, counted)
+        run()
+        monkeypatch.undo()
+        return built
+
+    @pytest.mark.parametrize("name, decoder", [
+        ("bsc_compound_sec4.json", "margin"),
+        ("compound_bsc_relaxed.json", "plain"),
+        ("detect_two_bsc.json", "detect"),
+        ("detect_two_bsc.json", None),
+    ])
+    def test_no_stream_is_built_per_trial(self, monkeypatch, name, decoder):
+        """The trial loops key reusable generators (one per purpose, one
+        more for the code streams) and build no SeedSequence."""
+        scen = load_scenario(SCENARIOS / name)
+        scen.decoder = decoder or scen.decoder
+        run = run_detection_trials if decoder is None else run_trials
+        few = self._constructions(monkeypatch, lambda: run(scen, 2, 3))
+        many = self._constructions(monkeypatch, lambda: run(scen, 40, 3))
+        assert few == many == Counter(Philox=1 if decoder is None else 2)
 
 
 class TestBenchmarkHooks:
@@ -608,9 +644,9 @@ def _readable(scenario, cells=None):
 
 
 class TestTablesDrawn:
-    """A trial draws only the codebook tables its decoder can read, builds
-    each (trial, code) stream once, and gives the records of drawing the
-    whole realization."""
+    """A trial draws only the codebook tables its decoder can read, derives
+    each (trial, code) stream key once, and gives the records of drawing
+    the whole realization."""
 
     @pytest.mark.parametrize("seed", ["ref", 3, 91])
     @pytest.mark.parametrize("name", sorted(TRIAL_SCENARIOS))
@@ -622,22 +658,34 @@ class TestTablesDrawn:
 
     @staticmethod
     def _spy(monkeypatch, scen, trials, seed):
-        """(built, drawn, cells): how often each (trial, code) stream was
-        built, the codes whose table each trial drew, and the detected
-        cell of each trial under detect-then-decode."""
-        built, drawn, cells, owner = Counter(), {}, [], {}
-        make_stream = gepkit.ensemble.stream
+        """(derived, keyed, drawn, cells): how often each (trial, code)
+        stream key was derived, the (trial, code) streams a realization
+        was re-keyed to, the codes whose table each trial drew, and the
+        detected cell of each trial under detect-then-decode."""
+        derived, keyed, drawn, cells = Counter(), set(), {}, []
+        path_of, at = {}, {}
+        derive = gepkit.montecarlo.philox_keys
+        rekey = gepkit.ensemble.rekey
         draw_table = gepkit.ensemble.draw_table
         decode = gepkit.montecarlo.decode_receiver
 
-        def spy_stream(master_seed, *path):
-            rng = make_stream(master_seed, *path)
-            owner[id(rng)] = (rng, master_seed[1], path)  # keeps rng alive
-            built[master_seed[1], path] += 1
-            return rng
+        def spy_derive(master_seed, *path):
+            keys = derive(master_seed, *path)
+            for key, entropy in zip(keys.reshape(-1, 2).tolist(),
+                                    key_paths(master_seed, *path)):
+                path_of[tuple(key)] = entropy
+                if len(entropy) == 5:  # (master_seed, t, 0, k, g_k)
+                    derived[entropy[1], entropy[3:]] += 1
+            return keys
+
+        def spy_rekey(rng, key):
+            _seed, t, _zero, *code = path_of[tuple(key)]
+            at[id(rng)] = t, tuple(code)
+            keyed.add(at[id(rng)])
+            return rekey(rng, key)
 
         def spy_draw(rng, *args):
-            _rng, t, code = owner[id(rng)]
+            t, code = at[id(rng)]
             drawn.setdefault(t, []).append(code)
             return draw_table(rng, *args)
 
@@ -647,19 +695,27 @@ class TestTablesDrawn:
                 cells.extend(out.diagnostics["detected_region"].tolist())
             return out
 
-        monkeypatch.setattr(gepkit.ensemble, "stream", spy_stream)
+        monkeypatch.setattr(gepkit.montecarlo, "philox_keys", spy_derive)
+        monkeypatch.setattr(gepkit.ensemble, "rekey", spy_rekey)
         monkeypatch.setattr(gepkit.ensemble, "draw_table", spy_draw)
         monkeypatch.setattr(gepkit.montecarlo, "decode_receiver", spy_decode)
         run_trials(scen, trials, seed)
         monkeypatch.undo()
-        return built, drawn, cells
+        return derived, keyed, drawn, cells
+
+    @staticmethod
+    def _each_code_once(scen, trials, derived):
+        codes = [(k, g_k) for k in range(scen.model.K)
+                 for g_k in range(len(scen.model.libraries[k]))]
+        assert derived == Counter(itertools.product(range(trials), codes))
 
     def test_detect_draws_only_the_detected_cells_tables(self, monkeypatch):
         scen, seed, trials = TRIAL_SCENARIOS["bigcode-detect"]
         assert (seed, trials) == (2020, 150)
-        built, drawn, cells = self._spy(monkeypatch, scen, trials, seed)
+        derived, _keyed, drawn, cells = self._spy(monkeypatch, scen, trials,
+                                                  seed)
         assert len(cells) == trials
-        assert max(built.values()) == 1
+        self._each_code_once(scen, trials, derived)
         nothing = 0
         for t, cell in enumerate(cells):
             want = _readable(scen, scen.detection[cell])
@@ -673,15 +729,17 @@ class TestTablesDrawn:
     def test_plain_and_margin_draw_the_receiver_set(self, monkeypatch,
                                                     name):
         scen, seed, trials = TRIAL_SCENARIOS[name]
-        built, drawn, cells = self._spy(monkeypatch, scen, trials, seed)
+        derived, keyed, drawn, cells = self._spy(monkeypatch, scen, trials,
+                                                 seed)
         assert not cells
-        assert max(built.values()) == 1
+        self._each_code_once(scen, trials, derived)
         want = _readable(scen)
         assert all(sorted(drawn[t]) == want for t in range(trials))
         if name == "mac2-partition":
-            # no region member uses user 1's second code
+            # no region member uses user 1's second code, whose stream
+            # only transmitted codewords are read from
             assert (1, 1) not in want and (1, 1) in {
-                code for _t, code in built}
+                code for _t, code in keyed}
 
 
 class TestDecodingBlocks:
@@ -872,19 +930,35 @@ class TestDetectionBlocks:
                 assert a.random() == b.random() == c.random()
 
     def test_one_stream_per_trial_in_order(self, monkeypatch):
+        """Each trial's key is derived once, in trial order, in chunks of
+        KEY_CHUNK trials that cut across the blocks, and the trial
+        generator is re-keyed to each."""
         scen = _random_detect_scenario(2)
         monkeypatch.setattr(gepkit.montecarlo, "BLOCK_BYTES",
                             _block_bytes(scen, 4))
-        keys = []
-        original = gepkit.montecarlo.stream
+        chunk = 3
+        monkeypatch.setattr(gepkit.montecarlo, "KEY_CHUNK", chunk)
+        derived, path_of, keyed = [], {}, []
+        derive = gepkit.montecarlo.philox_keys
+        rekey = gepkit.montecarlo.rekey
 
-        def spied(*args):
-            keys.append(args)
-            return original(*args)
+        def spy_derive(master_seed, *path):
+            keys = derive(master_seed, *path)
+            entropy = key_paths(master_seed, *path)
+            derived.append(entropy)
+            path_of.update(zip(map(tuple, keys.tolist()), entropy))
+            return keys
 
-        monkeypatch.setattr(gepkit.montecarlo, "stream", spied)
+        def spy_rekey(rng, key):
+            keyed.append(path_of[tuple(key)])
+            return rekey(rng, key)
+
+        monkeypatch.setattr(gepkit.montecarlo, "philox_keys", spy_derive)
+        monkeypatch.setattr(gepkit.montecarlo, "rekey", spy_rekey)
         run_detection_trials(scen, 11, 8)
-        assert keys == [((8, t, 2),) for t in range(11)]
+        want = [(8, t, 2) for t in range(11)]
+        assert derived == [want[i:i + chunk] for i in range(0, 11, chunk)]
+        assert keyed == want
 
     def test_zero_trials_refused(self):
         scen = _random_detect_scenario(0)
@@ -942,3 +1016,39 @@ class TestDetectionBlocks:
         assert sum(n for n, _e in tallies.values()) == 300
         assert seen and max(seen) <= limit
         assert (limit == budget) == (N is None)
+
+
+class TestMultiWordSeed:
+    """At a master seed of two 32-bit words, simulate's and detect's
+    tallies equal those of the stream()-based per-trial references."""
+
+    SEED = 5000000000
+
+    @pytest.mark.parametrize("name", ["compound_bsc_relaxed",
+                                      "detect_two_bsc"])
+    def test_simulate(self, name, tmp_path):
+        path = SCENARIOS / f"{name}.json"
+        scen = load_scenario(path)
+        records = reference_trials(scen, 200, self.SEED)
+        want = empirical_gep(records, scen.alpha, scen.N).per_g
+        assert main(["simulate", "--scenario", str(path), "--trials", "200",
+                     "--seed", str(self.SEED), "--out", str(tmp_path)]) \
+            in (0, 1)
+        with open(tmp_path / "trials.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert {row["g"]: [int(row["trials"]), int(row["errors"])]
+                for row in rows} == \
+            {" ".join(map(str, g)): n_e for g, n_e in want.items()}
+
+    def test_detect(self, tmp_path):
+        path = SCENARIOS / "detect_two_bsc.json"
+        want = reference_detection_trials(load_scenario(path), 700,
+                                          self.SEED)
+        assert main(["detect", "--scenario", str(path), "--trials", "700",
+                     "--seed", str(self.SEED), "--out", str(tmp_path)]) \
+            in (0, 1)
+        per_g = json.loads(
+            (tmp_path / "detect_summary.json").read_text())["per_g"]
+        assert {g: [v["trials"], v["errors"]] for g, v in per_g.items()} \
+            == {" ".join(map(str, g)): n_e for g, n_e in want.items()}
+

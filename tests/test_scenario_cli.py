@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import gepkit.montecarlo
-from conftest import load_workloads
+from conftest import key_paths, load_workloads
 from gepkit.cli import entropy_gate, main
 from gepkit.ensemble import message_count
 from gepkit.errors import (
@@ -488,28 +488,36 @@ class TestMemoryPreflight:
     def test_detect_exits_2_with_the_byte_count(self, tmp_path, monkeypatch,
                                                 capsys):
         """detect counts one trial's uniforms and detection scores,
-        (n_users + 1 + H) x N x 8 bytes, before it draws any stream."""
+        (n_users + 1 + H) x N x 8 bytes, before it keys or draws any
+        stream."""
         p = SCENARIOS / "detect_two_bsc.json"
         scen = load_scenario(p)
         need = (scen.model.n_users + 1 + scen.model.space_size) * scen.N * 8
         assert need == 800
-        drawn = []
-        original = gepkit.montecarlo.stream
+        derived, keyed = [], []
+        derive = gepkit.montecarlo.philox_keys
+        rekey = gepkit.montecarlo.rekey
 
-        def spy(key):
-            drawn.append(key)
-            return original(key)
+        def spy_derive(master_seed, *path):
+            derived.extend(key_paths(master_seed, *path))
+            return derive(master_seed, *path)
 
-        monkeypatch.setattr(gepkit.montecarlo, "stream", spy)
+        def spy_rekey(rng, key):
+            keyed.append(key)
+            return rekey(rng, key)
+
+        monkeypatch.setattr(gepkit.montecarlo, "philox_keys", spy_derive)
+        monkeypatch.setattr(gepkit.montecarlo, "rekey", spy_rekey)
         monkeypatch.setattr(gepkit.montecarlo, "TRIAL_BUDGET_BYTES", need - 1)
         argv = ["detect", "--scenario", str(p), "--trials", "2",
                 "--out", str(tmp_path / "out")]
         assert main(argv) == 2
         assert "800 bytes" in capsys.readouterr().err
-        assert drawn == []
+        assert derived == keyed == []
         monkeypatch.setattr(gepkit.montecarlo, "TRIAL_BUDGET_BYTES", need)
         assert main(argv) in (0, 1)
-        assert len(drawn) == 2
+        assert derived == [(scen.seed, t, 2) for t in range(2)]
+        assert len(keyed) == 2
 
     def test_sec4_at_n4000_bounds_finite_and_simulate_exits_2(
             self, tmp_path, capsys):

@@ -47,8 +47,8 @@ def main():
           f"{' (vacuous)' if bound.vacuous else ''}")
 
     print(f"\n== simulation ({trials} trials, seed {seed}) ==")
-    records = run_trials(scen, trials, seed, cache=cache)
-    est = empirical_gep(records, scen.alpha, scen.N)
+    tallies = run_trials(scen, trials, seed, cache=cache)
+    est = empirical_gep(tallies, scen.alpha, scen.N)
     passed = compare_bound(est, bound)
     print(f"  {scen.decoder}-decoder GEP {est.point:.4f} (sigma {est.se:.4f}) "
           f"vs bound {bound.value:.4f}: "
@@ -56,15 +56,10 @@ def main():
 
     print(f"\n  {'state':>10} {'trials':>7} {'correct':>8} "
           f"{'collision':>10} {'wrong':>6}")
-    states = sorted({r.g for r in records})
-    for g in states:
-        rs = [r for r in records if r.g == g]
+    for g, (n, _errors, correct, wrong) in sorted(tallies.items()):
         where = ("region" if g in scen.region else
                  "margin" if g in scen.margin else "outside")
-        correct = sum(r.decoded_correct for r in rs)
-        coll = sum(r.kind == "collision" for r in rs)
-        wrong = sum(r.decoded_wrong for r in rs)
-        print(f"  {str(g):>10} {len(rs):>7} {correct:>8} {coll:>10} "
+        print(f"  {str(g):>10} {n:>7} {correct:>8} {n - correct - wrong:>10} "
               f"{wrong:>6}  ({where})")
     return 0 if passed else 1
 

@@ -43,9 +43,8 @@ def main():
         row = {"N": N, "bound": f"{bound.value:.12g}",
                "bound_raw": f"{bound.raw:.12g}"}
         if args.trials:
-            records = run_trials(scen, args.trials, args.seed,
-                                 cache=cache)
-            est = empirical_gep(records, scen.alpha, N)
+            tallies = run_trials(scen, args.trials, args.seed, cache=cache)
+            est = empirical_gep(tallies, scen.alpha, N)
             row["estimate"] = f"{est.point:.12g}"
             row["sigma"] = f"{est.se:.12g}"
         rows.append(row)

@@ -46,7 +46,6 @@ from .exponents import (
 )
 from .montecarlo import (
     GepEstimate,
-    TrialRecord,
     classify_error,
     compare_bound,
     compare_per_g,

@@ -192,9 +192,9 @@ def cmd_bound(scenario: Scenario, out: Path) -> int:
 def cmd_simulate(scenario: Scenario, out: Path) -> int:
     # one cache: the verdict bound reuses the threshold build's exponents
     cache = ExponentCache()
-    records = montecarlo.run_trials(scenario, scenario.trials, scenario.seed,
+    tallies = montecarlo.run_trials(scenario, scenario.trials, scenario.seed,
                                     cache=cache)
-    estimate = montecarlo.empirical_gep(records, scenario.alpha, scenario.N)
+    estimate = montecarlo.empirical_gep(tallies, scenario.alpha, scenario.N)
     bound = scenario_bound(scenario, cache)
     passed = montecarlo.compare_bound(estimate, bound)
     word = "PASS" if passed else "FAIL"

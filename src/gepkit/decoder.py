@@ -178,9 +178,7 @@ class DecodeOutcome:
     - ``candidates_evaluated``: the candidates scored, summed over trials;
     - ``winners``: from :func:`decode_subset`, per S of ``subsets_decode``
       and trial the S-winner's messages w_D (from 1) and code index vector
-      g, shape (n_S, B, |D| + n_users); 0s for no winner, -1s for a tie;
-    - ``detected_region``: from :func:`decode_receiver` with a detector,
-      each trial's detected cell.
+      g, shape (n_S, B, |D| + n_users); 0s for no winner, -1s for a tie.
     """
 
     reason: np.ndarray       # (B,) index into REASONS
@@ -272,8 +270,8 @@ def _labels(members: tuple, width: int) -> np.ndarray:
 
 def decode_subset(thresholds: ThresholdTable, codebooks, y,
                   restrict_to=None) -> DecodeOutcome:
-    """One (D, R_D)-decoder on a block of B trials: ``codebooks`` holds one
-    :class:`CodebookRealization` per trial and y their outputs, shape
+    """One (D, R_D)-decoder on a block of B trials: ``codebooks`` is the
+    block's :class:`CodebookRealization` and y the trials' outputs, shape
     (B, N).  Per subset S (proper, D\\S nonempty) keep the candidates whose
     per-symbol weighted neg-log-likelihood is strictly below tau*(g, S);
     the S-winner is the accepted candidate with maximum weighted
@@ -296,13 +294,9 @@ def decode_subset(thresholds: ThresholdTable, codebooks, y,
     members = sorted(thresholds.region)
     if restrict_to is not None:
         members = [g for g in members if g in restrict_to]
-    stacked = {}
-    for key in sorted({(k, g[k]) for g in members for k in D}):
-        drawn = [cb.table(*key) for cb in codebooks]
-        stacked[key] = drawn[0][None] if len(drawn) == 1 else np.stack(drawn)
-    cands = [_enumerate_candidates(model, D, g,
-                                   [stacked[k, g[k]] for k in D], y, alpha)
-             for g in members]
+    cands = [_enumerate_candidates(
+        model, D, g, [codebooks.table(k, g[k]) for k in D], y, alpha)
+        for g in members]
     winners = np.full((len(thresholds.subsets_decode), len(y)), _NONE)
     for i, S in enumerate(thresholds.subsets_decode if cands else ()):
         masks = [(cand.wnll.reshape(cand.wnll.shape[:1] + cand.grid)
@@ -344,20 +338,21 @@ def decode_receiver(thresholds_by_D: dict, codebooks, y,
     outputs (w1, g1) iff at least one decoded and all decoded outputs
     agree on (w1, g1).  With a :class:`RegionDetector` (detect-then-decode),
     the block's regions are detected first, in one call, and each detected
-    cell's trials are decoded together, scoring only the cell's candidates,
-    under the thresholds of the unrestricted regions."""
+    cell's trials are decoded together on their part of the realization
+    (``codebooks.take``), scoring only the cell's candidates, under the
+    thresholds of the unrestricted regions."""
     y = as_block(y, 2, "(B, N)")
     diag = {"candidates_evaluated": 0}
     groups = [(None, np.arange(len(y)))]
     if detector is not None:
-        cells = diag["detected_region"] = detect_region(detector, y)
+        cells = detect_region(detector, y)
         groups = [(detector.cells[c], np.flatnonzero(cells == c))
                   for c in sorted(set(cells.tolist()))]
     reason = np.zeros(len(y), dtype=np.int64)
     w1, g1 = np.zeros_like(reason), np.zeros_like(reason)
     for cell, at in groups:
-        outs = [decode_subset(thresholds, [codebooks[i] for i in at], y[at],
-                              restrict_to=cell)
+        books = codebooks if cell is None else codebooks.take(at)
+        outs = [decode_subset(thresholds, books, y[at], restrict_to=cell)
                 for thresholds in thresholds_by_D.values()]
         diag["candidates_evaluated"] += sum(
             out.diagnostics["candidates_evaluated"] for out in outs)

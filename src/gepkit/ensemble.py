@@ -8,12 +8,15 @@ whose entropy is the tuple ``(master_seed..., user_index, code_index)``;
 reusable generator to a key's stream.  Message and symbol positions enter
 through the draw order inside the stream, so a fixed (master_seed, user, code)
 always reproduces the same codeword table bit for bit.  A
-:class:`CodebookRealization` draws each table on its first read and reads a
-single codeword of an undrawn table by skipping its stream ahead to the row.
+:class:`CodebookRealization` holds the codebooks of a block of trials: it
+draws a table for every trial on the table's first read, one inverse CDF
+over the block's uniforms, and reads a codeword without drawing its table by
+skipping each trial's stream ahead to the row.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 
 import numpy as np
@@ -134,80 +137,88 @@ def _count_at_or_below(cum, u: np.ndarray) -> np.ndarray:
     return idx
 
 
-def draw_table(rng: np.random.Generator, pmf: np.ndarray, shape):
-    """A code's (messages, N) codeword table, drawn from its own stream:
-    the one call behind every table draw, so a trace or a test sees each."""
-    return sample_from_pmf(rng, pmf, shape)
-
-
 class CodebookRealization:
-    """One sampled draw of every regular user's codebook library.
+    """The codebook libraries of a block of B trials, each trial's its own.
 
     ``counts[(k, g_k)]`` = message_count(r_k(g_k), N) for every code g_k of
-    every regular user k: the library.  ``tables`` holds the tables drawn
-    so far, each an integer array of shape (counts[(k, g_k)], N) whose
-    symbols are i.i.d. from the code's input pmf; :meth:`table` draws one
-    from ``stream(master_seed, k, g_k)`` on its first call, so a table gets
-    the same symbols whichever other tables are drawn.  Interfering users
-    have no tables (the receiver only knows their input distributions).
-    ``keys`` lists the codes' stream keys in ``counts`` order (derived when
-    None); ``rng`` is re-keyed to a code's stream before every read.
-    """
+    every regular user k: the library.  ``keys`` holds, per trial, the
+    stream keys of its codes in ``counts`` order (:func:`philox_keys`);
+    ``rng`` is re-keyed to a trial's code stream before every read.
+    ``tables`` holds the (B, counts[(k, g_k)], N) tables drawn so far, each
+    trial's from its stream's start, so a table gets the same symbols
+    whichever others are drawn.  Interfering users have no tables (the
+    receiver only knows their input distributions)."""
 
-    def __init__(self, model: SystemModel, N: int, master_seed, keys=None,
-                 rng: np.random.Generator | None = None):
-        if N < 1:
-            raise ShapeMismatch(f"blocklength must be >= 1, got {N}")
-        self.N = N
-        self.master_seed = _as_entropy(master_seed)
+    def __init__(self, model: SystemModel, N: int, keys,
+                 rng: np.random.Generator):
+        self.N, self.keys, self.tables = N, keys, {}
         self.counts = {(k, g_k): message_count(spec.rate, N)
                        for k in range(model.K)
                        for g_k, spec in enumerate(model.libraries[k])}
-        self.tables = {}
-        if keys is None:
-            keys = philox_keys(self.master_seed, *zip(*self.counts)).tolist()
-        self._model, self._keys = model, dict(zip(self.counts, keys))
-        self._rng = rng or np.random.Generator(np.random.Philox())
+        self._model, self._rng = model, rng
 
-    def _stream(self, k: int, g_k: int) -> np.random.Generator:
-        """The stream of code g_k of user k, at its start."""
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def _count(self, k: int, g_k: int) -> int:
         if (k, g_k) not in self.counts:
             raise CodeOutOfRange(f"no code ({k}, {g_k}) in realization")
-        return rekey(self._rng, self._keys[k, g_k])
+        return self.counts[k, g_k]
+
+    def _draw(self, k: int, g_k: int, skips, n: int) -> np.ndarray:
+        """Code g_k of user k's symbols at trial i's n uniforms from offset
+        skips[i] of its stream, reached by ``advance(skip // 4)`` (Philox
+        makes four doubles a step) and skip mod 4 discards: (B, n)."""
+        j = list(self.counts).index((k, g_k))
+        u = np.empty((len(self), n))
+        for out, row, skip in zip(u, self.keys, skips):
+            rng = rekey(self._rng, row[j])
+            rng.bit_generator.advance(skip // 4)
+            rng.random(skip % 4)
+            rng.random(out=out)
+        return _inverse_cdf(self._model.input_pmf(k, g_k), u)
 
     def table(self, k: int, g_k: int) -> np.ndarray:
-        """The codeword table of code g_k of user k, drawn on first call."""
+        """The (B, messages, N) table of code g_k of user k, drawn on first
+        call."""
         if (k, g_k) not in self.tables:
-            self.tables[k, g_k] = draw_table(
-                self._stream(k, g_k), self._model.input_pmf(k, g_k),
-                (self.counts[k, g_k], self.N))
+            shape = (len(self), self._count(k, g_k), self.N)
+            self.tables[k, g_k] = self._draw(
+                k, g_k, [0] * len(self), shape[1] * self.N).reshape(shape)
         return self.tables[k, g_k]
 
-    def codeword(self, k: int, g_k: int, w: int) -> np.ndarray:
-        """Codeword of message w (1-based) of code g_k of user k, without
-        drawing an undrawn table: the N doubles at offset (w-1)*N of its
-        stream, reached from the stream's start by ``advance((w-1)*N //
-        4)`` (Philox makes four per step) and (w-1)*N mod 4 discards."""
-        rng = self._stream(k, g_k)
-        n = self.counts[k, g_k]
-        if not 1 <= w <= n:
+    def codeword(self, k: int, g_k: int, w) -> np.ndarray:
+        """Codewords of messages w (1-based, one per trial) of code g_k of
+        user k, shape (B, N), without drawing the table: trial i's is the N
+        symbols at offset (w_i - 1) N of its stream, the table's row."""
+        n, w = self._count(k, g_k), np.asarray(w, dtype=np.int64)
+        if w.shape != (len(self),):
+            raise ShapeMismatch(f"need {len(self)} messages, got {w.shape}")
+        w = w.tolist()
+        if not all(1 <= v <= n for v in w):
             raise MessageOutOfRange(
-                f"message {w} outside 1..{n} for user {k} code {g_k}")
-        if (k, g_k) in self.tables:
-            return self.tables[k, g_k][w - 1]
-        skip = (w - 1) * self.N
-        rng.bit_generator.advance(skip // 4)
-        rng.random(skip % 4)
-        return sample_from_pmf(rng, self._model.input_pmf(k, g_k), self.N)
+                f"messages {w} not in 1..{n}, user {k} code {g_k}")
+        return self._draw(k, g_k, [(v - 1) * self.N for v in w], self.N)
+
+    def take(self, at) -> "CodebookRealization":
+        """The realization of this block's trials ``at`` (indices, repeats
+        allowed), with their rows of every table drawn so far."""
+        part = copy.copy(self)
+        part.keys = [self.keys[i] for i in at]
+        part.tables = {code: t[at] for code, t in self.tables.items()}
+        return part
 
 
 def sample_codebook(model: SystemModel, N: int,
                     master_seed) -> CodebookRealization:
-    """Draw a fresh codebook realization with every table drawn."""
-    codebooks = CodebookRealization(model, N, master_seed)
-    for key in codebooks.counts:
-        codebooks.table(*key)
-    return codebooks
+    """A one-trial realization with every table drawn, code g_k of user k
+    from ``stream(master_seed, k, g_k)``."""
+    cb = CodebookRealization(model, N, [], np.random.Generator(
+        np.random.Philox()))
+    cb.keys = [philox_keys(master_seed, *zip(*cb.counts)).tolist()]
+    for code in cb.counts:
+        cb.table(*code)
+    return cb
 
 
 def _logsumexp(a, axis: int):

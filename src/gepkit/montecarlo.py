@@ -1,14 +1,15 @@
-"""Trial runner and empirical weighted-error estimation.
+"""Trial engine and empirical weighted-error estimation.
 
-Each trial takes a fresh :class:`~gepkit.ensemble.CodebookRealization`
-(ensemble-average semantics), a code index vector g and uniform messages,
-transmits through the channel and decodes with the scenario's decoder; of the
-realization it draws only the tables the decoder can read.  Per-trial
-randomness is derived deterministically from (master_seed, trial index,
-purpose), so runs reproduce bit for bit: reusable generators are re-keyed to
-stream keys derived for many trials at once (:func:`_trial_keys`).  Trials run
-in blocks of at most ``BLOCK_BYTES``: each trial draws from its own streams in
-turn, then the block is transmitted and decoded, or detected, at once.
+One block trial engine (:func:`_run_blocks`) runs decoding and detection
+trials and returns per-g tallies, since the GEP is a weighted sum of
+Pr{err | g}.  Per-trial randomness is derived deterministically from
+(master_seed, trial index, purpose), so runs reproduce bit for bit:
+reusable generators are re-keyed to stream keys derived for many trials at
+once (:func:`_trial_keys`).  Trials run in blocks of at most
+``BLOCK_BYTES``: each trial writes the uniforms of its own streams into the
+block's arrays, and the inverse CDF runs once per code per block.  A
+decoding block has one :class:`~gepkit.ensemble.CodebookRealization` (each
+trial its own codebooks), of which the decoder draws only what it reads.
 
 The error estimator samples messages uniformly and averages, which lower
 bounds the worst-case-over-messages definition; for the random ensembles
@@ -39,7 +40,6 @@ from .ensemble import (
     message_count,
     philox_keys,
     rekey,
-    sample_from_pmf,
 )
 from .errors import (
     DomainError,
@@ -60,32 +60,12 @@ ERROR_MODELS = (RELAXED, STRICT, MARGIN)
 TRIAL_BUDGET_BYTES = 256 * 2**20
 
 # Bytes a block of trials may hold, unless one trial alone takes more: a
-# decoding block's tables, gathers and scores (_decode_bytes), a detection
+# decoding block's tables, gathers and scores (_trial_bytes), a detection
 # block's uniforms (its inputs and outputs take no more).
 BLOCK_BYTES = 256 * 2**10
 
 # Trials whose stream keys are derived at once, 16 bytes per stream.
 KEY_CHUNK = 512
-
-
-@dataclass(frozen=True)
-class TrialRecord:
-    trial: int
-    g: tuple
-    w: tuple
-    kind: str          # "decoded" | "collision"
-    w1: int | None
-    g1: int | None
-    error: bool
-
-    @property
-    def decoded_correct(self) -> bool:
-        return self.kind == "decoded" and self.w1 == self.w[0] \
-            and self.g1 == self.g[0]
-
-    @property
-    def decoded_wrong(self) -> bool:
-        return self.kind == "decoded" and not self.decoded_correct
 
 
 def classify_error(error_model: str, region, margin, g, w,
@@ -102,13 +82,18 @@ def classify_error(error_model: str, region, margin, g, w,
     if error_model not in ERROR_MODELS:
         raise DomainError(f"unknown error model {error_model!r}")
     decoded = outcome.decoded
-    correct = decoded & (outcome.w1 == [wi[0] for wi in w]) \
-        & (outcome.g1 == [gi[0] for gi in g])
+    correct = _decoded_correct(outcome, g, w)
     outside = decoded & ~correct if error_model == RELAXED else decoded
     if error_model == MARGIN and margin is not None:
         outside = np.where([gi in margin for gi in g], decoded & ~correct,
                            decoded)
     return np.where([gi in region for gi in g], ~correct, outside)
+
+
+def _decoded_correct(outcome: DecodeOutcome, g, w) -> np.ndarray:
+    """Which trials decoded transmitter 1's own message and code."""
+    return outcome.decoded & (outcome.w1 == [wi[0] for wi in w]) \
+        & (outcome.g1 == [gi[0] for gi in g])
 
 
 # ---------------------------------------------------------------------------
@@ -135,15 +120,17 @@ def _draw_g(rng, g_list, g_probs):
     return g_list[int(rng.choice(len(g_list), p=g_probs))]
 
 
-def _trial_keys(master_seed: int, trials: int, purpose: int, codes=None):
+def _trial_keys(master_seed: int, trials: int, purpose: int, codes):
     """Stream keys of trials t = 0, 1, ..., ``KEY_CHUNK`` trials at once:
-    of (master_seed, t, purpose), purpose 1 to decode and 2 to detect, and
-    given ``codes`` paired with those of (master_seed, t, 0, k, g_k)."""
+    of (master_seed, t, purpose), purpose 1 to decode and 2 to detect, each
+    paired with those of (master_seed, t, 0, k, g_k) for the (k, g_k) of
+    ``codes``, or with None when ``codes`` is None."""
     for start in range(0, trials, KEY_CHUNK):
         t = np.arange(start, min(start + KEY_CHUNK, trials))
         own = philox_keys(master_seed, t, purpose).tolist()
-        yield from own if codes is None else zip(own, philox_keys(
-            master_seed, t[:, None], 0, *zip(*codes)).tolist())
+        yield from zip(own, philox_keys(
+            master_seed, t[:, None], 0, *zip(*codes)).tolist()
+            if codes else [None] * len(own))
 
 
 def _channel_sampler(model: SystemModel):
@@ -172,34 +159,101 @@ def receiver_parts(scenario) -> list:
     return [(D, reg, None) for D, reg in scenario.partition]
 
 
-def _trial_bytes(scenario, counts: dict) -> int:
-    """Bytes one decoding trial may hold: every code's table (message count
-    x N x 8, drawn or not), plus the candidate grid of the largest decoder.
-    A decoder holds prod_{k in D} M_k candidates per in-region g, each with
-    a likelihood gather and four scores, (N + 4) x 8 bytes.  Over two or
-    more users each also holds |D| gathered rows and their stacked copy,
-    2|D| x N x 8 bytes more; a single user's rows are views of its table."""
-    N = scenario.N
-    grids = [sum(math.prod(counts[k, g[k]] for k in D) for g in region)
-             * ((2 * len(D) + 1) * N + 4 if len(D) > 1 else N + 4) * 8
-             for D, region, _margin in receiver_parts(scenario)]
-    return sum(n * N * 8 for n in counts.values()) + max(grids, default=0)
+def _trial_bytes(scenario, counts: dict) -> tuple[int, int]:
+    """Bytes one decoding trial may hold, and bytes it adds to a block.  It
+    may hold every code's table (message count x N x 8, drawn or not) and
+    the candidate grid of its largest decoder: prod_{k in D} M_k candidates
+    per in-region g, each with a likelihood gather and four scores,
+    (N + 4) x 8 bytes, and over two or more users |D| gathered rows and
+    their stacked copy, 2|D| x N x 8 bytes more (a single user's rows are
+    views of its table).  It adds to a block its rows of each table the
+    region members' candidates read and every decoder's gathers and
+    scores."""
+    N, parts = scenario.N, receiver_parts(scenario)
+    cands = [sum(math.prod(counts[k, g[k]] for k in D) for g in region)
+             for D, region, _margin in parts]
+    grids = [n * ((2 * len(D) + 1) * N + 4 if len(D) > 1 else N + 4) * 8
+             for n, (D, _region, _margin) in zip(cands, parts)]
+    read = {(k, g[k]) for D, region, _margin in parts for g in region
+            for k in D}
+    return (sum(n * N * 8 for n in counts.values()) + max(grids, default=0),
+            8 * (N * sum(map(counts.get, read)) + (N + 4) * sum(cands)))
 
 
-def _decode_bytes(scenario, counts: dict, read) -> int:
-    """Bytes one trial adds to a decoding block: its stacked copy of each
-    table in ``read``, the tables the region members' candidates read, and
-    per candidate a likelihood gather of N symbols and four score arrays."""
-    cands = sum(math.prod(counts[k, g[k]] for k in D)
-                for D, region, _margin in receiver_parts(scenario)
-                for g in region)
-    return 8 * (scenario.N * sum(map(counts.get, read))
-                + (scenario.N + 4) * cands)
+def _check_trials(trials: int, need: int, what: str, N: int):
+    """Refuse fewer than one trial, and a trial whose ``need`` bytes exceed
+    ``TRIAL_BUDGET_BYTES`` (:class:`MemoryBudgetExceeded` naming ``what``)."""
+    if trials < 1:
+        raise ShapeMismatch(f"need at least 1 trial, got {trials}")
+    if need > TRIAL_BUDGET_BYTES:
+        raise MemoryBudgetExceeded(
+            f"{what} {need} bytes, over the {TRIAL_BUDGET_BYTES}-byte budget "
+            f"(N={N})")
+
+
+def _run_blocks(scenario, trials: int, master_seed: int, trial_bytes: int,
+                judge, counts) -> dict:
+    """The block trial engine: tallies g -> [trials, *judged counts] of
+    every g that drew a trial, in sampling order.
+
+    ``counts`` (decoding: the regular users' message counts per (k, g_k);
+    detecting: None) selects stream purpose 1 or 2.  Trial t draws g, then
+    (decoding) a message per regular user, then N uniforms for each input
+    no codebook sends and N for the channel, into its row of the block's
+    (B, n_users + 1, N) array; codewords come from the trials' own code
+    streams through the block's :class:`CodebookRealization`.  A block holds
+    ``BLOCK_BYTES // trial_bytes`` trials, at least one; its inputs are
+    inverted once per (k, g_k), and ``judge(codebooks, gs, g_rows, ws, y)``
+    returns arrays of B counts, one per tally column after the trials."""
+    model, N = scenario.model, scenario.N
+    g_list, g_probs = _g_sampler(scenario, model)
+    transmit = _channel_sampler(model)
+    coded = model.K if counts else 0        # users sending codewords
+    keys = _trial_keys(master_seed, trials, 1 if counts else 2, counts)
+    rng = np.random.Generator(np.random.Philox())
+    code_rng = np.random.Generator(np.random.Philox()) if counts else None
+    per_block = max(1, BLOCK_BYTES // trial_bytes)
+    row_of = {g: j for j, g in enumerate(g_list)}
+    g_array = np.array(g_list, dtype=np.int64)
+    totals = 0                              # then (columns, len(g_list))
+    for start in range(0, trials, per_block):
+        u = np.empty((min(per_block, trials - start), model.n_users + 1, N))
+        from_stream = u[:, coded:]           # rows the trial stream fills
+        gs, ws, code_keys = [], [], []
+        for i, (own, codes) in zip(range(len(u)), keys):
+            gs.append(_draw_g(rekey(rng, own), g_list, g_probs))
+            if counts:
+                ws.append(tuple(int(rng.integers(1, counts[k, gs[-1][k]] + 1))
+                                for k in range(coded)))
+                code_keys.append(codes)
+            rng.random(out=from_stream[i])
+        codebooks = CodebookRealization(model, N, code_keys, code_rng) \
+            if counts else None
+        rows = np.array([row_of[g] for g in gs])
+        g_rows = g_array[rows]
+        x = np.empty((len(u), model.n_users, N), dtype=np.int64)
+        for k, n_codes in enumerate(model.code_counts):
+            for gk in range(n_codes):
+                at = (g_rows[:, k] == gk).nonzero()[0]
+                if not len(at):
+                    continue
+                x[at, k] = _inverse_cdf(model.input_pmf(k, gk), u[at, k]) \
+                    if k >= coded else codebooks.take(at).codeword(
+                        k, gk, [ws[i][k] for i in at])
+        judged = judge(codebooks, gs, g_rows, ws, transmit(x, u[:, -1]))
+        totals = totals + np.array([
+            np.bincount(rows, weights=column, minlength=len(g_list))
+            for column in (np.ones(len(gs)),) + judged])
+    return {g: tally for g, tally in zip(
+        g_list, totals.T.astype(np.int64).tolist()) if tally[0]}
 
 
 def run_trials(scenario, trials: int, master_seed: int,
-               cache: ExponentCache | None = None) -> list[TrialRecord]:
-    """Simulate ``trials`` independent slots of the scenario.
+               cache: ExponentCache | None = None) -> dict:
+    """Simulate ``trials`` independent slots of the scenario: tallies
+    g -> [trials, errors, decoded_correct, decoded_wrong] of every g that
+    drew a trial, in sampling order.  A trial decodes correctly when
+    transmitter 1's message and code come out; the rest are collisions.
 
     ``scenario`` provides: model, N, alpha, region, margin, error_model,
     decoder ("plain" | "margin" | "detect"), partition (decoded-subset ->
@@ -208,77 +262,41 @@ def run_trials(scenario, trials: int, master_seed: int,
 
     Every trial resamples the codebook (the bounds are ensemble averages),
     but draws only the tables its decoder can read, with the symbols a
-    full draw gives them: under the plain and margin decoders, before the
-    transmitted codewords are read, the (k, g_k) of every region member of
-    every :func:`receiver_parts` entry; under detect-then-decode, after
-    detection, those of the detected cell's region members only.  Before
-    any threshold is built, one trial's codebook and candidate-grid bytes
-    (:func:`_trial_bytes`) are checked against ``TRIAL_BUDGET_BYTES``; a
-    larger scenario raises :class:`MemoryBudgetExceeded`.  Trials are
-    decoded in blocks of as many as ``BLOCK_BYTES`` hold, at least one.
+    full draw gives them: under the plain and margin decoders the (k, g_k)
+    of every region member of every :func:`receiver_parts` entry, under
+    detect-then-decode those of the detected cell's region members only.
+    Before any threshold is built, one trial's bytes (:func:`_trial_bytes`)
+    are checked against ``TRIAL_BUDGET_BYTES``; a larger scenario raises
+    :class:`MemoryBudgetExceeded`.
 
     ``cache`` is the exponent cache the threshold tables are built from,
     a new one when None; passing the one the verdict bound will use spares
     that bound the maximizations the tables already ran.
     """
-    if trials < 1:
-        raise ShapeMismatch(f"need at least 1 trial, got {trials}")
     model: SystemModel = scenario.model
     N = scenario.N
     counts = {(k, gk): message_count(model.rate(k, gk), N)
               for k in range(model.K)
               for gk in range(len(model.libraries[k]))}
-    need = _trial_bytes(scenario, counts)
-    if need > TRIAL_BUDGET_BYTES:
-        raise MemoryBudgetExceeded(
-            f"one trial's codebooks and candidates take {need} bytes, over "
-            f"the {TRIAL_BUDGET_BYTES}-byte budget (N={N})")
-    g_list, g_probs = _g_sampler(scenario, model)
-    transmit = _channel_sampler(model)
+    need, block_bytes = _trial_bytes(scenario, counts)
+    _check_trials(trials, need, "one trial's codebooks and candidates take",
+                  N)
     cache = cache or ExponentCache()
     tables = {D: build_thresholds(model, D, reg, scenario.alpha,
                                   margin=margin, cache=cache)
               for D, reg, margin in receiver_parts(scenario)}
     detector = build_detector(model, scenario.detection, scenario.alpha) \
         if scenario.decoder == "detect" else None
-    read = sorted({(k, g[k]) for D, region, _margin in receiver_parts(
-        scenario) for g in region for k in D})
-    prefetch = () if scenario.decoder == "detect" else read
-    keys = _trial_keys(master_seed, trials, 1, list(counts))
-    rng, code_rng = (np.random.Generator(np.random.Philox()) for _ in range(2))
 
-    def decode_block(block: range) -> list[TrialRecord]:
-        drawn = []
-        x = np.empty((len(block), model.n_users, N), dtype=np.int64)
-        u = np.empty((len(block), N))
-        for i, (t, (own, code_keys)) in enumerate(zip(block, keys)):
-            g = _draw_g(rekey(rng, own), g_list, g_probs)
-            codebooks = CodebookRealization(model, N, (master_seed, t, 0),
-                                            code_keys, code_rng)
-            for key in prefetch:
-                codebooks.table(*key)
-            w = tuple(int(rng.integers(1, counts[(k, g[k])] + 1))
-                      for k in range(model.K))
-            for k in range(model.K):
-                x[i, k] = codebooks.codeword(k, g[k], w[k])
-            for k in range(model.K, model.n_users):
-                x[i, k] = sample_from_pmf(rng, model.input_pmf(k, g[k]), N)
-            rng.random(out=u[i])
-            drawn.append((g, w, codebooks))
-        gs, ws, books = zip(*drawn)
-        outcome = decode_receiver(tables, books, transmit(x, u), detector)
+    def judge(codebooks, gs, _g_rows, ws, y):
+        outcome = decode_receiver(tables, codebooks, y, detector)
         errors = classify_error(scenario.error_model, scenario.region,
                                 scenario.margin, gs, ws, outcome)
-        return [TrialRecord(t, g, w, "decoded" if ok else "collision",
-                            w1 if ok else None, g1 if ok else None, err)
-                for t, g, w, ok, w1, g1, err in zip(
-                    block, gs, ws, outcome.decoded.tolist(),
-                    outcome.w1.tolist(), outcome.g1.tolist(), errors.tolist())]
+        correct = _decoded_correct(outcome, gs, ws)
+        return errors, correct, outcome.decoded & ~correct
 
-    per_block = max(1, BLOCK_BYTES // _decode_bytes(scenario, counts, read))
-    return [record for start in range(0, trials, per_block)
-            for record in decode_block(
-                range(start, min(start + per_block, trials)))]
+    return _run_blocks(scenario, trials, master_seed, block_bytes, judge,
+                       counts)
 
 
 # ---------------------------------------------------------------------------
@@ -295,31 +313,26 @@ class GepEstimate:
     unestimated: tuple = ()
 
 
-def empirical_gep(records, alpha: WeightFunction, N: int) -> GepEstimate:
+def empirical_gep(tallies: dict, alpha: WeightFunction,
+                  N: int) -> GepEstimate:
     """Weighted average of per-g empirical error rates over the index
-    space with weights e^{-N alpha(g)}; the standard error propagates
-    per-stratum binomial variance.  Strata with no trials contribute zero
-    and are flagged unestimated.
+    space with weights e^{-N alpha(g)}, from :func:`run_trials`' tallies
+    (g -> [trials, errors, ...]); the standard error propagates per-stratum
+    binomial variance.  Strata with no trials contribute zero and are
+    flagged unestimated.
     """
     g_all = list(alpha.model.index_space())
-    tallies = {g: [0, 0] for g in g_all}
-    for r in records:
-        tallies[r.g][0] += 1
-        tallies[r.g][1] += int(r.error)
+    tallies = {g: list(tallies.get(g, (0, 0))[:2]) for g in g_all}
     logw = np.array([-N * alpha(g) for g in g_all])
     w = np.exp(logw - logw.max())
     w /= w.sum()
-    point = 0.0
-    var = 0.0
-    missing = []
-    for wi, g in zip(w, g_all):
-        n, e = tallies[g]
-        if n == 0:
-            missing.append(g)
-            continue
-        p = e / n
-        point += wi * p
-        var += wi * wi * p * (1.0 - p) / n
+    point = var = 0.0
+    missing = [g for g in g_all if not tallies[g][0]]
+    for wi, (n, e) in zip(w, tallies.values()):
+        if n:
+            p = e / n
+            point += wi * p
+            var += wi * wi * p * (1.0 - p) / n
     return GepEstimate(point=float(point), se=float(np.sqrt(var)), N=N,
                        alpha_key=alpha.key(), per_g=tallies,
                        unestimated=tuple(missing))
@@ -372,39 +385,18 @@ def run_detection_trials(scenario, trials: int, master_seed: int) -> dict:
     detection scores ((n_users + 1 + H) x N x 8 bytes for H code index
     vectors) are checked against ``TRIAL_BUDGET_BYTES``; a larger scenario
     raises :class:`MemoryBudgetExceeded`."""
-    if trials < 1:
-        raise ShapeMismatch(f"need at least 1 trial, got {trials}")
     model: SystemModel = scenario.model
     N = scenario.N
     rows = model.n_users + 1
-    need = (rows + model.space_size) * N * 8
-    if need > TRIAL_BUDGET_BYTES:
-        raise MemoryBudgetExceeded(
-            f"one detection trial takes {need} bytes, over the "
-            f"{TRIAL_BUDGET_BYTES}-byte budget (N={N})")
-    g_list, g_probs = _g_sampler(scenario, model)
-    transmit = _channel_sampler(model)
+    _check_trials(trials, (rows + model.space_size) * N * 8,
+                  "one detection trial takes", N)
     detector = build_detector(model, scenario.detection, scenario.alpha)
-    tallies = {g: [0, 0] for g in g_list}
-    per_block = max(1, BLOCK_BYTES // (8 * rows * N))
-    keys = _trial_keys(master_seed, trials, 2)
-    rng = np.random.Generator(np.random.Philox())
-    for start in range(0, trials, per_block):
-        u = np.empty((min(per_block, trials - start), rows, N))
-        gs = []
-        for i, key in zip(range(len(u)), keys):
-            gs.append(_draw_g(rekey(rng, key), g_list, g_probs))
-            rng.random(out=u[i])
-        g_rows = np.array(gs, dtype=np.int64)
-        x = np.empty((len(u), model.n_users, N), dtype=np.int64)
-        for k in range(model.n_users):
-            for gk in range(model.code_counts[k]):
-                drew = g_rows[:, k] == gk
-                x[drew, k] = _inverse_cdf(model.input_pmf(k, gk), u[drew, k])
-        cells = detect_region(detector, transmit(x, u[:, -1]))
+
+    def judge(_codebooks, _gs, g_rows, _ws, y):
         true_cells = detector.cell[np.ravel_multi_index(g_rows.T,
                                                         model.code_counts)]
-        for g, err in zip(gs, (cells != true_cells).tolist()):
-            tallies[g][0] += 1
-            tallies[g][1] += err
-    return tallies
+        return (detect_region(detector, y) != true_cells,)
+
+    tallies = _run_blocks(scenario, trials, master_seed, 8 * rows * N, judge,
+                          None)
+    return {g: tallies.get(g, [0, 0]) for g in _g_sampler(scenario, model)[0]}

@@ -9,6 +9,7 @@ from hypothesis import settings
 
 from gepkit import CodeSpec, SystemModel, make_compound_bsc, make_dmc
 from gepkit import optimize
+from gepkit.ensemble import CodebookRealization, philox_keys
 from gepkit.exponents import WeightFunction
 from gepkit.scenario import load_scenario, parse_scenario
 
@@ -185,3 +186,31 @@ def key_paths(master_seed, *path):
     entries = np.broadcast_arrays(*path)
     return [(master_seed, *p)
             for p in zip(*(e.reshape(-1).tolist() for e in entries))]
+
+
+def codeword(codebooks, k, g_k, w):
+    """Codeword of message w of code g_k of user k in a one-trial
+    realization (such as ``sample_codebook``'s): a row of shape (N,)."""
+    return codebooks.codeword(k, g_k, [w])[0]
+
+
+def block_of(model, N, trial_seeds):
+    """The realization of a block with one trial per entry of
+    ``trial_seeds``, trial i's code g_k of user k keyed as
+    ``stream(trial_seeds[i], k, g_k)``; no table drawn."""
+    codes = [(k, g_k) for k in range(model.K)
+             for g_k in range(len(model.libraries[k]))]
+    return CodebookRealization(
+        model, N, [philox_keys(seed, *zip(*codes)).tolist()
+                   for seed in trial_seeds],
+        np.random.Generator(np.random.Philox()))
+
+
+def stack_books(books):
+    """One block realization of one-trial realizations with every table
+    drawn (``sample_codebook``'s, perhaps edited), trial i being books[i]."""
+    block = books[0].take([0] * len(books))
+    block.keys = [cb.keys[0] for cb in books]
+    block.tables = {code: np.concatenate([cb.tables[code] for cb in books])
+                    for code in books[0].tables}
+    return block

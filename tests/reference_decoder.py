@@ -1,7 +1,7 @@
 """The per-trial decoder, kept as the slow reference for the block decoder.
 
 ``reference_decode_subset`` and ``reference_decode_receiver`` decode one
-trial: one realization and one output of shape (N,).  They make the
+trial: a one-trial realization and one output of shape (N,).  They make the
 decisions the block decoder of :mod:`gepkit.decoder` makes for each trial
 of a block, one Python pass per trial, per in-region vector and per subset
 S.  ``trial_view`` puts trial i of a block outcome in the same shape, so
@@ -36,7 +36,7 @@ class Outcome:
     collision.  ``diagnostics`` holds ``reason`` (collisions only),
     ``candidates_evaluated``, ``winners`` (subset decoders: one entry per
     S of the table's ``subsets_decode``, the S-winner (w_D, g), None or
-    "tie") and ``detected_region`` (receiver with a detector)."""
+    "tie")."""
 
     kind: str                # "decoded" | "collision"
     w1: int | None = None
@@ -67,7 +67,7 @@ class _Candidates:
 def _enumerate_candidates(model, D, g, codebooks, y, alpha) -> _Candidates:
     N = len(y)
     lm = marginalize_out(model, D, g).log_pmf()
-    tables = [codebooks.table(k, g[k]) for k in D]
+    tables = [codebooks.table(k, g[k])[0] for k in D]
     counts = [t.shape[0] for t in tables]
     n = math.prod(counts)
     if len(D) == 1:
@@ -158,8 +158,7 @@ def reference_decode_receiver(thresholds_by_D: dict, codebooks, y,
     diag = {"candidates_evaluated": 0}
     cell = None
     if detector is not None:
-        diag["detected_region"] = int(detect_region(detector, y[None])[0])
-        cell = detector.cells[diag["detected_region"]]
+        cell = detector.cells[int(detect_region(detector, y[None])[0])]
     pairs = []
     for thresholds in thresholds_by_D.values():
         out = reference_decode_subset(thresholds, codebooks, y,
@@ -218,8 +217,6 @@ def trial_view(out, i: int, D=()) -> Outcome:
     if "winners" in out.diagnostics:
         diag["winners"] = [as_choice(row[i], len(D))
                            for row in out.diagnostics["winners"]]
-    if "detected_region" in out.diagnostics:
-        diag["detected_region"] = int(out.diagnostics["detected_region"][i])
     if reason is not None:
         return _collision(diag, reason)
     winner = diag["winners"][0] if "winners" in diag else None
@@ -229,13 +226,13 @@ def trial_view(out, i: int, D=()) -> Outcome:
 
 def decode_one(thresholds, codebooks, y, restrict_to=None) -> Outcome:
     """:func:`decode_subset` on one trial, a block of one."""
-    out = decode_subset(thresholds, [codebooks], np.asarray(y)[None],
+    out = decode_subset(thresholds, codebooks, np.asarray(y)[None],
                         restrict_to=restrict_to)
     return trial_view(out, 0, thresholds.D)
 
 
 def receive_one(thresholds_by_D, codebooks, y, detector=None) -> Outcome:
     """:func:`decode_receiver` on one trial, a block of one."""
-    out = decode_receiver(thresholds_by_D, [codebooks], np.asarray(y)[None],
+    out = decode_receiver(thresholds_by_D, codebooks, np.asarray(y)[None],
                           detector)
     return trial_view(out, 0)

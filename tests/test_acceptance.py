@@ -53,6 +53,7 @@ from gepkit.scenario import load_scenario
 
 from conftest import (
     bsc_model,
+    codeword,
     random_alpha,
     random_g,
     random_model,
@@ -229,8 +230,8 @@ def test_criterion_4_bound_vs_simulation():
     t0 = time.time()
     scen = load_scenario(SCENARIOS / "compound_bsc_relaxed.json")
     assert scen.N == 12 and scen.trials >= 10_000
-    records = run_trials(scen, scen.trials, scen.seed)
-    est = empirical_gep(records, scen.alpha, scen.N)
+    tallies = run_trials(scen, scen.trials, scen.seed)
+    est = empirical_gep(tallies, scen.alpha, scen.N)
     bound = gep_bound_D(scen.model, [0], scen.region, scen.alpha, scen.N,
                         cache=ExponentCache())
     passed = compare_bound(est, bound)
@@ -375,7 +376,7 @@ def test_criterion_9_margin_behavior(monkeypatch):
 
     ``decode_receiver``, ``decode_subset`` and ``classify_error`` are
     wrapped at the names their callers look up, so the scenario's own run
-    is inspected and its records are unchanged.  The runner classifies
+    is inspected and its tallies are unchanged.  The runner classifies
     each block of trials with their transmitted (g, w) right after
     decoding it, so the wrapped ``classify_error`` checks, trial by trial,
     the block decode that the wrapped ``decode_receiver`` last kept; the
@@ -401,8 +402,8 @@ def test_criterion_9_margin_behavior(monkeypatch):
         if (w_dec[0], g_dec[0]) == (w[0], g[0]):
             return None
         lm = marginalize_out(scen.model, [0], g_dec).log_pmf()
-        sent = codebooks.codeword(0, g[0], w[0])
-        chosen = codebooks.codeword(0, g_dec[0], w_dec[0])
+        sent = codeword(codebooks, 0, g[0], w[0])
+        chosen = codeword(codebooks, 0, g_dec[0], w_dec[0])
         return float(lm[chosen, y].sum() - lm[sent, y].sum())
 
     def recording_decode_subset(*args, **kwargs):
@@ -426,7 +427,7 @@ def test_criterion_9_margin_behavior(monkeypatch):
             assert outcome.kind == trial_view(call["outcome"], i).kind
             if g in scen.margin:
                 seen.append(g)
-                codebooks, y = last["codebooks"][i], last["y"][i]
+                codebooks, y = last["codebooks"].take([i]), last["y"][i]
                 if outcome.decoded:
                     decodes.append(advantage(codebooks, y, w, g,
                                              outcome.winner))
@@ -439,16 +440,15 @@ def test_criterion_9_margin_behavior(monkeypatch):
                         recording_decode_receiver)
     monkeypatch.setattr(decoder, "decode_subset", recording_decode_subset)
     monkeypatch.setattr(montecarlo, "classify_error", checking_classify_error)
-    records = run_trials(scen, scen.trials, scen.seed)
-    est = empirical_gep(records, scen.alpha, scen.N)
+    tallies = run_trials(scen, scen.trials, scen.seed)
+    est = empirical_gep(tallies, scen.alpha, scen.N)
     bound = gep_bound_D(scen.model, [0], scen.region, scen.alpha, scen.N,
                         margin=scen.margin, cache=ExponentCache())
     passed = compare_bound(est, bound)
 
-    margin_records = [r for r in records if r.g in scen.margin]
-    margin_trials = len(margin_records)
-    wrong_per_state = {g: sum(1 for r in margin_records
-                              if r.g == g and r.decoded_wrong)
+    # tallies are [trials, errors, decoded correctly, decoded wrongly]
+    margin_trials = sum(tallies.get(g, [0])[0] for g in scen.margin)
+    wrong_per_state = {g: tallies.get(g, [0] * 4)[3]
                        for g in sorted(scen.margin)}
 
     decodes = [d for d in decodes if d is not None]

@@ -18,12 +18,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from gepkit import (
-    CodebookRealization,
     ExponentCache,
     build_detector,
     build_thresholds,
     decode_receiver,
     decode_subset,
+    detect_region,
     sample_codebook,
 )
 from gepkit.decoder import REASONS
@@ -36,8 +36,8 @@ from gepkit.montecarlo import (
 )
 from gepkit.scenario import load_scenario, parse_scenario
 
-from conftest import ROOT, load_workloads, random_alpha, random_model, \
-    small_search
+from conftest import ROOT, block_of, codeword, load_workloads, \
+    random_alpha, random_model, small_search, stack_books
 from reference_decoder import (
     reference_decode_receiver,
     reference_decode_subset,
@@ -51,35 +51,33 @@ BLOCK = 16
 def _key(out):
     """What the two decoders must agree on, trial by trial."""
     return (out.kind, out.w1, out.g1, out.diagnostics.get("reason"),
-            out.diagnostics.get("winners"),
-            out.diagnostics.get("detected_region"))
+            out.diagnostics.get("winners"))
 
 
 def _compare(tables, detector, books, ys, block=BLOCK) -> Counter:
-    """Decode ``books`` and outputs ``ys`` in blocks with the receiver and
-    with each table's decode_subset (restricted to each trial's detected
-    cell under a detector), and trial by trial with the reference; assert
-    they agree.  Returns the collision reasons seen."""
+    """Decode the trials of the block realization ``books`` and outputs
+    ``ys`` in blocks with the receiver and with each table's decode_subset
+    (restricted to each trial's detected cell under a detector), and trial
+    by trial with the reference; assert they agree.  Returns the collision
+    reasons seen."""
     seen = Counter()
     for start in range(0, len(books), block):
         idx = np.arange(start, min(start + block, len(books)))
-        out = decode_receiver(tables, [books[i] for i in idx], ys[idx],
-                              detector)
-        refs = [reference_decode_receiver(tables, books[i], ys[i], detector)
-                for i in idx]
+        out = decode_receiver(tables, books.take(idx), ys[idx], detector)
+        refs = [reference_decode_receiver(tables, books.take([i]), ys[i],
+                                          detector) for i in idx]
         for j, ref in enumerate(refs):
             assert _key(trial_view(out, j)) == _key(ref)
             seen[ref.diagnostics.get("reason")] += 1
-        cells = [None if detector is None
-                 else detector.cells[ref.diagnostics["detected_region"]]
-                 for ref in refs]
+        cells = [None] * len(idx) if detector is None else \
+            [detector.cells[c] for c in detect_region(detector, ys[idx])]
         for cell in set(cells):
             at = idx[[j for j, c in enumerate(cells) if c == cell]]
             for D, tbl in tables.items():
-                sub = decode_subset(tbl, [books[i] for i in at], ys[at],
+                sub = decode_subset(tbl, books.take(at), ys[at],
                                     restrict_to=cell)
                 for j, i in enumerate(at):
-                    ref = reference_decode_subset(tbl, books[i], ys[i],
+                    ref = reference_decode_subset(tbl, books.take([i]), ys[i],
                                                   restrict_to=cell)
                     assert _key(trial_view(sub, j, D)) == _key(ref)
                     assert trial_view(sub, j, D).winner == ref.winner
@@ -88,23 +86,24 @@ def _compare(tables, detector, books, ys, block=BLOCK) -> Counter:
 
 
 def _draws(scenario, trials, master_seed):
-    """run_trials' draws: each trial's realization and channel output."""
+    """run_trials' draws: the realization of all trials, one block, and
+    each trial's channel output."""
     model, N = scenario.model, scenario.N
     g_list, g_probs = _g_sampler(scenario, model)
     transmit = _channel_sampler(model)
-    books, ys = [], []
+    seeds = [(master_seed, t, 0) for t in range(trials)]
+    ys = []
     for t in range(trials):
         rng = stream((master_seed, t, 1))
         g = _draw_g(rng, g_list, g_probs)
-        cb = CodebookRealization(model, N, (master_seed, t, 0))
+        cb = block_of(model, N, seeds[t:t + 1])
         w = [int(rng.integers(1, message_count(model.rate(k, g[k]), N) + 1))
              for k in range(model.K)]
-        x = np.array([cb.codeword(k, g[k], w[k]) for k in range(model.K)]
+        x = np.array([codeword(cb, k, g[k], w[k]) for k in range(model.K)]
                      + [sample_from_pmf(rng, model.input_pmf(k, g[k]), N)
                         for k in range(model.K, model.n_users)])
-        books.append(cb)
         ys.append(transmit(x, rng.random(N)))
-    return books, np.array(ys)
+    return block_of(model, N, seeds), np.array(ys)
 
 
 def _scenarios():
@@ -201,19 +200,19 @@ def _plant_duplicates(rng, model, cb):
     decoders can decode one message under different codes."""
     if len(model.libraries[0]) > 1 and rng.random() < 0.5:
         n = min(cb.counts[0, 0], cb.counts[0, 1])
-        cb.tables[0, 1][:n] = cb.tables[0, 0][:n]
+        cb.tables[0, 1][:, :n] = cb.tables[0, 0][:, :n]
         return
     keys = [key for key, n in cb.counts.items() if n > 1]
     if keys:
         k, gk = keys[int(rng.integers(len(keys)))]
         src, dst = rng.choice(cb.counts[k, gk], size=2, replace=False)
-        cb.tables[k, gk][dst] = cb.tables[k, gk][src]
+        cb.tables[k, gk][:, dst] = cb.tables[k, gk][:, src]
 
 
 def _random_block(rng, model, N, trials):
-    """Realizations with planted duplicates and their outputs: half sent
-    through the channel from a random code index vector's codewords, half
-    uniform."""
+    """One block realization, its trials' tables with planted duplicates,
+    and their outputs: half sent through the channel from a random code
+    index vector's codewords, half uniform."""
     transmit = _channel_sampler(model)
     sent = list(model.index_space())
     books, ys = [], []
@@ -225,13 +224,13 @@ def _random_block(rng, model, N, trials):
             ys.append(rng.integers(0, model.dmc.output_size, N))
         else:
             g = sent[int(rng.integers(len(sent)))]
-            x = np.array([cb.tables[k, g[k]][int(rng.integers(
+            x = np.array([cb.tables[k, g[k]][0, int(rng.integers(
                 cb.counts[k, g[k]]))] for k in range(model.K)]
                 + [sample_from_pmf(rng, model.input_pmf(k, g[k]), N)
                    for k in range(model.K, model.n_users)])
             ys.append(transmit(x, rng.random(N)))
         books.append(cb)
-    return books, np.array(ys)
+    return stack_books(books), np.array(ys)
 
 
 def test_random_instances_match_the_reference():

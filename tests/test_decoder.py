@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from gepkit import (
-    CodebookRealization,
     CodeSpec,
     SystemModel,
     build_detector,
@@ -43,7 +42,8 @@ from gepkit.exponents import (
     validate_region,
 )
 
-from conftest import random_model, small_search, three_user_model
+from conftest import block_of, codeword, random_model, small_search, \
+    three_user_model
 from reference_decoder import decode_one, receive_one
 
 
@@ -321,7 +321,7 @@ def reference_decode_subset(model, D, region, alpha, codebooks, y,
         lm = marginalize_out(model, D, g).pmf
         ranges = [range(1, codebooks.counts[(k, g[k])] + 1) for k in D]
         for w in itertools.product(*ranges):
-            rows = [codebooks.codeword(k, g[k], w[i])
+            rows = [codeword(codebooks, k, g[k], w[i])
                     for i, k in enumerate(D)]
             ll = sum(math.log(lm[tuple(r[j] for r in rows) + (int(y[j]),)])
                      if lm[tuple(r[j] for r in rows) + (int(y[j]),)] > 0
@@ -400,7 +400,7 @@ def three_user_instance(seed):
     region = [(0, 0, 0), (1, 0, 1)]
     cb = sample_codebook(m, N, seed)
     g = region[seed % 2]
-    x = [cb.codeword(k, g[k], int(rng.integers(1, 3))) for k in range(3)]
+    x = [codeword(cb, k, g[k], int(rng.integers(1, 3))) for k in range(3)]
     y = np.array([rng.choice(3, p=t[x[0][j], x[1][j], x[2][j]])
                   for j in range(N)])
     return m, N, region, cb, (0, 1, 2), y
@@ -415,9 +415,9 @@ class TestDecodeSubset:
         region = [(0,)]
         tbl = build_thresholds(m, [0], region, a, cache=ExponentCache())
         cb = sample_codebook(m, 4, 2)
-        table = cb.tables[(0, 0)]
+        table = cb.tables[(0, 0)][0]
         assert not np.array_equal(table[0], table[1])  # distinct codewords
-        y = cb.codeword(0, 0, 2)
+        y = codeword(cb, 0, 0, 2)
         out = decode_one(tbl, cb, y)
         assert out.decoded and out.w1 == 2 and out.g1 == 0
 
@@ -429,7 +429,7 @@ class TestDecodeSubset:
         cb = sample_codebook(m, 10, 5)
         # an output sequence maximally atypical for the in-region state:
         # flip every symbol of codeword 1
-        y = 1 - cb.codeword(0, 0, 1)
+        y = 1 - codeword(cb, 0, 0, 1)
         out = decode_one(tbl, cb, y)
         assert out.kind == "collision"
 
@@ -456,7 +456,7 @@ class TestDecodeSubset:
                           libraries=((CodeSpec(0.2, pmf),),))
         tbl = build_thresholds(two, [0], [(0,), (1,)], zero(two),
                                cache=ExponentCache())
-        cb = CodebookRealization(one, 6, 4)
+        cb = block_of(one, 6, [4])
         with pytest.raises(CodeOutOfRange):
             decode_one(tbl, cb, np.zeros(6, dtype=np.int64))
 
@@ -528,8 +528,8 @@ class TestDecodeReceiver:
                                         cache=ExponentCache())}
         cb = sample_codebook(m, 6, 40)
         # transmit the (0, 0) pair's codewords
-        x0 = cb.codeword(0, 0, 1)
-        x1 = cb.codeword(1, 0, 1)
+        x0 = codeword(cb, 0, 0, 1)
+        x1 = codeword(cb, 1, 0, 1)
         y = 2 * x0 + x1
         sub0 = decode_one(tbl[(0,)], cb, y)
         sub01 = decode_one(tbl[(0, 1)], cb, y)
@@ -551,9 +551,9 @@ class TestDecodeReceiver:
         tbl = {(0,): build_thresholds(m, (0,), region, a,
                                       cache=ExponentCache())}
         cb = sample_codebook(m, 6, 1)
-        y = cb.codeword(0, 0, 1)
+        y = codeword(cb, 0, 0, 1)
         out = decode_one(tbl[(0,)], cb, y)
-        if np.array_equal(cb.codeword(0, 1, 1), y):
+        if np.array_equal(codeword(cb, 0, 1, 1), y):
             assert out.kind == "collision"  # identical scores tie
 
 
@@ -592,7 +592,8 @@ class TestDecodeMargin:
         rejected = 0
         for seed in range(60):
             cb = sample_codebook(m, 16, seed)
-            x = cb.codeword(0, 0, int(rng.integers(1, cb.counts[(0, 0)] + 1)))
+            x = codeword(cb, 0, 0,
+                         int(rng.integers(1, cb.counts[(0, 0)] + 1)))
             y = np.where(rng.random(16) < 0.18, 1 - x, x)
             out = decode_one(tbl, cb, y)
             plain = decode_one(tbl_p, cb, y)
@@ -602,7 +603,7 @@ class TestDecodeMargin:
                     plain.diagnostics["reason"]
                 continue
             (w_hat,), g_hat = plain.winner
-            row = cb.codeword(0, g_hat[0], w_hat)
+            row = codeword(cb, 0, g_hat[0], w_hat)
             lm = marginalize_out(m, [0], g_hat).log_pmf()
             wnll = -lm[row, y].sum() / 16 + a(g_hat)
             passed = all(
@@ -641,7 +642,7 @@ class TestDecodeMargin:
             for seed in range(40):
                 cb = sample_codebook(m, N, seed)
                 g = region[seed % len(region)]
-                x = [cb.codeword(k, g[k], 1) for k in D]
+                x = [codeword(cb, k, g[k], 1) for k in D]
                 x += [rng.choice(len(m.input_pmf(k, g[k])), size=N,
                                  p=m.input_pmf(k, g[k]))
                       for k in range(len(D), m.n_users)]
@@ -653,7 +654,7 @@ class TestDecodeMargin:
                 if not plain.decoded:
                     continue
                 w_D, g_hat = plain.winner
-                rows = np.stack([cb.codeword(k, g_hat[k], w_D[i])
+                rows = np.stack([codeword(cb, k, g_hat[k], w_D[i])
                                  for i, k in enumerate(D)])
                 lm = marginalize_out(m, D, g_hat).log_pmf()
                 wnll = float(-lm[tuple(rows) + (y,)].sum() / N + a(g_hat))
@@ -693,7 +694,7 @@ class TestDecodeMargin:
         for t in range(80):
             cb = sample_codebook(m, 12, t)
             w = int(rng.integers(1, cb.counts[(0, 0)] + 1))
-            x = cb.codeword(0, 0, w)
+            x = codeword(cb, 0, 0, w)
             y = np.where(rng.random(12) < 0.05, 1 - x, x)
             o_s = decode_one(tbl_s, cb, y)
             o_b = decode_one(tbl_b, cb, y)
@@ -799,7 +800,7 @@ class TestDetectThenDecode:
             y = rng.integers(0, 2, 10)
             d = receive_one(tbl, cb, y, detector)
             p = receive_one(tbl, cb, y)
-            cell = regions[d.diagnostics["detected_region"]]
+            cell = regions[int(detect_region(detector, y[None])[0])]
             # the receiver's one decoder, D = (0,), gives its winners
             sub = decode_one(tbl[(0,)], cb, y)
             if p.decoded and sub.winner[1] in cell:
@@ -815,7 +816,8 @@ class TestDetectThenDecode:
         regions = [[(0, 0)], [(0, 1)]]
         cb = sample_codebook(m, 10, 5)
         y = np.random.default_rng(0).integers(0, 2, 10)
-        d = receive_one(tbl, cb, y, build_detector(m, regions, a))
-        cell = regions[d.diagnostics["detected_region"]]
+        detector = build_detector(m, regions, a)
+        d = receive_one(tbl, cb, y, detector)
+        cell = regions[int(detect_region(detector, y[None])[0])]
         assert d.diagnostics["candidates_evaluated"] == \
             sum(cb.counts[(0, g[0])] for g in cell if g in region)

@@ -15,12 +15,11 @@ from gepkit import (
     message_count,
     sample_codebook,
 )
-from gepkit.ensemble import (CodebookRealization, philox_keys, rekey,
-                             sample_from_pmf, stream)
+from gepkit.ensemble import philox_keys, rekey, sample_from_pmf, stream
 from gepkit.errors import (CodeOutOfRange, DomainError, GepkitError,
-                           MessageOutOfRange)
+                           MessageOutOfRange, ShapeMismatch)
 
-from conftest import random_g, random_model
+from conftest import block_of, codeword, random_g, random_model
 
 
 class TestMessageCount:
@@ -77,28 +76,34 @@ class TestEncode:
     def test_single_message_lookup(self):
         m = make_compound_bsc([0.2], [0.5, 0.5], 0.0)
         cb = sample_codebook(m, 6, 9)
-        cw = cb.codeword(0, 0, 1)
-        assert cw.shape == (6,)
+        assert len(cb) == 1
+        assert cb.codeword(0, 0, [1]).shape == (1, 6)
 
     def test_message_out_of_range(self):
         m = make_compound_bsc([0.2], [0.5, 0.5], 0.0)
         cb = sample_codebook(m, 6, 9)
         with pytest.raises(MessageOutOfRange):
-            cb.codeword(0, 0, 2)
+            cb.codeword(0, 0, [2])
 
     def test_code_out_of_range(self):
         m = make_compound_bsc([0.2], [0.5, 0.5], 0.0)
         cb = sample_codebook(m, 6, 9)
         with pytest.raises(CodeOutOfRange):
-            cb.codeword(0, 3, 1)
+            cb.codeword(0, 3, [1])
+
+    def test_one_message_per_trial(self):
+        m = make_compound_bsc([0.2], [0.5, 0.5], 0.5)
+        cb = sample_codebook(m, 6, 9)
+        for w in (1, [1, 1], [[1]]):
+            with pytest.raises(ShapeMismatch):
+                cb.codeword(0, 0, w)
 
     def test_round_trip_row_index(self):
         m = make_compound_bsc([0.2, 0.3], [0.5, 0.5], 0.5)
         cb = sample_codebook(m, 10, 13)
-        table = cb.tables[(0, 0)]
+        table = cb.tables[(0, 0)][0]
         for w in (1, cb.counts[(0, 0)]):
-            row = cb.codeword(0, 0, w)
-            assert np.array_equal(table[w - 1], row)
+            assert np.array_equal(table[w - 1], codeword(cb, 0, 0, w))
 
 
 class TestRowSkip:
@@ -120,36 +125,77 @@ class TestRowSkip:
     def test_rows_of_an_undrawn_table(self, N):
         m = self._model(N)
         seed = (5, 8, 0)
-        full = sample_codebook(m, N, seed).tables[(0, 1)]
+        full = sample_codebook(m, N, seed).tables[(0, 1)][0]
         # an eager draw of the table: every row in order from its stream
         fresh = sample_from_pmf(stream(seed, 0, 1),
                                 m.input_pmf(0, 1), (7, N))
         assert np.array_equal(full, fresh)
-        lazy = CodebookRealization(m, N, seed)
+        lazy = block_of(m, N, [seed])
         assert lazy.counts[(0, 1)] == 7
         for w in (1, 2, 7, 2):
-            assert np.array_equal(lazy.codeword(0, 1, w), fresh[w - 1])
+            assert np.array_equal(codeword(lazy, 0, 1, w), fresh[w - 1])
         assert not lazy.tables
-        assert np.array_equal(lazy.table(0, 1), fresh)
+        assert np.array_equal(lazy.table(0, 1), fresh[None])
         assert list(lazy.tables) == [(0, 1)]
-        for w in (1, 2, 7):  # now read from the drawn table
-            assert np.array_equal(lazy.codeword(0, 1, w), fresh[w - 1])
+        for w in (1, 2, 7):  # a drawn table does not move the stream
+            assert np.array_equal(codeword(lazy, 0, 1, w), fresh[w - 1])
 
     def test_unknown_codes_and_messages_on_undrawn_tables(self):
-        lazy = CodebookRealization(self._model(5), 5, 3)
+        lazy = block_of(self._model(5), 5, [3])
         assert (0, 1) in lazy.counts and (0, 2) not in lazy.counts
         assert list(lazy.counts) == [(0, 0), (0, 1)]
         assert lazy.tables == {}
         with pytest.raises(CodeOutOfRange):
-            lazy.codeword(0, 2, 1)
+            codeword(lazy, 0, 2, 1)
         with pytest.raises(CodeOutOfRange):
-            lazy.codeword(1, 0, 1)
+            codeword(lazy, 1, 0, 1)
         for w in (0, 8):
             with pytest.raises(MessageOutOfRange):
-                lazy.codeword(0, 1, w)
+                codeword(lazy, 0, 1, w)
         with pytest.raises(CodeOutOfRange):
             lazy.table(0, 2)
         assert lazy.tables == {}
+
+
+class TestBlockRealization:
+    """A block realization is its trials' one-trial realizations side by
+    side: each trial's table and codewords are those ``sample_codebook``
+    draws from the trial's own streams, and ``take`` selects trials."""
+
+    SEEDS = [(7, t, 0) for t in (0, 1, 2, 5, 3)]
+
+    @pytest.mark.parametrize("N", [1, 4, 13])
+    def test_trials_are_their_own_realizations(self, N):
+        m = TestRowSkip._model(N)
+        ones = [sample_codebook(m, N, seed) for seed in self.SEEDS]
+        block = block_of(m, N, self.SEEDS)
+        assert len(block) == len(self.SEEDS)
+        w = [1, 7, 3, 7, 2]
+        rows = block.codeword(0, 1, w)
+        assert rows.shape == (len(w), N) and not block.tables
+        for i, (one, wi) in enumerate(zip(ones, w)):
+            assert np.array_equal(rows[i], one.tables[(0, 1)][0, wi - 1])
+        for code in ((0, 1), (0, 0)):
+            assert np.array_equal(
+                block.table(*code),
+                np.concatenate([one.tables[code] for one in ones]))
+        assert np.array_equal(block.codeword(0, 1, w), rows)
+
+    def test_take_selects_trials_and_their_drawn_rows(self):
+        N = 6
+        m = TestRowSkip._model(N)
+        block = block_of(m, N, self.SEEDS)
+        table = block.table(0, 1)
+        part = block.take([3, 1, 3])
+        assert len(part) == 3 and list(part.tables) == [(0, 1)]
+        assert np.array_equal(part.table(0, 1), table[[3, 1, 3]])
+        assert np.array_equal(part.table(0, 0),
+                              block.table(0, 0)[[3, 1, 3]])
+        assert list(block.tables) == [(0, 1), (0, 0)]
+        undrawn = block_of(m, N, self.SEEDS).take([4, 0])
+        assert not undrawn.tables
+        assert np.array_equal(undrawn.codeword(0, 1, [2, 5]),
+                              table[[4, 0], [1, 4]])
 
 
 # master seeds of one word (0 and below 2^32), of two words and of three or

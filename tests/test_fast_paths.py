@@ -534,7 +534,7 @@ def reference_candidates(model, D, g, codebooks, y):
     iteration per candidate."""
     N = len(y)
     lm = marginalize_out(model, D, g).log_pmf()
-    tables = [codebooks.tables[(k, g[k])] for k in D]
+    tables = [codebooks.tables[(k, g[k])][0] for k in D]
     counts = [t.shape[0] for t in tables]
     w_tuples = list(itertools.product(*[range(1, c + 1) for c in counts]))
     n = len(w_tuples)
@@ -581,7 +581,7 @@ class TestCandidateRows:
         books = [sample_codebook(model, N, seed) for seed in range(3)]
         for g in model.index_space():
             y = rng.integers(0, 3, (len(books), N))
-            tables = [np.stack([cb.tables[(k, g[k])] for cb in books])
+            tables = [np.concatenate([cb.tables[(k, g[k])] for cb in books])
                       for k in D]
             cand = _enumerate_candidates(model, D, g, tables, y, a)
             for i, cb in enumerate(books):
@@ -601,8 +601,8 @@ class TestCandidateRows:
         assert {(1,) * len(D), (6,) * len(D)} <= seen_counts
 
     def test_single_code_table_is_not_copied(self, monkeypatch):
-        """A block of one trial reads its one user's table as is: the
-        candidates' tables are views of the realization's."""
+        """A single user's table is read as is: the candidates' tables are
+        views of the realization's."""
         model = make_compound_bsc([0.05, 0.3], [0.5, 0.5], 0.2)
         cb = sample_codebook(model, 10, 1)
         seen = []
@@ -615,7 +615,7 @@ class TestCandidateRows:
         tbl = build_thresholds(model, (0,), [(0, 1)],
                                WeightFunction.zero(model),
                                cache=ExponentCache())
-        decode_subset(tbl, [cb], np.zeros((1, 10), dtype=np.int64))
+        decode_subset(tbl, cb, np.zeros((1, 10), dtype=np.int64))
         cand, = seen
         assert np.shares_memory(cand.tables[0], cb.tables[(0, 0)])
 

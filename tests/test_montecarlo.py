@@ -6,6 +6,8 @@ import inspect
 import itertools
 import json
 import math
+import subprocess
+import sys
 import weakref
 from collections import Counter
 from pathlib import Path
@@ -45,11 +47,10 @@ from gepkit.montecarlo import (
     MARGIN,
     RELAXED,
     STRICT,
-    TrialRecord,
     _channel_sampler,
     _draw_g,
     _g_sampler,
-    _decode_bytes,
+    _trial_bytes,
     build_detector,
     classify_error,
     compare_bound,
@@ -107,7 +108,7 @@ def _decode_block_bytes(scenario, per_block):
     counts = {(k, gk): message_count(model.rate(k, gk), scenario.N)
               for k in range(model.K)
               for gk in range(len(model.libraries[k]))}
-    return per_block * _decode_bytes(scenario, counts, _readable(scenario))
+    return per_block * _trial_bytes(scenario, counts)[1]
 
 
 class TestClassifyError:
@@ -179,11 +180,10 @@ class TestRunTrials:
             dmc=make_dmc(np.eye(2)), K=1, M=0,
             libraries=((CodeSpec(math.log(2.0) / 8, np.array([0.5, 0.5])),),))
         scen = make_scenario(m, 8, [(0,)])
-        recs = run_trials(scen, 60, 5)
-        errors = sum(r.error for r in recs)
+        (n, errors, correct, wrong), = run_trials(scen, 60, 5).values()
         # identical codewords can tie; exclude those duplicate-codebook trials
-        assert all(r.decoded_correct or r.kind == "collision" for r in recs)
-        assert errors <= sum(r.kind == "collision" for r in recs)
+        assert n == 60 and wrong == 0
+        assert errors <= n - correct
 
     def test_reproducible(self):
         m = make_compound_bsc([0.05, 0.3], [0.5, 0.5], 0.2)
@@ -196,30 +196,29 @@ class TestRunTrials:
         # crossover 1/2 carries nothing: in-region trials nearly all fail
         m = make_compound_bsc([0.5], [0.5, 0.5], 0.3)
         scen = make_scenario(m, 10, [(0, 0)])
-        recs = run_trials(scen, 300, 3)
-        rate = sum(r.error for r in recs) / len(recs)
+        tallies = run_trials(scen, 300, 3)
+        rate = sum(e for _n, e, *_ in tallies.values()) / 300
         assert rate > 0.9
 
     def test_margin_decoder_runs(self, sec4_model):
         scen = make_scenario(sec4_model, 16, [(0, 0)],
                              margin=[(0, 1), (0, 2)], decoder="margin",
                              error_model=MARGIN)
-        recs = run_trials(scen, 30, 2)
-        assert len(recs) == 30
+        tallies = run_trials(scen, 30, 2)
+        assert sum(n for n, *_ in tallies.values()) == 30
 
     def test_alpha_prior_sampling_concentrates(self):
         m = make_compound_bsc([0.05, 0.3], [0.5, 0.5], 0.2)
         scen = make_scenario(m, 10, [(0, 0)])
         scen.alpha = WeightFunction(m, {(0, 1): 2.0})
         scen.g_sampling = "alpha_prior"
-        recs = run_trials(scen, 300, 17)
-        n1 = sum(r.g == (0, 1) for r in recs)
-        # prior weight of (0,1) is e^{-20}/(1 + e^{-20}): essentially never
-        assert n1 == 0
-        assert sum(r.g == (0, 0) for r in recs) == 300
+        tallies = run_trials(scen, 300, 17)
+        # prior weight of (0,1) is e^{-20}/(1 + e^{-20}): essentially never,
+        # and only strata that drew a trial are tallied
+        assert list(tallies) == [(0, 0)] and tallies[(0, 0)][0] == 300
 
     def test_outcomes_do_not_outlive_their_trial(self, monkeypatch):
-        # only the TrialRecords are kept: every block's decode outcome,
+        # only the tallies are kept: every block's decode outcome,
         # diagnostics included, is freed when its block ends; blocks of 5
         # trials make 3 blocks of 12 trials
         m = make_compound_bsc([0.05, 0.3], [0.5, 0.5], 0.2)
@@ -237,8 +236,9 @@ class TestRunTrials:
             return out
 
         monkeypatch.setattr(gepkit.montecarlo, "decode_receiver", watched)
-        recs = run_trials(scen, 12, 4)
-        assert len(recs) == sum(sizes) == 12 and sizes == [5, 5, 2]
+        tallies = run_trials(scen, 12, 4)
+        assert sum(n for n, *_ in tallies.values()) == sum(sizes) == 12
+        assert sizes == [5, 5, 2]
         assert alive == [0] * len(refs)
         assert all(r() is None for r in refs)
 
@@ -382,7 +382,8 @@ class TestBenchmarkHooks:
 
         monkeypatch.setattr(gepkit.montecarlo, "decode_receiver", spied)
         scen, seed, _trials = TRIAL_SCENARIOS["bsc_compound_sec4"]
-        assert len(run_trials(scen, 70, seed)) == sum(blocks) == 70
+        tallies = run_trials(scen, 70, seed)
+        assert sum(n for n, *_ in tallies.values()) == sum(blocks) == 70
         assert len(blocks) > 1
 
     def test_exponent_hooks_resolve_and_take_positional_args(self,
@@ -425,6 +426,21 @@ class TestBenchmarkHooks:
             ("exponents.exponent_EiD", (0,), frozenset(), (0, 0), (0, 1)),
             ("exponents.exponent_Ec", (0, 0), (0, 1))]
 
+    @pytest.mark.parametrize("name", sorted(load_workloads().WORKLOADS))
+    def test_setup_probe_runs_one_trial(self, name, tmp_path):
+        # set-up time is perfbench/setup_probe.py's run in a fresh
+        # interpreter, which run.py counts only when it exits 0 and prints
+        # 1, the size of run_trials' tallies after one trial
+        workloads = load_workloads()
+        spec = workloads.WORKLOADS[name]
+        path = workloads.scenario_path(spec["scenario"], ROOT, tmp_path)
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "perfbench" / "setup_probe.py"),
+             str(path), str(spec["ref_seed"])],
+            capture_output=True, text=True, timeout=120, check=False)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "1\n"
+
     def test_decode_subset_reports_its_candidate_count(self):
         # the tracer sums diagnostics["candidates_evaluated"] over the
         # decode_subset calls and reads a missing key as 0
@@ -436,37 +452,44 @@ class TestBenchmarkHooks:
         y = np.random.default_rng(0).integers(0, 2, 10)
         candidates = sum(cb.counts[(0, g[0])] for g in region)
         assert candidates > 0
-        out = decode_subset(tbl, [cb], y[None])
+        out = decode_subset(tbl, cb, y[None])
         assert out.diagnostics["candidates_evaluated"] == candidates
         # a block reports the sum over its trials
-        out = decode_subset(tbl, [cb] * 3, np.stack([y] * 3))
+        out = decode_subset(tbl, cb.take([0] * 3), np.stack([y] * 3))
         assert out.diagnostics["candidates_evaluated"] == 3 * candidates
+
+
+def with_errors(tallies, every):
+    """``tallies`` with every trial counted as an error, or none."""
+    return {g: [n, n if every else 0, *rest]
+            for g, (n, _e, *rest) in tallies.items()}
 
 
 class TestEmpiricalGep:
     def test_all_errors_give_one(self):
         m = make_compound_bsc([0.5], [0.5, 0.5], 0.3)
         scen = make_scenario(m, 10, [(0, 0)])
-        recs = run_trials(scen, 200, 3)
-        forced = [r.__class__(**{**r.__dict__, "error": True}) for r in recs]
-        est = empirical_gep(forced, scen.alpha, 10)
+        tallies = run_trials(scen, 200, 3)
+        est = empirical_gep(with_errors(tallies, True), scen.alpha, 10)
         assert est.point == 1.0 and est.se == 0.0
 
     def test_weight_concentration(self):
         m = make_compound_bsc([0.05, 0.3], [0.5, 0.5], 0.2)
         alpha = WeightFunction(m, {(0, 1): 50.0})
         scen = make_scenario(m, 6, [(0, 0)])
-        recs = run_trials(scen, 200, 7)
-        est = empirical_gep(recs, alpha, 6)
+        tallies = run_trials(scen, 200, 7)
+        est = empirical_gep(tallies, alpha, 6)
         n0, e0 = est.per_g[(0, 0)]
         assert est.point == pytest.approx(e0 / n0, abs=1e-10)
 
     def test_unestimated_stratum_flagged(self):
         m = make_compound_bsc([0.05, 0.3], [0.5, 0.5], 0.2)
         scen = make_scenario(m, 6, [(0, 0)], g_set=[(0, 0)])
-        recs = run_trials(scen, 50, 7)
-        est = empirical_gep(recs, scen.alpha, 6)
+        tallies = run_trials(scen, 50, 7)
+        assert list(tallies) == [(0, 0)]
+        est = empirical_gep(tallies, scen.alpha, 6)
         assert est.unestimated == ((0, 1),)
+        assert est.per_g == {(0, 0): tallies[(0, 0)][:2], (0, 1): [0, 0]}
 
     def test_exact_enumeration_fixture(self):
         # tiny system: exact error probability by enumerating codebooks,
@@ -485,29 +508,28 @@ class TestEmpiricalGep:
             p1 = np.prod([pm[x] for x in cw1])
             for cw2 in words:
                 p2 = np.prod([pm[x] for x in cw2])
-                cb = type("CB", (), {})()
-                cb.tables = {(0, 0): np.array([cw1, cw2])}
-                cb.counts = {(0, 0): 2}
-                cb.table = lambda k, g, _c=cb: _c.tables[(k, g)]
-                cb.codeword = lambda k, g, w, _c=cb: _c.tables[(k, g)][w - 1]
+                # a one-trial realization of just this table
+                table = np.array([[cw1, cw2]])
+                cb = SimpleNamespace(table=lambda k, g, _t=table: _t)
                 for w in (1, 2):
-                    x = cb.tables[(0, 0)][w - 1]
+                    x = table[0, w - 1]
                     for y in words:
                         py = np.prod([marg_pmf[x[j], y[j]]
                                       for j in range(N)])
-                        out = decode_subset(tbl, [cb], np.array([y]))
+                        out = decode_subset(tbl, cb, np.array([y]))
                         err, = classify_error(RELAXED, region, frozenset(),
                                               [(0, 0)], [(w,)], out)
                         exact += p1 * p2 * 0.5 * py * err
 
         scen = make_scenario(m, N, region, g_set=[(0, 0)])
-        recs = run_trials(scen, 4000, 11)
-        est = empirical_gep(recs, alpha, N)  # the index space is {(0, 0)}
+        tallies = run_trials(scen, 4000, 11)
+        est = empirical_gep(tallies, alpha, N)  # the index space is {(0, 0)}
         assert abs(est.point - exact) <= 3 * max(est.se, 1e-3)
 
         # estimator consistency: quadrupling the trials roughly halves the
-        # standard error and keeps the estimate within 3 sigma of exact
-        small = empirical_gep(recs[:1000], alpha, N)
+        # standard error and keeps the estimate within 3 sigma of exact;
+        # the first 1000 trials are the same whatever the run's length
+        small = empirical_gep(run_trials(scen, 1000, 11), alpha, N)
         assert abs(small.point - exact) <= 3 * max(small.se, 1e-3)
         assert est.se <= 0.65 * small.se
 
@@ -521,24 +543,22 @@ class TestCompareBound:
     def test_zero_estimate_passes(self):
         m = make_compound_bsc([0.05, 0.3], [0.5, 0.5], 0.2)
         scen = make_scenario(m, 6, [(0, 0)])
-        recs = run_trials(scen, 30, 1)
-        clean = [r.__class__(**{**r.__dict__, "error": False}) for r in recs]
-        est = empirical_gep(clean, scen.alpha, 6)
+        tallies = run_trials(scen, 30, 1)
+        est = empirical_gep(with_errors(tallies, False), scen.alpha, 6)
         assert compare_bound(est, self._bound(0.001, 6, scen.alpha)) is True
 
     def test_vacuous_bound_passes_everything(self):
         m = make_compound_bsc([0.5], [0.5, 0.5], 0.3)
         scen = make_scenario(m, 10, [(0, 0)])
-        recs = run_trials(scen, 100, 3)
-        forced = [r.__class__(**{**r.__dict__, "error": True}) for r in recs]
-        est = empirical_gep(forced, scen.alpha, 10)
+        tallies = run_trials(scen, 100, 3)
+        est = empirical_gep(with_errors(tallies, True), scen.alpha, 10)
         assert compare_bound(est, self._bound(1.0, 10, scen.alpha)) is True
 
     def test_mismatched_parameters_rejected(self):
         m = make_compound_bsc([0.05, 0.3], [0.5, 0.5], 0.2)
         scen = make_scenario(m, 6, [(0, 0)])
-        recs = run_trials(scen, 20, 1)
-        est = empirical_gep(recs, scen.alpha, 6)
+        tallies = run_trials(scen, 20, 1)
+        est = empirical_gep(tallies, scen.alpha, 6)
         with pytest.raises(MismatchedParameters):
             compare_bound(est, self._bound(0.5, 7, scen.alpha))
         other = WeightFunction(m, {(0, 1): 0.3})
@@ -548,8 +568,8 @@ class TestCompareBound:
     def test_simulation_within_bound(self):
         m = make_compound_bsc([0.05, 0.3], [0.5, 0.5], 0.2)
         scen = make_scenario(m, 12, [(0, 0)])
-        recs = run_trials(scen, 1500, 123)
-        est = empirical_gep(recs, scen.alpha, 12)
+        tallies = run_trials(scen, 1500, 123)
+        est = empirical_gep(tallies, scen.alpha, 12)
         bound = gep_bound_D(m, [0], [(0, 0)], scen.alpha, 12,
                             cache=ExponentCache())
         assert compare_bound(est, bound) is True
@@ -586,7 +606,9 @@ def reference_trials(scenario, trials, master_seed):
     """run_trials as a loop over trials with every table drawn: each trial
     draws its whole realization with sample_codebook, reads the
     transmitted codewords from the drawn tables, and is decoded and
-    classified by the per-trial reference decoder."""
+    classified by the per-trial reference decoder.  The trials are folded
+    into tallies g -> [trials, errors, decoded correctly, decoded wrongly],
+    g in the order of their first trials."""
     model, N = scenario.model, scenario.N
     g_list, g_probs = _g_sampler(scenario, model)
     transmit = _channel_sampler(model)
@@ -595,7 +617,7 @@ def reference_trials(scenario, trials, master_seed):
               for D, reg, margin in receiver_parts(scenario)}
     detector = build_detector(model, scenario.detection, scenario.alpha) \
         if scenario.decoder == "detect" else None
-    records = []
+    tallies = {}
     for t in range(trials):
         rng = stream((master_seed, t, 1))
         g = _draw_g(rng, g_list, g_probs)
@@ -604,16 +626,19 @@ def reference_trials(scenario, trials, master_seed):
                   for k in range(model.K))
         x = np.empty((model.n_users, N), dtype=np.int64)
         for k in range(model.K):
-            x[k] = cb.tables[(k, g[k])][w[k] - 1]
+            x[k] = cb.tables[(k, g[k])][0, w[k] - 1]
         for k in range(model.K, model.n_users):
             x[k] = sample_from_pmf(rng, model.input_pmf(k, g[k]), N)
         y = transmit(x, rng.random(N))
         out = reference_decode_receiver(tables, cb, y, detector)
         err = reference_classify_error(scenario.error_model, scenario.region,
                                        scenario.margin, g, w, out)
-        records.append(TrialRecord(trial=t, g=g, w=w, kind=out.kind,
-                                   w1=out.w1, g1=out.g1, error=err))
-    return records
+        correct = out.decoded and (out.w1, out.g1) == (w[0], g[0])
+        tally = tallies.setdefault(g, [0, 0, 0, 0])
+        for j, count in enumerate((1, err, correct,
+                                   out.decoded and not correct)):
+            tally[j] += int(count)
+    return tallies
 
 
 def _trial_scenarios():
@@ -645,7 +670,7 @@ def _readable(scenario, cells=None):
 
 class TestTablesDrawn:
     """A trial draws only the codebook tables its decoder can read, derives
-    each (trial, code) stream key once, and gives the records of drawing
+    each (trial, code) stream key once, and gives the tallies of drawing
     the whole realization."""
 
     @pytest.mark.parametrize("seed", ["ref", 3, 91])
@@ -653,21 +678,23 @@ class TestTablesDrawn:
     def test_records_equal_the_eager_loop(self, name, seed):
         scen, ref_seed, trials = TRIAL_SCENARIOS[name]
         seed = ref_seed if seed == "ref" else seed
-        assert run_trials(scen, trials, seed) == \
-            reference_trials(scen, trials, seed)
+        tallies = run_trials(scen, trials, seed)
+        assert tallies == reference_trials(scen, trials, seed)
+        assert sum(n for n, *_ in tallies.values()) == trials
 
     @staticmethod
     def _spy(monkeypatch, scen, trials, seed):
         """(derived, keyed, drawn, cells): how often each (trial, code)
         stream key was derived, the (trial, code) streams a realization
         was re-keyed to, the codes whose table each trial drew, and the
-        detected cell of each trial under detect-then-decode."""
+        detected cell of each trial under detect-then-decode, in trial
+        order."""
         derived, keyed, drawn, cells = Counter(), set(), {}, []
-        path_of, at = {}, {}
+        path_of = {}
         derive = gepkit.montecarlo.philox_keys
         rekey = gepkit.ensemble.rekey
-        draw_table = gepkit.ensemble.draw_table
-        decode = gepkit.montecarlo.decode_receiver
+        table = gepkit.ensemble.CodebookRealization.table
+        detect = gepkit.decoder.detect_region
 
         def spy_derive(master_seed, *path):
             keys = derive(master_seed, *path)
@@ -680,25 +707,29 @@ class TestTablesDrawn:
 
         def spy_rekey(rng, key):
             _seed, t, _zero, *code = path_of[tuple(key)]
-            at[id(rng)] = t, tuple(code)
-            keyed.add(at[id(rng)])
+            keyed.add((t, tuple(code)))
             return rekey(rng, key)
 
-        def spy_draw(rng, *args):
-            t, code = at[id(rng)]
-            drawn.setdefault(t, []).append(code)
-            return draw_table(rng, *args)
+        def spy_table(codebooks, k, g_k):
+            # a table not yet drawn is drawn for each trial of the block
+            if (k, g_k) not in codebooks.tables:
+                j = list(codebooks.counts).index((k, g_k))
+                for row in codebooks.keys:
+                    _seed, t, _zero, *code = path_of[tuple(row[j])]
+                    assert tuple(code) == (k, g_k)
+                    drawn.setdefault(t, []).append((k, g_k))
+            return table(codebooks, k, g_k)
 
-        def spy_decode(*args, **kwargs):
-            out = decode(*args, **kwargs)
-            if "detected_region" in out.diagnostics:
-                cells.extend(out.diagnostics["detected_region"].tolist())
-            return out
+        def spy_detect(detector, y):
+            found = detect(detector, y)
+            cells.extend(found.tolist())
+            return found
 
         monkeypatch.setattr(gepkit.montecarlo, "philox_keys", spy_derive)
         monkeypatch.setattr(gepkit.ensemble, "rekey", spy_rekey)
-        monkeypatch.setattr(gepkit.ensemble, "draw_table", spy_draw)
-        monkeypatch.setattr(gepkit.montecarlo, "decode_receiver", spy_decode)
+        monkeypatch.setattr(gepkit.ensemble.CodebookRealization, "table",
+                            spy_table)
+        monkeypatch.setattr(gepkit.decoder, "detect_region", spy_detect)
         run_trials(scen, trials, seed)
         monkeypatch.undo()
         return derived, keyed, drawn, cells
@@ -743,8 +774,8 @@ class TestTablesDrawn:
 
 
 class TestDecodingBlocks:
-    """Blocked decoding trials give the same records whatever the block
-    size: one trial per block, 7 per block, and the default.
+    """Blocked decoding trials give the per-trial loop's tallies whatever
+    the block size: one trial per block, 7 per block, and the default.
     detect_two_bsc runs detect-then-decode."""
 
     @pytest.mark.parametrize("name, decoder", [
@@ -774,7 +805,88 @@ class TestDecodingBlocks:
             runs.append(run_trials(scen, trials, seed))
             assert sizes == [min(per_block, trials - start)
                              for start in range(0, trials, per_block)]
-        assert runs[0] == runs[1] == runs[2]
+        assert runs[0] == runs[1] == runs[2] == \
+            reference_trials(scen, trials, seed)
+
+    @staticmethod
+    def _random_scenario(seed, K, decoder, g_sampling):
+        """A random model with K regular users and an interferer, random
+        alpha > 0, a random region, and the decoder's receiver: the margin
+        decoder with a random margin, or a plain partition (D = (0,) and
+        D = (0, 1) when K = 2), with a random 2-cell detector under
+        "detect".  Every in-region vector has few candidates."""
+        rng = np.random.default_rng(seed)
+        while True:
+            model = random_model(rng, max_users=3)
+            N = int(rng.integers(2, 6))
+            space = list(model.index_space())
+            if model.K != K or model.M < 1 or len(space) < 3:
+                continue
+            order = [space[i] for i in rng.permutation(len(space))]
+            cut = int(rng.integers(1, len(space)))
+            region = order[:cut]
+            grid = sum(math.prod(message_count(model.rate(k, g[k]), N)
+                                 for k in range(K)) for g in region)
+            if grid <= 24:
+                break
+        alpha = random_alpha(rng, model, hi=0.2)
+        if decoder == "margin":
+            rest = order[cut:]
+            scen = make_scenario(model, N, region, decoder="margin",
+                                 margin=rest[:int(rng.integers(len(rest)))],
+                                 error_model=MARGIN)
+        else:
+            half = int(rng.integers(0, len(region) + 1)) if K == 2 \
+                else len(region)
+            scen = make_scenario(
+                model, N, region, decoder=decoder,
+                error_model=[RELAXED, STRICT][int(rng.integers(2))],
+                partition=validate_partition(
+                    model, {(0,): region[:half],
+                            tuple(range(K)): region[half:]}
+                    if K == 2 else {(0,): region}, region))
+        if decoder == "detect":
+            side = rng.permutation(len(space)) < rng.integers(1, len(space))
+            scen.detection = [[g for g, s in zip(space, side) if s],
+                              [g for g, s in zip(space, side) if not s]]
+        scen.alpha = alpha
+        scen.g_sampling = g_sampling
+        return scen
+
+    @pytest.mark.parametrize("g_sampling", ["uniform", "alpha_prior"])
+    @pytest.mark.parametrize("decoder", ["plain", "margin", "detect"])
+    @pytest.mark.parametrize("K", [1, 2])
+    def test_random_models(self, monkeypatch, K, decoder, g_sampling):
+        """Random models with an interferer and alpha > 0: the tallies at
+        1, 7 and the default number of trials per block equal the fold of
+        the per-trial loop."""
+        seed = 10 * K + len(decoder) + len(g_sampling)
+        scen = self._random_scenario(seed, K, decoder, g_sampling)
+        assert scen.model.M >= 1 and np.any(scen.alpha.array > 0)
+        trials = 40
+        default = gepkit.montecarlo.BLOCK_BYTES
+        assert default // _decode_block_bytes(scen, 1) >= trials
+        original = gepkit.montecarlo.decode_receiver
+        with small_search(8, 0):
+            want = reference_trials(scen, trials, seed)
+            for per_block in (1, 7, trials):
+                sizes = []
+
+                def spied(tables, codebooks, y, detector=None,
+                          _sizes=sizes):
+                    _sizes.append(len(y))
+                    return original(tables, codebooks, y, detector)
+
+                monkeypatch.setattr(gepkit.montecarlo, "BLOCK_BYTES",
+                                    default if per_block == trials
+                                    else _decode_block_bytes(scen,
+                                                             per_block))
+                monkeypatch.setattr(gepkit.montecarlo, "decode_receiver",
+                                    spied)
+                assert run_trials(scen, trials, seed) == want
+                assert sizes == [min(per_block, trials - start)
+                                 for start in range(0, trials, per_block)]
+        assert sum(n for n, *_ in want.values()) == trials
 
 
 # ---------------------------------------------------------------------------
@@ -1029,8 +1141,8 @@ class TestMultiWordSeed:
     def test_simulate(self, name, tmp_path):
         path = SCENARIOS / f"{name}.json"
         scen = load_scenario(path)
-        records = reference_trials(scen, 200, self.SEED)
-        want = empirical_gep(records, scen.alpha, scen.N).per_g
+        tallies = reference_trials(scen, 200, self.SEED)
+        want = empirical_gep(tallies, scen.alpha, scen.N).per_g
         assert main(["simulate", "--scenario", str(path), "--trials", "200",
                      "--seed", str(self.SEED), "--out", str(tmp_path)]) \
             in (0, 1)

@@ -1,6 +1,7 @@
 """The experiment scripts under scripts/ run end to end against the
 library's current API."""
 
+import re
 import subprocess
 import sys
 
@@ -41,6 +42,15 @@ def test_run_compound_example(tmp_path):
     assert res.returncode == 0, res.stdout + res.stderr
     assert "== margin bound at N=16 ==" in res.stdout
     assert "entropy gate: PASS" in res.stdout
+    # the per-state table: each row's correct, collision and wrong counts
+    # sum to its trials, and the rows' trials to --trials
+    rows = [[int(n) for n in m.groups()] for m in re.finditer(
+        r"^ +\(0, \d\) +(\d+) +(\d+) +(\d+) +(\d+)  \(\w+\)$",
+        res.stdout, re.MULTILINE)]
+    assert len(rows) == 4
+    assert all(n == correct + collision + wrong
+               for n, correct, collision, wrong in rows)
+    assert sum(n for n, *_ in rows) == 50
 
 
 def test_run_compound_example_labels_follow_the_decoder(tmp_path):

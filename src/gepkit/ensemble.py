@@ -11,7 +11,8 @@ always reproduces the same codeword table bit for bit.  A
 :class:`CodebookRealization` holds the codebooks of a block of trials: it
 draws a table for every trial on the table's first read, one inverse CDF
 over the block's uniforms, and reads a codeword without drawing its table by
-skipping each trial's stream ahead to the row.
+skipping each trial's stream ahead to the row.  Tables and codewords hold
+each symbol in the narrowest unsigned type of the code's input letters.
 """
 
 from __future__ import annotations
@@ -114,24 +115,25 @@ def rekey(rng: np.random.Generator, key) -> np.random.Generator:
 
 
 def sample_from_pmf(rng: np.random.Generator, pmf: np.ndarray, shape):
-    """i.i.d. draws from a finite pmf, one uniform each, by inverse CDF."""
-    return _inverse_cdf(pmf, rng.random(shape))
+    """i.i.d. int64 draws from a finite pmf, one uniform each, by inverse
+    CDF."""
+    return _inverse_cdf(pmf, rng.random(shape), np.int64)
 
 
-def _inverse_cdf(pmf: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Symbols of the finite pmf at uniforms ``u``, elementwise, by
-    :func:`_count_at_or_below` on its cumulative sums."""
-    return _count_at_or_below(np.cumsum(pmf)[:-1], u)
+def _inverse_cdf(pmf: np.ndarray, u: np.ndarray, dtype) -> np.ndarray:
+    """Symbols of the finite pmf at uniforms ``u``, elementwise, as
+    ``dtype``, by :func:`_count_at_or_below` on its cumulative sums."""
+    return _count_at_or_below(np.cumsum(pmf)[:-1], u, dtype)
 
 
-def _count_at_or_below(cum, u: np.ndarray) -> np.ndarray:
+def _count_at_or_below(cum, u: np.ndarray, dtype) -> np.ndarray:
     """Inverse CDF at uniforms ``u``: how many entries of ``cum`` (scalars
-    or arrays shaped like u) are <= u, elementwise.  ``cum`` omits the last
-    cumulative entry, taken as 1.0 > u, so the count equals
+    or arrays shaped like u) are <= u, elementwise, as ``dtype``.  ``cum``
+    omits the last cumulative entry, taken as 1.0 > u, so the count equals
     ``searchsorted(cum + [1.0], u, side="right")``."""
     if not len(cum):
-        return np.zeros(np.shape(u), dtype=np.int64)
-    idx = (u >= cum[0]).astype(np.int64)
+        return np.zeros(np.shape(u), dtype=dtype)
+    idx = (u >= cum[0]).astype(dtype)
     for c in cum[1:]:
         idx += u >= c
     return idx
@@ -146,7 +148,8 @@ class CodebookRealization:
     ``rng`` is re-keyed to a trial's code stream before every read.
     ``tables`` holds the (B, counts[(k, g_k)], N) tables drawn so far, each
     trial's from its stream's start, so a table gets the same symbols
-    whichever others are drawn.  Interfering users have no tables (the
+    whichever others are drawn, one byte each for up to 256 input letters
+    (``np.min_scalar_type(|X_k| - 1)``).  Interfering users have no tables (the
     receiver only knows their input distributions)."""
 
     def __init__(self, model: SystemModel, N: int, keys,
@@ -176,7 +179,8 @@ class CodebookRealization:
             rng.bit_generator.advance(skip // 4)
             rng.random(skip % 4)
             rng.random(out=out)
-        return _inverse_cdf(self._model.input_pmf(k, g_k), u)
+        pmf = self._model.input_pmf(k, g_k)
+        return _inverse_cdf(pmf, u, np.min_scalar_type(len(pmf) - 1))
 
     def table(self, k: int, g_k: int) -> np.ndarray:
         """The (B, messages, N) table of code g_k of user k, drawn on first

@@ -142,7 +142,7 @@ def _channel_sampler(model: SystemModel):
 
     def transmit(x, u):
         flat = flatten_symbols(model, range(model.n_users), x)
-        return _count_at_or_below([col[flat] for col in columns], u)
+        return _count_at_or_below([col[flat] for col in columns], u, np.int64)
 
     return transmit
 
@@ -161,9 +161,11 @@ def receiver_parts(scenario) -> list:
 
 def _trial_bytes(scenario, counts: dict) -> tuple[int, int]:
     """Bytes one decoding trial may hold, and bytes it adds to a block.  It
-    may hold every code's table (message count x N x 8, drawn or not) and
-    the candidate grid of its largest decoder: prod_{k in D} M_k candidates
-    per in-region g, each with a likelihood gather and four scores,
+    may hold every code's table, drawn or not, counted as the float64
+    uniforms it is drawn from (message count x N x 8; the table itself
+    takes a byte per symbol), and the candidate grid of its largest
+    decoder: prod_{k in D} M_k candidates per in-region g, each with a
+    likelihood gather and four scores,
     (N + 4) x 8 bytes, and over two or more users |D| gathered rows and
     their stacked copy, 2|D| x N x 8 bytes more (a single user's rows are
     views of its table).  It adds to a block its rows of each table the
@@ -237,7 +239,8 @@ def _run_blocks(scenario, trials: int, master_seed: int, trial_bytes: int,
                 at = (g_rows[:, k] == gk).nonzero()[0]
                 if not len(at):
                     continue
-                x[at, k] = _inverse_cdf(model.input_pmf(k, gk), u[at, k]) \
+                x[at, k] = _inverse_cdf(model.input_pmf(k, gk), u[at, k],
+                                        x.dtype) \
                     if k >= coded else codebooks.take(at).codeword(
                         k, gk, [ws[i][k] for i in at])
         judged = judge(codebooks, gs, g_rows, ws, transmit(x, u[:, -1]))

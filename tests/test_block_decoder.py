@@ -18,12 +18,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from gepkit import (
+    CodeSpec,
     ExponentCache,
+    SystemModel,
     build_detector,
     build_thresholds,
     decode_receiver,
     decode_subset,
     detect_region,
+    make_dmc,
     sample_codebook,
 )
 from gepkit.decoder import REASONS
@@ -54,19 +57,20 @@ def _key(out):
             out.diagnostics.get("winners"))
 
 
-def _compare(tables, detector, books, ys, block=BLOCK) -> Counter:
+def _compare(tables, detector, books, ys, block=BLOCK, refs=None) -> Counter:
     """Decode the trials of the block realization ``books`` and outputs
     ``ys`` in blocks with the receiver and with each table's decode_subset
     (restricted to each trial's detected cell under a detector), and trial
-    by trial with the reference; assert they agree.  Returns the collision
-    reasons seen."""
+    by trial with the reference on ``refs`` (``books`` when None); assert
+    they agree.  Returns the collision reasons seen."""
     seen = Counter()
+    refs = books if refs is None else refs
     for start in range(0, len(books), block):
         idx = np.arange(start, min(start + block, len(books)))
         out = decode_receiver(tables, books.take(idx), ys[idx], detector)
-        refs = [reference_decode_receiver(tables, books.take([i]), ys[i],
+        outs = [reference_decode_receiver(tables, refs.take([i]), ys[i],
                                           detector) for i in idx]
-        for j, ref in enumerate(refs):
+        for j, ref in enumerate(outs):
             assert _key(trial_view(out, j)) == _key(ref)
             seen[ref.diagnostics.get("reason")] += 1
         cells = [None] * len(idx) if detector is None else \
@@ -77,7 +81,7 @@ def _compare(tables, detector, books, ys, block=BLOCK) -> Counter:
                 sub = decode_subset(tbl, books.take(at), ys[at],
                                     restrict_to=cell)
                 for j, i in enumerate(at):
-                    ref = reference_decode_subset(tbl, books.take([i]), ys[i],
+                    ref = reference_decode_subset(tbl, refs.take([i]), ys[i],
                                                   restrict_to=cell)
                     assert _key(trial_view(sub, j, D)) == _key(ref)
                     assert trial_view(sub, j, D).winner == ref.winner
@@ -259,3 +263,37 @@ def test_random_instances_match_the_reference():
     check()
     assert set(seen) - {None} == set(REASONS[1:]), seen
 
+
+def test_wide_alphabets_decide_as_on_int64_tables():
+    """Codes of 4 and 3 input letters have one-byte tables; the block
+    decoder decides each trial as the reference does on int64 copies of
+    them, under D = (0,) and under D = (0, 1), whose candidates gather rows
+    of both tables."""
+    seen = Counter()
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        t = rng.uniform(0.05, 1.0, size=(4, 3, 2, 3))
+        model = SystemModel(
+            dmc=make_dmc(t / t.sum(axis=-1, keepdims=True)), K=2, M=1,
+            libraries=((CodeSpec(0.3, np.array([0.2, 0.0, 0.3, 0.5])),
+                        CodeSpec(0.2, np.full(4, 0.25))),
+                       (CodeSpec(0.25, np.array([0.45, 0.0, 0.55])),
+                        CodeSpec(0.1, np.array([0.2, 0.3, 0.5]))),
+                       (CodeSpec(0.0, np.array([0.4, 0.6])),)))
+        space = list(model.index_space())
+        order = [space[i] for i in rng.permutation(len(space))]
+        cut = int(rng.integers(1, len(space)))
+        parts = [((0,), order[:cut]), ((0, 1), order[cut:])]
+        alpha = random_alpha(rng, model, hi=0.2)
+        with small_search(8, 0):
+            tables = {D: build_thresholds(model, D, region, alpha,
+                                          cache=ExponentCache())
+                      for D, region in parts}
+        books, ys = _random_block(rng, model, 4, 16)
+        wide = books.take(range(len(books)))
+        wide.tables = {code: t.astype(np.int64)
+                       for code, t in books.tables.items()}
+        assert {t.dtype for t in books.tables.values()} == {np.dtype("uint8")}
+        assert max(t.max() for t in books.tables.values()) == 3
+        seen.update(_compare(tables, None, books, ys, refs=wide))
+    assert None in seen and len(seen) > 1, seen

@@ -18,6 +18,7 @@ from gepkit import (
 from gepkit.ensemble import philox_keys, rekey, sample_from_pmf, stream
 from gepkit.errors import (CodeOutOfRange, DomainError, GepkitError,
                            MessageOutOfRange, ShapeMismatch)
+from gepkit.montecarlo import _channel_sampler
 
 from conftest import block_of, codeword, random_g, random_model
 
@@ -208,6 +209,78 @@ MASTER = st.one_of(SEED, st.lists(SEED, min_size=1, max_size=3).map(tuple))
 PATH = st.one_of(st.lists(WORD, max_size=6),
                  st.tuples(WORD, st.just(2)),                    # detection
                  st.tuples(WORD, st.just(0), WORD, WORD))        # code
+
+
+class TestOneByteSymbols:
+    """Tables and codewords hold each symbol in the narrowest unsigned type
+    of the code's input letters (one byte here), with the values the int64
+    inverse CDF gives the same uniforms; ``sample_from_pmf`` and the
+    channel outputs stay int64."""
+
+    N = 5
+    SEEDS = [(5, 8), (6, 1)]
+    PMFS = [[1.0], [0.9, 0.1], [0.0, 1.0, 0.0, 0.0], [0.2, 0.0, 0.3, 0.5]]
+
+    @classmethod
+    def _model(cls, pmf):
+        """One regular user, one 7-message code drawn from ``pmf``, on a
+        channel that ignores the input."""
+        return SystemModel(
+            dmc=make_dmc(np.full((len(pmf), 2), 0.5)), K=1, M=0,
+            libraries=((CodeSpec(math.log(7.0) / cls.N, np.array(pmf)),),))
+
+    @classmethod
+    def _reference(cls, pmf):
+        """Each trial's table by the int64 inverse CDF of its stream."""
+        return np.stack([sample_from_pmf(stream(seed, 0, 0), np.array(pmf),
+                                         (7, cls.N)) for seed in cls.SEEDS])
+
+    @pytest.mark.parametrize("pmf", PMFS)
+    def test_table_and_row_skip_match_int64_draws(self, pmf):
+        m, ref = self._model(pmf), self._reference(pmf)
+        assert ref.dtype == np.int64
+        lazy = block_of(m, self.N, self.SEEDS)
+        for w in ([1, 7], [4, 2], [7, 7]):
+            rows = lazy.codeword(0, 0, w)
+            assert rows.dtype == np.uint8
+            assert np.array_equal(rows, ref[[0, 1], np.array(w) - 1])
+        assert not lazy.tables
+        table = lazy.table(0, 0)
+        assert table.dtype == np.uint8 and table.shape == ref.shape
+        assert np.array_equal(table, ref)
+        assert lazy.take([1, 1]).table(0, 0).dtype == np.uint8
+
+    @pytest.mark.parametrize("letters", [2, 4])
+    def test_uniforms_on_cumulative_entries(self, letters):
+        """A pmf whose cumulative sums hit a uniform of the stream exactly
+        (u >= 1/2, so 1 - u and the sum are exact): at that uniform both
+        counts include the entry equal to it."""
+        u = stream(self.SEEDS[0], 0, 0).random(7 * self.N)
+        p = self.N + int(np.argmax(u[self.N:] >= 0.5))  # past row 1
+        pmf = [u[p], 1.0 - u[p]] if letters == 2 \
+            else [0.0, u[p], 0.0, 1.0 - u[p]]
+        m = self._model(pmf)
+        assert np.cumsum(m.input_pmf(0, 0))[letters - 2] == u[p]
+        lazy = block_of(m, self.N, self.SEEDS)
+        row = lazy.codeword(0, 0, [p // self.N + 1, 1])[0]
+        assert row[p % self.N] == letters - 1
+        ref = self._reference(m.input_pmf(0, 0))
+        assert ref[0].flat[p] == letters - 1
+        assert np.array_equal(lazy.table(0, 0), ref)
+
+    def test_large_table_takes_one_byte_per_symbol(self):
+        m = make_compound_bsc([0.1, 0.4], [0.9, 0.1], 0.2)
+        table = block_of(m, 40, [3]).table(0, 0)
+        assert table.shape == (1, 2980, 40) and table.nbytes == 119_200
+
+    @pytest.mark.parametrize("pmf", PMFS)
+    def test_samples_and_channel_outputs_stay_int64(self, pmf):
+        m = self._model(pmf)
+        assert sample_from_pmf(stream(3, 0, 0), np.array(pmf),
+                               (2, 4)).dtype == np.int64
+        x = block_of(m, self.N, self.SEEDS).codeword(0, 0, [3, 5])
+        y = _channel_sampler(m)(x[:, None, :], np.full(x.shape, 0.5))
+        assert y.dtype == np.int64 and np.array_equal(y, np.ones(x.shape))
 
 
 def _oracle(master_seed, path):

@@ -551,18 +551,22 @@ def reference_candidates(model, D, g, codebooks, y):
     return w_tuples, rows, loglik
 
 
-def _mac_model():
-    """Two regular users and one interfering user on a random 3-output
-    channel; each regular user has a 1-message code (rate 0) and codes of
-    3 and 6 messages at N = 6."""
+_INPUT_PMFS = {2: [0.3, 0.7], 3: [0.45, 0.0, 0.55], 4: [0.2, 0.0, 0.3, 0.5]}
+
+
+def _mac_model(sizes=(2, 2)):
+    """Two regular users, with ``sizes`` input letters, and one binary
+    interfering user on a random 3-output channel; each regular user has a
+    1-message code (rate 0) and codes of 3 and 6 messages at N = 6."""
     rng = np.random.default_rng(11)
-    t = rng.uniform(0.05, 1.0, size=(2, 2, 2, 3))
+    t = rng.uniform(0.05, 1.0, size=sizes + (2, 3))
     t /= t.sum(axis=-1, keepdims=True)
+    regular = [tuple(CodeSpec(r, np.array(_INPUT_PMFS[n]))
+                     for r in (0.0, 0.2, 0.3)) for n in sizes]
     u = np.array([0.3, 0.7])
-    regular = (CodeSpec(0.0, u), CodeSpec(0.2, u), CodeSpec(0.3, u))
     interfering = (CodeSpec(0.0, u), CodeSpec(0.0, u[::-1].copy()))
     return SystemModel(dmc=make_dmc(t), K=2, M=1,
-                       libraries=(regular, regular, interfering))
+                       libraries=(*regular, interfering))
 
 
 class TestCandidateRows:
@@ -572,7 +576,16 @@ class TestCandidateRows:
 
     @pytest.mark.parametrize("D", [(0,), (0, 1)])
     def test_rows_and_logliks_match_loop(self, D):
-        model = _mac_model()
+        self._check(_mac_model(), D)
+
+    @pytest.mark.parametrize("D", [(0,), (0, 1)])
+    def test_wide_alphabets_match_loop(self, D):
+        """Codes of 4 and 3 input letters: one-byte tables score as the
+        loop's int64 rows do, bit for bit."""
+        self._check(_mac_model((4, 3)), D)
+
+    @staticmethod
+    def _check(model, D):
         a = WeightFunction(model, np.random.default_rng(3).uniform(
             0.0, 0.2, size=model.code_counts))
         N = 6
@@ -592,7 +605,7 @@ class TestCandidateRows:
                     j, cand.grid)) for j in range(len(w_ref))] == w_ref
                 rows = np.stack([t[i][np.array(w_ref)[:, j] - 1] for j, t
                                  in enumerate(cand.tables)], axis=1)
-                assert rows.dtype == np.int64
+                assert rows.dtype == np.uint8  # <= 256 input letters
                 assert np.array_equal(rows, rows_ref)
                 assert _same(cand.loglik[i], ll_ref)
                 assert _same(cand.score[i], ll_ref - N * a(g))

@@ -1100,8 +1100,8 @@ class TestDetectionBlocks:
         channel_sampler = gepkit.montecarlo._channel_sampler
         detect = gepkit.montecarlo.detect_region
 
-        def spied_inverse_cdf(pmf, u):
-            out = inverse_cdf(pmf, u)
+        def spied_inverse_cdf(pmf, u, dtype):
+            out = inverse_cdf(pmf, u, dtype)
             watch(u, out)
             return out
 

@@ -238,12 +238,19 @@ def _logsumexp(a, axis: int):
     exponential rather than set to -inf before it; both give the same array.
     When, besides, every slice has one maximal entry, m = 1 is not formed:
     s / 1 is s, log(1) is +0.0 and x + 0.0 is x for x = log1p(s) >= +0.0
-    (s >= 0), so log1p(s) + a_max is the same double.
+    (s >= 0), so log1p(s) + a_max is the same double.  Over 2 to 8 entries
+    a_max is a chain of exact ``np.maximum`` calls (±0 and nan alike).
     """
     a = np.asarray(a, dtype=float)
     if a.ndim == 0:
         a = a.reshape(1)
-    a_max = np.maximum.reduce(a, axis=axis, keepdims=True)
+    if 2 <= a.shape[axis] <= 8:  # numpy loops over every short slice
+        lead = (slice(None),) * (axis % a.ndim)
+        a_max = a[lead + (slice(0, 1),)]
+        for i in range(1, a.shape[axis]):
+            a_max = np.maximum(a_max, a[lead + (slice(i, i + 1),)])
+    else:
+        a_max = np.maximum.reduce(a, axis=axis, keepdims=True)
     i_max = a == a_max
     if np.isfinite(a_max).all():
         e = np.exp(a - a_max)
@@ -266,6 +273,37 @@ def _logsumexp(a, axis: int):
                            np.log(np.exp(a).sum(axis=axis, keepdims=True)))
     out = out.squeeze(axis=axis)
     return out[()] if out.ndim == 0 else out
+
+
+_LOG_COUNT = np.log(np.arange(1.0, 8.0)).tolist()  # log m, m = 1..7
+
+
+def _logsumexp_rows(rows) -> list:
+    """The scalar port of :func:`_logsumexp`: the log-sum-exp of each row
+    (a list of floats) with the bits ``_logsumexp`` gives it along an
+    array's reduced axis.  Same steps on Python floats, which round as
+    float64 does, with numpy's left-to-right sum order; exp and log1p run
+    in numpy, one call on a flat list each, since ``math``'s libm differs
+    from numpy's SIMD kernels in the last bit, and log m comes from a table
+    numpy computed.  Every row comes back nan if a row has 8 or more entries
+    (numpy sums those pairwise) or a non-finite maximum (the other branch).
+    """
+    maxes, counts, shifted = [], [], []
+    for row in rows:
+        a_max = max(row)
+        if len(row) >= 8 or not -math.inf < a_max < math.inf:
+            return [math.nan] * len(rows)
+        maxes.append(a_max)
+        counts.append(row.count(a_max))
+        shifted += [x - a_max for x in row if x != a_max]
+    e, sums = iter(np.exp(shifted).tolist()), []
+    for row, m in zip(rows, counts):
+        s = 0.0
+        for _ in range(len(row) - m):
+            s += next(e)
+        sums.append(s if m == 1 else s / m)
+    return [x + a_max if m == 1 else x + _LOG_COUNT[m - 1] + a_max
+            for x, m, a_max in zip(np.log1p(sums).tolist(), counts, maxes)]
 
 
 def scale_log(c, logs):

@@ -25,6 +25,7 @@ import numpy as np
 from .channel import SystemModel, marginalize_out
 from .ensemble import (
     _logsumexp,
+    _logsumexp_rows,
     marginal_log_table,
     message_count,
     scale_log,
@@ -177,6 +178,26 @@ def _keyed(make, *tables):
     return f
 
 
+def _scaled(c, logs) -> list:
+    """:func:`scale_log` on a list of floats."""
+    return [c * x if c or x != -math.inf else 0.0 for x in logs]
+
+
+def _with_point(array, point):
+    """The objective ``array`` with ``.point(rho, s) -> float``: ``point``,
+    its float port (:func:`_logsumexp_rows`), or ``array`` where that is
+    nan.  A wrapper, so that no reference cycle holds on to the tables."""
+    def objective(rho, s):
+        return array(rho, s)
+
+    def one(rho, s):
+        v = point(rho, s)
+        return v if v == v else float(array(rho, np.asarray([s]))[0])
+
+    objective.point = one
+    return objective
+
+
 def _emd(lw_g, a_g, lw_t, a_t, lw_fixed, rate_sum):
     # g and g~ tables share one shape: stacked, one log-sum-exp gives both
     lw = np.stack([lw_g, lw_t]).reshape(2, 1, 1, 1, -1)
@@ -191,7 +212,20 @@ def _emd(lw_g, a_g, lw_t, a_t, lw_fixed, rate_sum):
         total = _logsumexp(combined.reshape(combined.shape[0], -1), axis=1)
         return -rho.reshape(-1) * rate_sum - total
 
-    return objective
+    sides = [(w.tolist(), t.reshape(-1, t.shape[-1]).tolist())
+             for w, t in ((lw_g, a_g), (lw_t, a_t))]
+    fixed = lw_fixed.tolist() * len(a_g)
+
+    def point(rho, s):
+        inner = _logsumexp_rows([
+            [w + x for w, x in zip(lw_side, _scaled(c, row))]
+            for c, (lw_side, rows) in zip((1.0 - s, s / rho), sides)
+            for row in rows])
+        total, = _logsumexp_rows([[f + t1 + rho * t2 for f, t1, t2 in zip(
+            fixed, inner[:len(fixed)], inner[len(fixed):])]])
+        return -rho * rate_sum - total
+
+    return _with_point(objective, point)
 
 
 def emd_objective(model: SystemModel, D, S, g, g_tilde, alpha: WeightFunction):
@@ -222,7 +256,18 @@ def _eid(lw_g, a_g, t2c, lw_fixed, rate_sum):
         total = _logsumexp(combined.reshape(combined.shape[0], -1), axis=1)
         return -rho.reshape(-1) * rate_sum - total
 
-    return objective
+    lw, rows = lw_g.tolist(), a_g.reshape(-1, a_g.shape[-1]).tolist()
+    fixed, t2 = lw_fixed.tolist() * len(a_g), t2c.ravel().tolist()
+
+    def point(rho, s):
+        s_rho = s + rho
+        t1 = _logsumexp_rows([[w + x for w, x in zip(lw, _scaled(
+            s / s_rho, row))] for row in rows])
+        total, = _logsumexp_rows([[f + x + y for f, x, y in zip(
+            fixed, _scaled(s_rho, t1), _scaled(1.0 - s, t2))]])
+        return -rho * rate_sum - total
+
+    return _with_point(objective, point)
 
 
 def eid_objective(model: SystemModel, D, S, g, g_prime, alpha: WeightFunction):

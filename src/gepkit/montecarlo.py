@@ -69,10 +69,11 @@ KEY_CHUNK = 512
 
 
 def classify_error(error_model: str, region, margin, g, w,
-                   outcome: DecodeOutcome) -> np.ndarray:
+                   outcome: DecodeOutcome) -> tuple:
     """Pure error classification of a block of trials under the active
     definition: g and w hold each trial's code index vector and messages,
-    ``outcome`` the block's decisions; one bool per trial.
+    ``outcome`` the block's decisions; per trial, whether it errs and
+    whether it decoded transmitter 1's own message and code, as two arrays.
 
     relaxed: inside R anything but correct decoding errs; outside R only a
     wrong decoding errs.  strict: outside R anything but a collision errs.
@@ -82,18 +83,13 @@ def classify_error(error_model: str, region, margin, g, w,
     if error_model not in ERROR_MODELS:
         raise DomainError(f"unknown error model {error_model!r}")
     decoded = outcome.decoded
-    correct = _decoded_correct(outcome, g, w)
+    correct = decoded & (outcome.w1 == [wi[0] for wi in w]) \
+        & (outcome.g1 == [gi[0] for gi in g])
     outside = decoded & ~correct if error_model == RELAXED else decoded
     if error_model == MARGIN and margin is not None:
         outside = np.where([gi in margin for gi in g], decoded & ~correct,
                            decoded)
-    return np.where([gi in region for gi in g], ~correct, outside)
-
-
-def _decoded_correct(outcome: DecodeOutcome, g, w) -> np.ndarray:
-    """Which trials decoded transmitter 1's own message and code."""
-    return outcome.decoded & (outcome.w1 == [wi[0] for wi in w]) \
-        & (outcome.g1 == [gi[0] for gi in g])
+    return np.where([gi in region for gi in g], ~correct, outside), correct
 
 
 # ---------------------------------------------------------------------------
@@ -293,9 +289,9 @@ def run_trials(scenario, trials: int, master_seed: int,
 
     def judge(codebooks, gs, _g_rows, ws, y):
         outcome = decode_receiver(tables, codebooks, y, detector)
-        errors = classify_error(scenario.error_model, scenario.region,
-                                scenario.margin, gs, ws, outcome)
-        correct = _decoded_correct(outcome, gs, ws)
+        errors, correct = classify_error(scenario.error_model,
+                                         scenario.region, scenario.margin,
+                                         gs, ws, outcome)
         return errors, correct, outcome.decoded & ~correct
 
     return _run_blocks(scenario, trials, master_seed, block_bytes, judge,

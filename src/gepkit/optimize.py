@@ -10,6 +10,9 @@ lo + (hi-lo)*i/n for i = 1..n).
 The polish stage exists because several contracts compare independently
 computed maxima at 1e-9; a pure grid search stops near 1e-6.  It is Brent's
 bounded method, ported from scipy 1.17.1 and tested against it bit for bit.
+Its points are sequential, so it calls an objective's one-point twin
+``f.point(rho, s) -> float`` where there is one (the E_mD and E_iD
+objectives): a one-point array call's bits without numpy's call overhead.
 """
 
 from __future__ import annotations
@@ -190,10 +193,12 @@ def maximize_rho_s(f, s_cap=None) -> SearchResult:
     # (rho, s) -> f there, f being deterministic; the scan's incumbent
     # is in it already (a scan call gives each point its own call's bits)
     seen = {} if best[0] == -np.inf else {best[1:]: best[0]}
+    point = getattr(f, "point", None) or (
+        lambda r, s: float(f(r, np.asarray([s]))[0]))
 
     def value(r, s):
         if (r, s) not in seen:
-            seen[r, s] = float(f(r, np.asarray([s]))[0])
+            seen[r, s] = point(r, s)
         return seen[r, s]
 
     for _ in range(POLISH_SWEEPS):

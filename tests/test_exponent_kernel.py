@@ -11,21 +11,33 @@ exponent search of ``bound`` and ``exponents`` on the shipped scenarios and
 the benchmark's workloads, value and argmax.  The reference objectives take
 a scalar rho, so their searches run under the row-by-row search of
 ``tests/reference_search.py``.
+
+The E_mD and E_iD objectives carry a one-point twin, ``objective.point(rho,
+s)``, which the polish calls: float arithmetic around numpy's exp and
+log1p (``ensemble._logsumexp_rows``), handing the point to the array
+kernel where a row has 8 or more entries or a non-finite maximum.  It must
+give the array objective's and the reference's bytes at every point, and
+no polish evaluation of the searches above may hand its point back.
 """
 
+import gc
+import math
 import warnings
 
 import numpy as np
 import pytest
 
 import gepkit.exponents
+from gepkit.channel import CodeSpec, SystemModel, make_dmc
 from gepkit.cli import cmd_bound, cmd_exponents
 from gepkit.ensemble import scale_log
 from gepkit.exponents import (
+    _scaled,
     ec_objective,
     eid_objective,
     emd_objective,
     proper_subsets,
+    WeightFunction,
 )
 from gepkit.optimize import EPS
 
@@ -87,6 +99,10 @@ class TestScaleLog:
             assert _same(scale_log(0.0, -np.inf),
                          reference_scale_log(0.0, -np.inf))
             assert _same(scale_log(2.0, -1.0), reference_scale_log(2.0, -1.0))
+            # the point kernel's port, on lists
+            for coef in (0.0, -0.0, 1.5, float(c[1, 0, 0, 0])):
+                assert _same(np.array(_scaled(coef, logs.ravel().tolist())),
+                             reference_scale_log(coef, logs).ravel())
 
 
 class TestObjectives:
@@ -155,3 +171,136 @@ def test_every_search_matches_the_reference_objectives(name, tmp_path,
                     {**FACTORIES, "maximize_rho_s": reference_maximize_rho_s})
     assert mine[0], "no exponent was maximized"
     assert mine == ref
+
+
+def _rows_spy(mp):
+    """Record every call of the point kernel's log-sum-exp port as (rows,
+    whether it handed the point back to the array kernel: nan rows)."""
+    calls = []
+    real = gepkit.exponents._logsumexp_rows
+
+    def spy(rows):
+        out = real(rows)
+        calls.append((rows, math.isnan(out[0])))
+        return out
+
+    mp.setattr(gepkit.exponents, "_logsumexp_rows", spy)
+    return calls
+
+
+def _point_builds(rng, model, alpha):
+    """(factory, args) of the E_iD and E_mD objectives of every proper S."""
+    g, g2 = random_g(rng, model), random_g(rng, model)
+    builds = []
+    for S in proper_subsets(model.n_users):
+        D = tuple(sorted({0} | {k for k in range(model.K)
+                                if rng.random() < 0.5}))
+        builds.append((eid_objective, (model, D, S, g, g2, alpha)))
+        if set(D) - S:
+            builds.append((emd_objective, (model, D, S, g, g2, alpha)))
+    return builds
+
+
+def _check_points(monkeypatch, rng, builds):
+    """Compare ``point`` with the array objective and the reference at
+    random (rho, s), at s = 1 (a zero coefficient 1 - s) and at the box's
+    corners; return the port's calls and the tables of every objective."""
+    tables = []
+    with monkeypatch.context() as mp:
+        calls = _rows_spy(mp)
+        for build, args in builds:
+            mine, ref = _objective_pair(monkeypatch, build, *args)
+            tables.append(mine.key)
+            for rho, s in [(float(rng.uniform(EPS, 1.0)),
+                            float(rng.uniform(EPS, 1.0))),
+                           (float(rng.uniform(EPS, 1.0)), 1.0),
+                           (EPS, EPS), (1.0, 1.0), (EPS, 1.0 - EPS)]:
+                got = mine.point(rho, s)
+                one = np.asarray([s])
+                assert type(got) is float
+                assert _same(got, float(mine(rho, one)[0])), (build, rho, s)
+                assert _same(got, float(ref(rho, one)[0])), (build, rho, s)
+    return calls, tables
+
+
+class TestPointKernel:
+    @pytest.mark.parametrize("variant", ["plain", "zeros", "tied"])
+    def test_random_models_match_array_and_reference(self, variant,
+                                                     monkeypatch):
+        rng = np.random.default_rng({"plain": 21, "zeros": 22, "tied": 23}
+                                    [variant])
+        builds = []
+        for _ in range(12):
+            model = variant_model(rng, variant)
+            builds += _point_builds(rng, model, random_alpha(rng, model))
+        calls, tables = _check_points(monkeypatch, rng, builds)
+        # rows the float kernel summed itself
+        rows = [row for rs, back in calls if not back for row in rs]
+        assert len(rows) > 500
+        if variant == "zeros":  # -inf letters, met at s = 1 by E_mD
+            assert any(b is emd_objective and any(
+                np.isneginf(np.frombuffer(t, dtype=float)).any()
+                for _shape, t in key[1:]) for (b, _), key in zip(
+                    builds, tables))
+        if variant == "tied":
+            assert any(row.count(max(row)) > 1 for row in rows)
+
+    def test_objective_frees_on_its_last_reference(self):
+        """``.point`` refers to nothing that refers back to the objective,
+        so its tables go with it, without a garbage collection."""
+        rng = np.random.default_rng(26)
+        model = variant_model(rng, "plain")
+        builds = _point_builds(rng, model, random_alpha(rng, model))
+        gc.collect()
+        gc.disable()
+        try:
+            for build, args in builds:
+                build(*args).point(0.5, 0.25)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_long_rows_hand_back(self, monkeypatch):
+        """A 9-output channel: the outer rows hold 9 or more entries, which
+        numpy sums pairwise, so every point goes to the array kernel."""
+        rng = np.random.default_rng(24)
+        t = rng.uniform(0.05, 1.0, size=(2, 9))
+        model = SystemModel(
+            dmc=make_dmc(t / t.sum(axis=1, keepdims=True)), K=1, M=0,
+            libraries=((CodeSpec(0.1, np.array([0.3, 0.7])),
+                        CodeSpec(0.2, np.array([0.6, 0.4]))),))
+        builds = _point_builds(rng, model, random_alpha(rng, model))
+        assert {b for b, _ in builds} == {eid_objective, emd_objective}
+        calls, _ = _check_points(monkeypatch, rng, builds)
+        assert any(max(map(len, rows)) >= 8 for rows, _ in calls)
+        assert all(back for rows, back in calls if max(map(len, rows)) >= 8)
+
+    def test_minus_inf_input_weight_hands_back(self, monkeypatch):
+        """Input pmf (1, 0) and P(y=2 | x=0) = 0: the inner row of y = 2
+        is all -inf, a non-finite maximum, so the point goes to the array
+        kernel."""
+        model = SystemModel(
+            dmc=make_dmc(np.array([[0.9, 0.1, 0.0], [0.2, 0.3, 0.5]])),
+            K=1, M=0, libraries=((CodeSpec(0.1, np.array([1.0, 0.0])),
+                                  CodeSpec(0.2, np.array([0.4, 0.6]))),))
+        alpha = WeightFunction(model, [0.0, 0.1])
+        builds = [(emd_objective, (model, (0,), frozenset(), (0,), (0,),
+                                   alpha)),
+                  (eid_objective, (model, (0,), frozenset(), (0,), (1,),
+                                   alpha))]
+        calls, _ = _check_points(monkeypatch, np.random.default_rng(25),
+                                 builds)
+        assert any(back for _, back in calls)
+
+
+@pytest.mark.parametrize("name", search_scenarios())
+def test_no_polish_point_hands_back(name, tmp_path, monkeypatch, capsys):
+    """Every polish evaluation of ``bound`` and ``exponents`` runs in the
+    float kernel."""
+    with monkeypatch.context() as mp:
+        calls = _rows_spy(mp)
+        scenario = load_search_scenario(name)
+        cmd_bound(scenario, tmp_path)
+        cmd_exponents(scenario, tmp_path)
+    assert calls, "no polish point was evaluated"
+    assert not any(back for _, back in calls)

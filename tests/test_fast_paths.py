@@ -1,16 +1,17 @@
 """Bit-identity of the fast paths against the routines they replace.
 
-``_logsumexp`` must reproduce scipy.special.logsumexp byte for byte, the
-per-letter threshold tables must reproduce the per-symbol formula they
-replaced byte for byte, and one ``simulate``, ``bound`` or ``exponents``
-must maximize every exponent at most once.  The comparison-count inverse
-CDF, the gathered candidate rows and the region detector built once must
-reproduce the bisection, the per-candidate loop and the per-g loop they
-replaced, kept here as references.  A threshold solve on a block of
-fixed-symbol rows must give, row by row, the per-row reference's bits.  The
-exponent memo, keyed by what each objective computes, must return what a
-fresh maximization returns for every lookup, maximize each distinct
-objective once, and tell apart objectives that differ in any input.
+``_logsumexp`` and its scalar port ``_logsumexp_rows`` must reproduce
+scipy.special.logsumexp byte for byte, the per-letter threshold tables must
+reproduce the per-symbol formula they replaced byte for byte, and one
+``simulate``, ``bound`` or ``exponents`` must maximize every exponent at
+most once.  The comparison-count inverse CDF, the gathered candidate rows
+and the region detector built once must reproduce the bisection, the
+per-candidate loop and the per-g loop they replaced, kept here as
+references.  A threshold solve on a block of fixed-symbol rows must give,
+row by row, the per-row reference's bits.  The exponent memo, keyed by what
+each objective computes, must return what a fresh maximization returns for
+every lookup, maximize each distinct objective once, and tell apart
+objectives that differ in any input.
 """
 
 import itertools
@@ -48,6 +49,7 @@ from gepkit.decoder import (
 )
 from gepkit.ensemble import (
     _logsumexp,
+    _logsumexp_rows,
     ensemble_log_expectation,
     flatten_symbols,
     marginal_log_table,
@@ -142,6 +144,43 @@ class TestLogsumexp:
             a = np.full((5, 4), value)
             assert _same(_logsumexp(a, 1), logsumexp(a, axis=1)), value
             assert _same(_logsumexp(a[0], 0), logsumexp(a[0], axis=0))
+
+    def test_short_axes(self):
+        """Over 2 to 8 entries the maximum is a chain of np.maximum calls:
+        axes of 2 to 9 entries with ties, a ±0 tie and an all -inf slice."""
+        rng = np.random.default_rng(28)
+        for n in range(2, 10):
+            a = np.round(rng.normal(size=(3, n, 4)) * 2.0)
+            a[0, :, 0] = -0.0
+            a[0, 1, 0] = 0.0
+            a[1, :, 1] = -np.inf
+            for axis in (0, 1, 2, -1):
+                assert _same(_logsumexp(a, axis), logsumexp(a, axis=axis))
+
+    def test_scalar_port(self):
+        """``_logsumexp_rows`` gives each row of 1 to 7 entries the bits of
+        ``_logsumexp`` (and scipy) on it; a row of 8 or more entries or
+        with a non-finite maximum makes every row of the call nan."""
+        rng = np.random.default_rng(29)
+        for case in range(300):
+            rows = []
+            for _ in range(int(rng.integers(1, 6))):
+                row = rng.normal(size=int(rng.integers(1, 8))) * \
+                    (1.0, 30.0, 700.0)[case % 3]
+                if case % 4 == 0:
+                    row = np.round(row)                  # ties
+                if case % 5 == 0:
+                    row[rng.random(row.size) < 0.4] = -np.inf
+                    row[0] = 0.0
+                rows.append(row.tolist())
+            got = _logsumexp_rows(rows)
+            for row, value in zip(rows, got):
+                want = _logsumexp(np.array(row), 0)
+                assert _same(np.float64(value), want), row
+                assert _same(want, logsumexp(np.array(row)))
+        inf = np.inf
+        for bad in ([0.0] * 8, [-inf, -inf], [inf, 0.0], [np.nan, 0.0]):
+            assert np.isnan(_logsumexp_rows([[1.0, 2.0], bad])).all(), bad
 
 
 def reference_log_expectation(model, D, S, g, y, x_fixed, a):

@@ -83,7 +83,8 @@ COLLIDE = DecodeOutcome(reason=np.array([REASONS.index("no_winner")]),
 
 def classify(error_model, region, margin, g, w, outcome) -> bool:
     """classify_error on a block of one trial."""
-    err, = classify_error(error_model, region, margin, [g], [w], outcome)
+    (err,), _ = classify_error(error_model, region, margin, [g], [w],
+                               outcome)
     return bool(err)
 
 
@@ -517,8 +518,9 @@ class TestEmpiricalGep:
                         py = np.prod([marg_pmf[x[j], y[j]]
                                       for j in range(N)])
                         out = decode_subset(tbl, cb, np.array([y]))
-                        err, = classify_error(RELAXED, region, frozenset(),
-                                              [(0, 0)], [(w,)], out)
+                        (err,), _ = classify_error(
+                            RELAXED, region, frozenset(), [(0, 0)], [(w,)],
+                            out)
                         exact += p1 * p2 * 0.5 * py * err
 
         scen = make_scenario(m, N, region, g_set=[(0, 0)])

@@ -7,8 +7,8 @@ row's own call.  The search evaluates each scan stage in calls of at most
 ``SCAN_POINTS`` points and remembers every point its polish evaluated,
 starting with the scan's incumbent.  It must return the reference search's
 value and argmax bytes, scan the same points, polish at the same points
-but that incumbent, none of them twice, and call the objective less
-often.
+in the same order but that incumbent, none of them twice, each through the
+objective's one-point twin ``f.point``, and call the objective less often.
 """
 
 import math
@@ -131,19 +131,27 @@ class TestReferenceSearch:
 
 def _call_points(search, f, s_cap, sweeps):
     """The (rho, s) points of each objective call ``search`` makes, with at
-    most ``sweeps`` polish sweeps."""
-    calls = []
+    most ``sweeps`` polish sweeps, and which calls went to the one-point
+    twin ``f.point``."""
+    calls, to_point = [], []
 
     def counted(rho, s):
         r, s_ = np.broadcast_arrays(np.asarray(rho, dtype=float),
                                     np.asarray(s, dtype=float))
         calls.append(list(zip(r.ravel().tolist(), s_.ravel().tolist())))
+        to_point.append(False)
         return f(rho, s)
 
+    def point(rho, s):
+        calls.append([(rho, s)])
+        to_point.append(True)
+        return f.point(rho, s)
+
+    counted.point = point
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(optimize, "POLISH_SWEEPS", sweeps)
         search(counted, s_cap=s_cap)
-    return calls
+    return calls, to_point
 
 
 def _bound_searches(name):
@@ -165,13 +173,16 @@ def _bound_searches(name):
 def test_calls_per_search(name):
     """Each scan stage makes the calls its rows need at SCAN_POINTS points
     a call (the row-by-row search made one per row: 64 + 9 + 9), and the
-    polish evaluates the reference's points but the scan's incumbent, its
-    first, each once."""
+    polish evaluates the reference's points in the reference's order, but
+    the scan's incumbent, its first, and repeats, each once, through the
+    one-point twin ``f.point``."""
     searches = _bound_searches(name)
     assert {cap is None for _, cap in searches} == {True, False}
     for f, s_cap in searches:
-        scan = _call_points(maximize_rho_s, f, s_cap, 0)
-        ref_scan = _call_points(reference_maximize_rho_s, f, s_cap, 0)
+        assert hasattr(f, "point")
+        scan, scan_to_point = _call_points(maximize_rho_s, f, s_cap, 0)
+        ref_scan, _ = _call_points(reference_maximize_rho_s, f, s_cap, 0)
+        assert not any(scan_to_point)
         base_points = sum(len(c) for c in ref_scan
                           if len(c) == optimize.BASE_GRID)
         need = math.ceil(base_points / optimize.SCAN_POINTS) + \
@@ -182,13 +193,14 @@ def test_calls_per_search(name):
         assert sorted(p for c in scan for p in c) == \
             sorted(p for c in ref_scan for p in c)
 
-        full = _call_points(maximize_rho_s, f, s_cap, optimize.POLISH_SWEEPS)
-        ref_full = _call_points(reference_maximize_rho_s, f, s_cap,
-                                optimize.POLISH_SWEEPS)
+        full, to_point = _call_points(maximize_rho_s, f, s_cap,
+                                      optimize.POLISH_SWEEPS)
+        ref_full, ref_to_point = _call_points(
+            reference_maximize_rho_s, f, s_cap, optimize.POLISH_SWEEPS)
+        assert all(to_point[len(scan):]) and not any(ref_to_point)
         polish = [p for c in full[len(scan):] for p in c]
         ref_polish = [p for c in ref_full[len(ref_scan):] for p in c]
         incumbent = ref_polish[0]
         assert incumbent in {p for c in scan for p in c}
-        assert len(set(polish)) == len(polish), "a polish point evaluated twice"
-        assert set(polish) == set(ref_polish) - {incumbent}
+        assert polish == list(dict.fromkeys(ref_polish))[1:]
         assert len(full) < len(ref_full)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -268,8 +268,7 @@ def _labels(members: tuple, width: int) -> np.ndarray:
     return labels
 
 
-def decode_subset(thresholds: ThresholdTable, codebooks, y,
-                  restrict_to=None) -> DecodeOutcome:
+def decode_subset(thresholds: ThresholdTable, codebooks, y) -> DecodeOutcome:
     """One (D, R_D)-decoder on a block of B trials: ``codebooks`` is the
     block's :class:`CodebookRealization` and y the trials' outputs, shape
     (B, N).  Per subset S (proper, D\\S nonempty) keep the candidates whose
@@ -292,8 +291,6 @@ def decode_subset(thresholds: ThresholdTable, codebooks, y,
     model, D, alpha = thresholds.model, thresholds.D, thresholds.alpha
     y = as_block(y, 2, "(B, N)")
     members = sorted(thresholds.region)
-    if restrict_to is not None:
-        members = [g for g in members if g in restrict_to]
     cands = [_enumerate_candidates(
         model, D, g, [codebooks.table(k, g[k]) for k in D], y, alpha)
         for g in members]
@@ -339,8 +336,9 @@ def decode_receiver(thresholds_by_D: dict, codebooks, y,
     agree on (w1, g1).  With a :class:`RegionDetector` (detect-then-decode),
     the block's regions are detected first, in one call, and each detected
     cell's trials are decoded together on their part of the realization
-    (``codebooks.take``), scoring only the cell's candidates, under the
-    thresholds of the unrestricted regions."""
+    (``codebooks.take``) by each table with its region restricted to the
+    cell: only the cell's candidates are scored, under the thresholds of
+    the unrestricted regions."""
     y = as_block(y, 2, "(B, N)")
     diag = {"candidates_evaluated": 0}
     groups = [(None, np.arange(len(y)))]
@@ -351,9 +349,11 @@ def decode_receiver(thresholds_by_D: dict, codebooks, y,
     reason = np.zeros(len(y), dtype=np.int64)
     w1, g1 = np.zeros_like(reason), np.zeros_like(reason)
     for cell, at in groups:
-        books = codebooks if cell is None else codebooks.take(at)
-        outs = [decode_subset(thresholds, books, y[at], restrict_to=cell)
-                for thresholds in thresholds_by_D.values()]
+        books, tables = codebooks, list(thresholds_by_D.values())
+        if cell is not None:
+            books = codebooks.take(at)
+            tables = [replace(t, region=t.region & cell) for t in tables]
+        outs = [decode_subset(t, books, y[at]) for t in tables]
         diag["candidates_evaluated"] += sum(
             out.diagnostics["candidates_evaluated"] for out in outs)
         # per D and trial: decoded, and the decoded (w1, g1)

@@ -183,21 +183,6 @@ def _scaled(c, logs) -> list:
     return [c * x if c or x != -math.inf else 0.0 for x in logs]
 
 
-def _with_point(array, point):
-    """The objective ``array`` with ``.point(rho, s) -> float``: ``point``,
-    its float port (:func:`_logsumexp_rows`), or ``array`` where that is
-    nan.  A wrapper, so that no reference cycle holds on to the tables."""
-    def objective(rho, s):
-        return array(rho, s)
-
-    def one(rho, s):
-        v = point(rho, s)
-        return v if v == v else float(array(rho, np.asarray([s]))[0])
-
-    objective.point = one
-    return objective
-
-
 def _emd(lw_g, a_g, lw_t, a_t, lw_fixed, rate_sum):
     # g and g~ tables share one shape: stacked, one log-sum-exp gives both
     lw = np.stack([lw_g, lw_t]).reshape(2, 1, 1, 1, -1)
@@ -225,7 +210,8 @@ def _emd(lw_g, a_g, lw_t, a_t, lw_fixed, rate_sum):
             fixed, inner[:len(fixed)], inner[len(fixed):])]])
         return -rho * rate_sum - total
 
-    return _with_point(objective, point)
+    objective.point = point  # a nan defers to the array kernel
+    return objective
 
 
 def emd_objective(model: SystemModel, D, S, g, g_tilde, alpha: WeightFunction):
@@ -267,7 +253,8 @@ def _eid(lw_g, a_g, t2c, lw_fixed, rate_sum):
             fixed, _scaled(s_rho, t1), _scaled(1.0 - s, t2))]])
         return -rho * rate_sum - total
 
-    return _with_point(objective, point)
+    objective.point = point  # a nan defers to the array kernel
+    return objective
 
 
 def eid_objective(model: SystemModel, D, S, g, g_prime, alpha: WeightFunction):
@@ -309,7 +296,7 @@ def exponent_EmD(model: SystemModel, D, S, g, g_tilde,
     g_tilde; the (rho, s) maximization runs over (0,1] x (0,1].
     :class:`EmptyDifferenceSet` when D\\S is empty."""
     f = emd_objective(model, D, S, g, g_tilde, alpha)
-    res = maximize_rho_s(f, s_cap=None)
+    res = maximize_rho_s(f)
     return ExponentResult(res.value, res.argmax[0], res.argmax[1])
 
 
@@ -322,7 +309,7 @@ def exponent_EiD(model: SystemModel, D, S, g, g_prime,
     functional degenerates to a conditional Chernoff quantity.
     """
     f = eid_objective(model, D, S, g, g_prime, alpha)
-    res = maximize_rho_s(f, s_cap=lambda r: 1.0 - r)
+    res = maximize_rho_s(f, coupled=True)
     return ExponentResult(res.value, res.argmax[0], res.argmax[1])
 
 
@@ -393,7 +380,6 @@ class BoundTerm:
     exponent: float
     rho: float | None
     s: float
-    log_term: float
 
 
 VACUITY_TOL = 1e-9  # optimizer noise in a zero exponent scales by N
@@ -424,12 +410,12 @@ def bound_report(terms, N: int, alpha: WeightFunction, log_norm: float = 0.0,
                  heuristic: bool = False) -> BoundReport:
     """The one constructor of BoundReport.
 
-    Without ``components`` the raw bound is sum_t e^{log_term} / e^{log_norm}
-    over ``terms``; with them (name -> raw bound of a part) it is their sum
-    and ``terms`` are the parts' terms, listed.  The value is the raw bound
+    Without ``components`` the raw bound is sum_t e^{-N exponent_t} /
+    e^{log_norm} over ``terms``; with them (name -> raw bound of a part)
+    it is their sum and ``terms`` are the parts' terms, listed.  The value is the raw bound
     clamped to 1 when ``clamp``, the raw bound itself otherwise."""
     if components is None:
-        logs = np.array([t.log_term for t in terms], dtype=float)
+        logs = np.array([-N * t.exponent for t in terms], dtype=float)
         log_raw = float(_logsumexp(logs, axis=0) - log_norm) if len(logs) \
             else float("-inf")
         raw = float(np.exp(log_raw))
@@ -454,10 +440,9 @@ def summed_report(reports: dict, N: int, alpha: WeightFunction,
                         heuristic=heuristic)
 
 
-def _term(kind, S, g, g_other, res: ExponentResult, N: int) -> BoundTerm:
+def _term(kind, S, g, g_other, res: ExponentResult) -> BoundTerm:
     return BoundTerm(kind=kind, S=tuple(sorted(S)), g=g, g_other=g_other,
-                     exponent=res.value, rho=res.rho, s=res.s,
-                     log_term=-N * res.value)
+                     exponent=res.value, rho=res.rho, s=res.s)
 
 
 def confusion_feasible(model: SystemModel, N: int, D, S, g, gt) -> bool:
@@ -496,20 +481,20 @@ def _subset_terms(model, D, S, region, excluded, covers_D, alpha, N, cache):
         best = cache.best_excluded(model, D, S, g, excluded, alpha)
         if best is not None:
             miss[g] = best
-            terms.append(_term("miss", S, g, *best, N))
+            terms.append(_term("miss", S, g, *best))
         if covers_D:
             continue
         for gt in region_sorted:
             if sub(gt, S) == sub(g, S) and \
                     confusion_feasible(model, N, D, S, g, gt):
                 terms.append(_term("confusion", S, g, gt,
-                                   cache.emd(model, D, S, g, gt, alpha), N))
+                                   cache.emd(model, D, S, g, gt, alpha)))
     for gt in model.index_space():
         if gt in excluded:
             continue
         for g in region_sorted:
             if g in miss and sub(g, S) == sub(gt, S):
-                terms.append(_term("false_accept", S, g, *miss[g], N))
+                terms.append(_term("false_accept", S, g, *miss[g]))
     return terms
 
 
@@ -617,6 +602,6 @@ def detection_bound(model: SystemModel, g, regions, alpha: WeightFunction,
     cell = next((r for r in cleaned if g in r), None)
     if cell is None:
         raise NotAPartition(f"no detection region contains {g}")
-    terms = [_term("detect", (), g, gt, cache.ec(model, g, gt, alpha), N)
+    terms = [_term("detect", (), g, gt, cache.ec(model, g, gt, alpha))
              for gt in model.index_space() if gt not in cell]
     return bound_report(terms, N, alpha, clamp=alpha(g) == 0.0)

@@ -10,13 +10,16 @@ lo + (hi-lo)*i/n for i = 1..n).
 The polish stage exists because several contracts compare independently
 computed maxima at 1e-9; a pure grid search stops near 1e-6.  It is Brent's
 bounded method, ported from scipy 1.17.1 and tested against it bit for bit.
-Its points are sequential, so it calls an objective's one-point twin
-``f.point(rho, s) -> float`` where there is one (the E_mD and E_iD
-objectives): a one-point array call's bits without numpy's call overhead.
+Its points are sequential, so the scalar and the (rho, s) polish evaluate
+them through one single-point evaluator, :func:`_point_value`: the
+objective's float twin ``f.point`` where it has one (the E_mD and E_iD
+objectives) and it gives a number, a one-point array call's bits without
+numpy's call overhead; otherwise the one-point array call itself.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -113,6 +116,15 @@ def _bounded_brent(f, a, b, xatol):
                 fulc, ffulc = x, fu
 
 
+def _point_value(f, *x) -> float:
+    """f at the one point x, f taking its last coordinate as an array: its
+    float twin ``f.point(*x)`` where f has one and it is not nan (nan: the
+    twin cannot give the array kernel's bits there), else ``f`` on a
+    one-entry array."""
+    v = f.point(*x) if hasattr(f, "point") else math.nan
+    return v if v == v else float(f(*x[:-1], np.asarray([x[-1]]))[0])
+
+
 def maximize_scalar(f, lo: float, hi: float) -> SearchResult:
     """Maximize a vectorized scalar function f(x_array) on (lo, hi]."""
     xs = _axis(lo, hi, BASE_GRID)
@@ -128,29 +140,32 @@ def maximize_scalar(f, lo: float, hi: float) -> SearchResult:
         if vs[i] > best_v:
             best_x, best_v = float(xs[i]), float(vs[i])
         step = (b - a) / (REFINE_POINTS - 1)
-    fs = lambda x: float(f(np.asarray([x]))[0])
-    x, v = _brent_max(fs, lo, hi, best_x, POLISH_XATOL)
+    x, v = _brent_max(functools.partial(_point_value, f), lo, hi, best_x,
+                      POLISH_XATOL)
     if v > best_v:
         best_x, best_v = x, v
     return SearchResult(best_v, (best_x,))
 
 
-def maximize_rho_s(f, s_cap=None) -> SearchResult:
-    """Maximize f(rho, s) over rho in (EPS, 1], s in (EPS, s_max].
+def maximize_rho_s(f, coupled=False) -> SearchResult:
+    """Maximize f(rho, s) over rho in (EPS, 1], s in (EPS, s_max(rho)]:
+    s_max = 1, or s_max = 1 - rho when ``coupled`` (the constraint
+    s <= 1 - rho).
 
     ``f(rho, s)`` takes s as a float or an array and rho as a float or an
     array of s's shape, paired with s elementwise, and returns one value
     per point, flattened.  Each scan stage evaluates all its (rho, s) rows
     in calls of at most ``SCAN_POINTS`` points; the polish evaluates no
-    point twice and starts from the scan's value at its incumbent.
-
-    ``s_cap``: None for s_max = 1 independent of rho, or a callable
-    rho -> s_max (the coupled constraint s <= 1 - rho uses
-    ``s_cap=lambda r: 1.0 - r``).  rho values whose s-range collapses below
-    EPS are skipped.
+    point twice and starts from the scan's value at its incumbent.  rho
+    values whose s-range collapses below EPS are skipped.
     """
-    s_max = (lambda r: 1.0) if s_cap is None else s_cap
     best = (-np.inf, EPS, EPS)
+
+    def s_max(r):
+        return 1.0 - r if coupled else 1.0
+
+    def caps(rhos):
+        return 1.0 - rhos if coupled else np.ones_like(rhos)
 
     def scan(rhos, ss):
         """Rows rho_i with s on ss[i], compared in order: a row's best point
@@ -168,9 +183,6 @@ def maximize_rho_s(f, s_cap=None) -> SearchResult:
         i = int(np.argmax(row_best))
         if row_best[i] > best[0]:
             best = (float(row_best[i]), float(rhos[i]), float(ss[i, js[i]]))
-
-    def caps(rhos):
-        return np.array([s_max(r) for r in rhos])
 
     rho_grid = _axis(EPS, 1.0, BASE_GRID)
     s_his = caps(rho_grid)
@@ -193,12 +205,10 @@ def maximize_rho_s(f, s_cap=None) -> SearchResult:
     # (rho, s) -> f there, f being deterministic; the scan's incumbent
     # is in it already (a scan call gives each point its own call's bits)
     seen = {} if best[0] == -np.inf else {best[1:]: best[0]}
-    point = getattr(f, "point", None) or (
-        lambda r, s: float(f(r, np.asarray([s]))[0]))
 
     def value(r, s):
         if (r, s) not in seen:
-            seen[r, s] = point(r, s)
+            seen[r, s] = _point_value(f, r, s)
         return seen[r, s]
 
     for _ in range(POLISH_SWEEPS):
@@ -210,9 +220,9 @@ def maximize_rho_s(f, s_cap=None) -> SearchResult:
                                   min(s0, s_hi), POLISH_XATOL)
             if v > best[0]:
                 best = (v, r0, s_new)
-        # rho sweep at fixed s; under a coupled cap keep s <= s_max(rho)
+        # rho sweep at fixed s; under the coupling keep s <= 1 - rho
         _, r0, s0 = best
-        r_hi = 1.0 if s_cap is None else _max_feasible_rho(s_max, s0)
+        r_hi = _max_feasible_rho(s0) if coupled else 1.0
         if r_hi > EPS:
             r_new, v = _brent_max(lambda r: value(r, s0), EPS, r_hi,
                                   min(r0, r_hi), POLISH_XATOL)
@@ -223,17 +233,17 @@ def maximize_rho_s(f, s_cap=None) -> SearchResult:
     return SearchResult(best[0], (best[1], best[2]))
 
 
-def _max_feasible_rho(s_max, s0: float) -> float:
-    """Largest rho in (EPS, 1] with s0 <= s_max(rho), by bisection (s_max
-    is nonincreasing for the coupled constraint used here)."""
-    if s0 <= s_max(1.0):
+def _max_feasible_rho(s0: float) -> float:
+    """Largest rho in (EPS, 1] with s0 <= 1 - rho, by bisection.  Not
+    1 - s0, which lies some ulps away: the E_iD polish stops elsewhere."""
+    if s0 <= 0.0:
         return 1.0
-    if s0 > s_max(EPS):
+    if s0 > 1.0 - EPS:
         return EPS
     lo, hi = EPS, 1.0
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if s0 <= s_max(mid):
+        if s0 <= 1.0 - mid:
             lo = mid
         else:
             hi = mid

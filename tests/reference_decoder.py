@@ -224,10 +224,9 @@ def trial_view(out, i: int, D=()) -> Outcome:
                    winner=winner, diagnostics=diag)
 
 
-def decode_one(thresholds, codebooks, y, restrict_to=None) -> Outcome:
+def decode_one(thresholds, codebooks, y) -> Outcome:
     """:func:`decode_subset` on one trial, a block of one."""
-    out = decode_subset(thresholds, codebooks, np.asarray(y)[None],
-                        restrict_to=restrict_to)
+    out = decode_subset(thresholds, codebooks, np.asarray(y)[None])
     return trial_view(out, 0, thresholds.D)
 
 

@@ -19,10 +19,10 @@ def _row_axis(lo, hi, n):
     return lo + (hi - lo) * np.arange(1, n + 1) / n
 
 
-def reference_maximize_rho_s(f, s_cap=None) -> optimize.SearchResult:
+def reference_maximize_rho_s(f, coupled=False) -> optimize.SearchResult:
     EPS, BASE_GRID = optimize.EPS, optimize.BASE_GRID
     REFINE_POINTS = optimize.REFINE_POINTS
-    s_max = (lambda r: 1.0) if s_cap is None else s_cap
+    s_max = (lambda r: 1.0 - r) if coupled else (lambda r: 1.0)
 
     def s_range_ok(r):
         return s_max(r) > EPS
@@ -69,8 +69,7 @@ def reference_maximize_rho_s(f, s_cap=None) -> optimize.SearchResult:
             if v > best[0]:
                 best = (v, r0, s_new)
         _, r0, s0 = best
-        r_hi = 1.0 if s_cap is None else \
-            optimize._max_feasible_rho(s_max, s0)
+        r_hi = optimize._max_feasible_rho(s0) if coupled else 1.0
         if r_hi > EPS:
             r_new, v = optimize._brent_max(lambda r: fhat(r, s0), EPS, r_hi,
                                            min(r0, r_hi),

@@ -11,6 +11,7 @@ planted duplicate codewords, which reach every collision reason.
 """
 
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -60,9 +61,9 @@ def _key(out):
 def _compare(tables, detector, books, ys, block=BLOCK, refs=None) -> Counter:
     """Decode the trials of the block realization ``books`` and outputs
     ``ys`` in blocks with the receiver and with each table's decode_subset
-    (restricted to each trial's detected cell under a detector), and trial
-    by trial with the reference on ``refs`` (``books`` when None); assert
-    they agree.  Returns the collision reasons seen."""
+    (the table's region restricted to each trial's detected cell under a
+    detector), and trial by trial with the reference on ``refs`` (``books``
+    when None); assert they agree.  Returns the collision reasons seen."""
     seen = Counter()
     refs = books if refs is None else refs
     for start in range(0, len(books), block):
@@ -78,8 +79,9 @@ def _compare(tables, detector, books, ys, block=BLOCK, refs=None) -> Counter:
         for cell in set(cells):
             at = idx[[j for j, c in enumerate(cells) if c == cell]]
             for D, tbl in tables.items():
-                sub = decode_subset(tbl, books.take(at), ys[at],
-                                    restrict_to=cell)
+                mine = tbl if cell is None else \
+                    replace(tbl, region=tbl.region & cell)
+                sub = decode_subset(mine, books.take(at), ys[at])
                 for j, i in enumerate(at):
                     ref = reference_decode_subset(tbl, refs.take([i]), ys[i],
                                                   restrict_to=cell)

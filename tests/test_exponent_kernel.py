@@ -13,11 +13,14 @@ a scalar rho, so their searches run under the row-by-row search of
 ``tests/reference_search.py``.
 
 The E_mD and E_iD objectives carry a one-point twin, ``objective.point(rho,
-s)``, which the polish calls: float arithmetic around numpy's exp and
-log1p (``ensemble._logsumexp_rows``), handing the point to the array
-kernel where a row has 8 or more entries or a non-finite maximum.  It must
-give the array objective's and the reference's bytes at every point, and
-no polish evaluation of the searches above may hand its point back.
+s)``: float arithmetic around numpy's exp and log1p
+(``ensemble._logsumexp_rows``), nan where a row has 8 or more entries or a
+non-finite maximum.  The polishes evaluate single points through
+``optimize._point_value``, which calls the twin and makes the one-point
+array call where the twin is missing or nan.  The evaluator must give the
+array objective's and the reference's bytes at every point, the twin must
+be nan exactly where its port hands the point back, and no polish
+evaluation of the searches above may hand its point back.
 """
 
 import gc
@@ -39,7 +42,7 @@ from gepkit.exponents import (
     proper_subsets,
     WeightFunction,
 )
-from gepkit.optimize import EPS
+from gepkit.optimize import EPS, _point_value
 
 from conftest import (
     _same,
@@ -202,9 +205,11 @@ def _point_builds(rng, model, alpha):
 
 
 def _check_points(monkeypatch, rng, builds):
-    """Compare ``point`` with the array objective and the reference at
-    random (rho, s), at s = 1 (a zero coefficient 1 - s) and at the box's
-    corners; return the port's calls and the tables of every objective."""
+    """Compare the single-point evaluator with the array objective and the
+    reference at random (rho, s), at s = 1 (a zero coefficient 1 - s) and
+    at the box's corners, and check that ``point`` is nan exactly where its
+    port hands back; return the port's calls and the tables of every
+    objective."""
     tables = []
     with monkeypatch.context() as mp:
         calls = _rows_spy(mp)
@@ -215,7 +220,11 @@ def _check_points(monkeypatch, rng, builds):
                             float(rng.uniform(EPS, 1.0))),
                            (float(rng.uniform(EPS, 1.0)), 1.0),
                            (EPS, EPS), (1.0, 1.0), (EPS, 1.0 - EPS)]:
-                got = mine.point(rho, s)
+                n = len(calls)
+                twin = mine.point(rho, s)
+                assert type(twin) is float
+                assert math.isnan(twin) == any(b for _, b in calls[n:])
+                got = _point_value(mine, rho, s)
                 one = np.asarray([s])
                 assert type(got) is float
                 assert _same(got, float(mine(rho, one)[0])), (build, rho, s)

@@ -81,7 +81,7 @@ def test_rho_s_coupled_constraint_respected():
         calls.append((rho, s.copy()))
         return rho + s  # pushes toward the s = 1 - rho boundary
 
-    res = maximize_rho_s(f, s_cap=lambda r: 1.0 - r)
+    res = maximize_rho_s(f, coupled=True)
     for rho, s in calls:
         assert np.all(s <= 1.0 - rho + 1e-12)
     assert res.value == pytest.approx(1.0, abs=1e-9)
@@ -205,8 +205,7 @@ def test_real_objectives_give_the_reference_search_results(name,
                                                            monkeypatch):
     scenario = parse_scenario(load_workloads().generate(name, ROOT))
     calls = _recorded_maximizations(scenario, monkeypatch)
-    kinds = {(n, kw.get("s_cap") is not None)
-             for n, _, _, kw in calls}
+    kinds = {(n, kw.get("coupled", False)) for n, _, _, kw in calls}
     # EmD (uncoupled), EiD (s <= 1 - rho) and Ec (scalar) all occur
     assert kinds == {("maximize_rho_s", False), ("maximize_rho_s", True),
                      ("maximize_scalar", False)}

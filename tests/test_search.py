@@ -40,12 +40,8 @@ from reference_search import reference_maximize_rho_s
 VARIANTS = ("plain", "zeros", "tied")
 
 
-def _coupled(r):  # the E_iD constraint s <= 1 - rho
-    return 1.0 - r
-
-
 def _random_objectives(variant, models):
-    """(objective, s_cap) of the E_iD and E_mD objectives of ``models``
+    """(objective, coupled) of the E_iD and E_mD objectives of ``models``
     random models of ``variant`` (see ``conftest.variant_model``)."""
     rng = np.random.default_rng({"plain": 11, "zeros": 12, "tied": 13}
                                 [variant])
@@ -57,9 +53,9 @@ def _random_objectives(variant, models):
         for S in proper_subsets(model.n_users):
             D = tuple(sorted({0} | {k for k in range(model.K)
                                     if rng.random() < 0.5}))
-            out.append((eid_objective(model, D, S, g, g2, alpha), _coupled))
+            out.append((eid_objective(model, D, S, g, g2, alpha), True))
             if set(D) - S:
-                out.append((emd_objective(model, D, S, g, g2, alpha), None))
+                out.append((emd_objective(model, D, S, g, g2, alpha), False))
     return out
 
 
@@ -72,14 +68,13 @@ class TestBroadcast:
     def test_grid_call_equals_row_calls(self, variant):
         rng = np.random.default_rng(3)
         objectives = _random_objectives(variant, 6)
-        assert {cap for _, cap in objectives} == {None, _coupled}
-        for f, s_cap in objectives:
+        assert {coupled for _, coupled in objectives} == {False, True}
+        for f, coupled in objectives:
             rhos = np.sort(rng.uniform(EPS, 0.999, 6))
             rhos[0] = EPS
-            if s_cap is None:
+            if not coupled:
                 rhos[-1] = 1.0  # s / rho = s
-            caps = np.array([1.0 if s_cap is None else s_cap(r)
-                             for r in rhos])
+            caps = 1.0 - rhos if coupled else np.ones_like(rhos)
             # each row on its own s axis, ending at its cap (1 - s = 0
             # for E_mD)
             grid = np.sort(rng.uniform(EPS, 1.0, (6, 7)), axis=1) * \
@@ -107,10 +102,10 @@ class TestReferenceSearch:
         """Every maximize_rho_s result of ``bound`` and ``exponents``."""
         pairs = []
 
-        def both(f, s_cap=None):
-            res = maximize_rho_s(f, s_cap=s_cap)
+        def both(f, coupled=False):
+            res = maximize_rho_s(f, coupled=coupled)
             pairs.append((_bits(res),
-                          _bits(reference_maximize_rho_s(f, s_cap=s_cap))))
+                          _bits(reference_maximize_rho_s(f, coupled))))
             return res
 
         monkeypatch.setattr(gepkit.exponents, "maximize_rho_s", both)
@@ -124,12 +119,12 @@ class TestReferenceSearch:
     def test_random_searches_equal_the_reference_search(self, variant):
         objectives = _random_objectives(variant, 2)
         assert len(objectives) >= 4
-        for f, s_cap in objectives:
-            assert _bits(maximize_rho_s(f, s_cap=s_cap)) == \
-                _bits(reference_maximize_rho_s(f, s_cap=s_cap))
+        for f, coupled in objectives:
+            assert _bits(maximize_rho_s(f, coupled)) == \
+                _bits(reference_maximize_rho_s(f, coupled))
 
 
-def _call_points(search, f, s_cap, sweeps):
+def _call_points(search, f, coupled, sweeps):
     """The (rho, s) points of each objective call ``search`` makes, with at
     most ``sweeps`` polish sweeps, and which calls went to the one-point
     twin ``f.point``."""
@@ -150,17 +145,17 @@ def _call_points(search, f, s_cap, sweeps):
     counted.point = point
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(optimize, "POLISH_SWEEPS", sweeps)
-        search(counted, s_cap=s_cap)
+        search(counted, coupled)
     return calls, to_point
 
 
 def _bound_searches(name):
-    """(objective, s_cap) of every (rho, s) search of the verdict bound."""
+    """(objective, coupled) of every (rho, s) search of the verdict bound."""
     found = []
 
-    def record(f, s_cap=None):
-        found.append((f, s_cap))
-        return maximize_rho_s(f, s_cap=s_cap)
+    def record(f, coupled=False):
+        found.append((f, coupled))
+        return maximize_rho_s(f, coupled)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(gepkit.exponents, "maximize_rho_s", record)
@@ -177,11 +172,11 @@ def test_calls_per_search(name):
     the scan's incumbent, its first, and repeats, each once, through the
     one-point twin ``f.point``."""
     searches = _bound_searches(name)
-    assert {cap is None for _, cap in searches} == {True, False}
-    for f, s_cap in searches:
+    assert {coupled for _, coupled in searches} == {True, False}
+    for f, coupled in searches:
         assert hasattr(f, "point")
-        scan, scan_to_point = _call_points(maximize_rho_s, f, s_cap, 0)
-        ref_scan, _ = _call_points(reference_maximize_rho_s, f, s_cap, 0)
+        scan, scan_to_point = _call_points(maximize_rho_s, f, coupled, 0)
+        ref_scan, _ = _call_points(reference_maximize_rho_s, f, coupled, 0)
         assert not any(scan_to_point)
         base_points = sum(len(c) for c in ref_scan
                           if len(c) == optimize.BASE_GRID)
@@ -193,10 +188,10 @@ def test_calls_per_search(name):
         assert sorted(p for c in scan for p in c) == \
             sorted(p for c in ref_scan for p in c)
 
-        full, to_point = _call_points(maximize_rho_s, f, s_cap,
+        full, to_point = _call_points(maximize_rho_s, f, coupled,
                                       optimize.POLISH_SWEEPS)
         ref_full, ref_to_point = _call_points(
-            reference_maximize_rho_s, f, s_cap, optimize.POLISH_SWEEPS)
+            reference_maximize_rho_s, f, coupled, optimize.POLISH_SWEEPS)
         assert all(to_point[len(scan):]) and not any(ref_to_point)
         polish = [p for c in full[len(scan):] for p in c]
         ref_polish = [p for c in ref_full[len(ref_scan):] for p in c]

@@ -1,7 +1,7 @@
 """Source hygiene of ``src/gepkit``: no dead top-level names, no unread
-parameters.
+parameters, no more optional parameters than before.
 
-Two rules, checked on the syntax trees of the package's modules:
+Three rules, checked on the syntax trees of the package's modules:
 
 * every top-level def, class and assignment is referenced outside its own
   definition, somewhere in ``src/gepkit`` (an ``__init__`` export counts),
@@ -9,7 +9,9 @@ Two rules, checked on the syntax trees of the package's modules:
 * every parameter of a named function is read in its body, and read
   before anything is stored in it (an assignment's right-hand side is
   evaluated before its target); ``self``, ``cls`` and names starting with
-  ``_`` are exempt, lambdas unchecked.
+  ``_`` are exempt, lambdas unchecked;
+* the parameters with a default value, nested functions' included, number
+  no more than ``MAX_DEFAULTED``.
 """
 
 from __future__ import annotations
@@ -104,21 +106,27 @@ def _stored_first(name, body) -> bool:
     return False
 
 
-def _unread_parameters() -> list:
-    unread = []
+def _functions():
+    """(path, node) of every named function in the package, nested ones
+    included."""
     for path in PACKAGE:
         for node in ast.walk(_parse(path)):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            a = node.args
-            params = a.posonlyargs + a.args + a.kwonlyargs + \
-                [p for p in (a.vararg, a.kwarg) if p is not None]
-            read = set().union(*(_used(stmt) for stmt in node.body))
-            unread += [f"{path.stem}.{node.name}({p.arg})" for p in params
-                       if p.arg not in ("self", "cls")
-                       and not p.arg.startswith("_")
-                       and (p.arg not in read
-                            or _stored_first(p.arg, node.body))]
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield path, node
+
+
+def _unread_parameters() -> list:
+    unread = []
+    for path, node in _functions():
+        a = node.args
+        params = a.posonlyargs + a.args + a.kwonlyargs + \
+            [p for p in (a.vararg, a.kwarg) if p is not None]
+        read = set().union(*(_used(stmt) for stmt in node.body))
+        unread += [f"{path.stem}.{node.name}({p.arg})" for p in params
+                   if p.arg not in ("self", "cls")
+                   and not p.arg.startswith("_")
+                   and (p.arg not in read
+                        or _stored_first(p.arg, node.body))]
     return unread
 
 
@@ -127,3 +135,16 @@ def _unread_parameters() -> list:
 def test_nothing_dead(check):
     assert len(PACKAGE) >= 10  # the glob found the package
     assert check() == []
+
+
+# parameters with a default value in the package; lower it when one goes
+MAX_DEFAULTED = 18
+
+
+def test_defaulted_parameters_do_not_grow():
+    """Each optional parameter is one more way to call a function: their
+    count may fall, never rise."""
+    count = sum(len(node.args.defaults) + sum(
+        d is not None for d in node.args.kw_defaults)
+        for _path, node in _functions())
+    assert count <= MAX_DEFAULTED

@@ -10,9 +10,10 @@ through the draw order inside the stream, so a fixed (master_seed, user, code)
 always reproduces the same codeword table bit for bit.  A
 :class:`CodebookRealization` holds the codebooks of a block of trials: it
 draws a table for every trial on the table's first read, one inverse CDF
-over the block's uniforms, and reads a codeword without drawing its table by
-skipping each trial's stream ahead to the row.  Tables and codewords hold
-each symbol in the narrowest unsigned type of the code's input letters.
+over the block's uniforms; a codeword is a row of the drawn table, or else
+one draw from each trial's stream re-keyed at the row's counter step.
+Tables and codewords hold each symbol in the narrowest unsigned type of the
+code's input letters.
 """
 
 from __future__ import annotations
@@ -105,12 +106,13 @@ def philox_keys(master_seed, *path) -> np.ndarray:
                     axis=-1).reshape(arrays[0].shape + (2,))
 
 
-def rekey(rng: np.random.Generator, key) -> np.random.Generator:
-    """``rng``, a Philox generator, at the start of the stream of ``key``
-    (a :func:`philox_keys` pair), as :func:`stream` starts it."""
-    rng.bit_generator.state = {
-        "bit_generator": "Philox", "state": {"counter": (0,) * 4, "key": key},
-        "buffer": (0,) * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+def rekey(rng: np.random.Generator, key, block: int) -> np.random.Generator:
+    """``rng``, a Philox generator, on the stream of ``key`` (a
+    :func:`philox_keys` pair) where ``advance(block)`` puts :func:`stream`'s
+    start: at its double 4 ``block`` (Philox makes four a counter step)."""
+    rng.bit_generator.state = {"bit_generator": "Philox", "state": {
+        "counter": (block, 0, 0, 0), "key": key}, "buffer": (0,) * 4,
+        "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     return rng
 
 
@@ -170,17 +172,15 @@ class CodebookRealization:
 
     def _draw(self, k: int, g_k: int, skips, n: int) -> np.ndarray:
         """Code g_k of user k's symbols at trial i's n uniforms from offset
-        skips[i] of its stream, reached by ``advance(skip // 4)`` (Philox
-        makes four doubles a step) and skip mod 4 discards: (B, n)."""
+        skips[i] of its stream, (B, n): one draw per trial, re-keyed at step
+        skip // 4, into the end of its row of a (B, n + 3) buffer, skip mod
+        4 discards ahead of the n doubles kept in the last n columns."""
         j = list(self.counts).index((k, g_k))
-        u = np.empty((len(self), n))
+        u = np.empty((len(self), n + 3))
         for out, row, skip in zip(u, self.keys, skips):
-            rng = rekey(self._rng, row[j])
-            rng.bit_generator.advance(skip // 4)
-            rng.random(skip % 4)
-            rng.random(out=out)
+            rekey(self._rng, row[j], skip // 4).random(out=out[3 - skip % 4:])
         pmf = self._model.input_pmf(k, g_k)
-        return _inverse_cdf(pmf, u, np.min_scalar_type(len(pmf) - 1))
+        return _inverse_cdf(pmf, u[:, 3:], np.min_scalar_type(len(pmf) - 1))
 
     def table(self, k: int, g_k: int) -> np.ndarray:
         """The (B, messages, N) table of code g_k of user k, drawn on first
@@ -193,8 +193,8 @@ class CodebookRealization:
 
     def codeword(self, k: int, g_k: int, w) -> np.ndarray:
         """Codewords of messages w (1-based, one per trial) of code g_k of
-        user k, shape (B, N), without drawing the table: trial i's is the N
-        symbols at offset (w_i - 1) N of its stream, the table's row."""
+        user k, shape (B, N): rows of the drawn table, or without drawing it
+        trial i's N symbols at offset (w_i - 1) N of its stream, the row."""
         n, w = self._count(k, g_k), np.asarray(w, dtype=np.int64)
         if w.shape != (len(self),):
             raise ShapeMismatch(f"need {len(self)} messages, got {w.shape}")
@@ -202,6 +202,8 @@ class CodebookRealization:
         if not all(1 <= v <= n for v in w):
             raise MessageOutOfRange(
                 f"messages {w} not in 1..{n}, user {k} code {g_k}")
+        if (k, g_k) in self.tables:
+            return self.tables[k, g_k][range(len(w)), [v - 1 for v in w]]
         return self._draw(k, g_k, [(v - 1) * self.N for v in w], self.N)
 
     def take(self, at) -> "CodebookRealization":

@@ -61,8 +61,9 @@ TRIAL_BUDGET_BYTES = 256 * 2**20
 
 # Bytes a block of trials may hold, unless one trial alone takes more: a
 # decoding block's tables, gathers and scores (_trial_bytes), a detection
-# block's uniforms (its inputs and outputs take no more).
-BLOCK_BYTES = 256 * 2**10
+# block's uniforms and detection scores.  Chosen by trials/s and peak RSS
+# over 256 KiB to 2 MiB (CHANGES.md).
+BLOCK_BYTES = 2**20
 
 # Trials whose stream keys are derived at once, 16 bytes per stream.
 KEY_CHUNK = 512
@@ -155,6 +156,13 @@ def receiver_parts(scenario) -> list:
     return [(D, reg, None) for D, reg in scenario.partition]
 
 
+def _read_codes(scenario) -> list:
+    """The (k, g_k) of each k in D of every region member of every
+    :func:`receiver_parts` entry: the tables the decoders read."""
+    return sorted({(k, g[k]) for D, region, _margin in receiver_parts(scenario)
+                   for g in region for k in D})
+
+
 def _trial_bytes(scenario, counts: dict) -> tuple[int, int]:
     """Bytes one decoding trial may hold, and bytes it adds to a block.  It
     may hold every code's table, drawn or not, counted as the float64
@@ -172,10 +180,9 @@ def _trial_bytes(scenario, counts: dict) -> tuple[int, int]:
              for D, region, _margin in parts]
     grids = [n * ((2 * len(D) + 1) * N + 4 if len(D) > 1 else N + 4) * 8
              for n, (D, _region, _margin) in zip(cands, parts)]
-    read = {(k, g[k]) for D, region, _margin in parts for g in region
-            for k in D}
     return (sum(n * N * 8 for n in counts.values()) + max(grids, default=0),
-            8 * (N * sum(map(counts.get, read)) + (N + 4) * sum(cands)))
+            8 * (N * sum(map(counts.get, _read_codes(scenario)))
+                 + (N + 4) * sum(cands)))
 
 
 def _check_trials(trials: int, need: int, what: str, N: int):
@@ -198,8 +205,10 @@ def _run_blocks(scenario, trials: int, master_seed: int, trial_bytes: int,
     detecting: None) selects stream purpose 1 or 2.  Trial t draws g, then
     (decoding) a message per regular user, then N uniforms for each input
     no codebook sends and N for the channel, into its row of the block's
-    (B, n_users + 1, N) array; codewords come from the trials' own code
-    streams through the block's :class:`CodebookRealization`.  A block holds
+    (B, n_users + 1, N) array.  Unless the decoder is detect-then-decode,
+    the block's :class:`CodebookRealization` first draws the tables of
+    :func:`_read_codes`, whose codewords are their rows; other codewords
+    come from the trials' own code streams.  A block holds
     ``BLOCK_BYTES // trial_bytes`` trials, at least one; its inputs are
     inverted once per (k, g_k), and ``judge(codebooks, gs, g_rows, ws, y)``
     returns arrays of B counts, one per tally column after the trials."""
@@ -210,6 +219,8 @@ def _run_blocks(scenario, trials: int, master_seed: int, trial_bytes: int,
     keys = _trial_keys(master_seed, trials, 1 if counts else 2, counts)
     rng = np.random.Generator(np.random.Philox())
     code_rng = np.random.Generator(np.random.Philox()) if counts else None
+    drawn = _read_codes(scenario) \
+        if counts and scenario.decoder != "detect" else ()
     per_block = max(1, BLOCK_BYTES // trial_bytes)
     row_of = {g: j for j, g in enumerate(g_list)}
     g_array = np.array(g_list, dtype=np.int64)
@@ -219,7 +230,7 @@ def _run_blocks(scenario, trials: int, master_seed: int, trial_bytes: int,
         from_stream = u[:, coded:]           # rows the trial stream fills
         gs, ws, code_keys = [], [], []
         for i, (own, codes) in zip(range(len(u)), keys):
-            gs.append(_draw_g(rekey(rng, own), g_list, g_probs))
+            gs.append(_draw_g(rekey(rng, own, 0), g_list, g_probs))
             if counts:
                 ws.append(tuple(int(rng.integers(1, counts[k, gs[-1][k]] + 1))
                                 for k in range(coded)))
@@ -227,6 +238,8 @@ def _run_blocks(scenario, trials: int, master_seed: int, trial_bytes: int,
             rng.random(out=from_stream[i])
         codebooks = CodebookRealization(model, N, code_keys, code_rng) \
             if counts else None
+        for code in drawn:
+            codebooks.table(*code)
         rows = np.array([row_of[g] for g in gs])
         g_rows = g_array[rows]
         x = np.empty((len(u), model.n_users, N), dtype=np.int64)
@@ -378,17 +391,16 @@ def run_detection_trials(scenario, trials: int, master_seed: int) -> dict:
 
     Trial t draws g and then one (n_users + 1, N) block of uniforms from
     its stream: row k < n_users is user k's input, the last row the
-    channel's.  Trials are inverted, transmitted and detected together, in
-    blocks of as many trials as ``BLOCK_BYTES`` of uniforms hold.
-    Before any stream is keyed or drawn, one trial's uniforms and
-    detection scores ((n_users + 1 + H) x N x 8 bytes for H code index
-    vectors) are checked against ``TRIAL_BUDGET_BYTES``; a larger scenario
-    raises :class:`MemoryBudgetExceeded`."""
+    channel's.  A trial takes its uniforms and detection scores, (n_users +
+    1 + H) x N x 8 bytes for H code index vectors.  Trials are inverted,
+    transmitted and detected together, in blocks of as many trials as
+    ``BLOCK_BYTES`` holds.  Before any stream is keyed or drawn, one
+    trial's bytes are checked against ``TRIAL_BUDGET_BYTES``; a larger
+    scenario raises :class:`MemoryBudgetExceeded`."""
     model: SystemModel = scenario.model
     N = scenario.N
-    rows = model.n_users + 1
-    _check_trials(trials, (rows + model.space_size) * N * 8,
-                  "one detection trial takes", N)
+    need = (model.n_users + 1 + model.space_size) * N * 8
+    _check_trials(trials, need, "one detection trial takes", N)
     detector = build_detector(model, scenario.detection, scenario.alpha)
 
     def judge(_codebooks, _gs, g_rows, _ws, y):
@@ -396,6 +408,5 @@ def run_detection_trials(scenario, trials: int, master_seed: int) -> dict:
                                                         model.code_counts)]
         return (detect_region(detector, y) != true_cells,)
 
-    tallies = _run_blocks(scenario, trials, master_seed, 8 * rows * N, judge,
-                          None)
+    tallies = _run_blocks(scenario, trials, master_seed, need, judge, None)
     return {g: tallies.get(g, [0, 0]) for g in _g_sampler(scenario, model)[0]}

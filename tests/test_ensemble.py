@@ -19,8 +19,9 @@ from gepkit.ensemble import philox_keys, rekey, sample_from_pmf, stream
 from gepkit.errors import (CodeOutOfRange, DomainError, GepkitError,
                            MessageOutOfRange, ShapeMismatch)
 from gepkit.montecarlo import _channel_sampler
+from gepkit.scenario import load_scenario
 
-from conftest import block_of, codeword, random_g, random_model
+from conftest import ROOT, block_of, codeword, random_g, random_model
 
 
 class TestMessageCount:
@@ -156,6 +157,39 @@ class TestRowSkip:
         with pytest.raises(CodeOutOfRange):
             lazy.table(0, 2)
         assert lazy.tables == {}
+
+
+class TestStreamOffsets:
+    """At an odd N a row's offset (w - 1) N takes every residue mod 4, so a
+    codeword read re-keys its stream at step (w - 1) N // 4 and discards 0
+    to 3 doubles.  Every read path gives the symbols of the code's stream
+    read from its start, on compound_bsc_relaxed's code: trial t's is
+    ``stream(11, t, 0, 0, 0)``."""
+
+    TRIALS = (0, 1, 4)
+
+    @pytest.mark.parametrize("N", [13, 15])
+    def test_every_read_path_is_the_stream(self, N):
+        model = load_scenario(
+            ROOT / "scenarios" / "compound_bsc_relaxed.json").model
+        M = message_count(model.rate(0, 0), N)
+        cum = np.cumsum(model.input_pmf(0, 0))[:-1]
+        want = np.array([np.searchsorted(
+            cum, stream(11, t, 0, 0, 0).random(M * N), side="right")
+            for t in self.TRIALS]).reshape(len(self.TRIALS), M, N)
+        messages = [[1, 2, 3], [4, 5, M], [M - 1, 1, 4]]
+        assert {(v - 1) * N % 4 for w in messages for v in w} == \
+            {0, 1, 2, 3}
+        lazy = block_of(model, N, [(11, t, 0) for t in self.TRIALS])
+        rows = np.arange(len(self.TRIALS))
+        for w in messages:
+            assert np.array_equal(lazy.codeword(0, 0, w),
+                                  want[rows, np.subtract(w, 1)])
+        assert not lazy.tables
+        assert np.array_equal(lazy.table(0, 0), want)
+        for w in messages:
+            assert np.array_equal(lazy.codeword(0, 0, w),
+                                  want[rows, np.subtract(w, 1)])
 
 
 class TestBlockRealization:
@@ -310,7 +344,8 @@ class TestPhiloxKeys:
         mine = stream(99, 1)
         mine.random(3)
         mine.integers(0, 7, dtype=np.int32)
-        rekey(mine, philox_keys(master_seed, *path).tolist())
+        key = philox_keys(master_seed, *path).tolist()
+        rekey(mine, key, 0)
         assert mine.integers(0, 2**31, 3, dtype=np.int32).tolist() == \
             ref.integers(0, 2**31, 3, dtype=np.int32).tolist()
         assert mine.random(n).tobytes() == ref.random(n).tobytes()
@@ -321,6 +356,11 @@ class TestPhiloxKeys:
         mine.bit_generator.advance(steps)
         ref.bit_generator.advance(steps)
         assert mine.random(7).tobytes() == ref.random(7).tobytes()
+        # re-keyed at a counter step: where advance puts the stream's start
+        ref = _oracle(master_seed, path)[1]
+        ref.bit_generator.advance(steps)
+        assert rekey(mine, key, steps).random(n).tobytes() == \
+            ref.random(n).tobytes()
 
     @given(MASTER, st.integers(0, 2**32 - 5), st.lists(WORD, min_size=2,
                                                        max_size=2))

@@ -383,6 +383,8 @@ class TestBenchmarkHooks:
 
         monkeypatch.setattr(gepkit.montecarlo, "decode_receiver", spied)
         scen, seed, _trials = TRIAL_SCENARIOS["bsc_compound_sec4"]
+        monkeypatch.setattr(gepkit.montecarlo, "BLOCK_BYTES",
+                            _decode_block_bytes(scen, 29))
         tallies = run_trials(scen, 70, seed)
         assert sum(n for n, *_ in tallies.values()) == sum(blocks) == 70
         assert len(blocks) > 1
@@ -707,10 +709,10 @@ class TestTablesDrawn:
                     derived[entropy[1], entropy[3:]] += 1
             return keys
 
-        def spy_rekey(rng, key):
+        def spy_rekey(rng, key, block):
             _seed, t, _zero, *code = path_of[tuple(key)]
             keyed.add((t, tuple(code)))
-            return rekey(rng, key)
+            return rekey(rng, key, block)
 
         def spy_table(codebooks, k, g_k):
             # a table not yet drawn is drawn for each trial of the block
@@ -773,6 +775,85 @@ class TestTablesDrawn:
             # only transmitted codewords are read from
             assert (1, 1) not in want and (1, 1) in {
                 code for _t, code in keyed}
+
+
+class _SpyBitGenerator:
+    """A Philox bit generator that logs "state" for each state write and
+    "advance" for each advance."""
+
+    def __init__(self, bit_generator, log):
+        self._bits, self._log = bit_generator, log
+
+    @property
+    def state(self):
+        return self._bits.state
+
+    @state.setter
+    def state(self, value):
+        self._log.append("state")
+        self._bits.state = value
+
+    def advance(self, delta):
+        self._log.append("advance")
+        return self._bits.advance(delta)
+
+
+class _SpyGenerator:
+    """A Philox generator that logs the name of every method called on it,
+    and its bit generator's state writes and advances."""
+
+    def __init__(self, log):
+        self._gen, self._log = np.random.Generator(np.random.Philox()), log
+        self.bit_generator = _SpyBitGenerator(self._gen.bit_generator, log)
+
+    def __getattr__(self, name):
+        self._log.append(name)
+        return getattr(self._gen, name)
+
+
+class TestStreamReads:
+    """A (trial, code) stream read writes the code generator's state once
+    and draws once, with no advance; a codeword of a code whose table is
+    drawn reads no stream.  Under the plain and margin decoders exactly
+    the tables the decoder reads are drawn, before any codeword."""
+
+    @pytest.mark.parametrize("name", ["bsc_compound_sec4", "mac2-partition",
+                                      "bigcode-detect"])
+    def test_one_state_write_and_one_draw_per_read(self, monkeypatch, name):
+        scen, seed, _trials = TRIAL_SCENARIOS[name]
+        log, drawn_rows, read_rows, codewords = [], [], [], []
+        realization = gepkit.montecarlo.CodebookRealization
+        table = realization.table
+        codeword = realization.codeword
+
+        def spy_realization(model, N, keys, _rng):
+            return realization(model, N, keys, _SpyGenerator(log))
+
+        def spy_table(codebooks, k, g_k):
+            if (k, g_k) not in codebooks.tables:
+                drawn_rows.append(len(codebooks))
+            return table(codebooks, k, g_k)
+
+        def spy_codeword(codebooks, k, g_k, w):
+            drawn, before = (k, g_k) in codebooks.tables, len(log)
+            out = codeword(codebooks, k, g_k, w)
+            codewords.append(((k, g_k), drawn))
+            assert len(log) - before == (0 if drawn else 2 * len(w))
+            read_rows.append(0 if drawn else len(w))
+            return out
+
+        monkeypatch.setattr(gepkit.montecarlo, "CodebookRealization",
+                            spy_realization)
+        monkeypatch.setattr(realization, "table", spy_table)
+        monkeypatch.setattr(realization, "codeword", spy_codeword)
+        run_trials(scen, 40, seed)
+        reads = sum(drawn_rows) + sum(read_rows)
+        assert reads and log == ["state", "random"] * reads
+        if scen.decoder != "detect":
+            read = _readable(scen)
+            assert sum(drawn_rows) == 40 * len(read)
+            assert all(drawn == (code in read) for code, drawn in codewords)
+            assert any(drawn for _code, drawn in codewords)
 
 
 class TestDecodingBlocks:
@@ -958,8 +1039,10 @@ def _random_detect_scenario(seed):
 
 
 def _block_bytes(scenario, per_block):
-    """BLOCK_BYTES that makes blocks of ``per_block`` trials."""
-    return per_block * 8 * (scenario.model.n_users + 1) * scenario.N
+    """BLOCK_BYTES that makes blocks of ``per_block`` detection trials,
+    each counting its uniforms and detection scores."""
+    model = scenario.model
+    return per_block * 8 * (model.n_users + 1 + model.space_size) * scenario.N
 
 
 def _workload_detect_scenarios():
@@ -1063,9 +1146,9 @@ class TestDetectionBlocks:
             path_of.update(zip(map(tuple, keys.tolist()), entropy))
             return keys
 
-        def spy_rekey(rng, key):
+        def spy_rekey(rng, key, block):
             keyed.append(path_of[tuple(key)])
-            return rekey(rng, key)
+            return rekey(rng, key, block)
 
         monkeypatch.setattr(gepkit.montecarlo, "philox_keys", spy_derive)
         monkeypatch.setattr(gepkit.montecarlo, "rekey", spy_rekey)
@@ -1080,16 +1163,17 @@ class TestDetectionBlocks:
             with pytest.raises(ShapeMismatch):
                 run_detection_trials(scen, trials, 1)
 
-    @pytest.mark.parametrize("N", [None, 20000])
+    @pytest.mark.parametrize("N", [None, 40000])
     def test_block_arrays_stay_within_budget(self, monkeypatch, N):
-        # N = None: one trial's uniforms fill the budget, so each block holds
-        # one trial and every block array fits the budget; at N = 20000 one
-        # trial alone takes more, and a block holds just that trial
+        # N = None: one trial's uniforms and detection scores fill the
+        # budget, so each block holds one trial and every block array fits
+        # the budget; at N = 40000 one trial alone takes more, and a block
+        # holds just that trial
         scen = load_scenario(SCENARIOS / "detect_two_bsc.json")
-        rows = scen.model.n_users + 1
+        one = 8 * (scen.model.n_users + 1 + scen.model.space_size)
         budget = gepkit.montecarlo.BLOCK_BYTES
-        scen.N = N or budget // (8 * rows)
-        limit = max(budget, 8 * rows * scen.N)
+        scen.N = N or budget // one
+        limit = max(budget, one * scen.N)
         seen = []
 
         def watch(*arrays):
@@ -1130,6 +1214,39 @@ class TestDetectionBlocks:
         assert sum(n for n, _e in tallies.values()) == 300
         assert seen and max(seen) <= limit
         assert (limit == budget) == (N is None)
+
+
+class TestBlockTraffic:
+    """At the default BLOCK_BYTES, the decoding and detection trials per
+    block on each workload, the traffic the constant was chosen for."""
+
+    @pytest.mark.parametrize("name, decoding, detection", [
+        ("sec4-margin", 117, 1170), ("mac2-partition", 71, 1560),
+        ("bigcode-detect", 1, 655)])
+    def test_trials_per_block(self, monkeypatch, tmp_path, name, decoding,
+                              detection):
+        workloads = load_workloads()
+        spec = workloads.WORKLOADS[name]
+        scen, detect_scen = (
+            load_scenario(workloads.scenario_path(spec[key], ROOT, tmp_path))
+            for key in ("scenario", "detect_scenario"))
+        sizes = []
+        decode, detect = gepkit.montecarlo.decode_receiver, \
+            gepkit.montecarlo.detect_region
+
+        def spy_decode(tables, codebooks, y, detector=None):
+            sizes.append(len(y))
+            return decode(tables, codebooks, y, detector)
+
+        def spy_detect(detector, y):
+            sizes.append(len(y))
+            return detect(detector, y)
+
+        monkeypatch.setattr(gepkit.montecarlo, "decode_receiver", spy_decode)
+        run_trials(scen, decoding + 1, 1)
+        monkeypatch.setattr(gepkit.montecarlo, "detect_region", spy_detect)
+        run_detection_trials(detect_scen, detection + 1, 1)
+        assert sizes == [decoding, 1, detection, 1]
 
 
 class TestMultiWordSeed:

@@ -502,9 +502,9 @@ class TestMemoryPreflight:
             derived.extend(key_paths(master_seed, *path))
             return derive(master_seed, *path)
 
-        def spy_rekey(rng, key):
+        def spy_rekey(rng, key, block):
             keyed.append(key)
-            return rekey(rng, key)
+            return rekey(rng, key, block)
 
         monkeypatch.setattr(gepkit.montecarlo, "philox_keys", spy_derive)
         monkeypatch.setattr(gepkit.montecarlo, "rekey", spy_rekey)

@@ -96,8 +96,8 @@ class SystemModel:
     """Channel plus per-user code libraries and the regular/interfering split.
 
     Immutable after construction; safe to share across concurrent readers.
-    Marginalizations and the decoder's per-letter threshold tables are
-    memoized per instance.
+    Marginalizations, their log tables and the decoder's per-letter
+    threshold tables are memoized per instance.
     """
 
     dmc: Dmc
@@ -107,6 +107,7 @@ class SystemModel:
     _marg_cache: dict = field(default_factory=dict, repr=False, compare=False)
     _letter_cache: dict = field(default_factory=dict, repr=False,
                                 compare=False)
+    _log_tables: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if self.K < 1:

@@ -338,7 +338,8 @@ def decode_receiver(thresholds_by_D: dict, codebooks, y,
     cell's trials are decoded together on their part of the realization
     (``codebooks.take``) by each table with its region restricted to the
     cell: only the cell's candidates are scored, under the thresholds of
-    the unrestricted regions."""
+    the unrestricted regions.  A table whose restricted region is empty
+    decodes nothing, so it is skipped."""
     y = as_block(y, 2, "(B, N)")
     diag = {"candidates_evaluated": 0}
     groups = [(None, np.arange(len(y)))]
@@ -351,8 +352,12 @@ def decode_receiver(thresholds_by_D: dict, codebooks, y,
     for cell, at in groups:
         books, tables = codebooks, list(thresholds_by_D.values())
         if cell is not None:
+            tables = [replace(t, region=part) for t in tables
+                      if (part := t.region & cell)]
+            if not tables:
+                reason[at] = NO_DECODER_DECODED
+                continue
             books = codebooks.take(at)
-            tables = [replace(t, region=t.region & cell) for t in tables]
         outs = [decode_subset(t, books, y[at]) for t in tables]
         diag["candidates_evaluated"] += sum(
             out.diagnostics["candidates_evaluated"] for out in outs)

@@ -341,17 +341,23 @@ def marginal_log_table(model: SystemModel, D, S, g):
     """The marginal channel of the decoded users D split by S: log
     P(Y | X_D, g) with its D axes flattened into (|Y|, |X_{S cap D}|,
     |X_{D\\S}|), users ascending within each part, and the log input
-    weights of D\\S under g (:func:`subset_weights_log`)."""
+    weights of D\\S under g (:func:`subset_weights_log`); read-only arrays,
+    memoized on the model per (D, S cap D, g)."""
     D = sorted(set(D))
     fixed = [k for k in D if k in S]
-    free = [k for k in D if k not in S]
-    lm = np.moveaxis(marginalize_out(model, D, g).log_pmf(), -1, 0)
-    lm = np.transpose(lm, [0] + [1 + D.index(k) for k in fixed + free])
-    sizes = model.dmc.input_sizes
-    shape = (len(lm), math.prod(sizes[k] for k in fixed),
-             math.prod(sizes[k] for k in free))
-    return np.ascontiguousarray(lm.reshape(shape)), \
-        subset_weights_log(model, free, g)
+    key = (tuple(D), tuple(fixed), tuple(g))
+    if key not in model._log_tables:
+        free = [k for k in D if k not in S]
+        lm = np.moveaxis(marginalize_out(model, D, g).log_pmf(), -1, 0)
+        lm = np.transpose(lm, [0] + [1 + D.index(k) for k in fixed + free])
+        sizes = model.dmc.input_sizes
+        shape = (len(lm), math.prod(sizes[k] for k in fixed),
+                 math.prod(sizes[k] for k in free))
+        model._log_tables[key] = tables = (np.ascontiguousarray(
+            lm.reshape(shape)), subset_weights_log(model, free, g))
+        for table in tables:
+            table.setflags(write=False)
+    return model._log_tables[key]
 
 
 def flatten_symbols(model: SystemModel, users, rows: np.ndarray) -> np.ndarray:

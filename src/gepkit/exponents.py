@@ -167,15 +167,13 @@ def _check_DS(model: SystemModel, D, S):
     return D, S
 
 
-def _keyed(make, *tables):
-    """``make(*tables)``, an objective that closes over nothing but
-    ``tables``, with its content key attached: the factory's name and the
-    shape and bytes of every table.  Equal keys mean the same function, so
+def _content_key(make, tables) -> tuple:
+    """The content key of ``make(*tables)``, an objective that closes over
+    nothing but ``tables``: the factory's name and the shape and bytes of
+    every table.  Equal keys mean the same function, so
     :class:`ExponentCache` maximizes it once."""
-    f = make(*tables)
-    f.key = (make.__name__,) + tuple(
+    return (make.__name__,) + tuple(
         (np.shape(t), np.asarray(t, dtype=float).tobytes()) for t in tables)
-    return f
 
 
 def _scaled(c, logs) -> list:
@@ -218,6 +216,10 @@ def emd_objective(model: SystemModel, D, S, g, g_tilde, alpha: WeightFunction):
     """Objective (rho, s) -> values for the message-confusion exponent, rho
     paired with s elementwise (see :func:`maximize_rho_s`); maximize over
     rho in (0,1], s in (0,1]."""
+    return _emd(*_emd_tables(model, D, S, g, g_tilde, alpha))
+
+
+def _emd_tables(model, D, S, g, g_tilde, alpha) -> tuple:
     D, S = _check_DS(model, D, S)
     if not set(D) - S:
         raise EmptyDifferenceSet(f"D\\S is empty for D={D}, S={sorted(S)}")
@@ -227,8 +229,7 @@ def emd_objective(model: SystemModel, D, S, g, g_tilde, alpha: WeightFunction):
     lm_t, lw_t = marginal_log_table(model, D, S, gt)
     lw_fixed = subset_weights_log(model, set(D) & S, g)
     rate_sum = sum(model.rate(k, gt[k]) for k in set(D) - set(S))
-    return _keyed(_emd, lw_g, lm_g - alpha(g), lw_t, lm_t - alpha(gt),
-                  lw_fixed, rate_sum)
+    return lw_g, lm_g - alpha(g), lw_t, lm_t - alpha(gt), lw_fixed, rate_sum
 
 
 def _eid(lw_g, a_g, t2c, lw_fixed, rate_sum):
@@ -260,6 +261,10 @@ def _eid(lw_g, a_g, t2c, lw_fixed, rate_sum):
 def eid_objective(model: SystemModel, D, S, g, g_prime, alpha: WeightFunction):
     """Objective (rho, s) -> values for the false-acceptance exponent, rho
     paired with s elementwise; maximize over rho in (0,1], s in (0, 1-rho]."""
+    return _eid(*_eid_tables(model, D, S, g, g_prime, alpha))
+
+
+def _eid_tables(model, D, S, g, g_prime, alpha) -> tuple:
     D, S = _check_DS(model, D, S)
     g = model.check_g(g)
     gp = model.check_g(g_prime)
@@ -269,7 +274,7 @@ def eid_objective(model: SystemModel, D, S, g, g_prime, alpha: WeightFunction):
     # the excluded-vector factor carries exponent 1: s-independent, (Y, F)
     t2c = _logsumexp(lw_p[None, None, :] + (lm_p - alpha(gp)), axis=2)
     rate_sum = sum(model.rate(k, g[k]) for k in set(D) - set(S))
-    return _keyed(_eid, lw_g, lm_g - alpha(g), t2c, lw_fixed, rate_sum)
+    return lw_g, lm_g - alpha(g), t2c, lw_fixed, rate_sum
 
 
 def _ec(lp, lq):
@@ -283,11 +288,15 @@ def _ec(lp, lq):
 def ec_objective(model: SystemModel, g, g_tilde, alpha: WeightFunction):
     """Objective s_array -> values for the output-marginal discrimination
     exponent; maximize over s in (0, 1]."""
+    return _ec(*_ec_tables(model, g, g_tilde, alpha))
+
+
+def _ec_tables(model, g, g_tilde, alpha) -> tuple:
     g = model.check_g(g)
     gt = model.check_g(g_tilde)
     lp = marginalize_out(model, (), g).log_pmf() - alpha(g)
     lq = marginalize_out(model, (), gt).log_pmf() - alpha(gt)
-    return _keyed(_ec, lp, lq)
+    return lp, lq
 
 
 def exponent_EmD(model: SystemModel, D, S, g, g_tilde,
@@ -324,33 +333,34 @@ def exponent_Ec(model: SystemModel, g, g_tilde,
 
 class ExponentCache:
     """Memoizes exponent maximizations, keyed by what each objective
-    computes (:func:`_keyed`).  The search is fixed (:mod:`.optimize`), a
-    model and alpha enter an objective only through its tables, and no
-    exponent depends on N, so one cache serves any model, alpha and
-    blocklength without changing a result; codes enter only through their
-    rates and input pmfs, so distinct (D, S, g, g') often share one
-    maximization.  Every lookup builds its objective, so its arguments are
-    checked each time."""
+    computes (:func:`_content_key`).  The search is fixed
+    (:mod:`.optimize`), a model and alpha enter an objective only through
+    its tables, and no exponent depends on N, so one cache serves any
+    model, alpha and blocklength without changing a result; codes enter
+    only through their rates and input pmfs, so distinct (D, S, g, g')
+    often share one maximization.  Every lookup builds its objective's
+    tables, so its arguments are checked each time, and only a miss builds
+    the objective (in the maximization it calls)."""
 
     def __init__(self):
         self._memo: dict = {}  # content key -> ExponentResult
 
-    def _lookup(self, build, maximize, *args) -> ExponentResult:
-        key = build(*args).key
+    def _lookup(self, make, tables, maximize, *args) -> ExponentResult:
+        key = _content_key(make, tables(*args))
         if key not in self._memo:
             self._memo[key] = maximize(*args)
         return self._memo[key]
 
     def emd(self, model, D, S, g, gt, alpha) -> ExponentResult:
-        return self._lookup(emd_objective, exponent_EmD, model, D, S, g, gt,
-                            alpha)
+        return self._lookup(_emd, _emd_tables, exponent_EmD, model, D, S, g,
+                            gt, alpha)
 
     def eid(self, model, D, S, g, gp, alpha) -> ExponentResult:
-        return self._lookup(eid_objective, exponent_EiD, model, D, S, g, gp,
-                            alpha)
+        return self._lookup(_eid, _eid_tables, exponent_EiD, model, D, S, g,
+                            gp, alpha)
 
     def ec(self, model, g, gt, alpha) -> ExponentResult:
-        return self._lookup(ec_objective, exponent_Ec, model, g, gt, alpha)
+        return self._lookup(_ec, _ec_tables, exponent_Ec, model, g, gt, alpha)
 
     def best_excluded(self, model, D, S, g, excluded_from, alpha):
         """Excluded vector g' minimizing the false-acceptance exponent among

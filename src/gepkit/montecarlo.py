@@ -6,8 +6,10 @@ Pr{err | g}.  Per-trial randomness is derived deterministically from
 (master_seed, trial index, purpose), so runs reproduce bit for bit:
 reusable generators are re-keyed to stream keys derived for many trials at
 once (:func:`_trial_keys`).  Trials run in blocks of at most
-``BLOCK_BYTES``: each trial writes the uniforms of its own streams into the
-block's arrays, and the inverse CDF runs once per code per block.  A
+``BLOCK_BYTES`` and read their own streams a chunk of whole blocks at a
+time, one raw read per trial, from whose words the chunk's g, messages and
+uniforms are derived at once (:func:`_read_own_streams`); the inverse CDF
+runs once per code per block.  A
 decoding block has one :class:`~gepkit.ensemble.CodebookRealization` (each
 trial its own codebooks), of which the decoder draws only what it reads.
 
@@ -19,6 +21,7 @@ equals the worst case in expectation.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -33,6 +36,7 @@ from .decoder import (
     detect_region,
 )
 from .ensemble import (
+    _MASK32,
     CodebookRealization,
     _count_at_or_below,
     _inverse_cdf,
@@ -196,6 +200,57 @@ def _check_trials(trials: int, need: int, what: str, N: int):
             f"(N={N})")
 
 
+def _may_redraw(m, n):
+    """Where numpy may have redrawn a bounded draw m = h n over n values:
+    n > 1 and m mod 2^32 < n, which its rejection implies."""
+    return (n > 1) & ((m & _MASK32) < n)
+
+
+def _read_own_streams(rng, keys, g_list, g_probs, bounds, n_uniform: int):
+    """The g indices, messages and uniforms that :func:`_draw_g`, one
+    ``integers(1, M + 1)`` per message count M of ``bounds[g index]`` and a
+    ``random`` of ``n_uniform`` doubles give the trials of the own-stream
+    ``keys``, from one re-key and one ``random_raw`` per trial, by numpy's
+    rules: a draw over n > 1 values is (h n) >> 32 of the next 32-bit half
+    h (the high half of the last word opened, else the next word's low
+    half), n = 1 draws nothing, and an ``alpha_prior`` g and each double
+    take a word w as (w >> 11) 2^-53, the doubles from the first word no
+    half opened.  Trials where :func:`_may_redraw` holds are re-read by
+    those calls.  The uniforms are a float64 view of the words read."""
+    coded, first = bounds.shape[1], int(g_probs is not None)
+    raw = np.empty((len(keys), n_uniform + 1 + (coded + 1) // 2), np.uint64)
+    for t, key in enumerate(keys):
+        raw[t] = rekey(rng, key, 0).bit_generator.random_raw(raw.shape[1])
+    halves = (raw[:, first:-n_uniform, None] >> np.uint64([0, 32])
+              & _MASK32).reshape(len(raw), -1)
+    # n of the uniform g's draw, none under alpha_prior
+    n = np.full((len(raw), 1 - first), len(g_list), dtype=np.uint64)
+    if first:
+        cdf = np.cumsum(g_probs)            # as Generator.choice
+        idx = np.searchsorted(cdf / cdf[-1], (raw[:, 0] >> 11) * 2.0**-53,
+                              "right")
+    else:
+        idx = (halves[:, 0] * n[:, 0] >> 32).astype(np.intp)
+    n = np.hstack([n, bounds[idx]])         # every bounded draw's n
+    take = n > 1
+    m = np.take_along_axis(halves, np.cumsum(take, axis=1) - take, 1) * n
+    w = (m[:, 1 - first:] >> 32).astype(np.int64) + 1
+    starts = first + (take.sum(axis=1) + 1) // 2
+    skip = raw.shape[1] - n_uniform         # where the uniforms go
+    for start in set(starts.tolist()) - {skip}:
+        at = starts == start
+        raw[at, skip:] = raw[at, start:start + n_uniform]
+    u = raw[:, skip:]
+    np.right_shift(u, 11, out=u)
+    u = np.multiply(u, 2.0**-53, out=u.view(np.float64))
+    for t in np.flatnonzero(_may_redraw(m, n).any(axis=1)).tolist():
+        idx[t] = g_list.index(_draw_g(rekey(rng, keys[t], 0), g_list,
+                                      g_probs))
+        w[t] = [rng.integers(1, M + 1) for M in bounds[idx[t]].tolist()]
+        rng.random(out=u[t])
+    return idx, w, u
+
+
 def _run_blocks(scenario, trials: int, master_seed: int, trial_bytes: int,
                 judge, counts) -> dict:
     """The block trial engine: tallies g -> [trials, *judged counts] of
@@ -204,8 +259,10 @@ def _run_blocks(scenario, trials: int, master_seed: int, trial_bytes: int,
     ``counts`` (decoding: the regular users' message counts per (k, g_k);
     detecting: None) selects stream purpose 1 or 2.  Trial t draws g, then
     (decoding) a message per regular user, then N uniforms for each input
-    no codebook sends and N for the channel, into its row of the block's
-    (B, n_users + 1, N) array.  Unless the decoder is detect-then-decode,
+    no codebook sends and N for the channel, read with the chunk's other
+    trials (:func:`_read_own_streams`): a chunk is as many whole blocks as
+    ``KEY_CHUNK`` trials and ``BLOCK_BYTES`` of their words hold, at least
+    one.  Unless the decoder is detect-then-decode,
     the block's :class:`CodebookRealization` first draws the tables of
     :func:`_read_codes`, whose codewords are their rows; other codewords
     come from the trials' own code streams.  A block holds
@@ -221,38 +278,38 @@ def _run_blocks(scenario, trials: int, master_seed: int, trial_bytes: int,
     code_rng = np.random.Generator(np.random.Philox()) if counts else None
     drawn = _read_codes(scenario) \
         if counts and scenario.decoder != "detect" else ()
+    bounds = np.array([[counts[k, g[k]] for k in range(coded)]
+                       for g in g_list], dtype=np.uint64)
+    n_uniform = (model.n_users + 1 - coded) * N
     per_block = max(1, BLOCK_BYTES // trial_bytes)
-    row_of = {g: j for j, g in enumerate(g_list)}
+    per_chunk = per_block * max(1, min(KEY_CHUNK, BLOCK_BYTES // (
+        8 * (n_uniform + 1 + coded))) // per_block)  # words a trial reads
     g_array = np.array(g_list, dtype=np.int64)
     totals = 0                              # then (columns, len(g_list))
     for start in range(0, trials, per_block):
-        u = np.empty((min(per_block, trials - start), model.n_users + 1, N))
-        from_stream = u[:, coded:]           # rows the trial stream fills
-        gs, ws, code_keys = [], [], []
-        for i, (own, codes) in zip(range(len(u)), keys):
-            gs.append(_draw_g(rekey(rng, own, 0), g_list, g_probs))
-            if counts:
-                ws.append(tuple(int(rng.integers(1, counts[k, gs[-1][k]] + 1))
-                                for k in range(coded)))
-                code_keys.append(codes)
-            rng.random(out=from_stream[i])
-        codebooks = CodebookRealization(model, N, code_keys, code_rng) \
-            if counts else None
+        if start % per_chunk == 0:
+            own, code_keys = zip(*itertools.islice(keys, per_chunk))
+            idx, w, u = _read_own_streams(rng, own, g_list, g_probs, bounds,
+                                          n_uniform)
+            u = u.reshape(len(own), -1, N)  # inputs no codebook sends, y
+        block = slice(start % per_chunk, start % per_chunk + per_block)
+        rows, ws, u_b = idx[block], w[block], u[block]
+        gs, g_rows = [g_list[i] for i in rows.tolist()], g_array[rows]
+        codebooks = CodebookRealization(model, N, code_keys[block],
+                                        code_rng) if counts else None
         for code in drawn:
             codebooks.table(*code)
-        rows = np.array([row_of[g] for g in gs])
-        g_rows = g_array[rows]
-        x = np.empty((len(u), model.n_users, N), dtype=np.int64)
+        x = np.empty((len(rows), model.n_users, N), dtype=np.int64)
         for k, n_codes in enumerate(model.code_counts):
             for gk in range(n_codes):
                 at = (g_rows[:, k] == gk).nonzero()[0]
                 if not len(at):
                     continue
-                x[at, k] = _inverse_cdf(model.input_pmf(k, gk), u[at, k],
-                                        x.dtype) \
+                x[at, k] = _inverse_cdf(model.input_pmf(k, gk),
+                                        u_b[at, k - coded], x.dtype) \
                     if k >= coded else codebooks.take(at).codeword(
-                        k, gk, [ws[i][k] for i in at])
-        judged = judge(codebooks, gs, g_rows, ws, transmit(x, u[:, -1]))
+                        k, gk, ws[at, k])
+        judged = judge(codebooks, gs, g_rows, ws, transmit(x, u_b[:, -1]))
         totals = totals + np.array([
             np.bincount(rows, weights=column, minlength=len(g_list))
             for column in (np.ones(len(gs)),) + judged])

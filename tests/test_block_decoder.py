@@ -18,6 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import gepkit.decoder
 from gepkit import (
     CodeSpec,
     ExponentCache,
@@ -146,6 +147,34 @@ def test_scenario_trials_match_the_reference(name, seed):
     books, ys = _draws(scen, trials, seed)
     seen = _compare(tables, detector, books, ys)
     assert sum(seen.values()) >= trials
+
+
+def test_cells_no_region_meets_are_not_decoded(monkeypatch):
+    """Under detect-then-decode no table is decoded on a region emptied by
+    the detected cell; the receiver still matches the reference (above), and
+    its trials in such cells report no_decoder_decoded."""
+    scen, seed, trials = SCENARIO_TRIALS["bigcode-detect"]
+    tables = {D: build_thresholds(scen.model, D, reg, scen.alpha,
+                                  margin=margin, cache=ExponentCache())
+              for D, reg, margin in receiver_parts(scen)}
+    detector = build_detector(scen.model, scen.detection, scen.alpha)
+    books, ys = _draws(scen, trials, seed)
+    regions = []
+    original = gepkit.decoder.decode_subset
+
+    def spied(thresholds, codebooks, y):
+        regions.append((thresholds.region, len(y)))
+        return original(thresholds, codebooks, y)
+
+    monkeypatch.setattr(gepkit.decoder, "decode_subset", spied)
+    out = decode_receiver(tables, books, ys, detector)
+    cells = [detector.cells[c] for c in detect_region(detector, ys)]
+    missed = np.array([not any(t.region & cell for t in tables.values())
+                       for cell in cells])
+    assert all(region for region, _n in regions)
+    assert sum(n for _region, n in regions) == trials - missed.sum()
+    assert 0 < missed.sum() < trials
+    assert (out.reason[missed] == REASONS.index("no_decoder_decoded")).all()
 
 
 # ---------------------------------------------------------------------------

@@ -57,20 +57,21 @@ from reference_search import reference_maximize_rho_s
 
 
 def _objective_pair(monkeypatch, build, *args):
-    """The objective ``build(*args)`` returns and the reference objective of
-    the same tables."""
+    """The objective ``build(*args)`` returns, the reference objective of
+    the same tables, and those tables."""
     seen = []
-    real = gepkit.exponents._keyed
-
-    def spy(make, *tables):
-        seen.append((make.__name__, tables))
-        return real(make, *tables)
-
     with monkeypatch.context() as mp:
-        mp.setattr(gepkit.exponents, "_keyed", spy)
+        for name in FACTORIES:
+            real = getattr(gepkit.exponents, name)
+
+            def spy(*tables, _name=name, _real=real):
+                seen.append((_name, tables))
+                return _real(*tables)
+
+            mp.setattr(gepkit.exponents, name, spy)
         f = build(*args)
     (name, tables), = seen
-    return f, FACTORIES[name](*tables)
+    return f, FACTORIES[name](*tables), tables
 
 
 def _s_values(rng):
@@ -127,7 +128,8 @@ class TestObjectives:
                     builds.append((emd_objective,
                                    (model, D, S, g, g2, alpha)))
             for build, args in builds:
-                mine, ref = _objective_pair(monkeypatch, build, *args)
+                mine, ref, _tables = _objective_pair(monkeypatch, build,
+                                                     *args)
                 rho = float(rng.uniform(EPS, 1.0))
                 for s in _s_values(rng):
                     if build is ec_objective:
@@ -214,8 +216,9 @@ def _check_points(monkeypatch, rng, builds):
     with monkeypatch.context() as mp:
         calls = _rows_spy(mp)
         for build, args in builds:
-            mine, ref = _objective_pair(monkeypatch, build, *args)
-            tables.append(mine.key)
+            mine, ref, objective_tables = _objective_pair(monkeypatch,
+                                                          build, *args)
+            tables.append(objective_tables)
             for rho, s in [(float(rng.uniform(EPS, 1.0)),
                             float(rng.uniform(EPS, 1.0))),
                            (float(rng.uniform(EPS, 1.0)), 1.0),
@@ -248,9 +251,9 @@ class TestPointKernel:
         assert len(rows) > 500
         if variant == "zeros":  # -inf letters, met at s = 1 by E_mD
             assert any(b is emd_objective and any(
-                np.isneginf(np.frombuffer(t, dtype=float)).any()
-                for _shape, t in key[1:]) for (b, _), key in zip(
-                    builds, tables))
+                np.isneginf(np.asarray(t, dtype=float)).any()
+                for t in objective_tables) for (b, _), objective_tables
+                in zip(builds, tables))
         if variant == "tied":
             assert any(row.count(max(row)) > 1 for row in rows)
 

@@ -61,10 +61,13 @@ from gepkit.errors import DomainError, NotAPartition
 from gepkit.exponents import (
     ExponentCache,
     WeightFunction,
+    _ec,
+    _ec_tables,
+    _eid,
+    _eid_tables,
+    _emd,
+    _emd_tables,
     check_detection_partition,
-    ec_objective,
-    eid_objective,
-    emd_objective,
     exponent_Ec,
     exponent_EiD,
     exponent_EmD,
@@ -268,6 +271,21 @@ class TestLetterTables:
             assert _same(table, np.ascontiguousarray(flat[:, :, None]))
             assert _same(logw, np.zeros(1))
 
+    def test_marginal_tables_are_memoized_read_only(self):
+        """Each (D, S, g) gets its own read-only tables once, equal to those
+        a model that computed nothing before gives."""
+        model = three_user_model(np.random.default_rng(5), 0.1)
+        for _ in range(2):
+            for D, S, g in _all_cases(model):
+                tables = marginal_log_table(model, D, S, g)
+                assert all(a is b for a, b in zip(
+                    tables, marginal_log_table(model, D[::-1], S[::-1], g)))
+                assert not any(t.flags.writeable for t in tables)
+                fresh = three_user_model(np.random.default_rng(5), 0.1)
+                for mine, ref in zip(tables,
+                                     marginal_log_table(fresh, D, S, g)):
+                    assert _same(mine, ref), (D, S, g)
+
     def test_zero_probability_output_matches(self):
         model = xor_model(0.2)  # noiseless: P(y | x1, x2) has zeros
         y = np.array([0, 1, 1, 0])
@@ -406,7 +424,9 @@ def _one_cache_cases():
 
 class TestOneCachePerSimulate:
     """Each command threads one exponent cache through every bound and
-    threshold it builds, so it maximizes each exponent at most once."""
+    threshold it builds, so it maximizes each exponent at most once; a
+    lookup computes only its objective's tables for the content key, so
+    each objective factory runs once per maximization of its exponent."""
 
     @pytest.mark.parametrize("name, command", _one_cache_cases())
     def test_each_exponent_maximized_once(self, name, command, tmp_path,
@@ -416,6 +436,16 @@ class TestOneCachePerSimulate:
             scenario = tmp_path / f"{name}.json"
             scenario.write_text(json.dumps(
                 load_workloads().generate(name, ROOT)))
+        built = Counter({"_emd": 0, "_eid": 0, "_ec": 0})
+        for factory in list(built):
+            original = getattr(gepkit.exponents, factory)
+
+            def counted(*tables, _factory=factory, _original=original):
+                built[_factory] += 1
+                return _original(*tables)
+
+            counted.__name__ = factory  # the content key names the factory
+            monkeypatch.setattr(gepkit.exponents, factory, counted)
         calls = _count_maximizations(monkeypatch)
         code = main([command, "--scenario", str(scenario),
                      "--out", str(tmp_path / "out"), "--trials", "20"])
@@ -423,6 +453,12 @@ class TestOneCachePerSimulate:
         assert calls, f"{command} maximized no exponent"
         repeated = {k: n for k, n in calls.items() if n > 1}
         assert not repeated
+        maximized = Counter({"_emd": 0, "_eid": 0, "_ec": 0})
+        for key, n in calls.items():
+            maximized["_" + key[0].split("_")[1].lower()] += n
+        assert built == maximized
+        if (name, command) == ("mac2-partition", "bound"):
+            assert built == {"_emd": 6, "_eid": 6, "_ec": 1}
 
 
 class TestOneDetectionPath:
@@ -798,10 +834,10 @@ class TestDetectRegion:
 # content-keyed exponent memo
 # ---------------------------------------------------------------------------
 
-# lookup name -> (unmemoized maximization, objective builder)
-FRESH = {"emd": (exponent_EmD, emd_objective),
-         "eid": (exponent_EiD, eid_objective),
-         "ec": (exponent_Ec, ec_objective)}
+# lookup name -> (unmemoized maximization, objective factory, its tables)
+FRESH = {"emd": (exponent_EmD, _emd, _emd_tables),
+         "eid": (exponent_EiD, _eid, _eid_tables),
+         "ec": (exponent_Ec, _ec, _ec_tables)}
 MAXIMIZERS = {"exponent_EmD": "emd", "exponent_EiD": "eid",
               "exponent_Ec": "ec"}
 
@@ -809,7 +845,9 @@ MAXIMIZERS = {"exponent_EmD": "emd", "exponent_EiD": "eid",
 def _content_key(name, model, alpha, args, kwargs):
     """Content key of the objective behind one lookup or maximization:
     ``args`` are its arguments after the model, up to alpha."""
-    return FRESH[name][1](model, *args, alpha, **kwargs).key
+    _maximize, make, tables = FRESH[name]
+    return gepkit.exponents._content_key(
+        make, tables(model, *args, alpha, **kwargs))
 
 
 @pytest.fixture(scope="module", params=[p.name for p in SCENARIOS]

@@ -31,7 +31,7 @@ from gepkit import (
 from gepkit.decoder import REASONS, DecodeOutcome
 from gepkit.channel import output_marginal
 from gepkit.cli import main
-from gepkit.ensemble import (flatten_symbols, message_count,
+from gepkit.ensemble import (flatten_symbols, message_count, philox_keys,
                              sample_codebook, sample_from_pmf, stream)
 from gepkit.errors import MismatchedParameters, ShapeMismatch
 from gepkit.exponents import (
@@ -50,6 +50,7 @@ from gepkit.montecarlo import (
     _channel_sampler,
     _draw_g,
     _g_sampler,
+    _read_own_streams,
     _trial_bytes,
     build_detector,
     classify_error,
@@ -778,8 +779,8 @@ class TestTablesDrawn:
 
 
 class _SpyBitGenerator:
-    """A Philox bit generator that logs "state" for each state write and
-    "advance" for each advance."""
+    """A Philox bit generator that logs "state" for each state write,
+    "advance" for each advance and "random_raw" for each raw read."""
 
     def __init__(self, bit_generator, log):
         self._bits, self._log = bit_generator, log
@@ -796,6 +797,10 @@ class _SpyBitGenerator:
     def advance(self, delta):
         self._log.append("advance")
         return self._bits.advance(delta)
+
+    def random_raw(self, size):
+        self._log.append("random_raw")
+        return self._bits.random_raw(size)
 
 
 class _SpyGenerator:
@@ -1283,3 +1288,165 @@ class TestMultiWordSeed:
         assert {g: [v["trials"], v["errors"]] for g, v in per_g.items()} \
             == {" ".join(map(str, g)): n_e for g, n_e in want.items()}
 
+
+def _lemire_rejects(h, n):
+    """Whether numpy's bounded draw over n > 1 values rejects the 32-bit
+    half h (Lemire's threshold)."""
+    return n > 1 and (h * n) % 2**32 < (2**32 - n) % n
+
+
+class TestOwnStreamReader:
+    """_read_own_streams gives each trial the g, messages and uniforms of
+    _draw_g, integers(1, M + 1) and random on its own stream, re-reads the
+    trials its predicate names through those calls, and reads each stream
+    with one state write and one random_raw."""
+
+    # 3 * 2^24 makes numpy reject 1 half in 256
+    COUNTS = [1, 2, 2**5, 2**17, 2**25, 3 * 2**24]
+
+    @staticmethod
+    def _numpy_calls(master_seed, trials, purpose, g_list, g_probs, bounds,
+                     n_uniform):
+        """Per trial t, (g index, messages, uniforms) drawn by the numpy
+        calls on stream(master_seed, t, purpose); and a count that is
+        nonzero iff numpy rejected a half in some trial: the halves are
+        checked where they lie without redraws, so a trial's first
+        rejection is always seen and only zero against nonzero counts."""
+        out, rejected = [], 0
+        for t in range(trials):
+            rng = stream(master_seed, t, purpose)
+            state = copy.deepcopy(rng.bit_generator.state)
+            idx = g_list.index(_draw_g(rng, g_list, g_probs))
+            w = [int(rng.integers(1, M + 1)) for M in bounds[idx].tolist()]
+            out.append((idx, w, rng.random(n_uniform).tobytes()))
+            rng.bit_generator.state = state
+            raw = rng.bit_generator.random_raw(8).tolist()
+            halves = [x >> 32 * i & 0xFFFFFFFF for x in raw for i in (0, 1)]
+            first = [] if g_probs is not None else [len(g_list)]
+            n = first + bounds[idx].tolist()
+            at = 2 * (g_probs is not None)
+            for bound in n:
+                if bound > 1:
+                    rejected += _lemire_rejects(halves[at], bound)
+                    at += 1
+        return out, rejected
+
+    @pytest.mark.parametrize("rule", ["uniform", "alpha_prior"])
+    def test_draws_equal_the_numpy_calls(self, rule):
+        rng = np.random.default_rng(31 + len(rule))
+        rejected = 0
+        for case in range(40):
+            master_seed = int(rng.integers(0, 2**40))
+            G, coded = int(rng.integers(1, 65)), int(rng.integers(0, 4))
+            g_list = [(i,) for i in range(G)]
+            # probabilities with zeros, whose float sum need not be 1
+            g_probs = None if rule == "uniform" else \
+                rng.dirichlet(np.ones(G)) * (rng.random(G) < 0.8)
+            if g_probs is not None:
+                g_probs = g_probs / g_probs.sum() if g_probs.any() else \
+                    np.eye(G)[-1]
+            bounds = np.array(self.COUNTS, dtype=np.uint64)[
+                rng.integers(0, len(self.COUNTS), (G, coded))]
+            n_uniform, trials = int(rng.integers(1, 40)), 128
+            purpose = int(rng.integers(0, 3))
+            keys = philox_keys(master_seed, np.arange(trials),
+                               purpose).tolist()
+            idx, w, u = _read_own_streams(
+                np.random.Generator(np.random.Philox()), keys, g_list,
+                g_probs, bounds, n_uniform)
+            want, n_rejected = self._numpy_calls(
+                master_seed, trials, purpose, g_list, g_probs, bounds,
+                n_uniform)
+            rejected += n_rejected
+            assert u.shape == (trials, n_uniform) and u.dtype == np.float64
+            got = [(i, list(wi), ui.tobytes())
+                   for i, wi, ui in zip(idx.tolist(), w.tolist(), u)]
+            assert got == want, (case, master_seed, G, bounds.tolist())
+        # the cases reach numpy's rejection, so the re-read path runs
+        assert rejected > 0
+
+    @staticmethod
+    def _routed(monkeypatch, every):
+        """Send every ``every``-th trial of each chunk to the re-read path;
+        return the list that counts its _draw_g calls."""
+        rereads = []
+        draw_g = gepkit.montecarlo._draw_g
+
+        def spy_draw_g(rng, g_list, g_probs):
+            rereads.append(1)
+            return draw_g(rng, g_list, g_probs)
+
+        monkeypatch.setattr(gepkit.montecarlo, "_draw_g", spy_draw_g)
+        monkeypatch.setattr(gepkit.montecarlo, "_may_redraw", lambda m, n: (
+            np.arange(len(m)) % every == 0)[:, None])
+        return rereads
+
+    @pytest.mark.parametrize("every", [1, 2])
+    @pytest.mark.parametrize("name", sorted(TRIAL_SCENARIOS))
+    def test_rereads_give_the_reference_tallies(self, monkeypatch, name,
+                                                 every):
+        scen, seed, _trials = TRIAL_SCENARIOS[name]
+        trials = 60
+        want = reference_trials(scen, trials, seed)
+        rereads = self._routed(monkeypatch, every)
+        assert run_trials(scen, trials, seed) == want
+        assert len(rereads) == len(range(0, trials, every))
+
+    @pytest.mark.parametrize("every", [1, 2])
+    @pytest.mark.parametrize("name", sorted(_workload_detect_scenarios()))
+    def test_detection_rereads_give_the_reference_tallies(
+            self, monkeypatch, tmp_path, name, every):
+        ref = _workload_detect_scenarios()[name]
+        path = ref if isinstance(ref, Path) else \
+            load_workloads().scenario_path(ref, ROOT, tmp_path)
+        scen = load_scenario(path)
+        want = reference_detection_trials(scen, 300, 17)
+        rereads = self._routed(monkeypatch, every)
+        assert run_detection_trials(scen, 300, 17) == want
+        assert len(rereads) == len(range(0, 300, every))
+
+    @pytest.mark.parametrize("name, decoding, detection", [
+        ("sec4-margin", 468, 1170), ("mac2-partition", 497, 1560),
+        ("bigcode-detect", 512, 655)])
+    def test_chunks_are_whole_blocks(self, monkeypatch, tmp_path, name,
+                                     decoding, detection):
+        """A chunk is as many whole blocks (TestBlockTraffic) as KEY_CHUNK
+        trials hold, at least one."""
+        workloads = load_workloads()
+        spec = workloads.WORKLOADS[name]
+        scen, detect_scen = (
+            load_scenario(workloads.scenario_path(spec[key], ROOT, tmp_path))
+            for key in ("scenario", "detect_scenario"))
+        chunks = []
+        read = gepkit.montecarlo._read_own_streams
+
+        def spied(rng, keys, *args):
+            chunks.append(len(keys))
+            return read(rng, keys, *args)
+
+        monkeypatch.setattr(gepkit.montecarlo, "_read_own_streams", spied)
+        run_trials(scen, decoding + 1, 1)
+        run_detection_trials(detect_scen, detection + 1, 1)
+        assert chunks == [decoding, 1, detection, 1]
+
+    @pytest.mark.parametrize("decoding", [True, False])
+    def test_one_state_write_and_one_raw_read_per_trial(self, monkeypatch,
+                                                        tmp_path, decoding):
+        scen, seed, _trials = TRIAL_SCENARIOS["mac2-partition"]
+        if not decoding:
+            scen = load_scenario(load_workloads().scenario_path(
+                "mac2-partition", ROOT, tmp_path))
+        log = []
+        spies = [_SpyGenerator(log)]
+        real = np.random.Generator
+        monkeypatch.setattr(np.random, "Generator", lambda bits: spies.pop()
+                            if spies else real(bits))
+        # several blocks and chunks
+        monkeypatch.setattr(gepkit.montecarlo, "BLOCK_BYTES",
+                            _decode_block_bytes(scen, 5) if decoding
+                            else _block_bytes(scen, 5))
+        monkeypatch.setattr(gepkit.montecarlo, "KEY_CHUNK", 12)
+        run = run_trials if decoding else run_detection_trials
+        tallies = run(scen, 37, seed)
+        assert sum(n for n, *_ in tallies.values()) == 37
+        assert not spies and log == ["state", "random_raw"] * 37

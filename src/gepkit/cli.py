@@ -1,10 +1,11 @@
 """Command line interface.
 
 Subcommands: ``exponents`` (per-pair exponent breakdown CSV), ``bound``
-(analytic bound reports as JSON), ``simulate`` (Monte Carlo estimate plus
-bound verdict), ``detect`` (region-detection trials against their bound)
-and ``gate`` (the margin construction's entropy gate on a compound-BSC
-scenario).
+(analytic bound reports as JSON), ``simulate`` (Monte Carlo estimate and
+bound verdict, after each sampled g's correct, colliding and wrong
+decodings on stdout), ``detect`` (region-detection trials against their
+bound) and ``gate`` (the margin construction's entropy gate on a
+compound-BSC scenario).
 
 Exit codes: 0 success / PASS verdict, 1 FAIL verdict, 2 input error.
 This module writes every result file, through one CSV and one JSON writer;
@@ -72,36 +73,33 @@ def _tally_rows(per_g: dict, extra=lambda *rest: rest) -> list:
 
 
 # ---------------------------------------------------------------------------
-# bound evaluation shared by `bound` / `simulate` / `exponents`
+# bound evaluation shared by `bound` / `simulate` / `exponents` / `detect`
 # ---------------------------------------------------------------------------
 
-def decode_bound_reports(scenario: Scenario, cache):
-    """Per-D decoder bounds for the scenario's own partition."""
+def decoder_reports(scenario: Scenario, parts, cache):
+    """D -> the bound of the (D, region, margin)-decoder of each entry of
+    ``parts``: the partition's plain parts, :func:`montecarlo.receiver_parts`
+    or :func:`montecarlo.margin_parts`."""
     return {D: gep_bound_D(scenario.model, D, reg, scenario.alpha,
-                           scenario.N, cache=cache)
-            for D, reg in scenario.partition}
+                           scenario.N, margin, cache=cache)
+            for D, reg, margin in parts}
 
 
-def margin_bound_report(scenario: Scenario, cache):
-    """The margin decoder's bound over all regular users, or None when the
-    scenario has no margin and its receiver has no margin decoder."""
-    if not (scenario.margin or scenario.decoder == "margin"):
-        return None
-    D = tuple(range(scenario.model.K))
-    return gep_bound_D(scenario.model, D, scenario.region, scenario.alpha,
-                       scenario.N, margin=scenario.margin, cache=cache)
+def detection_reports(scenario: Scenario, gs, cache):
+    """g -> the weighted detection bound at g, for each g of ``gs``, of the
+    scenario's detection cells."""
+    return {g: detection_bound(scenario.model, g, scenario.detection,
+                               scenario.alpha, scenario.N, cache=cache)
+            for g in gs}
 
 
-def detection_report(scenario: Scenario, g, cache):
-    """Weighted detection bound at g for the scenario's detection cells."""
-    return detection_bound(scenario.model, g, scenario.detection,
-                           scenario.alpha, scenario.N, cache=cache)
-
-
-def detection_bound_reports(scenario: Scenario, cache):
-    """Per-g weighted detection bounds for the scenario's detection cells."""
-    return {g: detection_report(scenario, g, cache)
-            for g in scenario.model.index_space()}
+def detect_bounds(scenario: Scenario, gs, cache):
+    """g -> ``detect``'s bound on Pr{err | g}, for each g of ``gs``: its
+    detection report bounds Pr{err | g} e^{-N alpha(g)}, so the bound is
+    min(1, e^{log_raw + N alpha(g)})."""
+    return {g: min(1.0, float(np.exp(rep.log_raw
+                                     + scenario.N * scenario.alpha(g))))
+            for g, rep in detection_reports(scenario, gs, cache).items()}
 
 
 def scenario_bound(scenario: Scenario, cache):
@@ -109,17 +107,17 @@ def scenario_bound(scenario: Scenario, cache):
     the decoders of :func:`montecarlo.receiver_parts`, summed, plus the
     weighted detection bound under detect-then-decode.  Returns a
     BoundReport."""
-    reports = {D: gep_bound_D(scenario.model, D, reg, scenario.alpha,
-                              scenario.N, margin=margin, cache=cache)
-               for D, reg, margin in montecarlo.receiver_parts(scenario)}
+    reports = decoder_reports(scenario, montecarlo.receiver_parts(scenario),
+                              cache)
     extra = {}
     if scenario.decoder == "detect":
         # normalized in log domain: e^{-N alpha} underflows at large alpha
-        detection = detection_bound_reports(scenario, cache).values()
+        detection = detection_reports(
+            scenario, scenario.model.index_space(), cache).values()
         extra["detection"] = math.exp(
             _logsumexp([r.log_raw for r in detection], axis=0)
             - scenario.alpha.log_total(scenario.N))
-    return summed_report(reports, scenario.N, scenario.alpha, extra)
+    return summed_report(reports, scenario.N, scenario.alpha, extra, False)
 
 
 def _report_dict(report) -> dict:
@@ -139,17 +137,15 @@ def _report_dict(report) -> dict:
 
 def cmd_exponents(scenario: Scenario, out: Path) -> int:
     cache = ExponentCache()
-    rows = [("decode", D, t)
-            for D, rep in decode_bound_reports(scenario, cache).items()
-            for t in rep.terms]
-    margin = margin_bound_report(scenario, cache)
-    if margin is not None:
-        D = tuple(range(scenario.model.K))
-        rows += [("margin", D, t) for t in margin.terms]
+    plain = [(D, reg, None) for D, reg in scenario.partition]
+    rows = [(theorem, D, t) for theorem, parts in (
+        ("decode", plain), ("margin", montecarlo.margin_parts(scenario)))
+        for D, rep in decoder_reports(scenario, parts, cache).items()
+        for t in rep.terms]
     if scenario.detection is not None:
-        rows += [("detect", (), t)
-                 for rep in detection_bound_reports(scenario, cache).values()
-                 for t in rep.terms]
+        rows += [("detect", (), t) for rep in detection_reports(
+            scenario, scenario.model.index_space(), cache).values()
+            for t in rep.terms]
     path = out / "exponents.csv"
     _write_csv(path, ["theorem", "D", "S", "g", "g_alt", "exponent",
                       "rho_star", "s_star"],
@@ -176,13 +172,14 @@ def cmd_bound(scenario: Scenario, out: Path) -> int:
     payload["partitioned"]["partition"] = [
         {"D": list(D), "region": [list(g) for g in sorted(reg)]}
         for D, reg in partition]
-    margin = margin_bound_report(scenario, cache)
-    if margin is not None:
-        payload["margin"] = _report_dict(margin)
+    margin = decoder_reports(scenario, montecarlo.margin_parts(scenario),
+                             cache)
+    if margin:
+        payload["margin"] = _report_dict(*margin.values())
     if scenario.detection is not None:
         payload["detection"] = {
-            _join(g): _report_dict(rep)
-            for g, rep in detection_bound_reports(scenario, cache).items()}
+            _join(g): _report_dict(rep) for g, rep in detection_reports(
+                scenario, scenario.model.index_space(), cache).items()}
     path = out / "bounds.json"
     _write_json(path, payload)
     print(f"wrote {path}")
@@ -209,6 +206,9 @@ def cmd_simulate(scenario: Scenario, out: Path) -> int:
         summary["unestimated"] = [_join(g) for g in estimate.unestimated]
         note = f" (no trials for g = {', '.join(summary['unestimated'])})"
     _write_json(out / "summary.json", summary)
+    for g, (n, _errors, correct, wrong) in sorted(tallies.items()):
+        print(f"g = {_join(g)}: trials {n}  correct {correct}  "
+              f"collisions {n - correct - wrong}  wrong {wrong}")
     print(f"estimate = {_fmt(estimate.point)}  sigma = {_fmt(estimate.se)}  "
           f"bound = {_fmt(bound.value)}  -> {word}{note}")
     return 0 if passed else 1
@@ -219,12 +219,9 @@ def cmd_detect(scenario: Scenario, out: Path) -> int:
         raise IntegrityError("$.detection: required for the detect command")
     tallies = montecarlo.run_detection_trials(scenario, scenario.trials,
                                               scenario.seed)
-    cache = ExponentCache()  # one cache for every sampled g
-    # each report bounds Pr{err | g} e^{-N alpha(g)}; judge Pr{err | g}
-    per_g, passed = montecarlo.compare_per_g(tallies, {
-        g: min(1.0, float(np.exp(detection_report(scenario, g, cache).log_raw
-                                 + scenario.N * scenario.alpha(g))))
-        for g in tallies})
+    # one cache for every sampled g
+    per_g, passed = montecarlo.compare_per_g(
+        tallies, detect_bounds(scenario, tallies, ExponentCache()))
     word = "PASS" if passed else "FAIL"
     path = out / "detect.csv"
     _write_csv(path, ["g", "trials", "errors", "p_hat", "bound", "vacuous"],

@@ -415,39 +415,34 @@ def is_vacuous(raw: float) -> bool:
     return raw >= 1.0 - VACUITY_TOL
 
 
-def bound_report(terms, N: int, alpha: WeightFunction, log_norm: float = 0.0,
-                 components: dict | None = None, clamp: bool = True,
-                 heuristic: bool = False) -> BoundReport:
-    """The one constructor of BoundReport.
-
-    Without ``components`` the raw bound is sum_t e^{-N exponent_t} /
-    e^{log_norm} over ``terms``; with them (name -> raw bound of a part)
-    it is their sum and ``terms`` are the parts' terms, listed.  The value is the raw bound
-    clamped to 1 when ``clamp``, the raw bound itself otherwise."""
-    if components is None:
-        logs = np.array([-N * t.exponent for t in terms], dtype=float)
-        log_raw = float(_logsumexp(logs, axis=0) - log_norm) if len(logs) \
-            else float("-inf")
-        raw = float(np.exp(log_raw))
-    else:
-        raw = sum(components.values())
-        log_raw = math.log(raw) if raw > 0 else float("-inf")
+def bound_report(terms, N: int, alpha: WeightFunction, log_norm: float,
+                 clamp: bool) -> BoundReport:
+    """The report of a sum of terms: the raw bound is
+    sum_t e^{-N exponent_t} / e^{log_norm} over ``terms``, and the value is
+    the raw bound clamped to 1 when ``clamp``, the raw bound itself
+    otherwise."""
+    logs = np.array([-N * t.exponent for t in terms], dtype=float)
+    log_raw = float(_logsumexp(logs, axis=0) - log_norm) if len(logs) \
+        else float("-inf")
+    raw = float(np.exp(log_raw))
     return BoundReport(value=min(1.0, raw) if clamp else raw, raw=raw,
                        log_raw=log_raw, N=N, terms=tuple(terms),
-                       vacuous=is_vacuous(raw), alpha_key=alpha.key(),
-                       heuristic=heuristic, components=components or {})
+                       vacuous=is_vacuous(raw), alpha_key=alpha.key())
 
 
-def summed_report(reports: dict, N: int, alpha: WeightFunction,
-                  extra: dict | None = None,
-                  heuristic: bool = False) -> BoundReport:
-    """Sum of per-D reports (D -> BoundReport), plus ``extra`` named raw
-    components, as one report whose terms are the per-D terms in order."""
+def summed_report(reports: dict, N: int, alpha: WeightFunction, extra: dict,
+                  heuristic: bool) -> BoundReport:
+    """The sum of per-D reports (D -> BoundReport) and ``extra`` named raw
+    components as one report, clamped to 1, with the per-D terms in order."""
     components = {str(D): r.raw for D, r in reports.items()}
-    components.update(extra or {})
-    terms = [t for r in reports.values() for t in r.terms]
-    return bound_report(terms, N, alpha, components=components,
-                        heuristic=heuristic)
+    components.update(extra)
+    raw = sum(components.values())
+    return BoundReport(value=min(1.0, raw), raw=raw,
+                       log_raw=math.log(raw) if raw > 0 else float("-inf"),
+                       N=N, terms=tuple(t for r in reports.values()
+                                        for t in r.terms),
+                       vacuous=is_vacuous(raw), alpha_key=alpha.key(),
+                       heuristic=heuristic, components=components)
 
 
 def _term(kind, S, g, g_other, res: ExponentResult) -> BoundTerm:
@@ -546,7 +541,7 @@ def gep_bound_D(model: SystemModel, D, region, alpha: WeightFunction, N: int,
     terms = [t for S, excluded, covers_D in searches
              for t in _subset_terms(model, D, S, region, excluded, covers_D,
                                     alpha, N, cache)]
-    return bound_report(terms, N, alpha, alpha.log_total(N))
+    return bound_report(terms, N, alpha, alpha.log_total(N), True)
 
 
 def gep_bound_partitioned(model: SystemModel, region, alpha: WeightFunction,
@@ -582,7 +577,7 @@ def gep_bound_partitioned(model: SystemModel, region, alpha: WeightFunction,
         if best is None or raw < best[0]:
             best = (raw, mapping, reports)
     _raw, mapping, reports = best
-    return summed_report(reports, N, alpha, heuristic=heuristic), \
+    return summed_report(reports, N, alpha, {}, heuristic), \
         validate_partition(model, mapping, region)
 
 
@@ -614,4 +609,4 @@ def detection_bound(model: SystemModel, g, regions, alpha: WeightFunction,
         raise NotAPartition(f"no detection region contains {g}")
     terms = [_term("detect", (), g, gt, cache.ec(model, g, gt, alpha))
              for gt in model.index_space() if gt not in cell]
-    return bound_report(terms, N, alpha, clamp=alpha(g) == 0.0)
+    return bound_report(terms, N, alpha, 0.0, alpha(g) == 0.0)

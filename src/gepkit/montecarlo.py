@@ -4,14 +4,13 @@ One block trial engine (:func:`_run_blocks`) runs decoding and detection
 trials and returns per-g tallies, since the GEP is a weighted sum of
 Pr{err | g}.  Per-trial randomness is derived deterministically from
 (master_seed, trial index, purpose), so runs reproduce bit for bit:
-reusable generators are re-keyed to stream keys derived for many trials at
-once (:func:`_trial_keys`).  Trials run in blocks of at most
-``BLOCK_BYTES`` and read their own streams a chunk of whole blocks at a
-time, one raw read per trial, from whose words the chunk's g, messages and
-uniforms are derived at once (:func:`_read_own_streams`); the inverse CDF
-runs once per code per block.  A
-decoding block has one :class:`~gepkit.ensemble.CodebookRealization` (each
-trial its own codebooks), of which the decoder draws only what it reads.
+reusable generators are re-keyed to stream keys derived at once for a
+chunk of whole blocks of at most ``BLOCK_BYTES``, and each trial's own
+stream is read with one raw read, from whose words the chunk's g, messages
+and uniforms are derived at once (:func:`_read_own_streams`); the inverse
+CDF runs once per code per block.  A decoding block has one
+:class:`~gepkit.ensemble.CodebookRealization` (each trial its own
+codebooks), of which the decoder draws only what it reads.
 
 The error estimator samples messages uniformly and averages, which lower
 bounds the worst-case-over-messages definition; for the random ensembles
@@ -21,7 +20,6 @@ equals the worst case in expectation.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -69,7 +67,7 @@ TRIAL_BUDGET_BYTES = 256 * 2**20
 # over 256 KiB to 2 MiB (CHANGES.md).
 BLOCK_BYTES = 2**20
 
-# Trials whose stream keys are derived at once, 16 bytes per stream.
+# Most trials of a chunk (_run_blocks) but for one block that holds more.
 KEY_CHUNK = 512
 
 
@@ -121,19 +119,6 @@ def _draw_g(rng, g_list, g_probs):
     return g_list[int(rng.choice(len(g_list), p=g_probs))]
 
 
-def _trial_keys(master_seed: int, trials: int, purpose: int, codes):
-    """Stream keys of trials t = 0, 1, ..., ``KEY_CHUNK`` trials at once:
-    of (master_seed, t, purpose), purpose 1 to decode and 2 to detect, each
-    paired with those of (master_seed, t, 0, k, g_k) for the (k, g_k) of
-    ``codes``, or with None when ``codes`` is None."""
-    for start in range(0, trials, KEY_CHUNK):
-        t = np.arange(start, min(start + KEY_CHUNK, trials))
-        own = philox_keys(master_seed, t, purpose).tolist()
-        yield from zip(own, philox_keys(
-            master_seed, t[:, None], 0, *zip(*codes)).tolist()
-            if codes else [None] * len(own))
-
-
 def _channel_sampler(model: SystemModel):
     """transmit(x, u) -> y for input symbols x of shape (..., n_users, N)
     and one uniform per output symbol, u of shape (..., N): each y is the
@@ -148,16 +133,23 @@ def _channel_sampler(model: SystemModel):
     return transmit
 
 
+def margin_parts(scenario) -> list:
+    """The margin decoder's (D, region, margin), D all regular users, in a
+    list; empty when the scenario has neither a margin nor a margin decoder."""
+    if not (scenario.margin or scenario.decoder == "margin"):
+        return []
+    return [(tuple(range(scenario.model.K)), scenario.region,
+             scenario.margin)]
+
+
 def receiver_parts(scenario) -> list:
     """(D, region, margin) of each threshold decoder the scenario's receiver
-    runs, in partition order: the margin decoder is one table over all
-    regular users with the scenario's margin, every other variant one
-    plain table (margin None) per partition part.  The trials build their
-    tables from this list and the verdict bound sums its bounds over it."""
-    if scenario.decoder == "margin":
-        return [(tuple(range(scenario.model.K)), scenario.region,
-                 scenario.margin)]
-    return [(D, reg, None) for D, reg in scenario.partition]
+    runs, in partition order: the margin decoder's :func:`margin_parts`,
+    every other variant one plain table (margin None) per partition part.
+    The trials build their tables from this list and the verdict bound
+    sums its bounds over it."""
+    return margin_parts(scenario) if scenario.decoder == "margin" else \
+        [(D, reg, None) for D, reg in scenario.partition]
 
 
 def _read_codes(scenario) -> list:
@@ -236,13 +228,17 @@ def _read_own_streams(rng, keys, g_list, g_probs, bounds, n_uniform: int):
     m = np.take_along_axis(halves, np.cumsum(take, axis=1) - take, 1) * n
     w = (m[:, 1 - first:] >> 32).astype(np.int64) + 1
     starts = first + (take.sum(axis=1) + 1) // 2
-    skip = raw.shape[1] - n_uniform         # where the uniforms go
+    skip = int(starts.min())                # where the uniforms go
     for start in set(starts.tolist()) - {skip}:
         at = starts == start
-        raw[at, skip:] = raw[at, start:start + n_uniform]
-    u = raw[:, skip:]
-    np.right_shift(u, 11, out=u)
-    u = np.multiply(u, 2.0**-53, out=u.view(np.float64))
+        raw[at, skip:skip + n_uniform] = raw[at, start:start + n_uniform]
+    u = raw[:, skip:skip + n_uniform]
+    # 16 KiB at a time: numpy copies an operand overlapping its output
+    step = max(1, 2**14 // (8 * n_uniform))
+    for at in range(0, len(u), step):
+        part = u[at:at + step]
+        np.multiply(part >> 11, 2.0**-53, out=part.view(np.float64))
+    u = u.view(np.float64)
     for t in np.flatnonzero(_may_redraw(m, n).any(axis=1)).tolist():
         idx[t] = g_list.index(_draw_g(rekey(rng, keys[t], 0), g_list,
                                       g_probs))
@@ -262,7 +258,8 @@ def _run_blocks(scenario, trials: int, master_seed: int, trial_bytes: int,
     no codebook sends and N for the channel, read with the chunk's other
     trials (:func:`_read_own_streams`): a chunk is as many whole blocks as
     ``KEY_CHUNK`` trials and ``BLOCK_BYTES`` of their words hold, at least
-    one.  Unless the decoder is detect-then-decode,
+    one, whose own and (decoding) code stream keys are derived by one
+    :func:`philox_keys` call each.  Unless the decoder is detect-then-decode,
     the block's :class:`CodebookRealization` first draws the tables of
     :func:`_read_codes`, whose codewords are their rows; other codewords
     come from the trials' own code streams.  A block holds
@@ -273,7 +270,6 @@ def _run_blocks(scenario, trials: int, master_seed: int, trial_bytes: int,
     g_list, g_probs = _g_sampler(scenario, model)
     transmit = _channel_sampler(model)
     coded = model.K if counts else 0        # users sending codewords
-    keys = _trial_keys(master_seed, trials, 1 if counts else 2, counts)
     rng = np.random.Generator(np.random.Philox())
     code_rng = np.random.Generator(np.random.Philox()) if counts else None
     drawn = _read_codes(scenario) \
@@ -288,10 +284,13 @@ def _run_blocks(scenario, trials: int, master_seed: int, trial_bytes: int,
     totals = 0                              # then (columns, len(g_list))
     for start in range(0, trials, per_block):
         if start % per_chunk == 0:
-            own, code_keys = zip(*itertools.islice(keys, per_chunk))
-            idx, w, u = _read_own_streams(rng, own, g_list, g_probs, bounds,
-                                          n_uniform)
-            u = u.reshape(len(own), -1, N)  # inputs no codebook sends, y
+            t = np.arange(start, min(start + per_chunk, trials))
+            idx, w, u = _read_own_streams(
+                rng, philox_keys(master_seed, t, 1 if counts else 2).tolist(),
+                g_list, g_probs, bounds, n_uniform)
+            u = u.reshape(len(t), -1, N)    # inputs no codebook sends, y
+            code_keys = philox_keys(master_seed, t[:, None], 0, *zip(
+                *counts)).tolist() if counts else None
         block = slice(start % per_chunk, start % per_chunk + per_block)
         rows, ws, u_b = idx[block], w[block], u[block]
         gs, g_rows = [g_list[i] for i in rows.tolist()], g_array[rows]

@@ -32,7 +32,7 @@ from gepkit import (
 )
 from gepkit import decoder, montecarlo
 from gepkit.channel import marginalize_out
-from gepkit.cli import detection_bound_reports, entropy_gate, main
+from gepkit.cli import detect_bounds, entropy_gate, main
 from gepkit.exponents import (
     ExponentCache,
     WeightFunction,
@@ -249,10 +249,8 @@ def test_criterion_5_detection_bound_vs_simulation():
     scen = load_scenario(SCENARIOS / "detect_two_bsc.json")
     assert scen.N == 20 and scen.trials >= 10_000
     tallies = run_detection_trials(scen, scen.trials, scen.seed)
-    # each report bounds Pr{err | g} e^{-N alpha(g)}
-    per_g, passed = compare_per_g(tallies, {
-        g: min(1.0, math.exp(rep.log_raw + scen.N * scen.alpha(g)))
-        for g, rep in detection_bound_reports(scen, ExponentCache()).items()})
+    per_g, passed = compare_per_g(tallies, detect_bounds(
+        scen, scen.model.index_space(), ExponentCache()))
     parts = []
     for g, (n, e, b, _vac) in sorted(per_g.items()):
         parts.append(f"g={g}: {e}/{n} vs {b:.4f}")

@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from gepkit.channel import marginalize_out
-from gepkit.cli import detection_report
+from gepkit.cli import detect_bounds
 from gepkit.decoder import build_detector, detect_region
 from gepkit.exponents import ExponentCache
 from gepkit.montecarlo import run_detection_trials
@@ -69,11 +69,9 @@ def oracle(request):
 def test_exact_error_is_within_the_bound(oracle):
     """Deterministic: the bound of each g as ``detect`` computes it."""
     scenario, exact = oracle
-    cache = ExponentCache()
+    bounds = detect_bounds(scenario, exact, ExponentCache())
     for g, err in exact.items():
-        bound = min(1.0, math.exp(detection_report(scenario, g, cache).log_raw
-                                  + scenario.N * scenario.alpha(g)))
-        assert err <= bound, (g, err, bound)
+        assert err <= bounds[g], (g, err, bounds[g])
 
 
 def test_pooled_estimate_is_within_4_sigma(oracle):

@@ -461,6 +461,49 @@ class TestOneCachePerSimulate:
             assert built == {"_emd": 6, "_eid": 6, "_ec": 1}
 
 
+# (E_mD, E_iD, E_c) maximizations of exponents, bound, simulate and detect
+# (None: no detection cells) per shipped scenario and decoder
+MAXIMIZATIONS = {
+    ("bsc_compound_sec4.json", None):
+        [(1, 3, 0), (1, 3, 0), (1, 3, 0), None],
+    ("bsc_compound_sec4.json", "plain"):
+        [(1, 3, 0), (1, 3, 0), (1, 2, 0), None],
+    ("compound_bsc_relaxed.json", None):
+        [(1, 1, 0), (1, 1, 0), (1, 1, 0), None],
+    ("detect_two_bsc.json", None):
+        [(1, 1, 2), (1, 1, 2), (1, 1, 0), (0, 0, 2)],
+    ("detect_two_bsc.json", "detect-then-decode"):
+        [(1, 1, 2), (1, 1, 2), (1, 1, 2), (0, 0, 2)],
+}
+
+
+class TestMaximizationsPerCommand:
+    """Each command maximizes what its reports need and no more: the
+    margin decoder's bound and threshold tables, sec4 under the plain
+    decoder the margin report of ``bound`` and ``exponents`` but not the
+    tables of ``simulate``, and ``detect`` only detection exponents."""
+
+    @pytest.mark.parametrize("name, decoder", list(MAXIMIZATIONS))
+    def test_counts(self, name, decoder, tmp_path, monkeypatch):
+        doc = json.loads((ROOT / "scenarios" / name).read_text())
+        if decoder is not None:
+            doc["decoder"] = decoder
+        scenario = tmp_path / name
+        scenario.write_text(json.dumps(doc))
+        for command, want in zip(("exponents", "bound", "simulate",
+                                  "detect"), MAXIMIZATIONS[name, decoder]):
+            if want is None:
+                continue
+            with monkeypatch.context() as mp:
+                calls = _count_maximizations(mp)
+                assert main([command, "--scenario", str(scenario), "--out",
+                             str(tmp_path / "out"), "--trials", "20"]) \
+                    in (0, 1)
+            assert tuple(sum(n for key, n in calls.items() if key[0] == fn)
+                         for fn in ("exponent_EmD", "exponent_EiD",
+                                    "exponent_Ec")) == want, command
+
+
 class TestOneDetectionPath:
     """``bound`` and ``exponents`` on a detect-then-decode scenario build
     the decode, partitioned and per-g detection bounds from one cache, so

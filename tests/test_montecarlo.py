@@ -8,6 +8,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from collections import Counter
 from pathlib import Path
@@ -1132,14 +1133,15 @@ class TestDetectionBlocks:
                 assert a.random() == b.random() == c.random()
 
     def test_one_stream_per_trial_in_order(self, monkeypatch):
-        """Each trial's key is derived once, in trial order, in chunks of
-        KEY_CHUNK trials that cut across the blocks, and the trial
+        """Each trial's key is derived once, in trial order, with the
+        other keys of its read chunk: whole blocks of 4 trials, as a
+        KEY_CHUNK of 3 trials holds no whole block; and the trial
         generator is re-keyed to each."""
         scen = _random_detect_scenario(2)
         monkeypatch.setattr(gepkit.montecarlo, "BLOCK_BYTES",
                             _block_bytes(scen, 4))
-        chunk = 3
-        monkeypatch.setattr(gepkit.montecarlo, "KEY_CHUNK", chunk)
+        chunk = 4
+        monkeypatch.setattr(gepkit.montecarlo, "KEY_CHUNK", 3)
         derived, path_of, keyed = [], {}, []
         derive = gepkit.montecarlo.philox_keys
         rekey = gepkit.montecarlo.rekey
@@ -1428,6 +1430,41 @@ class TestOwnStreamReader:
         run_trials(scen, decoding + 1, 1)
         run_detection_trials(detect_scen, detection + 1, 1)
         assert chunks == [decoding, 1, detection, 1]
+
+    @pytest.mark.parametrize("name, decoding, trials", [
+        ("sec4-margin", True, 468), ("sec4-margin", False, 1170),
+        ("mac2-partition", False, 1560)])
+    def test_uniforms_are_not_copied_whole(self, monkeypatch, tmp_path, name,
+                                           decoding, trials):
+        """Converting a chunk's words to uniforms in place copies no more
+        than a bounded slice: the read's peak stays below its words plus
+        a second copy of its uniforms (numpy copies an operand that
+        overlaps its output)."""
+        workloads = load_workloads()
+        spec = workloads.WORKLOADS[name]
+        scen = load_scenario(workloads.scenario_path(
+            spec["scenario" if decoding else "detect_scenario"], ROOT,
+            tmp_path))
+        reads = []
+        read = gepkit.montecarlo._read_own_streams
+
+        def measured(rng, keys, g_list, g_probs, bounds, n_uniform):
+            tracemalloc.start()
+            try:
+                idx, w, u = read(rng, keys, g_list, g_probs, bounds,
+                                 n_uniform)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            words = n_uniform + 1 + (bounds.shape[1] + 1) // 2
+            reads.append((len(keys), peak, len(keys) * words * 8, u.nbytes))
+            return idx, w, u
+
+        monkeypatch.setattr(gepkit.montecarlo, "_read_own_streams", measured)
+        (run_trials if decoding else run_detection_trials)(scen, trials, 1)
+        (chunk, peak, words, uniforms), = reads
+        assert chunk == trials
+        assert peak < words + uniforms
 
     @pytest.mark.parametrize("decoding", [True, False])
     def test_one_state_write_and_one_raw_read_per_trial(self, monkeypatch,

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from gepkit import optimize
-from gepkit.cli import detection_bound_reports, scenario_bound
+from gepkit.cli import detection_reports, scenario_bound
 from gepkit.exponents import ExponentCache
 from gepkit.optimize import (
     _axis,
@@ -195,7 +195,7 @@ def _recorded_maximizations(scenario, monkeypatch):
         monkeypatch.setattr(f"gepkit.exponents.{name}", record)
     cache = ExponentCache()
     scenario_bound(scenario, cache)
-    detection_bound_reports(scenario, cache)
+    detection_reports(scenario, scenario.model.index_space(), cache)
     monkeypatch.undo()
     return calls
 

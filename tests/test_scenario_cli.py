@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -437,6 +438,57 @@ class TestCliDispatch:
         p = self._write(tmp_path, doc)
         out = tmp_path / "out"
         assert main(["simulate", "--scenario", p, "--out", str(out)]) == 0
+
+    @pytest.mark.parametrize("name", ["bsc_compound_sec4.json",
+                                      "compound_bsc_relaxed.json"])
+    def test_simulate_prints_each_g_split(self, tmp_path, capsys, name):
+        """Before its verdict line, ``simulate`` prints one line per sampled
+        g, in g order: run_trials' trials of g split into correct
+        decodings, collisions and wrong decodings."""
+        p = str(SCENARIOS / name)
+        assert main(["simulate", "--scenario", p, "--out", str(tmp_path),
+                     "--trials", "50", "--seed", "4"]) == 0
+        *lines, verdict = capsys.readouterr().out.splitlines()
+        assert verdict.startswith("estimate = ") and \
+            verdict.endswith("-> PASS")
+        rows = [re.fullmatch(r"g = ([\d ]+): trials (\d+)  correct (\d+)  "
+                             r"collisions (\d+)  wrong (\d+)", line).groups()
+                for line in lines]
+        assert len(rows) > 1
+        for _g, n, correct, collisions, wrong in rows:
+            assert int(n) == int(correct) + int(collisions) + int(wrong)
+        assert sum(int(row[1]) for row in rows) == 50
+        tallies = run_trials(load_scenario(p), 50, 4)
+        assert rows == [(" ".join(map(str, g)), str(n), str(correct),
+                         str(n - correct - wrong), str(wrong))
+                        for g, (n, _e, correct, wrong) in
+                        sorted(tallies.items())]
+
+    def test_plain_decoder_keeps_the_margin_reports(self, tmp_path):
+        """sec4 under the plain decoder: ``exponents`` and ``bound`` still
+        report the margin decoder over all regular users, and the verdict
+        bound sums the partition's plain parts only."""
+        doc = json.loads((SCENARIOS / "bsc_compound_sec4.json").read_text())
+        assert doc["decoder"] == "margin" and doc["margin"]
+        doc["decoder"] = "plain"
+        p = self._write(tmp_path, doc)
+        for command in ("exponents", "bound"):
+            assert main([command, "--scenario", p, "--out",
+                         str(tmp_path)]) == 0
+        with open(tmp_path / "exponents.csv", newline="") as fh:
+            theorems = [(r["theorem"], r["D"], r["S"])
+                        for r in csv.DictReader(fh)]
+        assert {t for t, _D, _S in theorems} == {"decode", "margin"}
+        # only the margin decoder's subsets S cover D = (0,)
+        assert {(D, S) for t, D, S in theorems if t == "decode"} == \
+            {("0", ""), ("0", "1")}
+        assert {(D, S) for t, D, S in theorems if t == "margin"} == \
+            {("0", ""), ("0", "1"), ("0", "0")}
+        bounds = json.loads((tmp_path / "bounds.json").read_text())
+        assert bounds["margin"]["raw"] != bounds["decode"]["raw"]
+        assert bounds["decode"]["components"] == {
+            "(0,)": bounds["partitioned"]["raw"]}
+        assert bounds["decode"]["raw"] == bounds["partitioned"]["raw"]
 
     def test_cli_writes_every_result_file(self, tmp_path, monkeypatch):
         # montecarlo returns data only; without a trace it opens no file

@@ -1,7 +1,6 @@
 """The experiment scripts under scripts/ run end to end against the
 library's current API."""
 
-import re
 import subprocess
 import sys
 
@@ -36,29 +35,3 @@ def test_sweep_reports_the_verdict_bound(tmp_path):
     assert res.stdout.splitlines()[0] == \
         "N=40 bound=0.971724052105 bound_raw=0.971724052105"
 
-
-def test_run_compound_example(tmp_path):
-    res = _run("run_compound_example.py", "--trials", "50", cwd=tmp_path)
-    assert res.returncode == 0, res.stdout + res.stderr
-    assert "== margin bound at N=16 ==" in res.stdout
-    assert "entropy gate: PASS" in res.stdout
-    # the per-state table: each row's correct, collision and wrong counts
-    # sum to its trials, and the rows' trials to --trials
-    rows = [[int(n) for n in m.groups()] for m in re.finditer(
-        r"^ +\(0, \d\) +(\d+) +(\d+) +(\d+) +(\d+)  \(\w+\)$",
-        res.stdout, re.MULTILINE)]
-    assert len(rows) == 4
-    assert all(n == correct + collision + wrong
-               for n, correct, collision, wrong in rows)
-    assert sum(n for n, *_ in rows) == 50
-
-
-def test_run_compound_example_labels_follow_the_decoder(tmp_path):
-    # a plain-decoder scenario: its bound and estimate carry no margin label
-    res = _run("run_compound_example.py", "--trials", "50", "--scenario",
-               str(ROOT / "scenarios" / "compound_bsc_relaxed.json"),
-               cwd=tmp_path)
-    assert res.returncode == 0, res.stdout + res.stderr
-    assert "== plain bound at N=12 ==" in res.stdout
-    assert "plain-decoder GEP" in res.stdout
-    assert "margin" not in res.stdout

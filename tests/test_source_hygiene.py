@@ -138,7 +138,7 @@ def test_nothing_dead(check):
 
 
 # parameters with a default value in the package; lower it when one goes
-MAX_DEFAULTED = 18
+MAX_DEFAULTED = 12
 
 
 def test_defaulted_parameters_do_not_grow():
